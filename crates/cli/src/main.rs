@@ -8,16 +8,11 @@
 //! fmml enforce   --model model.json --jobs 4 [--no-cache]    # batched CEM
 //! fmml eval      [--paper] [--epochs N]                      # Table 1
 //! fmml fm-solve  --steps 8 --ports 2 --budget-secs 10        # §2.3 model
-//! fmml fault-run --seed 7 --jobs 4 [--smt] [--bench-out DIR] # chaos mode
+//! fmml fault-run --seed 7 --jobs 4 [--smt]                   # chaos mode
 //! fmml serve     --addr 127.0.0.1:4700 [--max-secs N]        # streaming server
 //! fmml cluster   --addr 127.0.0.1:4710 --backends 3          # sharded serving
-//! fmml cluster-bench --out bench                             # BENCH_cluster.json
 //! fmml loadgen   --addr 127.0.0.1:4700 --clients 8 [--chaos] # trace replay
-//! fmml serve-bench --out bench                               # BENCH_serve.json
-//! fmml recovery-bench --out bench                            # BENCH_recovery.json
-//! fmml train-bench --out bench                               # BENCH_train.json
 //! fmml obs       --addr 127.0.0.1:4700 [--json]              # live introspection
-//! fmml obs-bench --out bench                                 # BENCH_obs.json
 //! fmml simtest   --seeds 500 [--inject-bug replay-off-by-one] # DST explorer
 //! ```
 //!
@@ -31,14 +26,6 @@ mod error;
 
 use args::Args;
 use error::CliError;
-use fmml_bench::baseline::Baseline;
-use fmml_bench::cem_parallel::{bench_ladder, CemParallelReport};
-use fmml_bench::cluster::{bench_cluster, ClusterBenchConfig};
-use fmml_bench::obs::{bench_obs, ObsBenchConfig};
-use fmml_bench::recovery::{bench_recovery, RecoveryBenchConfig};
-use fmml_bench::serve::{bench_serve, ServeBenchConfig};
-use fmml_bench::train::bench_train;
-use fmml_bench::wire::{bench_wire, WireBenchConfig};
 use fmml_core::eval::{generate_windows, run_table1, EvalConfig};
 use fmml_core::imputer::Imputer;
 use fmml_core::train::{train, train_from};
@@ -83,7 +70,6 @@ COMMANDS:
              over every active window, batched (parallel + memoized)
              --model FILE  --ms N (300)  --seed N (99)  --runs N (1)
              --smt  --deadline-ms N  --jobs N (1; 0 = auto)  --no-cache
-             --bench-out DIR (sequential-vs-tuned BENCH_cem_parallel.json)
   eval       regenerate Table 1 (markdown)
              --paper  --epochs N
   fm-solve   solve the full §2.3 packet-level model for a scripted scenario
@@ -93,8 +79,6 @@ COMMANDS:
              violates its (possibly relaxed) constraints
              --seed N (7)  --runs N (2)  --epochs N (3)  --smt
              --deadline-ms N  --jobs N (1; 0 = auto)  --no-cache
-             --bench-out DIR (write BENCH_cem_ladder.json and the
-             sequential-vs-tuned BENCH_cem_parallel.json)
   serve      run the streaming imputation server (length-prefixed JSON
              frames over TCP, deadline-aware micro-batching, admission
              control); exits non-zero if any shipped reply violated its
@@ -121,52 +105,12 @@ COMMANDS:
              exercise live migration; 0 = off)
              --wire json|bin1 (json; router + backends prefer the same
              codec, binary sessions pass through without re-encoding)
-  cluster-bench
-             cluster benchmark: direct single node vs 1 router + N
-             backends (unpaced capacity), a paced pass with one backend
-             killed mid-run (asserts zero lost intervals), and a timed
-             kill measuring client-visible recovery_ms; writes
-             BENCH_cluster.json (CI gates speedup >= 1.8 on the 4-core
-             runner only — see the report's \"cores\" field)
-             --out DIR (bench)  --backends N (3)  --clients N (8)
-             --intervals N (40)  --deadline-ms N (50)  --seed N (41)
   loadgen    drive a running server with concurrent trace-replay clients
              --addr A (required)  --clients N (8)  --intervals N (40)
              --seed N (11)  --deadline-ms N (50)  --pace-ms N
              --wire json|bin1 (json; bin1 advertises the binary codec)
              --chaos (standard >= 10% disturbance preset)
              --report-json FILE (write the flat LoadReport JSON)
-  serve-bench
-             loopback serving benchmark: spawn a server, sweep client
-             concurrency, re-run under chaos; writes BENCH_serve.json
-             --out DIR (bench)  --clients A,B,C (1,8,32)  --intervals N (40)
-             --deadline-ms N (50)  --workers N (2)  --jobs N (1)  --seed N (41)
-  wire-bench wire-codec benchmark: JSON vs binary (bin1) encode/decode
-             on the hot frames, a cross-codec lockstep pass asserting
-             bitwise-identical reply content, and end-to-end loadgen
-             under both codecs; writes BENCH_wire.json (CI gates the
-             imputed enc+dec speedup >= 1.5 on the 4-core runner only —
-             see the report's \"cores\" field)
-             --out DIR (bench)  --iters N (20000)  --intervals N (24)
-             --clients N (4)  --loadgen-intervals N (30)
-             --deadline-ms N (50)  --seed N (41)
-  recovery-bench
-             crash-recovery benchmark: clean lockstep fingerprint, then
-             the same stream under injected worker panics / solver
-             stalls / slow writes with a mid-stream kill + resume, then
-             a chaos swarm with process faults; asserts exactly-once
-             bitwise-identical replies and writes BENCH_recovery.json
-             --out DIR (bench)  --intervals N (36)  --workers N (2)
-             --worker-panic-every N (8)  --solver-stall-every N (9)
-             --slow-write-every N (7)  --chaos-clients N (4)
-             --deadline-ms N (50)  --seed N (41)
-  train-bench
-             three-pass training benchmark: scalar-reference kernels vs
-             blocked vs blocked+parallel on the same data; asserts all
-             passes land on bit-identical parameters/outputs and writes
-             BENCH_train.json; exits non-zero on fingerprint divergence
-             or any epoch rollback
-             --out DIR (bench)  --epochs N (3)  --ms N (800)  --seed N (7)
   obs        query a running server for its live metrics registry, trace
              summaries, and SLO gauges (sends a MetricsDump frame)
              --addr A (127.0.0.1:4700)  --json (raw dump instead of tables)
@@ -192,12 +136,6 @@ COMMANDS:
                              prove the checker is live: exits 0 iff the
                              deliberately broken replay is caught and
                              reproduced bitwise from the printed seed
-  obs-bench  tracing on/off differential benchmark: the same serve replay
-             and training pass with tracing disabled then enabled,
-             interleaved; asserts bit-identical outputs and writes
-             BENCH_obs.json (CI gates max_overhead <= 1.05)
-             --out DIR (bench)  --repeats N (3)  --intervals N (120)
-             --epochs N (2)  --ms N (480)  --seed N (23)  --jobs N (2)
 
 GLOBAL FLAGS:
   --stats            print the metrics table to stderr on exit
@@ -236,19 +174,10 @@ fn main() {
         "fault-run" => cmd_fault_run(&args),
         "serve" => cmd_serve(&args),
         "cluster" => cmd_cluster(&args),
-        "cluster-bench" => cmd_cluster_bench(&args),
         "loadgen" => cmd_loadgen(&args),
-        "serve-bench" => cmd_serve_bench(&args),
-        "wire-bench" => cmd_wire_bench(&args),
-        "recovery-bench" => cmd_recovery_bench(&args),
-        "train-bench" => cmd_train_bench(&args),
         "obs" => cmd_obs(&args),
-        "obs-bench" => cmd_obs_bench(&args),
         "simtest" => cmd_simtest(&args),
-        _ => {
-            println!("{USAGE}");
-            return;
-        }
+        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
     };
     log_event!("cli.done", "command" = command, "ok" = result.is_ok());
     if let Err(e) = emit_stats(&args) {
@@ -511,55 +440,27 @@ fn cmd_fm_solve(args: &Args) -> Result<(), CliError> {
 /// Stage B of `enforce`/`fault-run`: run the degradation ladder over a
 /// batch of `(constraints, prediction)` windows with the requested
 /// worker count and memo cache.
-///
-/// With `--bench-out DIR` the batch is run twice via
-/// [`bench_ladder`] — sequential/uncached reference, then the tuned
-/// pass — `BENCH_cem_parallel.json` is written into `DIR`, and a
-/// divergence between the two passes is a hard error (the determinism
-/// contract CI greps for). Without it, only the tuned pass runs.
-///
-/// Returns the outcomes to verify constraints against (the sequential
-/// reference when benchmarking — both passes are asserted identical)
-/// plus the bench report when one was produced.
 fn run_ladder(
     items: &[(WindowConstraints, Vec<Vec<f32>>)],
     cfg: &LadderConfig,
     jobs: usize,
     use_cache: bool,
-    bench_dir: Option<&str>,
-) -> Result<(Vec<LadderOutcome>, Option<CemParallelReport>), CliError> {
-    if let Some(dir) = bench_dir {
-        let (outs, report) = bench_ladder(items, cfg, jobs, use_cache);
-        std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-        let path = report
-            .save(Path::new(dir))
-            .map_err(|e| CliError::io(dir, e))?;
-        eprintln!("bench report written to {}", path.display());
-        if !report.identical {
-            return Err(CliError::Invalid(format!(
-                "parallel/cached output diverged from the sequential reference \
-                 (seq={:016x} par={:016x})",
-                report.sequential_hash, report.parallel_hash
-            )));
-        }
-        Ok((outs, Some(report)))
-    } else {
-        let cache = SolutionCache::new(fmml_fm::cem::cache::DEFAULT_CAPACITY);
-        let opts = EnforceOptions::new(jobs, use_cache.then_some(&cache));
-        let outs = enforce_degraded_batch(items, cfg, &opts);
-        if use_cache {
-            let stats = cache.stats();
-            println!(
-                "  cache: hits={} misses={} hit_rate={:.1}% evictions={} saved={:.2}ms",
-                stats.hits,
-                stats.misses,
-                stats.hit_rate() * 100.0,
-                stats.evictions,
-                stats.saved_ns as f64 / 1e6,
-            );
-        }
-        Ok((outs, None))
+) -> Vec<LadderOutcome> {
+    let cache = SolutionCache::new(fmml_fm::cem::cache::DEFAULT_CAPACITY);
+    let opts = EnforceOptions::new(jobs, use_cache.then_some(&cache));
+    let outs = enforce_degraded_batch(items, cfg, &opts);
+    if use_cache {
+        let stats = cache.stats();
+        println!(
+            "  cache: hits={} misses={} hit_rate={:.1}% evictions={} saved={:.2}ms",
+            stats.hits,
+            stats.misses,
+            stats.hit_rate() * 100.0,
+            stats.evictions,
+            stats.saved_ns as f64 / 1e6,
+        );
     }
+    outs
 }
 
 /// Per-rung interval counts, total intervals, and the number of windows
@@ -643,13 +544,7 @@ fn cmd_enforce(args: &Args) -> Result<(), CliError> {
         .collect();
 
     let t0 = Instant::now();
-    let (outs, bench) = run_ladder(
-        &items,
-        &ladder_cfg,
-        jobs,
-        use_cache,
-        args.get_string("bench-out"),
-    )?;
+    let outs = run_ladder(&items, &ladder_cfg, jobs, use_cache);
     let wall = t0.elapsed();
     let (level_counts, intervals, violations) = summarize_outcomes(&items, &outs);
     println!(
@@ -659,9 +554,6 @@ fn cmd_enforce(args: &Args) -> Result<(), CliError> {
         wall.as_secs_f64() * 1e3,
     );
     println!("  ladder: {}", ladder_summary(&level_counts));
-    if let Some(rep) = &bench {
-        println!("  bench: {}", rep.summary());
-    }
     println!("violations={violations}");
     log_event!(
         "cli.enforce.done",
@@ -909,32 +801,6 @@ fn cmd_cluster(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fmml cluster-bench`: the benchmark behind `BENCH_cluster.json` —
-/// direct-vs-cluster capacity, a mid-run backend kill (zero lost
-/// intervals asserted inside `bench_cluster`), and the timed-recovery
-/// pass.
-fn cmd_cluster_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let mut bc = ClusterBenchConfig::default();
-    bc.backends = args.get_or("backends", bc.backends)?;
-    bc.clients = args.get_or("clients", bc.clients)?;
-    bc.intervals_per_client = args.get_or("intervals", bc.intervals_per_client)?;
-    bc.deadline = Duration::from_millis(args.get_or("deadline-ms", 50u64)?);
-    bc.seed = args.get_or("seed", bc.seed)?;
-    if bc.backends == 0 {
-        return Err(CliError::Usage("--backends must be at least 1".into()));
-    }
-    let model = serve_model(args)?;
-    let report = bench_cluster(model, &bc);
-    eprint!("{}", report.summary());
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
-    Ok(())
-}
-
 /// `fmml loadgen`: concurrent trace-replay clients against a running
 /// server, optionally under the standard chaos preset. Prints the
 /// aggregate report table; `--report-json FILE` writes the flat JSON
@@ -985,155 +851,6 @@ fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
             report.unknown_levels
         )));
     }
-    Ok(())
-}
-
-/// `fmml serve-bench`: the loopback serving benchmark behind
-/// `BENCH_serve.json` — a concurrency sweep plus a chaos re-run.
-fn cmd_serve_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let mut bc = ServeBenchConfig::default();
-    if let Some(list) = args.get_string("clients") {
-        bc.client_counts = list
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .map_err(|_| CliError::Usage(format!("--clients: bad count {s:?}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if bc.client_counts.is_empty() {
-            return Err(CliError::Usage("--clients needs at least one count".into()));
-        }
-    }
-    bc.intervals_per_client = args.get_or("intervals", bc.intervals_per_client)?;
-    bc.deadline = Duration::from_millis(args.get_or("deadline-ms", 50u64)?);
-    bc.workers = args.get_or("workers", bc.workers)?;
-    bc.jobs = args.get_or("jobs", bc.jobs)?;
-    bc.seed = args.get_or("seed", bc.seed)?;
-    let model = serve_model(args)?;
-    let report = bench_serve(model, &bc);
-    eprint!("{}", report.summary());
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
-    Ok(())
-}
-
-/// `fmml wire-bench`: the wire-codec benchmark behind
-/// `BENCH_wire.json` — JSON vs binary encode/decode microbench on the
-/// hot frames, a cross-codec lockstep fingerprint pass (asserted
-/// bitwise-equal inside `bench_wire`), and end-to-end loadgen under
-/// both codecs.
-fn cmd_wire_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let mut bc = WireBenchConfig::default();
-    bc.iters = args.get_or("iters", bc.iters)?;
-    bc.intervals = args.get_or("intervals", bc.intervals)?;
-    bc.clients = args.get_or("clients", bc.clients)?;
-    bc.loadgen_intervals = args.get_or("loadgen-intervals", bc.loadgen_intervals)?;
-    bc.deadline = Duration::from_millis(args.get_or("deadline-ms", 50u64)?);
-    bc.seed = args.get_or("seed", bc.seed)?;
-    let model = serve_model(args)?;
-    let report = bench_wire(model, &bc);
-    eprint!("{}", report.summary());
-    log_event!(
-        "wire_bench.done",
-        "imputed_encdec_speedup" = report.imputed_encdec_speedup(),
-        "fingerprint_match" = report.fingerprint_match,
-    );
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
-    Ok(())
-}
-
-/// `fmml recovery-bench`: the crash-recovery benchmark behind
-/// `BENCH_recovery.json` — clean-vs-crash fingerprint passes plus a
-/// chaos swarm with process faults. `bench_recovery` panics on any
-/// contract violation (lost reply, fingerprint divergence, shipped
-/// constraint violation), so a written report is itself the proof the
-/// recovery contract held.
-fn cmd_recovery_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let mut bc = RecoveryBenchConfig::default();
-    bc.intervals = args.get_or("intervals", bc.intervals)?;
-    bc.deadline = Duration::from_millis(args.get_or("deadline-ms", 50u64)?);
-    bc.workers = args.get_or("workers", bc.workers)?;
-    bc.worker_panic_every = args.get_or("worker-panic-every", bc.worker_panic_every)?;
-    bc.solver_stall_every = args.get_or("solver-stall-every", bc.solver_stall_every)?;
-    bc.solver_stall_ms = args.get_or("solver-stall-ms", bc.solver_stall_ms)?;
-    bc.slow_write_every = args.get_or("slow-write-every", bc.slow_write_every)?;
-    bc.slow_write_ms = args.get_or("slow-write-ms", bc.slow_write_ms)?;
-    bc.chaos_clients = args.get_or("chaos-clients", bc.chaos_clients)?;
-    bc.chaos_intervals = args.get_or("chaos-intervals", bc.chaos_intervals)?;
-    bc.seed = args.get_or("seed", bc.seed)?;
-    if bc.worker_panic_every == 1 {
-        return Err(CliError::Usage(
-            "--worker-panic-every must be >= 2 (every retry would repanic)".into(),
-        ));
-    }
-    let model = serve_model(args)?;
-    let report = bench_recovery(model, &bc);
-    eprint!("{}", report.summary());
-    log_event!(
-        "recovery_bench.done",
-        "fingerprint_match" = report.fingerprint_match,
-        "worker_restarts" = report.worker_restarts,
-        "recovery_p99_us" = report.recovery_p99_us,
-        "chaos_lost" = report.chaos_lost,
-    );
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
-    Ok(())
-}
-
-/// `fmml train-bench`: the three-pass kernel benchmark behind
-/// `BENCH_train.json` — the same training run on the scalar reference
-/// kernels, the blocked kernels, and the blocked+parallel path.
-///
-/// The passes must land on bit-identical parameters, imputed series, and
-/// epoch losses (the canonical summation-order contract of
-/// `fmml_nn::kernel`); any fingerprint divergence or epoch rollback is a
-/// hard error.
-fn cmd_train_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let epochs: usize = args.get_or("epochs", 3usize)?;
-    let ms: u64 = args.get_or("ms", 800u64)?;
-    let seed: u64 = args.get_or("seed", 7u64)?;
-    let (_, report) = bench_train(ms, seed, epochs);
-    eprintln!("{}", report.summary());
-    log_event!(
-        "train_bench.done",
-        "identical" = report.identical,
-        "blocked_speedup" = report.blocked_speedup,
-        "parallel_speedup" = report.parallel_speedup,
-        "rollbacks" = report.rollbacks,
-    );
-    if !report.identical {
-        return Err(CliError::Invalid(format!(
-            "kernel passes diverged: reference={:016x} blocked={:016x} parallel={:016x}",
-            report.reference_hash, report.blocked_hash, report.parallel_hash
-        )));
-    }
-    if report.rollbacks > 0 {
-        return Err(CliError::Invalid(format!(
-            "{} epoch(s) rolled back during a clean benchmark run",
-            report.rollbacks
-        )));
-    }
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
     Ok(())
 }
 
@@ -1238,47 +955,6 @@ fn render_obs_dump(dump: &serde_json::Value) -> String {
     out
 }
 
-/// `fmml obs-bench`: the tracing on/off differential behind
-/// `BENCH_obs.json`. Bit-divergent outputs between the traced and
-/// untraced passes are a hard error; the overhead ratio is reported for
-/// CI to gate (wall-clock noise makes an in-process assertion flaky).
-fn cmd_obs_bench(args: &Args) -> Result<(), CliError> {
-    let dir = args.get_string("out").unwrap_or("bench");
-    let defaults = ObsBenchConfig::default();
-    let bc = ObsBenchConfig {
-        sim_ms: args.get_or("ms", defaults.sim_ms)?,
-        seed: args.get_or("seed", defaults.seed)?,
-        serve_intervals: args.get_or("intervals", defaults.serve_intervals)?,
-        jobs: args.get_or("jobs", defaults.jobs)?,
-        epochs: args.get_or("epochs", defaults.epochs)?,
-        repeats: args.get_or("repeats", defaults.repeats)?,
-    };
-    let report = bench_obs(&bc);
-    eprintln!("{}", report.summary());
-    log_event!(
-        "obs_bench.done",
-        "identical" = report.identical,
-        "max_overhead" = report.max_overhead,
-        "spans" = report.spans,
-        "dropped" = report.dropped,
-    );
-    if !report.identical {
-        return Err(CliError::Invalid(format!(
-            "tracing perturbed outputs: serve {:016x}/{:016x} train {:016x}/{:016x}",
-            report.serve_hash_off,
-            report.serve_hash_on,
-            report.train_hash_off,
-            report.train_hash_on
-        )));
-    }
-    std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
-    let path = report
-        .save(Path::new(dir))
-        .map_err(|e| CliError::io(dir, e))?;
-    println!("bench report written to {}", path.display());
-    Ok(())
-}
-
 /// Chaos mode: drive the full pipeline through seeded fault injection
 /// and prove the degradation ladder still yields constraint-satisfying
 /// windows.
@@ -1293,9 +969,7 @@ fn cmd_obs_bench(args: &Args) -> Result<(), CliError> {
 /// 4. run [`enforce_degraded`] and verify every window satisfies its
 ///    effective (possibly minimally-relaxed) C1 ∧ C2 ∧ C3.
 ///
-/// Exits non-zero if any window violates its constraints. `--bench-out
-/// DIR` additionally writes a `BENCH_cem_ladder.json` baseline with the
-/// median per-window ladder latency.
+/// Exits non-zero if any window violates its constraints.
 fn cmd_fault_run(args: &Args) -> Result<(), CliError> {
     let seed = args.get_or("seed", 7u64)?;
     let runs = args.get_or("runs", 2usize)?;
@@ -1364,15 +1038,8 @@ fn cmd_fault_run(args: &Args) -> Result<(), CliError> {
     }
 
     // Stage B: the ladder, batched — parallel across windows when
-    // --jobs != 1, memoized unless --no-cache, benchmarked against the
-    // sequential reference when --bench-out is set.
-    let (outs, bench) = run_ladder(
-        &items,
-        &ladder_cfg,
-        jobs,
-        use_cache,
-        args.get_string("bench-out"),
-    )?;
+    // --jobs != 1, memoized unless --no-cache.
+    let outs = run_ladder(&items, &ladder_cfg, jobs, use_cache);
     let (level_counts, intervals, violations) = summarize_outcomes(&items, &outs);
 
     let injected_total: usize = injected.values().sum();
@@ -1392,9 +1059,6 @@ fn cmd_fault_run(args: &Args) -> Result<(), CliError> {
     );
     println!("  sanitizer: {}", report.summary());
     println!("  ladder: {}", ladder_summary(&level_counts));
-    if let Some(rep) = &bench {
-        println!("  bench: {}", rep.summary());
-    }
     println!(
         "  train: epochs={} rollbacks={rollbacks} final_loss={:.4}",
         stats.len(),
@@ -1408,21 +1072,6 @@ fn cmd_fault_run(args: &Args) -> Result<(), CliError> {
         "violations" = violations,
         "rollbacks" = rollbacks,
     );
-
-    if let (Some(dir), Some(rep)) = (args.get_string("bench-out"), &bench) {
-        // The historical per-window ladder baseline, now derived from the
-        // bench report's sequential reference pass (mean ns per window).
-        let mut baseline = Baseline::new("cem_ladder");
-        baseline.record(
-            "fault_run_enforce_window",
-            rep.sequential_ns as f64 / rep.windows.max(1) as f64,
-            rep.windows as u64,
-        );
-        let path = baseline
-            .save(Path::new(dir))
-            .map_err(|e| CliError::io(dir, e))?;
-        eprintln!("bench baseline written to {}", path.display());
-    }
 
     if violations > 0 {
         return Err(CliError::Invalid(format!(
@@ -1487,12 +1136,11 @@ fn cmd_simtest(args: &Args) -> Result<(), CliError> {
 
     // Aggregate fingerprint over all seeds: pins the complete observable
     // behaviour of the run so CI can detect silent divergence.
-    let mut agg: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut agg = fmml_obs::fnv::OFFSET;
     let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
     let mut bad_seeds = 0usize;
     for o in &outcomes {
-        agg ^= o.fingerprint;
-        agg = agg.wrapping_mul(0x0000_0100_0000_01b3);
+        agg = fmml_obs::fnv::fold(agg, o.fingerprint);
         totals.0 += o.faults.dropped;
         totals.1 += o.faults.duplicated;
         totals.2 += o.faults.reordered;

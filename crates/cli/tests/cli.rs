@@ -196,6 +196,11 @@ fn usage_errors_exit_with_code_2() {
     assert_eq!(code, Some(2), "usage errors are exit code 2: {stderr}");
     let (_, _, code) = fmml_code(&["train"]); // missing --out
     assert_eq!(code, Some(2));
+    // An unknown (mistyped or since-removed) command is a usage error
+    // too, not a silent USAGE print with exit 0.
+    let (_, stderr, code) = fmml_code(&["serve-bnech"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown command"), "{stderr}");
 }
 
 #[test]

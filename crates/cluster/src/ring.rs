@@ -14,19 +14,8 @@
 //!   of the touched node's points. Everything else stays put, so a
 //!   join/leave migrates `~1/n` of sessions, not all of them.
 
+use fmml_obs::fnv;
 use std::collections::BTreeMap;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(h: u64, data: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Final avalanche (splitmix64 finalizer) so FNV's weak low bits don't
 /// cluster vnode points on the ring.
@@ -61,12 +50,12 @@ impl HashRing {
     }
 
     fn point(&self, node: &str, vnode: usize) -> u64 {
-        let h = fnv(FNV_OFFSET ^ self.seed, node.as_bytes());
-        mix(fnv(h, &(vnode as u64).to_le_bytes()))
+        let h = fnv::str(fnv::OFFSET ^ self.seed, node);
+        mix(fnv::u64(h, vnode as u64))
     }
 
     fn key_hash(&self, key: &str) -> u64 {
-        mix(fnv(FNV_OFFSET ^ self.seed, key.as_bytes()))
+        mix(fnv::str(fnv::OFFSET ^ self.seed, key))
     }
 
     /// Add `node` at the default weight. Re-adding is a no-op.

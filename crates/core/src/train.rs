@@ -386,8 +386,48 @@ mod tests {
         );
     }
 
+    /// Every parameter, every imputed value of `w` queue 0 (run `b`
+    /// imputing under the kernel mode it trained in) and every epoch's
+    /// mean loss agree bit for bit.
+    fn assert_same_bits(
+        (ma, stats_a): &(TransformerImputer, Vec<EpochStats>),
+        (mb, stats_b): &(TransformerImputer, Vec<EpochStats>),
+        mode_b: fmml_nn::KernelMode,
+        w: &PortWindow,
+    ) {
+        let what = format!("{mode_b:?} run");
+        assert_eq!(ma.store.len(), mb.store.len());
+        for id in 0..ma.store.len() {
+            let (pa, pb) = (&ma.store.value(id).data, &mb.store.value(id).data);
+            assert_eq!(pa.len(), pb.len(), "{what}: shape diverged on param {id}");
+            for (j, (x, y)) in pa.iter().zip(pb.iter()).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{what}: param {id}[{j}] diverged: {x} vs {y}"
+                );
+            }
+        }
+        let qa = ma.impute_queue(w, 0);
+        let qb = fmml_nn::kernel::with_mode(mode_b, || mb.impute_queue(w, 0));
+        for (t, (x, y)) in qa.iter().zip(&qb).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: imputed[{t}] diverged: {x} vs {y}"
+            );
+        }
+        // Epoch statistics are reductions in the same fixed order too.
+        for (sa, sb) in stats_a.iter().zip(stats_b) {
+            assert_eq!(sa.mean_loss.to_bits(), sb.mean_loss.to_bits(), "{what}");
+            assert_eq!(sa.rolled_back, sb.rolled_back, "{what}");
+        }
+    }
+
     #[test]
     fn parallel_and_serial_training_agree() {
+        use fmml_nn::kernel::with_mode;
+        use fmml_nn::KernelMode;
         // Determinism across rayon: `par_iter().collect()` concatenates
         // per-chunk results in input order (the vendored stub's ordered
         // chunk-per-thread contract), so the gradient reduction below it
@@ -401,63 +441,27 @@ mod tests {
         a.parallel = false;
         let mut b = a.clone();
         b.parallel = true;
-        let (ma, stats_a) = train(&ws, scales(), &a);
-        let (mb, stats_b) = train(&ws, scales(), &b);
-        assert_eq!(ma.store.len(), mb.store.len());
-        for id in 0..ma.store.len() {
-            let (pa, pb) = (&ma.store.value(id).data, &mb.store.value(id).data);
-            assert_eq!(pa.len(), pb.len(), "shape diverged on param {id}");
-            for (j, (x, y)) in pa.iter().zip(pb.iter()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "param {id}[{j}] diverged: {x} vs {y}"
-                );
-            }
-        }
-        let w = &ws[0];
-        let qa = ma.impute_queue(w, 0);
-        let qb = mb.impute_queue(w, 0);
-        for (t, (x, y)) in qa.iter().zip(&qb).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "imputed[{t}] diverged: {x} vs {y}"
-            );
-        }
-        // Epoch statistics are reductions in the same fixed order too.
-        for (sa, sb) in stats_a.iter().zip(&stats_b) {
-            assert_eq!(sa.mean_loss.to_bits(), sb.mean_loss.to_bits());
-            assert_eq!(sa.rolled_back, sb.rolled_back);
-        }
+        let serial = train(&ws, scales(), &a);
+        let parallel = train(&ws, scales(), &b);
+        assert_same_bits(&serial, &parallel, KernelMode::default(), &ws[0]);
         // And the kernel path itself is mode-invariant: a third run on
         // the scalar Reference kernels (pooling disabled) must land on
-        // the same bits — this is the contract the train benchmark's
-        // fingerprint assertions rest on.
-        let (mc, stats_c) =
-            fmml_nn::kernel::with_mode(fmml_nn::KernelMode::Reference, || train(&ws, scales(), &a));
-        for id in 0..ma.store.len() {
-            let (pa, pc) = (&ma.store.value(id).data, &mc.store.value(id).data);
-            for (j, (x, y)) in pa.iter().zip(pc.iter()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "reference-kernel param {id}[{j}] diverged: {x} vs {y}"
-                );
-            }
-        }
-        let qc =
-            fmml_nn::kernel::with_mode(fmml_nn::KernelMode::Reference, || mc.impute_queue(w, 0));
-        for (t, (x, y)) in qa.iter().zip(&qc).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "reference-kernel imputed[{t}] diverged: {x} vs {y}"
-            );
-        }
-        for (sa, sc) in stats_a.iter().zip(&stats_c) {
-            assert_eq!(sa.mean_loss.to_bits(), sc.mean_loss.to_bits());
-        }
+        // the same bits.
+        let reference = with_mode(KernelMode::Reference, || train(&ws, scales(), &a));
+        assert_same_bits(&serial, &reference, KernelMode::Reference, &ws[0]);
+        // Tracing observes, it never steers: the parallel run on sharded
+        // kernels with tracing on (`train.epoch` spans, per-shard spans,
+        // context handed into rayon by hand) lands on the same bits. No
+        // other test in this crate flips the switch.
+        trace::set_enabled(true);
+        let traced = with_mode(KernelMode::BlockedParallel, || train(&ws, scales(), &b));
+        trace::set_enabled(false);
+        let spans = trace::snapshot().spans;
+        assert!(
+            spans.iter().any(|s| s.name == "train.epoch"),
+            "traced pass recorded no epoch span"
+        );
+        assert_same_bits(&serial, &traced, KernelMode::BlockedParallel, &ws[0]);
     }
 
     #[test]

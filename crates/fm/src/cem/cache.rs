@@ -33,7 +33,7 @@
 //! enough for a workload whose working set is "the steady states of the
 //! ports currently monitored". Hit/miss/eviction totals are exported
 //! process-wide as `fm.cem.cache.*` metrics plus per-cache [`CacheStats`]
-//! for `--bench-out` reports and tests.
+//! for the CLI's per-run cache line and tests.
 
 use super::{DegradationLevel, IntervalProblem, IntervalSolution};
 use fmml_obs::{Counter, Gauge};

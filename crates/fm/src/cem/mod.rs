@@ -35,7 +35,7 @@ pub mod ladder;
 pub mod smt_engine;
 
 use crate::constraints::WindowConstraints;
-use fmml_obs::{log_event, Counter, Histogram, Unit};
+use fmml_obs::{fnv, log_event, Counter, Histogram, Unit};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -358,16 +358,11 @@ pub fn enforce_batch(
     })
 }
 
-/// FNV-1a over a byte slice: the workspace's stable, dependency-free
-/// fingerprint (golden-trace tests, corrected-output hashes in
-/// `BENCH_cem_parallel.json`, CI's sequential-vs-parallel assertion).
+/// FNV-1a over a byte slice ([`fmml_obs::fnv`] from the offset basis):
+/// the fingerprint of the golden-trace tests and the corrected-output
+/// hashes of the jobs/cache determinism checks.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv::bytes(fnv::OFFSET, bytes)
 }
 
 /// FNV-1a fingerprint of a `[queues][len]` corrected window (or any

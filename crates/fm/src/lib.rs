@@ -11,7 +11,7 @@
 //!   dynamic threshold, work-conserving/priority scheduling) plus
 //!   measurement constraints, solved with the SMT solver. Deliberately
 //!   faithful — and deliberately exposed to the scalability wall the paper
-//!   reports (its bench regenerates the §2.3 blow-up).
+//!   reports (`examples/fm_scalability.rs` regenerates the §2.3 blow-up).
 //! * [`cem`] — the Constraint Enforcement Module (§3.2): given a
 //!   transformer-imputed window, find the *minimally changed* integer
 //!   series satisfying C1 ∧ C2 ∧ C3. Two interchangeable engines:

@@ -43,6 +43,7 @@
 //! ```
 
 pub mod clock;
+pub mod fnv;
 pub mod hist;
 pub(crate) mod json;
 pub mod registry;

@@ -2,13 +2,21 @@
 //! propagation through the vendored rayon, seqlock snapshot safety under
 //! a concurrent writer, ring overflow accounting, and zero-cost-off.
 //!
-//! The journal registry and counters are process-global and the harness
-//! runs tests concurrently, so every assertion here is scoped to trace
-//! ids this test minted (or is a race-safe lower bound on a counter).
+//! The switch, the journal registry (a finished thread's ring is handed
+//! to the next new thread) and the counters are process-global, so the
+//! tests take turns behind one gate; assertions are still scoped to
+//! trace ids the test minted.
 
 use fmml_obs::trace::{self, TraceContext};
 use rayon::prelude::*;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+static GATE: Mutex<()> = Mutex::new(());
+
+fn gate() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn my_spans(snap: &trace::TraceSnapshot, trace_id: u64) -> Vec<trace::SpanInfo> {
     snap.spans
@@ -20,11 +28,8 @@ fn my_spans(snap: &trace::TraceSnapshot, trace_id: u64) -> Vec<trace::SpanInfo> 
 
 #[test]
 fn disabled_tracing_records_nothing() {
-    // Tests run concurrently and others enable tracing; serialize on a
-    // best-effort "currently off" window by checking ids stay zero.
-    if trace::enabled() {
-        return; // another test owns the global switch right now
-    }
+    let _gate = gate();
+    trace::set_enabled(false);
     let s = trace::span("off.root");
     assert_eq!(s.context(), TraceContext::NONE);
     assert_eq!(s.trace_id(), 0);
@@ -43,6 +48,7 @@ fn disabled_tracing_records_nothing() {
 
 #[test]
 fn raii_spans_nest_with_parent_linkage() {
+    let _gate = gate();
     trace::set_enabled(true);
     let root_ctx;
     let child_ctx;
@@ -85,6 +91,7 @@ fn raii_spans_nest_with_parent_linkage() {
 
 #[test]
 fn context_propagates_into_rayon_workers() {
+    let _gate = gate();
     trace::set_enabled(true);
     let trace_id;
     {
@@ -117,6 +124,7 @@ fn context_propagates_into_rayon_workers() {
 
 #[test]
 fn retroactive_records_attach_to_a_trace() {
+    let _gate = gate();
     trace::set_enabled(true);
     let trace_id = trace::alloc_trace_id();
     let parent = TraceContext {
@@ -157,6 +165,7 @@ fn retroactive_records_attach_to_a_trace() {
 
 #[test]
 fn ring_overflow_drops_oldest_and_counts() {
+    let _gate = gate();
     trace::set_enabled(true);
     let before = fmml_obs::trace::TRACE_DROPPED.get();
     // Push well past one ring's capacity from a dedicated thread so the
@@ -188,6 +197,7 @@ fn ring_overflow_drops_oldest_and_counts() {
 
 #[test]
 fn snapshots_race_safely_with_a_live_writer() {
+    let _gate = gate();
     trace::set_enabled(true);
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let writer = {
@@ -228,6 +238,7 @@ fn snapshots_race_safely_with_a_live_writer() {
 
 #[test]
 fn dump_json_exposes_trace_section() {
+    let _gate = gate();
     trace::set_enabled(true);
     {
         let _root = trace::root("dump.root");

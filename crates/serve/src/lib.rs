@@ -29,8 +29,8 @@
 //!   deadline-miss rate against the wire period.
 //!
 //! Everything is instrumented through `fmml-obs` (`serve.*` metrics);
-//! `fmml_bench::serve` drives a loopback server through the load
-//! generator at 1/8/32 clients to produce `BENCH_serve.json`.
+//! `benchmark/` drives a loopback server at and below saturation and
+//! reports those metrics as its `serve.*` layer budget.
 
 pub mod loadgen;
 pub mod protocol;

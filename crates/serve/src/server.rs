@@ -108,6 +108,19 @@ fn enforce_span_name(level: DegradationLevel) -> &'static str {
     }
 }
 
+/// Consecutive mid-frame read timeouts before a stalled sender is
+/// disconnected.
+const MAX_STALLS: u32 = 80;
+/// Sanity caps on the `Hello` port and queue counts (see
+/// [`ServerConfig::max_interval_len`] for the other two dimensions).
+const MAX_PORTS_PER_SESSION: usize = 64;
+const MAX_QUEUES: usize = 64;
+/// Deadline-miss rate above which the SLO watchdog declares a breach.
+const SLO_MAX_MISS_RATE: f64 = 0.05;
+/// Fraction of replies degraded below [`DegradationLevel::Full`] above
+/// which the SLO watchdog declares a breach.
+const SLO_MAX_DEGRADED_RATE: f64 = 0.5;
+
 /// Server tuning knobs. `Default` is the 50 ms wire-period deployment
 /// from the paper's §5 on loopback.
 #[derive(Debug, Clone)]
@@ -142,27 +155,21 @@ pub struct ServerConfig {
     /// Per-session in-flight cap; intervals beyond it are answered
     /// `Busy` (admission control).
     pub queue_depth: usize,
-    /// Shared solution-cache capacity (`0` disables caching).
-    pub cache_capacity: usize,
     /// Socket read timeout — the reader's shutdown-poll granularity.
     pub read_timeout: Duration,
     /// Socket write timeout — a reply blocked longer than this marks the
     /// peer a slow reader and kills the session.
     pub write_timeout: Duration,
-    /// Consecutive mid-frame read timeouts before a stalled sender is
-    /// disconnected.
-    pub max_stalls: u32,
     /// Decode cap for this server's frame readers: a length prefix
     /// above it is rejected *before* any buffer allocation. The default
     /// ([`MAX_FRAME_LEN`], 1 MiB) fits any client frame; router↔backend
     /// links carry batched replay traffic and raise it.
     pub max_frame_len: usize,
-    /// Sanity caps on the `Hello` geometry. All four are checked before
-    /// any per-session allocation happens, so a hostile `Hello` (e.g.
-    /// `window_intervals = 10^15`) is answered `bad_handshake` instead of
-    /// driving `queues × window × interval_len` allocations to abort.
-    pub max_ports_per_session: usize,
-    pub max_queues: usize,
+    /// Sanity caps on the `Hello` geometry. These two and the fixed
+    /// port/queue caps are checked before any per-session allocation
+    /// happens, so a hostile `Hello` (e.g. `window_intervals = 10^15`)
+    /// is answered `bad_handshake` instead of driving
+    /// `queues × window × interval_len` allocations to abort.
     pub max_interval_len: usize,
     pub max_window_intervals: usize,
     /// SLO watchdog sliding-window length: replies older than this fall
@@ -171,11 +178,6 @@ pub struct ServerConfig {
     /// How often the watchdog re-evaluates the window and republishes
     /// the `slo.*` gauges.
     pub slo_tick: Duration,
-    /// Deadline-miss rate above which the watchdog declares a breach.
-    pub slo_max_miss_rate: f64,
-    /// Fraction of replies degraded below [`DegradationLevel::Full`]
-    /// above which the watchdog declares a breach.
-    pub slo_max_degraded_rate: f64,
     /// Minimum replies in the window before breach math applies (a
     /// single slow reply at startup is not an SLO event).
     pub slo_min_samples: usize,
@@ -189,7 +191,7 @@ pub struct ServerConfig {
     pub max_restarts: u32,
     /// Supervisor backoff before restart `k` is `restart_backoff * 2^k`,
     /// capped at `restart_backoff_cap` — deterministic, no jitter, so
-    /// recovery-latency benches are reproducible.
+    /// recovery latency is reproducible.
     pub restart_backoff: Duration,
     pub restart_backoff_cap: Duration,
     /// Per-session replay window: recently shipped replies retained
@@ -251,19 +253,13 @@ impl Default for ServerConfig {
             max_batch: 16,
             batch_wait: Duration::from_millis(1),
             queue_depth: 64,
-            cache_capacity: DEFAULT_CAPACITY,
             read_timeout: Duration::from_millis(25),
             write_timeout: Duration::from_secs(2),
-            max_stalls: 80,
             max_frame_len: MAX_FRAME_LEN,
-            max_ports_per_session: 64,
-            max_queues: 64,
             max_interval_len: 512,
             max_window_intervals: 64,
             slo_window: Duration::from_secs(5),
             slo_tick: Duration::from_millis(200),
-            slo_max_miss_rate: 0.05,
-            slo_max_degraded_rate: 0.5,
             slo_min_samples: 20,
             breaker: Some(BreakerConfig::default()),
             max_restarts: 5,
@@ -508,13 +504,13 @@ struct WorkerObit {
     requeued: usize,
 }
 
-/// Requeue-latency samples retained on the handle (recovery benches).
+/// Requeue-latency samples retained on the handle.
 const REQUEUE_LAT_CAP: usize = 4096;
 
 struct Shared<C: Conn> {
     cfg: ServerConfig,
     model: Arc<TransformerImputer>,
-    cache: Option<Arc<SolutionCache>>,
+    cache: Arc<SolutionCache>,
     counters: Counters,
     queue: Mutex<VecDeque<Job<C>>>,
     queue_cv: Condvar,
@@ -599,9 +595,10 @@ impl<C: Conn> ServerHandle<C> {
         self.shared.counters.stats_frame()
     }
 
-    /// The shared solution cache, if enabled.
+    /// The shared solution cache. Always `Some`; the `Option` is the
+    /// signature `benchmark/` (frozen by `BENCHMARK.json`) calls.
     pub fn cache(&self) -> Option<&Arc<SolutionCache>> {
-        self.shared.cache.as_ref()
+        Some(&self.shared.cache)
     }
 
     /// SLO breaches the watchdog has declared so far (bounded history,
@@ -730,11 +727,7 @@ pub fn spawn_with<T: Transport>(
     model: Arc<TransformerImputer>,
     cfg: ServerConfig,
 ) -> ServerHandle<T::Conn> {
-    let cache = if cfg.cache_capacity > 0 {
-        Some(Arc::new(SolutionCache::new(cfg.cache_capacity)))
-    } else {
-        None
-    };
+    let cache = Arc::new(SolutionCache::new(DEFAULT_CAPACITY));
     let workers = cfg.workers.max(1);
     let shared = Arc::new(Shared {
         cfg,
@@ -975,20 +968,20 @@ fn watchdog_loop<C: Conn>(shared: &Arc<Shared<C>>) {
         declare_breach(
             shared,
             &mut miss_breached,
-            enough && miss_rate > cfg.slo_max_miss_rate,
+            enough && miss_rate > SLO_MAX_MISS_RATE,
             "deadline_miss_rate",
             miss_rate,
-            cfg.slo_max_miss_rate,
+            SLO_MAX_MISS_RATE,
             replies,
             miss_traces,
         );
         declare_breach(
             shared,
             &mut degraded_breached,
-            enough && degraded_rate > cfg.slo_max_degraded_rate,
+            enough && degraded_rate > SLO_MAX_DEGRADED_RATE,
             "degraded_rate",
             degraded_rate,
-            cfg.slo_max_degraded_rate,
+            SLO_MAX_DEGRADED_RATE,
             replies,
             degraded_traces,
         );
@@ -1143,7 +1136,7 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
             Ok(None) => {
                 if reader.pending() > 0 {
                     stalls += 1;
-                    if stalls > cfg.max_stalls {
+                    if stalls > MAX_STALLS {
                         SLOW_DISCONNECTS.inc();
                         shared
                             .counters
@@ -1326,9 +1319,8 @@ fn handshake<C: Conn>(
         return None;
     }
     let valid = !ports.is_empty()
-        && ports.len() <= cfg.max_ports_per_session
-        && queues >= 1
-        && queues <= cfg.max_queues
+        && ports.len() <= MAX_PORTS_PER_SESSION
+        && (1..=MAX_QUEUES).contains(&queues)
         && interval_len >= 2
         && interval_len <= cfg.max_interval_len
         && window_intervals >= 1
@@ -1949,7 +1941,7 @@ fn process_batch<C: Conn>(
         ladder.deadline = Some(min_slack);
     }
     let items: Vec<_> = batch.iter().map(|j| j.prepared.item()).collect();
-    let opts = EnforceOptions::new(cfg.jobs, shared.cache.as_deref());
+    let opts = EnforceOptions::new(cfg.jobs, Some(&shared.cache));
     BATCH_SIZE.record(batch.len() as u64);
     // Batch stage: seal → enforce start (ladder setup, item views).
     let enforce_start = cfg.clock.now();

@@ -28,7 +28,7 @@
 //! with its successor.
 
 use crate::transport::{Accepted, Conn, Connector, Transport};
-use fmml_obs::Clock;
+use fmml_obs::{fnv, Clock};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -418,22 +418,6 @@ impl Pipe {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(h: u64, data: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
-
 /// Keeps one end of the connection open for writing as long as any
 /// clone of that end is alive; the last drop closes the outbound pipe
 /// so the peer sees EOF.
@@ -539,18 +523,18 @@ impl SimConn {
             push(st, frame, now);
             return true;
         }
-        let content = fnv_bytes(FNV_OFFSET, &frame);
+        let content = fnv::bytes(fnv::OFFSET, &frame);
         let occ = {
             let c = st.occurrences.entry(content).or_insert(0);
             let v = *c;
             *c += 1;
             v
         };
-        let mut h = fnv_u64(FNV_OFFSET, net.seed);
-        h = fnv_u64(h, self.duplex.conn_id);
-        h = fnv_u64(h, self.write_dir());
-        h = fnv_u64(h, content);
-        h = fnv_u64(h, occ);
+        let mut h = fnv::u64(fnv::OFFSET, net.seed);
+        h = fnv::u64(h, self.duplex.conn_id);
+        h = fnv::u64(h, self.write_dir());
+        h = fnv::u64(h, content);
+        h = fnv::u64(h, occ);
 
         let disconnect_eligible = !profile.disconnect_c2s_only || self.write_dir() == 0;
         if disconnect_eligible && ((h % 10_000) as u32) < profile.disconnect_per_10k {
@@ -582,7 +566,7 @@ impl SimConn {
         let mut release_ns = now;
         if (((h >> 51) % 10_000) as u32) < profile.delay_per_10k && !profile.max_delay.is_zero() {
             let span = profile.max_delay.as_nanos().min(u128::from(u64::MAX)) as u64;
-            let delay = fnv_u64(h, 0xd31a) % span.max(1);
+            let delay = fnv::u64(h, 0xd31a) % span.max(1);
             release_ns = now.saturating_add(delay);
             net.tallies.delayed.fetch_add(1, Ordering::Relaxed);
         }

@@ -8,6 +8,7 @@ use fmml_fault::ProcessFaultPlan;
 use fmml_fm::cem::{CemEngine, DegradationLevel, LadderConfig};
 use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
+use fmml_obs::trace;
 use fmml_serve::protocol::{write_frame, write_frame_with, Frame, FrameReader, WireCodec};
 use fmml_serve::{spawn, ServerConfig};
 use fmml_telemetry::{windows_from_trace, PortWindow};
@@ -85,52 +86,46 @@ fn hello_resume(port: usize, queues: usize, token: &str, last_acked: u64) -> Fra
 
 /// Lockstep replay through the server agrees **bitwise** with the
 /// offline streaming path on the same model and windows, levels
-/// included.
+/// included — with tracing off and again with it on: tracing observes,
+/// it never steers. (No other test in this binary flips the switch or
+/// reads a reply's `trace_id`.)
 #[test]
 fn server_replies_match_offline_enforcement_bitwise() {
+    for traced in [false, true] {
+        trace::set_enabled(traced);
+        replies_match_offline(traced);
+    }
+    trace::set_enabled(false);
+}
+
+fn replies_match_offline(traced: bool) {
     let model = model();
-    let ws = windows();
-    let w = &ws[0];
+    let (updates, mut offline, port, queues) = update_stream(&model);
     let handle = spawn(
         Arc::clone(&model),
         ServerConfig {
             workers: 2,
+            // jobs > 1: interval-level CEM work crosses into rayon scope
+            // threads, the one place trace context is handed off by hand.
+            jobs: 2,
             deadline: Duration::from_millis(500),
             ..ServerConfig::default()
         },
     )
     .expect("spawn server");
 
-    // Offline reference on an identical imputer.
-    let opts = StreamOptions {
-        ladder: LadderConfig {
-            engine: CemEngine::Fast,
-            ..LadderConfig::default()
-        },
-        ..StreamOptions::default()
-    };
-    let mut offline = StreamingImputer::with_options(
-        Arc::clone(&model),
-        opts,
-        w.port,
-        w.num_queues(),
-        INTERVAL_LEN,
-        WINDOW_INTERVALS,
-    );
-
     let (mut tx, mut rx) = connect(handle.addr());
-    write_frame(&mut tx, &hello(w.port, w.num_queues())).unwrap();
+    write_frame(&mut tx, &hello(port, queues)).unwrap();
     assert!(matches!(rx.read_frame().unwrap(), Frame::Welcome { .. }));
 
     let mut compared = 0usize;
-    for (k, seq) in (0..w.intervals()).zip(1u64..) {
-        let u = IntervalUpdate::from_window(w, k);
+    for (u, seq) in updates.iter().zip(1u64..) {
         let expect = offline.try_push(u.clone()).unwrap();
         write_frame(
             &mut tx,
             &Frame::Interval {
                 seq,
-                update: u,
+                update: u.clone(),
                 trace_id: None,
             },
         )
@@ -142,28 +137,31 @@ fn server_replies_match_offline_enforcement_bitwise() {
             }
             Frame::Imputed {
                 seq: s,
-                port,
+                port: p,
                 series,
                 level,
                 enforced,
+                trace_id,
                 ..
             } => {
                 let expect = expect.expect("offline must emit too");
                 assert_eq!(s, seq);
-                assert_eq!(port, w.port);
-                assert_eq!(series, expect.series, "series diverge at k={k}");
+                assert_eq!(p, port);
+                assert_eq!(series, expect.series, "series diverge at seq={seq}");
                 assert_eq!(
                     DegradationLevel::from_label(&level),
                     Some(expect.level),
-                    "levels diverge at k={k}"
+                    "levels diverge at seq={seq}"
                 );
                 assert_eq!(enforced, expect.enforced);
+                // The traced pass really ran traced, the other did not.
+                assert_eq!(trace_id.is_some(), traced, "seq={seq}");
                 compared += 1;
             }
             other => panic!("unexpected {other:?}"),
         }
     }
-    assert!(compared >= 1, "no full windows compared");
+    assert!(compared >= 8, "stream too short to mean anything");
 
     // Graceful goodbye answers everything already accepted — and says so
     // honestly (`remaining == 0` means the drain did not time out).

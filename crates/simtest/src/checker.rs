@@ -21,6 +21,7 @@
 //! Everything here is pure bookkeeping over [`Frame`] values; the
 //! explorer ([`crate::explorer`]) owns all I/O and clocks.
 
+use fmml_obs::fnv;
 use fmml_serve::Frame;
 use std::collections::BTreeMap;
 
@@ -55,17 +56,6 @@ impl ReplyKind {
             ReplyKind::Reject => "Reject",
         }
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_str(mut h: u64, s: &str) -> u64 {
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Reference protocol state for one client.
@@ -112,7 +102,7 @@ impl ClientModel {
             chain_good: 0,
             pending: BTreeMap::new(),
             resolved: BTreeMap::new(),
-            fp_acc: FNV_OFFSET,
+            fp_acc: fnv::OFFSET,
             evicted_floor: 0,
             watermark: 0,
             violations: Vec::new(),
@@ -336,7 +326,7 @@ impl ClientModel {
                 break;
             }
             let f = self.resolved.remove(&seq).expect("first key exists");
-            self.fp_acc = fnv_str(self.fp_acc, &self.line(seq, &f));
+            self.fp_acc = fnv::str(self.fp_acc, &self.line(seq, &f));
             self.evicted_floor = self.evicted_floor.max(seq);
         }
     }
@@ -355,9 +345,9 @@ impl ClientModel {
     pub fn fold_fingerprint(&self, h: u64) -> u64 {
         let mut acc = self.fp_acc;
         for (seq, f) in &self.resolved {
-            acc = fnv_str(acc, &self.line(*seq, f));
+            acc = fnv::str(acc, &self.line(*seq, f));
         }
-        fnv_str(h, &format!("c{}|{acc:016x}", self.id))
+        fnv::str(h, &format!("c{}|{acc:016x}", self.id))
     }
 
     /// Write every *retained* fingerprinted line to `w` — debugging aid

@@ -38,11 +38,10 @@
 
 use crate::explorer::{
     derive_profile, explorer_server_config, fixture, splitmix64, Client, SeedOutcome, World,
-    FNV_OFFSET,
 };
 use fmml_cluster::{RouterConfig, RouterHandle};
 use fmml_fault::ProcessFaultPlan;
-use fmml_obs::Clock;
+use fmml_obs::{fnv, Clock};
 use fmml_serve::{
     spawn_with, FaultProfile, ServerHandle, SimConn, SimConnector, SimNet, WireCodec,
 };
@@ -273,12 +272,9 @@ pub fn run_seed(seed: u64, cfg: &ClusterSimConfig) -> ClusterSeedOutcome {
 /// Fold a batch of outcomes into one run fingerprint (for the CLI's
 /// double-run reproducibility gate).
 pub fn fold_run_fingerprint(outcomes: &[ClusterSeedOutcome]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for o in outcomes {
-        h ^= o.inner.fingerprint;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    outcomes
+        .iter()
+        .fold(fnv::OFFSET, |h, o| fnv::fold(h, o.inner.fingerprint))
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ use fmml_fault::ProcessFaultPlan;
 use fmml_fm::cem::CemEngine;
 use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
-use fmml_obs::{Clock, VirtualClock};
+use fmml_obs::{fnv, Clock, VirtualClock};
 use fmml_serve::protocol::{encode_frame_with, write_frame, FrameReader, WireCodec, MAX_FRAME_LEN};
 use fmml_serve::{
     spawn_with, Conn, Connector, FaultCounts, FaultProfile, Frame, ProtocolBug, ServerConfig,
@@ -137,9 +137,6 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Shared fixture: one deterministic imputer and a pool of real
 /// telemetry interval updates (same geometry as the loopback suite).
@@ -723,15 +720,14 @@ impl World {
                 violations.push(format!("client {}: {v}", c.model.id()));
             }
         }
-        let mut fp = FNV_OFFSET;
+        let mut fp = fnv::OFFSET;
         for c in &self.clients {
             fp = c.model.fold_fingerprint(fp);
             if std::env::var_os("FMML_SIMTEST_DUMP").is_some() {
                 c.model.dump(&mut std::io::stderr().lock());
             }
         }
-        fp ^= violations.len() as u64;
-        fp = fp.wrapping_mul(FNV_PRIME);
+        fp = fnv::fold(fp, violations.len() as u64);
         SeedOutcome {
             seed,
             fingerprint: fp,

@@ -13,6 +13,7 @@
 //!   replies were written, so clean clients never lose replies.
 
 use fmml::core::transformer_imputer::{Scales, TransformerImputer};
+use fmml::fault::ProcessFaultPlan;
 use fmml::netsim::SimConfig;
 use fmml::obs::trace;
 use fmml::serve::protocol::Frame;
@@ -33,12 +34,15 @@ fn wait_until(cap: Duration, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// Tracing is a process-global switch; tests that flip it must not
-/// overlap (the others are indifferent — tracing never perturbs them).
-static TRACE_GATE: Mutex<()> = Mutex::new(());
+/// Two things in this binary are process-wide: the tracing switch, and
+/// the CPU. Tests that flip tracing must not overlap each other; tests
+/// that flood the server (unpaced clients, injected panics and stalls)
+/// must not overlap the one that asserts a latency bound. One gate
+/// serialises all of them; only the paced shutdown test runs beside it.
+static GATE: Mutex<()> = Mutex::new(());
 
-fn trace_gate() -> MutexGuard<'static, ()> {
-    TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner())
+fn gate() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn model() -> Arc<TransformerImputer> {
@@ -64,7 +68,7 @@ fn loadgen_cfg(addr: String) -> LoadgenConfig {
         seed: 11,
         // Generous budget: CI boxes are slow and this test asserts
         // *correctness* under chaos; the 50 ms wire-rate claim is the
-        // bench's job.
+        // benchmark's job (`benchmark/`).
         deadline: Duration::from_millis(500),
         ..LoadgenConfig::default()
     }
@@ -72,62 +76,103 @@ fn loadgen_cfg(addr: String) -> LoadgenConfig {
 
 #[test]
 fn chaos_clients_cannot_break_the_server() {
-    let handle = spawn(
-        model(),
-        ServerConfig {
-            workers: 2,
-            max_batch: 8,
-            deadline: Duration::from_millis(500),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("spawn server");
-    let addr = handle.addr().to_string();
-
-    // 4 concurrent chaos clients: disconnects, corrupted frames,
-    // malformed updates, reordering — all at elevated rates.
-    let report = fmml::serve::run_loadgen(&LoadgenConfig {
-        clients: 4,
-        chaos: Some(ChaosConfig {
-            disconnect_prob: 0.03,
-            corrupt_frame_prob: 0.03,
-            corrupt_data_prob: 0.10,
-            reorder_prob: 0.10,
-        }),
-        ..loadgen_cfg(addr)
-    });
-
-    // Accounting: every sent interval is answered, explicitly rejected,
-    // or attributably lost to a chaos disconnect.
-    assert_eq!(
-        report.sent,
-        report.answered + report.acked + report.rejected + report.malformed_rejects + report.lost,
-        "unaccounted intervals: {report:?}"
-    );
-    assert_eq!(report.unknown_levels, 0, "levels must decode: {report:?}");
-    assert_eq!(report.drain_losses, 0, "drain lost replies: {report:?}");
-    assert!(report.answered > 0, "chaos run produced no imputations");
-
-    // The server survived and self-checked every reply.
-    let stats = handle.shutdown();
-    let Frame::StatsReply {
-        violations,
-        malformed,
-        replies,
-        active_sessions,
-        ..
-    } = stats
-    else {
-        panic!("stats frame");
+    let _gate = gate();
+    // Wire chaos alone, then wire chaos on top of injected worker
+    // panics, solver stalls and slow writes.
+    let process_faults = ProcessFaultPlan {
+        worker_panic_every: 8,
+        solver_stall_every: 9,
+        solver_stall_ms: 5,
+        slow_write_every: 7,
+        slow_write_ms: 2,
     };
-    assert_eq!(violations, 0, "constraint violations shipped");
-    assert_eq!(active_sessions, 0, "sessions leaked");
-    assert!(replies >= report.answered);
-    assert!(malformed > 0, "chaos should have tripped the hardening");
+    for faults in [ProcessFaultPlan::none(), process_faults] {
+        let faulty = faults.is_active();
+        let handle = spawn(
+            model(),
+            ServerConfig {
+                workers: 2,
+                max_batch: 8,
+                deadline: Duration::from_millis(500),
+                // ~1 in 8 batches panics; the default budget of 5
+                // restarts per slot would run out mid-test.
+                max_restarts: 64,
+                process_faults: faults,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("spawn server");
+        let addr = handle.addr().to_string();
+
+        // 4 concurrent chaos clients: disconnects, corrupted frames,
+        // malformed updates, reordering — all at elevated rates.
+        let report = fmml::serve::run_loadgen(&LoadgenConfig {
+            clients: 4,
+            chaos: Some(ChaosConfig {
+                disconnect_prob: 0.03,
+                corrupt_frame_prob: 0.03,
+                corrupt_data_prob: 0.10,
+                reorder_prob: 0.10,
+            }),
+            ..loadgen_cfg(addr)
+        });
+
+        // Accounting: every sent interval is answered, explicitly
+        // rejected, or attributably lost to a chaos disconnect.
+        assert_eq!(
+            report.sent,
+            report.answered
+                + report.acked
+                + report.rejected
+                + report.malformed_rejects
+                + report.lost,
+            "unaccounted intervals: {report:?}"
+        );
+        assert_eq!(report.unknown_levels, 0, "levels must decode: {report:?}");
+        assert_eq!(report.drain_losses, 0, "drain lost replies: {report:?}");
+        assert!(report.answered > 0, "chaos run produced no imputations");
+        let (panics, restarts) = handle.worker_stats();
+        if faulty {
+            // Resumption replays whatever a crash or hang-up cut off:
+            // nothing is lost, nobody gives up.
+            assert_eq!(report.lost, 0, "lost replies: {report:?}");
+            assert_eq!(report.unsent, 0, "gave up sending: {report:?}");
+            assert_eq!(report.client_failures, 0, "client panicked: {report:?}");
+            assert!(panics > 0 && restarts > 0, "{panics}/{restarts}");
+            // All three cadences actually fired (this is the only test
+            // in the binary that injects process faults).
+            let counters = fmml::obs::snapshot().counters;
+            for kind in ["worker_panic", "solver_stall", "slow_write"] {
+                let name = format!("fault.injected.{kind}");
+                let n = counters.iter().find(|(k, _)| *k == name).map_or(0, |c| c.1);
+                assert!(n > 0, "{name} never fired");
+            }
+        } else {
+            assert_eq!(panics, 0);
+        }
+
+        // The server survived and self-checked every reply.
+        let stats = handle.shutdown();
+        let Frame::StatsReply {
+            violations,
+            malformed,
+            replies,
+            active_sessions,
+            ..
+        } = stats
+        else {
+            panic!("stats frame");
+        };
+        assert_eq!(violations, 0, "constraint violations shipped");
+        assert_eq!(active_sessions, 0, "sessions leaked");
+        assert!(replies >= report.answered);
+        assert!(malformed > 0, "chaos should have tripped the hardening");
+    }
 }
 
 #[test]
 fn clean_clients_lose_nothing_and_drain_gracefully() {
+    let _gate = gate();
     let handle = spawn(
         model(),
         ServerConfig {
@@ -182,7 +227,7 @@ fn clean_clients_lose_nothing_and_drain_gracefully() {
 /// evictions.
 #[test]
 fn traces_cover_the_full_pipeline_under_chaos() {
-    let _gate = trace_gate();
+    let _gate = gate();
     trace::set_enabled(true);
     let dropped0 = trace::snapshot().dropped;
 
@@ -262,7 +307,7 @@ fn traces_cover_the_full_pipeline_under_chaos() {
 /// a breach carrying trace ids that resolve in the journal snapshot.
 #[test]
 fn slo_watchdog_declares_breaches_with_trace_ids() {
-    let _gate = trace_gate();
+    let _gate = gate();
     trace::set_enabled(true);
 
     let handle = spawn(
