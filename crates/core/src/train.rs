@@ -449,19 +449,19 @@ mod tests {
         // the same bits.
         let reference = with_mode(KernelMode::Reference, || train(&ws, scales(), &a));
         assert_same_bits(&serial, &reference, KernelMode::Reference, &ws[0]);
-        // Tracing observes, it never steers: the parallel run on sharded
-        // kernels with tracing on (`train.epoch` spans, per-shard spans,
-        // context handed into rayon by hand) lands on the same bits. No
-        // other test in this crate flips the switch.
+        // Tracing observes, it never steers: the parallel run with
+        // tracing on (`train.epoch` spans, context handed into rayon by
+        // hand) lands on the same bits. No other test in this crate
+        // flips the switch.
         trace::set_enabled(true);
-        let traced = with_mode(KernelMode::BlockedParallel, || train(&ws, scales(), &b));
+        let traced = train(&ws, scales(), &b);
         trace::set_enabled(false);
         let spans = trace::snapshot().spans;
         assert!(
             spans.iter().any(|s| s.name == "train.epoch"),
             "traced pass recorded no epoch span"
         );
-        assert_same_bits(&serial, &traced, KernelMode::BlockedParallel, &ws[0]);
+        assert_same_bits(&serial, &traced, KernelMode::default(), &ws[0]);
     }
 
     #[test]
@@ -476,15 +476,9 @@ mod tests {
         let (model, _) = train(&ws, scales(), &cfg);
         let w = &ws[0];
         let q_ref = with_mode(KernelMode::Reference, || model.impute_queue(w, 0));
-        let q_blk = with_mode(KernelMode::Blocked, || model.impute_queue(w, 0));
-        let q_par = with_mode(KernelMode::BlockedParallel, || model.impute_queue(w, 0));
-        for (t, ((r, b), p)) in q_ref.iter().zip(&q_blk).zip(&q_par).enumerate() {
-            assert_eq!(r.to_bits(), b.to_bits(), "blocked imputed[{t}]: {r} vs {b}");
-            assert_eq!(
-                r.to_bits(),
-                p.to_bits(),
-                "parallel imputed[{t}]: {r} vs {p}"
-            );
+        let q_def = model.impute_queue(w, 0);
+        for (t, (r, d)) in q_ref.iter().zip(&q_def).enumerate() {
+            assert_eq!(r.to_bits(), d.to_bits(), "imputed[{t}]: {r} vs {d}");
         }
     }
 

@@ -32,9 +32,6 @@ static BUF_HITS: Counter = Counter::new("nn.tape.buf_hits");
 /// Tensor buffers that had to be freshly allocated.
 static BUF_MISSES: Counter = Counter::new("nn.tape.buf_misses");
 
-/// Maximum number of recycled buffers the thread-local arena retains.
-const POOL_CAP: usize = 4096;
-
 /// Snapshot of the tape counters (for benchmark deltas).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TapeStats {
@@ -120,7 +117,8 @@ struct Node {
 /// `Tape::new` on the same thread starts from that storage instead of
 /// allocating. Training builds one tape per example with an identical op
 /// sequence, so after the first sample the pool reaches a steady state
-/// where forward **and** backward run allocation-free.
+/// where forward **and** backward run allocation-free, and stays at that
+/// one tape's high-water mark however many tapes follow.
 ///
 /// [`KernelMode::Reference`] disables the arena (nothing is taken or
 /// returned), so benchmark reference passes reproduce the historical
@@ -128,7 +126,60 @@ struct Node {
 #[derive(Default)]
 pub struct TapeArena {
     nodes: Vec<Node>,
-    bufs: Vec<Vec<f32>>,
+    bufs: BufPool,
+}
+
+/// Capacity classes of the pool: class `c` holds buffers with
+/// `2^c ≤ capacity < 2^(c+1)` (the last class is open-ended).
+const CLASSES: usize = 32;
+
+/// Free `f32` buffers by capacity class. A request is served from the
+/// smallest class that is sure to fit it, so a `[T]` buffer is never
+/// grown into a `[T,T]` one just because it was next in line (with one
+/// LIFO list that happened on every tape, and the arena crept towards
+/// `count × largest`).
+#[derive(Default)]
+struct BufPool {
+    free: [Vec<Vec<f32>>; CLASSES],
+    /// Buffers handed out per class and not yet returned. [`Self::put`]
+    /// only fills these vacancies: a buffer the pool never handed out (a
+    /// caller-built `constant`, a `Tensor::scalar`) is freed instead of
+    /// pooled, so the pool never holds more than it has been asked for.
+    out: [u32; CLASSES],
+}
+
+impl BufPool {
+    fn len(&self) -> usize {
+        self.free.iter().map(Vec::len).sum()
+    }
+
+    /// A buffer with capacity for `len` floats, contents and length
+    /// unspecified.
+    fn take(&mut self, len: usize) -> Vec<f32> {
+        let c = (len.next_power_of_two().trailing_zeros() as usize).min(CLASSES - 1);
+        self.out[c] += 1;
+        match self.free[c].pop() {
+            Some(b) => {
+                BUF_HITS.inc();
+                b
+            }
+            None => {
+                BUF_MISSES.inc();
+                Vec::with_capacity(len.max(1 << c))
+            }
+        }
+    }
+
+    fn put(&mut self, buf: Vec<f32>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        let c = (buf.capacity().ilog2() as usize).min(CLASSES - 1);
+        if self.out[c] > 0 {
+            self.out[c] -= 1;
+            self.free[c].push(buf);
+        }
+    }
 }
 
 /// Exiting threads hand their warm arena to this freelist, and a fresh
@@ -148,7 +199,7 @@ struct ArenaSlot(TapeArena);
 impl Drop for ArenaSlot {
     fn drop(&mut self) {
         let arena = std::mem::take(&mut self.0);
-        if arena.bufs.is_empty() && arena.nodes.capacity() == 0 {
+        if arena.bufs.len() == 0 && arena.nodes.capacity() == 0 {
             return;
         }
         // Never panic in a thread-local destructor: skip on poison.
@@ -181,36 +232,30 @@ impl TapeArena {
     }
 }
 
-/// Pop a recycled buffer (cleared, capacity kept) or allocate one.
-fn take_buf(pool: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
-    match pool.pop() {
-        Some(mut b) => {
-            BUF_HITS.inc();
-            b.clear();
-            b.reserve(len);
-            b
-        }
-        None => {
-            BUF_MISSES.inc();
-            Vec::with_capacity(len)
-        }
-    }
+/// A pooled buffer of length 0 with room for `len` floats (for `extend`).
+fn take_buf(pool: &mut BufPool, len: usize) -> Vec<f32> {
+    let mut b = pool.take(len);
+    b.clear();
+    b
 }
 
 /// A pooled buffer of exactly `len` zeros (for indexed writes).
-fn take_buf_zeroed(pool: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
+fn take_buf_zeroed(pool: &mut BufPool, len: usize) -> Vec<f32> {
     let mut b = take_buf(pool, len);
     b.resize(len, 0.0);
     b
 }
 
-fn recycle(pool: &mut Vec<Vec<f32>>, buf: Vec<f32>) {
-    if pool.len() < POOL_CAP && buf.capacity() > 0 {
-        pool.push(buf);
-    }
+/// A pooled buffer of exactly `len` floats with unspecified (stale)
+/// values, for a producer that writes every element — a GEMM, a row-wise
+/// map — and so has no use for a zeroing pass first.
+fn take_buf_unfilled(pool: &mut BufPool, len: usize) -> Vec<f32> {
+    let mut b = pool.take(len);
+    b.resize(len, 0.0);
+    b
 }
 
-fn pooled_copy(pool: &mut Vec<Vec<f32>>, t: &Tensor) -> Tensor {
+fn pooled_copy(pool: &mut BufPool, t: &Tensor) -> Tensor {
     let mut data = take_buf(pool, t.len());
     data.extend_from_slice(&t.data);
     Tensor {
@@ -219,7 +264,7 @@ fn pooled_copy(pool: &mut Vec<Vec<f32>>, t: &Tensor) -> Tensor {
     }
 }
 
-fn pooled_map(pool: &mut Vec<Vec<f32>>, t: &Tensor, mut f: impl FnMut(f32) -> f32) -> Tensor {
+fn pooled_map(pool: &mut BufPool, t: &Tensor, mut f: impl FnMut(f32) -> f32) -> Tensor {
     let mut data = take_buf(pool, t.len());
     data.extend(t.data.iter().map(|&x| f(x)));
     Tensor {
@@ -228,12 +273,7 @@ fn pooled_map(pool: &mut Vec<Vec<f32>>, t: &Tensor, mut f: impl FnMut(f32) -> f3
     }
 }
 
-fn pooled_zip(
-    pool: &mut Vec<Vec<f32>>,
-    x: &Tensor,
-    y: &Tensor,
-    f: impl Fn(f32, f32) -> f32,
-) -> Tensor {
+fn pooled_zip(pool: &mut BufPool, x: &Tensor, y: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     assert_eq!(x.shape, y.shape, "shape mismatch");
     let mut data = take_buf(pool, x.len());
     data.extend(x.data.iter().zip(&y.data).map(|(&a, &b)| f(a, b)));
@@ -250,7 +290,7 @@ fn pooled_zip(
 pub struct Tape<'s> {
     store: &'s ParamStore,
     nodes: Vec<Node>,
-    pool: Vec<Vec<f32>>,
+    pool: BufPool,
     pooled: bool,
 }
 
@@ -268,7 +308,7 @@ impl<'s> Tape<'s> {
                     )
                 })
                 .unwrap_or_default();
-            if pool.is_empty() && nodes.capacity() == 0 {
+            if pool.len() == 0 && nodes.capacity() == 0 {
                 // Cold thread (e.g. a transient rayon worker): adopt a
                 // warm arena parked by an exited thread.
                 match TapeArena::adopt() {
@@ -279,7 +319,7 @@ impl<'s> Tape<'s> {
                 (nodes, pool)
             }
         } else {
-            (Vec::new(), Vec::new())
+            (Vec::new(), BufPool::default())
         };
         Tape {
             store,
@@ -414,7 +454,7 @@ impl<'s> Tape<'s> {
         let (m, k) = (av.shape[0], av.shape[1]);
         let (k2, n) = (bv.shape[0], bv.shape[1]);
         assert_eq!(k, k2, "inner dimensions differ: {k} vs {k2}");
-        let mut out = take_buf_zeroed(pool, m * n);
+        let mut out = take_buf_unfilled(pool, m * n);
         gemm_nn(&av.data, &bv.data, &mut out, m, k, n, GemmOpts::default());
         self.push(
             Tensor {
@@ -491,7 +531,7 @@ impl<'s> Tape<'s> {
         let (k2, n) = (wv.shape[0], wv.shape[1]);
         assert_eq!(k, k2, "inner dimensions differ: {k} vs {k2}");
         assert_eq!(bv.len(), n, "bias length mismatch");
-        let mut out = take_buf_zeroed(pool, m * n);
+        let mut out = take_buf_unfilled(pool, m * n);
         gemm_nn(
             &xv.data,
             &wv.data,
@@ -532,7 +572,7 @@ impl<'s> Tape<'s> {
         let (m, k) = (av.shape[0], av.shape[1]);
         let (n, k2) = (bv.shape[0], bv.shape[1]);
         assert_eq!(k, k2, "inner dimensions differ: {k} vs {k2}");
-        let mut out = take_buf_zeroed(pool, m * n);
+        let mut out = take_buf_unfilled(pool, m * n);
         gemm_nt(
             &av.data,
             &bv.data,
@@ -641,24 +681,27 @@ impl<'s> Tape<'s> {
         } = *self;
         let x = &nodes[a].value;
         let cols = x.cols();
-        let mut out = pooled_copy(pool, x);
-        for r in 0..x.rows() {
-            let row = &mut out.data[r * cols..(r + 1) * cols];
-            let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut data = take_buf_unfilled(pool, x.len());
+        for (xr, row) in x.data.chunks(cols.max(1)).zip(data.chunks_mut(cols.max(1))) {
+            let m = xr.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             if m == f32::NEG_INFINITY {
-                // All-(-∞) (or empty) row: uniform, not NaN.
+                // All-(-∞) row: uniform, not NaN.
                 row.fill(1.0 / cols as f32);
                 continue;
             }
             let mut z = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - m).exp();
-                z += *v;
+            for (o, &v) in row.iter_mut().zip(xr) {
+                *o = (v - m).exp();
+                z += *o;
             }
-            for v in row.iter_mut() {
-                *v /= z;
+            for o in row.iter_mut() {
+                *o /= z;
             }
         }
+        let out = Tensor {
+            data,
+            shape: x.shape.clone(),
+        };
         self.push(out, Op::SoftmaxRows(a))
     }
 
@@ -881,7 +924,7 @@ impl<'s> Tape<'s> {
         }
         if self.pooled {
             for g in grads.into_iter().flatten() {
-                recycle(&mut self.pool, g.data);
+                self.pool.put(g.data);
             }
         }
         out
@@ -900,28 +943,30 @@ impl Drop for Tape<'_> {
         let mut nodes = std::mem::take(&mut self.nodes);
         let mut pool = std::mem::take(&mut self.pool);
         for node in nodes.drain(..) {
-            recycle(&mut pool, node.value.data);
+            pool.put(node.value.data);
         }
+        // Vacancies left by buffers that escaped (or changed class) end
+        // with the tape that opened them.
+        pool.out = [0; CLASSES];
         let _ = ARENA.try_with(|a| {
             let mut a = a.borrow_mut();
             if a.0.nodes.capacity() < nodes.capacity() {
                 a.0.nodes = nodes;
             }
-            while a.0.bufs.len() < POOL_CAP {
-                match pool.pop() {
-                    Some(b) => a.0.bufs.push(b),
-                    None => break,
-                }
+            // Another tape on this thread may have returned first (tapes
+            // can nest); keep the fuller pool, never the sum.
+            if a.0.bufs.len() < pool.len() {
+                a.0.bufs = pool;
             }
         });
     }
 }
 
-fn accum(pool: &mut Vec<Vec<f32>>, grads: &mut [Option<Tensor>], id: NodeId, g: Tensor) {
+fn accum(pool: &mut BufPool, grads: &mut [Option<Tensor>], id: NodeId, g: Tensor) {
     match &mut grads[id] {
         Some(acc) => {
             acc.add_inplace(&g);
-            recycle(pool, g.data);
+            pool.put(g.data);
         }
         slot => *slot = Some(g),
     }
@@ -929,7 +974,7 @@ fn accum(pool: &mut Vec<Vec<f32>>, grads: &mut [Option<Tensor>], id: NodeId, g: 
 
 fn propagate(
     nodes: &[Node],
-    pool: &mut Vec<Vec<f32>>,
+    pool: &mut BufPool,
     id: NodeId,
     g: &Tensor,
     grads: &mut [Option<Tensor>],
@@ -966,7 +1011,7 @@ fn propagate(
             let bv = &nodes[*b].value;
             let (m, kd) = (av.rows(), av.cols());
             let n = bv.cols();
-            let mut da = take_buf_zeroed(pool, m * kd);
+            let mut da = take_buf_unfilled(pool, m * kd);
             gemm_nt(&g.data, &bv.data, &mut da, m, n, kd, GemmOpts::default());
             accum(
                 pool,
@@ -977,7 +1022,7 @@ fn propagate(
                     shape: vec![m, kd],
                 },
             );
-            let mut db = take_buf_zeroed(pool, kd * n);
+            let mut db = take_buf_unfilled(pool, kd * n);
             gemm_tn(&av.data, &g.data, &mut db, m, kd, n, GemmOpts::default());
             accum(
                 pool,
@@ -995,7 +1040,7 @@ fn propagate(
             let wv = &nodes[*w].value;
             let (m, kd) = (xv.rows(), xv.cols());
             let n = wv.cols();
-            let mut dx = take_buf_zeroed(pool, m * kd);
+            let mut dx = take_buf_unfilled(pool, m * kd);
             gemm_nt(&g.data, &wv.data, &mut dx, m, n, kd, GemmOpts::default());
             accum(
                 pool,
@@ -1006,7 +1051,7 @@ fn propagate(
                     shape: vec![m, kd],
                 },
             );
-            let mut dw = take_buf_zeroed(pool, kd * n);
+            let mut dw = take_buf_unfilled(pool, kd * n);
             gemm_tn(&xv.data, &g.data, &mut dw, m, kd, n, GemmOpts::default());
             accum(
                 pool,
@@ -1043,7 +1088,7 @@ fn propagate(
                 bias: None,
                 scale: Some(*s),
             };
-            let mut da = take_buf_zeroed(pool, m * kd);
+            let mut da = take_buf_unfilled(pool, m * kd);
             gemm_nn(&g.data, &bv.data, &mut da, m, n, kd, opts);
             accum(
                 pool,
@@ -1054,7 +1099,7 @@ fn propagate(
                     shape: vec![m, kd],
                 },
             );
-            let mut db = take_buf_zeroed(pool, n * kd);
+            let mut db = take_buf_unfilled(pool, n * kd);
             gemm_tn(&g.data, &av.data, &mut db, m, n, kd, opts);
             accum(
                 pool,
@@ -1676,30 +1721,41 @@ mod tests {
         TapeArena::clear();
         let mut store = ParamStore::new();
         let p = store.add("x", Tensor::vector(vec![1.0, 2.0, 3.0]));
-        {
+        let w = store.add("w", Tensor::from_vec(vec![0.5; 12], &[3, 4]));
+        // A forward + backward that mixes pooled buffers of several size
+        // classes with buffers the pool never handed out (the `constant`
+        // input, the scalars behind `sum` and the root gradient).
+        let run = || {
             let mut tape = Tape::new(&store);
             let x = tape.param(p);
             let y = tape.tanh(x);
-            let s = tape.sum(y);
-            let _ = tape.backward(s);
-        }
-        let pooled = TapeArena::pooled();
-        assert!(pooled > 0, "dropped tape must repopulate the arena");
-        // A second, identical tape must produce identical values from
-        // recycled storage.
-        {
-            let mut tape = Tape::new(&store);
-            let x = tape.param(p);
-            let y = tape.tanh(x);
-            let s = tape.sum(y);
-            assert!(
-                (tape.scalar_value(s) - (1f32.tanh() + 2f32.tanh() + 3f32.tanh())).abs() < 1e-6
-            );
+            let c = tape.constant(Tensor::from_vec(vec![0.25; 15], &[5, 3]));
+            let lw = tape.param(w);
+            let h = tape.matmul(c, lw);
+            let att = tape.softmax_rows(h);
+            let s1 = tape.sum(att);
+            let s2 = tape.sum(y);
+            let s = tape.add(s1, s2);
+            let v = tape.scalar_value(s);
             let g = tape.backward(s);
-            assert!(g.by_param[p].is_some());
+            assert!(g.by_param[p].is_some() && g.by_param[w].is_some());
+            v
+        };
+        let first = run();
+        assert!(
+            (first - (5.0 + 1f32.tanh() + 2f32.tanh() + 3f32.tanh())).abs() < 1e-5,
+            "softmax rows sum to 1 each: {first}"
+        );
+        let warm = TapeArena::pooled();
+        assert!(warm > 0, "dropped tape must repopulate the arena");
+        // Identical tapes produce identical values from recycled storage,
+        // and the pool holds exactly one tape's buffers however many
+        // follow — foreign buffers are not hoarded.
+        for _ in 0..6 {
+            assert_eq!(run().to_bits(), first.to_bits());
+            assert_eq!(TapeArena::pooled(), warm, "arena must not grow");
         }
         // Reference mode leaves the arena untouched in both directions.
-        let before = TapeArena::pooled();
         crate::kernel::with_mode(crate::kernel::KernelMode::Reference, || {
             let mut tape = Tape::new(&store);
             let x = tape.param(p);
@@ -1708,7 +1764,7 @@ mod tests {
         });
         assert_eq!(
             TapeArena::pooled(),
-            before,
+            warm,
             "Reference mode must not touch the arena"
         );
     }

@@ -80,10 +80,10 @@ impl Tensor {
         self.data[r * self.shape[1] + c] = v;
     }
 
-    /// Matrix product `[m,k] × [k,n] → [m,n]` via the blocked kernel
+    /// Matrix product `[m,k] × [k,n] → [m,n]` via the tiled kernel
     /// ([`crate::kernel`]): fixed per-element summation order (ascending
-    /// inner index), bitwise identical across the scalar reference,
-    /// blocked, and row-sharded parallel implementations.
+    /// inner index), bitwise identical across the scalar reference and
+    /// the register tile.
     ///
     /// Note there is deliberately no sparsity shortcut: `0·NaN` and
     /// `0·∞` are `NaN` and must propagate to the output — the
