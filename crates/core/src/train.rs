@@ -31,6 +31,8 @@ static KAL_PENALTY: FloatGauge = FloatGauge::new("train.kal_penalty");
 static NONFINITE_SKIPPED: Counter = Counter::new("train.nonfinite_skipped");
 /// Epochs rolled back to their checkpoint after a non-finite guard fired.
 static ROLLBACKS: Counter = Counter::new("train.rollbacks");
+/// [`EpochStats::nonzero_share`] of the most recent epoch.
+static OUTPUT_NONZERO_SHARE: FloatGauge = FloatGauge::new("train.output_nonzero_share");
 
 /// Base reconstruction loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +84,11 @@ pub struct EpochStats {
     pub mean_loss: f32,
     pub mean_phi_abs: f32,
     pub mean_psi: f32,
+    /// Share of predicted steps `> 0` over the epoch's examples. The
+    /// model's head ends in a ReLU: at 0 every output is clamped, the
+    /// gradient is exactly zero and training has stopped moving (the
+    /// epoch logs `train.dead_output`).
+    pub nonzero_share: f32,
     /// The epoch hit a non-finite loss or gradient and its parameter
     /// updates were discarded (store restored from the epoch checkpoint).
     pub rolled_back: bool,
@@ -93,6 +100,9 @@ struct ExampleResult {
     loss: f32,
     phi: f32,
     psi: f32,
+    /// Predicted steps, and how many of them are `> 0`.
+    steps: usize,
+    nonzero: usize,
 }
 
 /// Train a freshly-initialized transformer imputer on `windows`.
@@ -157,6 +167,7 @@ pub fn train_from(
         let mut ep_loss = 0.0f64;
         let mut ep_phi = 0.0f64;
         let mut ep_psi = 0.0f64;
+        let (mut ep_steps, mut ep_nonzero) = (0usize, 0usize);
         let mut ep_grad_norm = 0.0f64;
         let mut num_batches = 0u32;
         let mut used_examples = 0usize;
@@ -209,6 +220,8 @@ pub fn train_from(
                 ep_loss += r.loss as f64;
                 ep_phi += r.phi.abs() as f64;
                 ep_psi += r.psi as f64;
+                ep_steps += r.steps;
+                ep_nonzero += r.nonzero;
                 used_in_batch += 1;
             }
             if used_in_batch == 0 {
@@ -248,6 +261,7 @@ pub fn train_from(
             mean_loss: (ep_loss / n) as f32,
             mean_phi_abs: (ep_phi / n) as f32,
             mean_psi: (ep_psi / n) as f32,
+            nonzero_share: ep_nonzero as f32 / ep_steps.max(1) as f32,
             rolled_back: poisoned,
         };
         let grad_norm = ep_grad_norm / num_batches.max(1) as f64;
@@ -258,6 +272,7 @@ pub fn train_from(
         LOSS.set(ep.mean_loss as f64);
         GRAD_NORM.set(grad_norm);
         KAL_PENALTY.set(kal_penalty);
+        OUTPUT_NONZERO_SHARE.set(ep.nonzero_share as f64);
         log_event!(
             "train.epoch",
             "epoch" = epoch,
@@ -265,9 +280,18 @@ pub fn train_from(
             "grad_norm" = grad_norm,
             "phi_abs" = ep.mean_phi_abs,
             "psi" = ep.mean_psi,
+            "nonzero_share" = ep.nonzero_share,
             "rolled_back" = poisoned,
             "ms" = elapsed.as_secs_f64() * 1e3,
         );
+        if ep_steps > 0 && ep_nonzero == 0 {
+            log_event!(
+                "train.dead_output",
+                "epoch" = epoch,
+                "steps" = ep_steps,
+                "loss" = ep.mean_loss,
+            );
+        }
         stats.push(ep);
     }
     stats
@@ -305,12 +329,16 @@ fn forward_backward(
         None => (base, 0.0, 0.0),
     };
     let loss_val = tape.scalar_value(root);
+    let out = &tape.value(pred).data;
+    let (steps, nonzero) = (out.len(), out.iter().filter(|&&v| v > 0.0).count());
     let grads = tape.backward(root);
     ExampleResult {
         grads,
         loss: loss_val,
         phi,
         psi,
+        steps,
+        nonzero,
     }
 }
 
@@ -480,6 +508,23 @@ mod tests {
         for (t, (r, d)) in q_ref.iter().zip(&q_def).enumerate() {
             assert_eq!(r.to_bits(), d.to_bits(), "imputed[{t}]: {r} vs {d}");
         }
+    }
+
+    #[test]
+    fn nonzero_share_is_the_share_impute_counts() {
+        // With a zero learning rate the parameters never move, so the
+        // epoch's forward passes are the ones `impute` repeats afterwards.
+        use crate::imputer::Imputer;
+        let ws = small_windows(5, 240);
+        let mut cfg = fast_cfg();
+        cfg.epochs = 1;
+        cfg.lr = 0.0;
+        let (model, stats) = train(&ws, scales(), &cfg);
+        let series: Vec<Vec<f32>> = ws.iter().flat_map(|w| model.impute(w)).collect();
+        let steps: usize = series.iter().map(Vec::len).sum();
+        let nonzero = series.iter().flatten().filter(|&&v| v > 0.0).count();
+        assert!(0 < nonzero && nonzero < steps, "{nonzero} of {steps}");
+        assert_eq!(stats[0].nonzero_share, nonzero as f32 / steps as f32);
     }
 
     #[test]

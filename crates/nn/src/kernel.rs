@@ -1,4 +1,6 @@
-//! Register-tiled, numerically-fixed matmul kernels.
+//! Register-tiled, numerically-fixed matmul kernels, and the row
+//! softmax written on the same lanes ([`softmax_rows`], whose own
+//! canonical order is stated in `kernel/softmax.rs`).
 //!
 //! Every dense product in the autodiff substrate funnels through the
 //! three GEMM entry points here ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]).
@@ -47,6 +49,11 @@
 
 use fmml_obs::Counter;
 use std::cell::{Cell, RefCell};
+
+mod softmax;
+pub use softmax::softmax_rows;
+#[doc(hidden)]
+pub use softmax::softmax_rows_pinned;
 
 /// GEMM calls dispatched (all three shapes, both modes).
 static CALLS: Counter = Counter::new("nn.matmul.calls");
@@ -209,17 +216,37 @@ const MR: usize = 4;
 /// Lanes per vector; packed panels are padded to a multiple of it.
 const NR: usize = 8;
 
-/// `NR` `f32` lanes, one output column each. `mul` and `add` are
-/// separate correctly-rounded operations, lane by lane — there is no
-/// fused form here on purpose.
+/// `NR` `f32` lanes: one output column each in the GEMM tile, one
+/// residue class of a row's columns in the softmax. Every method is, per
+/// lane, one correctly-rounded IEEE operation or one integer bit
+/// operation, so the two impls agree bit for bit by construction. `mul`
+/// and `add` are separate — there is no fused form here on purpose.
 trait Lanes: Copy {
     fn splat(v: f32) -> Self;
     /// # Safety
     /// `src` must be valid for reading `NR` floats (any alignment).
     unsafe fn load(src: *const f32) -> Self;
+    #[inline(always)]
+    fn from_array(src: &[f32; NR]) -> Self {
+        // SAFETY: a `&[f32; NR]` is `NR` readable floats.
+        unsafe { Self::load(src.as_ptr()) }
+    }
     fn store(self, dst: &mut [f32; NR]);
     fn mul(self, rhs: Self) -> Self;
     fn add(self, rhs: Self) -> Self;
+    fn sub(self, rhs: Self) -> Self;
+    fn div(self, rhs: Self) -> Self;
+    /// `if self > rhs { self } else { rhs }` — `rhs` whenever either side
+    /// is NaN. Spelled that way, and not as `f32::max`, because that is
+    /// exactly what the hardware `max` computes.
+    fn max(self, rhs: Self) -> Self;
+    /// `+0.0` in the lanes where `x < bound`, `self` in the others
+    /// (those where `x` is NaN included).
+    fn zero_where_lt(self, x: Self, bound: Self) -> Self;
+    /// The lanes' bits as integers, `(bits + 127) << 23`, wrapping: for
+    /// `self = 1.5·2²³ + n` with integer `-126 ≤ n ≤ 0` that is `2ⁿ`,
+    /// built in the exponent field from the low bits of the sum.
+    fn exp2_of_biased(self) -> Self;
 }
 
 /// The build's baseline target: plain arrays, vectorized as far as the
@@ -246,16 +273,37 @@ impl Lanes for [f32; NR] {
     fn add(self, rhs: Self) -> Self {
         std::array::from_fn(|c| self[c] + rhs[c])
     }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        std::array::from_fn(|c| self[c] - rhs[c])
+    }
+    #[inline(always)]
+    fn div(self, rhs: Self) -> Self {
+        std::array::from_fn(|c| self[c] / rhs[c])
+    }
+    #[inline(always)]
+    fn max(self, rhs: Self) -> Self {
+        std::array::from_fn(|c| if self[c] > rhs[c] { self[c] } else { rhs[c] })
+    }
+    #[inline(always)]
+    fn zero_where_lt(self, x: Self, bound: Self) -> Self {
+        std::array::from_fn(|c| if x[c] < bound[c] { 0.0 } else { self[c] })
+    }
+    #[inline(always)]
+    fn exp2_of_biased(self) -> Self {
+        std::array::from_fn(|c| f32::from_bits(self[c].to_bits().wrapping_add(127) << 23))
+    }
 }
 
 /// Spelled with intrinsics because auto-vectorization of the array form
 /// is not dependable: small edits to the tile flipped the one-vector
 /// instantiation between vector and fully scalar code (a factor of 10).
 ///
-/// SAFETY (every method): the intrinsics need a CPU with AVX. This impl
-/// is named in exactly one place, `panel_rows_avx2`, which is entered
-/// only after `is_x86_feature_detected!("avx2")`. `load` forwards its
-/// caller's guarantee to the unaligned load; `store` writes through a
+/// SAFETY (every method): the intrinsics need a CPU with AVX2. This impl
+/// is named in exactly two places, `panel_rows_avx2` and
+/// `softmax::rows_avx2`, each entered only after
+/// `is_x86_feature_detected!("avx2")`. `load` forwards its caller's
+/// guarantee to the unaligned load; `store` writes through a
 /// `&mut [f32; NR]`, valid for the 32 bytes the unaligned store touches.
 #[cfg(target_arch = "x86_64")]
 impl Lanes for std::arch::x86_64::__m256 {
@@ -278,6 +326,34 @@ impl Lanes for std::arch::x86_64::__m256 {
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
         unsafe { std::arch::x86_64::_mm256_add_ps(self, rhs) }
+    }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        unsafe { std::arch::x86_64::_mm256_sub_ps(self, rhs) }
+    }
+    #[inline(always)]
+    fn div(self, rhs: Self) -> Self {
+        unsafe { std::arch::x86_64::_mm256_div_ps(self, rhs) }
+    }
+    #[inline(always)]
+    fn max(self, rhs: Self) -> Self {
+        unsafe { std::arch::x86_64::_mm256_max_ps(self, rhs) }
+    }
+    #[inline(always)]
+    fn zero_where_lt(self, x: Self, bound: Self) -> Self {
+        use std::arch::x86_64::{_mm256_andnot_ps, _mm256_cmp_ps, _CMP_LT_OQ};
+        unsafe { _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(x, bound), self) }
+    }
+    #[inline(always)]
+    fn exp2_of_biased(self) -> Self {
+        use std::arch::x86_64::{
+            _mm256_add_epi32, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_set1_epi32,
+            _mm256_slli_epi32,
+        };
+        unsafe {
+            let biased = _mm256_add_epi32(_mm256_castps_si256(self), _mm256_set1_epi32(127));
+            _mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased))
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //! (EMD loss), max/select reductions (C1/C2 residuals) and tanh/relu
 //! (the differentiable relaxation of C3).
 
-use crate::kernel::{gemm_nn, gemm_nt, gemm_tn, GemmOpts, KernelMode};
+use crate::kernel::{gemm_nn, gemm_nt, gemm_tn, softmax_rows, GemmOpts, KernelMode};
 use crate::params::{Gradients, ParamId, ParamStore};
 use crate::tensor::Tensor;
 use fmml_obs::Counter;
@@ -665,14 +665,10 @@ impl<'s> Tape<'s> {
         self.mul(a, m)
     }
 
-    /// Row-wise softmax of a 2-D tensor (or of a 1-D tensor as one row).
-    ///
-    /// A zero-mass row (every entry `-∞`, as a fully-masked attention
-    /// row produces) has no well-defined softmax: naively `m = -∞` makes
-    /// every `(v - m)` NaN and the normalizer zero. Such rows are
-    /// returned **uniform** (`1/cols`) instead — the limit of softmax as
-    /// all logits tend to `-∞` together, and the only choice that keeps
-    /// masked attention finite.
+    /// Row-wise softmax of a 2-D tensor (or of a 1-D tensor as one row),
+    /// by [`crate::kernel::softmax_rows`]: a row of nothing but `-∞` (a
+    /// fully-masked attention row) comes back **uniform**, a row with a
+    /// NaN logit all NaN.
     pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
         let Tape {
             ref nodes,
@@ -680,24 +676,8 @@ impl<'s> Tape<'s> {
             ..
         } = *self;
         let x = &nodes[a].value;
-        let cols = x.cols();
         let mut data = take_buf_unfilled(pool, x.len());
-        for (xr, row) in x.data.chunks(cols.max(1)).zip(data.chunks_mut(cols.max(1))) {
-            let m = xr.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            if m == f32::NEG_INFINITY {
-                // All-(-∞) row: uniform, not NaN.
-                row.fill(1.0 / cols as f32);
-                continue;
-            }
-            let mut z = 0.0;
-            for (o, &v) in row.iter_mut().zip(xr) {
-                *o = (v - m).exp();
-                z += *o;
-            }
-            for o in row.iter_mut() {
-                *o /= z;
-            }
-        }
+        softmax_rows(&x.data, &mut data, x.cols());
         let out = Tensor {
             data,
             shape: x.shape.clone(),
@@ -1711,6 +1691,34 @@ mod tests {
         let s = tape.sum(y);
         let grads = tape.backward(s);
         assert!(grads.by_param.is_empty());
+    }
+
+    #[test]
+    fn softmax_nan_logit_poisons_row_even_when_rest_is_masked() {
+        // `f32::max` skips NaN, so a max-then-"all masked?" test saw the
+        // first two rows as zero-mass and returned them uniform.
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let x = tape.constant(Tensor::from_vec(
+            vec![
+                nan, ninf, ninf, ninf, ninf, nan, 0.5, nan, 1.0, ninf, ninf, ninf,
+            ],
+            &[4, 3],
+        ));
+        let y = tape.softmax_rows(x);
+        let v = tape.value(y);
+        for r in 0..3 {
+            for j in 0..3 {
+                assert!(v.at2(r, j).is_nan(), "row {r} col {j}: {}", v.at2(r, j));
+            }
+        }
+        for j in 0..3 {
+            assert_eq!(v.at2(3, j), 1.0 / 3.0, "all-masked row stays uniform");
+        }
+        let one = tape.constant(Tensor::vector(vec![nan]));
+        let y = tape.softmax_rows(one);
+        assert!(tape.value(y).data[0].is_nan(), "one-column NaN row");
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! — including shapes not divisible by the tile sizes, empty dimensions,
 //! non-finite entries, and fused bias/scale epilogues — and on the fixed
 //! shapes the paper model runs. This is the contract the benchmark's
-//! model fingerprints (and PR 3's CEM merge before it) rest on.
+//! model fingerprints (and PR 3's CEM merge before it) rest on. The row
+//! softmax is held to the same standard: its two instantiations, the
+//! `Reference` mode and a plain-scalar transcription of its spec agree
+//! bit for bit.
 
-use fmml_nn::kernel::{gemm_nn, gemm_nt, gemm_tn, with_mode, GemmOpts, KernelMode};
-use fmml_nn::Tensor;
+use fmml_nn::kernel::{
+    gemm_nn, gemm_nt, gemm_tn, softmax_rows_pinned, with_mode, GemmOpts, KernelMode,
+};
+use fmml_nn::{ParamStore, Tape, Tensor};
 use proptest::prelude::*;
 
 /// Deterministic xorshift fill; optionally injects NaN/±Inf entries so
@@ -109,6 +114,139 @@ fn fixed_shapes_bitwise_equal() {
     for (m, k, n) in shapes {
         for flags in [0, 6, 7] {
             check_shape(m, k, n, 0xFEED ^ (m * k + n) as u64, flags).unwrap();
+        }
+    }
+}
+
+/// `exp̃` as DESIGN.md §10 states it, in plain scalar operations with
+/// its own copy of the constants: the oracle that does not go through
+/// `Lanes`, so a slip in a method both instantiations share still shows.
+#[allow(clippy::excessive_precision)]
+fn exp_oracle(x0: f32) -> f32 {
+    const LO: f32 = -87.33654;
+    const MAGIC: f32 = 12582912.0; // 1.5 * 2^23
+    let x = if LO > x0 { LO } else { x0 };
+    let n = (x * std::f32::consts::LOG2_E + MAGIC) - MAGIC;
+    let r = (x - n * 0.693359375) - n * -2.12194440e-4;
+    let mut p = 1.9875691500e-4;
+    for c in [
+        1.3981999507e-3,
+        8.3334519073e-3,
+        4.1665795894e-2,
+        1.6666665459e-1,
+        5.0000001201e-1,
+    ] {
+        p = p * r + c;
+    }
+    let y = (p * (r * r) + r) + 1.0;
+    if x0 < LO {
+        0.0
+    } else {
+        y * f32::from_bits(((n as i32 + 127) as u32) << 23)
+    }
+}
+
+/// One softmax row by the spec: NaN poisons, all-`-∞` is uniform, lane
+/// `j % 8` sums in ascending `j`, the lanes meet in the fixed tree.
+fn softmax_oracle(x: &[f32]) -> Vec<f32> {
+    if x.iter().any(|v| v.is_nan()) {
+        return vec![f32::NAN; x.len()];
+    }
+    let m = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    if m == f32::NEG_INFINITY {
+        return vec![1.0 / x.len() as f32; x.len()];
+    }
+    let e: Vec<f32> = x.iter().map(|&v| exp_oracle(v - m)).collect();
+    let mut s = [0.0f32; 8];
+    for (j, &v) in e.iter().enumerate() {
+        s[j % 8] += v;
+    }
+    let z = ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+    e.iter().map(|&v| v / z).collect()
+}
+
+/// `Tape::softmax_rows` — what the model calls — under `mode`.
+fn tape_softmax(mode: KernelMode, x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    with_mode(mode, || {
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let logits = tape.constant(Tensor::from_vec(x.to_vec(), &[rows, cols]));
+        let y = tape.softmax_rows(logits);
+        tape.value(y).data.clone()
+    })
+}
+
+#[test]
+/// Widths on both sides of one and two vectors, the wire (10) and paper
+/// (300) geometries, each with ordinary and degenerate rows: the
+/// baseline and AVX2 instantiations (pinned directly), both kernel modes
+/// through the tape, and the scalar oracle give the same bits.
+fn softmax_bitwise_equal_across_instantiations_modes_and_oracle() {
+    const ROWS: usize = 3;
+    let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+    for cols in [1, 7, 8, 9, 10, 16, 37, 300] {
+        let spread: Vec<f32> = fill(ROWS * cols, 0x50F7 + cols as u64, false)
+            .iter()
+            .map(|v| v * 20.0)
+            .collect();
+        // Row 1 takes the special entry; rows 0 and 2 show that a row's
+        // neighbours never leak into it.
+        let at = cols + cols / 3;
+        let with = |v: f32| {
+            let mut x = spread.clone();
+            x[at] = v;
+            x
+        };
+        let all_masked = {
+            let mut x = spread.clone();
+            x[cols..2 * cols].fill(ninf);
+            x
+        };
+        // 0, −0.31, −0.62, …: at 300 wide, exp̃'s whole domain and beyond.
+        let ramp: Vec<f32> = (0..ROWS * cols)
+            .map(|j| (j % cols) as f32 * -0.31)
+            .collect();
+        let cases = [
+            ("spread ±20", spread.clone()),
+            ("one -inf", with(ninf)),
+            ("one NaN", with(nan)),
+            ("all -inf", all_masked),
+            ("one -200 outlier", with(-200.0)),
+            ("ramp", ramp),
+        ];
+        for (what, x) in cases {
+            let want: Vec<f32> = x.chunks(cols).flat_map(softmax_oracle).collect();
+            let pinned = |simd| {
+                let mut out = vec![0.0; x.len()];
+                softmax_rows_pinned(simd, &x, &mut out, cols);
+                out
+            };
+            let got = [
+                ("baseline", pinned(false)),
+                ("avx2", pinned(true)),
+                (
+                    "tape, Reference",
+                    tape_softmax(KernelMode::Reference, &x, ROWS, cols),
+                ),
+                (
+                    "tape, default",
+                    tape_softmax(KernelMode::Blocked, &x, ROWS, cols),
+                ),
+            ];
+            for (who, y) in &got {
+                if let Some(diff) = bits_eq(&want, y) {
+                    panic!("{who} vs oracle, {cols} wide, {what}: {diff}");
+                }
+            }
+            for (r, row) in want.chunks(cols).enumerate() {
+                let sum: f64 = row.iter().map(|&v| v as f64).sum();
+                let poisoned = x[r * cols..][..cols].iter().any(|v| v.is_nan());
+                assert_eq!(sum.is_nan(), poisoned, "{cols} wide, {what}, row {r}");
+                assert!(
+                    poisoned || (sum - 1.0).abs() < 1e-6,
+                    "{cols} wide, {what}, row {r} sums to {sum}"
+                );
+            }
         }
     }
 }
