@@ -229,39 +229,51 @@ fn fault_run_chaos_smoke_exits_clean_with_zero_violations() {
     std::fs::create_dir_all(&dir).unwrap();
     let stats = dir.join("stats.json");
     let log = dir.join("run.jsonl");
-    let out = Command::new(env!("CARGO_BIN_EXE_fmml"))
-        .args([
-            "fault-run",
-            "--seed",
-            "7",
-            "--stats-json",
-            stats.to_str().unwrap(),
-        ])
-        .env("FMML_LOG_FILE", log.to_str().unwrap())
-        .output()
-        .expect("binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "fault-run failed: {stdout}{stderr}");
-    assert!(stdout.contains("violations=0"), "{stdout}");
-    assert!(stdout.contains("injected:"), "{stdout}");
-    assert!(stdout.contains("rollbacks=1"), "{stdout}");
-    // Degradation-ladder counters appear in the metrics snapshot.
-    let json = std::fs::read_to_string(&stats).expect("--stats-json written");
-    for key in [
-        "fm.cem.ladder.windows",
-        "fault.injected",
-        "telemetry.sanitize.windows",
-        "train.rollbacks",
-    ] {
+    // The fast engine, the SMT rungs, and the SMT rungs on four workers
+    // sharing the cache.
+    let runs: [&[&str]; 3] = [
+        &["--seed", "7"],
+        &["--seed", "11", "--smt"],
+        &["--seed", "7", "--smt", "--jobs", "4"],
+    ];
+    for run in runs {
+        let out = Command::new(env!("CARGO_BIN_EXE_fmml"))
+            .arg("fault-run")
+            .args(run)
+            .args(["--stats-json", stats.to_str().unwrap()])
+            .env("FMML_LOG_FILE", log.to_str().unwrap())
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{run:?} failed: {stdout}{stderr}");
         assert!(
-            json.contains(&format!("\"{key}\"")),
-            "missing {key}: {json}"
+            stdout.lines().any(|l| l == "violations=0"),
+            "{run:?}: {stdout}"
         );
+        assert!(stdout.contains("injected:"), "{run:?}: {stdout}");
+        assert!(stdout.contains("rollbacks=1"), "{run:?}: {stdout}");
+        // Degradation-ladder counters appear in the metrics snapshot.
+        let json = std::fs::read_to_string(&stats).expect("--stats-json written");
+        for key in [
+            "fm.cem.ladder.windows",
+            "fault.injected",
+            "telemetry.sanitize.windows",
+            "train.rollbacks",
+        ] {
+            assert!(
+                json.contains(&format!("\"{key}\"")),
+                "{run:?}: missing {key}: {json}"
+            );
+        }
+        // The poisoned epoch's rollback is observable in the run log.
+        let text = std::fs::read_to_string(&log).expect("run log written");
+        assert!(
+            text.contains("\"event\":\"train.rollback\""),
+            "{run:?}: {text}"
+        );
+        std::fs::remove_file(&log).expect("each run writes its own log");
     }
-    // The poisoned epoch's rollback is observable in the run log.
-    let text = std::fs::read_to_string(&log).expect("run log written");
-    assert!(text.contains("\"event\":\"train.rollback\""), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

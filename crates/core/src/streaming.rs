@@ -5,15 +5,18 @@
 //! An operator's collector receives one coarse interval of telemetry per
 //! queue every 50 ms. [`StreamingImputer`] ingests these increments,
 //! keeps a sliding window of the most recent intervals per port, and on
-//! every completed interval re-imputes the window (transformer + the CEM
-//! degradation ladder) — yielding the newest interval's fine-grained
-//! series within a measured, bounded latency, annotated with the
-//! [`DegradationLevel`] the ladder landed on. Tasks like
+//! every completed interval re-imputes the window with the transformer
+//! and corrects the **newest interval** — the only one a tick ships —
+//! through the CEM degradation ladder, yielding its fine-grained series
+//! within a measured, bounded latency, annotated with the
+//! [`DegradationLevel`] the ladder landed on. (C1–C3 are interval-local,
+//! so the older intervals of the window, shipped on earlier ticks, give
+//! the newest one's correction nothing.) Tasks like
 //! performance-driven routing or attack detection (§5) would subscribe to
 //! [`ImputedInterval`]s.
 //!
 //! The enforcement stage is the tuned PR-3 path: [`StreamOptions`]
-//! carries a [`LadderConfig`] (engine, per-window deadline, escalation)
+//! carries a [`LadderConfig`] (engine, escalation, breaker)
 //! plus the worker count and an optional shared [`SolutionCache`], so a
 //! fleet of per-port imputers — or the multi-tenant `fmml-serve` server —
 //! can share one memo cache across streams.
@@ -21,9 +24,9 @@
 //! For batched serving, ingestion and enforcement are split:
 //! [`StreamingImputer::try_prepare`] does the sliding-window bookkeeping
 //! and the model forward pass, returning a [`PreparedWindow`] whose
-//! `(constraints, imputed)` pair can be coalesced with other tenants'
-//! windows into one `enforce_degraded_batch` call; [`PreparedWindow::
-//! newest_interval`] then slices the freshly corrected interval back out.
+//! [`PreparedWindow::newest_item`] — a one-interval `(constraints,
+//! prediction)` pair — can be coalesced with other tenants' items into
+//! one `enforce_degraded_batch` call whose outcome *is* the reply.
 //! [`StreamingImputer::try_push`] is the single-stream convenience that
 //! does both steps in one call.
 
@@ -113,7 +116,9 @@ impl std::error::Error for IngestError {}
 /// ladder configuration plus PR-3's parallelism/memoization options.
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
-    /// Ladder configuration (engine, per-window deadline, escalation).
+    /// Ladder configuration (engine, escalation, breaker). Its `deadline`
+    /// is counted from the start of the one-interval enforcement, so it
+    /// has nothing to cut short; leave it `None`.
     pub ladder: LadderConfig,
     /// Worker threads for interval-level parallelism (`1` = sequential).
     pub jobs: usize,
@@ -155,11 +160,11 @@ pub struct ImputedInterval {
     pub enforced: bool,
 }
 
-/// A fully ingested window awaiting enforcement: the sliding window's
-/// constraints plus the raw model output. Produced by
-/// [`StreamingImputer::try_prepare`]; the serving layer batches many of
-/// these (across sessions and tenants) into one `enforce_degraded_batch`
-/// call.
+/// A fully ingested window: the sliding window's constraints plus the
+/// raw model output. Produced by [`StreamingImputer::try_prepare`]; the
+/// serving layer batches the [`newest_item`](PreparedWindow::newest_item)
+/// of many of these (across sessions and tenants) into one
+/// `enforce_degraded_batch` call.
 #[derive(Debug, Clone)]
 pub struct PreparedWindow {
     pub port: usize,
@@ -174,10 +179,27 @@ pub struct PreparedWindow {
 }
 
 impl PreparedWindow {
-    /// The `(constraints, prediction)` pair `enforce_degraded_batch`
-    /// consumes.
-    pub fn item(&self) -> (WindowConstraints, Vec<Vec<f32>>) {
-        (self.constraints.clone(), self.imputed.clone())
+    /// The newest interval as a one-interval `(constraints, prediction)`
+    /// window — what a tick enforces, because it is what a tick ships.
+    /// Its ladder outcome equals the newest slice of the whole window's
+    /// (`tests/cem_determinism.rs`).
+    pub fn newest_item(&self) -> (WindowConstraints, Vec<Vec<f32>>) {
+        let l = self.interval_len;
+        let k = self.window_intervals - 1;
+        let c = &self.constraints;
+        let constraints = WindowConstraints {
+            interval_len: l,
+            len: l,
+            maxes: c.maxes.iter().map(|m| vec![m[k]]).collect(),
+            samples: c.samples.iter().map(|s| vec![s[k]]).collect(),
+            sent: vec![c.sent[k]],
+        };
+        let prediction = self
+            .imputed
+            .iter()
+            .map(|q| q[k * l..(k + 1) * l].to_vec())
+            .collect();
+        (constraints, prediction)
     }
 
     /// Slice the *newest* interval out of a corrected full-window series.
@@ -345,21 +367,21 @@ impl<M: Borrow<TransformerImputer>> StreamingImputer<M> {
         let Some(prepared) = self.try_prepare(update)? else {
             return Ok(None);
         };
+        let (constraints, prediction) = prepared.newest_item();
         let out = enforce_degraded_with(
-            &prepared.constraints,
-            &prepared.imputed,
+            &constraints,
+            &prediction,
             &self.opts.ladder,
             &self.opts.enforce_options(),
         );
-        let level = prepared.newest_level(&out.levels);
-        let series = prepared.newest_interval(&out.corrected);
+        let level = out.levels[0];
         let latency = start.elapsed();
         self.total_latency += latency;
         self.worst_latency = self.worst_latency.max(latency);
         self.updates_processed += 1;
         Ok(Some(ImputedInterval {
             port: self.port,
-            series,
+            series: out.corrected,
             latency,
             level,
             enforced: level != DegradationLevel::MeasurementRelaxed,
@@ -405,7 +427,6 @@ impl<M: Borrow<TransformerImputer>> StreamingImputer<M> {
 mod tests {
     use super::*;
     use crate::transformer_imputer::Scales;
-    use fmml_fm::cem::enforce_degraded_batch;
     use fmml_netsim::traffic::TrafficConfig;
     use fmml_netsim::{SimConfig, Simulation};
     use fmml_telemetry::windows_from_trace;
@@ -548,9 +569,11 @@ mod tests {
     }
 
     #[test]
-    fn prepare_plus_batch_enforce_matches_push() {
-        // The serving layer's split path (try_prepare +
-        // enforce_degraded_batch) must agree bitwise with try_push.
+    fn push_matches_the_newest_slice_of_whole_window_enforcement() {
+        // try_push enforces the newest interval alone. The anchor: that
+        // is bitwise the newest slice of enforcing the whole sliding
+        // window, which is what an offline pipeline (and the benchmark's
+        // replay) computes from the same `PreparedWindow`.
         let (model, ws) = setup();
         let w = &ws[0];
         let opts = StreamOptions::default();
@@ -563,10 +586,14 @@ mod tests {
             match (pushed, prepared) {
                 (None, None) => {}
                 (Some(out), Some(p)) => {
-                    let batch =
-                        enforce_degraded_batch(&[p.item()], &opts.ladder, &opts.enforce_options());
-                    assert_eq!(out.series, p.newest_interval(&batch[0].corrected));
-                    assert_eq!(out.level, p.newest_level(&batch[0].levels));
+                    let whole = enforce_degraded_with(
+                        &p.constraints,
+                        &p.imputed,
+                        &opts.ladder,
+                        &opts.enforce_options(),
+                    );
+                    assert_eq!(out.series, p.newest_interval(&whole.corrected));
+                    assert_eq!(out.level, p.newest_level(&whole.levels));
                 }
                 (x, y) => panic!("warm-up divergence at k={k}: {x:?} vs {y:?}"),
             }

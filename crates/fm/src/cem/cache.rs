@@ -39,8 +39,7 @@ use super::{DegradationLevel, IntervalProblem, IntervalSolution};
 use fmml_obs::{Counter, Gauge};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 /// Interval problems answered from the cache (all caches in the process).
 static CACHE_HITS: Counter = Counter::new("fm.cem.cache.hits");
@@ -54,7 +53,7 @@ static CACHE_SAVED_US: Counter = Counter::new("fm.cem.cache.saved_us");
 /// Peak entry count across all caches (high-water mark).
 static CACHE_SIZE_PEAK: Gauge = Gauge::new("fm.cem.cache.size_peak");
 
-/// Default capacity of the process-global cache (entries).
+/// Default capacity (entries) of a run's or a server's cache.
 pub const DEFAULT_CAPACITY: usize = 8192;
 
 /// Which engine (and which *deterministic* budget) produced an entry.
@@ -72,10 +71,7 @@ pub enum EngineKey {
         max_sat_conflicts: u64,
         /// `Budget::max_bb_nodes`.
         max_bb_nodes: u64,
-        /// Warm-started from the fast engine's optimum (the ladder path).
-        warm: bool,
-        /// The ladder's escalated-retry factor (0 = plain `enforce`,
-        /// no retry rung).
+        /// The ladder's escalated-retry factor.
         escalation: u32,
         /// A wall-clock timeout was configured. Kept in the key for
         /// completeness, but such entries are never cached — see
@@ -85,29 +81,21 @@ pub enum EngineKey {
 }
 
 impl EngineKey {
-    /// Key for the strict [`super::enforce`] path.
-    pub fn for_enforce(engine: &super::CemEngine) -> EngineKey {
-        match engine {
-            super::CemEngine::Fast => EngineKey::Fast,
-            super::CemEngine::Smt { budget } => EngineKey::from_budget(budget, false, 0),
-        }
-    }
-
-    /// Key for the degradation-ladder path (warm SMT + escalated retry).
+    /// Key for the degradation ladder — the only path that memoizes
+    /// (warm-started SMT + escalated retry, or the fast projection).
     pub fn for_ladder(cfg: &super::LadderConfig) -> EngineKey {
         match &cfg.engine {
             super::CemEngine::Fast => EngineKey::Fast,
             super::CemEngine::Smt { budget } => {
-                EngineKey::from_budget(budget, true, cfg.escalation_factor)
+                EngineKey::from_budget(budget, cfg.escalation_factor)
             }
         }
     }
 
-    fn from_budget(b: &fmml_smt::solver::Budget, warm: bool, escalation: u32) -> EngineKey {
+    fn from_budget(b: &fmml_smt::solver::Budget, escalation: u32) -> EngineKey {
         EngineKey::Smt {
             max_sat_conflicts: b.max_sat_conflicts.unwrap_or(u64::MAX),
             max_bb_nodes: b.max_bb_nodes,
-            warm,
             escalation,
             has_timeout: b.timeout.is_some(),
         }
@@ -144,8 +132,7 @@ impl CacheKey {
 #[derive(Debug, Clone)]
 pub struct CachedInterval {
     pub solution: IntervalSolution,
-    /// The ladder rung the original solve landed on (always
-    /// [`DegradationLevel::Full`] for the strict path).
+    /// The ladder rung the original solve landed on.
     pub rung: DegradationLevel,
     /// What the original solve cost — the time a hit saves.
     pub solve_ns: u64,
@@ -208,13 +195,6 @@ impl SolutionCache {
         }
     }
 
-    /// The process-global cache (capacity [`DEFAULT_CAPACITY`]), shared
-    /// by every CLI window of one run.
-    pub fn global() -> &'static SolutionCache {
-        static GLOBAL: OnceLock<SolutionCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| SolutionCache::new(DEFAULT_CAPACITY))
-    }
-
     /// Look up a problem. Counts a hit or a miss; a hit also accrues the
     /// entry's original solve cost to the "saved" totals.
     pub fn lookup(&self, key: &CacheKey) -> Option<CachedInterval> {
@@ -270,25 +250,12 @@ impl SolutionCache {
         }
     }
 
-    /// Total solver time skipped by hits.
-    pub fn saved(&self) -> Duration {
-        Duration::from_nanos(self.saved_ns.load(Ordering::Relaxed))
-    }
-
     pub fn len(&self) -> usize {
         self.inner.lock().expect("cache poisoned").map.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop every entry (counters are kept: they describe the run, not
-    /// the working set).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.map.clear();
-        inner.order.clear();
     }
 }
 
@@ -350,7 +317,6 @@ mod tests {
         let smt = EngineKey::Smt {
             max_sat_conflicts: 100,
             max_bb_nodes: 100,
-            warm: true,
             escalation: 4,
             has_timeout: false,
         };
@@ -387,14 +353,14 @@ mod tests {
     #[test]
     fn timeout_budgets_are_not_cacheable() {
         let b = fmml_smt::solver::Budget {
-            timeout: Some(Duration::from_millis(1)),
+            timeout: Some(std::time::Duration::from_millis(1)),
             max_sat_conflicts: Some(10),
             max_bb_nodes: 10,
         };
-        let key = EngineKey::from_budget(&b, true, 4);
+        let key = EngineKey::from_budget(&b, 4);
         assert!(!key.cacheable());
         assert!(EngineKey::Fast.cacheable());
         let nb = fmml_smt::solver::Budget::default();
-        assert!(EngineKey::from_budget(&nb, false, 0).cacheable());
+        assert!(EngineKey::from_budget(&nb, 4).cacheable());
     }
 }

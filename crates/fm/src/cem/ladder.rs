@@ -38,6 +38,7 @@ use super::{
 use crate::constraints::WindowConstraints;
 use fmml_obs::{log_event, trace, Counter, Histogram, Unit};
 use rayon::prelude::*;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -350,57 +351,73 @@ pub fn enforce_degraded(
     enforce_degraded_with(w, imputed, cfg, &EnforceOptions::default())
 }
 
-/// Solve one relaxed interval, consulting the memo cache first.
+/// Solve a bag of relaxed interval problems — the one place in CEM that
+/// consults the memo cache, hands a problem to the rungs
+/// ([`solve_interval`]) and fans out over `opts.jobs`. Answers come back
+/// in input order.
 ///
 /// Cache order matters for the deadline story: the lookup happens
 /// *before* the deadline check, so a hit upgrades a would-be clamp
 /// projection to the cached optimal answer for free, and the time the
-/// hit saved (`solve_ns` of the original solve) is added to `rebate_ns`,
-/// extending the effective deadline for the remaining hard intervals.
-fn solve_interval_cached(
-    p: &IntervalProblem,
+/// hit saved (`solve_ns` of the original solve) is rebated to the
+/// deadline (counted from `start`) for the remaining hard intervals.
+fn solve_intervals(
+    problems: &[(IntervalProblem, bool)],
     cfg: &LadderConfig,
-    ekey: Option<cache::EngineKey>,
-    c: Option<&SolutionCacheRef<'_>>,
+    opts: &EnforceOptions,
     start: Instant,
-    rebate_ns: &AtomicU64,
-) -> (IntervalSolution, DegradationLevel) {
-    let key = match (c, ekey) {
-        (Some(cache_ref), Some(ekey)) => {
-            let key = cache::CacheKey::new(ekey, p);
-            if let Some(hit) = cache_ref.0.lookup(&key) {
+) -> Vec<(IntervalSolution, DegradationLevel)> {
+    let cache = opts.cache.and_then(|c| {
+        let ekey = cache::EngineKey::for_ladder(cfg);
+        ekey.cacheable().then_some((c, ekey))
+    });
+    let rebate_ns = AtomicU64::new(0);
+    let solve_one = |(p, _): &(IntervalProblem, bool)| {
+        let _s = trace::span("cem.solve");
+        let keyed = cache.map(|(c, ekey)| (c, cache::CacheKey::new(ekey, p)));
+        if let Some((c, key)) = &keyed {
+            if let Some(hit) = c.lookup(key) {
                 rebate_ns.fetch_add(hit.solve_ns, Ordering::Relaxed);
                 return (hit.solution, hit.rung);
             }
-            Some(key)
         }
-        _ => None,
+        let past_deadline = cfg.deadline.is_some_and(|d| {
+            let rebate = Duration::from_nanos(rebate_ns.load(Ordering::Relaxed));
+            start.elapsed() > d.saturating_add(rebate)
+        });
+        let t0 = Instant::now();
+        let (sol, rung) = solve_interval(p, cfg, past_deadline);
+        // Clamp projections are deadline artifacts, not properties of the
+        // problem — never memoize them.
+        if rung != DegradationLevel::ClampProjection {
+            if let Some((c, key)) = keyed {
+                c.insert(
+                    key,
+                    CachedInterval {
+                        solution: sol.clone(),
+                        rung,
+                        solve_ns: t0.elapsed().as_nanos() as u64,
+                    },
+                );
+            }
+        }
+        (sol, rung)
     };
-    let past_deadline = cfg.deadline.is_some_and(|d| {
-        let rebate = Duration::from_nanos(rebate_ns.load(Ordering::Relaxed));
-        start.elapsed() > d.saturating_add(rebate)
-    });
-    let t0 = Instant::now();
-    let (sol, rung) = solve_interval(p, cfg, past_deadline);
-    // Clamp projections are deadline artifacts, not properties of the
-    // problem — never memoize them.
-    if rung != DegradationLevel::ClampProjection {
-        if let (Some(cache_ref), Some(key)) = (c, key) {
-            cache_ref.0.insert(
-                key,
-                CachedInterval {
-                    solution: sol.clone(),
-                    rung,
-                    solve_ns: t0.elapsed().as_nanos() as u64,
-                },
-            );
-        }
+    if opts.parallel() && problems.len() > 1 {
+        // The vendored rayon runs shards on fresh scope threads:
+        // re-install the caller's trace context explicitly so per-
+        // interval solve spans stay attached to the window's trace.
+        let ctx = trace::current_context();
+        rayon::with_max_threads(opts.jobs, || {
+            problems
+                .par_iter()
+                .map(|pk| trace::with_context(ctx, || solve_one(pk)))
+                .collect()
+        })
+    } else {
+        problems.iter().map(solve_one).collect()
     }
-    (sol, rung)
 }
-
-/// Newtype so the closure capture stays `Sync`-obvious.
-struct SolutionCacheRef<'a>(&'a super::SolutionCache);
 
 /// [`enforce_degraded`] with explicit parallelism/caching options.
 ///
@@ -449,30 +466,7 @@ pub fn enforce_degraded_with(
 
     // Phase 2: solve the (independent, already-relaxed) intervals —
     // sequentially or across `opts.jobs` workers.
-    let ekey = opts
-        .cache
-        .map(|_| cache::EngineKey::for_ladder(cfg))
-        .filter(cache::EngineKey::cacheable);
-    let cache_ref = opts.cache.map(SolutionCacheRef);
-    let rebate_ns = AtomicU64::new(0);
-    let solve_one = |pk: &(IntervalProblem, bool)| {
-        let _s = trace::span("cem.solve");
-        solve_interval_cached(&pk.0, cfg, ekey, cache_ref.as_ref(), start, &rebate_ns)
-    };
-    let solved: Vec<(IntervalSolution, DegradationLevel)> = if opts.parallel() && n > 1 {
-        // The vendored rayon runs shards on fresh scope threads:
-        // re-install the caller's trace context explicitly so per-
-        // interval solve spans stay attached to the window's trace.
-        let ctx = trace::current_context();
-        rayon::with_max_threads(opts.jobs, || {
-            problems
-                .par_iter()
-                .map(|pk| trace::with_context(ctx, || solve_one(pk)))
-                .collect()
-        })
-    } else {
-        problems.iter().map(solve_one).collect()
-    };
+    let solved = solve_intervals(&problems, cfg, opts, start);
 
     // Phase 3 (sequential): deterministic in-order merge + accounting.
     let mut corrected: Vec<Vec<u32>> = vec![vec![0; w.len]; w.num_queues()];
@@ -522,24 +516,29 @@ pub fn enforce_degraded_with(
 /// worker — the outer loop already owns the threads; all workers share
 /// `opts.cache`). Results are returned in input order; with `deadline:
 /// None` each entry is bitwise identical to a standalone
-/// [`enforce_degraded`] call.
-pub fn enforce_degraded_batch(
-    items: &[(WindowConstraints, Vec<Vec<f32>>)],
+/// [`enforce_degraded`] call. Items may be owned pairs or references to
+/// pairs held elsewhere (the server's queued jobs).
+pub fn enforce_degraded_batch<I>(
+    items: &[I],
     cfg: &LadderConfig,
     opts: &EnforceOptions,
-) -> Vec<LadderOutcome> {
+) -> Vec<LadderOutcome>
+where
+    I: Borrow<(WindowConstraints, Vec<Vec<f32>>)> + Sync,
+{
+    let enforce_one = |item: &I, opts: &EnforceOptions| {
+        let (w, s) = item.borrow();
+        enforce_degraded_with(w, s, cfg, opts)
+    };
     if !opts.parallel() || items.len() <= 1 {
-        return items
-            .iter()
-            .map(|(w, s)| enforce_degraded_with(w, s, cfg, opts))
-            .collect();
+        return items.iter().map(|i| enforce_one(i, opts)).collect();
     }
-    let inner = opts.inner();
+    let inner = EnforceOptions::new(1, opts.cache);
     let ctx = trace::current_context();
     rayon::with_max_threads(opts.jobs, || {
         items
             .par_iter()
-            .map(|(w, s)| trace::with_context(ctx, || enforce_degraded_with(w, s, cfg, &inner)))
+            .map(|i| trace::with_context(ctx, || enforce_one(i, &inner)))
             .collect()
     })
 }

@@ -36,8 +36,6 @@ pub mod smt_engine;
 
 use crate::constraints::WindowConstraints;
 use fmml_obs::{fnv, log_event, Counter, Histogram, Unit};
-use rayon::prelude::*;
-use std::time::Instant;
 
 pub use breaker::{BreakerConfig, BreakerState};
 pub use cache::{CacheStats, CachedInterval, SolutionCache};
@@ -113,15 +111,16 @@ impl std::fmt::Display for CemError {
 
 impl std::error::Error for CemError {}
 
-/// Execution knobs for [`enforce_with`] / [`enforce_degraded_with`]:
-/// interval-level parallelism plus the optional solution memo cache.
+/// Execution knobs for [`enforce_degraded_with`] /
+/// [`enforce_degraded_batch`]: interval-level parallelism plus the
+/// optional solution memo cache.
 ///
-/// The defaults (`jobs = 1`, no cache) reproduce the historical
-/// sequential-from-scratch behaviour exactly; any other setting is
-/// guaranteed (and tested, `tests/cem_determinism.rs`) to produce
-/// bitwise-identical output — intervals are independent by construction,
-/// results are merged back in interval order, and both engines are
-/// deterministic functions of the interval problem.
+/// The defaults (`jobs = 1`, no cache) solve every interval in order
+/// from scratch; any other setting is guaranteed (and tested,
+/// `tests/cem_determinism.rs`) to produce bitwise-identical output —
+/// intervals are independent by construction, results are merged back in
+/// interval order, and both engines are deterministic functions of the
+/// interval problem.
 #[derive(Debug, Clone, Copy)]
 pub struct EnforceOptions<'a> {
     /// Worker threads for interval/window-level parallelism:
@@ -147,23 +146,17 @@ impl<'a> EnforceOptions<'a> {
         EnforceOptions { jobs, cache }
     }
 
-    /// Options for the inner (per-window) stage of a batch run: the
-    /// outer loop already owns the worker threads, so intervals run
-    /// sequentially while still sharing the cache.
-    fn inner(&self) -> EnforceOptions<'a> {
-        EnforceOptions {
-            jobs: 1,
-            cache: self.cache,
-        }
-    }
-
     fn parallel(&self) -> bool {
         self.jobs != 1
     }
 }
 
-/// Enforce C1–C3 on an imputed window, minimally changing it
-/// (sequential, uncached — see [`enforce_with`] for the tuned path).
+/// Enforce C1–C3 on an imputed window, minimally changing it. This is
+/// the strict, paper-facing contract: all or nothing, one interval after
+/// the other, every interval solved from scratch by `engine`, stopping at
+/// the first interval that fails. (The serving and batch paths go
+/// through the ladder, [`enforce_degraded_with`], which is where `jobs`
+/// and the memo cache live.)
 ///
 /// Besides the result, every call feeds the [`fmml_obs`] registry:
 /// windows/intervals enforced, engine dispatch counts, per-class raw
@@ -173,17 +166,6 @@ pub fn enforce(
     w: &WindowConstraints,
     imputed: &[Vec<f32>],
     engine: &CemEngine,
-) -> Result<CemOutcome, CemError> {
-    enforce_with(w, imputed, engine, &EnforceOptions::default())
-}
-
-/// [`enforce`] with explicit parallelism/caching options. Output is
-/// bitwise identical across every `opts` setting.
-pub fn enforce_with(
-    w: &WindowConstraints,
-    imputed: &[Vec<f32>],
-    engine: &CemEngine,
-    opts: &EnforceOptions,
 ) -> Result<CemOutcome, CemError> {
     let span = WINDOW_US.start_span();
     WINDOWS.inc();
@@ -196,7 +178,7 @@ pub fn enforce_with(
     if w.c3_error(imputed) > 0.0 {
         VIOLATIONS_C3.inc();
     }
-    let result = enforce_inner(w, imputed, engine, opts);
+    let result = solve_in_order(w, imputed, engine);
     match &result {
         Ok(out) => {
             let elapsed = span.finish();
@@ -221,140 +203,40 @@ pub fn enforce_with(
     result
 }
 
-/// Solve interval `k` of the strict path (cache-aware).
-fn solve_strict_interval(
-    p: &IntervalProblem,
-    engine: &CemEngine,
-    k: usize,
-    ekey: Option<cache::EngineKey>,
-    c: Option<&SolutionCache>,
-) -> Result<IntervalSolution, CemError> {
-    INTERVALS.inc();
-    let key = match (c, ekey) {
-        (Some(cache_ref), Some(ekey)) => {
-            let key = cache::CacheKey::new(ekey, p);
-            if let Some(hit) = cache_ref.lookup(&key) {
-                return Ok(hit.solution);
-            }
-            Some(key)
-        }
-        _ => None,
-    };
-    let t0 = Instant::now();
-    let sol = match engine {
-        CemEngine::Fast => {
-            DISPATCH_FAST.inc();
-            fast_engine::solve(p).ok_or(CemError::Infeasible { interval: k })?
-        }
-        CemEngine::Smt { budget } => {
-            DISPATCH_SMT.inc();
-            smt_engine::solve(p, *budget).map_err(|e| match e {
-                smt_engine::SmtCemError::Infeasible => CemError::Infeasible { interval: k },
-                smt_engine::SmtCemError::Budget => CemError::Budget { interval: k },
-            })?
-        }
-    };
-    if let (Some(c), Some(key)) = (c, key) {
-        c.insert(
-            key,
-            CachedInterval {
-                solution: sol.clone(),
-                rung: DegradationLevel::Full,
-                solve_ns: t0.elapsed().as_nanos() as u64,
-            },
-        );
-    }
-    Ok(sol)
-}
-
-#[allow(clippy::needless_range_loop)]
-fn enforce_inner(
+/// The strict loop behind [`enforce`]: interval `k`'s problem, the
+/// engine's answer stitched in at `k`, first failure returned.
+fn solve_in_order(
     w: &WindowConstraints,
     imputed: &[Vec<f32>],
     engine: &CemEngine,
-    opts: &EnforceOptions,
 ) -> Result<CemOutcome, CemError> {
-    assert_eq!(imputed.len(), w.num_queues());
-    for q in imputed {
-        assert_eq!(q.len(), w.len);
-    }
     let l = w.interval_len;
-    let n = w.intervals();
-    let ekey = opts
-        .cache
-        .map(|_| cache::EngineKey::for_enforce(engine))
-        .filter(cache::EngineKey::cacheable);
-    let solve_one = |&k: &usize| {
-        solve_strict_interval(
-            &interval_problem(w, imputed, k),
-            engine,
-            k,
-            ekey,
-            opts.cache,
-        )
-    };
-
-    let results: Vec<Result<IntervalSolution, CemError>> = if opts.parallel() && n > 1 {
-        // Intervals are independent by construction (stitching happens
-        // below), so solving them concurrently and concatenating the
-        // per-interval results *in interval order* is bitwise identical
-        // to the sequential loop. The vendored rayon stub's `collect`
-        // preserves input order, which is exactly that merge.
-        let ks: Vec<usize> = (0..n).collect();
-        rayon::with_max_threads(opts.jobs, || ks.par_iter().map(solve_one).collect())
-    } else {
-        // Sequential fast path keeps the historical early-exit on error.
-        let mut v = Vec::with_capacity(n);
-        for k in 0..n {
-            let r = solve_one(&k);
-            let failed = r.is_err();
-            v.push(r);
-            if failed {
-                break;
-            }
-        }
-        v
-    };
-
     let mut corrected: Vec<Vec<u32>> = vec![vec![0; w.len]; w.num_queues()];
     let mut objective = 0u64;
-    // In-order merge: the parallel path computed every interval, but the
-    // error reported is still the lowest failing interval — the same
-    // `Result` the sequential loop produces.
-    for (k, r) in results.into_iter().enumerate() {
-        let sol = r?;
+    for k in 0..w.intervals() {
+        INTERVALS.inc();
+        let p = interval_problem(w, imputed, k);
+        let sol = match engine {
+            CemEngine::Fast => {
+                DISPATCH_FAST.inc();
+                fast_engine::solve(&p).ok_or(CemError::Infeasible { interval: k })?
+            }
+            CemEngine::Smt { budget } => {
+                DISPATCH_SMT.inc();
+                smt_engine::solve(&p, *budget).map_err(|e| match e {
+                    smt_engine::SmtCemError::Infeasible => CemError::Infeasible { interval: k },
+                    smt_engine::SmtCemError::Budget => CemError::Budget { interval: k },
+                })?
+            }
+        };
         objective += sol.objective;
-        for q in 0..w.num_queues() {
-            corrected[q][k * l..(k + 1) * l].copy_from_slice(&sol.values[q]);
+        for (row, values) in corrected.iter_mut().zip(&sol.values) {
+            row[k * l..(k + 1) * l].copy_from_slice(values);
         }
     }
     Ok(CemOutcome {
         corrected,
         objective,
-    })
-}
-
-/// Enforce a batch of windows, parallelizing *across windows* (each
-/// window's intervals then run sequentially on their worker — the outer
-/// loop already owns the threads). Results are returned in input order;
-/// each entry is bitwise identical to a standalone [`enforce`] call.
-pub fn enforce_batch(
-    items: &[(WindowConstraints, Vec<Vec<f32>>)],
-    engine: &CemEngine,
-    opts: &EnforceOptions,
-) -> Vec<Result<CemOutcome, CemError>> {
-    if !opts.parallel() || items.len() <= 1 {
-        return items
-            .iter()
-            .map(|(w, s)| enforce_with(w, s, engine, opts))
-            .collect();
-    }
-    let inner = opts.inner();
-    rayon::with_max_threads(opts.jobs, || {
-        items
-            .par_iter()
-            .map(|(w, s)| enforce_with(w, s, engine, &inner))
-            .collect()
     })
 }
 
@@ -555,41 +437,10 @@ mod tests {
         assert_eq!(out.corrected[0][9], 0);
     }
 
-    fn stitch_window() -> (WindowConstraints, Vec<Vec<f32>>) {
-        let w = WindowConstraints {
-            interval_len: 5,
-            len: 10,
-            maxes: vec![vec![4, 2], vec![1, 0]],
-            samples: vec![vec![1, 0], vec![0, 0]],
-            sent: vec![4, 3],
-        };
-        let imputed = vec![
-            vec![0.2, 3.7, 4.4, 2.0, 1.1, 0.0, 1.8, 2.3, 0.4, 0.1],
-            vec![0.0, 0.9, 1.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        ];
-        (w, imputed)
-    }
-
     #[test]
-    fn parallel_and_cached_enforce_match_sequential_bitwise() {
-        let (w, imputed) = stitch_window();
-        let seq = enforce(&w, &imputed, &CemEngine::Fast).expect("feasible");
-        let cache = SolutionCache::new(64);
-        for jobs in [0, 2, 4, 7] {
-            let opts = EnforceOptions::new(jobs, Some(&cache));
-            let out = enforce_with(&w, &imputed, &CemEngine::Fast, &opts).expect("feasible");
-            assert_eq!(out, seq, "jobs={jobs} diverged");
-        }
-        let s = cache.stats();
-        assert!(s.hits > 0, "repeat runs must hit the cache: {s:?}");
-        assert_eq!(s.misses, 2, "one miss per distinct interval problem");
-    }
-
-    #[test]
-    fn parallel_error_is_the_first_failing_interval() {
+    fn error_is_the_first_failing_interval() {
         // Interval 0 fine, interval 1 contradictory (sample > max): the
-        // parallel path must report the same lowest failing interval as
-        // the sequential early-exit loop.
+        // loop stops there and names it.
         let w = WindowConstraints {
             interval_len: 5,
             len: 10,
@@ -598,54 +449,10 @@ mod tests {
             sent: vec![4, 3],
         };
         let imputed = vec![vec![0.0; 10]];
-        let seq = enforce(&w, &imputed, &CemEngine::Fast);
-        let par = enforce_with(
-            &w,
-            &imputed,
-            &CemEngine::Fast,
-            &EnforceOptions::new(4, None),
+        assert_eq!(
+            enforce(&w, &imputed, &CemEngine::Fast),
+            Err(CemError::Infeasible { interval: 1 })
         );
-        assert_eq!(seq, Err(CemError::Infeasible { interval: 1 }));
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn enforce_batch_matches_standalone_calls() {
-        let (w, imputed) = stitch_window();
-        let items = vec![(w.clone(), imputed.clone()); 5];
-        let single = enforce(&w, &imputed, &CemEngine::Fast).expect("feasible");
-        // Lookups one window makes, read off a cache of its own.
-        let solo = SolutionCache::new(64);
-        enforce_with(
-            &w,
-            &imputed,
-            &CemEngine::Fast,
-            &EnforceOptions::new(0, Some(&solo)),
-        )
-        .expect("feasible");
-        let per_window = solo.stats().hits + solo.stats().misses;
-        assert!(per_window > 0);
-
-        let cache = SolutionCache::new(64);
-        let opts = EnforceOptions::new(3, Some(&cache));
-        let batch = enforce_batch(&items, &CemEngine::Fast, &opts);
-        assert_eq!(batch.len(), 5);
-        for r in batch {
-            assert_eq!(r.as_ref().expect("feasible"), &single);
-        }
-        // Identical windows on three workers may all miss at once, so how
-        // the first batch splits into hits and misses is a race; what is
-        // guaranteed is that every lookup is counted and that a second
-        // pass over a now-warm cache never misses.
-        let first = cache.stats();
-        assert_eq!(first.hits + first.misses, 5 * per_window);
-        assert!(first.misses >= 1);
-        for r in enforce_batch(&items, &CemEngine::Fast, &opts) {
-            assert_eq!(r.as_ref().expect("feasible"), &single);
-        }
-        let second = cache.stats();
-        assert_eq!(second.misses, first.misses, "warm batch must not miss");
-        assert_eq!(second.hits, first.hits + 5 * per_window);
     }
 
     #[test]

@@ -63,15 +63,26 @@ impl WindowConstraints {
 
     // ---- exact satisfaction (integer semantics, for CEM outputs) ----
 
-    /// Exact check of C1 ∧ C2 ∧ C3 on an integer series.
+    /// Exact check of C1 ∧ C2 ∧ C3 on an integer series, in integers:
+    /// the row a–c metrics below skip `m_max = 0` cells and round through
+    /// `f32`, which a last line of defence may not. A mis-shaped series
+    /// satisfies nothing.
     pub fn satisfied_exact(&self, imputed: &[Vec<u32>]) -> bool {
-        let as_f32: Vec<Vec<f32>> = imputed
-            .iter()
-            .map(|q| q.iter().map(|&v| v as f32).collect())
-            .collect();
-        self.c1_error(&as_f32) == 0.0
-            && self.c2_error(&as_f32) == 0.0
-            && self.c3_error(&as_f32) == 0.0
+        let l = self.interval_len;
+        if l == 0
+            || imputed.len() != self.num_queues()
+            || imputed.iter().any(|q| q.len() != self.len)
+        {
+            return false;
+        }
+        (0..self.intervals()).all(|k| {
+            let c1_c2 = imputed.iter().enumerate().all(|(q, series)| {
+                let interval = &series[k * l..(k + 1) * l];
+                interval.iter().max() == Some(&self.maxes[q][k])
+                    && interval[l - 1] == self.samples[q][k]
+            });
+            c1_c2 && self.nonempty_steps(imputed, k) <= self.sent[k]
+        })
     }
 
     // ---- normalized violation metrics (Table 1 rows a–c) ----
@@ -191,6 +202,45 @@ mod tests {
             .map(|q| q.iter().map(|&v| v as u32).collect())
             .collect();
         assert!(w.satisfied_exact(&ints));
+    }
+
+    #[test]
+    fn exact_check_holds_c1_where_the_max_is_zero() {
+        // Row a skips `m_max = 0` cells (it divides by the max); the
+        // exact check may not: an idle queue must stay idle.
+        let w = WindowConstraints {
+            interval_len: 5,
+            len: 5,
+            maxes: vec![vec![0]],
+            samples: vec![vec![0]],
+            sent: vec![3],
+        };
+        assert_eq!(w.c1_error(&[vec![0.0, 5.0, 0.0, 0.0, 0.0]]), 0.0);
+        assert!(!w.satisfied_exact(&[vec![0, 5, 0, 0, 0]]));
+        assert!(w.satisfied_exact(&[vec![0; 5]]));
+    }
+
+    #[test]
+    fn exact_check_is_exact_above_f32_precision() {
+        let peak = (1u32 << 24) + 1; // not representable in f32
+        let w = WindowConstraints {
+            interval_len: 3,
+            len: 3,
+            maxes: vec![vec![peak]],
+            samples: vec![vec![0]],
+            sent: vec![1],
+        };
+        assert!(w.satisfied_exact(&[vec![peak, 0, 0]]));
+        assert!(!w.satisfied_exact(&[vec![peak - 1, 0, 0]]));
+    }
+
+    #[test]
+    fn exact_check_rejects_mis_shaped_series() {
+        let mut w = small();
+        w.sent = vec![4, 1];
+        assert!(!w.satisfied_exact(&[vec![0; 10]]), "one queue short");
+        assert!(!w.satisfied_exact(&[vec![0; 7], vec![0; 7]]), "short rows");
+        assert!(!w.satisfied_exact(&[]));
     }
 
     #[test]

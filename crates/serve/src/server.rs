@@ -20,9 +20,12 @@
 //! Division of labour keeps replies *bitwise-identical* to the offline
 //! path: the reader thread does everything order-sensitive (sliding
 //! window, model forward) sequentially per session, producing
-//! [`PreparedWindow`]s; workers only run `enforce_degraded_batch` over
-//! coalesced `(constraints, prediction)` items — the same pure function
-//! an offline pipeline calls on the same windows.
+//! a one-interval `(constraints, prediction)` item per admitted interval
+//! (`PreparedWindow::newest_item`: the interval the reply ships is the
+//! interval that is enforced); workers only run `enforce_degraded_batch`
+//! over coalesced items — the same pure function an offline pipeline
+//! calls, and interval-local, so the reply equals the newest slice of
+//! enforcing the whole window.
 //!
 //! Admission control: each session has a bounded in-flight budget
 //! (`queue_depth`); intervals over budget are answered `Busy` and
@@ -38,13 +41,14 @@ use crate::protocol::{
 };
 use crate::replay_log::ReplayLog;
 use crate::transport::{Accepted, Conn, TcpTransport, Transport};
-use fmml_core::streaming::{PreparedWindow, StreamOptions, StreamingImputer};
+use fmml_core::streaming::StreamingImputer;
 use fmml_core::transformer_imputer::TransformerImputer;
 use fmml_fault::{record_process_fault, FaultKind, ProcessFaultPlan};
 use fmml_fm::cem::{
     cache::DEFAULT_CAPACITY, enforce_degraded_batch, BreakerConfig, CemEngine, DegradationLevel,
     EnforceOptions, LadderConfig, SolutionCache,
 };
+use fmml_fm::WindowConstraints;
 use fmml_obs::trace::{self, TraceContext};
 use fmml_obs::{log_event, Clock, Counter, FloatGauge, Gauge, Histogram, Unit};
 use std::collections::{HashMap, VecDeque};
@@ -111,10 +115,14 @@ fn enforce_span_name(level: DegradationLevel) -> &'static str {
 /// Consecutive mid-frame read timeouts before a stalled sender is
 /// disconnected.
 const MAX_STALLS: u32 = 80;
-/// Sanity caps on the `Hello` port and queue counts (see
-/// [`ServerConfig::max_interval_len`] for the other two dimensions).
+/// Sanity caps on the `Hello` geometry, checked before any per-session
+/// allocation happens, so a hostile `Hello` (e.g. `window_intervals =
+/// 10^15`) is answered `bad_handshake` instead of driving
+/// `queues × window × interval_len` allocations to abort.
 const MAX_PORTS_PER_SESSION: usize = 64;
 const MAX_QUEUES: usize = 64;
+pub const MAX_INTERVAL_LEN: usize = 512;
+pub const MAX_WINDOW_INTERVALS: usize = 64;
 /// Deadline-miss rate above which the SLO watchdog declares a breach.
 const SLO_MAX_MISS_RATE: f64 = 0.05;
 /// Fraction of replies degraded below [`DegradationLevel::Full`] above
@@ -138,15 +146,6 @@ pub struct ServerConfig {
     /// counted (`serve.deadline_miss`), and it bounds micro-batch
     /// coalescing.
     pub deadline: Duration,
-    /// When `true`, each batch's remaining slack (min over its jobs) is
-    /// threaded into `LadderConfig::deadline`, so late intervals degrade
-    /// to the clamp rung instead of missing silently. Off by default:
-    /// wall-clock-dependent rungs make replies nondeterministic, and the
-    /// differential harness asserts bitwise identity with the offline
-    /// path.
-    pub ladder_deadline: bool,
-    /// `LadderConfig::escalation_factor` for the batch ladder.
-    pub escalation_factor: u32,
     /// Micro-batch size cap.
     pub max_batch: usize,
     /// Extra time a worker may wait for the batch to fill, additionally
@@ -165,13 +164,6 @@ pub struct ServerConfig {
     /// ([`MAX_FRAME_LEN`], 1 MiB) fits any client frame; router↔backend
     /// links carry batched replay traffic and raise it.
     pub max_frame_len: usize,
-    /// Sanity caps on the `Hello` geometry. These two and the fixed
-    /// port/queue caps are checked before any per-session allocation
-    /// happens, so a hostile `Hello` (e.g. `window_intervals = 10^15`)
-    /// is answered `bad_handshake` instead of driving
-    /// `queues × window × interval_len` allocations to abort.
-    pub max_interval_len: usize,
-    pub max_window_intervals: usize,
     /// SLO watchdog sliding-window length: replies older than this fall
     /// out of the deadline-miss / degradation rates.
     pub slo_window: Duration,
@@ -248,16 +240,12 @@ impl Default for ServerConfig {
             jobs: 1,
             engine: CemEngine::Fast,
             deadline: Duration::from_millis(50),
-            ladder_deadline: false,
-            escalation_factor: LadderConfig::default().escalation_factor,
             max_batch: 16,
             batch_wait: Duration::from_millis(1),
             queue_depth: 64,
             read_timeout: Duration::from_millis(25),
             write_timeout: Duration::from_secs(2),
             max_frame_len: MAX_FRAME_LEN,
-            max_interval_len: 512,
-            max_window_intervals: 64,
             slo_window: Duration::from_secs(5),
             slo_tick: Duration::from_millis(200),
             slo_min_samples: 20,
@@ -463,11 +451,13 @@ impl<C: Conn> SessionWriter<C> {
     }
 }
 
-/// One enforcement unit: a fully prepared window plus where the answer
+/// One enforcement unit: the interval a reply will ship, as a
+/// one-interval `(constraints, prediction)` item, plus where the answer
 /// goes.
 struct Job<C: Conn> {
     seq: u64,
-    prepared: PreparedWindow,
+    port: usize,
+    item: (WindowConstraints, Vec<Vec<f32>>),
     accepted_at: Instant,
     /// When the job entered the shared queue (start of the queue stage).
     enqueued_at: Instant,
@@ -1321,10 +1311,8 @@ fn handshake<C: Conn>(
     let valid = !ports.is_empty()
         && ports.len() <= MAX_PORTS_PER_SESSION
         && (1..=MAX_QUEUES).contains(&queues)
-        && interval_len >= 2
-        && interval_len <= cfg.max_interval_len
-        && window_intervals >= 1
-        && window_intervals <= cfg.max_window_intervals;
+        && (2..=MAX_INTERVAL_LEN).contains(&interval_len)
+        && (1..=MAX_WINDOW_INTERVALS).contains(&window_intervals);
     if !valid {
         MALFORMED.inc();
         shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
@@ -1361,21 +1349,14 @@ fn handshake<C: Conn>(
         RESUME_MISSES.inc();
     }
 
-    let opts = StreamOptions {
-        ladder: LadderConfig {
-            engine: cfg.engine.clone(),
-            ..LadderConfig::default()
-        },
-        ..StreamOptions::default()
-    };
     let imputers = ports
         .iter()
         .map(|&p| {
             (
                 p,
-                StreamingImputer::with_options(
+                StreamingImputer::new(
                     Arc::clone(&shared.model),
-                    opts.clone(),
+                    cfg.engine.clone(),
                     p,
                     queues,
                     interval_len,
@@ -1705,7 +1686,8 @@ fn handle_frame<C: Conn>(
                     session.writer.inflight.fetch_add(1, Ordering::AcqRel);
                     let job = Job {
                         seq,
-                        prepared,
+                        port: prepared.port,
+                        item: prepared.newest_item(),
                         accepted_at,
                         enqueued_at: cfg.clock.now(),
                         trace: ctx,
@@ -1804,20 +1786,20 @@ fn drain_inflight_inner<C: Conn>(shared: &Shared<C>, writer: &SessionWriter<C>, 
 /// the queue. The supervisor then respawns this slot.
 fn worker_loop<C: Conn>(shared: &Arc<Shared<C>>, worker: usize) {
     let cfg = &shared.cfg;
-    let base_ladder = LadderConfig {
+    // No window deadline: a wall-clock-dependent rung would make replies
+    // differ from the offline path, which the differential harnesses
+    // hold bitwise.
+    let ladder = LadderConfig {
         engine: cfg.engine.clone(),
-        deadline: None,
-        escalation_factor: cfg.escalation_factor,
         breaker: cfg.breaker.clone(),
+        ..LadderConfig::default()
     };
     loop {
         let Some(batch) = collect_batch(shared) else {
             return;
         };
         let holder = Mutex::new(batch);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            process_batch(shared, &holder, &base_ladder)
-        }));
+        let result = catch_unwind(AssertUnwindSafe(|| process_batch(shared, &holder, &ladder)));
         if let Err(payload) = result {
             let survivors = holder.into_inner().unwrap_or_else(PoisonError::into_inner);
             worker_down(shared, worker, payload, survivors);
@@ -1894,7 +1876,7 @@ fn collect_batch<C: Conn>(shared: &Arc<Shared<C>>) -> Option<Vec<Job<C>>> {
 fn process_batch<C: Conn>(
     shared: &Arc<Shared<C>>,
     holder: &Mutex<Vec<Job<C>>>,
-    base_ladder: &LadderConfig,
+    ladder: &LadderConfig,
 ) {
     let cfg = &shared.cfg;
     let mut guard = holder.lock().unwrap();
@@ -1927,20 +1909,9 @@ fn process_batch<C: Conn>(
         trace::record_span("serve.queue", j.trace, j.enqueued_at, waited);
     }
 
-    let mut ladder = base_ladder.clone();
-    if cfg.ladder_deadline {
-        let min_slack = batch
-            .iter()
-            .map(|j| {
-                cfg.deadline
-                    .saturating_sub(sealed_at.saturating_duration_since(j.accepted_at))
-            })
-            .min()
-            .unwrap_or(cfg.deadline)
-            .max(Duration::from_micros(200));
-        ladder.deadline = Some(min_slack);
-    }
-    let items: Vec<_> = batch.iter().map(|j| j.prepared.item()).collect();
+    // Borrowed, not moved: the holder must keep every unanswered job
+    // whole for `worker_down` to re-enqueue.
+    let items: Vec<_> = batch.iter().map(|j| &j.item).collect();
     let opts = EnforceOptions::new(cfg.jobs, Some(&shared.cache));
     BATCH_SIZE.record(batch.len() as u64);
     // Batch stage: seal → enforce start (ladder setup, item views).
@@ -1963,7 +1934,7 @@ fn process_batch<C: Conn>(
         .map(|j| j.trace)
         .find(TraceContext::is_set)
         .unwrap_or(TraceContext::NONE);
-    let outcomes = trace::with_context(lead_ctx, || enforce_degraded_batch(&items, &ladder, &opts));
+    let outcomes = trace::with_context(lead_ctx, || enforce_degraded_batch(&items, ladder, &opts));
     drop(items);
     let enforce_dur = cfg.clock.now().saturating_duration_since(enforce_start);
     let slow_write = ProcessFaultPlan::fires(pf.slow_write_every, ordinal);
@@ -1973,17 +1944,16 @@ fn process_batch<C: Conn>(
         // Borrow the front job; it is removed only after its reply is
         // fully committed, so an unwind mid-reply re-enqueues it.
         let job = &batch[0];
-        // Self-check: the ladder's contract is that outputs satisfy
-        // the (possibly relaxed) constraints exactly. Count, never
-        // ship silently.
-        let effective = outcome.effective_constraints(&job.prepared.constraints);
+        // Self-check, on the interval that is shipped: the ladder's
+        // contract is that outputs satisfy the (possibly relaxed)
+        // constraints exactly. Count, never ship silently.
+        let effective = outcome.effective_constraints(&job.item.0);
         if !effective.satisfied_exact(&outcome.corrected) {
             VIOLATIONS.inc();
             shared.counters.violations.fetch_add(1, Ordering::Relaxed);
             log_event!("serve.violation", "seq" = job.seq);
         }
-        let series = job.prepared.newest_interval(&outcome.corrected);
-        let level = job.prepared.newest_level(&outcome.levels);
+        let level = outcome.levels[0];
         STAGE_ENFORCE_US.record_duration(enforce_dur);
         trace::record_span(
             enforce_span_name(level),
@@ -2003,8 +1973,8 @@ fn process_batch<C: Conn>(
         }
         let frame = Frame::Imputed {
             seq: job.seq,
-            port: job.prepared.port,
-            series,
+            port: job.port,
+            series: outcome.corrected,
             level: level.label().to_string(),
             enforced: level != DegradationLevel::MeasurementRelaxed,
             latency_us: latency.as_micros() as u64,

@@ -2,14 +2,15 @@
 //! offline enforcement path, admission control, pre-handshake stats
 //! probes, and malformed-frame handling.
 
-use fmml_core::streaming::{IntervalUpdate, StreamOptions, StreamingImputer};
+use fmml_core::streaming::{IntervalUpdate, StreamingImputer};
 use fmml_core::transformer_imputer::{Scales, TransformerImputer};
 use fmml_fault::ProcessFaultPlan;
-use fmml_fm::cem::{CemEngine, DegradationLevel, LadderConfig};
+use fmml_fm::cem::{CemEngine, DegradationLevel};
 use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
 use fmml_obs::trace;
 use fmml_serve::protocol::{write_frame, write_frame_with, Frame, FrameReader, WireCodec};
+use fmml_serve::server::{MAX_INTERVAL_LEN, MAX_WINDOW_INTERVALS};
 use fmml_serve::{spawn, ServerConfig};
 use fmml_telemetry::{windows_from_trace, PortWindow};
 use std::io::Write as _;
@@ -190,6 +191,49 @@ fn replies_match_offline(traced: bool) {
     assert_eq!(replies, compared as u64);
 }
 
+/// The server enforces what it ships: at a six-interval window every
+/// `Imputed` reply costs the shared cache exactly one lookup — the newest
+/// interval's — not one per interval of the sliding window.
+#[test]
+fn one_cache_lookup_per_imputed_reply() {
+    let model = model();
+    let (updates, _, port, queues) = update_stream(&model);
+    let handle = spawn(Arc::clone(&model), ServerConfig::default()).expect("spawn server");
+    let (mut tx, mut rx) = connect(handle.addr());
+    let hello = Frame::Hello {
+        tenant: "test".into(),
+        ports: vec![port],
+        queues,
+        interval_len: INTERVAL_LEN,
+        window_intervals: 6,
+        resume_token: None,
+        last_acked: None,
+        codecs: None,
+    };
+    write_frame(&mut tx, &hello).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::Welcome { .. }));
+    let mut imputed = 0u64;
+    for (u, seq) in updates.iter().zip(1u64..) {
+        let frame = Frame::Interval {
+            seq,
+            update: u.clone(),
+            trace_id: None,
+        };
+        write_frame(&mut tx, &frame).unwrap();
+        match rx.read_frame().unwrap() {
+            Frame::Ack { .. } => {}
+            Frame::Imputed { .. } => imputed += 1,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert!(imputed >= 8, "stream too short to mean anything");
+    write_frame(&mut tx, &Frame::Bye).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::ByeAck { .. }));
+    let cache = handle.cache().expect("always Some").stats();
+    assert_eq!(cache.hits + cache.misses, imputed);
+    handle.shutdown();
+}
+
 /// `queue_depth = 0` makes every interval over budget: admission control
 /// answers `Busy` and counts `rejected`, and the session survives.
 #[test]
@@ -353,8 +397,8 @@ fn hostile_hello_geometry_at(max_frame_len: usize) {
             tenant: "evil".into(),
             ports: vec![0],
             queues: 1,
-            interval_len: ServerConfig::default().max_interval_len + 1,
-            window_intervals: ServerConfig::default().max_window_intervals + 1,
+            interval_len: MAX_INTERVAL_LEN + 1,
+            window_intervals: MAX_WINDOW_INTERVALS + 1,
             resume_token: None,
             last_acked: None,
             codecs: None,
@@ -434,16 +478,9 @@ fn update_stream(
         .filter(|w| w.port == port)
         .flat_map(|w| (0..w.intervals()).map(move |k| IntervalUpdate::from_window(w, k)))
         .collect();
-    let opts = StreamOptions {
-        ladder: LadderConfig {
-            engine: CemEngine::Fast,
-            ..LadderConfig::default()
-        },
-        ..StreamOptions::default()
-    };
-    let offline = StreamingImputer::with_options(
+    let offline = StreamingImputer::new(
         Arc::clone(model),
-        opts,
+        CemEngine::Fast,
         port,
         queues,
         INTERVAL_LEN,

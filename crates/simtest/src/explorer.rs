@@ -776,10 +776,9 @@ pub(crate) fn explorer_server_config(
         workers: 1,
         jobs: 1,
         engine: CemEngine::Fast,
-        // Generous virtual deadline: the ladder never degrades on time
-        // pressure, keeping reply levels seed-deterministic.
+        // Generous virtual deadline: no seed's verdict turns on a
+        // deadline miss.
         deadline: Duration::from_secs(10),
-        ladder_deadline: false,
         max_batch: 4,
         batch_wait: Duration::from_millis(1),
         // Effectively unbounded admission: any `Busy` is a violation.

@@ -46,7 +46,6 @@
 //! ```
 
 pub mod cnf;
-pub mod dimacs;
 pub mod lia;
 pub mod rational;
 pub mod sat;

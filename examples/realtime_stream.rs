@@ -5,7 +5,7 @@
 //! whether imputation keeps up with the wire.
 //!
 //! The enforcement stage runs through the full degradation ladder with a
-//! shared solution cache, so repeated windows are answered from memo and
+//! shared solution cache, so repeated intervals are answered from memo and
 //! every emitted interval is annotated with the ladder rung it landed on.
 //!
 //! ```text
@@ -16,7 +16,7 @@ use fmml::core::eval::{generate_windows, EvalConfig};
 use fmml::core::streaming::{IntervalUpdate, StreamOptions, StreamingImputer};
 use fmml::core::train::{train, TrainConfig};
 use fmml::core::transformer_imputer::Scales;
-use fmml::fm::cem::{CemEngine, LadderConfig, SolutionCache};
+use fmml::fm::cem::SolutionCache;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,17 +39,12 @@ fn main() {
     let w0 = &test_windows[0];
     let budget = Duration::from_millis(cfg.interval_len as u64); // one interval of wall-clock
 
-    // PR-3 execution options: degradation ladder with a per-window
-    // deadline, plus a solution cache shared across (potential) streams.
+    // The degradation ladder plus a solution cache shared across
+    // (potential) streams. Each tick enforces the one interval it emits.
     let cache = Arc::new(SolutionCache::new(fmml::fm::cem::cache::DEFAULT_CAPACITY));
     let opts = StreamOptions {
-        ladder: LadderConfig {
-            engine: CemEngine::Fast,
-            deadline: Some(budget),
-            ..LadderConfig::default()
-        },
-        jobs: 1,
         cache: Some(Arc::clone(&cache)),
+        ..StreamOptions::default()
     };
     let mut imputer = StreamingImputer::with_options(
         &model,

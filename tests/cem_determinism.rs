@@ -9,6 +9,11 @@
 //! per-interval [`DegradationLevel`]s, identical objectives, and
 //! identical relaxations vs the sequential uncached reference.
 //!
+//! The same independence argument, stated one level down: enforcing a
+//! single interval on its own equals its slice of enforcing the whole
+//! window, which is what lets the serving path enforce only the interval
+//! it ships.
+//!
 //! The guarantee holds only with `deadline: None` (the default): with a
 //! wall-clock deadline, clamp decisions depend on elapsed time in both
 //! the sequential and the tuned paths, so determinism is out of scope
@@ -16,7 +21,7 @@
 
 use fmml::fault::{inject_series, inject_window, FaultPlan};
 use fmml::fm::cem::{
-    enforce_degraded_batch, enforce_with, CemEngine, EnforceOptions, LadderConfig, SolutionCache,
+    enforce_degraded_batch, enforce_degraded_with, EnforceOptions, LadderConfig, SolutionCache,
 };
 use fmml::fm::WindowConstraints;
 use fmml::netsim::traffic::TrafficConfig;
@@ -136,21 +141,65 @@ fn ladder_batch_is_bitwise_identical_across_jobs_and_cache() {
     }
 }
 
+/// Interval `k` of an item as a one-interval item of its own.
+fn interval_slice(
+    wc: &WindowConstraints,
+    pred: &[Vec<f32>],
+    k: usize,
+) -> (WindowConstraints, Vec<Vec<f32>>) {
+    let l = wc.interval_len;
+    let one = WindowConstraints {
+        interval_len: l,
+        len: l,
+        maxes: wc.maxes.iter().map(|m| vec![m[k]]).collect(),
+        samples: wc.samples.iter().map(|s| vec![s[k]]).collect(),
+        sent: vec![wc.sent[k]],
+    };
+    let pred = pred
+        .iter()
+        .map(|q| q[k * l..(k + 1) * l].to_vec())
+        .collect();
+    (one, pred)
+}
+
+/// DESIGN §8's interval independence, stated directly: enforcing interval
+/// `k` alone gives slice `k` of enforcing the whole window — series,
+/// level, relaxed right-hand sides — and the objectives add up. This is
+/// what lets the serving path enforce only the interval it ships.
 #[test]
-fn single_window_enforce_is_bitwise_identical_across_jobs_and_cache() {
+fn one_interval_enforcement_equals_its_slice_of_the_whole_window() {
+    let cfg = LadderConfig::default();
+    let opts = EnforceOptions::default();
     for seed in SEEDS {
-        let items = clean_items(seed);
-        let (wc, pred) = items.first().expect("at least one active window");
-        let reference = enforce_with(wc, pred, &CemEngine::Fast, &EnforceOptions::default())
-            .expect("clean window is feasible");
-        let cache = SolutionCache::new(fmml::fm::cem::cache::DEFAULT_CAPACITY);
-        for (jobs, use_cache) in [(4, false), (1, true), (4, true), (0, true)] {
-            let opts = EnforceOptions::new(jobs, use_cache.then_some(&cache));
-            let out =
-                enforce_with(wc, pred, &CemEngine::Fast, &opts).expect("same window, same verdict");
+        let items = clean_items(seed).into_iter().chain(chaos_items(seed));
+        for (i, (wc, pred)) in items.enumerate() {
+            let whole = enforce_degraded_with(&wc, &pred, &cfg, &opts);
+            let l = wc.interval_len;
+            let mut objective = 0;
+            for k in 0..wc.intervals() {
+                let at = format!("seed {seed}/item {i}/interval {k}");
+                let (one_wc, one_pred) = interval_slice(&wc, &pred, k);
+                let one = enforce_degraded_with(&one_wc, &one_pred, &cfg, &opts);
+                for (q, series) in one.corrected.iter().enumerate() {
+                    assert_eq!(
+                        series[..],
+                        whole.corrected[q][k * l..(k + 1) * l],
+                        "{at}: corrected series diverged in queue {q}"
+                    );
+                }
+                assert_eq!(one.levels, [whole.levels[k]], "{at}: level diverged");
+                let (want, _) = interval_slice(whole.effective_constraints(&wc), &pred, k);
+                assert_eq!(
+                    one.effective_constraints(&one_wc),
+                    &want,
+                    "{at}: relaxed right-hand sides diverged"
+                );
+                assert_eq!(one.relaxed.is_some(), want != one_wc, "{at}: relaxed flag");
+                objective += one.objective;
+            }
             assert_eq!(
-                out, reference,
-                "seed {seed} jobs={jobs} cache={use_cache}: CemOutcome diverged"
+                objective, whole.objective,
+                "seed {seed}/item {i}: objectives do not add up"
             );
         }
     }
