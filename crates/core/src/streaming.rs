@@ -5,13 +5,16 @@
 //! An operator's collector receives one coarse interval of telemetry per
 //! queue every 50 ms. [`StreamingImputer`] ingests these increments,
 //! keeps a sliding window of the most recent intervals per port, and on
-//! every completed interval re-imputes the window with the transformer
-//! and corrects the **newest interval** — the only one a tick ships —
+//! every completed interval runs the transformer over the window and
+//! corrects the **newest interval** — the only one a tick ships —
 //! through the CEM degradation ladder, yielding its fine-grained series
 //! within a measured, bounded latency, annotated with the
-//! [`DegradationLevel`] the ladder landed on. (C1–C3 are interval-local,
-//! so the older intervals of the window, shipped on earlier ticks, give
-//! the newest one's correction nothing.) Tasks like
+//! [`DegradationLevel`] the ladder landed on. Only what is shipped is
+//! computed: C1–C3 are interval-local, so the older intervals of the
+//! window, shipped on earlier ticks, give the newest one's correction
+//! nothing; and the model's last encoder block computes the newest
+//! interval's rows only — the older rows reach them as keys and values,
+//! not as outputs anyone reads. Tasks like
 //! performance-driven routing or attack detection (§5) would subscribe to
 //! [`ImputedInterval`]s.
 //!
@@ -22,13 +25,14 @@
 //! can share one memo cache across streams.
 //!
 //! For batched serving, ingestion and enforcement are split:
-//! [`StreamingImputer::try_prepare`] does the sliding-window bookkeeping
-//! and the model forward pass, returning a [`PreparedWindow`] whose
-//! [`PreparedWindow::newest_item`] — a one-interval `(constraints,
-//! prediction)` pair — can be coalesced with other tenants' items into
-//! one `enforce_degraded_batch` call whose outcome *is* the reply.
-//! [`StreamingImputer::try_push`] is the single-stream convenience that
-//! does both steps in one call.
+//! [`StreamingImputer::try_prepare_newest`] does the sliding-window
+//! bookkeeping and the model forward pass, returning the newest interval
+//! as a one-interval `(constraints, prediction)` pair that can be
+//! coalesced with other tenants' items into one `enforce_degraded_batch`
+//! call whose outcome *is* the reply. [`StreamingImputer::try_push`] is
+//! the single-stream convenience that does both steps in one call.
+//! [`StreamingImputer::try_prepare`] / [`PreparedWindow`] are the
+//! whole-window reference for both: same ingestion, the whole forward.
 
 use crate::imputer::Imputer;
 use crate::transformer_imputer::TransformerImputer;
@@ -160,11 +164,15 @@ pub struct ImputedInterval {
     pub enforced: bool,
 }
 
+/// One interval as a one-interval `(constraints, prediction)` window —
+/// the unit `enforce_degraded_batch` takes and a serving tick ships.
+pub type IntervalItem = (WindowConstraints, Vec<Vec<f32>>);
+
 /// A fully ingested window: the sliding window's constraints plus the
-/// raw model output. Produced by [`StreamingImputer::try_prepare`]; the
-/// serving layer batches the [`newest_item`](PreparedWindow::newest_item)
-/// of many of these (across sessions and tenants) into one
-/// `enforce_degraded_batch` call.
+/// raw model output for all of it. Produced by
+/// [`StreamingImputer::try_prepare`] — the whole-window reference that
+/// tests and the benchmark's replay compare the served path
+/// ([`StreamingImputer::try_prepare_newest`]) against.
 #[derive(Debug, Clone)]
 pub struct PreparedWindow {
     pub port: usize,
@@ -180,10 +188,11 @@ pub struct PreparedWindow {
 
 impl PreparedWindow {
     /// The newest interval as a one-interval `(constraints, prediction)`
-    /// window — what a tick enforces, because it is what a tick ships.
+    /// window, cut out of the whole one: what
+    /// [`StreamingImputer::try_prepare_newest`] must equal bit for bit.
     /// Its ladder outcome equals the newest slice of the whole window's
     /// (`tests/cem_determinism.rs`).
-    pub fn newest_item(&self) -> (WindowConstraints, Vec<Vec<f32>>) {
+    pub fn newest_item(&self) -> IntervalItem {
         let l = self.interval_len;
         let k = self.window_intervals - 1;
         let c = &self.constraints;
@@ -314,17 +323,9 @@ impl<M: Borrow<TransformerImputer>> StreamingImputer<M> {
         self.worst_latency
     }
 
-    /// Validate and buffer one interval; once the context window is full,
-    /// run the model forward pass and return the window ready for (batch)
-    /// enforcement. This is the ingestion half of [`try_push`]
-    /// — the serving layer calls it directly so enforcement can be
-    /// micro-batched across sessions.
-    ///
-    /// [`try_push`]: StreamingImputer::try_push
-    pub fn try_prepare(
-        &mut self,
-        update: IntervalUpdate,
-    ) -> Result<Option<PreparedWindow>, IngestError> {
+    /// Validate and buffer one interval; `Some(window)` once the context
+    /// window is full.
+    fn ingest(&mut self, update: IntervalUpdate) -> Result<Option<PortWindow>, IngestError> {
         if update.port != self.port {
             return Err(IngestError::PortMismatch {
                 expected: self.port,
@@ -342,10 +343,23 @@ impl<M: Borrow<TransformerImputer>> StreamingImputer<M> {
             self.history.pop_front();
         }
         self.history.push_back(update);
-        if self.history.len() < self.window_intervals {
+        Ok((self.history.len() == self.window_intervals).then(|| self.as_window()))
+    }
+
+    /// Ingest one interval; once the context window is full, run the
+    /// model forward pass over the **whole** window and return it with
+    /// the window's constraints. Nothing in production calls this: it is
+    /// the whole-window reference [`try_prepare_newest`] is tested
+    /// against, and what the benchmark's layer replay times.
+    ///
+    /// [`try_prepare_newest`]: StreamingImputer::try_prepare_newest
+    pub fn try_prepare(
+        &mut self,
+        update: IntervalUpdate,
+    ) -> Result<Option<PreparedWindow>, IngestError> {
+        let Some(w) = self.ingest(update)? else {
             return Ok(None);
-        }
-        let w = self.as_window();
+        };
         let imputed = self.model.borrow().impute(&w);
         Ok(Some(PreparedWindow {
             port: self.port,
@@ -356,6 +370,40 @@ impl<M: Borrow<TransformerImputer>> StreamingImputer<M> {
         }))
     }
 
+    /// Ingest one interval; once the context window is full, return the
+    /// **newest interval** as a one-interval `(constraints, prediction)`
+    /// window — what a tick enforces, because it is what a tick ships.
+    /// The model reads the whole sliding window but its last block
+    /// computes only the newest interval's rows: bit for bit
+    /// [`try_prepare`]'s [`newest_item`](PreparedWindow::newest_item).
+    /// This is the ingestion half of [`try_push`]; the serving layer
+    /// calls it directly so enforcement can be micro-batched across
+    /// sessions.
+    ///
+    /// [`try_prepare`]: StreamingImputer::try_prepare
+    /// [`try_push`]: StreamingImputer::try_push
+    pub fn try_prepare_newest(
+        &mut self,
+        update: IntervalUpdate,
+    ) -> Result<Option<IntervalItem>, IngestError> {
+        let Some(w) = self.ingest(update)? else {
+            return Ok(None);
+        };
+        let l = self.interval_len;
+        let k = self.window_intervals - 1;
+        let constraints = WindowConstraints {
+            interval_len: l,
+            len: l,
+            maxes: w.maxes.iter().map(|m| vec![m[k]]).collect(),
+            samples: w.samples.iter().map(|s| vec![s[k]]).collect(),
+            sent: vec![w.sent[k]],
+        };
+        Ok(Some((
+            constraints,
+            self.model.borrow().impute_from(&w, k * l),
+        )))
+    }
+
     /// Ingest one interval; once the context window is full, returns the
     /// imputed fine series of the *newest* interval, corrected through
     /// the degradation ladder with this imputer's [`StreamOptions`].
@@ -364,10 +412,9 @@ impl<M: Borrow<TransformerImputer>> StreamingImputer<M> {
         update: IntervalUpdate,
     ) -> Result<Option<ImputedInterval>, IngestError> {
         let start = Instant::now();
-        let Some(prepared) = self.try_prepare(update)? else {
+        let Some((constraints, prediction)) = self.try_prepare_newest(update)? else {
             return Ok(None);
         };
-        let (constraints, prediction) = prepared.newest_item();
         let out = enforce_degraded_with(
             &constraints,
             &prediction,
@@ -570,19 +617,33 @@ mod tests {
 
     #[test]
     fn push_matches_the_newest_slice_of_whole_window_enforcement() {
-        // try_push enforces the newest interval alone. The anchor: that
-        // is bitwise the newest slice of enforcing the whole sliding
-        // window, which is what an offline pipeline (and the benchmark's
-        // replay) computes from the same `PreparedWindow`.
+        // try_push runs the model's last block on, and enforces, the
+        // newest interval alone. The anchor: that is bitwise the newest
+        // slice of running and enforcing the whole sliding window, which
+        // is what an offline pipeline (and the benchmark's replay)
+        // computes from a `PreparedWindow`.
         let (model, ws) = setup();
         let w = &ws[0];
         let opts = StreamOptions::default();
-        let mut a = StreamingImputer::with_options(&model, opts.clone(), w.port, 2, 10, 4);
-        let mut b = StreamingImputer::with_options(&model, opts.clone(), w.port, 2, 10, 4);
+        let new = || StreamingImputer::with_options(&model, opts.clone(), w.port, 2, 10, 4);
+        let (mut a, mut b, mut c) = (new(), new(), new());
+        let mut live = false;
         for k in 0..w.intervals() {
             let u = IntervalUpdate::from_window(w, k);
             let pushed = a.try_push(u.clone()).unwrap();
+            let newest = c.try_prepare_newest(u.clone()).unwrap();
             let prepared = b.try_prepare(u).unwrap();
+            assert_eq!(newest.is_some(), prepared.is_some(), "warm-up at k={k}");
+            if let (Some((constraints, prediction)), Some(p)) = (newest, &prepared) {
+                let (ref_constraints, ref_prediction) = p.newest_item();
+                assert_eq!(constraints, ref_constraints);
+                let bits = |s: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                    let row = |q: &Vec<f32>| q.iter().map(|v| v.to_bits()).collect();
+                    s.iter().map(row).collect()
+                };
+                assert_eq!(bits(&prediction), bits(&ref_prediction));
+                live |= prediction.iter().flatten().any(|&v| v != 0.0);
+            }
             match (pushed, prepared) {
                 (None, None) => {}
                 (Some(out), Some(p)) => {
@@ -598,6 +659,7 @@ mod tests {
                 (x, y) => panic!("warm-up divergence at k={k}: {x:?} vs {y:?}"),
             }
         }
+        assert!(live, "an all-zero prediction proves nothing bit for bit");
     }
 
     #[test]

@@ -307,7 +307,7 @@ fn forward_backward(
 ) -> ExampleResult {
     let mut tape = Tape::new(&imputer.store);
     let x = tape.constant(encode_features(w, q, imputer.scales));
-    let pred = imputer.model.forward_series(&mut tape, x);
+    let pred = imputer.model.forward_series(&mut tape, x, 0);
     let target = tape.constant(Tensor::vector(
         w.truth[q]
             .iter()

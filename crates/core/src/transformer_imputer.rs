@@ -152,22 +152,34 @@ impl TransformerImputer {
     /// Impute one queue of a window (normalized output rescaled to
     /// packets).
     pub fn impute_queue(&self, w: &PortWindow, q: usize) -> Vec<f32> {
+        self.impute_queue_from(w, q, 0)
+    }
+
+    /// Steps `from..` of [`impute_queue`](Self::impute_queue), bit for
+    /// bit, without the last encoder block's work on the rows before
+    /// them.
+    pub fn impute_queue_from(&self, w: &PortWindow, q: usize, from: usize) -> Vec<f32> {
         let mut tape = Tape::new(&self.store);
         let x = tape.constant(encode_features(w, q, self.scales));
-        let pred = self.model.forward_series(&mut tape, x);
+        let pred = self.model.forward_series(&mut tape, x, from);
         tape.value(pred)
             .data
             .iter()
             .map(|&v| v * self.scales.qlen)
             .collect()
     }
+
+    /// [`Imputer::impute`] from step `from` on: `[queues][len − from]`.
+    pub fn impute_from(&self, w: &PortWindow, from: usize) -> Vec<Vec<f32>> {
+        (0..w.num_queues())
+            .map(|q| self.impute_queue_from(w, q, from))
+            .collect()
+    }
 }
 
 impl Imputer for TransformerImputer {
     fn impute(&self, w: &PortWindow) -> Vec<Vec<f32>> {
-        (0..w.num_queues())
-            .map(|q| self.impute_queue(w, q))
-            .collect()
+        self.impute_from(w, 0)
     }
 
     fn name(&self) -> String {
@@ -254,6 +266,57 @@ mod tests {
         assert!(TransformerImputer::load_json(&truncated)
             .unwrap_err()
             .contains("parameters"));
+    }
+
+    #[test]
+    fn tail_is_rows_of_the_whole_forward_bit_for_bit() {
+        // The last encoder block computes rows `from..` only; every
+        // op past its `ln1` is row-local, so the tail must carry the bits
+        // of the same rows of the whole forward — on and off interval
+        // (50) and GEMM-tile boundaries, in both kernel modes.
+        use fmml_nn::kernel::{with_mode, KernelMode};
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        let check = |m: &TransformerImputer, w: &PortWindow, froms: &[usize]| -> bool {
+            let mut live = false;
+            for q in 0..w.num_queues() {
+                let whole = m.impute_queue(w, q);
+                live |= whole.iter().any(|&v| v != 0.0);
+                for &from in froms {
+                    let tail = m.impute_queue_from(w, q, from);
+                    assert_eq!(bits(&tail), bits(&whole[from..]), "q={q} from={from}");
+                }
+            }
+            live
+        };
+        let paper = window();
+        let cfg = SimConfig::small();
+        let gt = Simulation::new(
+            cfg.clone(),
+            TrafficConfig::websearch_incast(cfg.num_ports, 0.6),
+            19,
+        )
+        .run_ms(400);
+        let wire: Vec<PortWindow> = windows_from_trace(&gt, 10, 5, 10)
+            .into_iter()
+            .filter(|w| w.has_activity())
+            .take(20)
+            .collect();
+        assert_eq!(wire.len(), 20);
+        for mode in [KernelMode::default(), KernelMode::Reference] {
+            with_mode(mode, || {
+                // Seeds whose untrained head is not negative (relu: all
+                // zero) throughout — equal zeros would prove nothing.
+                for seed in [2, 3, 4] {
+                    let m = TransformerImputer::new(seed, scales());
+                    assert!(
+                        check(&m, &paper, &[0, 1, 7, 50, 250, 293, 299]),
+                        "seed {seed}: paper-geometry output is all zero"
+                    );
+                    let live = wire.iter().filter(|w| check(&m, w, &[0, 5, 9])).count();
+                    assert!(live > 0, "seed {seed}: wire-geometry outputs are all zero");
+                }
+            })
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The exact work of one paper-geometry port forward, read from the
+//! The exact work of one paper-geometry port forward — whole, and as
+//! served (the last block on the newest interval's rows) — read from the
 //! process-global obs counters — which is why this is the only test in
 //! its binary: a neighbour's forward would land in the same delta.
 
@@ -35,4 +36,14 @@ fn paper_port_forward_is_720k_softmax_elems_and_14m_fmas() {
     // 2 queues × 2 layers × 2 heads × 300².
     assert_eq!(counter("nn.softmax.elems") - before[0], 720_000);
     assert_eq!(counter("nn.matmul.fmas") - before[1], 14_064_000);
+
+    // What a serving tick runs: the last of the six intervals' rows.
+    let before = [counter("nn.softmax.elems"), counter("nn.matmul.fmas")];
+    let newest = model.impute_from(w, 250);
+    assert_eq!(newest, [&series[0][250..], &series[1][250..]]);
+    // 2 queues × 2 heads × (300² + 50 · 300).
+    assert_eq!(counter("nn.softmax.elems") - before[0], 420_000);
+    // Per queue: 38,400 input projection + 3,494,400 whole block +
+    // 710,400 tail block + 800 head.
+    assert_eq!(counter("nn.matmul.fmas") - before[1], 8_488_000);
 }

@@ -1,11 +1,13 @@
-//! Multi-head scaled-dot-product self-attention.
+//! Multi-head scaled-dot-product attention.
 
 use crate::linear::Linear;
 use crate::params::ParamStore;
 use crate::tape::{NodeId, Tape};
 use rand::rngs::StdRng;
 
-/// Multi-head self-attention: `x: [T, d] → [T, d]`.
+/// Multi-head attention: queries `[Tq, d]` over a context `[T, d]` that
+/// supplies keys and values, `→ [Tq, d]`. Self-attention is the case
+/// where both are the same node.
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     pub wq: Linear,
@@ -38,19 +40,19 @@ impl MultiHeadAttention {
         }
     }
 
-    pub fn forward(&self, tape: &mut Tape, x: NodeId) -> NodeId {
+    pub fn forward(&self, tape: &mut Tape, queries: NodeId, context: NodeId) -> NodeId {
         let dh = self.d_model / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        let q = self.wq.forward(tape, x);
-        let k = self.wk.forward(tape, x);
-        let v = self.wv.forward(tape, x);
+        let q = self.wq.forward(tape, queries);
+        let k = self.wk.forward(tape, context);
+        let v = self.wv.forward(tape, context);
         let mut head_outs = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
             let qh = tape.slice_cols(q, h * dh, dh);
             let kh = tape.slice_cols(k, h * dh, dh);
             let vh = tape.slice_cols(v, h * dh, dh);
             // Fused s·Q·Kᵀ: no materialized transpose, no scaled copy of
-            // the [T,T] score matrix, two fewer nodes per head.
+            // the [Tq,T] score matrix, two fewer nodes per head.
             let scaled = tape.matmul_scaled_nt(qh, kh, scale);
             let att = tape.softmax_rows(scaled);
             head_outs.push(tape.matmul(att, vh));
@@ -76,7 +78,7 @@ mod tests {
             (0..40).map(|i| (i as f32 * 0.01).sin()).collect(),
             &[5, 8],
         ));
-        let y = mha.forward(&mut tape, x);
+        let y = mha.forward(&mut tape, x, x);
         assert_eq!(tape.value(y).shape, vec![5, 8]);
     }
 
@@ -90,7 +92,10 @@ mod tests {
             (0..12).map(|i| (i as f32 * 0.3).cos()).collect(),
             &[3, 4],
         ));
-        let y = mha.forward(&mut tape, x);
+        // Fewer query rows than context rows (Tq = 2 < T = 3).
+        let q = tape.slice_rows(x, 1, 2);
+        let y = mha.forward(&mut tape, q, x);
+        assert_eq!(tape.value(y).shape, vec![2, 4]);
         let sq = tape.square(y);
         let s = tape.sum(sq);
         let g = tape.backward(s);

@@ -83,7 +83,9 @@ enum Op {
     CumSum(NodeId),
     MaxReduce(NodeId),
     Select(NodeId, Vec<usize>),
-    Slice1D(NodeId, usize, usize),
+    /// Contiguous element range `[start, start+len)` of the row-major
+    /// data: a 1-D slice, or a run of whole rows of a 2-D tensor.
+    Slice(NodeId, usize, usize),
     SliceCols(NodeId, usize, usize),
     ConcatCols(Vec<NodeId>),
     AddBias(NodeId, NodeId),
@@ -780,21 +782,31 @@ impl<'s> Tape<'s> {
 
     /// Contiguous 1-D slice `[start, start+len)`.
     pub fn slice1d(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
+        assert_eq!(self.nodes[a].value.rank(), 1);
+        self.slice(a, start, len, vec![len])
+    }
+
+    /// Row slice `[start..start+len, ..]` of a 2-D tensor — the row twin
+    /// of [`Tape::slice_cols`], and contiguous in row-major storage.
+    pub fn slice_rows(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
+        let x = &self.nodes[a].value;
+        assert_eq!(x.rank(), 2);
+        let n = x.cols();
+        self.slice(a, start * n, len * n, vec![len, n])
+    }
+
+    /// Copy elements `[start, start+len)` of `a` out as a `shape` tensor.
+    fn slice(&mut self, a: NodeId, start: usize, len: usize, shape: Vec<usize>) -> NodeId {
         let Tape {
             ref nodes,
             ref mut pool,
             ..
         } = *self;
         let x = &nodes[a].value;
-        assert_eq!(x.rank(), 1);
         assert!(start + len <= x.len());
         let mut data = take_buf(pool, len);
         data.extend_from_slice(&x.data[start..start + len]);
-        let v = Tensor {
-            data,
-            shape: vec![len],
-        };
-        self.push(v, Op::Slice1D(a, start, len))
+        self.push(Tensor { data, shape }, Op::Slice(a, start, len))
     }
 
     /// Column slice `[.., start..start+len]` of a 2-D tensor.
@@ -1199,7 +1211,7 @@ fn propagate(
                 },
             );
         }
-        Op::Slice1D(a, start, len) => {
+        Op::Slice(a, start, len) => {
             let x = &nodes[*a].value;
             let mut dx = take_buf_zeroed(pool, x.len());
             dx[*start..start + len].copy_from_slice(&g.data);
@@ -1510,7 +1522,12 @@ mod tests {
                 let b = t.slice_cols(l[0], 2, 2);
                 let swapped = t.concat_cols(&[b, a]);
                 let y = t.tanh(swapped);
-                t.sum(y)
+                // Rows 1.. once more: row 0 gets no gradient from here.
+                let tail = t.slice_rows(swapped, 1, 2);
+                assert_eq!(t.value(tail).shape, vec![2, 4]);
+                let sq = t.square(tail);
+                let (s1, s2) = (t.sum(y), t.sum(sq));
+                t.add(s1, s2)
             },
             1e-2,
         );

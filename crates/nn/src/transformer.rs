@@ -70,10 +70,15 @@ impl EncoderLayer {
         }
     }
 
-    fn forward(&self, tape: &mut Tape, x: NodeId) -> NodeId {
+    /// `x [T, d] → [T − from, d]`: rows `from..` of the block's output.
+    /// Every row's keys and values are needed, so `ln1` runs whole; past
+    /// it a row depends on no other *query* row, and the rest of the
+    /// block runs on the rows that are asked for.
+    fn forward(&self, tape: &mut Tape, x: NodeId, from: usize) -> NodeId {
         // Pre-norm: x + MHA(LN(x)); x + FF(LN(x)).
         let n1 = self.ln1.forward(tape, x);
-        let a = self.mha.forward(tape, n1);
+        let (x, q) = (rows_from(tape, x, from), rows_from(tape, n1, from));
+        let a = self.mha.forward(tape, q, n1);
         let x = tape.add(x, a);
         let n2 = self.ln2.forward(tape, x);
         let h = self.ff1.forward(tape, n2);
@@ -81,6 +86,16 @@ impl EncoderLayer {
         let h = self.ff2.forward(tape, h);
         tape.add(x, h)
     }
+}
+
+/// Rows `from..` of `x`. `from = 0` is `x` itself — no node is recorded,
+/// so a whole forward is the same graph it was before it could be cut.
+fn rows_from(tape: &mut Tape, x: NodeId, from: usize) -> NodeId {
+    if from == 0 {
+        return x;
+    }
+    let len = tape.value(x).rows() - from;
+    tape.slice_rows(x, from, len)
 }
 
 /// The full encoder: input projection → positional encoding → N blocks →
@@ -126,10 +141,14 @@ impl TransformerEncoder {
         t
     }
 
-    /// Forward pass: `x [T, input_dim] → [T, output_dim]`.
-    pub fn forward(&self, tape: &mut Tape, x: NodeId) -> NodeId {
+    /// Forward pass: `x [T, input_dim] → [T − from, output_dim]`, rows
+    /// `from..` of the whole forward (`from = 0`) bit for bit. Only the
+    /// last block can compute fewer rows than it is given — its keys and
+    /// values need every row of the blocks before it.
+    pub fn forward(&self, tape: &mut Tape, x: NodeId, from: usize) -> NodeId {
         let t_len = tape.value(x).rows();
         assert!(t_len <= self.cfg.max_len, "sequence longer than max_len");
+        assert!(from <= t_len, "first output row past the sequence");
         let mut h = self.input_proj.forward(tape, x);
         // Add positional encodings (constant, truncated to T rows) —
         // copied straight from the precomputed table into pooled tape
@@ -139,9 +158,16 @@ impl TransformerEncoder {
             &[t_len, self.cfg.d_model],
         );
         h = tape.add(h, pe);
-        for layer in &self.layers {
-            h = layer.forward(tape, h);
-        }
+        // The depth comes from a checkpoint file: it may be 0.
+        h = match self.layers.split_last() {
+            Some((last, whole)) => {
+                for layer in whole {
+                    h = layer.forward(tape, h, 0);
+                }
+                last.forward(tape, h, from)
+            }
+            None => rows_from(tape, h, from),
+        };
         self.head.forward(tape, h)
     }
 
@@ -149,10 +175,10 @@ impl TransformerEncoder {
     /// The output is passed through `relu` — queue lengths are
     /// non-negative, and clamping in-graph lets training see the
     /// constraint.
-    pub fn forward_series(&self, tape: &mut Tape, x: NodeId) -> NodeId {
+    pub fn forward_series(&self, tape: &mut Tape, x: NodeId, from: usize) -> NodeId {
         assert_eq!(self.cfg.output_dim, 1);
-        let y = self.forward(tape, x); // [T, 1]
-        let flat = tape.flatten(y); // [T]
+        let y = self.forward(tape, x, from); // [T − from, 1]
+        let flat = tape.flatten(y); // [T − from]
         tape.relu(flat)
     }
 }
@@ -175,16 +201,30 @@ mod tests {
 
     #[test]
     fn forward_shapes() {
-        let mut store = ParamStore::new();
-        let model = TransformerEncoder::new(&mut store, 1, tiny());
-        let mut tape = Tape::new(&store);
-        let x = tape.constant(Tensor::zeros(&[10, 3]));
-        let y = model.forward(&mut tape, x);
-        assert_eq!(tape.value(y).shape, vec![10, 1]);
-        let s = model.forward_series(&mut tape, x);
-        assert_eq!(tape.value(s).shape, vec![10]);
-        // relu output is non-negative.
-        assert!(tape.value(s).data.iter().all(|&v| v >= 0.0));
+        // Depth arrives from a checkpoint file: no block at all and a
+        // single block (which is then the one that is cut) must work too.
+        for layers in [2, 1, 0] {
+            let mut store = ParamStore::new();
+            let model =
+                TransformerEncoder::new(&mut store, 1, TransformerConfig { layers, ..tiny() });
+            let mut tape = Tape::new(&store);
+            let x = tape.constant(Tensor::from_vec(
+                (0..30).map(|i| (i as f32 * 0.7).sin()).collect(),
+                &[10, 3],
+            ));
+            let y = model.forward(&mut tape, x, 0);
+            assert_eq!(tape.value(y).shape, vec![10, 1]);
+            let s = model.forward_series(&mut tape, x, 0);
+            assert_eq!(tape.value(s).shape, vec![10]);
+            // relu output is non-negative.
+            assert!(tape.value(s).data.iter().all(|&v| v >= 0.0));
+            // From row 7 on: the same three values, nothing else.
+            let tail = model.forward(&mut tape, x, 7);
+            assert_eq!(tape.value(tail).shape, vec![3, 1], "layers={layers}");
+            assert_eq!(tape.value(tail).data, tape.value(y).data[7..]);
+            let s = model.forward_series(&mut tape, x, 7);
+            assert_eq!(tape.value(s).shape, vec![3]);
+        }
     }
 
     #[test]
@@ -213,7 +253,7 @@ mod tests {
         for _ in 0..60 {
             let mut tape = Tape::new(&store);
             let xin = tape.constant(x.clone());
-            let pred = model.forward_series(&mut tape, xin);
+            let pred = model.forward_series(&mut tape, xin, 0);
             let tgt = tape.constant(target.clone());
             let l = loss::mse(&mut tape, pred, tgt);
             last = tape.scalar_value(l);

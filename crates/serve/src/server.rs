@@ -21,8 +21,9 @@
 //! path: the reader thread does everything order-sensitive (sliding
 //! window, model forward) sequentially per session, producing
 //! a one-interval `(constraints, prediction)` item per admitted interval
-//! (`PreparedWindow::newest_item`: the interval the reply ships is the
-//! interval that is enforced); workers only run `enforce_degraded_batch`
+//! (`StreamingImputer::try_prepare_newest`: the interval the reply ships
+//! is the one the model's last block computes and the one that is
+//! enforced); workers only run `enforce_degraded_batch`
 //! over coalesced items — the same pure function an offline pipeline
 //! calls, and interval-local, so the reply equals the newest slice of
 //! enforcing the whole window.
@@ -41,14 +42,13 @@ use crate::protocol::{
 };
 use crate::replay_log::ReplayLog;
 use crate::transport::{Accepted, Conn, TcpTransport, Transport};
-use fmml_core::streaming::StreamingImputer;
+use fmml_core::streaming::{IntervalItem, StreamingImputer};
 use fmml_core::transformer_imputer::TransformerImputer;
 use fmml_fault::{record_process_fault, FaultKind, ProcessFaultPlan};
 use fmml_fm::cem::{
     cache::DEFAULT_CAPACITY, enforce_degraded_batch, BreakerConfig, CemEngine, DegradationLevel,
     EnforceOptions, LadderConfig, SolutionCache,
 };
-use fmml_fm::WindowConstraints;
 use fmml_obs::trace::{self, TraceContext};
 use fmml_obs::{log_event, Clock, Counter, FloatGauge, Gauge, Histogram, Unit};
 use std::collections::{HashMap, VecDeque};
@@ -83,9 +83,10 @@ static REPLAYED: Counter = Counter::new("serve.replayed");
 static PARKED_SESSIONS: Gauge = Gauge::new("serve.sessions.parked");
 
 // Per-stage latency histograms: one interval's journey decomposed as
-// decode → queue → batch → enforce → encode → write. Samples are
-// recorded in nanoseconds and scaled to the display unit at snapshot.
+// decode → forward → queue → batch → enforce → encode → write. Samples
+// are recorded in nanoseconds and scaled to the display unit at snapshot.
 static STAGE_DECODE_US: Histogram = Histogram::new("serve.stage.decode_us", Unit::Micros);
+static STAGE_FORWARD_US: Histogram = Histogram::new("serve.stage.forward_us", Unit::Micros);
 static STAGE_QUEUE_US: Histogram = Histogram::new("serve.stage.queue_us", Unit::Micros);
 static STAGE_BATCH_US: Histogram = Histogram::new("serve.stage.batch_us", Unit::Micros);
 static STAGE_ENFORCE_US: Histogram = Histogram::new("serve.stage.enforce_us", Unit::Micros);
@@ -118,7 +119,9 @@ const MAX_STALLS: u32 = 80;
 /// Sanity caps on the `Hello` geometry, checked before any per-session
 /// allocation happens, so a hostile `Hello` (e.g. `window_intervals =
 /// 10^15`) is answered `bad_handshake` instead of driving
-/// `queues × window × interval_len` allocations to abort.
+/// `queues × window × interval_len` allocations to abort. The window
+/// (`interval_len × window_intervals`) must also fit the loaded model's
+/// `max_len`, or the first full window would panic the reader.
 const MAX_PORTS_PER_SESSION: usize = 64;
 const MAX_QUEUES: usize = 64;
 pub const MAX_INTERVAL_LEN: usize = 512;
@@ -457,7 +460,7 @@ impl<C: Conn> SessionWriter<C> {
 struct Job<C: Conn> {
     seq: u64,
     port: usize,
-    item: (WindowConstraints, Vec<Vec<f32>>),
+    item: IntervalItem,
     accepted_at: Instant,
     /// When the job entered the shared queue (start of the queue stage).
     enqueued_at: Instant,
@@ -1308,11 +1311,16 @@ fn handshake<C: Conn>(
         );
         return None;
     }
+    // Each cap alone is not enough: the window is what the model encodes,
+    // and it has positions for `max_len` steps (the caps bound the
+    // product far below overflow).
+    let max_len = shared.model.model.cfg.max_len;
     let valid = !ports.is_empty()
         && ports.len() <= MAX_PORTS_PER_SESSION
         && (1..=MAX_QUEUES).contains(&queues)
         && (2..=MAX_INTERVAL_LEN).contains(&interval_len)
-        && (1..=MAX_WINDOW_INTERVALS).contains(&window_intervals);
+        && (1..=MAX_WINDOW_INTERVALS).contains(&window_intervals)
+        && interval_len * window_intervals <= max_len;
     if !valid {
         MALFORMED.inc();
         shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
@@ -1322,7 +1330,7 @@ fn handshake<C: Conn>(
                 code: "bad_handshake".into(),
                 message: format!(
                     "invalid geometry: ports={} queues={queues} interval_len={interval_len} \
-                     window_intervals={window_intervals}",
+                     window_intervals={window_intervals} (model encodes {max_len} steps)",
                     ports.len()
                 ),
             },
@@ -1659,7 +1667,11 @@ fn handle_frame<C: Conn>(
                 );
                 return true;
             };
-            match imputer.try_prepare(update) {
+            // Forward stage: window bookkeeping + the model forward for
+            // the interval this tick ships (warm-up Acks cost no forward
+            // and are not samples of it).
+            let forward_start = cfg.clock.now();
+            match imputer.try_prepare_newest(update) {
                 Err(e) => {
                     MALFORMED.inc();
                     shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
@@ -1680,14 +1692,17 @@ fn handle_frame<C: Conn>(
                         .writer
                         .send_reply(shared, seq, &Frame::Ack { seq, buffered });
                 }
-                Ok(Some(prepared)) => {
+                Ok(Some(item)) => {
+                    let forward_dur = cfg.clock.now().saturating_duration_since(forward_start);
+                    STAGE_FORWARD_US.record_duration(forward_dur);
+                    trace::record_span("serve.forward", ctx, forward_start, forward_dur);
                     ACCEPTED.inc();
                     shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
                     session.writer.inflight.fetch_add(1, Ordering::AcqRel);
                     let job = Job {
                         seq,
-                        port: prepared.port,
-                        item: prepared.newest_item(),
+                        port: imputer.port(),
+                        item,
                         accepted_at,
                         enqueued_at: cfg.clock.now(),
                         trace: ctx,

@@ -403,6 +403,19 @@ fn hostile_hello_geometry_at(max_frame_len: usize) {
             last_acked: None,
             codecs: None,
         },
+        // Each inside its cap, but a 600-step window: the model has
+        // positions for 512, and the second Interval would panic the
+        // reader.
+        Frame::Hello {
+            tenant: "evil".into(),
+            ports: vec![0],
+            queues: 1,
+            interval_len: 300,
+            window_intervals: 2,
+            resume_token: None,
+            last_acked: None,
+            codecs: None,
+        },
     ];
     for frame in hostile {
         let (mut tx, mut rx) = connect(handle.addr());
@@ -424,7 +437,7 @@ fn hostile_hello_geometry_at(max_frame_len: usize) {
     let Frame::StatsReply { malformed, .. } = stats else {
         panic!("stats frame");
     };
-    assert_eq!(malformed, 3);
+    assert_eq!(malformed, 4);
 }
 
 /// A pre-handshake `Stats` probe works, and a corrupted frame yields a

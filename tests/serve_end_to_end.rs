@@ -273,6 +273,7 @@ fn traces_cover_the_full_pipeline_under_chaos() {
         for need in [
             "serve.interval",
             "serve.decode",
+            "serve.forward",
             "serve.queue",
             "serve.batch",
             "serve.encode",
