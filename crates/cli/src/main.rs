@@ -429,8 +429,8 @@ fn cmd_fm_solve(args: &Args) -> Result<(), CliError> {
         PacketModelOutcome::Unknown { elapsed, stats } => {
             println!(
                 "budget wall after {elapsed:?} (the §2.3 scalability result): \
-                 {} conflicts, {} pivots, {} lazy iterations",
-                stats.conflicts, stats.simplex_pivots, stats.iterations
+                 {} + {} conflicts (boolean + theory), {} pivots",
+                stats.conflicts, stats.theory_conflicts, stats.simplex_pivots
             )
         }
     }

@@ -19,15 +19,21 @@ use fmml_smt::{Solver, SolverStats};
 static SMT_DECISIONS: Counter = Counter::new("smt.decisions");
 /// Unit propagations across all CEM solver instances.
 static SMT_PROPAGATIONS: Counter = Counter::new("smt.propagations");
-/// Conflicts analyzed across all CEM solver instances.
+/// Conflicts found by unit propagation across all CEM solver instances.
 static SMT_CONFLICTS: Counter = Counter::new("smt.conflicts");
+/// Conflicts reported by the LIA theory across all CEM solver instances.
+static SMT_THEORY_CONFLICTS: Counter = Counter::new("smt.theory_conflicts");
 /// Luby restarts across all CEM solver instances.
 static SMT_RESTARTS: Counter = Counter::new("smt.restarts");
 /// Clauses learned across all CEM solver instances.
 static SMT_LEARNED: Counter = Counter::new("smt.learned_clauses");
 /// Simplex pivots across all CEM solver instances.
 static SMT_PIVOTS: Counter = Counter::new("smt.simplex_pivots");
-/// Lazy CDCL(T) refinement iterations across all CEM solver instances.
+/// Tableau rows created across all CEM solver instances.
+static SMT_ROWS: Counter = Counter::new("smt.tableau_rows");
+/// Theory checks at a propagation fixpoint across all CEM solver instances.
+static SMT_THEORY_CHECKS: Counter = Counter::new("smt.theory_checks");
+/// Full-assignment theory checks across all CEM solver instances.
 static SMT_ITERATIONS: Counter = Counter::new("smt.iterations");
 
 /// Fold a [`SolverStats`] delta into the process-wide `smt.*` counters.
@@ -39,9 +45,12 @@ pub fn record_solver_stats(delta: &SolverStats) {
     SMT_DECISIONS.add(delta.decisions);
     SMT_PROPAGATIONS.add(delta.propagations);
     SMT_CONFLICTS.add(delta.conflicts);
+    SMT_THEORY_CONFLICTS.add(delta.theory_conflicts);
     SMT_RESTARTS.add(delta.restarts);
     SMT_LEARNED.add(delta.learned_clauses);
     SMT_PIVOTS.add(delta.simplex_pivots);
+    SMT_ROWS.add(delta.tableau_rows);
+    SMT_THEORY_CHECKS.add(delta.theory_checks);
     SMT_ITERATIONS.add(delta.iterations);
 }
 
@@ -157,6 +166,12 @@ fn solve_inner(
     record_solver_stats(&s.stats());
     match result {
         OptResult::Optimal { value, model } => {
+            // The solver's answer is checked, not trusted: the model must
+            // satisfy every assertion as written above (ites included).
+            assert!(
+                s.model_satisfies_assertions(),
+                "smt model violates an asserted term"
+            );
             let values: Vec<Vec<u32>> = (0..nq)
                 .map(|q| {
                     (0..l)

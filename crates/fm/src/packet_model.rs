@@ -180,7 +180,8 @@ pub fn reference_execution(cfg: &PacketModelConfig, arrivals: &[Arrival]) -> Exe
 ///
 /// Every outcome carries the [`fmml_smt::SolverStats`] of the solve, so a
 /// budget wall ([`PacketModelOutcome::Unknown`]) is diagnosable: was it
-/// conflicts, simplex pivots, or lazy-loop churn that ate the budget?
+/// boolean conflicts, theory conflicts, or simplex pivots that ate the
+/// budget?
 #[derive(Debug, Clone, PartialEq)]
 pub enum PacketModelOutcome {
     /// A plausible fine-grained series (`len[q][t]`) with solve time.

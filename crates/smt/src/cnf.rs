@@ -2,8 +2,8 @@
 //!
 //! Boolean structure becomes auxiliary variables and definitional clauses;
 //! theory atoms (`Le` nodes) and boolean variables become plain SAT
-//! variables, with atoms recorded in a registry the lazy-SMT loop reads
-//! back after each SAT model.
+//! variables, with atoms recorded in a registry the solver registers on
+//! the theory side in the same order.
 
 use crate::sat::{Lit, SatSolver, Var};
 use crate::term::{TermId, TermKind, TermManager};

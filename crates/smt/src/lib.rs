@@ -5,21 +5,27 @@
 //! including `ite`) plus **optimization** of a linear objective (the
 //! CEM's minimal-change correction, §3.2).
 //!
-//! Architecture (classic lazy SMT):
+//! Architecture (online CDCL(T)):
 //!
 //! ```text
 //!   formula ──► [term]  hash-consed AST, light constant folding
 //!           ──► [lower] ite elimination, Eq desugaring, atom extraction
 //!           ──► [cnf]   Tseitin conversion to clauses over atom literals
-//!           ──► [sat]   CDCL: watched literals, VSIDS, 1-UIP learning
-//!           ──► [lia]   bounded-variable simplex + branch & bound,
-//!                       Farkas-style conflict explanations fed back as
-//!                       blocking clauses
-//!           ──► [solver] the lazy refinement loop + binary-search minimize
+//!           ──► [sat]   CDCL: watched literals, VSIDS heap, 1-UIP learning;
+//!                       owns the loop and drives a `Theory` along its trail
+//!           ──► [lia]   the theory: an atom's bound lands when its literal
+//!                       does (single-variable atoms bound the variable
+//!                       itself, the rest a simplex slack row), one simplex
+//!                       scope per decision level, feasibility checked at
+//!                       every propagation fixpoint, branch & bound at a
+//!                       full assignment; a Farkas explanation comes back
+//!                       as a conflict clause and is analyzed like any other
+//!           ──► [solver] one search per `check`; `minimize` tightens the
+//!                       objective linearly (`obj ≤ best − 1`) and re-checks
 //! ```
 //!
-//! The solver is deliberately budgeted: [`Solver::set_budget`] bounds both
-//! wall-clock time and SAT conflicts, and exhausting the budget yields
+//! The solver is deliberately budgeted: [`Solver::set_budget`] bounds
+//! wall-clock time and conflicts (boolean and theory), and exhausting the budget yields
 //! [`SatResult::Unknown`] — which is itself a *result* for the paper's
 //! §2.3 scalability experiment (packet-level switch models blow up; the
 //! solver must fail gracefully, not hang).

@@ -2,9 +2,11 @@
 //!
 //! Numerator/denominator over `i128` with eager gcd reduction. The CEM and
 //! switch-model encodings only use small coefficients (±1, small
-//! constants), so `i128` headroom is ample; arithmetic panics on overflow
-//! in debug builds and saturates deliberately nowhere — an overflow is a
-//! bug, not an input condition.
+//! constants), so almost every value is an integer: `+ − × cmp` on two
+//! integers (`den == 1`) skip the gcd and the cross-multiplication and
+//! panic on overflow in every build (`checked_*`); the general path for
+//! real fractions panics on overflow in debug builds only. Nothing
+//! saturates — an overflow is a bug, not an input condition.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -94,9 +96,20 @@ impl Rat {
     }
 }
 
+/// An integer as a `Rat`; `None` (overflow) is a bug in the caller.
+fn checked_int(v: Option<i128>) -> Rat {
+    Rat {
+        num: v.expect("Rat overflow"),
+        den: 1,
+    }
+}
+
 impl Add for Rat {
     type Output = Rat;
     fn add(self, o: Rat) -> Rat {
+        if self.den == 1 && o.den == 1 {
+            return checked_int(self.num.checked_add(o.num));
+        }
         Rat::new(self.num * o.den + o.num * self.den, self.den * o.den)
     }
 }
@@ -110,6 +123,9 @@ impl AddAssign for Rat {
 impl Sub for Rat {
     type Output = Rat;
     fn sub(self, o: Rat) -> Rat {
+        if self.den == 1 && o.den == 1 {
+            return checked_int(self.num.checked_sub(o.num));
+        }
         Rat::new(self.num * o.den - o.num * self.den, self.den * o.den)
     }
 }
@@ -117,6 +133,9 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, o: Rat) -> Rat {
+        if self.den == 1 && o.den == 1 {
+            return checked_int(self.num.checked_mul(o.num));
+        }
         Rat::new(self.num * o.num, self.den * o.den)
     }
 }
@@ -147,6 +166,9 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, o: &Rat) -> Ordering {
+        if self.den == 1 && o.den == 1 {
+            return self.num.cmp(&o.num);
+        }
         (self.num * o.den).cmp(&(o.num * self.den))
     }
 }

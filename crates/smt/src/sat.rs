@@ -1,12 +1,15 @@
-//! A CDCL SAT solver: two-watched-literal propagation, VSIDS decisions,
-//! first-UIP clause learning, phase saving, Luby restarts, and a conflict
-//! budget.
+//! A CDCL(T) SAT solver: two-watched-literal propagation, VSIDS decisions,
+//! first-UIP clause learning, phase saving, Luby restarts, a conflict
+//! budget, and a [`Theory`] that rides the trail.
 //!
-//! The solver is used incrementally by the lazy SMT loop: clauses (theory
-//! lemmas, objective bounds) may be added between `solve()` calls; the
-//! solver backtracks to the root level on every entry.
+//! At every propagation fixpoint the new trail literals are handed to the
+//! theory and its consistency is checked; a theory conflict is analyzed
+//! like a falsified clause, so search continues from the backjump level.
+//! The solver is incremental: clauses (objective bounds) may be added
+//! between `solve` calls; it backtracks to the root level on every entry.
 
 use std::fmt;
+use std::time::Instant;
 
 use crate::stats::SolverStats;
 
@@ -43,8 +46,14 @@ impl Lit {
         Lit(self.0 ^ 1)
     }
 
-    fn index(self) -> usize {
+    /// Dense index of the literal (`2·var + negated`).
+    pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// Inverse of [`Lit::index`].
+    pub fn from_index(i: usize) -> Lit {
+        Lit(i as u32)
     }
 }
 
@@ -71,14 +80,53 @@ pub enum SolveResult {
     Unknown,
 }
 
+/// Answer of a [`Theory`] call.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TheoryResult {
+    Consistent,
+    /// A clause the theory implies whose every literal is false under the
+    /// literals asserted so far.
+    Conflict(Vec<Lit>),
+    /// The theory's own budget ran out.
+    Unknown,
+}
+
+/// A decision procedure following the SAT trail. The solver owns the
+/// loop: it asserts each trail literal once, in trail order, opens one
+/// level per decision and closes levels on backjump. The defaults are
+/// the empty theory (plain SAT).
+pub trait Theory {
+    /// `lit` became true. Literals the theory has no atom for are ignored.
+    fn assert_lit(&mut self, _lit: Lit) -> TheoryResult {
+        TheoryResult::Consistent
+    }
+    /// Are the asserted literals jointly consistent? Called at every
+    /// propagation fixpoint; may be incomplete (e.g. rational relaxation).
+    fn check(&mut self) -> TheoryResult {
+        TheoryResult::Consistent
+    }
+    /// Complete check, called when every variable is assigned and `check`
+    /// passed. `Consistent` means the theory holds a model.
+    fn final_check(&mut self, _deadline: Option<Instant>) -> TheoryResult {
+        TheoryResult::Consistent
+    }
+    /// Open a level (one per SAT decision).
+    fn push_level(&mut self) {}
+    /// Undo everything asserted above `level` open levels.
+    fn backtrack_to(&mut self, _level: u32) {}
+}
+
+struct NoTheory;
+
+impl Theory for NoTheory {}
+
 type ClauseRef = u32;
+
+/// `heap_pos` of a variable that is not in the decision heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
 
 struct Clause {
     lits: Vec<Lit>,
-    /// Learnt clauses could be garbage-collected under memory pressure;
-    /// retained unconditionally at current problem sizes.
-    #[allow(dead_code)]
-    learnt: bool,
 }
 
 /// The CDCL solver.
@@ -94,12 +142,21 @@ pub struct SatSolver {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
+    /// Trail literals below this index have been asserted to the theory.
+    theory_head: usize,
     /// VSIDS activity.
     activity: Vec<f64>,
     var_inc: f64,
+    /// Binary max-heap of decision candidates on (activity, lowest index
+    /// first); holds every unassigned variable, and possibly assigned ones
+    /// that `pick_branch_var` skips.
+    heap: Vec<Var>,
+    /// `heap_pos[v]`: position of `v` in `heap`, or [`NOT_IN_HEAP`].
+    heap_pos: Vec<u32>,
     /// Root-level inconsistency discovered during clause addition.
     unsat: bool,
-    /// Conflicts allowed per `solve` call (None = unbounded).
+    /// Conflicts (boolean and theory together) allowed per `solve` call
+    /// (None = unbounded).
     budget: Option<u64>,
     stats: SolverStats,
     // Scratch for conflict analysis.
@@ -127,8 +184,11 @@ impl SatSolver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
+            theory_head: 0,
             activity: Vec::new(),
             var_inc: 1.0,
+            heap: Vec::new(),
+            heap_pos: Vec::new(),
             unsat: false,
             budget: None,
             stats: SolverStats::new(),
@@ -147,16 +207,13 @@ impl SatSolver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.heap_pos.push(NOT_IN_HEAP);
+        self.heap_insert(v);
         v
     }
 
     pub fn num_vars(&self) -> usize {
         self.assign.len()
-    }
-
-    /// Total conflicts across all `solve` calls (for reporting).
-    pub fn conflicts(&self) -> u64 {
-        self.stats.conflicts
     }
 
     /// Cumulative search statistics (SAT-core fields only; the theory
@@ -233,18 +290,18 @@ impl SatSolver {
                 }
             }
             _ => {
-                self.attach_clause(c, false);
+                self.attach_clause(c);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach_clause(&mut self, lits: Vec<Lit>) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cr = self.clauses.len() as ClauseRef;
         self.watches[lits[0].negate().index()].push(cr);
         self.watches[lits[1].negate().index()].push(cr);
-        self.clauses.push(Clause { lits, learnt });
+        self.clauses.push(Clause { lits });
         cr
     }
 
@@ -323,14 +380,71 @@ impl SatSolver {
             return;
         }
         let lim = self.trail_lim[level as usize];
-        for &l in &self.trail[lim..] {
-            let v = l.var() as usize;
-            self.assign[v] = LBool::Undef;
-            self.reason[v] = None;
+        for i in lim..self.trail.len() {
+            let v = self.trail[i].var();
+            self.assign[v as usize] = LBool::Undef;
+            self.reason[v as usize] = None;
+            self.heap_insert(v);
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level as usize);
-        self.qhead = self.trail.len();
+        self.qhead = lim;
+        self.theory_head = self.theory_head.min(lim);
+    }
+
+    /// `a` is decided before `b`: higher activity, then lower index.
+    fn heap_before(&self, a: Var, b: Var) -> bool {
+        let (xa, xb) = (self.activity[a as usize], self.activity[b as usize]);
+        xa > xb || (xa == xb && a < b)
+    }
+
+    fn heap_swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.heap_pos[self.heap[a] as usize] = a as u32;
+        self.heap_pos[self.heap[b] as usize] = b as u32;
+    }
+
+    fn heap_sift_up(&mut self, mut pos: usize) {
+        while pos > 0 && self.heap_before(self.heap[pos], self.heap[(pos - 1) / 2]) {
+            self.heap_swap(pos, (pos - 1) / 2);
+            pos = (pos - 1) / 2;
+        }
+    }
+
+    fn heap_sift_down(&mut self, mut pos: usize) {
+        loop {
+            let first = (2 * pos + 1..2 * pos + 3)
+                .filter(|&c| c < self.heap.len())
+                .fold(pos, |b, c| {
+                    if self.heap_before(self.heap[c], self.heap[b]) {
+                        c
+                    } else {
+                        b
+                    }
+                });
+            if first == pos {
+                return;
+            }
+            self.heap_swap(pos, first);
+            pos = first;
+        }
+    }
+
+    fn heap_insert(&mut self, v: Var) {
+        if self.heap_pos[v as usize] == NOT_IN_HEAP {
+            self.heap_pos[v as usize] = self.heap.len() as u32;
+            self.heap.push(v);
+            self.heap_sift_up(self.heap.len() - 1);
+        }
+    }
+
+    fn heap_pop(&mut self) -> Option<Var> {
+        let last = self.heap.len().checked_sub(1)?;
+        self.heap_swap(0, last);
+        let top = self.heap.pop().expect("heap is non-empty");
+        self.heap_pos[top as usize] = NOT_IN_HEAP;
+        self.heap_sift_down(0);
+        Some(top)
     }
 
     fn bump_var(&mut self, v: Var) {
@@ -340,6 +454,13 @@ impl SatSolver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Tiny activities may have collapsed into ties: re-establish
+            // the heap order from scratch.
+            for pos in (0..self.heap.len() / 2).rev() {
+                self.heap_sift_down(pos);
+            }
+        } else if self.heap_pos[v as usize] != NOT_IN_HEAP {
+            self.heap_sift_up(self.heap_pos[v as usize] as usize);
         }
     }
 
@@ -347,20 +468,20 @@ impl SatSolver {
         self.var_inc /= VAR_DECAY;
     }
 
-    /// First-UIP conflict analysis; returns (learnt clause, backjump level).
-    /// The asserting literal is placed first.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32) {
+    /// First-UIP conflict analysis of a clause whose literals are all
+    /// false, at least one of them at the current level; returns (learnt
+    /// clause, backjump level). The asserting literal is placed first.
+    fn analyze(&mut self, confl: Vec<Lit>) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = Vec::new();
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
-        let mut cr = confl;
+        let mut lits = confl;
         let cur_level = self.decision_level();
 
         loop {
             {
                 let start = usize::from(p.is_some());
-                let lits = self.clauses[cr as usize].lits.clone();
                 for &q in &lits[start..] {
                     let v = q.var();
                     if !self.seen[v as usize] && self.level[v as usize] > 0 {
@@ -388,7 +509,8 @@ impl SatSolver {
                 p = Some(lit);
                 break;
             }
-            cr = self.reason[lit.var() as usize].expect("non-decision must have a reason");
+            let cr = self.reason[lit.var() as usize].expect("non-decision must have a reason");
+            lits = self.clauses[cr as usize].lits.clone();
             p = Some(lit);
         }
         let uip = p
@@ -407,18 +529,14 @@ impl SatSolver {
         (learnt, bj)
     }
 
-    fn pick_branch_var(&self) -> Option<Var> {
-        // Linear VSIDS scan; adequate at the scale of our encodings.
-        let mut best: Option<(Var, f64)> = None;
-        for v in 0..self.num_vars() {
-            if self.assign[v] == LBool::Undef {
-                let a = self.activity[v];
-                if best.is_none_or(|(_, ba)| a > ba) {
-                    best = Some((v as Var, a));
-                }
+    /// The unassigned variable of highest activity (lowest index on ties).
+    fn pick_branch_var(&mut self) -> Option<Var> {
+        while let Some(v) = self.heap_pop() {
+            if self.assign[v as usize] == LBool::Undef {
+                return Some(v);
             }
         }
-        best.map(|(v, _)| v)
+        None
     }
 
     /// Luby sequence for restart intervals (0-indexed).
@@ -436,60 +554,126 @@ impl SatSolver {
         }
     }
 
-    /// Run the CDCL search.
+    /// Run the CDCL search without a theory.
     pub fn solve(&mut self) -> SolveResult {
+        self.solve_with(&mut NoTheory, None)
+    }
+
+    /// Backjump the boolean trail and the theory together.
+    fn backjump<T: Theory>(&mut self, theory: &mut T, level: u32) {
+        if self.decision_level() > level {
+            self.backtrack_to(level);
+            theory.backtrack_to(level);
+        }
+    }
+
+    /// Hand the theory the trail literals it has not seen, then check it.
+    /// Returns a conflict clause (every literal false), or the theory's
+    /// verdict otherwise.
+    fn theory_step<T: Theory>(&mut self, theory: &mut T) -> TheoryResult {
+        while self.theory_head < self.trail.len() {
+            let lit = self.trail[self.theory_head];
+            self.theory_head += 1;
+            match theory.assert_lit(lit) {
+                TheoryResult::Consistent => {}
+                r => return r,
+            }
+        }
+        self.stats.theory_checks += 1;
+        theory.check()
+    }
+
+    /// A theory conflict clause is falsified by the trail and cites only
+    /// literals the theory has been given.
+    fn theory_conflict_is_valid(&self, clause: &[Lit]) -> bool {
+        clause.iter().all(|&l| {
+            self.value_lit(l) == LBool::False
+                && self.trail[..self.theory_head].contains(&l.negate())
+        })
+    }
+
+    /// Run the CDCL(T) search: `theory` is asserted every trail literal,
+    /// checked at every propagation fixpoint and asked for a final check
+    /// at a full assignment. On `Sat` the assignment — and the theory's
+    /// model — stay in place until the next `solve` / `add_clause`.
+    /// `deadline` is polled at every conflict and final check.
+    pub fn solve_with<T: Theory>(
+        &mut self,
+        theory: &mut T,
+        deadline: Option<Instant>,
+    ) -> SolveResult {
         if self.unsat {
             return SolveResult::Unsat;
         }
         self.backtrack_to(0);
-        if self.propagate().is_some() {
-            self.unsat = true;
-            return SolveResult::Unsat;
-        }
+        theory.backtrack_to(0);
         let mut conflicts_this_call = 0u64;
         let mut restart_idx = 0u64;
         let mut restart_limit = 64 * Self::luby(restart_idx);
+        let timed_out = || deadline.is_some_and(|d| Instant::now() >= d);
 
         loop {
-            if let Some(confl) = self.propagate() {
+            let confl = if let Some(cr) = self.propagate() {
                 self.stats.conflicts += 1;
-                conflicts_this_call += 1;
-                if self.decision_level() == 0 {
-                    self.unsat = true;
-                    return SolveResult::Unsat;
-                }
-                if let Some(b) = self.budget {
-                    if conflicts_this_call > b {
-                        self.backtrack_to(0);
-                        return SolveResult::Unknown;
-                    }
-                }
-                let (learnt, bj) = self.analyze(confl);
-                self.backtrack_to(bj);
-                self.stats.learned_clauses += 1;
-                if learnt.len() == 1 {
-                    self.enqueue(learnt[0], None);
-                } else {
-                    let cr = self.attach_clause(learnt.clone(), true);
-                    self.enqueue(learnt[0], Some(cr));
-                }
-                self.decay_activities();
-                if conflicts_this_call >= restart_limit {
-                    restart_idx += 1;
-                    restart_limit = conflicts_this_call + 64 * Self::luby(restart_idx);
-                    self.stats.restarts += 1;
-                    self.backtrack_to(0);
-                }
+                self.clauses[cr as usize].lits.clone()
             } else {
-                match self.pick_branch_var() {
-                    None => return SolveResult::Sat,
-                    Some(v) => {
+                let mut verdict = self.theory_step(theory);
+                if verdict == TheoryResult::Consistent {
+                    if let Some(v) = self.pick_branch_var() {
                         self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
+                        theory.push_level();
                         let phase = self.phase[v as usize];
                         self.enqueue(Lit::new(v, !phase), None);
+                        continue;
+                    }
+                    if timed_out() {
+                        return SolveResult::Unknown;
+                    }
+                    self.stats.iterations += 1;
+                    verdict = theory.final_check(deadline);
+                }
+                match verdict {
+                    TheoryResult::Consistent => return SolveResult::Sat,
+                    TheoryResult::Unknown => return SolveResult::Unknown,
+                    TheoryResult::Conflict(clause) => {
+                        self.stats.theory_conflicts += 1;
+                        debug_assert!(self.theory_conflict_is_valid(&clause));
+                        clause
                     }
                 }
+            };
+            conflicts_this_call += 1;
+            // A theory clause may be false below the current level already.
+            let confl_level = confl
+                .iter()
+                .map(|l| self.level[l.var() as usize])
+                .max()
+                .unwrap_or(0);
+            if confl_level == 0 {
+                self.unsat = true;
+                return SolveResult::Unsat;
+            }
+            if self.budget.is_some_and(|b| conflicts_this_call > b) || timed_out() {
+                return SolveResult::Unknown;
+            }
+            self.backjump(theory, confl_level);
+            let (learnt, bj) = self.analyze(confl);
+            self.backjump(theory, bj);
+            self.stats.learned_clauses += 1;
+            if learnt.len() == 1 {
+                self.enqueue(learnt[0], None);
+            } else {
+                let asserting = learnt[0];
+                let cr = self.attach_clause(learnt);
+                self.enqueue(asserting, Some(cr));
+            }
+            self.decay_activities();
+            if conflicts_this_call >= restart_limit {
+                restart_idx += 1;
+                restart_limit = conflicts_this_call + 64 * Self::luby(restart_idx);
+                self.stats.restarts += 1;
+                self.backjump(theory, 0);
             }
         }
     }

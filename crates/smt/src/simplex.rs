@@ -7,11 +7,12 @@
 //! always satisfies the tableau equations and all *nonbasic* bounds;
 //! `check` pivots (Bland's rule, guaranteeing termination) until basic
 //! bounds hold too, or reports a conflict as the set of bound *tags* that
-//! form an infeasible row — a minimal explanation the SAT solver turns
-//! into a blocking clause.
+//! form an infeasible row — a minimal explanation the SAT solver analyzes
+//! as a conflict clause.
 //!
-//! Bounds support push/pop (a trail), which the integer layer uses for
-//! branch & bound.
+//! Bounds support push/pop (a trail): one scope per SAT decision level,
+//! and nested scopes for branch & bound. Rows and the assignment survive
+//! a pop; only bounds are undone.
 
 use crate::rational::Rat;
 
@@ -71,6 +72,10 @@ pub struct Simplex {
     upper: Vec<Option<Bound>>,
     trail: Vec<TrailOp>,
     trail_lim: Vec<usize>,
+    /// A bound moved, or a check failed, since the last `Feasible` check:
+    /// β may violate a basic variable's bound. Clear means `check` has
+    /// nothing to repair (a pop only loosens bounds).
+    dirty: bool,
     /// Total pivots performed (for diagnostics / benches).
     pub pivots: u64,
 }
@@ -92,6 +97,7 @@ impl Simplex {
             upper: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
+            dirty: false,
             pivots: 0,
         }
     }
@@ -109,6 +115,24 @@ impl Simplex {
 
     pub fn value(&self, v: SpxVar) -> Rat {
         self.values[v]
+    }
+
+    /// Current `(lower, upper)` bounds of `v`.
+    pub fn bounds(&self, v: SpxVar) -> (Option<Rat>, Option<Rat>) {
+        (
+            self.lower[v].map(|b| b.value),
+            self.upper[v].map(|b| b.value),
+        )
+    }
+
+    /// Tableau rows (one per slack variable).
+    pub fn num_rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Open scopes.
+    pub fn depth(&self) -> usize {
+        self.trail_lim.len()
     }
 
     /// Introduce a slack variable `s = Σ coeff·var` as a new basic row.
@@ -164,16 +188,6 @@ impl Simplex {
         }
     }
 
-    /// Clear every bound (keeps rows and the current assignment).
-    pub fn reset_bounds(&mut self) {
-        assert!(self.trail_lim.is_empty(), "reset inside a push scope");
-        self.trail.clear();
-        for v in 0..self.num_vars {
-            self.lower[v] = None;
-            self.upper[v] = None;
-        }
-    }
-
     /// Assert `v ≥ value` (tagged). Returns an immediate conflict if it
     /// crosses the upper bound of `v`.
     pub fn assert_lower(&mut self, v: SpxVar, value: Rat, tag: Tag) -> SpxResult {
@@ -188,6 +202,7 @@ impl Simplex {
                 self.trail
                     .push(TrailOp::Lower(v, old.map(|b| (b.value, b.tag))));
                 self.lower[v] = Some(Bound { value, tag });
+                self.dirty = true;
             }
         }
         if self.row_of[v].is_none() && self.values[v] < value {
@@ -209,6 +224,7 @@ impl Simplex {
                 self.trail
                     .push(TrailOp::Upper(v, old.map(|b| (b.value, b.tag))));
                 self.upper[v] = Some(Bound { value, tag });
+                self.dirty = true;
             }
         }
         if self.row_of[v].is_none() && self.values[v] > value {
@@ -235,6 +251,9 @@ impl Simplex {
 
     /// Repair the assignment until all bounds hold (Bland's rule).
     pub fn check(&mut self) -> SpxResult {
+        if !self.dirty {
+            return SpxResult::Feasible;
+        }
         loop {
             // Smallest-index basic variable violating a bound.
             let mut violated: Option<(SpxVar, Rat, bool)> = None; // (var, target, need_increase)
@@ -255,6 +274,7 @@ impl Simplex {
                 }
             }
             let Some((xi, target, need_increase)) = violated else {
+                self.dirty = false;
                 return SpxResult::Feasible;
             };
             let ri = self.row_of[xi].expect("violated var is basic");

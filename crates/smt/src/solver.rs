@@ -1,8 +1,8 @@
-//! The user-facing SMT solver: lowering, the lazy CDCL(T) loop, models,
-//! and linear optimization.
+//! The user-facing SMT solver: lowering, one CDCL(T) search per check,
+//! models, and linear optimization.
 
 use crate::cnf::Encoder;
-use crate::lia::{AtomId, LiaBudget, LiaResult, LiaSolver};
+use crate::lia::LiaSolver;
 use crate::sat::SolveResult;
 use crate::simplex::SpxVar;
 use crate::stats::SolverStats;
@@ -40,15 +40,16 @@ pub enum OptResult {
 /// bool variables. Any term can be evaluated against it.
 #[derive(Debug, Clone, Default)]
 pub struct Model {
-    ints: HashMap<TermId, i64>,
-    bools: HashMap<TermId, bool>,
+    /// Indexed by `TermId`; variables the solver never saw read 0 / false.
+    ints: Vec<i64>,
+    bools: Vec<bool>,
 }
 
 impl Model {
     /// Evaluate an int-sorted term.
     pub fn eval_int(&self, tm: &TermManager, t: TermId) -> i64 {
         match tm.kind(t) {
-            TermKind::IntVar(_) => *self.ints.get(&t).unwrap_or(&0),
+            TermKind::IntVar(_) => self.ints.get(t as usize).copied().unwrap_or(0),
             TermKind::Linear(e) => self.eval_linexpr(tm, e),
             TermKind::Ite(c, a, b) => {
                 if self.eval_bool(tm, *c) {
@@ -72,7 +73,7 @@ impl Model {
         match tm.kind(t) {
             TermKind::True => true,
             TermKind::False => false,
-            TermKind::BoolVar(_) => *self.bools.get(&t).unwrap_or(&false),
+            TermKind::BoolVar(_) => self.bools.get(t as usize).copied().unwrap_or(false),
             TermKind::Not(x) => !self.eval_bool(tm, *x),
             TermKind::And(xs) => xs.iter().all(|&x| self.eval_bool(tm, x)),
             TermKind::Or(xs) => xs.iter().any(|&x| self.eval_bool(tm, x)),
@@ -87,9 +88,9 @@ impl Model {
 pub struct Budget {
     /// Wall-clock limit for one `check` (and for a whole `minimize`).
     pub timeout: Option<Duration>,
-    /// SAT conflicts per `check`.
+    /// Conflicts per `check`, boolean and theory together.
     pub max_sat_conflicts: Option<u64>,
-    /// Branch-and-bound nodes per theory check.
+    /// Branch-and-bound nodes per full-assignment theory check.
     pub max_bb_nodes: u64,
 }
 
@@ -137,18 +138,17 @@ pub struct Solver {
     lia: LiaSolver,
     /// IntVar term -> simplex variable.
     spx_of: HashMap<TermId, SpxVar>,
-    /// Registration order of int vars (model extraction).
+    /// Registration order of int vars: the k-th is the LIA solver's k-th
+    /// problem variable (model extraction).
     int_vars: Vec<TermId>,
-    /// Atom term -> LIA atom.
-    lia_atom_of: HashMap<TermId, AtomId>,
+    /// The encoder's first `lia_atoms` atoms exist on the LIA side.
+    lia_atoms: usize,
     /// Ite node -> fresh IntVar term standing in for it.
     ite_var_of: HashMap<TermId, TermId>,
+    /// Every term passed to [`Solver::assert`], as given (pre-lowering).
+    assertions: Vec<TermId>,
     budget: Budget,
     model: Option<Model>,
-    /// Number of lazy refinement iterations in the last check.
-    pub last_iterations: u64,
-    /// Lazy refinement iterations accumulated over all checks.
-    total_iterations: u64,
 }
 
 impl Default for Solver {
@@ -165,12 +165,11 @@ impl Solver {
             lia: LiaSolver::new(),
             spx_of: HashMap::new(),
             int_vars: Vec::new(),
-            lia_atom_of: HashMap::new(),
+            lia_atoms: 0,
             ite_var_of: HashMap::new(),
+            assertions: Vec::new(),
             budget: Budget::default(),
             model: None,
-            last_iterations: 0,
-            total_iterations: 0,
         }
     }
 
@@ -178,13 +177,13 @@ impl Solver {
         self.budget = budget;
     }
 
-    /// Cumulative solver work since construction: SAT-core counters plus
-    /// the theory side (simplex pivots, lazy-loop iterations). Callers
-    /// diff snapshots via [`SolverStats::delta_since`].
+    /// Cumulative solver work since construction: the search's counters
+    /// plus the simplex's (pivots, rows). Callers diff snapshots via
+    /// [`SolverStats::delta_since`].
     pub fn stats(&self) -> SolverStats {
         let mut s = *self.enc.sat.stats();
         s.simplex_pivots = self.lia.pivots();
-        s.iterations = self.total_iterations;
+        s.tableau_rows = self.lia.num_rows() as u64;
         s
     }
 
@@ -281,6 +280,13 @@ impl Solver {
 
     /// Assert a boolean term.
     pub fn assert(&mut self, t: TermId) {
+        self.assertions.push(t);
+        self.assert_unrecorded(t);
+    }
+
+    /// [`Solver::assert`] for the solver's own strengthening bounds, which
+    /// [`Solver::model_satisfies_assertions`] must not hold a model to.
+    fn assert_unrecorded(&mut self, t: TermId) {
         debug_assert_eq!(self.tm.sort(t), Sort::Bool);
         let lowered = self.lower_bool(t);
         self.enc.assert_formula(&self.tm, lowered);
@@ -305,6 +311,8 @@ impl Solver {
                 let ls: Vec<TermId> = xs.iter().map(|&x| self.lower_bool(x)).collect();
                 self.tm.or(&ls)
             }
+            // An atom over registered variables (no ite) is its own lowering.
+            TermKind::Le(e) if e.terms.iter().all(|&(b, _)| self.spx_of.contains_key(&b)) => t,
             TermKind::Le(e) => {
                 let le = self.lower_linexpr(&e);
                 self.tm.le_zero(le)
@@ -353,31 +361,20 @@ impl Solver {
         }
     }
 
-    /// Make sure every atom the encoder registered exists on the LIA side.
+    /// Register on the LIA side every atom the encoder has seen since the
+    /// last call.
     fn register_new_atoms(&mut self) {
-        // Cloning the registry avoids borrowing issues; it is small.
-        let atoms: Vec<(TermId, crate::sat::Var)> = self.enc.atoms().to_vec();
-        for (term, _) in atoms {
-            if self.lia_atom_of.contains_key(&term) {
-                continue;
-            }
-            let TermKind::Le(e) = self.tm.kind(term).clone() else {
+        while let Some(&(term, var)) = self.enc.atoms().get(self.lia_atoms) {
+            self.lia_atoms += 1;
+            let TermKind::Le(e) = self.tm.kind(term) else {
                 unreachable!("registered atom is not Le");
             };
             let terms: Vec<(SpxVar, i64)> = e
                 .terms
                 .iter()
-                .map(|&(v, c)| {
-                    debug_assert!(
-                        matches!(self.tm.kind(v), TermKind::IntVar(_)),
-                        "atom not lowered"
-                    );
-                    self.register_int_var(v);
-                    (self.spx_of[&v], c)
-                })
+                .map(|&(v, c)| (*self.spx_of.get(&v).expect("atom not lowered"), c))
                 .collect();
-            let aid = self.lia.add_atom(&terms, -e.constant);
-            self.lia_atom_of.insert(term, aid);
+            self.lia.add_atom(&terms, -e.constant, var);
         }
     }
 
@@ -391,82 +388,48 @@ impl Solver {
 
     fn check_with_deadline(&mut self, deadline: Option<Instant>) -> SatResult {
         self.model = None;
-        self.last_iterations = 0;
         self.enc
             .sat
             .set_conflict_budget(self.budget.max_sat_conflicts);
-        loop {
-            self.last_iterations += 1;
-            self.total_iterations += 1;
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return SatResult::Unknown;
-            }
-            match self.enc.sat.solve() {
-                SolveResult::Unsat => return SatResult::Unsat,
-                SolveResult::Unknown => return SatResult::Unknown,
-                SolveResult::Sat => {}
-            }
-            // Read atom polarities off the SAT model.
-            let atoms = self.enc.atoms().to_vec();
-            let assignment: Vec<(AtomId, bool)> = atoms
-                .iter()
-                .map(|&(term, var)| (self.lia_atom_of[&term], self.enc.sat.model_value(var)))
-                .collect();
-            let int_spx: Vec<SpxVar> = self.int_vars.iter().map(|t| self.spx_of[t]).collect();
-            let lia_budget = LiaBudget {
-                deadline,
-                max_bb_nodes: self.budget.max_bb_nodes,
-            };
-            match self.lia.check(&assignment, &int_spx, lia_budget) {
-                LiaResult::Sat(values) => {
-                    let mut model = Model::default();
-                    for (t, v) in self.int_vars.iter().zip(values) {
-                        model.ints.insert(*t, v);
-                    }
-                    for (term, var) in &atoms {
-                        // Atoms are derived; bools come from BoolVar terms.
-                        let _ = (term, var);
-                    }
-                    // Record bool vars by scanning the lit table lazily:
-                    // re-encode on demand is not possible here, so we rely
-                    // on eval via stored bools; BoolVars get their SAT value.
-                    self.capture_bool_vars(&mut model);
-                    self.model = Some(model);
-                    return SatResult::Sat;
+        self.lia.set_max_bb_nodes(self.budget.max_bb_nodes);
+        match self.enc.sat.solve_with(&mut self.lia, deadline) {
+            SolveResult::Unsat => SatResult::Unsat,
+            SolveResult::Unknown => SatResult::Unknown,
+            SolveResult::Sat => {
+                let n = self.tm.num_terms();
+                let mut model = Model {
+                    ints: vec![0; n],
+                    bools: vec![false; n],
+                };
+                for (&t, &v) in self.int_vars.iter().zip(self.lia.model()) {
+                    model.ints[t as usize] = v;
                 }
-                LiaResult::Conflict(indices) => {
-                    let clause: Vec<crate::sat::Lit> = indices
-                        .iter()
-                        .map(|&i| {
-                            let (term, _) = atoms
-                                .iter()
-                                .find(|&&(t, _)| self.lia_atom_of[&t] == assignment[i].0)
-                                .expect("atom present");
-                            let var = atoms.iter().find(|&&(t, _)| t == *term).unwrap().1;
-                            let asserted_true = assignment[i].1;
-                            crate::sat::Lit::new(var, asserted_true)
-                        })
-                        .collect();
-                    if !self.enc.sat.add_clause(&clause) {
-                        return SatResult::Unsat;
-                    }
-                }
-                LiaResult::Unknown => return SatResult::Unknown,
+                self.capture_bool_vars(&mut model);
+                self.model = Some(model);
+                debug_assert!(self.model_satisfies_assertions());
+                SatResult::Sat
             }
         }
     }
 
+    /// BoolVars get their SAT value (their literal is memoized by the
+    /// encoder, so no new variable is made for one already encoded).
     fn capture_bool_vars(&mut self, model: &mut Model) {
-        // Every BoolVar term that has been encoded has a SAT literal; we
-        // re-derive it through the encoder (memoized, so no new vars).
-        let n = self.tm.num_terms();
-        for t in 0..n as TermId {
+        for t in 0..model.bools.len() as TermId {
             if let TermKind::BoolVar(_) = self.tm.kind(t) {
                 let lit = self.enc.lit(&self.tm, t);
-                let val = self.enc.sat.model_value(lit.var()) ^ lit.is_neg();
-                model.bools.insert(t, val);
+                model.bools[t as usize] = self.enc.sat.model_value(lit.var()) ^ lit.is_neg();
             }
         }
+    }
+
+    /// Self-check of the last `Sat` / `Optimal` / `Best` answer: every
+    /// asserted term, as it was given (before ite lowering and Tseitin),
+    /// evaluates to true under the model. `false` without a model.
+    pub fn model_satisfies_assertions(&self) -> bool {
+        self.model
+            .as_ref()
+            .is_some_and(|m| self.assertions.iter().all(|&t| m.eval_bool(&self.tm, t)))
     }
 
     /// The model of the last `Sat` check.
@@ -513,11 +476,12 @@ impl Solver {
     /// Minimize an integer objective by iterative strengthening
     /// (`obj ≤ best − 1` after every improving model), stopping early if
     /// `lo` is reached. The solver is consumed in the sense that the
-    /// objective bounds stay asserted.
+    /// objective bounds stay asserted; [`Solver::model`] is left at the
+    /// returned model.
     pub fn minimize(&mut self, obj: TermId, lo: i64) -> OptResult {
         let deadline = self.budget.timeout.map(|d| Instant::now() + d);
         let mut best: Option<(i64, Model)> = None;
-        loop {
+        let proven = loop {
             match self.check_with_deadline(deadline) {
                 SatResult::Sat => {
                     let m = self.model.clone().expect("sat implies model");
@@ -528,26 +492,24 @@ impl Solver {
                     );
                     best = Some((v, m));
                     if v <= lo {
-                        let (value, model) = best.unwrap();
-                        return OptResult::Optimal { value, model };
+                        break true;
                     }
                     let bound = self.int(v - 1);
                     let c = self.le(obj, bound);
-                    self.assert(c);
+                    self.assert_unrecorded(c);
                 }
-                SatResult::Unsat => {
-                    return match best {
-                        Some((value, model)) => OptResult::Optimal { value, model },
-                        None => OptResult::Unsat,
-                    };
-                }
-                SatResult::Unknown => {
-                    return match best {
-                        Some((value, model)) => OptResult::Best { value, model },
-                        None => OptResult::Unknown,
-                    };
-                }
+                SatResult::Unsat => break true,
+                SatResult::Unknown => break false,
             }
+        };
+        if self.model.is_none() {
+            self.model = best.as_ref().map(|(_, m)| m.clone());
+        }
+        match (best, proven) {
+            (Some((value, model)), true) => OptResult::Optimal { value, model },
+            (Some((value, model)), false) => OptResult::Best { value, model },
+            (None, true) => OptResult::Unsat,
+            (None, false) => OptResult::Unknown,
         }
     }
 }
@@ -824,9 +786,9 @@ mod tests {
             max_sat_conflicts: Some(10_000_000),
             max_bb_nodes: 1_000_000_000,
         });
-        // n values in n-1 slots, all distinct: unsat, but the lazy loop
-        // with full models will churn; we only require graceful Unknown or
-        // a proven Unsat — never a wrong Sat.
+        // n values in n-1 slots, all distinct: unsat, but the search
+        // churns through theory conflicts; we only require graceful Unknown
+        // or a proven Unsat — never a wrong Sat.
         let r = s.check();
         assert_ne!(r, SatResult::Sat);
     }

@@ -126,6 +126,7 @@ proptest! {
         match s.check() {
             SatResult::Sat => {
                 prop_assert!(expected, "solver sat, brute force unsat: {f:?}");
+                prop_assert!(s.model_satisfies_assertions(), "self-check failed: {f:?}");
                 // The model must actually satisfy the formula.
                 let assignment: Vec<i64> = vars.iter().map(|&v| s.model_int(v)).collect();
                 prop_assert!(
