@@ -94,11 +94,7 @@ fn solve_inner(
     let zero = s.int(0);
     // Corrected values.
     let x: Vec<Vec<_>> = (0..nq)
-        .map(|q| {
-            (0..l)
-                .map(|t| s.int_var(&format!("x_{q}_{t}")))
-                .collect::<Vec<_>>()
-        })
+        .map(|_| (0..l).map(|_| s.fresh_int()).collect())
         .collect();
 
     for q in 0..nq {
@@ -126,7 +122,7 @@ fn solve_inner(
     let one = s.int(1);
     let mut count_terms = Vec::with_capacity(l);
     for t in 0..l {
-        let nz = s.bool_var(&format!("nz_{t}"));
+        let nz = s.fresh_bool();
         let cols: Vec<_> = (0..nq).map(|q| x[q][t]).collect();
         let sum = s.add(&cols);
         let empty = s.le(sum, zero);
@@ -144,7 +140,7 @@ fn solve_inner(
     let mut dist_terms = Vec::new();
     for q in 0..nq {
         for t in 0..l - 1 {
-            let d = s.int_var(&format!("d_{q}_{t}"));
+            let d = s.fresh_int();
             let y = s.int(p.target[q][t]);
             let diff = s.sub(x[q][t], y);
             let c1 = s.ge(d, diff);

@@ -5,14 +5,14 @@
 //! variables, with atoms recorded in a registry the solver registers on
 //! the theory side in the same order.
 
+use crate::hash::FxMap;
 use crate::sat::{Lit, SatSolver, Var};
 use crate::term::{TermId, TermKind, TermManager};
-use std::collections::HashMap;
 
 /// CNF encoder with an atom registry.
 pub struct Encoder {
     pub sat: SatSolver,
-    lit_of: HashMap<TermId, Lit>,
+    lit_of: FxMap<TermId, Lit>,
     /// Registration order of theory atoms: (atom term, SAT var).
     atoms: Vec<(TermId, Var)>,
     /// A SAT variable forced true (lazily created for `True`/`False`).
@@ -29,7 +29,7 @@ impl Encoder {
     pub fn new() -> Encoder {
         Encoder {
             sat: SatSolver::new(),
-            lit_of: HashMap::new(),
+            lit_of: FxMap::default(),
             atoms: Vec::new(),
             const_true: None,
         }
@@ -67,12 +67,8 @@ impl Encoder {
                 self.atoms.push((t, v));
                 Lit::pos(v)
             }
-            TermKind::Not(inner) => {
-                let inner = *inner;
-                self.lit(tm, inner).negate()
-            }
+            TermKind::Not(inner) => self.lit(tm, *inner).negate(),
             TermKind::And(xs) => {
-                let xs = xs.clone();
                 let lits: Vec<Lit> = xs.iter().map(|&x| self.lit(tm, x)).collect();
                 let v = Lit::pos(self.sat.new_var());
                 // v -> xi
@@ -86,7 +82,6 @@ impl Encoder {
                 v
             }
             TermKind::Or(xs) => {
-                let xs = xs.clone();
                 let lits: Vec<Lit> = xs.iter().map(|&x| self.lit(tm, x)).collect();
                 let v = Lit::pos(self.sat.new_var());
                 // xi -> v
@@ -116,12 +111,11 @@ impl Encoder {
                 self.sat.add_clause(&[]);
             }
             TermKind::And(xs) => {
-                for &x in &xs.clone() {
+                for &x in xs {
                     self.assert_formula(tm, x);
                 }
             }
             TermKind::Or(xs) => {
-                let xs = xs.clone();
                 let clause: Vec<Lit> = xs.iter().map(|&x| self.lit(tm, x)).collect();
                 self.sat.add_clause(&clause);
             }

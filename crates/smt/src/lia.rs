@@ -108,6 +108,11 @@ impl LiaSolver {
         self.spx.pivots
     }
 
+    /// Test support: [`Simplex::assert_invariants`] of the tableau.
+    pub fn assert_invariants(&self) {
+        self.spx.assert_invariants();
+    }
+
     /// Branch-and-bound nodes allowed per `final_check`.
     pub fn set_max_bb_nodes(&mut self, nodes: u64) {
         self.max_bb_nodes = nodes;

@@ -52,6 +52,7 @@
 //! ```
 
 pub mod cnf;
+mod hash;
 pub mod lia;
 pub mod rational;
 pub mod sat;

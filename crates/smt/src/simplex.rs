@@ -15,6 +15,7 @@
 //! a pop; only bounds are undone.
 
 use crate::rational::Rat;
+use std::cmp::Ordering;
 
 /// Index of a simplex variable (problem vars and slack vars alike).
 pub type SpxVar = usize;
@@ -33,18 +34,47 @@ struct Bound {
 #[derive(Debug, Clone)]
 struct Row {
     basic: SpxVar,
-    /// Sparse (var, coeff) pairs over *nonbasic* variables, coeff ≠ 0.
+    /// Sparse (var, coeff) pairs over *nonbasic* variables, coeff ≠ 0,
+    /// strictly sorted by variable.
     coeffs: Vec<(SpxVar, Rat)>,
 }
 
 impl Row {
     fn coeff(&self, v: SpxVar) -> Rat {
-        self.coeffs
-            .iter()
-            .find(|&&(u, _)| u == v)
-            .map(|&(_, c)| c)
-            .unwrap_or(Rat::ZERO)
+        match self.coeffs.binary_search_by_key(&v, |&(u, _)| u) {
+            Ok(i) => self.coeffs[i].1,
+            Err(_) => Rat::ZERO,
+        }
     }
+}
+
+/// `out = a + k·b` over sorted sparse rows: one merge, zeros dropped.
+fn merge_scaled(out: &mut Vec<(SpxVar, Rat)>, a: &[(SpxVar, Rat)], b: &[(SpxVar, Rat)], k: Rat) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let ((va, ca), (vb, cb)) = (a[i], b[j]);
+        match va.cmp(&vb) {
+            Ordering::Less => {
+                out.push((va, ca));
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push((vb, k * cb));
+                j += 1;
+            }
+            Ordering::Equal => {
+                let c = ca + k * cb;
+                if !c.is_zero() {
+                    out.push((va, c));
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend(b[j..].iter().map(|&(v, c)| (v, k * c)));
 }
 
 /// Result of a feasibility check.
@@ -76,6 +106,8 @@ pub struct Simplex {
     /// β may violate a basic variable's bound. Clear means `check` has
     /// nothing to repair (a pop only loosens bounds).
     dirty: bool,
+    /// The row being merged; swapped with the row it replaces.
+    scratch: Vec<(SpxVar, Rat)>,
     /// Total pivots performed (for diagnostics / benches).
     pub pivots: u64,
 }
@@ -98,6 +130,7 @@ impl Simplex {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             dirty: false,
+            scratch: Vec::new(),
             pivots: 0,
         }
     }
@@ -145,15 +178,13 @@ impl Simplex {
             if c.is_zero() {
                 continue;
             }
-            match self.row_of[v] {
-                None => add_term(&mut expanded, v, c),
-                Some(ri) => {
-                    let coeffs = self.rows[ri].coeffs.clone();
-                    for (u, cu) in coeffs {
-                        add_term(&mut expanded, u, c * cu);
-                    }
-                }
-            }
+            let unit = [(v, Rat::ONE)];
+            let of_v = match self.row_of[v] {
+                None => &unit[..],
+                Some(ri) => &self.rows[ri].coeffs,
+            };
+            merge_scaled(&mut self.scratch, &expanded, of_v, c);
+            std::mem::swap(&mut expanded, &mut self.scratch);
         }
         // Value consistent with current assignment.
         let val = expanded
@@ -348,57 +379,47 @@ impl Simplex {
         let theta = (target - self.values[xi]) / aij;
         self.values[xi] = target;
         self.values[xj] += theta;
-        // Update all other basic values (they depend on xj).
-        for (k, row) in self.rows.iter().enumerate() {
-            if k != ri {
-                let c = row.coeff(xj);
-                if !c.is_zero() {
-                    self.values[row.basic] += c * theta;
-                }
-            }
-        }
         // Rewrite row ri: xj = (xi - Σ_{k≠j} a_k x_k) / aij.
-        let old = std::mem::replace(
-            &mut self.rows[ri],
-            Row {
-                basic: xj,
-                coeffs: Vec::new(),
-            },
-        );
         let inv = aij.recip();
-        let mut new_coeffs: Vec<(SpxVar, Rat)> = vec![(xi, inv)];
-        for &(v, c) in &old.coeffs {
-            if v != xj {
-                add_term(&mut new_coeffs, v, -c * inv);
-            }
-        }
-        self.rows[ri].coeffs = new_coeffs;
+        let mut sub = std::mem::take(&mut self.rows[ri].coeffs);
+        sub.retain_mut(|(v, c)| {
+            *c = -*c * inv;
+            *v != xj
+        });
+        let at = sub.partition_point(|&(v, _)| v < xi);
+        sub.insert(at, (xi, inv));
+        self.rows[ri].basic = xj;
         self.row_of[xi] = None;
         self.row_of[xj] = Some(ri);
-        // Substitute xj in every other row.
-        let sub = self.rows[ri].coeffs.clone();
-        for k in 0..self.rows.len() {
-            if k == ri {
+        // Every other row that mentions xj: its basic value follows xj, and
+        // xj is substituted (row − c·xj + c·sub) in one merge.
+        // (Row ri is empty while `sub` is out, so it skips itself.)
+        for row in &mut self.rows {
+            let Ok(at) = row.coeffs.binary_search_by_key(&xj, |&(u, _)| u) else {
                 continue;
-            }
-            let c = self.rows[k].coeff(xj);
-            if c.is_zero() {
-                continue;
-            }
-            self.rows[k].coeffs.retain(|&(v, _)| v != xj);
-            let existing = std::mem::take(&mut self.rows[k].coeffs);
-            let mut merged = existing;
-            for &(v, cv) in &sub {
-                add_term(&mut merged, v, c * cv);
-            }
-            self.rows[k].coeffs = merged;
+            };
+            let (_, c) = row.coeffs.remove(at);
+            self.values[row.basic] += c * theta;
+            merge_scaled(&mut self.scratch, &row.coeffs, &sub, c);
+            std::mem::swap(&mut row.coeffs, &mut self.scratch);
         }
+        self.rows[ri].coeffs = sub;
     }
 
-    /// Debug invariant: every row equation holds under the assignment.
-    #[cfg(test)]
-    fn assert_invariants(&self) {
+    /// Test support: panic unless every row is strictly sorted by variable
+    /// with no zero coefficient and mentions only nonbasic variables, every
+    /// row equation holds under the assignment, and every nonbasic variable
+    /// respects its bounds.
+    pub fn assert_invariants(&self) {
         for row in &self.rows {
+            assert!(
+                row.coeffs.windows(2).all(|w| w[0].0 < w[1].0),
+                "row not strictly sorted by variable"
+            );
+            assert!(
+                row.coeffs.iter().all(|(_, c)| !c.is_zero()),
+                "zero coefficient stored"
+            );
             let sum = row
                 .coeffs
                 .iter()
@@ -408,7 +429,6 @@ impl Simplex {
                 assert!(self.row_of[v].is_none(), "row references a basic var");
             }
         }
-        // Nonbasic variables respect their bounds.
         for v in 0..self.num_vars {
             if self.row_of[v].is_none() {
                 if let Some(lb) = self.lower[v] {
@@ -422,26 +442,37 @@ impl Simplex {
     }
 }
 
-fn add_term(terms: &mut Vec<(SpxVar, Rat)>, v: SpxVar, c: Rat) {
-    if c.is_zero() {
-        return;
-    }
-    if let Some(t) = terms.iter_mut().find(|t| t.0 == v) {
-        t.1 += c;
-        if t.1.is_zero() {
-            terms.retain(|&(u, _)| u != v);
-        }
-    } else {
-        terms.push((v, c));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn r(n: i64) -> Rat {
         Rat::int(n)
+    }
+
+    // The operations under test, each followed by the invariant check.
+
+    fn lower(s: &mut Simplex, v: SpxVar, value: Rat, tag: Tag) -> SpxResult {
+        let r = s.assert_lower(v, value, tag);
+        s.assert_invariants();
+        r
+    }
+
+    fn upper(s: &mut Simplex, v: SpxVar, value: Rat, tag: Tag) -> SpxResult {
+        let r = s.assert_upper(v, value, tag);
+        s.assert_invariants();
+        r
+    }
+
+    fn check(s: &mut Simplex) -> SpxResult {
+        let r = s.check();
+        s.assert_invariants();
+        r
+    }
+
+    fn pop(s: &mut Simplex) {
+        s.pop();
+        s.assert_invariants();
     }
 
     #[test]
@@ -451,11 +482,10 @@ mod tests {
         let x = s.new_var();
         let y = s.new_var();
         let sxy = s.add_row(&[(x, Rat::ONE), (y, Rat::ONE)]);
-        assert_eq!(s.assert_upper(sxy, r(10), 0), SpxResult::Feasible);
-        assert_eq!(s.assert_lower(x, r(3), 1), SpxResult::Feasible);
-        assert_eq!(s.assert_lower(y, r(4), 2), SpxResult::Feasible);
-        assert_eq!(s.check(), SpxResult::Feasible);
-        s.assert_invariants();
+        assert_eq!(upper(&mut s, sxy, r(10), 0), SpxResult::Feasible);
+        assert_eq!(lower(&mut s, x, r(3), 1), SpxResult::Feasible);
+        assert_eq!(lower(&mut s, y, r(4), 2), SpxResult::Feasible);
+        assert_eq!(check(&mut s), SpxResult::Feasible);
         assert!(s.value(x) >= r(3));
         assert!(s.value(y) >= r(4));
         assert!(s.value(x) + s.value(y) <= r(10));
@@ -469,11 +499,11 @@ mod tests {
         let y = s.new_var();
         let z = s.new_var(); // irrelevant var with bounds
         let sxy = s.add_row(&[(x, Rat::ONE), (y, Rat::ONE)]);
-        s.assert_lower(sxy, r(8), 10);
-        s.assert_upper(x, r(3), 11);
-        s.assert_upper(y, r(3), 12);
-        s.assert_lower(z, r(0), 13);
-        match s.check() {
+        lower(&mut s, sxy, r(8), 10);
+        upper(&mut s, x, r(3), 11);
+        upper(&mut s, y, r(3), 12);
+        lower(&mut s, z, r(0), 13);
+        match check(&mut s) {
             SpxResult::Infeasible(mut tags) => {
                 tags.sort_unstable();
                 assert_eq!(tags, vec![10, 11, 12], "explanation must not include var z");
@@ -486,8 +516,8 @@ mod tests {
     fn direct_bound_clash() {
         let mut s = Simplex::new();
         let x = s.new_var();
-        s.assert_lower(x, r(5), 1);
-        match s.assert_upper(x, r(4), 2) {
+        lower(&mut s, x, r(5), 1);
+        match upper(&mut s, x, r(4), 2) {
             SpxResult::Infeasible(tags) => {
                 assert!(tags.contains(&1) && tags.contains(&2));
             }
@@ -505,14 +535,13 @@ mod tests {
         let z = s.new_var();
         let s1 = s.add_row(&[(x, Rat::ONE), (y, Rat::ONE)]);
         let s2 = s.add_row(&[(s1, Rat::ONE), (z, Rat::ONE)]);
-        s.assert_lower(s2, r(6), 0);
-        s.assert_upper(s2, r(6), 1);
-        s.assert_lower(x, r(1), 2);
-        s.assert_upper(x, r(1), 3);
-        s.assert_lower(y, r(2), 4);
-        s.assert_upper(y, r(2), 5);
-        assert_eq!(s.check(), SpxResult::Feasible);
-        s.assert_invariants();
+        lower(&mut s, s2, r(6), 0);
+        upper(&mut s, s2, r(6), 1);
+        lower(&mut s, x, r(1), 2);
+        upper(&mut s, x, r(1), 3);
+        lower(&mut s, y, r(2), 4);
+        upper(&mut s, y, r(2), 5);
+        assert_eq!(check(&mut s), SpxResult::Feasible);
         assert_eq!(s.value(z), r(3));
         assert_eq!(s.value(s1), r(3));
     }
@@ -521,20 +550,20 @@ mod tests {
     fn push_pop_restores_feasibility() {
         let mut s = Simplex::new();
         let x = s.new_var();
-        s.assert_lower(x, r(0), 0);
-        s.assert_upper(x, r(10), 1);
-        assert_eq!(s.check(), SpxResult::Feasible);
+        lower(&mut s, x, r(0), 0);
+        upper(&mut s, x, r(10), 1);
+        assert_eq!(check(&mut s), SpxResult::Feasible);
         s.push();
-        s.assert_lower(x, r(20), 2); // direct clash
-        match s.assert_lower(x, r(20), 2) {
+        lower(&mut s, x, r(20), 2); // direct clash
+        match lower(&mut s, x, r(20), 2) {
             SpxResult::Infeasible(_) => {}
             _ => {
                 // the first assert may have succeeded in recording before
                 // detecting; a check must fail then
             }
         }
-        s.pop();
-        assert_eq!(s.check(), SpxResult::Feasible);
+        pop(&mut s);
+        assert_eq!(check(&mut s), SpxResult::Feasible);
         assert!(s.value(x) <= r(10) && s.value(x) >= r(0));
     }
 
@@ -545,10 +574,10 @@ mod tests {
         let x = s.new_var();
         let y = s.new_var();
         let d = s.add_row(&[(x, Rat::ONE), (y, -Rat::ONE)]);
-        s.assert_lower(d, r(2), 0);
-        s.assert_upper(x, r(1), 1);
-        s.assert_lower(y, r(0), 2);
-        match s.check() {
+        lower(&mut s, d, r(2), 0);
+        upper(&mut s, x, r(1), 1);
+        lower(&mut s, y, r(0), 2);
+        match check(&mut s) {
             SpxResult::Infeasible(mut tags) => {
                 tags.sort_unstable();
                 assert_eq!(tags, vec![0, 1, 2]);
@@ -563,9 +592,9 @@ mod tests {
         let mut s = Simplex::new();
         let x = s.new_var();
         let tw = s.add_row(&[(x, r(2))]);
-        s.assert_lower(tw, r(5), 0);
-        s.assert_upper(tw, r(5), 1);
-        assert_eq!(s.check(), SpxResult::Feasible);
+        lower(&mut s, tw, r(5), 0);
+        upper(&mut s, tw, r(5), 1);
+        assert_eq!(check(&mut s), SpxResult::Feasible);
         assert_eq!(s.value(x), Rat::new(5, 2));
     }
 
@@ -592,13 +621,60 @@ mod tests {
                 );
                 let row = s.add_row(&[(vars[i], r(c1)), (vars[j], r(c2))]);
                 let val = c1 * planted[i] + c2 * planted[j];
-                s.assert_upper(row, r(val + next().abs()), tag);
+                upper(&mut s, row, r(val + next().abs()), tag);
                 tag += 1;
-                s.assert_lower(row, r(val - next().abs()), tag);
+                lower(&mut s, row, r(val - next().abs()), tag);
                 tag += 1;
             }
-            assert_eq!(s.check(), SpxResult::Feasible);
-            s.assert_invariants();
+            assert_eq!(check(&mut s), SpxResult::Feasible);
         }
+    }
+
+    #[test]
+    fn pivot_rewrites_rows_as_worked_by_hand() {
+        // x0, x1, x2 nonbasic; s3 = x0 + 2·x1, s4 = x1 − x2, s5 = x0 + 2·x1 + x2.
+        let mut s = Simplex::new();
+        let x: Vec<SpxVar> = (0..3).map(|_| s.new_var()).collect();
+        let s3 = s.add_row(&[(x[0], r(1)), (x[1], r(2))]);
+        let s4 = s.add_row(&[(x[2], r(-1)), (x[1], r(1))]); // given unsorted
+        let s5 = s.add_row(&[(x[0], r(1)), (x[1], r(2)), (x[2], r(1))]);
+        s.assert_invariants();
+        assert_eq!(s.rows[1].coeffs, [(1, r(1)), (2, r(-1))], "add_row sorts");
+        let half = Rat::new(1, 2);
+
+        // Pivot s3 with x1, moving s3 to 4: x1 = −½·x0 + ½·s3, θ = 2.
+        s.pivot_and_update(0, s3, x[1], r(4));
+        s.assert_invariants();
+        assert_eq!(s.rows[0].basic, x[1]);
+        assert_eq!(s.rows[0].coeffs, [(0, -half), (3, half)]);
+        // s4 = x1 − x2 = −½·x0 − x2 + ½·s3.
+        assert_eq!(s.rows[1].basic, s4);
+        assert_eq!(s.rows[1].coeffs, [(0, -half), (2, r(-1)), (3, half)]);
+        // s5 = x0 + 2·x1 + x2 = x2 + s3: the x0 column cancels and is dropped.
+        assert_eq!(s.rows[2].basic, s5);
+        assert_eq!(s.rows[2].coeffs, [(2, r(1)), (3, r(1))]);
+        assert_eq!((s.row_of[s3], s.row_of[x[1]]), (None, Some(0)));
+        // x1 = 2 carries s4 and s5 with it.
+        assert_eq!(
+            [s.value(x[1]), s.value(s3), s.value(s4), s.value(s5)],
+            [r(2), r(4), r(2), r(4)]
+        );
+
+        // Pivot s4 with x2, moving s4 to 3: x2 = −½·x0 + ½·s3 − s4, θ = −1.
+        s.pivot_and_update(1, s4, x[2], r(3));
+        s.assert_invariants();
+        assert_eq!(s.rows[1].basic, x[2]);
+        assert_eq!(s.rows[1].coeffs, [(0, -half), (3, half), (4, r(-1))]);
+        // x1's row does not mention x2 and is untouched.
+        assert_eq!(s.rows[0].coeffs, [(0, -half), (3, half)]);
+        // s5 = x2 + s3 = −½·x0 + (3/2)·s3 − s4.
+        assert_eq!(
+            s.rows[2].coeffs,
+            [(0, -half), (3, Rat::new(3, 2)), (4, r(-1))]
+        );
+        assert_eq!(
+            [s.value(x[2]), s.value(s4), s.value(s5), s.value(x[1])],
+            [r(-1), r(3), r(3), r(2)]
+        );
     }
 }

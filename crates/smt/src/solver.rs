@@ -2,12 +2,12 @@
 //! models, and linear optimization.
 
 use crate::cnf::Encoder;
+use crate::hash::FxMap;
 use crate::lia::LiaSolver;
 use crate::sat::SolveResult;
 use crate::simplex::SpxVar;
 use crate::stats::SolverStats;
 use crate::term::{LinExpr, Sort, TermId, TermKind, TermManager};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Result of a satisfiability check.
@@ -137,14 +137,14 @@ pub struct Solver {
     enc: Encoder,
     lia: LiaSolver,
     /// IntVar term -> simplex variable.
-    spx_of: HashMap<TermId, SpxVar>,
+    spx_of: FxMap<TermId, SpxVar>,
     /// Registration order of int vars: the k-th is the LIA solver's k-th
     /// problem variable (model extraction).
     int_vars: Vec<TermId>,
     /// The encoder's first `lia_atoms` atoms exist on the LIA side.
     lia_atoms: usize,
     /// Ite node -> fresh IntVar term standing in for it.
-    ite_var_of: HashMap<TermId, TermId>,
+    ite_var_of: FxMap<TermId, TermId>,
     /// Every term passed to [`Solver::assert`], as given (pre-lowering).
     assertions: Vec<TermId>,
     budget: Budget,
@@ -163,10 +163,10 @@ impl Solver {
             tm: TermManager::new(),
             enc: Encoder::new(),
             lia: LiaSolver::new(),
-            spx_of: HashMap::new(),
+            spx_of: FxMap::default(),
             int_vars: Vec::new(),
             lia_atoms: 0,
-            ite_var_of: HashMap::new(),
+            ite_var_of: FxMap::default(),
             assertions: Vec::new(),
             budget: Budget::default(),
             model: None,
@@ -202,6 +202,19 @@ impl Solver {
 
     pub fn bool_var(&mut self, name: &str) -> TermId {
         self.tm.bool_var(name)
+    }
+
+    /// An int variable with no name (and no `String`); see
+    /// [`TermManager::fresh_int`].
+    pub fn fresh_int(&mut self) -> TermId {
+        let t = self.tm.fresh_int();
+        self.register_int_var(t);
+        t
+    }
+
+    /// A bool variable with no name; see [`TermManager::fresh_bool`].
+    pub fn fresh_bool(&mut self) -> TermId {
+        self.tm.fresh_bool()
     }
 
     pub fn int(&mut self, c: i64) -> TermId {
@@ -269,11 +282,7 @@ impl Solver {
     }
 
     fn register_int_var(&mut self, t: TermId) {
-        if !self.spx_of.contains_key(&t) {
-            let v = self.lia.new_int_var();
-            self.spx_of.insert(t, v);
-            self.int_vars.push(t);
-        }
+        spx_var(&mut self.spx_of, &mut self.int_vars, &mut self.lia, t);
     }
 
     // ---- assertion pipeline ----
@@ -295,10 +304,13 @@ impl Solver {
 
     /// Rewrite a bool term so that no atom references an `ite` node:
     /// each distinct `ite` is replaced by a fresh int variable constrained
-    /// by definitional implications.
+    /// by definitional implications. A term without an `ite` (known since
+    /// it was built) is its own lowering.
     fn lower_bool(&mut self, t: TermId) -> TermId {
+        if !self.tm.has_ite(t) {
+            return t;
+        }
         match self.tm.kind(t).clone() {
-            TermKind::True | TermKind::False | TermKind::BoolVar(_) => t,
             TermKind::Not(x) => {
                 let lx = self.lower_bool(x);
                 self.tm.not(lx)
@@ -311,58 +323,43 @@ impl Solver {
                 let ls: Vec<TermId> = xs.iter().map(|&x| self.lower_bool(x)).collect();
                 self.tm.or(&ls)
             }
-            // An atom over registered variables (no ite) is its own lowering.
-            TermKind::Le(e) if e.terms.iter().all(|&(b, _)| self.spx_of.contains_key(&b)) => t,
             TermKind::Le(e) => {
-                let le = self.lower_linexpr(&e);
-                self.tm.le_zero(le)
+                let terms = e
+                    .terms
+                    .iter()
+                    .map(|&(base, coeff)| (self.lower_int_base(base), coeff))
+                    .collect();
+                self.tm.le_zero(LinExpr::from_terms(terms, e.constant))
             }
-            k => panic!("not a bool term: {k:?}"),
+            k => panic!("not a bool term with an ite: {k:?}"),
         }
-    }
-
-    fn lower_linexpr(&mut self, e: &LinExpr) -> LinExpr {
-        let mut acc = LinExpr::constant(e.constant);
-        for &(base, coeff) in &e.terms {
-            let b = self.lower_int_base(base);
-            acc = acc.add_scaled(&LinExpr::var(b), coeff);
-        }
-        acc
     }
 
     /// Lower a base term (IntVar or Ite) to an IntVar term.
     fn lower_int_base(&mut self, t: TermId) -> TermId {
-        match self.tm.kind(t).clone() {
-            TermKind::IntVar(_) => {
-                self.register_int_var(t);
-                t
-            }
-            TermKind::Ite(c, a, b) => {
-                if let Some(&v) = self.ite_var_of.get(&t) {
-                    return v;
-                }
-                let name = format!("$ite{}", self.ite_var_of.len());
-                let v = self.tm.int_var(&name);
-                self.register_int_var(v);
-                self.ite_var_of.insert(t, v);
-                // Definitions: c -> v = a, !c -> v = b.
-                let lc = self.lower_bool(c);
-                let eq_a = self.tm.eq(v, a);
-                let eq_b = self.tm.eq(v, b);
-                let then_def = self.tm.implies(lc, eq_a);
-                let nlc = self.tm.not(lc);
-                let else_def = self.tm.implies(nlc, eq_b);
-                let both = self.tm.and(&[then_def, else_def]);
-                let lowered = self.lower_bool(both);
-                self.enc.assert_formula(&self.tm, lowered);
-                v
-            }
-            k => panic!("not an int base term: {k:?}"),
+        let TermKind::Ite(c, a, b) = *self.tm.kind(t) else {
+            return t;
+        };
+        if let Some(&v) = self.ite_var_of.get(&t) {
+            return v;
         }
+        let v = self.fresh_int();
+        self.ite_var_of.insert(t, v);
+        // Definitions: c -> v = a, !c -> v = b.
+        let lc = self.lower_bool(c);
+        let eq_a = self.tm.eq(v, a);
+        let eq_b = self.tm.eq(v, b);
+        let then_def = self.tm.implies(lc, eq_a);
+        let nlc = self.tm.not(lc);
+        let else_def = self.tm.implies(nlc, eq_b);
+        let both = self.tm.and(&[then_def, else_def]);
+        let lowered = self.lower_bool(both);
+        self.enc.assert_formula(&self.tm, lowered);
+        v
     }
 
     /// Register on the LIA side every atom the encoder has seen since the
-    /// last call.
+    /// last call (and any int variable first seen in one).
     fn register_new_atoms(&mut self) {
         while let Some(&(term, var)) = self.enc.atoms().get(self.lia_atoms) {
             self.lia_atoms += 1;
@@ -372,7 +369,12 @@ impl Solver {
             let terms: Vec<(SpxVar, i64)> = e
                 .terms
                 .iter()
-                .map(|&(v, c)| (*self.spx_of.get(&v).expect("atom not lowered"), c))
+                .map(|&(v, c)| {
+                    (
+                        spx_var(&mut self.spx_of, &mut self.int_vars, &mut self.lia, v),
+                        c,
+                    )
+                })
                 .collect();
             self.lia.add_atom(&terms, -e.constant, var);
         }
@@ -512,6 +514,20 @@ impl Solver {
             (None, false) => OptResult::Unknown,
         }
     }
+}
+
+/// The simplex variable of an IntVar term, allocated on first sight (a
+/// free function so that it can run while a term is borrowed).
+fn spx_var(
+    spx_of: &mut FxMap<TermId, SpxVar>,
+    int_vars: &mut Vec<TermId>,
+    lia: &mut LiaSolver,
+    t: TermId,
+) -> SpxVar {
+    *spx_of.entry(t).or_insert_with(|| {
+        int_vars.push(t);
+        lia.new_int_var()
+    })
 }
 
 #[cfg(test)]

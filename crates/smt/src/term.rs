@@ -6,7 +6,8 @@
 //! normalized to `expr ≤ 0`; `≥`, `<`, `>` and `=` are desugared at
 //! construction, so the downstream pipeline only ever sees one atom shape.
 
-use std::collections::HashMap;
+use crate::hash::{fx_hash, FxMap};
+use std::collections::hash_map::Entry;
 
 /// Index of a term in its [`TermManager`].
 pub type TermId = u32;
@@ -36,58 +37,23 @@ impl LinExpr {
         }
     }
 
-    pub fn var(v: TermId) -> LinExpr {
-        LinExpr {
-            terms: vec![(v, 1)],
-            constant: 0,
-        }
+    /// Canonical form of `Σ coeff·base + constant` given in any order and
+    /// with repeats: sorted by base, equal bases summed, zeros dropped.
+    pub fn from_terms(mut terms: Vec<(TermId, i64)>, constant: i64) -> LinExpr {
+        terms.sort_unstable_by_key(|&(v, _)| v);
+        terms.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        terms.retain(|&(_, c)| c != 0);
+        LinExpr { terms, constant }
     }
 
     pub fn is_constant(&self) -> bool {
         self.terms.is_empty()
-    }
-
-    /// `self + k·other`.
-    pub fn add_scaled(&self, other: &LinExpr, k: i64) -> LinExpr {
-        if k == 0 {
-            return self.clone();
-        }
-        let mut terms = Vec::with_capacity(self.terms.len() + other.terms.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.terms.len() || j < other.terms.len() {
-            let take_left = j >= other.terms.len()
-                || (i < self.terms.len() && self.terms[i].0 <= other.terms[j].0);
-            let take_right = i >= self.terms.len()
-                || (j < other.terms.len() && other.terms[j].0 <= self.terms[i].0);
-            if take_left && take_right {
-                let c = self.terms[i].1 + k * other.terms[j].1;
-                if c != 0 {
-                    terms.push((self.terms[i].0, c));
-                }
-                i += 1;
-                j += 1;
-            } else if take_left {
-                terms.push(self.terms[i]);
-                i += 1;
-            } else {
-                terms.push((other.terms[j].0, k * other.terms[j].1));
-                j += 1;
-            }
-        }
-        LinExpr {
-            terms,
-            constant: self.constant + k * other.constant,
-        }
-    }
-
-    pub fn scale(&self, k: i64) -> LinExpr {
-        if k == 0 {
-            return LinExpr::constant(0);
-        }
-        LinExpr {
-            terms: self.terms.iter().map(|&(v, c)| (v, c * k)).collect(),
-            constant: self.constant * k,
-        }
     }
 }
 
@@ -114,9 +80,15 @@ pub enum TermKind {
 /// Hash-consing term factory; every formula in a [`crate::Solver`] lives in
 /// one of these.
 pub struct TermManager {
+    /// Each kind is stored here and nowhere else.
     kinds: Vec<TermKind>,
-    dedup: HashMap<TermKind, TermId>,
-    var_names: Vec<String>,
+    /// `has_ite[t]`: an `Ite` node is reachable from term `t`.
+    has_ite: Vec<bool>,
+    /// Hash of a kind → its id, compared against `kinds[id]`; a kind whose
+    /// hash is taken by another sits at the next free hash above it.
+    dedup: FxMap<u64, TermId>,
+    /// Indexed by variable number; anonymous variables have no name.
+    var_names: Vec<Option<String>>,
     true_id: TermId,
     false_id: TermId,
 }
@@ -131,7 +103,8 @@ impl TermManager {
     pub fn new() -> TermManager {
         let mut tm = TermManager {
             kinds: Vec::new(),
-            dedup: HashMap::new(),
+            has_ite: Vec::new(),
+            dedup: FxMap::default(),
             var_names: Vec::new(),
             true_id: 0,
             false_id: 0,
@@ -142,17 +115,38 @@ impl TermManager {
     }
 
     fn intern(&mut self, kind: TermKind) -> TermId {
-        if let Some(&id) = self.dedup.get(&kind) {
-            return id;
-        }
         let id = self.kinds.len() as TermId;
-        self.kinds.push(kind.clone());
-        self.dedup.insert(kind, id);
+        let mut hash = fx_hash(&kind);
+        loop {
+            match self.dedup.entry(hash) {
+                Entry::Occupied(e) if self.kinds[*e.get() as usize] == kind => return *e.get(),
+                Entry::Occupied(_) => hash = hash.wrapping_add(1),
+                Entry::Vacant(e) => {
+                    e.insert(id);
+                    break;
+                }
+            }
+        }
+        let has_ite = match &kind {
+            TermKind::Ite(..) => true,
+            TermKind::Not(x) => self.has_ite(*x),
+            TermKind::And(xs) | TermKind::Or(xs) => xs.iter().any(|&x| self.has_ite(x)),
+            TermKind::Le(e) | TermKind::Linear(e) => e.terms.iter().any(|&(b, _)| self.has_ite(b)),
+            _ => false,
+        };
+        self.has_ite.push(has_ite);
+        self.kinds.push(kind);
         id
     }
 
     pub fn kind(&self, t: TermId) -> &TermKind {
         &self.kinds[t as usize]
+    }
+
+    /// Does `t` contain an `ite` node (itself included)? Decided when the
+    /// term was built.
+    pub fn has_ite(&self, t: TermId) -> bool {
+        self.has_ite[t as usize]
     }
 
     pub fn num_terms(&self) -> usize {
@@ -172,8 +166,9 @@ impl TermManager {
         }
     }
 
-    pub fn var_name(&self, index: u32) -> &str {
-        &self.var_names[index as usize]
+    /// The name a variable was given; `None` for an anonymous one.
+    pub fn var_name(&self, index: u32) -> Option<&str> {
+        self.var_names[index as usize].as_deref()
     }
 
     // ---- leaves ----
@@ -186,16 +181,28 @@ impl TermManager {
         self.false_id
     }
 
-    pub fn bool_var(&mut self, name: &str) -> TermId {
+    fn new_var(&mut self, name: Option<&str>, kind: fn(u32) -> TermKind) -> TermId {
         let idx = self.var_names.len() as u32;
-        self.var_names.push(name.to_string());
-        self.intern(TermKind::BoolVar(idx))
+        self.var_names.push(name.map(str::to_string));
+        self.intern(kind(idx))
+    }
+
+    pub fn bool_var(&mut self, name: &str) -> TermId {
+        self.new_var(Some(name), TermKind::BoolVar)
     }
 
     pub fn int_var(&mut self, name: &str) -> TermId {
-        let idx = self.var_names.len() as u32;
-        self.var_names.push(name.to_string());
-        self.intern(TermKind::IntVar(idx))
+        self.new_var(Some(name), TermKind::IntVar)
+    }
+
+    /// An anonymous bool variable ([`TermManager::display`] prints `b<n>`).
+    pub fn fresh_bool(&mut self) -> TermId {
+        self.new_var(None, TermKind::BoolVar)
+    }
+
+    /// An anonymous int variable ([`TermManager::display`] prints `i<n>`).
+    pub fn fresh_int(&mut self) -> TermId {
+        self.new_var(None, TermKind::IntVar)
     }
 
     pub fn int(&mut self, c: i64) -> TermId {
@@ -204,13 +211,21 @@ impl TermManager {
 
     // ---- int structure ----
 
-    /// The linear view of any int-sorted term.
-    pub fn as_linear(&self, t: TermId) -> LinExpr {
-        match self.kind(t) {
-            TermKind::IntVar(_) | TermKind::Ite(..) => LinExpr::var(t),
-            TermKind::Linear(l) => l.clone(),
-            k => panic!("not an int term: {k:?}"),
+    /// `Σ k·t` over int-sorted terms, gathered and merged in one pass.
+    fn linear_sum(&self, parts: impl IntoIterator<Item = (TermId, i64)>) -> LinExpr {
+        let mut terms = Vec::new();
+        let mut constant = 0;
+        for (t, k) in parts {
+            match self.kind(t) {
+                TermKind::IntVar(_) | TermKind::Ite(..) => terms.push((t, k)),
+                TermKind::Linear(l) => {
+                    terms.extend(l.terms.iter().map(|&(v, c)| (v, c * k)));
+                    constant += l.constant * k;
+                }
+                k => panic!("not an int term: {k:?}"),
+            }
         }
+        LinExpr::from_terms(terms, constant)
     }
 
     fn intern_linear(&mut self, l: LinExpr) -> TermId {
@@ -222,23 +237,17 @@ impl TermManager {
     }
 
     pub fn add(&mut self, ts: &[TermId]) -> TermId {
-        let mut acc = LinExpr::constant(0);
-        for &t in ts {
-            let l = self.as_linear(t);
-            acc = acc.add_scaled(&l, 1);
-        }
-        self.intern_linear(acc)
+        let l = self.linear_sum(ts.iter().map(|&t| (t, 1)));
+        self.intern_linear(l)
     }
 
     pub fn sub(&mut self, a: TermId, b: TermId) -> TermId {
-        let la = self.as_linear(a);
-        let lb = self.as_linear(b);
-        let l = la.add_scaled(&lb, -1);
+        let l = self.linear_sum([(a, 1), (b, -1)]);
         self.intern_linear(l)
     }
 
     pub fn mul_const(&mut self, k: i64, t: TermId) -> TermId {
-        let l = self.as_linear(t).scale(k);
+        let l = self.linear_sum([(t, k)]);
         self.intern_linear(l)
     }
 
@@ -267,9 +276,8 @@ impl TermManager {
 
     /// `a ≤ b`, normalized to `a − b ≤ 0`.
     pub fn le(&mut self, a: TermId, b: TermId) -> TermId {
-        let la = self.as_linear(a);
-        let lb = self.as_linear(b);
-        self.le_zero(la.add_scaled(&lb, -1))
+        let e = self.linear_sum([(a, 1), (b, -1)]);
+        self.le_zero(e)
     }
 
     /// `expr ≤ 0` with constant folding and coefficient gcd tightening.
@@ -302,9 +310,7 @@ impl TermManager {
 
     /// `a < b` over the integers: `a + 1 ≤ b`.
     pub fn lt(&mut self, a: TermId, b: TermId) -> TermId {
-        let la = self.as_linear(a);
-        let lb = self.as_linear(b);
-        let mut e = la.add_scaled(&lb, -1);
+        let mut e = self.linear_sum([(a, 1), (b, -1)]);
         e.constant += 1;
         self.le_zero(e)
     }
@@ -401,7 +407,12 @@ impl TermManager {
         match self.kind(t) {
             TermKind::True => "true".into(),
             TermKind::False => "false".into(),
-            TermKind::BoolVar(i) | TermKind::IntVar(i) => self.var_name(*i).to_string(),
+            TermKind::BoolVar(i) => self
+                .var_name(*i)
+                .map_or_else(|| format!("b{i}"), str::to_string),
+            TermKind::IntVar(i) => self
+                .var_name(*i)
+                .map_or_else(|| format!("i{i}"), str::to_string),
             TermKind::Not(x) => format!("(not {})", self.display(*x)),
             TermKind::And(xs) => {
                 format!(
@@ -472,6 +483,21 @@ mod tests {
         let a = tm.add(&[x, y]);
         let b = tm.add(&[y, x]);
         assert_eq!(a, b, "commutative sums must intern to one node");
+    }
+
+    #[test]
+    fn a_taken_hash_sends_the_kind_to_the_next_free_one() {
+        let mut tm = TermManager::new();
+        let x = tm.int_var("x");
+        // Occupy the slot the atom `x ≤ 0` hashes to with another term.
+        let atom = TermKind::Le(LinExpr::from_terms(vec![(x, 1)], 0));
+        tm.dedup.insert(fx_hash(&atom), x);
+        let zero = tm.int(0);
+        let a = tm.le(x, zero);
+        assert_ne!(a, x, "a colliding hash is not an equal kind");
+        assert_eq!(tm.kind(a), &atom);
+        assert_eq!(tm.le(x, zero), a, "found again behind the collision");
+        assert_eq!(tm.dedup[&fx_hash(&atom).wrapping_add(1)], a);
     }
 
     #[test]
@@ -558,6 +584,67 @@ mod tests {
             TermKind::And(parts) => assert_eq!(parts.len(), 2),
             k => panic!("expected And, got {k:?}"),
         }
+    }
+
+    #[test]
+    fn sums_merge_repeats_and_cancellations_in_one_pass() {
+        let mut tm = TermManager::new();
+        let x = tm.int_var("x");
+        let y = tm.int_var("y");
+        let three = tm.int(3);
+        let two_y = tm.mul_const(2, y);
+        let x_minus_y = tm.sub(x, y);
+        // y + 3 + x + 2y + (x − y) + x = 3x + 2y + 3, whatever the order.
+        let s = tm.add(&[y, three, x, two_y, x_minus_y, x]);
+        let TermKind::Linear(l) = tm.kind(s) else {
+            panic!("expected a Linear node");
+        };
+        assert_eq!((l.terms.as_slice(), l.constant), (&[(x, 3), (y, 2)][..], 3));
+        // x + y − x − y = 0, the same node as the literal 0.
+        let neg_x = tm.neg(x);
+        let neg_y = tm.neg(y);
+        assert_eq!(tm.add(&[x, y, neg_x, neg_y]), tm.int(0));
+    }
+
+    #[test]
+    fn ite_bit_is_set_at_intern_time() {
+        let mut tm = TermManager::new();
+        let x = tm.int_var("x");
+        let p = tm.bool_var("p");
+        let (zero, one) = (tm.int(0), tm.int(1));
+        let plain = tm.le(x, one);
+        let i = tm.ite(p, one, zero);
+        let sum = tm.add(&[x, i]);
+        let atom = tm.le(sum, one);
+        let neg = tm.not(atom);
+        let both = tm.and(&[plain, neg]);
+        let either = tm.or(&[plain, p]);
+        for (t, want) in [
+            (x, false),
+            (plain, false),
+            (either, false),
+            (i, true),
+            (sum, true),
+            (atom, true),
+            (neg, true),
+            (both, true),
+        ] {
+            assert_eq!(tm.has_ite(t), want, "{}", tm.display(t));
+        }
+    }
+
+    #[test]
+    fn anonymous_variables_print_their_number() {
+        let mut tm = TermManager::new();
+        let x = tm.int_var("x");
+        let i = tm.fresh_int();
+        let b = tm.fresh_bool();
+        assert_ne!(i, tm.fresh_int(), "every fresh variable is a new term");
+        assert_eq!(
+            [tm.display(x), tm.display(i), tm.display(b)],
+            ["x", "i1", "b2"]
+        );
+        assert_eq!((tm.var_name(0), tm.var_name(1)), (Some("x"), None));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! (a) bounds follow the trail — after any interleaving of `assert_lit` /
 //!     `push_level` / `backtrack_to` / `check`, the simplex holds exactly
-//!     the bounds of a fresh solver given the surviving literals;
+//!     the bounds of a fresh solver given the surviving literals, and its
+//!     tableau invariants (sorted rows, row equations, nonbasic bounds)
+//!     hold after every single operation;
 //! (b) single-variable atoms are bounds on the variable, rounded exactly;
 //! (c) every conflict clause negates literals that were really asserted;
 //! (d) `Rat`'s integer fast path ≡ the general cross-multiplied path;
@@ -111,6 +113,7 @@ proptest! {
                     prop_assert!(clause_cites_only(&r, &levels.concat()), "{r:?}");
                 }
             }
+            lia.assert_invariants();
         }
         let mut fresh = solver_with(&atoms);
         for &lit in levels.iter().flatten() {
@@ -121,6 +124,8 @@ proptest! {
             prop_assert_eq!(lia.bounds(v), fresh.bounds(v), "bounds of var {}", v);
         }
         let (got, want) = (lia.check(), fresh.check());
+        lia.assert_invariants();
+        fresh.assert_invariants();
         prop_assert!(clause_cites_only(&got, &levels.concat()), "{got:?}");
         prop_assert_eq!(
             got == TheoryResult::Consistent,
