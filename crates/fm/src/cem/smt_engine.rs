@@ -11,9 +11,10 @@
 //!   `d ≥ x − target ∧ d ≥ target − x` (the L1 distance).
 
 use super::{IntervalProblem, IntervalSolution};
-use fmml_obs::Counter;
+use fmml_obs::{Counter, Histogram, Unit};
 use fmml_smt::solver::{Budget, OptResult};
-use fmml_smt::{Solver, SolverStats};
+use fmml_smt::{SatResult, Solver, SolverStats};
+use std::time::Instant;
 
 /// SAT branching decisions across all CEM solver instances.
 static SMT_DECISIONS: Counter = Counter::new("smt.decisions");
@@ -35,6 +36,13 @@ static SMT_ROWS: Counter = Counter::new("smt.tableau_rows");
 static SMT_THEORY_CHECKS: Counter = Counter::new("smt.theory_checks");
 /// Full-assignment theory checks across all CEM solver instances.
 static SMT_ITERATIONS: Counter = Counter::new("smt.iterations");
+
+/// Where an interval's time goes: building the formula, the checks that
+/// ended `Sat` (finding ever better models), and the check that ended
+/// `Unsat` (the optimality proof).
+static STAGE_BUILD_US: Histogram = Histogram::new("smt.stage.build_us", Unit::Micros);
+static STAGE_SEARCH_US: Histogram = Histogram::new("smt.stage.search_us", Unit::Micros);
+static STAGE_PROOF_US: Histogram = Histogram::new("smt.stage.proof_us", Unit::Micros);
 
 /// Fold a [`SolverStats`] delta into the process-wide `smt.*` counters.
 ///
@@ -61,17 +69,20 @@ pub enum SmtCemError {
     Budget,
 }
 
-/// Solve one interval with the optimizing SMT encoding, warm-started
-/// from the fast engine's optimum: the known objective value is asserted
-/// as an upper bound so the solver's first model is already optimal and
-/// only the final UNSAT step (the optimality proof) remains. This is the
-/// engineering analog of the paper's observation that CEM stays fast
-/// because "the transformer output has already satisfied some of the
-/// constraints".
+/// Solve one interval with the optimizing SMT encoding, started from the
+/// fast engine's optimum: its corrected series (with the `d = |x − target|`
+/// and `nz_t` it implies) goes to the solver as a suggested model. The
+/// solver *checks* it against every assertion before it bounds anything,
+/// so a wrong fast-engine answer costs time and never an answer; a
+/// suggestion that passes is the incumbent, the search starts below it
+/// and what is left is the optimality proof. The rest is heuristic: the
+/// suggestion's truth values order the search. This is the engineering
+/// analog of the paper's observation that CEM stays fast because "the
+/// transformer output has already satisfied some of the constraints".
 pub fn solve_warm(p: &IntervalProblem, budget: Budget) -> Result<IntervalSolution, SmtCemError> {
     match super::fast_engine::solve(p) {
         None => Err(SmtCemError::Infeasible),
-        Some(hint) => solve_inner(p, budget, Some(hint.objective)),
+        Some(hint) => solve_inner(p, budget, Some(&hint.values)),
     }
 }
 
@@ -80,12 +91,14 @@ pub fn solve(p: &IntervalProblem, budget: Budget) -> Result<IntervalSolution, Sm
     solve_inner(p, budget, None)
 }
 
+/// `suggested[q][t]`, if given, is a series to start the search from.
 #[allow(clippy::needless_range_loop)]
 fn solve_inner(
     p: &IntervalProblem,
     budget: Budget,
-    hint: Option<u64>,
+    suggested: Option<&[Vec<u32>]>,
 ) -> Result<IntervalSolution, SmtCemError> {
+    let started = Instant::now();
     let nq = p.num_queues();
     let l = p.len;
     let mut s = Solver::new();
@@ -120,9 +133,9 @@ fn solve_inner(
 
     // C3: indicator per step; ¬nz_t forces the step to be all-zero.
     let one = s.int(1);
+    let nz: Vec<_> = (0..l).map(|_| s.fresh_bool()).collect();
     let mut count_terms = Vec::with_capacity(l);
-    for t in 0..l {
-        let nz = s.fresh_bool();
+    for (t, &nz) in nz.iter().enumerate() {
         let cols: Vec<_> = (0..nq).map(|q| x[q][t]).collect();
         let sum = s.add(&cols);
         let empty = s.le(sum, zero);
@@ -137,7 +150,7 @@ fn solve_inner(
     s.assert(c3);
 
     // Objective: L1 distance to the target over non-sample steps.
-    let mut dist_terms = Vec::new();
+    let mut dist_terms = Vec::with_capacity(nq * (l - 1));
     for q in 0..nq {
         for t in 0..l - 1 {
             let d = s.fresh_int();
@@ -152,11 +165,35 @@ fn solve_inner(
         }
     }
     let obj = s.add(&dist_terms);
+    let built = Instant::now();
 
-    let result = match hint {
-        Some(h) => s.minimize_with_hint(obj, 0, h as i64),
+    let result = match suggested {
+        Some(values) => {
+            let mut ints = Vec::with_capacity(2 * nq * l);
+            for q in 0..nq {
+                for t in 0..l {
+                    ints.push((x[q][t], values[q][t] as i64));
+                }
+                for t in 0..l - 1 {
+                    let d = dist_terms[q * (l - 1) + t];
+                    ints.push((d, (values[q][t] as i64 - p.target[q][t]).abs()));
+                }
+            }
+            let bools: Vec<_> = (0..l)
+                .map(|t| (nz[t], values.iter().any(|series| series[t] > 0)))
+                .collect();
+            s.minimize_from(obj, 0, &ints, &bools)
+        }
         None => s.minimize(obj, 0),
     };
+    let solved = Instant::now();
+    let proof_from = match s.last_check() {
+        Some((at, SatResult::Unsat)) => at,
+        _ => solved,
+    };
+    STAGE_BUILD_US.record_duration(built - started);
+    STAGE_SEARCH_US.record_duration(proof_from - built);
+    STAGE_PROOF_US.record_duration(solved - proof_from);
     // The solver is fresh per interval, so its cumulative stats are
     // exactly this interval's work.
     record_solver_stats(&s.stats());
@@ -243,6 +280,39 @@ mod tests {
         let warm = solve_warm(&p, budget()).unwrap();
         assert_eq!(cold.objective, warm.objective);
         assert!(warm.is_feasible(&p));
+    }
+
+    #[test]
+    fn a_corrupted_suggestion_costs_time_not_the_answer() {
+        let p = IntervalProblem {
+            len: 5,
+            target: vec![vec![0, 6, 2, 1, 0], vec![1, 0, 0, 2, 0]],
+            maxes: vec![4, 2],
+            samples: vec![0, 1],
+            m_out: 3,
+        };
+        let cold = solve(&p, budget()).unwrap();
+        let good = super::super::fast_engine::solve(&p).unwrap().values;
+        // (corruption, does it leave a feasible — merely worse — series?)
+        type Corruption = fn(&mut Vec<Vec<u32>>);
+        let corruptions: [(Corruption, bool); 4] = [
+            (|v| v[0][1] = 9, false),                          // above the max
+            (|v| v[1][4] = 0, false),                          // sample unpinned
+            (|v| v.iter_mut().for_each(|q| q.fill(1)), false), // C1, C2 and C3
+            (|v| v[0][3] += 1, true),                          // one step further from the target
+        ];
+        for (corrupt, still_feasible) in corruptions {
+            let mut values = good.clone();
+            corrupt(&mut values);
+            let suggested = IntervalSolution {
+                values,
+                objective: 0,
+            };
+            assert_eq!(suggested.is_feasible(&p), still_feasible, "{suggested:?}");
+            let s = solve_inner(&p, budget(), Some(&suggested.values)).unwrap();
+            assert_eq!(s.objective, cold.objective, "suggested {suggested:?}");
+            assert!(s.is_feasible(&p));
+        }
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //!
 //! Three fixed interval problems at the benchmark's `offline-smt` geometry
 //! (10 steps × 2 queues), one per non-trivial cost class of
-//! `benchmark/src/offline.rs` (1–2, 3–4, ≥ 5 non-empty target steps), go
-//! through `smt_engine::solve_warm`; the solver's own counters must read
-//! exactly the pinned work, twice in one process. Counts repeat to the
-//! unit where wall-clock does not, so a solver PR that removes work edits
-//! these numbers downwards and proves it at 0 % spread.
+//! `benchmark/src/offline.rs` (1–2, 3–4, ≥ 5 non-empty target steps), and
+//! one at paper geometry (50 × 2) go through `smt_engine::solve_warm`;
+//! the solver's own counters must read exactly the pinned work, twice in
+//! one process. Counts repeat to the unit where wall-clock does not, so a
+//! solver PR that removes work edits these numbers downwards and proves
+//! it at 0 % spread. `iterations: 0` is the warm start at work: the fast
+//! engine's optimum is adopted after being checked, no model is searched
+//! for, and everything counted is the optimality proof.
 //!
 //! One test in this binary: the `smt.*` counters are process-wide.
 
@@ -58,14 +61,14 @@ fn solve(p: &IntervalProblem) -> (Work, u64) {
     (work, sol.objective)
 }
 
-fn problem(
-    target: [[i64; 10]; 2],
+fn problem<const L: usize>(
+    target: [[i64; L]; 2],
     maxes: [u32; 2],
     samples: [u32; 2],
     m_out: u32,
 ) -> IntervalProblem {
     IntervalProblem {
-        len: 10,
+        len: L,
         target: target.iter().map(|q| q.to_vec()).collect(),
         maxes: maxes.to_vec(),
         samples: samples.to_vec(),
@@ -90,12 +93,12 @@ fn solver_work_is_pinned_per_cost_class() {
             ),
             1,
             Work {
-                decisions: 277,
+                decisions: 39,
                 conflicts: 0,
-                theory_conflicts: 24,
-                iterations: 1,
-                pivots: 30,
-                tableau_rows: 49,
+                theory_conflicts: 10,
+                iterations: 0,
+                pivots: 29,
+                tableau_rows: 48,
             },
         ),
         // 4 non-empty steps, C3 admits 3: one must be emptied.
@@ -111,12 +114,12 @@ fn solver_work_is_pinned_per_cost_class() {
             ),
             5,
             Work {
-                decisions: 328,
+                decisions: 94,
                 conflicts: 0,
-                theory_conflicts: 37,
-                iterations: 1,
-                pivots: 85,
-                tableau_rows: 49,
+                theory_conflicts: 21,
+                iterations: 0,
+                pivots: 63,
+                tableau_rows: 48,
             },
         ),
         // 9 non-empty steps, C3 admits 5: the heavy class.
@@ -132,16 +135,47 @@ fn solver_work_is_pinned_per_cost_class() {
             ),
             9,
             Work {
-                decisions: 586,
-                conflicts: 13,
-                theory_conflicts: 130,
-                iterations: 1,
-                pivots: 342,
-                tableau_rows: 49,
+                decisions: 350,
+                conflicts: 5,
+                theory_conflicts: 85,
+                iterations: 0,
+                pivots: 210,
+                tableau_rows: 48,
             },
         ),
     ];
-    for (p, objective, pinned) in &cases {
+    // Paper geometry (50 steps × 2 queues), where ROADMAP item 4's
+    // `fm.smt_interval_ms_p50` target is read: 12 non-empty steps, C3
+    // admits 8, and queue 0's burst overshoots its max.
+    let mut paper = [[0i64; 50]; 2];
+    for (t, v) in [
+        (5, 2),
+        (6, 5),
+        (7, 7),
+        (8, 3),
+        (20, 1),
+        (31, 4),
+        (32, 4),
+        (33, 2),
+    ] {
+        paper[0][t] = v;
+    }
+    for (t, v) in [(6, 1), (12, 3), (13, 2), (32, 2), (40, 1)] {
+        paper[1][t] = v;
+    }
+    let paper_case = (
+        problem(paper, [6, 3], [0, 1], 8),
+        7,
+        Work {
+            decisions: 2081,
+            conflicts: 5,
+            theory_conflicts: 146,
+            iterations: 0,
+            pivots: 892,
+            tableau_rows: 248,
+        },
+    );
+    for (p, objective, pinned) in cases.iter().chain([&paper_case]) {
         let first = solve(p);
         let second = solve(p);
         assert_eq!(first, second, "work differs between two solves of {p:?}");

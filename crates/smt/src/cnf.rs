@@ -40,6 +40,15 @@ impl Encoder {
         &self.atoms
     }
 
+    /// Point the first decision on every encoded term's variable at the
+    /// term's truth under `value` (a search heuristic, see
+    /// [`SatSolver::set_phase`]).
+    pub fn set_phases(&mut self, value: impl Fn(TermId) -> bool) {
+        for (&t, &lit) in &self.lit_of {
+            self.sat.set_phase(lit.var(), value(t) != lit.is_neg());
+        }
+    }
+
     fn true_lit(&mut self) -> Lit {
         let v = match self.const_true {
             Some(v) => v,

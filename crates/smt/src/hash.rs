@@ -23,10 +23,6 @@ impl Hasher for FxHasher {
         }
     }
 
-    fn write_u8(&mut self, x: u8) {
-        self.write_u64(x as u64);
-    }
-
     fn write_u32(&mut self, x: u32) {
         self.write_u64(x as u64);
     }

@@ -8,8 +8,10 @@
 //! Architecture (online CDCL(T)):
 //!
 //! ```text
-//!   formula ──► [term]  hash-consed AST, light constant folding
-//!           ──► [lower] ite elimination, Eq desugaring, atom extraction
+//!   formula ──► [term]  hash-consed AST, light constant folding; each node
+//!                       stored once, its "contains an ite" bit set then
+//!           ──► [lower] ite elimination (ite-free terms pass untouched),
+//!                       Eq desugaring, atom extraction
 //!           ──► [cnf]   Tseitin conversion to clauses over atom literals
 //!           ──► [sat]   CDCL: watched literals, VSIDS heap, 1-UIP learning;
 //!                       owns the loop and drives a `Theory` along its trail
@@ -21,8 +23,16 @@
 //!                       full assignment; a Farkas explanation comes back
 //!                       as a conflict clause and is analyzed like any other
 //!           ──► [solver] one search per `check`; `minimize` tightens the
-//!                       objective linearly (`obj ≤ best − 1`) and re-checks
+//!                       objective linearly (`obj ≤ best − 1`) and re-checks;
+//!                       `minimize_from` takes a suggested assignment,
+//!                       checks it against the assertions as written, starts
+//!                       below it if it is a model, and in any case uses it
+//!                       for decision polarities only
 //! ```
+//!
+//! The simplex keeps every tableau row sorted by variable (a pivot is
+//! one merge per row); the solver's maps share one multiplicative hasher
+//! (`hash`), their keys being its own term ids.
 //!
 //! The solver is deliberately budgeted: [`Solver::set_budget`] bounds
 //! wall-clock time and conflicts (boolean and theory), and exhausting the budget yields

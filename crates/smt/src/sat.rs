@@ -216,6 +216,13 @@ impl SatSolver {
         self.assign.len()
     }
 
+    /// The polarity the next decision on `v` tries first (later ones
+    /// follow the saved phase). It orders the search; the answer does not
+    /// depend on it.
+    pub fn set_phase(&mut self, v: Var, value: bool) {
+        self.phase[v as usize] = value;
+    }
+
     /// Cumulative search statistics (SAT-core fields only; the theory
     /// fields are filled in by [`crate::Solver::stats`]).
     pub fn stats(&self) -> &SolverStats {

@@ -149,6 +149,8 @@ pub struct Solver {
     assertions: Vec<TermId>,
     budget: Budget,
     model: Option<Model>,
+    /// When the most recent check started, and how it ended.
+    last_check: Option<(Instant, SatResult)>,
 }
 
 impl Default for Solver {
@@ -170,6 +172,7 @@ impl Solver {
             assertions: Vec::new(),
             budget: Budget::default(),
             model: None,
+            last_check: None,
         }
     }
 
@@ -187,9 +190,11 @@ impl Solver {
         s
     }
 
-    /// Access the term manager for direct term construction.
-    pub fn tm(&mut self) -> &mut TermManager {
-        &mut self.tm
+    /// The term manager, for evaluating and displaying terms. Terms are
+    /// built through the solver, which registers every int variable with
+    /// the theory as it is made.
+    pub fn tm(&self) -> &TermManager {
+        &self.tm
     }
 
     // ---- convenience term builders (delegate to the term manager) ----
@@ -282,7 +287,8 @@ impl Solver {
     }
 
     fn register_int_var(&mut self, t: TermId) {
-        spx_var(&mut self.spx_of, &mut self.int_vars, &mut self.lia, t);
+        self.spx_of.insert(t, self.lia.new_int_var());
+        self.int_vars.push(t);
     }
 
     // ---- assertion pipeline ----
@@ -359,23 +365,15 @@ impl Solver {
     }
 
     /// Register on the LIA side every atom the encoder has seen since the
-    /// last call (and any int variable first seen in one).
+    /// last call.
     fn register_new_atoms(&mut self) {
         while let Some(&(term, var)) = self.enc.atoms().get(self.lia_atoms) {
             self.lia_atoms += 1;
             let TermKind::Le(e) = self.tm.kind(term) else {
                 unreachable!("registered atom is not Le");
             };
-            let terms: Vec<(SpxVar, i64)> = e
-                .terms
-                .iter()
-                .map(|&(v, c)| {
-                    (
-                        spx_var(&mut self.spx_of, &mut self.int_vars, &mut self.lia, v),
-                        c,
-                    )
-                })
-                .collect();
+            let terms: Vec<(SpxVar, i64)> =
+                e.terms.iter().map(|&(v, c)| (self.spx_of[&v], c)).collect();
             self.lia.add_atom(&terms, -e.constant, var);
         }
     }
@@ -388,7 +386,20 @@ impl Solver {
         self.check_with_deadline(deadline)
     }
 
+    /// When the most recent check (`minimize` runs several) started and
+    /// how it ended — what splits a solve into search and proof.
+    pub fn last_check(&self) -> Option<(Instant, SatResult)> {
+        self.last_check
+    }
+
     fn check_with_deadline(&mut self, deadline: Option<Instant>) -> SatResult {
+        let started = Instant::now();
+        let result = self.search(deadline);
+        self.last_check = Some((started, result));
+        result
+    }
+
+    fn search(&mut self, deadline: Option<Instant>) -> SatResult {
         self.model = None;
         self.enc
             .sat
@@ -464,15 +475,49 @@ impl Solver {
         }
     }
 
-    /// [`Solver::minimize`] with a known feasible upper bound: asserts
-    /// `obj ≤ hint` up front so the search starts from the hint instead
-    /// of the first model found (warm start; the hint must be achievable
-    /// or the result degrades to `Unsat`).
-    pub fn minimize_with_hint(&mut self, obj: TermId, lo: i64, hint: i64) -> OptResult {
-        let bound = self.int(hint);
-        let c = self.le(obj, bound);
-        self.assert(c);
-        self.minimize(obj, lo)
+    /// [`Solver::minimize`] started from a suggested assignment of the
+    /// problem's int and bool variables (unlisted ones read 0 / false).
+    ///
+    /// **Checked:** the suggestion is evaluated against every asserted
+    /// term as it was given (before ite lowering and Tseitin). Only if it
+    /// satisfies them all does it become the incumbent: the search then
+    /// starts below it, at `obj ≤ value(obj) − 1`, and if nothing is
+    /// there the suggestion itself comes back as the proven optimum. A
+    /// suggestion that fails any assertion bounds nothing, so a wrong one
+    /// can never cut off a solution. **Heuristic:** the first decision
+    /// polarity of every encoded term (atoms, bool variables, Tseitin
+    /// auxiliaries, `ite` stand-ins) is set to its truth under the
+    /// suggestion, so the search starts next to it; a polarity orders the
+    /// search and cannot change a verdict or an optimum.
+    pub fn minimize_from(
+        &mut self,
+        obj: TermId,
+        lo: i64,
+        ints: &[(TermId, i64)],
+        bools: &[(TermId, bool)],
+    ) -> OptResult {
+        let n = self.tm.num_terms();
+        let mut suggested = Model {
+            ints: vec![0; n],
+            bools: vec![false; n],
+        };
+        for &(t, v) in ints {
+            suggested.ints[t as usize] = v;
+        }
+        for &(t, b) in bools {
+            suggested.bools[t as usize] = b;
+        }
+        // A stand-in takes the value of the ite it stands for.
+        for (&ite, &v) in &self.ite_var_of {
+            suggested.ints[v as usize] = suggested.eval_int(&self.tm, ite);
+        }
+        self.enc.set_phases(|t| suggested.eval_bool(&self.tm, t));
+        let best = self
+            .assertions
+            .iter()
+            .all(|&t| suggested.eval_bool(&self.tm, t))
+            .then(|| (suggested.eval_int(&self.tm, obj), suggested));
+        self.minimize_below(obj, lo, best)
     }
 
     /// Minimize an integer objective by iterative strengthening
@@ -481,9 +526,31 @@ impl Solver {
     /// objective bounds stay asserted; [`Solver::model`] is left at the
     /// returned model.
     pub fn minimize(&mut self, obj: TermId, lo: i64) -> OptResult {
+        self.minimize_below(obj, lo, None)
+    }
+
+    /// The strengthening loop, entered with `best` as the incumbent.
+    fn minimize_below(
+        &mut self,
+        obj: TermId,
+        lo: i64,
+        mut best: Option<(i64, Model)>,
+    ) -> OptResult {
         let deadline = self.budget.timeout.map(|d| Instant::now() + d);
-        let mut best: Option<(i64, Model)> = None;
         let proven = loop {
+            // The timeout bounds the whole minimize: past it nothing more is
+            // claimed, not even that an incumbent already at `lo` is optimal.
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                break false;
+            }
+            if let Some((v, _)) = &best {
+                if *v <= lo {
+                    break true;
+                }
+                let bound = self.int(*v - 1);
+                let c = self.le(obj, bound);
+                self.assert_unrecorded(c);
+            }
             match self.check_with_deadline(deadline) {
                 SatResult::Sat => {
                     let m = self.model.clone().expect("sat implies model");
@@ -493,20 +560,12 @@ impl Solver {
                         "objective must strictly improve"
                     );
                     best = Some((v, m));
-                    if v <= lo {
-                        break true;
-                    }
-                    let bound = self.int(v - 1);
-                    let c = self.le(obj, bound);
-                    self.assert_unrecorded(c);
                 }
                 SatResult::Unsat => break true,
                 SatResult::Unknown => break false,
             }
         };
-        if self.model.is_none() {
-            self.model = best.as_ref().map(|(_, m)| m.clone());
-        }
+        self.model = best.as_ref().map(|(_, m)| m.clone());
         match (best, proven) {
             (Some((value, model)), true) => OptResult::Optimal { value, model },
             (Some((value, model)), false) => OptResult::Best { value, model },
@@ -514,20 +573,6 @@ impl Solver {
             (None, false) => OptResult::Unknown,
         }
     }
-}
-
-/// The simplex variable of an IntVar term, allocated on first sight (a
-/// free function so that it can run while a term is borrowed).
-fn spx_var(
-    spx_of: &mut FxMap<TermId, SpxVar>,
-    int_vars: &mut Vec<TermId>,
-    lia: &mut LiaSolver,
-    t: TermId,
-) -> SpxVar {
-    *spx_of.entry(t).or_insert_with(|| {
-        int_vars.push(t);
-        lia.new_int_var()
-    })
 }
 
 #[cfg(test)]
@@ -731,30 +776,110 @@ mod tests {
         }
     }
 
+    /// `5 ≤ x ≤ 100`, minimize `x`.
+    fn bounded_x(s: &mut Solver) -> TermId {
+        let x = s.int_var("x");
+        let five = s.int(5);
+        let hundred = s.int(100);
+        let lo = s.ge(x, five);
+        let hi = s.le(x, hundred);
+        s.assert(lo);
+        s.assert(hi);
+        x
+    }
+
+    fn optimum(r: OptResult) -> i64 {
+        match r {
+            OptResult::Optimal { value, .. } => value,
+            r => panic!("expected optimal, got {r:?}"),
+        }
+    }
+
     #[test]
-    fn minimize_with_hint_matches_cold_minimize() {
-        let build = |s: &mut Solver| -> TermId {
+    fn minimize_from_matches_cold_minimize() {
+        let mut cold = Solver::new();
+        let xc = bounded_x(&mut cold);
+        let vc = optimum(cold.minimize(xc, i64::MIN));
+        // A suggestion that is a model but not the optimum.
+        let mut warm = Solver::new();
+        let xw = bounded_x(&mut warm);
+        let vw = optimum(warm.minimize_from(xw, i64::MIN, &[(xw, 7)], &[]));
+        assert_eq!((vc, vw), (5, 5));
+        assert!(warm.model_satisfies_assertions());
+    }
+
+    #[test]
+    fn a_wrong_suggestion_cannot_turn_sat_into_unsat() {
+        // x = 3 violates x ≥ 5: it may steer the search, never bound it.
+        let mut s = Solver::new();
+        let x = bounded_x(&mut s);
+        assert_eq!(optimum(s.minimize_from(x, i64::MIN, &[(x, 3)], &[])), 5);
+        assert_eq!(s.model_int(x), 5);
+    }
+
+    #[test]
+    fn an_optimal_suggestion_is_returned_after_the_proof_alone() {
+        let mut s = Solver::new();
+        let x = bounded_x(&mut s);
+        let r = s.minimize_from(x, i64::MIN, &[(x, 5)], &[]);
+        assert_eq!(optimum(r), 5);
+        assert_eq!(s.model_int(x), 5);
+        assert!(s.model_satisfies_assertions());
+        // No model was searched for, only `x ≤ 4` refuted.
+        assert_eq!(s.stats().iterations, 0);
+        // At the caller's floor there is nothing left to prove either.
+        let mut s = Solver::new();
+        let x = bounded_x(&mut s);
+        assert_eq!(optimum(s.minimize_from(x, 5, &[(x, 5)], &[])), 5);
+        assert_eq!(s.stats().theory_checks, 0);
+    }
+
+    #[test]
+    fn a_spent_timeout_claims_nothing_even_for_an_incumbent_at_lo() {
+        let mut s = Solver::new();
+        let x = bounded_x(&mut s);
+        s.set_budget(Budget {
+            timeout: Some(Duration::ZERO),
+            ..Budget::default()
+        });
+        let r = s.minimize_from(x, 5, &[(x, 5)], &[]);
+        assert!(matches!(r, OptResult::Best { value: 5, .. }), "{r:?}");
+    }
+
+    #[test]
+    fn suggestions_reach_ite_stand_ins_and_bool_variables() {
+        // count = ite(p,1,0) + ite(q,1,0); p ∨ q; ¬p → x ≤ 0; x ≥ 2.
+        // Minimum count is 1, with p true and q false.
+        let build = |s: &mut Solver| {
+            let (p, q) = (s.bool_var("p"), s.bool_var("q"));
             let x = s.int_var("x");
-            let five = s.int(5);
-            let hundred = s.int(100);
-            let lo = s.ge(x, five);
-            let hi = s.le(x, hundred);
-            s.assert(lo);
-            s.assert(hi);
-            x
+            let (zero, one, two) = (s.int(0), s.int(1), s.int(2));
+            let ip = s.ite(p, one, zero);
+            let iq = s.ite(q, one, zero);
+            let count = s.add(&[ip, iq]);
+            let either = s.or(&[p, q]);
+            s.assert(either);
+            let np = s.not(p);
+            let x_le0 = s.le(x, zero);
+            let link = s.implies(np, x_le0);
+            s.assert(link);
+            let x_ge2 = s.ge(x, two);
+            s.assert(x_ge2);
+            // The objective's ites are only lowered once an atom mentions them.
+            let cap = s.le(count, two);
+            s.assert(cap);
+            (p, q, x, count)
         };
         let mut cold = Solver::new();
-        let xc = build(&mut cold);
-        let OptResult::Optimal { value: vc, .. } = cold.minimize(xc, i64::MIN) else {
-            panic!("cold unsat");
-        };
-        let mut warm = Solver::new();
-        let xw = build(&mut warm);
-        let OptResult::Optimal { value: vw, .. } = warm.minimize_with_hint(xw, i64::MIN, 7) else {
-            panic!("warm unsat");
-        };
-        assert_eq!(vc, vw);
-        assert_eq!(vc, 5);
+        let (.., count) = build(&mut cold);
+        assert_eq!(optimum(cold.minimize(count, 0)), 1);
+        for (sp, sq, sx) in [(true, false, 2), (true, true, 9), (false, true, 0)] {
+            let mut s = Solver::new();
+            let (p, q, x, count) = build(&mut s);
+            let r = s.minimize_from(count, 0, &[(x, sx)], &[(p, sp), (q, sq)]);
+            assert_eq!(optimum(r), 1, "suggestion p={sp} q={sq} x={sx}");
+            assert!(s.model_satisfies_assertions());
+        }
     }
 
     #[test]
