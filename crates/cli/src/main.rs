@@ -125,7 +125,8 @@ COMMANDS:
              --wire json|bin1 (json; run the whole sweep under the
              binary codec — fingerprints are codec-independent)
              --pinned FILE   verify the aggregate reply fingerprint
-                             against FILE, or write FILE if absent
+                             against FILE, or write FILE if absent (with
+                             --cluster the record also pins --backends)
              --cluster       multi-node mode: clients -> router -> N
                              backend shards, schedules extended with
                              link flaps, partitions and membership
@@ -1095,13 +1096,6 @@ fn cmd_simtest(args: &Args) -> Result<(), CliError> {
                     .into(),
             ));
         }
-        if args.get_string("pinned").is_some() {
-            return Err(CliError::Usage(
-                "--pinned is a single-node gate; cluster mode proves determinism \
-                 by running every seed twice and requiring a bitwise match"
-                    .into(),
-            ));
-        }
         return cmd_simtest_cluster(args);
     }
     let bug = match args.get_string("inject-bug") {
@@ -1203,7 +1197,13 @@ fn cmd_simtest(args: &Args) -> Result<(), CliError> {
     );
 
     if let Some(path) = args.get_string("pinned") {
-        check_or_write_pinned(path, &cfg, agg)?;
+        let params = [
+            ("seeds", cfg.seeds),
+            ("start_seed", cfg.start_seed),
+            ("clients", cfg.clients as u64),
+            ("ops", cfg.ops as u64),
+        ];
+        check_or_write_pinned(path, &params, agg)?;
     }
 
     if bad_seeds > 0 {
@@ -1357,6 +1357,16 @@ fn cmd_simtest_cluster(args: &Args) -> Result<(), CliError> {
             "cluster run not reproducible: first pass {fp1:016x}, second pass {fp2:016x}"
         )));
     }
+    if let Some(path) = args.get_string("pinned") {
+        let params = [
+            ("seeds", cfg.seeds),
+            ("start_seed", cfg.start_seed),
+            ("clients", cfg.clients as u64),
+            ("ops", cfg.ops as u64),
+            ("backends", cfg.backends as u64),
+        ];
+        check_or_write_pinned(path, &params, fp1)?;
+    }
     if bad_seeds > 0 {
         return Err(CliError::Invalid(format!(
             "{bad_seeds} seed(s) violated the protocol model; re-run any with \
@@ -1367,22 +1377,18 @@ fn cmd_simtest_cluster(args: &Args) -> Result<(), CliError> {
 }
 
 /// Compare the aggregate fingerprint against a pinned baseline file, or
-/// create the file on first run. The pin only holds for identical
-/// (seeds, start_seed, clients, ops) parameters, so mismatched configs
-/// are reported as such rather than as behavioural divergence.
-fn check_or_write_pinned(
-    path: &str,
-    cfg: &fmml_simtest::SimtestConfig,
-    agg: u64,
-) -> Result<(), CliError> {
+/// create the file on first run. The pin only holds for identical run
+/// parameters (`params`: seeds, start_seed, clients, ops, and backends in
+/// cluster mode), so mismatched configs are reported as such rather than
+/// as behavioural divergence.
+fn check_or_write_pinned(path: &str, params: &[(&str, u64)], agg: u64) -> Result<(), CliError> {
     use serde_json::Value;
-    let record = Value::Object(vec![
-        ("seeds".into(), Value::U64(cfg.seeds)),
-        ("start_seed".into(), Value::U64(cfg.start_seed)),
-        ("clients".into(), Value::U64(cfg.clients as u64)),
-        ("ops".into(), Value::U64(cfg.ops as u64)),
-        ("fingerprint".into(), Value::String(format!("{agg:016x}"))),
-    ]);
+    let mut fields: Vec<(String, Value)> = params
+        .iter()
+        .map(|&(k, v)| (k.to_string(), Value::U64(v)))
+        .collect();
+    fields.push(("fingerprint".into(), Value::String(format!("{agg:016x}"))));
+    let record = Value::Object(fields);
     if !Path::new(path).exists() {
         let pretty = serde_json::to_string_pretty(&record)
             .map_err(|e| CliError::Invalid(format!("{path}: {e}")))?;
@@ -1393,7 +1399,7 @@ fn check_or_write_pinned(
     let raw = std::fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
     let pinned: serde_json::Value = serde_json::from_str(&raw)
         .map_err(|e| CliError::Invalid(format!("{path}: not valid JSON: {e}")))?;
-    for key in ["seeds", "start_seed", "clients", "ops"] {
+    for &(key, _) in params {
         if pinned.get(key) != record.get(key) {
             return Err(CliError::Invalid(format!(
                 "{path}: pinned {key}={} but this run used {key}={} — \
