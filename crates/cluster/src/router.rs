@@ -21,11 +21,11 @@
 //!
 //! ## Exactly-once across the router hop
 //!
-//! The router terminates the PR-7 resume protocol: it mints the token,
-//! keeps the per-session [`ReplayLog`] (record-before-send), and on
-//! client reconnect replays past `last_acked` — exactly the single-node
-//! semantics, just moved one hop out. Toward the backends the router
-//! keeps, per session: `pending` (intervals forwarded but unanswered)
+//! The router terminates the resume protocol by driving the same
+//! [`fmml_serve::session`] core as the single-node server — the opening,
+//! the identity claim, the per-session [`Ledger`] (record-before-send)
+//! and the resume sequence — just moved one hop out. Toward the backends
+//! the router keeps, per session: `pending` (forwarded but unanswered)
 //! and `history` (the last `window_intervals - 1` *ingested* updates
 //! per port — the ones answered Ack/Imputed). A backend's sliding
 //! window is a pure function of the last W ingested updates, so when a
@@ -36,7 +36,7 @@
 //! client sees each seq answered exactly once, and no interval is lost.
 //! Duplicate client retransmits are answered from the replay log
 //! without re-feeding any window; a reply racing a migration is dropped
-//! by the `replay.get(seq)` guard on the new link.
+//! by the [`Ledger::answered`] guard on the new link.
 
 use crate::ring::HashRing;
 use fmml_obs::trace::{self, TraceContext};
@@ -45,12 +45,13 @@ use fmml_serve::protocol::{
     encode_frame_with, write_bytes, Frame, FrameReader, RawFrame, WireCodec, HEADER_LEN,
     MAX_FRAME_LEN,
 };
-use fmml_serve::{Accepted, Conn, Connector, ReplayLog, TcpConnector, TcpTransport, Transport};
+use fmml_serve::session::{self, Identity, Ledger, Stalls};
+use fmml_serve::{Accepted, Conn, Connector, TcpConnector, TcpTransport, Transport};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -145,12 +146,11 @@ impl Default for RouterConfig {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// Poison-tolerant lock: every update under the router's mutexes leaves
+/// the data valid at every step, so a holder that panicked must not take
+/// the sessions it shared state with down too.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Per-router counters backing the frontend's `StatsReply`.
@@ -244,6 +244,18 @@ struct RouteState<CB: Conn> {
 }
 
 impl<CB: Conn> RouteState<CB> {
+    /// Write `bytes` to the backend link, if there is one. A write error
+    /// means the link is dead: shut it so the link reader notices and
+    /// migrates — what was being sent stays in `pending` / `bye`, and
+    /// the migration re-sends it.
+    fn send(&mut self, bytes: &[u8]) {
+        if let Some(w) = self.writer.as_mut() {
+            if write_bytes(w, bytes).is_err() {
+                w.shutdown_both();
+            }
+        }
+    }
+
     /// Retain `seq`'s update for warm-up, keeping at most `w - 1`
     /// entries per port (exactly the window a fresh backend needs).
     fn push_history(&mut self, seq: u64, port: usize, bytes: Vec<u8>, window_intervals: usize) {
@@ -264,18 +276,17 @@ impl<CB: Conn> RouteState<CB> {
 struct SessionInner<CF: Conn, CB: Conn> {
     id: u64,
     token: String,
-    /// The client's `Hello` with resume fields stripped — re-sent to
-    /// every backend the session is placed on.
-    hello: Frame,
-    window_intervals: usize,
+    /// What the client's `Hello` claimed: a reconnect must claim the
+    /// same to resume, and every backend the session is placed on is
+    /// sent a tokenless `Hello` for it.
+    identity: Identity,
     /// Codec negotiated with the client at birth; fixed for the whole
-    /// lineage (resumes restate it) because the replay log stores
-    /// encoded reply bytes.
+    /// lineage (resumes restate it) because the ledger stores encoded
+    /// reply bytes.
     codec: WireCodec,
     deadline_ms: AtomicU64,
     front: Mutex<Option<CF>>,
-    replay: Mutex<ReplayLog>,
-    highest_seq: AtomicU64,
+    ledger: Ledger,
     answered: AtomicU64,
     state: Mutex<RouteState<CB>>,
     done: AtomicBool,
@@ -287,10 +298,22 @@ impl<CF: Conn, CB: Conn> SessionInner<CF, CB> {
         self.done.load(Ordering::Acquire)
     }
 
+    /// The current placement epoch (see [`RouteState`]).
+    fn epoch(&self) -> u64 {
+        lock(&self.state).epoch
+    }
+
+    /// Cut the backend link, if any.
+    fn sever_link(&self) {
+        if let Some(c) = lock(&self.state).writer.take() {
+            c.shutdown_both();
+        }
+    }
+
     /// Write `bytes` to the client if one is attached; a failed write
     /// parks the session (the replay log already has the reply).
     fn send_client(&self, bytes: &[u8]) -> bool {
-        let mut g = self.front.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = lock(&self.front);
         match g.as_mut() {
             None => false,
             Some(c) => match write_bytes(c, bytes) {
@@ -304,14 +327,15 @@ impl<CF: Conn, CB: Conn> SessionInner<CF, CB> {
         }
     }
 
-    /// Commit a reply: replay log + watermark, *then* the client write
-    /// (record-before-send, like the single-node server).
+    /// Encode `frame` in `codec` (JSON for a `Welcome`, the session's
+    /// codec after it) and write it to the client.
+    fn send_frame(&self, frame: &Frame, codec: WireCodec, max_len: usize) -> bool {
+        encode_frame_with(frame, codec, max_len).is_ok_and(|b| self.send_client(&b))
+    }
+
+    /// Commit a reply to the ledger, *then* write it to the client.
     fn commit_reply(&self, seq: u64, bytes: &[u8]) {
-        self.highest_seq.fetch_max(seq, Ordering::AcqRel);
-        self.replay
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(seq, bytes);
+        self.ledger.commit(seq, bytes);
         self.answered.fetch_add(1, Ordering::Relaxed);
         self.send_client(bytes);
     }
@@ -337,32 +361,24 @@ impl<CF: Conn, B: Connector> RouterShared<CF, B> {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    fn mint_token(&self) -> String {
-        let mut seed = self
-            .token_seed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        format!("rtok-{:016x}", splitmix64(&mut seed))
+    /// Snapshot of every tracked session (the map's lock is released
+    /// before the caller touches any of them).
+    fn all_sessions(&self) -> Vec<Arc<SessionInner<CF, B::Conn>>> {
+        lock(&self.sessions).values().cloned().collect()
     }
 
     fn reap_threads(&self) {
-        let mut ts = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-        ts.retain(|h| !h.is_finished());
+        lock(&self.threads).retain(|h| !h.is_finished());
     }
 
     fn track(&self, h: JoinHandle<()>) {
-        let mut ts = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ts = lock(&self.threads);
         ts.retain(|t| !t.is_finished());
         ts.push(h);
     }
 
     fn backends_up(&self) -> usize {
-        self.backends
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .filter(|b| b.up)
-            .count()
+        lock(&self.backends).values().filter(|b| b.up).count()
     }
 
     /// Mark `name` failed (dial error or probe miss); past the failure
@@ -371,7 +387,7 @@ impl<CF: Conn, B: Connector> RouterShared<CF, B> {
     fn mark_backend_failed(&self, name: &str) -> bool {
         let mut demoted = false;
         {
-            let mut bs = self.backends.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut bs = lock(&self.backends);
             if let Some(b) = bs.get_mut(name) {
                 b.fails = b.fails.saturating_add(1);
                 CL_PROBE_FAILS.inc();
@@ -383,10 +399,7 @@ impl<CF: Conn, B: Connector> RouterShared<CF, B> {
         }
         if demoted {
             log_event!("cluster.backend.down", "backend" = name);
-            self.ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(name);
+            lock(&self.ring).remove(name);
             CL_BACKENDS_UP.set(self.backends_up() as i64);
         }
         demoted
@@ -416,27 +429,16 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
     /// rebalances: only sessions in the ring ranges the new node took
     /// over migrate onto it.
     pub fn add_backend(&self, name: &str, connector: B) {
-        {
-            let mut bs = self
-                .shared
-                .backends
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            bs.insert(
-                name.to_string(),
-                BackendEntry {
-                    connector: Arc::new(connector),
-                    up: true,
-                    fails: 0,
-                    load: -1,
-                },
-            );
-        }
-        self.shared
-            .ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .add(name);
+        lock(&self.shared.backends).insert(
+            name.to_string(),
+            BackendEntry {
+                connector: Arc::new(connector),
+                up: true,
+                fails: 0,
+                load: -1,
+            },
+        );
+        lock(&self.shared.ring).add(name);
         CL_BACKENDS_UP.set(self.shared.backends_up() as i64);
         log_event!("cluster.backend.join", "backend" = name);
         rebalance(&self.shared);
@@ -445,16 +447,8 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
     /// Gracefully remove a backend: take it off the ring and migrate
     /// its sessions elsewhere (warm-up replay preserves exactly-once).
     pub fn remove_backend(&self, name: &str) {
-        self.shared
-            .ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(name);
-        self.shared
-            .backends
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(name);
+        lock(&self.shared.ring).remove(name);
+        lock(&self.shared.backends).remove(name);
         CL_BACKENDS_UP.set(self.shared.backends_up() as i64);
         log_event!("cluster.backend.leave", "backend" = name);
         rebalance(&self.shared);
@@ -462,10 +456,7 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
 
     /// Health + load snapshot of every registered backend.
     pub fn backends(&self) -> Vec<BackendInfo> {
-        self.shared
-            .backends
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        lock(&self.shared.backends)
             .iter()
             .map(|(name, b)| BackendInfo {
                 name: name.clone(),
@@ -491,11 +482,7 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
 
     /// Sessions currently tracked (active + parked).
     pub fn session_count(&self) -> usize {
-        self.shared
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        lock(&self.shared.sessions).len()
     }
 
     /// Stop accepting, kill every session and link, join all threads.
@@ -506,33 +493,12 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
             vc.set_auto_advance(true);
         }
         // Wake every blocked reader by killing its connection.
-        let sessions: Vec<_> = {
-            let s = self
-                .shared
-                .sessions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            s.values().cloned().collect()
-        };
-        for s in sessions {
+        for s in self.shared.all_sessions() {
             s.done.store(true, Ordering::Release);
-            if let Some(c) = s
-                .front
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-            {
+            if let Some(c) = lock(&s.front).take() {
                 c.shutdown_both();
             }
-            if let Some(c) = s
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .writer
-                .take()
-            {
-                c.shutdown_both();
-            }
+            s.sever_link();
         }
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
@@ -541,14 +507,7 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
             let _ = p.join();
         }
         loop {
-            let drained = {
-                let mut ts = self
-                    .shared
-                    .threads
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                std::mem::take(&mut *ts)
-            };
+            let drained = std::mem::take(&mut *lock(&self.shared.threads));
             if drained.is_empty() {
                 break;
             }
@@ -699,15 +658,10 @@ fn prober_loop<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Rout
         if shared.shutting_down() {
             return;
         }
-        let snapshot: Vec<(String, Arc<B>, bool)> = {
-            let bs = shared
-                .backends
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            bs.iter()
-                .map(|(n, b)| (n.clone(), Arc::clone(&b.connector), b.up))
-                .collect()
-        };
+        let snapshot: Vec<(String, Arc<B>, bool)> = lock(&shared.backends)
+            .iter()
+            .map(|(n, b)| (n.clone(), Arc::clone(&b.connector), b.up))
+            .collect();
         for (name, connector, was_up) in snapshot {
             let result = probe_backend(
                 connector.as_ref(),
@@ -717,28 +671,14 @@ fn prober_loop<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Rout
             );
             match result {
                 Ok(load) => {
-                    let mut promoted = false;
-                    {
-                        let mut bs = shared
-                            .backends
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        if let Some(b) = bs.get_mut(&name) {
-                            b.fails = 0;
-                            b.load = load;
-                            if !b.up {
-                                b.up = true;
-                                promoted = true;
-                            }
-                        }
-                    }
+                    let promoted = lock(&shared.backends).get_mut(&name).is_some_and(|b| {
+                        b.fails = 0;
+                        b.load = load;
+                        !std::mem::replace(&mut b.up, true)
+                    });
                     if promoted {
                         log_event!("cluster.backend.up", "backend" = name.as_str());
-                        shared
-                            .ring
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .add(&name);
+                        lock(&shared.ring).add(&name);
                         CL_BACKENDS_UP.set(shared.backends_up() as i64);
                         rebalance(shared);
                     }
@@ -760,38 +700,18 @@ fn prober_loop<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Rout
 /// Drop parked sessions whose TTL (injected clock) expired.
 fn sweep_parked<CF: Conn, B: Connector>(shared: &Arc<RouterShared<CF, B>>) {
     let now = shared.cfg.clock.now();
-    let expired: Vec<Arc<SessionInner<CF, B::Conn>>> = {
-        let sessions = shared
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        sessions
-            .values()
-            .filter(|s| {
-                s.parked_at
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .is_some_and(|at| now.saturating_duration_since(at) > shared.cfg.parked_ttl)
-            })
-            .cloned()
-            .collect()
-    };
+    let expired: Vec<Arc<SessionInner<CF, B::Conn>>> = lock(&shared.sessions)
+        .values()
+        .filter(|s| {
+            lock(&s.parked_at)
+                .is_some_and(|at| now.saturating_duration_since(at) > shared.cfg.parked_ttl)
+        })
+        .cloned()
+        .collect();
     for s in expired {
         s.done.store(true, Ordering::Release);
-        if let Some(c) = s
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .writer
-            .take()
-        {
-            c.shutdown_both();
-        }
-        shared
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&s.token);
+        s.sever_link();
+        lock(&shared.sessions).remove(&s.token);
         log_event!("cluster.session.expired", "session" = s.id);
     }
 }
@@ -808,19 +728,12 @@ fn sweep_parked<CF: Conn, B: Connector>(shared: &Arc<RouterShared<CF, B>>) {
 fn sweep_stuck<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<RouterShared<CF, B>>) {
     let timeout = shared.cfg.pending_timeout;
     let now = shared.cfg.clock.now();
-    let sessions: Vec<Arc<SessionInner<CF, B::Conn>>> = {
-        let s = shared
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        s.values().cloned().collect()
-    };
-    for session in sessions {
+    for session in shared.all_sessions() {
         if session.done() {
             continue;
         }
         let epoch = {
-            let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let st = lock(&session.state);
             let aged = st
                 .pending
                 .values()
@@ -865,24 +778,15 @@ fn rebalance<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Router
 fn rebalance_sync<CF: Conn, B: Connector + Send + Sync + 'static>(
     shared: &Arc<RouterShared<CF, B>>,
 ) {
-    let sessions: Vec<Arc<SessionInner<CF, B::Conn>>> = {
-        let s = shared
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        s.values().cloned().collect()
-    };
-    for session in sessions {
+    for session in shared.all_sessions() {
         if session.done() {
             continue;
         }
-        let desired = {
-            let ring = shared.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            ring.assign(&session.token).map(String::from)
+        let Some(desired) = lock(&shared.ring).assign(&session.token).map(String::from) else {
+            continue;
         };
-        let Some(desired) = desired else { continue };
         let epoch = {
-            let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let st = lock(&session.state);
             // Re-place when the assignment moved — or when the session
             // has no live link at all (it was stranded by an empty ring
             // and its assigned member has since come back: the name
@@ -910,7 +814,7 @@ enum DialOutcome<CB: Conn> {
     Failed,
 }
 
-/// Dial `connector` and run the session's `Hello` handshake.
+/// Dial `connector` and run the `Hello` handshake for `hello`.
 fn dial_backend<CF: Conn, CB: Conn, B: Connector<Conn = CB>>(
     shared: &RouterShared<CF, B>,
     connector: &B,
@@ -984,17 +888,10 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
         if shared.shutting_down() || session.done() {
             return;
         }
-        {
-            let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
-            if st.epoch != from_epoch {
-                return;
-            }
+        if session.epoch() != from_epoch {
+            return;
         }
-        let target = {
-            let ring = shared.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            ring.assign(&session.token).map(String::from)
-        };
-        let Some(target) = target else {
+        let Some(target) = lock(&shared.ring).assign(&session.token).map(String::from) else {
             // No live backend. Do NOT spin here: migrate runs on
             // driver/prober threads, and under a virtual clock a
             // blocked caller is exactly what keeps the prober from
@@ -1004,7 +901,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
             // `sweep_stuck`) re-places it: a session that *looks*
             // placed (name set, dead writer) would be skipped forever.
             {
-                let mut st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut st = lock(&session.state);
                 if st.epoch == from_epoch {
                     if let Some(w) = st.writer.take() {
                         w.shutdown_both();
@@ -1015,15 +912,17 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
             log_event!("cluster.migrate.no_backend", "session" = session.id);
             return;
         };
-        let connector = {
-            let bs = shared
-                .backends
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            bs.get(&target).map(|b| Arc::clone(&b.connector))
-        };
+        let connector = lock(&shared.backends)
+            .get(&target)
+            .map(|b| Arc::clone(&b.connector));
         let Some(connector) = connector else { continue };
-        match dial_backend(shared, connector.as_ref(), &session.hello) {
+        // Binary is advertised to the backends only for binary sessions
+        // — that way a session's reply bytes are produced in its own
+        // codec end-to-end and pass through this router verbatim.
+        let hello = session
+            .identity
+            .hello((session.codec == WireCodec::Bin1).then(WireCodec::advertise));
+        match dial_backend(shared, connector.as_ref(), &hello) {
             DialOutcome::Failed => {
                 shared.mark_backend_failed(&target);
                 // Injected-clock backoff: under the simulation harness
@@ -1036,11 +935,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
                 // A draining node refuses new placements: treat like a
                 // leave for this session's range.
                 log_event!("cluster.backend.draining", "backend" = target.as_str());
-                shared
-                    .ring
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&target);
+                lock(&shared.ring).remove(&target);
                 continue;
             }
             DialOutcome::Ok {
@@ -1051,7 +946,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
             } => {
                 session.deadline_ms.store(deadline_ms, Ordering::Relaxed);
                 let epoch = {
-                    let mut st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut st = lock(&session.state);
                     if st.epoch != from_epoch {
                         writer.shutdown_both();
                         return;
@@ -1156,8 +1051,7 @@ fn link_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
         }
         match reader.poll_frame_raw() {
             Ok(None) => {
-                let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
-                if st.epoch != my_epoch {
+                if session.epoch() != my_epoch {
                     return;
                 }
             }
@@ -1170,11 +1064,8 @@ fn link_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                 if shared.shutting_down() || session.done() {
                     return;
                 }
-                {
-                    let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    if st.epoch != my_epoch {
-                        return;
-                    }
+                if session.epoch() != my_epoch {
+                    return;
                 }
                 migrate(shared, session, my_epoch);
                 return;
@@ -1219,11 +1110,8 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
                 // A frame that framed correctly but fails to decode
                 // means the link is corrupt: repair exactly like a read
                 // error.
-                {
-                    let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    if st.epoch != my_epoch {
-                        return false;
-                    }
+                if session.epoch() != my_epoch {
+                    return false;
                 }
                 if !shared.shutting_down() && !session.done() {
                     migrate(shared, session, my_epoch);
@@ -1234,7 +1122,7 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
     };
 
     {
-        let mut st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = lock(&session.state);
         if st.epoch != my_epoch {
             return false;
         }
@@ -1242,13 +1130,7 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
             // Warm-up echo: the client was answered long ago.
             return true;
         }
-        let already_answered = session
-            .replay
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(seq)
-            .is_some();
-        if already_answered {
+        if session.ledger.answered(seq).is_some() {
             // Raced a migration: the old link's reply landed first.
             return true;
         }
@@ -1265,7 +1147,7 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
                 trace::record_span("cluster.route", ctx, p.sent_at, elapsed);
             }
             if ingested {
-                st.push_history(seq, p.port, p.bytes, session.window_intervals);
+                st.push_history(seq, p.port, p.bytes, session.identity.window_intervals);
             }
         }
     }
@@ -1305,7 +1187,7 @@ fn route_control_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
         },
         Frame::ByeAck { .. } => {
             let remaining = {
-                let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let st = lock(&session.state);
                 if st.epoch != my_epoch {
                     return ControlRouted::Exit;
                 }
@@ -1315,24 +1197,10 @@ fn route_control_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
                 answered: session.answered.load(Ordering::Relaxed),
                 remaining,
             };
-            if let Ok(bytes) = encode_frame_with(&ba, session.codec, shared.cfg.client_frame_len) {
-                session.send_client(&bytes);
-            }
+            session.send_frame(&ba, session.codec, shared.cfg.client_frame_len);
             session.done.store(true, Ordering::Release);
-            if let Some(c) = session
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .writer
-                .take()
-            {
-                c.shutdown_both();
-            }
-            shared
-                .sessions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&session.token);
+            session.sever_link();
+            lock(&shared.sessions).remove(&session.token);
             CL_ACTIVE.add(-1);
             shared.counters.active.fetch_sub(1, Ordering::Relaxed);
             log_event!("cluster.session.close", "session" = session.id);
@@ -1345,11 +1213,7 @@ fn route_control_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
                 "session" = session.id,
                 "code" = code.as_str()
             );
-            let cur = {
-                let st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
-                st.epoch
-            };
-            if cur == my_epoch && !shared.shutting_down() && !session.done() {
+            if session.epoch() == my_epoch && !shared.shutting_down() && !session.done() {
                 migrate(shared, session, my_epoch);
             }
             ControlRouted::Exit
@@ -1375,174 +1239,83 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
     let mut reader = FrameReader::with_max_len(read_half, cfg.client_frame_len);
     let mut writer = conn;
 
-    // Pre-handshake: answer Stats / MetricsDump probes until a Hello.
-    // No codec is negotiated yet, so these travel as JSON.
-    let hello = loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match reader.poll_frame() {
-            Ok(Some(Frame::Stats)) => {
-                let Ok(b) = encode_frame_with(
-                    &shared.counters.stats_frame(),
-                    WireCodec::Json,
-                    cfg.client_frame_len,
-                ) else {
-                    return;
-                };
-                if write_bytes(&mut writer, &b).is_err() {
-                    return;
-                }
+    // The server's opening, so the server's input guards: probes are
+    // answered locally, a silent or stalled peer is dropped.
+    let Some(hello) = session::read_hello(
+        &mut reader,
+        || cfg.clock.now(),
+        || shared.shutting_down(),
+        || shared.counters.stats_frame(),
+        |frame| {
+            if matches!(frame, Frame::Error { .. }) {
+                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(Some(Frame::MetricsDump)) => {
-                let reply = Frame::MetricsReply {
-                    json: fmml_obs::dump_json(),
-                };
-                let Ok(b) = encode_frame_with(&reply, WireCodec::Json, cfg.client_frame_len) else {
-                    return;
-                };
-                if write_bytes(&mut writer, &b).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(f)) => break f,
-            Ok(None) => continue,
-            Err(_) => return,
-        }
-    };
-    let Frame::Hello {
-        tenant,
-        ports,
-        queues,
-        interval_len,
-        window_intervals,
-        resume_token,
-        last_acked,
-        codecs,
-    } = hello
-    else {
-        shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-        let err = Frame::Error {
-            code: "bad_handshake".into(),
-            message: format!("expected Hello, got {}", hello.tag()),
-        };
-        if let Ok(b) = encode_frame_with(&err, WireCodec::Json, cfg.client_frame_len) {
-            let _ = write_bytes(&mut writer, &b);
-        }
+            encode_frame_with(frame, WireCodec::Json, cfg.client_frame_len)
+                .is_ok_and(|b| write_bytes(&mut writer, &b).is_ok())
+        },
+    ) else {
         return;
     };
 
-    // Resume: re-attach to a tracked session with a matching identity.
-    if let Some(tok) = resume_token.as_ref() {
-        let existing = {
-            let sessions = shared
-                .sessions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            sessions.get(tok).cloned()
-        };
-        if let Some(session) = existing.filter(|s| {
-            !s.done()
-                && matches!(
-                    &s.hello,
-                    Frame::Hello {
-                        tenant: t,
-                        ports: p,
-                        queues: q,
-                        interval_len: il,
-                        window_intervals: wi,
-                        ..
-                    } if *t == tenant && *p == ports && *q == queues
-                        && *il == interval_len && *wi == window_intervals
-                )
-        }) {
-            {
-                let mut front = session.front.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(old) = front.take() {
-                    old.shutdown_both();
-                }
-                *front = Some(writer);
+    // Resume: re-attach to a tracked session that was opened with the
+    // identity this Hello claims. Unknown/expired/mismatched token:
+    // fall through to fresh.
+    let existing = hello
+        .resume_token
+        .as_ref()
+        .and_then(|tok| lock(&shared.sessions).get(tok).cloned())
+        .filter(|s| !s.done() && s.identity == hello.identity);
+    if let Some(session) = existing {
+        if let Some(old) = lock(&session.front).replace(writer) {
+            old.shutdown_both();
+        }
+        if lock(&session.parked_at).take().is_some() {
+            CL_ACTIVE.add(1);
+            shared.counters.active.fetch_add(1, Ordering::Relaxed);
+        }
+        CL_RESUMES.inc();
+        shared.counters.resumes.fetch_add(1, Ordering::Relaxed);
+        let (resume_seq, replay) = session.ledger.resume(hello.last_acked, None);
+        let welcome = session::welcome(
+            session.id,
+            session.deadline_ms.load(Ordering::Relaxed),
+            Some(&session.token),
+            Some(resume_seq),
+            session.codec,
+        );
+        let mut ok = session.send_frame(&welcome, WireCodec::Json, cfg.client_frame_len);
+        for bytes in &replay {
+            if !ok {
+                break;
             }
-            let was_parked = session
-                .parked_at
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .is_some();
-            if was_parked {
-                CL_ACTIVE.add(1);
-                shared.counters.active.fetch_add(1, Ordering::Relaxed);
-            }
-            CL_RESUMES.inc();
-            shared.counters.resumes.fetch_add(1, Ordering::Relaxed);
-            let hw = session.highest_seq.load(Ordering::Acquire);
-            let welcome = Frame::Welcome {
-                session: session.id,
-                deadline_ms: session.deadline_ms.load(Ordering::Relaxed),
-                resume_token: Some(session.token.clone()),
-                resumed: Some(true),
-                resume_seq: Some(hw),
-                // The lineage keeps the codec it negotiated at birth
-                // (replayed bytes are pre-encoded); the Welcome — itself
-                // JSON — restates it rather than renegotiating.
-                codec: Some(session.codec.label().into()),
-            };
-            if let Ok(b) = encode_frame_with(&welcome, WireCodec::Json, cfg.client_frame_len) {
-                if !session.send_client(&b) {
-                    return;
-                }
-            }
-            // Replay everything past the client's watermark.
-            let missed: Vec<(u64, Vec<u8>)> = {
-                let replay = session
-                    .replay
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                replay.since(last_acked.unwrap_or(0))
-            };
-            for (_seq, bytes) in missed {
-                CL_REPLAYED.inc();
-                shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-                shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-                if !session.send_client(&bytes) {
-                    return;
-                }
-            }
-            log_event!("cluster.session.resume", "session" = session.id);
-            client_loop(shared, &session, reader);
+            CL_REPLAYED.inc();
+            shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
+            shared.counters.replies.fetch_add(1, Ordering::Relaxed);
+            ok = session.send_client(bytes);
+        }
+        if !ok {
+            // The reconnect died mid-handshake. Everything it was owed
+            // is still in the ledger: park again so the client's next
+            // retry can claim it (and the TTL sweep can expire it).
+            park(shared, &session);
             return;
         }
-        // Unknown/expired/mismatched token: fall through to fresh.
+        log_event!("cluster.session.resume", "session" = session.id);
+        client_loop(shared, &session, reader);
+        return;
     }
 
     // Fresh session: mint a token, place it on the ring, answer Welcome.
     let id = shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
-    let token = shared.mint_token();
-    // Negotiate the client-facing codec, and advertise binary to the
-    // backends only for binary sessions — that way a session's reply
-    // bytes are produced in its own codec end-to-end and pass through
-    // this router verbatim.
-    let codec = WireCodec::negotiate(cfg.wire, codecs.as_deref());
-    let hello_template = Frame::Hello {
-        tenant,
-        ports,
-        queues,
-        interval_len,
-        window_intervals,
-        resume_token: None,
-        last_acked: None,
-        codecs: (codec == WireCodec::Bin1).then(WireCodec::advertise),
-    };
+    let token = session::resume_token_for("rtok", &mut lock(&shared.token_seed));
     let session = Arc::new(SessionInner {
         id,
         token: token.clone(),
-        hello: hello_template,
-        window_intervals,
-        codec,
+        identity: hello.identity,
+        codec: WireCodec::negotiate(cfg.wire, hello.codecs.as_deref()),
         deadline_ms: AtomicU64::new(0),
         front: Mutex::new(Some(writer)),
-        replay: Mutex::new(ReplayLog::new(shared.cfg.replay_window)),
-        highest_seq: AtomicU64::new(0),
+        ledger: Ledger::new(cfg.replay_window),
         answered: AtomicU64::new(0),
         state: Mutex::new(RouteState {
             backend: String::new(),
@@ -1557,11 +1330,7 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
         done: AtomicBool::new(false),
         parked_at: Mutex::new(None),
     });
-    shared
-        .sessions
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(token.clone(), Arc::clone(&session));
+    lock(&shared.sessions).insert(token.clone(), Arc::clone(&session));
     CL_SESSIONS.inc();
     CL_ACTIVE.add(1);
     shared.counters.sessions.fetch_add(1, Ordering::Relaxed);
@@ -1571,31 +1340,18 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
     if shared.shutting_down() || session.done() {
         return;
     }
-    let welcome = Frame::Welcome {
-        session: id,
-        deadline_ms: session.deadline_ms.load(Ordering::Relaxed),
-        resume_token: Some(token),
-        resumed: Some(false),
-        resume_seq: None,
-        codec: Some(session.codec.label().into()),
-    };
+    let deadline_ms = session.deadline_ms.load(Ordering::Relaxed);
+    let welcome = session::welcome(id, deadline_ms, Some(&token), None, session.codec);
     // The Welcome itself is always JSON so a pre-v2 client can read the
     // verdict; everything after it speaks the negotiated codec.
-    if let Ok(b) = encode_frame_with(&welcome, WireCodec::Json, cfg.client_frame_len) {
-        if !session.send_client(&b) {
-            park(shared, &session);
-            return;
-        }
+    if !session.send_frame(&welcome, WireCodec::Json, cfg.client_frame_len) {
+        park(shared, &session);
+        return;
     }
     log_event!(
         "cluster.session.open",
         "session" = id,
-        "backend" = session
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .backend
-            .as_str()
+        "backend" = lock(&session.state).backend.as_str()
     );
     client_loop(shared, &session, reader);
 }
@@ -1605,18 +1361,10 @@ fn park<CF: Conn, B: Connector>(
     shared: &Arc<RouterShared<CF, B>>,
     session: &Arc<SessionInner<CF, B::Conn>>,
 ) {
-    if let Some(c) = session
-        .front
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-    {
+    if let Some(c) = lock(&session.front).take() {
         c.shutdown_both();
     }
-    let mut parked = session
-        .parked_at
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let mut parked = lock(&session.parked_at);
     if parked.is_none() {
         *parked = Some(shared.cfg.clock.now());
         CL_ACTIVE.add(-1);
@@ -1639,31 +1387,30 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
     session: &Arc<SessionInner<CF, B::Conn>>,
     mut reader: FrameReader<CF>,
 ) {
+    let mut stalls = Stalls::default();
     loop {
         if shared.shutting_down() || session.done() {
             return;
         }
-        let raw = match reader.poll_frame_raw() {
-            Ok(None) => continue,
-            Err(_) => {
-                if !session.done() {
-                    park(shared, session);
-                }
-                return;
-            }
-            Ok(Some(raw)) => raw,
+        // A read error, a frame stalled past the budget, and a frame
+        // that framed correctly but does not decode all end the
+        // connection the same way: park, the client may resume.
+        let polled = match reader.poll_frame_raw() {
+            Ok(None) if !stalls.timed_out(reader.pending()) => continue,
+            Ok(Some(raw)) => raw.decode().ok().map(|f| (f, raw)),
+            Ok(None) | Err(_) => None,
         };
-        let frame = match raw.decode() {
-            Ok(f) => f,
-            Err(_) => {
-                // Framed correctly but undecodable: treat like the
-                // malformed-stream read error above.
-                if !session.done() {
-                    park(shared, session);
-                }
-                return;
+        let Some((frame, raw)) = polled else {
+            if !session.done() {
+                park(shared, session);
             }
+            return;
         };
+        stalls.progressed();
+        if let Some(reply) = session::probe_reply(&frame, || shared.counters.stats_frame()) {
+            session.send_frame(&reply, session.codec, shared.cfg.client_frame_len);
+            continue;
+        }
         match frame {
             Frame::Interval {
                 seq,
@@ -1683,21 +1430,14 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                 let bytes = raw.into_bytes();
                 // Duplicate retransmit of an answered seq: replay from
                 // the log, never re-forward (no window is fed twice).
-                if seq <= session.highest_seq.load(Ordering::Acquire) {
-                    let logged = session
-                        .replay
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get(seq);
-                    if let Some(b) = logged {
-                        CL_REPLAYED.inc();
-                        shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-                        shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-                        session.send_client(&b);
-                        continue;
-                    }
+                if let Some(b) = session.ledger.answered(seq) {
+                    CL_REPLAYED.inc();
+                    shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
+                    shared.counters.replies.fetch_add(1, Ordering::Relaxed);
+                    session.send_client(&b);
+                    continue;
                 }
-                let mut st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut st = lock(&session.state);
                 if st.pending.contains_key(&seq) {
                     // Already in flight (client retransmit racing the
                     // backend's reply): drop, the reply will arrive.
@@ -1713,44 +1453,15 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                     },
                 );
                 CL_FORWARDED.inc();
-                if let Some(w) = st.writer.as_mut() {
-                    if write_bytes(w, &bytes).is_err() {
-                        // Link is dead: leave the interval in pending —
-                        // the link reader notices and migrates, and the
-                        // migration re-sends it.
-                        w.shutdown_both();
-                    }
-                }
-            }
-            Frame::Stats => {
-                if let Ok(b) = encode_frame_with(
-                    &shared.counters.stats_frame(),
-                    session.codec,
-                    shared.cfg.client_frame_len,
-                ) {
-                    session.send_client(&b);
-                }
-            }
-            Frame::MetricsDump => {
-                let reply = Frame::MetricsReply {
-                    json: fmml_obs::dump_json(),
-                };
-                if let Ok(b) = encode_frame_with(&reply, session.codec, shared.cfg.client_frame_len)
-                {
-                    session.send_client(&b);
-                }
+                st.send(&bytes);
             }
             Frame::Bye => {
-                let mut st = session.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut st = lock(&session.state);
                 st.bye = true;
                 if let Ok(bye) =
                     encode_frame_with(&Frame::Bye, st.link, shared.cfg.backend_frame_len)
                 {
-                    if let Some(w) = st.writer.as_mut() {
-                        if write_bytes(w, &bye).is_err() {
-                            w.shutdown_both();
-                        }
-                    }
+                    st.send(&bye);
                 }
                 // Keep reading: the ByeAck arrives via the link reader
                 // and flips `done`.

@@ -6,13 +6,20 @@
 //! Transformer+KAL model and the CEM degradation ladder, and answers
 //! inside the 50 ms wire period.
 //!
-//! Three pieces, all std-only (no async runtime — the vendored-deps
-//! constraint is a feature here: the whole serving stack is plain
-//! threads and sockets):
+//! All std-only (no async runtime — the vendored-deps constraint is a
+//! feature here: the whole serving stack is plain threads and sockets):
 //!
-//! * [`protocol`] — length-prefixed JSON frames ([`Frame`]), hardened
+//! * [`protocol`] — length-prefixed frames ([`Frame`]) in two codecs
+//!   negotiated per session ([`WireCodec`]: JSON and `bin1`), hardened
 //!   against hostile length prefixes and garbage payloads
 //!   ([`WireError`], [`MAX_FRAME_LEN`]).
+//! * [`session`] — the exactly-once session protocol with no I/O in it:
+//!   the `Hello` opening, [`Identity`], and the [`Ledger`] of committed
+//!   replies (record before send, dedup, resume). The server below and
+//!   the `fmml-cluster` router both drive it.
+//! * [`transport`] — the [`Conn`] / [`Transport`] / [`Connector`] seam
+//!   the server is generic over: TCP in production, [`sim`]'s seeded
+//!   in-memory network ([`SimNet`]) under `fmml-simtest`.
 //! * [`server`] — acceptor + reader-per-session + shared CEM worker
 //!   pool with deadline-aware micro-batching
 //!   ([`ServerConfig`], [`spawn`], [`ServerHandle`]). Sessions shard
@@ -34,8 +41,8 @@
 
 pub mod loadgen;
 pub mod protocol;
-pub mod replay_log;
 pub mod server;
+pub mod session;
 pub mod sim;
 pub mod transport;
 
@@ -43,7 +50,7 @@ pub use loadgen::{
     run as run_loadgen, run_with as run_loadgen_with, ChaosConfig, LoadReport, LoadgenConfig,
 };
 pub use protocol::{Frame, WireCodec, WireError, MAX_FRAME_LEN};
-pub use replay_log::ReplayLog;
-pub use server::{spawn, spawn_with, ProtocolBug, ServerConfig, ServerHandle};
+pub use server::{spawn, spawn_with, ServerConfig, ServerHandle};
+pub use session::{Identity, Ledger, ProtocolBug};
 pub use sim::{FaultCounts, FaultProfile, SimConn, SimConnector, SimNet, SimTransport};
 pub use transport::{Accepted, Conn, Connector, TcpConnector, TcpTransport, Transport};

@@ -40,7 +40,7 @@
 use crate::protocol::{
     encode_frame_with, write_bytes, Frame, FrameReader, WireCodec, WireError, MAX_FRAME_LEN,
 };
-use crate::replay_log::ReplayLog;
+use crate::session::{self, Identity, Ledger, ProtocolBug, Stalls};
 use crate::transport::{Accepted, Conn, TcpTransport, Transport};
 use fmml_core::streaming::{IntervalItem, StreamingImputer};
 use fmml_core::transformer_imputer::TransformerImputer;
@@ -113,9 +113,6 @@ fn enforce_span_name(level: DegradationLevel) -> &'static str {
     }
 }
 
-/// Consecutive mid-frame read timeouts before a stalled sender is
-/// disconnected.
-const MAX_STALLS: u32 = 80;
 /// Sanity caps on the `Hello` geometry, checked before any per-session
 /// allocation happens, so a hostile `Hello` (e.g. `window_intervals =
 /// 10^15`) is answered `bad_handshake` instead of driving
@@ -223,16 +220,6 @@ pub struct ServerConfig {
     /// that the conformance checker actually catches violations (a
     /// checker that never fires proves nothing). `None` in production.
     pub injected_bug: Option<ProtocolBug>,
-}
-
-/// A deliberately wrong protocol behaviour (see
-/// [`ServerConfig::injected_bug`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolBug {
-    /// On resume, replay starts one seq too late (`last_acked + 1`
-    /// exclusive instead of `last_acked` exclusive), silently skipping
-    /// the first un-acked reply.
-    ReplayOffByOne,
 }
 
 impl Default for ServerConfig {
@@ -358,12 +345,9 @@ struct SessionWriter<C: Conn> {
     /// Replies successfully written (for `ByeAck`).
     answered: AtomicU64,
     dead: AtomicBool,
-    /// Replay window for resumption (empty cap when disabled).
-    replay: Mutex<ReplayLog>,
-    /// Highest `Interval.seq` this session has committed a reply for
-    /// (Ack/Imputed/Busy/Reject all count — every received seq resolves
-    /// exactly one way).
-    highest_seq: AtomicU64,
+    /// Committed replies: replay window (empty cap when resumption is
+    /// disabled) + resolved-seq watermark.
+    ledger: Ledger,
     /// Negotiated wire codec for everything this session encodes —
     /// `Json` until the handshake picks otherwise, then fixed for the
     /// session's whole lineage (parked state included) so replay-log
@@ -422,25 +406,14 @@ impl<C: Conn> SessionWriter<C> {
         }
     }
 
-    /// Commit a reply for `seq` into the replay window and advance the
-    /// resolved-seq high-water mark. Called *before* the write, so the
-    /// log covers replies the disconnect swallowed.
-    fn record_reply(&self, seq: u64, bytes: &[u8]) {
-        self.highest_seq.fetch_max(seq, Ordering::AcqRel);
-        self.replay
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(seq, bytes);
-    }
-
-    /// Record + send a per-seq reply frame (the reader-side Ack / Busy /
+    /// Commit + send a per-seq reply frame (the reader-side Ack / Busy /
     /// Reject path; the worker path encodes separately for stage timing
-    /// and calls [`record_reply`](SessionWriter::record_reply) itself).
+    /// and commits to the ledger itself).
     fn send_reply(&self, shared: &Shared<C>, seq: u64, frame: &Frame) -> bool {
         let Ok(bytes) = encode_frame_with(frame, self.codec(), shared.cfg.max_frame_len) else {
             return false;
         };
-        self.record_reply(seq, &bytes);
+        self.ledger.commit(seq, &bytes);
         self.send_bytes(shared, &bytes, frame.tag())
     }
 
@@ -474,20 +447,6 @@ struct Job<C: Conn> {
     requeued_at: Option<Instant>,
 }
 
-/// A disconnected session retained for resumption: the sliding windows
-/// and the writer (whose replay log holds the replies the client may
-/// have missed), keyed by resume token in [`Shared::parked`].
-struct ParkedSession<C: Conn> {
-    tenant: String,
-    ports: Vec<usize>,
-    queues: usize,
-    interval_len: usize,
-    window_intervals: usize,
-    imputers: HashMap<usize, StreamingImputer<Arc<TransformerImputer>>>,
-    writer: Arc<SessionWriter<C>>,
-    parked_at: Instant,
-}
-
 /// What a panicking worker leaves behind for the supervisor: which slot
 /// died, why, and which admitted intervals were in flight.
 struct WorkerObit {
@@ -517,9 +476,11 @@ struct Shared<C: Conn> {
     slo_obs: Mutex<VecDeque<ReplyObs>>,
     /// Declared breaches (bounded at [`SLO_BREACH_CAP`], oldest evicted).
     breaches: Mutex<Vec<SloBreach>>,
-    /// Disconnected sessions awaiting resumption, keyed by resume token
-    /// (bounded by `cfg.max_parked` / `cfg.parked_ttl`).
-    parked: Mutex<HashMap<String, ParkedSession<C>>>,
+    /// Disconnected sessions awaiting resumption — the whole
+    /// [`Session`] (sliding windows, and the writer whose ledger holds
+    /// the replies the client may have missed) with its park time, keyed
+    /// by resume token (bounded by `cfg.max_parked` / `cfg.parked_ttl`).
+    parked: Mutex<HashMap<String, (Session<C>, Instant)>>,
     /// Signalled whenever a session parks — wakes reconnecting claims
     /// racing the old reader's unwind.
     parked_cv: Condvar,
@@ -1052,14 +1013,12 @@ fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
 /// Per-session state owned by the reader thread.
 struct Session<C: Conn> {
     id: u64,
-    tenant: String,
+    /// What the session's `Hello` claimed; a reconnect must claim the
+    /// same to resume it.
+    identity: Identity,
     /// The resume token handed out in `Welcome` (None when resumption is
     /// disabled); the key this session parks under on disconnect.
     token: Option<String>,
-    ports: Vec<usize>,
-    queues: usize,
-    interval_len: usize,
-    window_intervals: usize,
     imputers: HashMap<usize, StreamingImputer<Arc<TransformerImputer>>>,
     writer: Arc<SessionWriter<C>>,
 }
@@ -1087,8 +1046,7 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
         inflight: AtomicUsize::new(0),
         answered: AtomicU64::new(0),
         dead: AtomicBool::new(false),
-        replay: Mutex::new(ReplayLog::new(cfg.replay_window)),
-        highest_seq: AtomicU64::new(0),
+        ledger: Ledger::new(cfg.replay_window),
         codec: AtomicU8::new(0),
     });
     let mut reader = FrameReader::with_max_len(read_half, cfg.max_frame_len);
@@ -1104,14 +1062,14 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
     log_event!(
         "serve.session.open",
         "session" = session.id,
-        "tenant" = session.tenant.as_str()
+        "tenant" = session.identity.tenant.as_str()
     );
 
-    let mut stalls: u32 = 0;
+    let mut stalls = Stalls::default();
     let mut end = SessionEnd::Disconnected;
     loop {
         if shared.shutting_down() {
-            drain_inflight(shared, &session.writer);
+            drain_inflight(shared, &session.writer, false);
             let _ = session.writer.send(
                 shared,
                 &Frame::Error {
@@ -1127,23 +1085,18 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
         }
         match reader.poll_frame() {
             Ok(None) => {
-                if reader.pending() > 0 {
-                    stalls += 1;
-                    if stalls > MAX_STALLS {
-                        SLOW_DISCONNECTS.inc();
-                        shared
-                            .counters
-                            .slow_disconnects
-                            .fetch_add(1, Ordering::Relaxed);
-                        log_event!("serve.stall_disconnect", "session" = session.id);
-                        break;
-                    }
-                } else {
-                    stalls = 0;
+                if stalls.timed_out(reader.pending()) {
+                    SLOW_DISCONNECTS.inc();
+                    shared
+                        .counters
+                        .slow_disconnects
+                        .fetch_add(1, Ordering::Relaxed);
+                    log_event!("serve.stall_disconnect", "session" = session.id);
+                    break;
                 }
             }
             Ok(Some(frame)) => {
-                stalls = 0;
+                stalls.progressed();
                 let decode_ns = reader.last_decode_ns();
                 if !handle_frame(shared, &mut session, frame, decode_ns) {
                     end = SessionEnd::Graceful; // only `Bye` ends in-band
@@ -1187,20 +1140,20 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
     }
 }
 
-/// Park a disconnected session for resumption: its sliding windows and
-/// writer (with the replay log) go into `Shared::parked` under its
-/// resume token, bounded by `max_parked`/`parked_ttl`.
+/// Park a disconnected session for resumption: it goes into
+/// `Shared::parked` whole under its resume token, bounded by
+/// `max_parked`/`parked_ttl`.
 fn park_session<C: Conn>(shared: &Shared<C>, session: Session<C>) {
     let Some(token) = session.token.clone() else {
         return; // resumption disabled
     };
     let now = shared.cfg.clock.now();
     let mut parked = shared.parked.lock().unwrap_or_else(PoisonError::into_inner);
-    parked.retain(|_, p| now.saturating_duration_since(p.parked_at) <= shared.cfg.parked_ttl);
+    parked.retain(|_, (_, at)| now.saturating_duration_since(*at) <= shared.cfg.parked_ttl);
     while parked.len() >= shared.cfg.max_parked {
         let Some(oldest) = parked
             .iter()
-            .min_by_key(|(_, p)| p.parked_at)
+            .min_by_key(|(_, (_, at))| *at)
             .map(|(k, _)| k.clone())
         else {
             break;
@@ -1212,34 +1165,10 @@ fn park_session<C: Conn>(shared: &Shared<C>, session: Session<C>) {
         "session" = session.id,
         "inflight" = session.writer.inflight.load(Ordering::Acquire)
     );
-    parked.insert(
-        token,
-        ParkedSession {
-            tenant: session.tenant,
-            ports: session.ports,
-            queues: session.queues,
-            interval_len: session.interval_len,
-            window_intervals: session.window_intervals,
-            imputers: session.imputers,
-            writer: session.writer,
-            parked_at: now,
-        },
-    );
+    parked.insert(token, (session, now));
     PARKED_SESSIONS.set(parked.len() as i64);
     drop(parked);
     shared.parked_cv.notify_all();
-}
-
-/// Deterministic token for session `id` (splitmix64). Unguessability is
-/// NOT a design goal — the protocol is plaintext loopback JSON and the
-/// tenant string is already client-asserted; the token exists to route
-/// a reconnect to the right parked state, not to authenticate it.
-fn resume_token_for(id: u64) -> String {
-    let mut z = id.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    format!("tok-{z:016x}")
 }
 
 /// Expect `Hello`, validate geometry, reply `Welcome`. `None` aborts the
@@ -1250,57 +1179,17 @@ fn handshake<C: Conn>(
     writer: &Arc<SessionWriter<C>>,
 ) -> Option<Session<C>> {
     let cfg = &shared.cfg;
-    let deadline = cfg.clock.now() + Duration::from_secs(5);
-    let frame = loop {
-        if shared.shutting_down() || cfg.clock.now() > deadline {
-            return None;
-        }
-        match reader.poll_frame() {
-            // Pre-handshake `Stats` / `MetricsDump` are allowed:
-            // monitoring probes (`fmml obs`) ask for counters or the
-            // full introspection dump without opening a session.
-            Ok(Some(Frame::Stats)) => {
-                if !writer.send(shared, &shared.counters.stats_frame()) {
-                    return None;
-                }
-            }
-            Ok(Some(Frame::MetricsDump)) => {
-                let reply = Frame::MetricsReply {
-                    json: fmml_obs::dump_json(),
-                };
-                if !writer.send(shared, &reply) {
-                    return None;
-                }
-            }
-            Ok(Some(f)) => break f,
-            Ok(None) => continue,
-            Err(_) => return None,
-        }
-    };
-    let Frame::Hello {
-        tenant,
-        ports,
-        queues,
-        interval_len,
-        window_intervals,
-        resume_token,
-        last_acked,
-        codecs,
-    } = frame
-    else {
-        let _ = writer.send(
-            shared,
-            &Frame::Error {
-                code: "bad_handshake".into(),
-                message: format!("expected Hello, got {}", frame.tag()),
-            },
-        );
-        return None;
-    };
+    let hello = session::read_hello(
+        reader,
+        || cfg.clock.now(),
+        || shared.shutting_down(),
+        || shared.counters.stats_frame(),
+        |frame| writer.send(shared, frame),
+    )?;
     // A draining node refuses every new session — fresh *and* resume —
     // so the placement layer moves it (and its parked state, via the
-    // resume token) to another node. Probe frames above still work:
-    // drain must not blind the health checker.
+    // resume token) to another node. The opening's probe frames still
+    // work: drain must not blind the health checker.
     if shared.draining() {
         let _ = writer.send(
             shared,
@@ -1314,6 +1203,13 @@ fn handshake<C: Conn>(
     // Each cap alone is not enough: the window is what the model encodes,
     // and it has positions for `max_len` steps (the caps bound the
     // product far below overflow).
+    let Identity {
+        ref ports,
+        queues,
+        interval_len,
+        window_intervals,
+        ..
+    } = hello.identity;
     let max_len = shared.model.model.cfg.max_len;
     let valid = !ports.is_empty()
         && ports.len() <= MAX_PORTS_PER_SESSION
@@ -1342,17 +1238,10 @@ fn handshake<C: Conn>(
 
     // Resume path: re-attach to a parked session's windows and replay
     // log instead of building fresh state.
-    if let Some(tok) = resume_token.as_ref().filter(|_| shared.resumable()) {
-        if let Some(parked) = claim_parked(
-            shared,
-            tok,
-            &tenant,
-            &ports,
-            queues,
-            interval_len,
-            window_intervals,
-        ) {
-            return resume_session(shared, writer, parked, id, tenant, tok.clone(), last_acked);
+    if let Some(tok) = hello.resume_token.as_ref().filter(|_| shared.resumable()) {
+        if let Some(mut parked) = claim_parked(shared, tok, &hello.identity) {
+            parked.id = id;
+            return resume_session(shared, writer, parked, hello.last_acked);
         }
         RESUME_MISSES.inc();
     }
@@ -1373,90 +1262,57 @@ fn handshake<C: Conn>(
             )
         })
         .collect();
-    let token = shared.resumable().then(|| resume_token_for(id));
+    // One token per session id: the mint's state is seeded with it.
+    let mut mint_state = id;
+    let token = shared
+        .resumable()
+        .then(|| session::resume_token_for("tok", &mut mint_state));
     // Codec negotiation: the server's preference, if the client
     // advertised it. The Welcome itself still goes out as JSON (the
     // writer's codec is switched only after it is sent), so a client
     // can always parse the verdict with its pre-negotiation decoder.
-    let codec = WireCodec::negotiate(cfg.wire, codecs.as_deref());
-    if !writer.send(
-        shared,
-        &Frame::Welcome {
-            session: id,
-            deadline_ms: cfg.deadline.as_millis() as u64,
-            resume_token: token.clone(),
-            // A resumable server always states the verdict, so a failed
-            // resume attempt is answered honestly: the client must treat
-            // its pending intervals as addressed to a fresh session
-            // (i.e. lost), not wait for a replay.
-            resumed: shared.resumable().then_some(false),
-            resume_seq: None,
-            codec: Some(codec.label().into()),
-        },
-    ) {
+    let codec = WireCodec::negotiate(cfg.wire, hello.codecs.as_deref());
+    let deadline_ms = cfg.deadline.as_millis() as u64;
+    let welcome = session::welcome(id, deadline_ms, token.as_deref(), None, codec);
+    if !writer.send(shared, &welcome) {
         return None;
     }
     writer.set_codec(codec);
     Some(Session {
         id,
-        tenant,
+        identity: hello.identity,
         token,
-        ports,
-        queues,
-        interval_len,
-        window_intervals,
         imputers,
         writer: Arc::clone(writer),
     })
 }
 
-/// Claim the parked session for `tok` if its tenant and geometry match
-/// the reconnecting `Hello`. Waits briefly for the park to land (the old
-/// connection's reader may still be unwinding when the client retries).
-/// A parked entry older than `parked_ttl` (on the injected clock) is
-/// expired here rather than claimed: the reconnect gets a fresh session.
-fn claim_parked<C: Conn>(
-    shared: &Shared<C>,
-    tok: &str,
-    tenant: &str,
-    ports: &[usize],
-    queues: usize,
-    interval_len: usize,
-    window_intervals: usize,
-) -> Option<ParkedSession<C>> {
+/// Claim the parked session for `tok` if the reconnecting `Hello` claims
+/// the identity it was opened with. Waits briefly for the park to land
+/// (the old connection's reader may still be unwinding when the client
+/// retries). A parked entry older than `parked_ttl` (on the injected
+/// clock) is expired here rather than claimed: the reconnect gets a
+/// fresh session.
+fn claim_parked<C: Conn>(shared: &Shared<C>, tok: &str, identity: &Identity) -> Option<Session<C>> {
     // The wait budget is real time (poll patience, not protocol time):
     // under a virtual clock a reconnect race still resolves in real
     // microseconds even though no one is advancing virtual time.
     let deadline = Instant::now() + shared.cfg.resume_claim_wait;
     let mut parked = shared.parked.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
-        if let Some(p) = parked.get(tok) {
-            if shared
-                .cfg
-                .clock
-                .now()
-                .saturating_duration_since(p.parked_at)
-                > shared.cfg.parked_ttl
-            {
-                // Expired: drop the stale state so nothing leaks, and
-                // let the handshake fall through to a fresh session.
-                parked.remove(tok);
-                PARKED_SESSIONS.set(parked.len() as i64);
+        if let Some((p, parked_at)) = parked.get(tok) {
+            let expired = shared.cfg.clock.now().saturating_duration_since(*parked_at)
+                > shared.cfg.parked_ttl;
+            // Same token, different identity: refuse the claim (fresh
+            // session) but leave the parked state alone. Expired: drop
+            // the stale state so nothing leaks, and let the handshake
+            // fall through to a fresh session.
+            if !expired && p.identity != *identity {
                 return None;
             }
-            let matches = p.tenant == tenant
-                && p.ports == ports
-                && p.queues == queues
-                && p.interval_len == interval_len
-                && p.window_intervals == window_intervals;
-            if !matches {
-                // Same token, different identity: refuse the claim
-                // (fresh session) but leave the parked state alone.
-                return None;
-            }
-            let claimed = parked.remove(tok);
+            let (claimed, _) = parked.remove(tok)?;
             PARKED_SESSIONS.set(parked.len() as i64);
-            return claimed;
+            return (!expired).then_some(claimed);
         }
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() || shared.shutting_down() {
@@ -1471,32 +1327,17 @@ fn claim_parked<C: Conn>(
 }
 
 /// Finish a successful resume: attach the new connection to the parked
-/// writer, drain stragglers into the replay log, tell the client where
-/// to rewind to, and replay everything past its `last_acked`.
+/// writer, drain stragglers into the ledger, tell the client where to
+/// rewind to, and replay everything past its `last_acked`. Until the
+/// `Welcome` clears the new connection, any failure re-parks `session`
+/// under the same token (a dropped ledger here would turn a transient
+/// reconnect hiccup into permanent reply loss).
 fn resume_session<C: Conn>(
     shared: &Arc<Shared<C>>,
     fresh_writer: &Arc<SessionWriter<C>>,
-    parked: ParkedSession<C>,
-    id: u64,
-    tenant: String,
-    token: String,
+    session: Session<C>,
     last_acked: Option<u64>,
 ) -> Option<Session<C>> {
-    // Reassemble the session first: until the handshake completes on the
-    // new connection, any failure path must re-park this state under the
-    // same token (a dropped replay log here would turn a transient
-    // reconnect hiccup into permanent reply loss).
-    let session = Session {
-        id,
-        tenant,
-        token: Some(token),
-        ports: parked.ports,
-        queues: parked.queues,
-        interval_len: parked.interval_len,
-        window_intervals: parked.window_intervals,
-        imputers: parked.imputers,
-        writer: parked.writer,
-    };
     // The new connection's socket currently lives inside the throwaway
     // pre-handshake writer; dup it into the parked writer.
     let stream = match fresh_writer
@@ -1512,27 +1353,21 @@ fn resume_session<C: Conn>(
         }
     };
     let writer = Arc::clone(&session.writer);
-    // Let replies already in the worker pipeline commit to the replay
-    // log before we snapshot the high-water mark — after this, every
-    // seq ≤ resume_seq has a logged reply and every seq above it never
-    // reached the server.
-    drain_inflight_for_resume(shared, &writer);
+    // Let replies already in the worker pipeline commit to the ledger
+    // before it snapshots the watermark — after this, every seq ≤
+    // resume_seq has a logged reply and every seq above it never reached
+    // the server.
+    drain_inflight(shared, &writer, true);
     writer.attach(stream);
-    let resume_seq = writer.highest_seq.load(Ordering::Acquire);
-    if !writer.send(
-        shared,
-        &Frame::Welcome {
-            session: id,
-            deadline_ms: shared.cfg.deadline.as_millis() as u64,
-            resume_token: session.token.clone(),
-            resumed: Some(true),
-            resume_seq: Some(resume_seq),
-            // A resumed lineage keeps the codec it negotiated at birth
-            // (the replay bytes that follow are pre-encoded in it); the
-            // Welcome restates it rather than renegotiating.
-            codec: Some(writer.codec().label().into()),
-        },
-    ) {
+    let (resume_seq, replay) = writer.ledger.resume(last_acked, shared.cfg.injected_bug);
+    let welcome = session::welcome(
+        session.id,
+        shared.cfg.deadline.as_millis() as u64,
+        session.token.as_deref(),
+        Some(resume_seq),
+        writer.codec(),
+    );
+    if !writer.send(shared, &welcome) {
         // The Welcome never cleared the reconnect (it died mid-
         // handshake). The session is still fully resumable: park it
         // again so the client's next retry can claim it.
@@ -1541,26 +1376,12 @@ fn resume_session<C: Conn>(
     }
     RESUMES.inc();
     shared.counters.resumes.fetch_add(1, Ordering::Relaxed);
-    // Exactly-once completion: replay (in seq order) every retained
-    // reply past the client's ack point. The client dedups anything it
-    // already processed; gaps it was waiting on are filled here.
-    let replay_from = last_acked.unwrap_or(0)
-        + match shared.cfg.injected_bug {
-            // Off-by-one seeded for the simulation harness: skips the
-            // first un-acked reply, which the model checker must catch
-            // as a completeness violation.
-            Some(ProtocolBug::ReplayOffByOne) => 1,
-            None => 0,
-        };
-    let entries = {
-        let mut log = writer.replay.lock().unwrap_or_else(PoisonError::into_inner);
-        // The client's ack is the eviction watermark: everything at or
-        // below it is confirmed processed and safe to drop first.
-        log.set_acked(last_acked.unwrap_or(0));
-        log.since(replay_from)
-    };
+    // Exactly-once completion: the client dedups anything it already
+    // processed; gaps it was waiting on are filled here. A failed write
+    // marks the writer dead, which ends (and re-parks) the session on
+    // the read loop's first turn.
     let mut replayed = 0u64;
-    for (_seq, bytes) in &entries {
+    for bytes in &replay {
         if !writer.send_bytes(shared, bytes, "Replay") {
             break;
         }
@@ -1581,10 +1402,10 @@ fn resume_session<C: Conn>(
         .fetch_add(replayed, Ordering::Relaxed);
     log_event!(
         "serve.session.resume",
-        "session" = id,
+        "session" = session.id,
         "resume_seq" = resume_seq,
         "replayed" = replayed,
-        "tenant" = session.tenant.as_str()
+        "tenant" = session.identity.tenant.as_str()
     );
     Some(session)
 }
@@ -1599,6 +1420,10 @@ fn handle_frame<C: Conn>(
     decode_ns: u64,
 ) -> bool {
     let cfg = &shared.cfg;
+    if let Some(reply) = session::probe_reply(&frame, || shared.counters.stats_frame()) {
+        session.writer.send(shared, &reply);
+        return true;
+    }
     match frame {
         Frame::Interval {
             seq,
@@ -1626,22 +1451,14 @@ fn handle_frame<C: Conn>(
             // or below the high-water mark *without* a logged reply is a
             // reordered frame that never reached us; it falls through
             // and is ingested normally (pre-resume behaviour).
-            if seq <= session.writer.highest_seq.load(Ordering::Acquire) {
-                let logged = session
-                    .writer
-                    .replay
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get(seq);
-                if let Some(bytes) = logged {
-                    REPLAYED.inc();
-                    shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-                    if session.writer.send_bytes(shared, &bytes, "Replay") {
-                        REPLIES.inc();
-                        shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return true;
+            if let Some(bytes) = session.writer.ledger.answered(seq) {
+                REPLAYED.inc();
+                shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
+                if session.writer.send_bytes(shared, &bytes, "Replay") {
+                    REPLIES.inc();
+                    shared.counters.replies.fetch_add(1, Ordering::Relaxed);
                 }
+                return true;
             }
             // Admission control first: over-budget intervals are dropped
             // before costing a model forward pass.
@@ -1715,21 +1532,8 @@ fn handle_frame<C: Conn>(
             }
             true
         }
-        Frame::Stats => {
-            session.writer.send(shared, &shared.counters.stats_frame());
-            true
-        }
-        Frame::MetricsDump => {
-            session.writer.send(
-                shared,
-                &Frame::MetricsReply {
-                    json: fmml_obs::dump_json(),
-                },
-            );
-            true
-        }
         Frame::Bye => {
-            drain_inflight(shared, &session.writer);
+            drain_inflight(shared, &session.writer, false);
             let answered = session.writer.answered.load(Ordering::Relaxed);
             // Honest drain accounting: if the bounded drain budget ran
             // out, report how many accepted intervals are still
@@ -1761,22 +1565,13 @@ fn handle_frame<C: Conn>(
 
 /// Wait (bounded) until every accepted interval of this session has been
 /// answered — the graceful-drain guarantee behind `Bye` and shutdown.
-/// Bails early on a dead writer: the peer is gone, nothing it was owed
-/// can be delivered on this connection.
-fn drain_inflight<C: Conn>(shared: &Shared<C>, writer: &SessionWriter<C>) {
-    drain_inflight_inner(shared, writer, false)
-}
-
-/// Resume-path drain: waits even on a dead writer. Workers decrement
-/// `inflight` whether or not the socket write succeeds, and they commit
-/// `record_reply` first — so once this returns with `inflight == 0`,
-/// every accepted seq is in the replay log and the resume watermark
-/// covers it.
-fn drain_inflight_for_resume<C: Conn>(shared: &Shared<C>, writer: &SessionWriter<C>) {
-    drain_inflight_inner(shared, writer, true)
-}
-
-fn drain_inflight_inner<C: Conn>(shared: &Shared<C>, writer: &SessionWriter<C>, ignore_dead: bool) {
+/// Bails early on a dead writer (the peer is gone, nothing it was owed
+/// can be delivered on this connection) unless `ignore_dead`: the
+/// resume path waits regardless, because workers decrement `inflight`
+/// whether or not the socket write succeeds and commit to the ledger
+/// first — so once this returns with `inflight == 0`, every accepted
+/// seq is in the replay log and the resume watermark covers it.
+fn drain_inflight<C: Conn>(shared: &Shared<C>, writer: &SessionWriter<C>, ignore_dead: bool) {
     let clock = &shared.cfg.clock;
     let budget = shared.cfg.deadline.max(Duration::from_millis(50)) * 20;
     let deadline = clock.now() + budget;
@@ -2009,11 +1804,9 @@ fn process_batch<C: Conn>(
                     cfg.clock.sleep(Duration::from_millis(pf.slow_write_ms));
                 }
                 first_write = false;
-                // Record into the replay log BEFORE the socket write: a
-                // reply that may have reached the wire must be
-                // replayable, or a crash between write and record would
-                // lose it for a resuming client.
-                job.writer.record_reply(job.seq, bytes);
+                // Record before send: a reply that may have reached the
+                // wire must be replayable.
+                job.writer.ledger.commit(job.seq, bytes);
                 let write_start = cfg.clock.now();
                 let ok = job.writer.send_bytes(shared, bytes, frame.tag());
                 let write_dur = cfg.clock.now().saturating_duration_since(write_start);
