@@ -919,9 +919,10 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
         // Binary is advertised to the backends only for binary sessions
         // — that way a session's reply bytes are produced in its own
         // codec end-to-end and pass through this router verbatim.
-        let hello = session
-            .identity
-            .hello((session.codec == WireCodec::Bin1).then(WireCodec::advertise));
+        let hello = session.identity.hello(
+            None,
+            (session.codec == WireCodec::Bin1).then(WireCodec::advertise),
+        );
         match dial_backend(shared, connector.as_ref(), &hello) {
             DialOutcome::Failed => {
                 shared.mark_backend_failed(&target);

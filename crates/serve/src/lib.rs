@@ -14,9 +14,11 @@
 //!   against hostile length prefixes and garbage payloads
 //!   ([`WireError`], [`MAX_FRAME_LEN`]).
 //! * [`session`] — the exactly-once session protocol with no I/O in it:
-//!   the `Hello` opening, [`Identity`], and the [`Ledger`] of committed
-//!   replies (record before send, dedup, resume). The server below and
-//!   the `fmml-cluster` router both drive it.
+//!   the `Hello` opening, [`Identity`], the [`Ledger`] of committed
+//!   replies (record before send, dedup, resume), and the client half
+//!   ([`ClientSession`]: pending bytes, resume, reply dedup). The server
+//!   below and the `fmml-cluster` router drive the server half; the load
+//!   generator and `fmml-simtest` drive the client half.
 //! * [`transport`] — the [`Conn`] / [`Transport`] / [`Connector`] seam
 //!   the server is generic over: TCP in production, [`sim`]'s seeded
 //!   in-memory network ([`SimNet`]) under `fmml-simtest`.
@@ -46,11 +48,9 @@ pub mod session;
 pub mod sim;
 pub mod transport;
 
-pub use loadgen::{
-    run as run_loadgen, run_with as run_loadgen_with, ChaosConfig, LoadReport, LoadgenConfig,
-};
+pub use loadgen::{run as run_loadgen, ChaosConfig, LoadReport, LoadgenConfig};
 pub use protocol::{Frame, WireCodec, WireError, MAX_FRAME_LEN};
 pub use server::{spawn, spawn_with, ServerConfig, ServerHandle};
-pub use session::{Identity, Ledger, ProtocolBug};
+pub use session::{ClientSession, Identity, Ledger, ProtocolBug, Welcomed};
 pub use sim::{FaultCounts, FaultProfile, SimConn, SimConnector, SimNet, SimTransport};
 pub use transport::{Accepted, Conn, Connector, TcpConnector, TcpTransport, Transport};

@@ -14,7 +14,8 @@
 //! reordered intervals. The server's contract under all of it: typed
 //! rejections, zero panics, zero constraint violations.
 
-use crate::protocol::{write_frame, write_frame_with, Frame, FrameReader, WireCodec, WireError};
+use crate::protocol::{write_bytes, write_frame, write_frame_with, Frame, FrameReader, WireCodec};
+use crate::session::{ClientSession, Identity, Welcomed};
 use crate::transport::{Conn, Connector, TcpConnector};
 use fmml_core::streaming::IntervalUpdate;
 use fmml_fm::cem::DegradationLevel;
@@ -26,7 +27,6 @@ use fmml_telemetry::{windows_from_trace, PortWindow};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::Serialize;
-use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -131,7 +131,7 @@ impl Default for LoadgenConfig {
 /// Aggregated measurement across all clients. Flat (and
 /// `Serialize`-derived) so `--stats-json` consumers can grep fields like
 /// `deadline_miss_rate` and `rejected` directly.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct LoadReport {
     pub clients: usize,
     /// Well-formed `Interval` frames sent.
@@ -182,8 +182,8 @@ pub struct LoadReport {
     /// (`clients / deadline`): ≥ 1.0 sustains replay at wire rate.
     pub wire_rate_x: f64,
     pub elapsed_ms: u64,
-    /// Server-side counters from a final `Stats` probe (0 if the probe
-    /// failed).
+    /// Server-side counters from a final `Stats` probe, taken after the
+    /// clients finished (0 if the probe failed).
     pub server_sessions: u64,
     pub server_accepted: u64,
     pub server_rejected: u64,
@@ -214,18 +214,20 @@ struct ClientReport {
     latencies_us: Vec<u64>,
 }
 
+/// Tag of one pending seq: its first send time and the trace id minted
+/// for it (0 = untraced).
+type Sent = (Instant, u64);
+
 /// State shared between a client's sender and reader threads.
 #[derive(Default)]
 struct ClientShared {
-    /// seq → (send time, trace id minted for the interval; 0 = untraced).
-    pending: Mutex<HashMap<u64, (Instant, u64)>>,
     latencies_us: Mutex<Vec<u64>>,
     acked: AtomicU64,
     busy: AtomicU64,
     malformed_rejects: AtomicU64,
     server_errors: AtomicU64,
     unknown_levels: AtomicU64,
-    /// Replies for seqs no longer pending (replay overlap after resume).
+    /// Replies for seqs already answered (replay overlap after resume).
     duplicates: AtomicU64,
     saw_byeack: AtomicBool,
     /// `remaining` reported by the `ByeAck` (non-zero = partial drain).
@@ -236,8 +238,7 @@ struct ClientShared {
 }
 
 impl ClientShared {
-    /// The shared state now outlives a single connection (pending seqs
-    /// must survive a disconnect for resumption); per-connection flags
+    /// The tallies outlive a single connection; per-connection flags
     /// are re-armed before each reader spawn.
     fn reset_for_connection(&self) {
         self.saw_byeack.store(false, Ordering::Release);
@@ -250,17 +251,9 @@ impl ClientShared {
 /// Run the load generator to completion and aggregate (TCP transport,
 /// dialing `cfg.addr`).
 pub fn run(cfg: &LoadgenConfig) -> LoadReport {
-    run_with(
-        cfg,
-        Arc::new(TcpConnector {
-            addr: cfg.addr.clone(),
-        }),
-    )
-}
-
-/// Run the load generator over an arbitrary [`Connector`] — the
-/// simulation harness dials the in-memory transport here.
-pub fn run_with<K: Connector + 'static>(cfg: &LoadgenConfig, connector: Arc<K>) -> LoadReport {
+    let connector = Arc::new(TcpConnector {
+        addr: cfg.addr.clone(),
+    });
     assert!(cfg.clients >= 1 && cfg.intervals >= 1 && cfg.distinct_traces >= 1);
     // Touch every loadgen metric up front so the snapshot always carries
     // the full `serve.loadgen.*` family (counters register lazily, and
@@ -319,9 +312,6 @@ pub fn run_with<K: Connector + 'static>(cfg: &LoadgenConfig, connector: Arc<K>) 
         .collect();
     let elapsed = started.elapsed();
 
-    // Final server-side stats probe on a fresh connection.
-    let server_stats = probe_stats(&*connector);
-
     let mut lat: Vec<u64> = reports
         .iter()
         .flat_map(|r| r.latencies_us.iter().copied())
@@ -346,7 +336,7 @@ pub fn run_with<K: Connector + 'static>(cfg: &LoadgenConfig, connector: Arc<K>) 
     let wire_rate = cfg.clients as f64 / cfg.deadline.as_secs_f64();
     let sum = |f: fn(&ClientReport) -> u64| reports.iter().map(f).sum::<u64>();
 
-    let report = LoadReport {
+    let mut report = LoadReport {
         clients: cfg.clients,
         sent: sum(|r| r.sent),
         answered,
@@ -372,15 +362,9 @@ pub fn run_with<K: Connector + 'static>(cfg: &LoadgenConfig, connector: Arc<K>) 
         throughput_rps,
         wire_rate_x: throughput_rps / wire_rate,
         elapsed_ms: elapsed.as_millis() as u64,
-        server_sessions: server_stats.as_ref().map_or(0, |s| s.0),
-        server_accepted: server_stats.as_ref().map_or(0, |s| s.1),
-        server_rejected: server_stats.as_ref().map_or(0, |s| s.2),
-        server_malformed: server_stats.as_ref().map_or(0, |s| s.3),
-        server_batches: server_stats.as_ref().map_or(0, |s| s.4),
-        server_deadline_misses: server_stats.as_ref().map_or(0, |s| s.5),
-        server_violations: server_stats.as_ref().map_or(0, |s| s.6),
-        server_slow_disconnects: server_stats.as_ref().map_or(0, |s| s.7),
+        ..LoadReport::default()
     };
+    probe_stats(&*connector, &mut report);
     LG_MISS_RATE.set(report.deadline_miss_rate);
     log_event!(
         "serve.loadgen.done",
@@ -464,13 +448,9 @@ fn connect_with_retry<K: Connector + ?Sized>(
     }
 }
 
-/// Open a throwaway connection and ask the server for its counters.
-/// Returns (sessions, accepted, rejected, malformed, batches,
-/// deadline_misses, violations, slow_disconnects).
-#[allow(clippy::type_complexity)]
-fn probe_stats<K: Connector + ?Sized>(
-    connector: &K,
-) -> Option<(u64, u64, u64, u64, u64, u64, u64, u64)> {
+/// Open a throwaway connection, ask the server for its counters and
+/// fill the report's `server_*` fields (left 0 if the probe fails).
+fn probe_stats<K: Connector + ?Sized>(connector: &K, report: &mut LoadReport) -> Option<()> {
     let mut rng = StdRng::seed_from_u64(0x5747_5f70_726f_6265); // "STW_probe"
     let stream = connect_with_retry(connector, Duration::from_secs(2), &mut rng)?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
@@ -490,20 +470,18 @@ fn probe_stats<K: Connector + ?Sized>(
                 slow_disconnects,
                 ..
             })) => {
-                return Some((
-                    sessions,
-                    accepted,
-                    rejected,
-                    malformed,
-                    batches,
-                    deadline_misses,
-                    violations,
-                    slow_disconnects,
-                ));
+                report.server_sessions = sessions;
+                report.server_accepted = accepted;
+                report.server_rejected = rejected;
+                report.server_malformed = malformed;
+                report.server_batches = batches;
+                report.server_deadline_misses = deadline_misses;
+                report.server_violations = violations;
+                report.server_slow_disconnects = slow_disconnects;
+                return Some(());
             }
             Ok(Some(_)) => continue,
-            Ok(None) => return None,
-            Err(_) => return None,
+            Ok(None) | Err(_) => return None,
         }
     }
 }
@@ -520,19 +498,25 @@ fn run_client<K: Connector + ?Sized>(
     );
     let chaos = cfg.chaos.clone().unwrap_or_default();
     let mut updates: Vec<IntervalUpdate> = updates.to_vec();
-    let port = updates[0].port;
-    let queues = updates[0].samples.len();
-    let mut seq: u64 = 0;
     let mut idx = 0usize;
-    // Shared state is per-*client*, not per-connection: pending seqs
-    // must survive a disconnect so a resumed session can reconcile them
-    // against the server's replay window instead of writing them off.
+    // The session and the tallies are per-*client*, not per-connection:
+    // pending seqs must survive a disconnect so a resumed session can
+    // reconcile them against the server's replay instead of writing
+    // them off.
+    let session: Arc<Mutex<ClientSession<Sent>>> = Arc::new(Mutex::new(ClientSession::new(
+        Identity {
+            tenant: format!("{}-{client}", cfg.tenant_prefix),
+            ports: vec![updates[0].port],
+            queues: updates[0].samples.len(),
+            interval_len: cfg.interval_len,
+            window_intervals: cfg.window_intervals,
+        },
+        cfg.wire,
+    )));
     let shared = Arc::new(ClientShared::default());
-    let mut resume_token: Option<String> = None;
 
     loop {
-        let outstanding = !shared.pending.lock().unwrap().is_empty();
-        if idx >= updates.len() && !outstanding {
+        if idx >= updates.len() && session.lock().unwrap().pending() == 0 {
             break;
         }
         let retry_budget = if report.reconnects == 0 && report.connect_failures == 0 {
@@ -553,93 +537,51 @@ fn run_client<K: Connector + ?Sized>(
             break;
         };
         let mut w = stream;
-        // Handshake; a token from a previous Welcome asks the server to
-        // resume that session. `last_acked` is the contiguous floor of
-        // received replies: everything above it and still pending is
-        // either replayed by the server or re-sent by us after rewind.
-        let last_acked = {
-            let p = shared.pending.lock().unwrap();
-            p.keys().min().map_or(seq, |&m| m - 1)
-        };
-        if write_frame(
-            &mut w,
-            &Frame::Hello {
-                tenant: format!("{}-{client}", cfg.tenant_prefix),
-                ports: vec![port],
-                queues,
-                interval_len: cfg.interval_len,
-                window_intervals: cfg.window_intervals,
-                resume_token: resume_token.clone(),
-                last_acked: resume_token.is_some().then_some(last_acked),
-                codecs: (cfg.wire == WireCodec::Bin1).then(WireCodec::advertise),
-            },
-        )
-        .is_err()
-        {
+        // A token from a previous Welcome asks the server to resume.
+        let hello = session.lock().unwrap().hello();
+        if write_frame(&mut w, &hello).is_err() {
             report.connect_failures += 1;
             continue;
         }
         let mut hs_reader = FrameReader::new(read_half);
-        let Some(welcome) = await_welcome(&mut hs_reader) else {
+        let Some(welcomed) =
+            await_welcome(&mut hs_reader).and_then(|f| session.lock().unwrap().welcome(&f))
+        else {
             report.connect_failures += 1;
             report.reconnects += 1;
             continue;
         };
-        // Encode with whatever the server picked (an old server's
-        // Welcome has no codec key → JSON). Decoding always sniffs.
-        let codec = welcome
-            .codec
-            .as_deref()
-            .and_then(WireCodec::parse)
-            .unwrap_or_default();
-        if welcome.resumed == Some(true) {
-            report.resumes += 1;
-            LG_RESUMES.inc();
-            let resume_seq = welcome.resume_seq.unwrap_or(0);
-            if resume_seq < seq {
-                // The server never processed anything past its
-                // watermark. Seq S rode updates[S-1], so rewind the send
-                // cursor to the watermark and retract those seqs' first
-                // `sent` accounting — they are re-sent under the same
-                // seq numbers and counted again then.
-                let rewound = {
-                    let mut p = shared.pending.lock().unwrap();
-                    let before = p.len();
-                    p.retain(|&s, _| s <= resume_seq);
-                    (before - p.len()) as u64
-                };
-                report.sent = report.sent.saturating_sub(rewound);
-                seq = resume_seq;
-                idx = resume_seq as usize;
+        let codec = session.lock().unwrap().codec();
+        let resend = match welcomed {
+            Welcomed::Resumed { resend } => {
+                report.resumes += 1;
+                LG_RESUMES.inc();
+                resend
             }
-        } else {
-            // Fresh session (no token yet, or the parked session
-            // expired / was evicted): in-flight seqs are unrecoverable.
-            let dropped = {
-                let mut p = shared.pending.lock().unwrap();
-                let n = p.len() as u64;
-                p.clear();
-                n
-            };
-            if dropped > 0 {
-                report.lost += dropped;
-                LG_LOST.add(dropped);
+            Welcomed::Fresh { lost } => {
+                report.lost += lost.len() as u64;
+                LG_LOST.add(lost.len() as u64);
+                Vec::new()
             }
-        }
-        resume_token = welcome.resume_token;
+        };
 
         shared.reset_for_connection();
         let reader_handle = {
             let shared = Arc::clone(&shared);
+            let session = Arc::clone(&session);
             std::thread::Builder::new()
                 .name(format!("loadgen-{client}-rx"))
-                .spawn(move || reader_loop(hs_reader, &shared))
+                .spawn(move || reader_loop(hs_reader, &shared, &session))
                 .expect("spawn reader")
         };
 
+        // The server never ingested the seqs above its watermark: write
+        // their original bytes again before anything new.
+        let mut disconnected = resend
+            .iter()
+            .any(|(_, bytes)| write_bytes(&mut w, bytes).is_err());
         // Send loop for this connection.
-        let mut disconnected = false;
-        while idx < updates.len() {
+        while !disconnected && idx < updates.len() {
             if shared.done.load(Ordering::Acquire) {
                 // Server hung up on us (e.g. after a corrupt frame).
                 disconnected = true;
@@ -682,7 +624,6 @@ fn run_client<K: Connector + ?Sized>(
                     u.samples[0] = u.maxes[0].saturating_add(3); // contradiction
                 }
             }
-            seq += 1;
             // Mint the trace id client-side and stamp it on the wire so
             // the server roots its spans under the same trace; the
             // `client.e2e` root span is recorded when the reply lands.
@@ -691,19 +632,14 @@ fn run_client<K: Connector + ?Sized>(
             } else {
                 0
             };
-            shared
-                .pending
-                .lock()
-                .unwrap()
-                .insert(seq, (Instant::now(), trace_id));
+            let (_, bytes) = session.lock().unwrap().send(
+                u,
+                (trace_id != 0).then_some(trace_id),
+                (Instant::now(), trace_id),
+            );
             report.sent += 1;
             LG_SENT.inc();
-            let frame = Frame::Interval {
-                seq,
-                update: u,
-                trace_id: (trace_id != 0).then_some(trace_id),
-            };
-            if write_frame_with(&mut w, &frame, codec).is_err() {
+            if write_bytes(&mut w, &bytes).is_err() {
                 disconnected = true;
                 break;
             }
@@ -751,145 +687,112 @@ fn run_client<K: Connector + ?Sized>(
     report.unknown_levels = shared.unknown_levels.load(Ordering::Relaxed);
     report.duplicates = shared.duplicates.load(Ordering::Relaxed);
     report.latencies_us = shared.latencies_us.lock().unwrap().clone();
-    let leftover = shared.pending.lock().unwrap().len() as u64;
+    let leftover = session.lock().unwrap().pending() as u64;
     report.lost += leftover;
     LG_LOST.add(leftover);
     report
 }
 
-/// The fields of the server's `Welcome` a client acts on.
-struct WelcomeInfo {
-    resume_token: Option<String>,
-    resumed: Option<bool>,
-    resume_seq: Option<u64>,
-    codec: Option<String>,
-}
-
-fn await_welcome<C: Conn>(reader: &mut FrameReader<C>) -> Option<WelcomeInfo> {
+/// The server's `Welcome`, or `None` if it refused or went quiet.
+fn await_welcome<C: Conn>(reader: &mut FrameReader<C>) -> Option<Frame> {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         match reader.poll_frame() {
-            Ok(Some(Frame::Welcome {
-                resume_token,
-                resumed,
-                resume_seq,
-                codec,
-                ..
-            })) => {
-                return Some(WelcomeInfo {
-                    resume_token,
-                    resumed,
-                    resume_seq,
-                    codec,
-                })
-            }
+            Ok(Some(welcome @ Frame::Welcome { .. })) => return Some(welcome),
             Ok(Some(Frame::Error { .. })) => return None,
-            Ok(Some(_)) => continue,
-            Ok(None) => continue,
+            Ok(Some(_)) | Ok(None) => continue,
             Err(_) => return None,
         }
     }
     None
 }
 
-/// Reader half of one client connection: match replies to pending seqs.
-fn reader_loop<C: Conn>(mut reader: FrameReader<C>, shared: &ClientShared) {
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        match reader.poll_frame() {
-            Ok(Some(frame)) => match frame {
-                Frame::Imputed {
-                    seq,
-                    level,
-                    trace_id,
-                    ..
-                } => {
-                    if let Some((sent_at, sent_tid)) = shared.pending.lock().unwrap().remove(&seq) {
-                        let e2e = sent_at.elapsed();
-                        let us = e2e.as_micros() as u64;
-                        LG_E2E_US.record(us);
-                        LG_ANSWERED.inc();
-                        shared.latencies_us.lock().unwrap().push(us);
-                        // Attach the client-observed end-to-end span to
-                        // the trace: ours if we minted one, else the
-                        // server's id echoed back.
-                        let tid = if sent_tid != 0 {
-                            sent_tid
-                        } else {
-                            trace_id.unwrap_or(0)
-                        };
-                        if tid != 0 {
-                            trace::record_span(
-                                "client.e2e",
-                                TraceContext {
-                                    trace_id: tid,
-                                    span_id: 0,
-                                },
-                                sent_at,
-                                e2e,
-                            );
-                        }
-                        if DegradationLevel::from_label(&level).is_none() {
-                            shared.unknown_levels.fetch_add(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        // Already answered before the disconnect; the
-                        // resume replay re-delivered it. Exactly-once is
-                        // the client's half of the contract: dedup, and
-                        // never double count a latency sample.
-                        shared.duplicates.fetch_add(1, Ordering::Relaxed);
-                        LG_DUPLICATES.inc();
-                    }
-                }
-                Frame::Ack { seq, .. } => {
-                    if shared.pending.lock().unwrap().remove(&seq).is_some() {
-                        shared.acked.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        shared.duplicates.fetch_add(1, Ordering::Relaxed);
-                        LG_DUPLICATES.inc();
-                    }
-                }
-                Frame::Busy { seq, .. } => {
-                    if shared.pending.lock().unwrap().remove(&seq).is_some() {
-                        shared.busy.fetch_add(1, Ordering::Relaxed);
-                        LG_BUSY.inc();
-                    } else {
-                        shared.duplicates.fetch_add(1, Ordering::Relaxed);
-                        LG_DUPLICATES.inc();
-                    }
-                }
-                Frame::Reject { seq, .. } => {
-                    if shared.pending.lock().unwrap().remove(&seq).is_some() {
-                        shared.malformed_rejects.fetch_add(1, Ordering::Relaxed);
-                        LG_REJECTED.inc();
-                    } else {
-                        shared.duplicates.fetch_add(1, Ordering::Relaxed);
-                        LG_DUPLICATES.inc();
-                    }
-                }
-                Frame::ByeAck { remaining, .. } => {
-                    shared.byeack_remaining.store(remaining, Ordering::Release);
-                    shared.saw_byeack.store(true, Ordering::Release);
-                    shared.done.store(true, Ordering::Release);
-                    break;
-                }
-                Frame::Error { .. } => {
-                    shared.server_errors.fetch_add(1, Ordering::Relaxed);
-                    shared.done.store(true, Ordering::Release);
-                    break;
-                }
-                _ => {}
-            },
+/// Reader half of one client connection: the session classifies each
+/// reply, this loop tallies it.
+fn reader_loop<C: Conn>(
+    mut reader: FrameReader<C>,
+    shared: &ClientShared,
+    session: &Mutex<ClientSession<Sent>>,
+) {
+    while !shared.stop.load(Ordering::Acquire) {
+        let frame = match reader.poll_frame() {
+            Ok(Some(frame)) => frame,
             Ok(None) => continue,
-            Err(WireError::Closed) => {
-                shared.done.store(true, Ordering::Release);
-                break;
-            }
             Err(_) => {
                 shared.done.store(true, Ordering::Release);
                 break;
+            }
+        };
+        let seq = match frame {
+            Frame::Ack { seq, .. }
+            | Frame::Imputed { seq, .. }
+            | Frame::Busy { seq, .. }
+            | Frame::Reject { seq, .. } => seq,
+            Frame::ByeAck { remaining, .. } => {
+                shared.byeack_remaining.store(remaining, Ordering::Release);
+                shared.saw_byeack.store(true, Ordering::Release);
+                shared.done.store(true, Ordering::Release);
+                break;
+            }
+            Frame::Error { .. } => {
+                shared.server_errors.fetch_add(1, Ordering::Relaxed);
+                shared.done.store(true, Ordering::Release);
+                break;
+            }
+            _ => continue,
+        };
+        let Some((sent_at, sent_tid)) = session.lock().unwrap().answer(seq) else {
+            // Already answered before the disconnect; the resume replay
+            // re-delivered it. Exactly-once is the client's half of the
+            // contract: dedup, and never double count a latency sample.
+            shared.duplicates.fetch_add(1, Ordering::Relaxed);
+            LG_DUPLICATES.inc();
+            continue;
+        };
+        match frame {
+            Frame::Imputed {
+                level, trace_id, ..
+            } => {
+                // Measured from the first send: a re-send after resume
+                // does not restart the clock.
+                let e2e = sent_at.elapsed();
+                let us = e2e.as_micros() as u64;
+                LG_E2E_US.record(us);
+                LG_ANSWERED.inc();
+                shared.latencies_us.lock().unwrap().push(us);
+                // Attach the client-observed end-to-end span to the
+                // trace: ours if we minted one, else the server's id
+                // echoed back.
+                let tid = if sent_tid != 0 {
+                    sent_tid
+                } else {
+                    trace_id.unwrap_or(0)
+                };
+                if tid != 0 {
+                    trace::record_span(
+                        "client.e2e",
+                        TraceContext {
+                            trace_id: tid,
+                            span_id: 0,
+                        },
+                        sent_at,
+                        e2e,
+                    );
+                }
+                if DegradationLevel::from_label(&level).is_none() {
+                    shared.unknown_levels.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Frame::Ack { .. } => {
+                shared.acked.fetch_add(1, Ordering::Relaxed);
+            }
+            Frame::Busy { .. } => {
+                shared.busy.fetch_add(1, Ordering::Relaxed);
+                LG_BUSY.inc();
+            }
+            _ => {
+                shared.malformed_rejects.fetch_add(1, Ordering::Relaxed);
+                LG_REJECTED.inc();
             }
         }
     }

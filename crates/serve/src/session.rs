@@ -1,10 +1,13 @@
 //! The exactly-once session, written once: what a `Hello` claims
 //! ([`Identity`]), the opening that reads it ([`read_hello`]), the
-//! [`welcome`], the token mint, and the [`Ledger`] of committed replies.
-//! The server ([`crate::server`]) and the cluster router both drive this
-//! module; it owns no socket and reads no clock — writes go through a
-//! closure the driver lends it, time arrives as an argument — so a test
-//! can feed it a byte slice.
+//! [`welcome`], the token mint, the [`Ledger`] of committed replies, and
+//! the client half that talks to them ([`ClientSession`]).
+//! The server ([`crate::server`]) and the cluster router drive the
+//! server half; the load generator ([`crate::loadgen`]) and the
+//! simulation explorer drive the client half. None of it owns a socket
+//! or reads a clock — writes go through a closure the driver lends it or
+//! come back as bytes, time arrives as an argument — so a test can feed
+//! it a byte slice.
 //!
 //! The contract lives on the [`Ledger`]'s three methods and nowhere
 //! else: record before send ([`Ledger::commit`]), answer a duplicate
@@ -12,8 +15,9 @@
 //! ([`Ledger::answered`]), replay past the client's ack on resume
 //! ([`Ledger::resume`]).
 
-use crate::protocol::{Frame, FrameReader, WireCodec};
-use std::collections::VecDeque;
+use crate::protocol::{encode_frame_with, Frame, FrameReader, WireCodec, MAX_FRAME_LEN};
+use fmml_core::streaming::IntervalUpdate;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -39,17 +43,19 @@ pub struct Identity {
 }
 
 impl Identity {
-    /// A tokenless `Hello` for this identity — what a router sends to
-    /// every backend it places the session on.
-    pub fn hello(&self, codecs: Option<Vec<String>>) -> Frame {
+    /// A `Hello` for this identity, claiming `resume` = (token,
+    /// last_acked) if given. A router sends every backend it places the
+    /// session on a tokenless one.
+    pub fn hello(&self, resume: Option<(String, u64)>, codecs: Option<Vec<String>>) -> Frame {
+        let (resume_token, last_acked) = resume.unzip();
         Frame::Hello {
             tenant: self.tenant.clone(),
             ports: self.ports.clone(),
             queues: self.queues,
             interval_len: self.interval_len,
             window_intervals: self.window_intervals,
-            resume_token: None,
-            last_acked: None,
+            resume_token,
+            last_acked,
             codecs,
         }
     }
@@ -187,7 +193,9 @@ pub fn welcome(
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of splitmix64: the token mint here, and every seeded
+/// schedule draw of the simulation explorer.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -285,6 +293,138 @@ impl Ledger {
             self.highest_seq.load(Ordering::Acquire),
             entries.into_iter().map(|(_, bytes)| bytes).collect(),
         )
+    }
+}
+
+/// The client half of the session: seq allocation, the pending map, the
+/// resume token and the codec the `Welcome` picked. Like the [`Ledger`]
+/// it has no socket, thread or clock: [`send`](ClientSession::send)
+/// hands back the bytes to write, [`welcome`](ClientSession::welcome)
+/// the bytes to re-write. Every unanswered `Interval` is held as the
+/// exact bytes that went out, so a re-send after resume is the same
+/// frame — trace id included — and never a re-encoding of its source.
+/// `T` is a per-seq tag the driver gets back with the first answer (the
+/// load generator's send time and trace id; `()` in the simulator).
+pub struct ClientSession<T = ()> {
+    identity: Identity,
+    /// What the `Hello` advertises (`None`: stay on JSON).
+    codecs: Option<Vec<String>>,
+    last_seq: u64,
+    /// seq → (encoded `Interval`, tag), for every seq not yet answered.
+    pending: BTreeMap<u64, (Vec<u8>, T)>,
+    token: Option<String>,
+    codec: WireCodec,
+}
+
+/// What a `Welcome` means for the pending seqs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Welcomed {
+    /// The lineage resumed: the server replays every seq up to its
+    /// `resume_seq`; `resend` holds, in seq order, the bytes of every
+    /// pending seq above it, which the client must write again.
+    Resumed { resend: Vec<(u64, Vec<u8>)> },
+    /// A fresh session (no token yet, or the parked one expired): the
+    /// pending seqs in `lost` will never be answered.
+    Fresh { lost: Vec<u64> },
+}
+
+impl<T> ClientSession<T> {
+    /// A client that has never connected; `wire` is the codec it asks
+    /// for ([`WireCodec::Json`] does not advertise).
+    pub fn new(identity: Identity, wire: WireCodec) -> ClientSession<T> {
+        ClientSession {
+            identity,
+            codecs: (wire == WireCodec::Bin1).then(WireCodec::advertise),
+            last_seq: 0,
+            pending: BTreeMap::new(),
+            token: None,
+            codec: WireCodec::Json,
+        }
+    }
+
+    /// The `Hello` of the next (re)connect. With a token it asks to
+    /// resume and acknowledges everything below the oldest pending seq
+    /// (the last seq if nothing is pending).
+    pub fn hello(&self) -> Frame {
+        let last_acked = self.pending.keys().next().map_or(self.last_seq, |&s| s - 1);
+        let resume = self.token.clone().map(|token| (token, last_acked));
+        self.identity.hello(resume, self.codecs.clone())
+    }
+
+    /// Read the server's answer to [`hello`](ClientSession::hello):
+    /// adopt its token and codec and say what becomes of the pending
+    /// seqs. `None`: `frame` is not a `Welcome`.
+    pub fn welcome(&mut self, frame: &Frame) -> Option<Welcomed> {
+        let Frame::Welcome {
+            resume_token,
+            resumed,
+            resume_seq,
+            codec,
+            ..
+        } = frame
+        else {
+            return None;
+        };
+        self.token = resume_token.clone();
+        // An old server's Welcome has no codec key: JSON.
+        self.codec = codec
+            .as_deref()
+            .and_then(WireCodec::parse)
+            .unwrap_or_default();
+        Some(if *resumed == Some(true) {
+            let resume_seq = resume_seq.unwrap_or(0);
+            let resend = self
+                .pending
+                .range(resume_seq + 1..)
+                .map(|(&seq, (bytes, _))| (seq, bytes.clone()))
+                .collect();
+            Welcomed::Resumed { resend }
+        } else {
+            let lost = std::mem::take(&mut self.pending).into_keys().collect();
+            Welcomed::Fresh { lost }
+        })
+    }
+
+    /// Allocate the next seq for `update` and encode its `Interval` in
+    /// the negotiated codec; the caller writes the returned bytes.
+    pub fn send(
+        &mut self,
+        update: IntervalUpdate,
+        trace_id: Option<u64>,
+        tag: T,
+    ) -> (u64, Vec<u8>) {
+        self.last_seq += 1;
+        let seq = self.last_seq;
+        let frame = Frame::Interval {
+            seq,
+            update,
+            trace_id,
+        };
+        let bytes = encode_frame_with(&frame, self.codec, MAX_FRAME_LEN).expect("encode interval");
+        self.pending.insert(seq, (bytes.clone(), tag));
+        (seq, bytes)
+    }
+
+    /// Classify a reply (`Ack`, `Imputed`, `Busy` or `Reject` for
+    /// `seq`): the first answer hands back the seq's tag, a duplicate —
+    /// a resume replay overlapping what already arrived — `None`.
+    pub fn answer(&mut self, seq: u64) -> Option<T> {
+        self.pending.remove(&seq).map(|(_, tag)| tag)
+    }
+
+    /// The codec everything after the `Welcome` is encoded in.
+    pub fn codec(&self) -> WireCodec {
+        self.codec
+    }
+
+    /// The resume token of the last `Welcome` (`None` before the first).
+    pub fn token(&self) -> Option<&str> {
+        self.token.as_deref()
+    }
+
+    /// Sent seqs still waiting for their first answer.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
     }
 }
 
@@ -565,6 +705,92 @@ mod tests {
         ledger.commit(5, b"x");
         assert_eq!(ledger.answered(5), None);
         assert_eq!(ledger.resume(Some(0), None), (5, vec![]));
+    }
+
+    fn update(k: u32) -> IntervalUpdate {
+        IntervalUpdate {
+            port: 1,
+            samples: vec![k, 0],
+            maxes: vec![k + 1, 0],
+            sent: k,
+            dropped: 0,
+            received: k,
+        }
+    }
+
+    fn client_welcome(session: &mut ClientSession<u32>, resume_seq: Option<u64>) -> Welcomed {
+        let frame = welcome(1, 50, Some("tok"), resume_seq, WireCodec::Bin1);
+        session.welcome(&frame).expect("a Welcome")
+    }
+
+    /// A resumed `Welcome` hands back exactly the bytes `send` produced —
+    /// trace id and pre-resume codec included — for every pending seq
+    /// above `resume_seq`, in seq order, and nothing at or below it.
+    #[test]
+    fn resumed_welcome_resends_the_sent_bytes_above_resume_seq() {
+        let mut session = ClientSession::new(identity(), WireCodec::Bin1);
+        assert_eq!(
+            client_welcome(&mut session, None),
+            Welcomed::Fresh { lost: vec![] }
+        );
+        assert_eq!(session.codec(), WireCodec::Bin1);
+        let sent: Vec<(u64, Vec<u8>)> = (0..6)
+            .map(|k| session.send(update(k), Some(100 + k as u64), k))
+            .collect();
+        assert_eq!(session.answer(1), Some(0));
+        assert_eq!(session.answer(1), None, "a second answer is a duplicate");
+        assert_eq!(session.answer(4), Some(3));
+        let Frame::Hello {
+            resume_token,
+            last_acked,
+            ..
+        } = session.hello()
+        else {
+            panic!("not a Hello");
+        };
+        assert_eq!(
+            (resume_token.as_deref(), last_acked),
+            (Some("tok"), Some(1))
+        );
+        let Welcomed::Resumed { resend } = client_welcome(&mut session, Some(3)) else {
+            panic!("not resumed");
+        };
+        let want: Vec<_> = sent
+            .into_iter()
+            .filter(|(seq, _)| [5, 6].contains(seq))
+            .collect();
+        assert_eq!(resend, want);
+        // Seqs 2 and 3 stay pending: the replay owes them.
+        assert_eq!(session.pending(), 4);
+    }
+
+    #[test]
+    fn fresh_welcome_loses_the_pending_seqs_but_not_the_seq_counter() {
+        let mut session = ClientSession::new(identity(), WireCodec::Json);
+        let Frame::Hello {
+            resume_token: None,
+            last_acked: None,
+            codecs: None,
+            ..
+        } = session.hello()
+        else {
+            panic!("a first Hello carries no token, ack or advertisement");
+        };
+        client_welcome(&mut session, None);
+        session.send(update(0), None, 0);
+        session.send(update(1), None, 1);
+        assert_eq!(
+            client_welcome(&mut session, None),
+            Welcomed::Fresh { lost: vec![1, 2] }
+        );
+        assert_eq!(session.pending(), 0);
+        assert_eq!(session.send(update(2), None, 2).0, 3);
+        // Nothing pending: the Hello acknowledges the last seq.
+        session.answer(3);
+        let Frame::Hello { last_acked, .. } = session.hello() else {
+            panic!("not a Hello");
+        };
+        assert_eq!(last_acked, Some(3));
     }
 
     proptest! {

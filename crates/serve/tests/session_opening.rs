@@ -58,16 +58,7 @@ fn open<R: Read>(reader: R, tick: Duration, max_polls: u32) -> (Option<Hello>, V
 #[test]
 fn opening_answers_probes_then_returns_the_hello() {
     let mut wire = Vec::new();
-    let mut claim = identity().hello(Some(WireCodec::advertise()));
-    if let Frame::Hello {
-        resume_token,
-        last_acked,
-        ..
-    } = &mut claim
-    {
-        *resume_token = Some("tok-1".into());
-        *last_acked = Some(7);
-    }
+    let claim = identity().hello(Some(("tok-1".into(), 7)), Some(WireCodec::advertise()));
     for f in [&Frame::Stats, &Frame::MetricsDump, &claim] {
         wire.extend(encode_frame(f).unwrap());
     }

@@ -12,6 +12,11 @@
 //! the client's to re-send), and end-of-run completeness (no seq may be
 //! left unresolved once the schedule drains faultlessly).
 //!
+//! It checks the client half too, without driving it: the driver's
+//! [`fmml_serve::ClientSession`] builds every `Hello` and picks every
+//! re-send, and the model compares both against its own bookkeeping
+//! ([`ClientModel::on_hello`], [`ClientModel::on_welcome`]).
+//!
 //! The model is deliberately fault-oblivious: it never sees the fault
 //! schedule, only the frames the client actually sent and received.
 //! Faults may *delay* obligations (a dead connection suspends them
@@ -139,19 +144,14 @@ impl ClientModel {
         self.last_seq
     }
 
-    /// The `last_acked` value to present on resume: everything below
-    /// the oldest pending seq has been processed (mirrors the loadgen
-    /// client).
-    pub fn last_acked(&self) -> u64 {
+    /// The ack point a resuming client owes the server: everything
+    /// below the oldest pending seq has been processed.
+    fn last_acked(&self) -> u64 {
         self.pending.keys().next().map_or(self.last_seq, |&m| m - 1)
     }
 
-    pub fn pending_seqs(&self) -> Vec<u64> {
+    fn pending_seqs(&self) -> Vec<u64> {
         self.pending.keys().copied().collect()
-    }
-
-    pub fn pending_is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 
     pub fn resolved_len(&self) -> usize {
@@ -219,17 +219,34 @@ impl ClientModel {
         self.resolved.insert(seq, f.clone());
     }
 
-    /// Feed the `Welcome` of a (re)connect. Returns `Some(resume_seq)`
-    /// when the session resumed and the caller must re-send every
-    /// pending seq above it; `None` when the session is fresh (the
-    /// model has reset its chain).
+    /// Check the `Hello` of a (re)connect: a tokenless one acknowledges
+    /// nothing; one presenting a token acknowledges exactly everything
+    /// below the oldest pending seq (the last seq if nothing is pending)
+    /// — a seq too low re-requests answered replies, one too high lets
+    /// the server drop a reply still owed.
+    pub fn on_hello(&mut self, expect: ResumeExpect, hello: &Frame) {
+        let Frame::Hello { last_acked, .. } = hello else {
+            return self.violation(format!("client opened with {}", hello.tag()));
+        };
+        let want = (expect != ResumeExpect::Fresh).then(|| self.last_acked());
+        if *last_acked != want {
+            self.violation(format!("Hello.last_acked {last_acked:?}, owed {want:?}"));
+        }
+    }
+
+    /// Feed the `Welcome` of a (re)connect and the seqs the client
+    /// re-sent in answer to it. A resumed session owes the re-send of
+    /// exactly the pending seqs above `resume_seq`, in seq order; a fresh
+    /// one resets the model's chain and owes none.
     pub fn on_welcome(
         &mut self,
         expect: ResumeExpect,
         resumed: Option<bool>,
         resume_seq: Option<u64>,
-    ) -> Option<u64> {
-        match expect {
+        resent: &[u64],
+    ) {
+        // `Some(resume_seq)` if the session resumed, `None` if fresh.
+        let resumed_at = match expect {
             ResumeExpect::Fresh => {
                 if resumed != Some(false) {
                     self.violations.push(format!(
@@ -274,12 +291,12 @@ impl ClientModel {
                     None
                 }
             }
+            ResumeExpect::Expired if resumed == Some(true) => {
+                self.violations
+                    .push("expired resume token resurrected a session".into());
+                Some(resume_seq.unwrap_or(0))
+            }
             ResumeExpect::Expired => {
-                if resumed == Some(true) {
-                    self.violations
-                        .push("expired resume token resurrected a session".into());
-                    return Some(resume_seq.unwrap_or(0));
-                }
                 if !self.pending.is_empty() {
                     // The explorer only expires settled sessions; pending
                     // here means the harness itself lost track.
@@ -291,6 +308,12 @@ impl ClientModel {
                 self.reset_chain();
                 None
             }
+        };
+        let owed: Vec<u64> = resumed_at.map_or(Vec::new(), |r| {
+            self.pending.range(r + 1..).map(|(&s, _)| s).collect()
+        });
+        if resent != owed {
+            self.violation(format!("client re-sent {resent:?}, owed {owed:?}"));
         }
     }
 
@@ -447,19 +470,19 @@ mod tests {
     fn valid_token_answered_fresh_is_session_loss() {
         let mut m = ClientModel::new(0, 3);
         m.alloc_good();
-        assert!(m
-            .on_welcome(ResumeExpect::Valid, Some(false), None)
-            .is_none());
+        m.on_welcome(ResumeExpect::Valid, Some(false), None, &[]);
         assert_eq!(m.violations().len(), 1);
         assert!(m.violations()[0].contains("session lost"));
         // The chain reset: warm-up restarts.
-        assert!(m.pending_is_empty());
+        let s = m.alloc_good();
+        m.on_reply(&ack(s, 1));
+        assert_eq!(m.violations().len(), 1, "{:?}", m.violations());
     }
 
     #[test]
     fn expired_token_must_not_resume() {
         let mut m = ClientModel::new(0, 3);
-        m.on_welcome(ResumeExpect::Expired, Some(true), Some(4));
+        m.on_welcome(ResumeExpect::Expired, Some(true), Some(4), &[]);
         assert!(m.violations()[0].contains("resurrected"));
     }
 
@@ -468,12 +491,10 @@ mod tests {
         let mut m = ClientModel::new(0, 3);
         let s1 = m.alloc_good();
         m.on_reply(&ack(s1, 1));
-        assert_eq!(
-            m.on_welcome(ResumeExpect::Valid, Some(true), Some(1)),
-            Some(1)
-        );
-        m.alloc_good();
-        m.on_welcome(ResumeExpect::Valid, Some(true), Some(0));
+        m.on_welcome(ResumeExpect::Valid, Some(true), Some(1), &[]);
+        assert!(m.violations().is_empty(), "{:?}", m.violations());
+        let s2 = m.alloc_good();
+        m.on_welcome(ResumeExpect::Valid, Some(true), Some(0), &[s2]);
         assert!(m
             .violations()
             .iter()
@@ -488,10 +509,7 @@ mod tests {
         let mut m = ClientModel::new(0, 2);
         let s1 = m.alloc_good();
         let s2 = m.alloc_good();
-        let r = m
-            .on_welcome(ResumeExpect::Valid, Some(true), Some(2))
-            .unwrap();
-        assert_eq!(r, 2);
+        m.on_welcome(ResumeExpect::Valid, Some(true), Some(2), &[]);
         // Replay (buggy) only delivers seq 2.
         m.on_reply(&imputed(s2, vec![vec![2]]));
         m.final_check();
@@ -500,6 +518,48 @@ mod tests {
             "{:?}",
             m.violations()
         );
+    }
+
+    fn hello(last_acked: Option<u64>) -> Frame {
+        Frame::Hello {
+            tenant: "t".into(),
+            ports: vec![1],
+            queues: 2,
+            interval_len: 10,
+            window_intervals: 2,
+            resume_token: last_acked.map(|_| "tok".into()),
+            last_acked,
+            codecs: None,
+        }
+    }
+
+    #[test]
+    fn hello_must_ack_exactly_below_the_oldest_pending_seq() {
+        let mut m = ClientModel::new(0, 3);
+        m.on_hello(ResumeExpect::Fresh, &hello(None));
+        let s1 = m.alloc_good();
+        let s2 = m.alloc_good();
+        m.on_reply(&ack(s2, 2));
+        m.on_hello(ResumeExpect::Valid, &hello(Some(s1 - 1)));
+        assert!(m.violations().is_empty(), "{:?}", m.violations());
+        // Acking the pending seq 1 would let the server drop its reply.
+        m.on_hello(ResumeExpect::Valid, &hello(Some(s1)));
+        m.on_reply(&ack(s1, 1));
+        // Nothing pending: the ack point is the last seq.
+        m.on_hello(ResumeExpect::Expired, &hello(Some(s2)));
+        assert_eq!(m.violations().len(), 1, "{:?}", m.violations());
+        assert!(m.violations()[0].contains("last_acked"));
+    }
+
+    #[test]
+    fn resends_must_be_the_pending_seqs_above_resume_seq() {
+        let mut m = ClientModel::new(0, 3);
+        let seqs: Vec<u64> = (0..4).map(|_| m.alloc_good()).collect();
+        m.on_welcome(ResumeExpect::Valid, Some(true), Some(2), &seqs[2..]);
+        assert!(m.violations().is_empty(), "{:?}", m.violations());
+        // Re-sending a seq the replay owes would feed the window twice.
+        m.on_welcome(ResumeExpect::Valid, Some(true), Some(2), &seqs[1..]);
+        assert!(m.violations()[0].contains("re-sent"));
     }
 
     /// Satellite regression: evicting below the acked watermark keeps

@@ -37,11 +37,12 @@
 //! sliding window.
 
 use crate::explorer::{
-    derive_profile, explorer_server_config, fixture, splitmix64, Client, SeedOutcome, World,
+    derive_profile, explorer_server_config, fixture, Client, SeedOutcome, World,
 };
 use fmml_cluster::{RouterConfig, RouterHandle};
 use fmml_fault::ProcessFaultPlan;
 use fmml_obs::{fnv, Clock};
+use fmml_serve::session::splitmix64;
 use fmml_serve::{
     spawn_with, FaultProfile, ServerHandle, SimConn, SimConnector, SimNet, WireCodec,
 };
@@ -168,7 +169,7 @@ pub fn run_seed(seed: u64, cfg: &ClusterSimConfig) -> ClusterSeedOutcome {
     let mut world = World {
         net: front.clone(),
         vc: Some(Arc::clone(&vc)),
-        clients: (0..cfg.clients).map(Client::new).collect(),
+        clients: (0..cfg.clients).map(|i| Client::new(i, cfg.wire)).collect(),
         violations: Vec::new(),
         // Router deadlines are virtual, but the router's prober and
         // link threads still need real CPU time between the driver's
@@ -176,7 +177,6 @@ pub fn run_seed(seed: u64, cfg: &ClusterSimConfig) -> ClusterSeedOutcome {
         // sliver of real time purely for thread scheduling.
         real_idle: Duration::from_micros(300),
         stall_limit: 1200,
-        wire: cfg.wire,
     };
     for i in 0..cfg.clients {
         world.handshake(i);

@@ -50,12 +50,12 @@ use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
 use fmml_obs::{fnv, Clock, VirtualClock};
 use fmml_serve::protocol::{encode_frame_with, write_frame, FrameReader, WireCodec, MAX_FRAME_LEN};
+use fmml_serve::session::splitmix64;
 use fmml_serve::{
-    spawn_with, Conn, Connector, FaultCounts, FaultProfile, Frame, ProtocolBug, ServerConfig,
-    ServerHandle, SimConn, SimNet,
+    spawn_with, ClientSession, Conn, Connector, FaultCounts, FaultProfile, Frame, Identity,
+    ProtocolBug, ServerConfig, ServerHandle, SimConn, SimNet, Welcomed,
 };
 use fmml_telemetry::windows_from_trace;
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -130,14 +130,6 @@ pub fn run(cfg: &SimtestConfig) -> Vec<SeedOutcome> {
         .collect()
 }
 
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Shared fixture: one deterministic imputer and a pool of real
 /// telemetry interval updates (same geometry as the loopback suite).
 /// Built once — `windows_from_trace` over a seeded simulation is pure,
@@ -192,46 +184,45 @@ pub(crate) fn fixture() -> &'static Fixture {
     })
 }
 
-/// Fields of the last `Welcome` a client saw, in wire order:
-/// `(resumed, resume_seq, resume_token, codec)`.
-type WelcomeInfo = (Option<bool>, Option<u64>, Option<String>, Option<String>);
-
-/// Driver-side state of one simulated client.
+/// Driver-side state of one simulated client: the session's client half
+/// with its connection, and the oracle that checks it.
 pub(crate) struct Client {
+    session: ClientSession,
     model: ClientModel,
     tx: Option<SimConn>,
     rx: Option<FrameReader<SimConn>>,
     /// The connection is known dead (read error / EOF / failed write).
     dead: bool,
-    token: Option<String>,
+    /// A `Hello` is out and its `Welcome` has not arrived: what the
+    /// token presented should resolve to.
+    awaiting: Option<ResumeExpect>,
     /// The token's parked state was aged past the TTL by an `Expire`
     /// op: the next handshake must come back fresh.
     expired_token: bool,
-    /// Exact wire bytes of every sent `Interval`, keyed by seq — resent
-    /// verbatim on resume for seqs above the server's watermark.
-    sent_wire: BTreeMap<u64, Vec<u8>>,
     supply_idx: usize,
-    /// Codec the server's `Welcome` picked for this lineage; every
-    /// frame the client sends after the handshake is encoded with it.
-    codec: WireCodec,
-    welcome: Option<WelcomeInfo>,
     byeack: Option<(u64, u64)>,
     bye_sent: bool,
 }
 
 impl Client {
-    pub(crate) fn new(id: usize) -> Client {
+    pub(crate) fn new(id: usize, wire: WireCodec) -> Client {
+        let fx = fixture();
+        let identity = Identity {
+            tenant: format!("c{id}"),
+            ports: vec![fx.port],
+            queues: fx.queues,
+            interval_len: INTERVAL_LEN,
+            window_intervals: WINDOW_INTERVALS,
+        };
         Client {
+            session: ClientSession::new(identity, wire),
             model: ClientModel::new(id, WINDOW_INTERVALS),
             tx: None,
             rx: None,
             dead: false,
-            token: None,
+            awaiting: None,
             expired_token: false,
-            sent_wire: BTreeMap::new(),
             supply_idx: 0,
-            codec: WireCodec::Json,
-            welcome: None,
             byeack: None,
             bye_sent: false,
         }
@@ -243,7 +234,18 @@ impl Client {
 
     /// Token that should still resolve to a parked session server-side.
     fn has_live_token(&self) -> bool {
-        self.token.is_some() && !self.expired_token
+        self.session.token().is_some() && !self.expired_token
+    }
+
+    /// Write `bytes` to the live connection; `false` (and dead) if that
+    /// failed.
+    fn write(&mut self, bytes: &[u8]) -> bool {
+        let ok = self
+            .tx
+            .as_mut()
+            .is_some_and(|tx| tx.write_all(bytes).is_ok());
+        self.dead |= !ok;
+        ok
     }
 
     fn dispatch(&mut self, f: Frame) {
@@ -251,21 +253,36 @@ impl Client {
             Frame::Welcome {
                 resumed,
                 resume_seq,
-                resume_token,
-                codec,
                 ..
-            } => self.welcome = Some((resumed, resume_seq, resume_token, codec)),
-            Frame::Ack { .. }
-            | Frame::Imputed { .. }
-            | Frame::Busy { .. }
-            | Frame::Reject { .. } => {
+            } => {
+                let Some(expect) = self.awaiting.take() else {
+                    return self.model.violation("Welcome outside a handshake".into());
+                };
+                let resend = match self.session.welcome(&f) {
+                    Some(Welcomed::Resumed { resend }) => resend,
+                    _ => Vec::new(),
+                };
+                let resent: Vec<u64> = resend.iter().map(|(seq, _)| *seq).collect();
+                self.model.on_welcome(expect, resumed, resume_seq, &resent);
+                if self.session.token().is_none() {
+                    self.model
+                        .violation("Welcome carried no resume token".into());
+                }
+                self.expired_token = false;
+                for (_, bytes) in resend {
+                    if !self.write(&bytes) {
+                        break;
+                    }
+                }
+            }
+            Frame::Ack { seq, .. }
+            | Frame::Imputed { seq, .. }
+            | Frame::Busy { seq, .. }
+            | Frame::Reject { seq, .. } => {
+                self.session.answer(seq);
                 self.model.on_reply(&f);
-                // Bound both checker and re-send memory by the pending
-                // span: nothing at or below the acked watermark is ever
-                // re-sent or re-compared.
+                // Bound the checker's memory by the pending span.
                 self.model.evict_acked();
-                let floor = self.model.last_acked();
-                self.sent_wire.retain(|&s, _| s > floor);
             }
             Frame::ByeAck {
                 answered,
@@ -280,6 +297,22 @@ impl Client {
                 other.tag()
             )),
         }
+    }
+
+    /// Send one `Interval` through the session; the oracle allocates the
+    /// same seq independently (`bad`: a reply of `Reject` is owed).
+    fn send(&mut self, update: IntervalUpdate, bad: bool) {
+        let (seq, bytes) = self.session.send(update, None, ());
+        let want = if bad {
+            self.model.alloc_bad()
+        } else {
+            self.model.alloc_good()
+        };
+        if seq != want {
+            self.model
+                .violation(format!("session allocated seq {seq}, model {want}"));
+        }
+        self.write(&bytes);
     }
 
     fn drop_conn(&mut self) {
@@ -307,8 +340,6 @@ pub(crate) struct World {
     pub(crate) real_idle: Duration,
     /// Consecutive progress-free pump iterations before a stall.
     pub(crate) stall_limit: usize,
-    /// Codec the drivers advertise in their `Hello`s.
-    pub(crate) wire: WireCodec,
 }
 
 impl World {
@@ -342,39 +373,18 @@ impl World {
 
     /// Pump until `pred` holds, advancing virtual time 1 ms per idle
     /// iteration (releasing delayed frames, firing batch waits and
-    /// restart backoffs). `false` = stalled: `STALL_LIMIT` consecutive
-    /// iterations with nothing readable and the predicate still false.
-    pub(crate) fn pump_until<F: Fn(&World) -> bool>(&mut self, pred: F) -> bool {
-        let mut idle = 0usize;
-        loop {
-            if pred(self) {
-                return true;
-            }
-            if self.pump_once() {
-                idle = 0;
-                continue;
-            }
-            idle += 1;
-            if idle > self.stall_limit {
-                return false;
-            }
-            match &self.vc {
-                Some(vc) => vc.advance(Duration::from_millis(1)),
-                None => std::thread::sleep(Duration::from_micros(500)),
-            }
-            if !self.real_idle.is_zero() {
-                std::thread::sleep(self.real_idle);
-            }
-        }
-    }
-
-    /// Like [`World::pump_until`], but a stall is only declared once
-    /// `real_min` wall time has also elapsed. For waits whose other
-    /// side runs on a real-time budget: a resume handshake is answered
-    /// only after the server's `resume_claim_wait` poll gives up, so
-    /// the client must outwait that budget or a slow park looks like a
-    /// dead connection.
-    fn pump_until_patient<F: Fn(&World) -> bool>(&mut self, pred: F, real_min: Duration) -> bool {
+    /// restart backoffs). `false` = stalled: `stall_limit` consecutive
+    /// iterations with nothing readable and the predicate still false,
+    /// and at least `real_min` of wall time spent — nonzero for waits
+    /// whose other side runs on a real-time budget (a resume handshake
+    /// is answered only after the server's `resume_claim_wait` poll gives
+    /// up, so the client must outwait it or a slow park looks like a
+    /// dead connection).
+    pub(crate) fn pump_until<F: Fn(&World) -> bool>(
+        &mut self,
+        pred: F,
+        real_min: Duration,
+    ) -> bool {
         let t0 = Instant::now();
         let mut idle = 0usize;
         loop {
@@ -386,7 +396,7 @@ impl World {
                 continue;
             }
             idle += 1;
-            if idle > self.stall_limit && t0.elapsed() > real_min {
+            if idle > self.stall_limit && t0.elapsed() >= real_min {
                 return false;
             }
             match &self.vc {
@@ -402,11 +412,14 @@ impl World {
     /// Pump until every live client has no pending obligations (a dead
     /// client's obligations wait for its resume).
     pub(crate) fn settle(&mut self) -> bool {
-        self.pump_until(|w| {
-            w.clients
-                .iter()
-                .all(|c| !c.is_alive() || c.model.pending_is_empty())
-        })
+        self.pump_until(
+            |w| {
+                w.clients
+                    .iter()
+                    .all(|c| !c.is_alive() || c.session.pending() == 0)
+            },
+            Duration::ZERO,
+        )
     }
 
     /// (Re)connect client `i`, with retries — each attempt is a fresh
@@ -425,7 +438,6 @@ impl World {
     }
 
     fn try_handshake(&mut self, i: usize) -> bool {
-        let fx = fixture();
         let conn = match self.net.connector().connect() {
             Ok(c) => c,
             Err(_) => return false,
@@ -436,115 +448,48 @@ impl World {
             Ok(c) => c,
             Err(_) => return false,
         };
-        let (token, expect) = {
-            let c = &self.clients[i];
-            match (&c.token, c.expired_token) {
-                (Some(t), false) => (Some(t.clone()), ResumeExpect::Valid),
-                (Some(t), true) => (Some(t.clone()), ResumeExpect::Expired),
-                (None, _) => (None, ResumeExpect::Fresh),
-            }
+        let c = &mut self.clients[i];
+        let expect = match (c.session.token(), c.expired_token) {
+            (Some(_), false) => ResumeExpect::Valid,
+            (Some(_), true) => ResumeExpect::Expired,
+            (None, _) => ResumeExpect::Fresh,
         };
-        let last_acked = token.as_ref().map(|_| self.clients[i].model.last_acked());
-        let hello = Frame::Hello {
-            tenant: format!("c{i}"),
-            ports: vec![fx.port],
-            queues: fx.queues,
-            interval_len: INTERVAL_LEN,
-            window_intervals: WINDOW_INTERVALS,
-            resume_token: token,
-            last_acked,
-            codecs: (self.wire == WireCodec::Bin1).then(WireCodec::advertise),
-        };
+        let hello = c.session.hello();
+        c.model.on_hello(expect, &hello);
         let mut tx = conn;
         if write_frame(&mut tx, &hello).is_err() {
             return false;
         }
-        {
-            let c = &mut self.clients[i];
-            c.tx = Some(tx);
-            c.rx = Some(FrameReader::new(read_half));
-            c.dead = false;
-            c.welcome = None;
-        }
-        self.pump_until_patient(
-            |w| w.clients[i].welcome.is_some() || w.clients[i].dead,
+        c.tx = Some(tx);
+        c.rx = Some(FrameReader::new(read_half));
+        c.dead = false;
+        c.awaiting = Some(expect);
+        // The Welcome is handled — re-sends included — as it is read.
+        self.pump_until(
+            |w| w.clients[i].awaiting.is_none() || w.clients[i].dead,
             Duration::from_millis(400),
         );
-        let welcome = self.clients[i].welcome.take();
-        let Some((resumed, resume_seq, new_token, codec)) = welcome else {
+        if self.clients[i].awaiting.take().is_some() {
             // Died or stalled mid-handshake. A resumed session was
             // re-parked server-side under the same token, so retrying
             // is safe.
             self.clients[i].drop_conn();
             return false;
-        };
-        let c = &mut self.clients[i];
-        // Speak whatever the Welcome picked (a resumed lineage restates
-        // its birth codec; a fresh one reflects the negotiation).
-        c.codec = codec
-            .as_deref()
-            .and_then(WireCodec::parse)
-            .unwrap_or_default();
-        match c.model.on_welcome(expect, resumed, resume_seq) {
-            Some(r) => {
-                // Replay covers seqs <= r; everything pending above it
-                // is the client's to re-send, verbatim, in seq order.
-                let resend: Vec<Vec<u8>> = c
-                    .model
-                    .pending_seqs()
-                    .into_iter()
-                    .filter(|s| *s > r)
-                    .filter_map(|s| c.sent_wire.get(&s).cloned())
-                    .collect();
-                for bytes in resend {
-                    let Some(tx) = c.tx.as_mut() else { break };
-                    if tx.write_all(&bytes).is_err() {
-                        c.dead = true;
-                        break;
-                    }
-                }
-            }
-            None => {
-                // Fresh lineage (first connect, or expiry): nothing
-                // from the old lineage can ever be re-sent.
-                c.sent_wire.clear();
-            }
         }
-        match new_token {
-            Some(t) => c.token = Some(t),
-            None => c.model.violation("Welcome carried no resume token".into()),
-        }
-        c.expired_token = false;
         true
     }
 
     /// Send `n` well-formed intervals on client `i`'s live connection.
     pub(crate) fn burst(&mut self, i: usize, n: usize) {
         let fx = fixture();
+        let c = &mut self.clients[i];
         for _ in 0..n {
-            let c = &mut self.clients[i];
             if !c.is_alive() {
                 break;
             }
-            let seq = c.model.alloc_good();
             let update = fx.updates[c.supply_idx % fx.updates.len()].clone();
             c.supply_idx += 1;
-            let bytes = encode_frame_with(
-                &Frame::Interval {
-                    seq,
-                    update,
-                    trace_id: None,
-                },
-                c.codec,
-                MAX_FRAME_LEN,
-            )
-            .expect("encode interval");
-            c.sent_wire.insert(seq, bytes.clone());
-            let Some(tx) = c.tx.as_mut() else { break };
-            if tx.write_all(&bytes).is_err() {
-                c.dead = true;
-                break;
-            }
+            c.send(update, false);
         }
     }
 
@@ -556,25 +501,10 @@ impl World {
         if !c.is_alive() {
             return;
         }
-        let seq = c.model.alloc_bad();
         let mut update = fx.updates[c.supply_idx % fx.updates.len()].clone();
         c.supply_idx += 1;
         update.port = fx.port + 1000;
-        let bytes = encode_frame_with(
-            &Frame::Interval {
-                seq,
-                update,
-                trace_id: None,
-            },
-            c.codec,
-            MAX_FRAME_LEN,
-        )
-        .expect("encode interval");
-        c.sent_wire.insert(seq, bytes.clone());
-        let Some(tx) = c.tx.as_mut() else { return };
-        if tx.write_all(&bytes).is_err() {
-            c.dead = true;
-        }
+        c.send(update, true);
     }
 
     /// Hard-kill client `i`'s connection (both directions, undelivered
@@ -616,7 +546,7 @@ impl World {
             .clients
             .iter()
             .filter(|c| !c.is_alive() && c.has_live_token())
-            .filter_map(|c| c.token.clone())
+            .filter_map(|c| c.session.token().map(String::from))
             .collect();
         if expected.is_empty() {
             return;
@@ -634,7 +564,7 @@ impl World {
         let Some(vc) = &self.vc else { return };
         vc.advance(PARKED_TTL + Duration::from_secs(2));
         for c in &mut self.clients {
-            if !c.is_alive() && c.token.is_some() {
+            if !c.is_alive() && c.session.token().is_some() {
                 c.expired_token = true;
             }
         }
@@ -651,18 +581,20 @@ impl World {
             for _cycle in 0..3 {
                 if !self.clients[i].is_alive() {
                     let c = &self.clients[i];
-                    if c.token.is_none() || (c.expired_token && c.model.pending_is_empty()) {
+                    if c.session.token().is_none() || (c.expired_token && c.session.pending() == 0)
+                    {
                         break; // nothing owed; stays down
                     }
                     if !self.handshake(i) {
                         break; // violation already recorded
                     }
                 }
-                self.pump_until(|w| {
-                    !w.clients[i].is_alive() || w.clients[i].model.pending_is_empty()
-                });
+                self.pump_until(
+                    |w| !w.clients[i].is_alive() || w.clients[i].session.pending() == 0,
+                    Duration::ZERO,
+                );
                 let c = &self.clients[i];
-                if c.is_alive() && c.model.pending_is_empty() {
+                if c.is_alive() && c.session.pending() == 0 {
                     break;
                 }
                 if c.is_alive() {
@@ -677,19 +609,18 @@ impl World {
                 continue;
             }
             c.byeack = None;
-            let bytes = encode_frame_with(&Frame::Bye, c.codec, MAX_FRAME_LEN).expect("encode bye");
-            let Some(tx) = c.tx.as_mut() else { continue };
-            if tx.write_all(&bytes).is_err() {
-                c.dead = true;
-                continue;
-            }
-            c.bye_sent = true;
+            let bytes = encode_frame_with(&Frame::Bye, c.session.codec(), MAX_FRAME_LEN)
+                .expect("encode bye");
+            c.bye_sent = c.write(&bytes);
         }
-        self.pump_until(|w| {
-            w.clients
-                .iter()
-                .all(|c| !c.bye_sent || c.byeack.is_some() || !c.is_alive())
-        });
+        self.pump_until(
+            |w| {
+                w.clients
+                    .iter()
+                    .all(|c| !c.bye_sent || c.byeack.is_some() || !c.is_alive())
+            },
+            Duration::ZERO,
+        );
         for c in &mut self.clients {
             if !c.bye_sent {
                 continue;
@@ -801,7 +732,7 @@ pub(crate) fn explorer_server_config(
         // here surfaces as a spurious "session lost". The condvar wakes
         // the claim the moment the park lands, so this budget is only
         // fully spent on expired tokens; the driver's handshake wait
-        // (`pump_until_patient`, 400 ms) must outlast it.
+        // (`pump_until` with a 400 ms `real_min`) must outlast it.
         resume_claim_wait: Duration::from_millis(150),
         // The breaker guards the SMT rung, unused under `Fast` — and it
         // would drag in process-global clock state.
@@ -835,11 +766,10 @@ pub fn run_seed(seed: u64, cfg: &SimtestConfig) -> SeedOutcome {
     let mut world = World {
         net: net.clone(),
         vc: Some(Arc::clone(&vc)),
-        clients: (0..cfg.clients).map(Client::new).collect(),
+        clients: (0..cfg.clients).map(|i| Client::new(i, cfg.wire)).collect(),
         violations: Vec::new(),
         real_idle: Duration::ZERO,
         stall_limit: STALL_LIMIT,
-        wire: cfg.wire,
     };
     // Initial handshakes run before the fault profile is armed: every
     // session lineage starts from a clean Welcome.
@@ -921,11 +851,10 @@ fn run_bug_scenario(seed: u64, bug: ProtocolBug) -> SeedOutcome {
     let mut world = World {
         net: net.clone(),
         vc: None,
-        clients: vec![Client::new(0)],
+        clients: vec![Client::new(0, WireCodec::Json)],
         violations: Vec::new(),
         real_idle: Duration::ZERO,
         stall_limit: STALL_LIMIT,
-        wire: WireCodec::Json,
     };
     world.handshake(0);
     world.burst(0, 3);

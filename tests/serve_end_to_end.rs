@@ -131,6 +131,23 @@ fn chaos_clients_cannot_break_the_server() {
         assert_eq!(report.unknown_levels, 0, "levels must decode: {report:?}");
         assert_eq!(report.drain_losses, 0, "drain lost replies: {report:?}");
         assert!(report.answered > 0, "chaos run produced no imputations");
+        // The flat report and the metrics snapshot carry the fields
+        // `--report-json` / `--stats-json` consumers read.
+        let json = report.to_json();
+        for field in [
+            "\"deadline_miss_rate\":",
+            "\"rejected\":",
+            "\"server_violations\":0",
+        ] {
+            assert!(json.contains(field), "{field} missing from {json}");
+        }
+        let metrics = fmml::obs::snapshot().to_json();
+        for name in ["serve.loadgen.deadline_miss_rate", "serve.loadgen.rejected"] {
+            assert!(
+                metrics.contains(&format!("\"{name}\"")),
+                "{name} not in the snapshot"
+            );
+        }
         let (panics, restarts) = handle.worker_stats();
         if faulty {
             // Resumption replays whatever a crash or hang-up cut off:
