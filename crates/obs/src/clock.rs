@@ -176,12 +176,6 @@ impl Clock {
         }
     }
 
-    /// Whether this is a virtual clock (components use this to skip
-    /// real-time-only heuristics such as sub-millisecond busy waits).
-    pub fn is_virtual(&self) -> bool {
-        matches!(self, Clock::Virtual(_))
-    }
-
     /// The driver handle if virtual.
     pub fn virtual_handle(&self) -> Option<Arc<VirtualClock>> {
         match self {

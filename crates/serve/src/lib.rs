@@ -23,11 +23,13 @@
 //!   the server is generic over: TCP in production, [`sim`]'s seeded
 //!   in-memory network ([`SimNet`]) under `fmml-simtest`.
 //! * [`server`] — acceptor + reader-per-session + shared CEM worker
-//!   pool with deadline-aware micro-batching
+//!   pool with micro-batching
 //!   ([`ServerConfig`], [`spawn`], [`ServerHandle`]). Sessions shard
-//!   per-tenant sliding windows ([`fmml_core::streaming`]); workers
-//!   coalesce prepared windows across tenants into single
-//!   `enforce_degraded_batch` calls over one shared solution cache.
+//!   per-tenant sliding windows ([`fmml_core::streaming`]); each reader
+//!   hands the pool what one burst admitted in one go, and workers
+//!   enforce what is queued across tenants in single
+//!   `enforce_degraded_batch` calls over one shared solution cache,
+//!   writing each session's run of replies once.
 //!   Admission control bounds each session's in-flight budget (`Busy`),
 //!   slow readers are disconnected, shutdown drains gracefully.
 //! * [`loadgen`] — trace-replay load generator

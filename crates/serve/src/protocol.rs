@@ -948,6 +948,15 @@ impl<R: Read> FrameReader<R> {
         self.buf.len()
     }
 
+    /// Whether a complete frame is already buffered, so the next
+    /// [`poll_frame`](FrameReader::poll_frame) returns without a read. A
+    /// length prefix over the cap never completes: `false`, and the next
+    /// poll fails on it.
+    pub fn buffered_frame(&self) -> bool {
+        let len = expected_len(&self.buf);
+        len > 0 && len - HEADER_LEN <= self.max_len && self.buf.len() >= len
+    }
+
     /// Try to read one frame. `Ok(None)` means the read timed out before
     /// a complete frame arrived (retry later); errors are terminal for
     /// the connection except as the caller decides.
@@ -1609,5 +1618,63 @@ mod tests {
             Frame::Interval { seq: 1, .. }
         ));
         assert_eq!(r.read_frame(), Err(WireError::Closed));
+    }
+
+    /// A transport that hands out one scripted chunk per read, then
+    /// reports a read timeout.
+    struct Chunks(std::collections::VecDeque<Vec<u8>>);
+
+    impl Read for Chunks {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(chunk) = self.0.pop_front() else {
+                return Err(ErrorKind::WouldBlock.into());
+            };
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    #[test]
+    fn buffered_frame_sees_only_complete_frames() {
+        let stats = encode_frame(&Frame::Stats).unwrap();
+        let bye = encode_frame(&Frame::Bye).unwrap();
+        // Header split across reads, then two frames in one read.
+        let mut both = stats[2..].to_vec();
+        both.extend_from_slice(&bye);
+        both.extend_from_slice(&stats[..3]);
+        let mut r = FrameReader::new(Chunks(
+            [stats[..2].to_vec(), both, stats[3..].to_vec()].into(),
+        ));
+        assert!(!r.buffered_frame(), "nothing read yet");
+        assert_eq!(r.poll_frame().unwrap(), Some(Frame::Stats));
+        assert!(r.buffered_frame(), "the Bye arrived in the same read");
+        assert_eq!(r.poll_frame().unwrap(), Some(Frame::Bye));
+        assert!(!r.buffered_frame(), "three header bytes are not a frame");
+        assert_eq!(r.poll_frame().unwrap(), Some(Frame::Stats));
+        assert!(!r.buffered_frame());
+        assert_eq!(r.poll_frame().unwrap(), None);
+    }
+
+    #[test]
+    fn buffered_frame_counts_a_zero_length_payload() {
+        let mut bytes = encode_frame(&Frame::Stats).unwrap();
+        bytes.extend_from_slice(&[0, 0, 0, 0]);
+        let mut r = FrameReader::new(Chunks([bytes].into()));
+        assert_eq!(r.poll_frame().unwrap(), Some(Frame::Stats));
+        // Complete, though not decodable: the next poll answers from the
+        // buffer alone.
+        assert!(r.buffered_frame());
+        assert!(matches!(r.poll_frame(), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn buffered_frame_refuses_an_oversized_prefix() {
+        let mut bytes = encode_frame(&Frame::Stats).unwrap();
+        bytes.extend_from_slice(&129u32.to_be_bytes());
+        bytes.extend_from_slice(&[b'x'; 129]);
+        let mut r = FrameReader::with_max_len(Chunks([bytes].into()), 128);
+        assert_eq!(r.poll_frame().unwrap(), Some(Frame::Stats));
+        assert!(!r.buffered_frame(), "over the cap: never a frame");
+        assert_eq!(r.poll_frame(), Err(WireError::Oversized { len: 129 }));
     }
 }

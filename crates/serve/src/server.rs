@@ -1,21 +1,35 @@
 //! The `fmml-serve` server: acceptor + reader-per-session + a shared
-//! worker pool doing deadline-aware micro-batched CEM enforcement.
+//! worker pool doing micro-batched CEM enforcement.
 //!
 //! ```text
-//!            ┌────────────┐   Hello/Interval    ┌──────────────────────┐
-//!  clients ─▶│  acceptor  │──▶ reader thread ──▶│ bounded session queue│
-//!            └────────────┘   (per session:     └──────────┬───────────┘
-//!                              validate, window,           │ micro-batch
-//!                              model forward)              ▼ (≤ max_batch,
-//!                                               ┌──────────────────────┐
-//!                                               │ worker pool: one     │
-//!                                               │ enforce_degraded_-   │
-//!                                               │ batch per coalesced  │
-//!                                               │ batch, shared cache  │
-//!                                               └──────────┬───────────┘
-//!                                                          ▼
-//!                                        Imputed{series, level} per seq
+//!            ┌────────────┐  Hello/Interval  ┌─────────────────────────┐
+//!  clients ─▶│  acceptor  │─────────────────▶│ reader thread (per      │
+//!            └────────────┘                  │ session): validate,     │
+//!                                            │ window, model forward,  │
+//!                                            │ stage admitted jobs     │
+//!                                            └────────────┬────────────┘
+//!                                                         │ one push + one
+//!                                                         ▼ notify per group
+//!                                            ┌─────────────────────────┐
+//!                                            │ shared job queue        │
+//!                                            └────────────┬────────────┘
+//!                                                         │ pop ≤ max_batch,
+//!                                                         ▼ never wait
+//!                                            ┌─────────────────────────┐
+//!                                            │ worker pool: one        │
+//!                                            │ enforce_degraded_batch  │
+//!                                            │ per batch, shared cache │
+//!                                            └────────────┬────────────┘
+//!                                                         │ one write per run
+//!                                                         ▼ of a session's replies
+//!                                         Imputed{series, level} per seq
 //! ```
+//!
+//! Micro-batches form where a burst is visible: the reader hands its
+//! staged group to the pool once no complete frame is left in its read
+//! buffer, at `max_batch`, when one more forward would hold the group
+//! past `batch_wait`, and before any other frame or exit. Workers never
+//! wait for stragglers.
 //!
 //! Division of labour keeps replies *bitwise-identical* to the offline
 //! path: the reader thread does everything order-sensitive (sliding
@@ -67,6 +81,11 @@ static MALFORMED: Counter = Counter::new("serve.malformed");
 static REPLIES: Counter = Counter::new("serve.replies");
 static BATCHES: Counter = Counter::new("serve.batches");
 static BATCH_SIZE: Histogram = Histogram::new("serve.batch_size", Unit::Count);
+/// Reader → pool hand-offs: one queue push and one wake-up each.
+static HANDOFFS: Counter = Counter::new("serve.handoffs");
+/// Socket writes that carried `Imputed` replies (a worker's run, or one
+/// replayed reply), so `serve.replies / serve.writes` is replies per write.
+static WRITES: Counter = Counter::new("serve.writes");
 static LATENCY_US: Histogram = Histogram::new("serve.latency_us", Unit::Micros);
 static DEADLINE_MISS: Counter = Counter::new("serve.deadline_miss");
 static VIOLATIONS: Counter = Counter::new("serve.violations");
@@ -143,13 +162,17 @@ pub struct ServerConfig {
     /// Top rung of the degradation ladder.
     pub engine: CemEngine,
     /// Per-interval end-to-end budget: accept→reply-written. Misses are
-    /// counted (`serve.deadline_miss`), and it bounds micro-batch
-    /// coalescing.
+    /// counted (`serve.deadline_miss`).
     pub deadline: Duration,
-    /// Micro-batch size cap.
+    /// Micro-batch size cap: the most admitted intervals a reader stages
+    /// before handing them to the pool, and the most a worker pops.
     pub max_batch: usize,
-    /// Extra time a worker may wait for the batch to fill, additionally
-    /// bounded by half the first job's remaining slack.
+    /// How long a reader may hold admitted intervals while later frames
+    /// of the same burst are still buffered: a group is handed over when
+    /// one more forward (judged by the one just run, on `clock`) would
+    /// hold its oldest interval past this. Under a virtual clock a
+    /// forward takes no time, so while virtual time is held still,
+    /// grouping depends only on the bytes buffered.
     pub batch_wait: Duration,
     /// Per-session in-flight cap; intervals beyond it are answered
     /// `Busy` (admission control).
@@ -379,15 +402,58 @@ impl<C: Conn> SessionWriter<C> {
         self.send_bytes(shared, &bytes, frame.tag())
     }
 
-    /// Write pre-encoded frame bytes (the traced reply path encodes
-    /// separately so the encode and write stages time independently).
-    /// Same failure semantics as [`send`](SessionWriter::send).
+    /// Write pre-encoded frame bytes. Same failure semantics as
+    /// [`send`](SessionWriter::send).
     fn send_bytes(&self, shared: &Shared<C>, bytes: &[u8], tag: &'static str) -> bool {
+        let mut stream = self.stream.lock().unwrap();
+        self.write_locked(shared, &mut stream, bytes, tag)
+    }
+
+    /// Ship a worker's run of `slots` admitted intervals, `replies` of
+    /// them encoded into `bytes` (already committed to the ledger), in
+    /// one write. The slots are released under the stream lock, before
+    /// the write: a client that answers each reply with a new interval
+    /// always finds its slot free. `answered` grows under the same lock,
+    /// so [`send_bye_ack`](SessionWriter::send_bye_ack) never counts a
+    /// run whose write has not landed.
+    fn send_run(&self, shared: &Shared<C>, bytes: &[u8], slots: usize, replies: u64) -> bool {
+        let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
+        self.inflight.fetch_sub(slots, Ordering::AcqRel);
+        let sent = self.write_locked(shared, &mut stream, bytes, "Imputed");
+        if sent {
+            self.answered.fetch_add(replies, Ordering::Relaxed);
+        }
+        sent
+    }
+
+    /// Answer `Bye` once its drain has run: `answered` and `remaining`
+    /// are read under the stream lock, after every run that released
+    /// its slots has written.
+    fn send_bye_ack(&self, shared: &Shared<C>) -> bool {
+        let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
+        let frame = Frame::ByeAck {
+            answered: self.answered.load(Ordering::Relaxed),
+            remaining: self.inflight.load(Ordering::Acquire) as u64,
+        };
+        let Ok(bytes) = encode_frame_with(&frame, self.codec(), shared.cfg.max_frame_len) else {
+            return false;
+        };
+        self.write_locked(shared, &mut stream, &bytes, frame.tag())
+    }
+
+    /// Write through an already-held stream lock; on failure the session
+    /// is marked dead and the socket shut down (waking the reader).
+    fn write_locked(
+        &self,
+        shared: &Shared<C>,
+        stream: &mut C,
+        bytes: &[u8],
+        tag: &'static str,
+    ) -> bool {
         if self.dead.load(Ordering::Acquire) {
             return false;
         }
-        let mut stream = self.stream.lock().unwrap();
-        match write_bytes(&mut *stream, bytes) {
+        match write_bytes(stream, bytes) {
             Ok(()) => true,
             Err(e) => {
                 if !self.dead.swap(true, Ordering::AcqRel) {
@@ -407,8 +473,8 @@ impl<C: Conn> SessionWriter<C> {
     }
 
     /// Commit + send a per-seq reply frame (the reader-side Ack / Busy /
-    /// Reject path; the worker path encodes separately for stage timing
-    /// and commits to the ledger itself).
+    /// Reject path; workers commit their replies themselves and ship
+    /// them with [`send_run`](SessionWriter::send_run)).
     fn send_reply(&self, shared: &Shared<C>, seq: u64, frame: &Frame) -> bool {
         let Ok(bytes) = encode_frame_with(frame, self.codec(), shared.cfg.max_frame_len) else {
             return false;
@@ -435,7 +501,8 @@ struct Job<C: Conn> {
     port: usize,
     item: IntervalItem,
     accepted_at: Instant,
-    /// When the job entered the shared queue (start of the queue stage).
+    /// When the reader staged the job: the queue stage covers the
+    /// reader's hold and the shared queue.
     enqueued_at: Instant,
     /// The interval's trace (the `serve.interval` root span's context);
     /// [`TraceContext::NONE`] when tracing is off.
@@ -1021,6 +1088,22 @@ struct Session<C: Conn> {
     token: Option<String>,
     imputers: HashMap<usize, StreamingImputer<Arc<TransformerImputer>>>,
     writer: Arc<SessionWriter<C>>,
+    /// Admitted jobs the reader has not handed to the pool yet (see
+    /// [`Session::hand_off`]). Empty whenever the reader blocks or the
+    /// session parks.
+    staged: Vec<Job<C>>,
+}
+
+impl<C: Conn> Session<C> {
+    /// Hand every staged job to the pool: one queue lock, one wake-up.
+    fn hand_off(&mut self, shared: &Shared<C>) {
+        if self.staged.is_empty() {
+            return;
+        }
+        HANDOFFS.inc();
+        shared.queue.lock().unwrap().extend(self.staged.drain(..));
+        shared.queue_cv.notify_one();
+    }
 }
 
 /// How a session's read loop ended — decides parking.
@@ -1069,6 +1152,7 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
     let mut end = SessionEnd::Disconnected;
     loop {
         if shared.shutting_down() {
+            session.hand_off(shared);
             drain_inflight(shared, &session.writer, false);
             let _ = session.writer.send(
                 shared,
@@ -1102,6 +1186,11 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
                     end = SessionEnd::Graceful; // only `Bye` ends in-band
                     break;
                 }
+                // The burst read so far is processed: what is staged goes
+                // to the pool before the reader can block on the socket.
+                if !reader.buffered_frame() {
+                    session.hand_off(shared);
+                }
             }
             Err(WireError::Closed) => break,
             Err(
@@ -1124,6 +1213,9 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
             Err(_) => break,
         }
     }
+    // Admitted intervals are owed a reply on every exit: the pool commits
+    // them to the ledger, so a resume replays them.
+    session.hand_off(shared);
     session.writer.dead.store(true, Ordering::Release);
     SESSIONS_ACTIVE.add(-1);
     shared
@@ -1284,6 +1376,7 @@ fn handshake<C: Conn>(
         token,
         imputers,
         writer: Arc::clone(writer),
+        staged: Vec::new(),
     })
 }
 
@@ -1388,6 +1481,7 @@ fn resume_session<C: Conn>(
         replayed += 1;
     }
     REPLAYED.add(replayed);
+    WRITES.add(replayed);
     shared
         .counters
         .replayed
@@ -1420,6 +1514,9 @@ fn handle_frame<C: Conn>(
     decode_ns: u64,
 ) -> bool {
     let cfg = &shared.cfg;
+    if !matches!(frame, Frame::Interval { .. }) {
+        session.hand_off(shared);
+    }
     if let Some(reply) = session::probe_reply(&frame, || shared.counters.stats_frame()) {
         session.writer.send(shared, &reply);
         return true;
@@ -1455,6 +1552,7 @@ fn handle_frame<C: Conn>(
                 REPLAYED.inc();
                 shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
                 if session.writer.send_bytes(shared, &bytes, "Replay") {
+                    WRITES.inc();
                     REPLIES.inc();
                     shared.counters.replies.fetch_add(1, Ordering::Relaxed);
                 }
@@ -1516,36 +1614,35 @@ fn handle_frame<C: Conn>(
                     ACCEPTED.inc();
                     shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
                     session.writer.inflight.fetch_add(1, Ordering::AcqRel);
+                    let now = cfg.clock.now();
                     let job = Job {
                         seq,
                         port: imputer.port(),
                         item,
                         accepted_at,
-                        enqueued_at: cfg.clock.now(),
+                        enqueued_at: now,
                         trace: ctx,
                         writer: Arc::clone(&session.writer),
                         requeued_at: None,
                     };
-                    shared.queue.lock().unwrap().push_back(job);
-                    shared.queue_cv.notify_one();
+                    session.staged.push(job);
+                    // Would one more forward hold the oldest staged
+                    // interval past `batch_wait`?
+                    let held = now.saturating_duration_since(session.staged[0].accepted_at);
+                    if session.staged.len() >= cfg.max_batch || held + forward_dur > cfg.batch_wait
+                    {
+                        session.hand_off(shared);
+                    }
                 }
             }
             true
         }
         Frame::Bye => {
-            drain_inflight(shared, &session.writer, false);
-            let answered = session.writer.answered.load(Ordering::Relaxed);
             // Honest drain accounting: if the bounded drain budget ran
-            // out, report how many accepted intervals are still
-            // unanswered instead of implying a full drain.
-            let remaining = session.writer.inflight.load(Ordering::Acquire) as u64;
-            session.writer.send(
-                shared,
-                &Frame::ByeAck {
-                    answered,
-                    remaining,
-                },
-            );
+            // out, `ByeAck.remaining` reports how many accepted intervals
+            // are still unanswered instead of implying a full drain.
+            drain_inflight(shared, &session.writer, false);
+            session.writer.send_bye_ack(shared);
             false
         }
         other => {
@@ -1583,17 +1680,16 @@ fn drain_inflight<C: Conn>(shared: &Shared<C>, writer: &SessionWriter<C>, ignore
     }
 }
 
-/// Worker: pop one job, coalesce whatever else is queued (bounded by
-/// `max_batch` and by the first job's remaining deadline slack), run one
-/// `enforce_degraded_batch`, write replies.
+/// Worker: pop what is queued (up to `max_batch`), run one
+/// `enforce_degraded_batch`, write each session's run of replies once.
 ///
 /// The batch body runs under `catch_unwind` so a panic (injected or
 /// genuine) takes down only this iteration, not the server. The sealed
 /// batch lives in a `Mutex` holder whose guard is held for the whole
-/// body: jobs are popped from the front only *after* their reply is
-/// fully committed, so on unwind the poisoned holder yields exactly the
-/// unanswered tail, which [`worker_down`] re-enqueues at the head of
-/// the queue. The supervisor then respawns this slot.
+/// body: a run's jobs leave the front only *after* its write, so on
+/// unwind the poisoned holder yields exactly the unwritten runs, which
+/// [`worker_down`] re-enqueues at the head of the queue. The supervisor
+/// then respawns this slot.
 fn worker_loop<C: Conn>(shared: &Arc<Shared<C>>, worker: usize) {
     let cfg = &shared.cfg;
     // No window deadline: a wall-clock-dependent rung would make replies
@@ -1620,16 +1716,13 @@ fn worker_loop<C: Conn>(shared: &Arc<Shared<C>>, worker: usize) {
     }
 }
 
-/// Block until at least one job is available (or shutdown drains the
-/// queue), then coalesce up to `max_batch` jobs bounded by the first
-/// job's remaining deadline slack. `None` means clean shutdown.
+/// Block until at least one job is queued (or shutdown drains the
+/// queue), then pop what is queued, up to `max_batch`. Readers form the
+/// batches, so nothing here waits for stragglers. `None` means clean
+/// shutdown.
 fn collect_batch<C: Conn>(shared: &Arc<Shared<C>>) -> Option<Vec<Job<C>>> {
-    let cfg = &shared.cfg;
     let mut q = shared.queue.lock().unwrap();
-    let first = loop {
-        if let Some(j) = q.pop_front() {
-            break j;
-        }
+    while q.is_empty() {
         if shared.shutting_down() && shared.active_readers.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -1638,51 +1731,19 @@ fn collect_batch<C: Conn>(shared: &Arc<Shared<C>>) -> Option<Vec<Job<C>>> {
             .wait_timeout(q, Duration::from_millis(20))
             .unwrap();
         q = guard;
-    };
-    let mut batch = vec![first];
-    while batch.len() < cfg.max_batch {
-        match q.pop_front() {
-            Some(j) => batch.push(j),
-            None => break,
-        }
     }
-    // Deadline-aware coalescing: wait a short beat for stragglers,
-    // but never longer than half the first job's remaining slack.
-    // Skipped under virtual time: the wait below is a *real* condvar
-    // wait against virtual slack, which a simulated schedule would have
-    // to drive by advancing the clock mid-batch — sealing immediately
-    // keeps batch composition a pure function of the queue state.
-    if batch.len() < cfg.max_batch && !cfg.batch_wait.is_zero() && !cfg.clock.is_virtual() {
-        let slack = cfg.deadline.saturating_sub(
-            cfg.clock
-                .now()
-                .saturating_duration_since(batch[0].accepted_at),
-        );
-        let wait_until = Instant::now() + cfg.batch_wait.min(slack / 2);
-        while batch.len() < cfg.max_batch {
-            let remaining = wait_until.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            let (guard, res) = shared.queue_cv.wait_timeout(q, remaining).unwrap();
-            q = guard;
-            while batch.len() < cfg.max_batch {
-                match q.pop_front() {
-                    Some(j) => batch.push(j),
-                    None => break,
-                }
-            }
-            if res.timed_out() {
-                break;
-            }
-        }
+    let n = q.len().min(shared.cfg.max_batch.max(1));
+    let batch = q.drain(..n).collect();
+    if !q.is_empty() {
+        // More than one batch was handed over: wake an idle worker.
+        shared.queue_cv.notify_one();
     }
     Some(batch)
 }
 
 /// Enforce one sealed batch and ship its replies. Runs under
 /// `catch_unwind`; the holder's guard is held throughout so unwinding
-/// leaves the unanswered jobs recoverable via the poisoned mutex.
+/// leaves the unwritten runs recoverable via the poisoned mutex.
 fn process_batch<C: Conn>(
     shared: &Arc<Shared<C>>,
     holder: &Mutex<Vec<Job<C>>>,
@@ -1749,103 +1810,121 @@ fn process_batch<C: Conn>(
     let enforce_dur = cfg.clock.now().saturating_duration_since(enforce_start);
     let slow_write = ProcessFaultPlan::fires(pf.slow_write_every, ordinal);
     let mut first_write = true;
+    let mut outcomes = outcomes.into_iter();
 
-    for outcome in outcomes {
-        // Borrow the front job; it is removed only after its reply is
-        // fully committed, so an unwind mid-reply re-enqueues it.
-        let job = &batch[0];
-        // Self-check, on the interval that is shipped: the ladder's
-        // contract is that outputs satisfy the (possibly relaxed)
-        // constraints exactly. Count, never ship silently.
-        let effective = outcome.effective_constraints(&job.item.0);
-        if !effective.satisfied_exact(&outcome.corrected) {
-            VIOLATIONS.inc();
-            shared.counters.violations.fetch_add(1, Ordering::Relaxed);
-            log_event!("serve.violation", "seq" = job.seq);
-        }
-        let level = outcome.levels[0];
-        STAGE_ENFORCE_US.record_duration(enforce_dur);
-        trace::record_span(
-            enforce_span_name(level),
-            job.trace,
-            enforce_start,
-            enforce_dur,
-        );
-        let latency = cfg.clock.now().saturating_duration_since(job.accepted_at);
-        LATENCY_US.record_duration(latency);
-        let missed = latency > cfg.deadline;
-        if missed {
-            DEADLINE_MISS.inc();
-            shared
-                .counters
-                .deadline_misses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let frame = Frame::Imputed {
-            seq: job.seq,
-            port: job.port,
-            series: outcome.corrected,
-            level: level.label().to_string(),
-            enforced: level != DegradationLevel::MeasurementRelaxed,
-            latency_us: latency.as_micros() as u64,
-            trace_id: (job.trace.trace_id != 0).then_some(job.trace.trace_id),
-        };
-        // Encode and write timed separately, so a slow peer shows up
-        // in `serve.stage.write_us` rather than smearing the batch.
-        let encode_start = cfg.clock.now();
-        let bytes = encode_frame_with(&frame, job.writer.codec(), cfg.max_frame_len);
-        let encode_dur = cfg.clock.now().saturating_duration_since(encode_start);
-        let sent = match &bytes {
-            Ok(bytes) => {
+    // One run at a time: the front job and every job after it from the
+    // same session, encoded into one buffer and written once.
+    while let Some(writer) = batch.first().map(|j| Arc::clone(&j.writer)) {
+        let run = batch
+            .iter()
+            .take_while(|j| Arc::ptr_eq(&j.writer, &writer))
+            .count();
+        let codec = writer.codec();
+        let mut wire = Vec::new();
+        let mut replies = 0u64;
+        // Per job: (deadline missed, degraded), for the SLO watchdog.
+        let mut slo = Vec::with_capacity(run);
+        for job in &batch[..run] {
+            let outcome = outcomes.next().expect("one outcome per job");
+            // Self-check, on the interval that is shipped: the ladder's
+            // contract is that outputs satisfy the (possibly relaxed)
+            // constraints exactly. Count, never ship silently.
+            let effective = outcome.effective_constraints(&job.item.0);
+            if !effective.satisfied_exact(&outcome.corrected) {
+                VIOLATIONS.inc();
+                shared.counters.violations.fetch_add(1, Ordering::Relaxed);
+                log_event!("serve.violation", "seq" = job.seq);
+            }
+            let level = outcome.levels[0];
+            STAGE_ENFORCE_US.record_duration(enforce_dur);
+            trace::record_span(
+                enforce_span_name(level),
+                job.trace,
+                enforce_start,
+                enforce_dur,
+            );
+            let latency = cfg.clock.now().saturating_duration_since(job.accepted_at);
+            LATENCY_US.record_duration(latency);
+            let missed = latency > cfg.deadline;
+            if missed {
+                DEADLINE_MISS.inc();
+                shared
+                    .counters
+                    .deadline_misses
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            slo.push((missed, level != DegradationLevel::Full));
+            let frame = Frame::Imputed {
+                seq: job.seq,
+                port: job.port,
+                series: outcome.corrected,
+                level: level.label().to_string(),
+                enforced: level != DegradationLevel::MeasurementRelaxed,
+                latency_us: latency.as_micros() as u64,
+                trace_id: (job.trace.trace_id != 0).then_some(job.trace.trace_id),
+            };
+            // Encode and write timed separately, so a slow peer shows up
+            // in `serve.stage.write_us` rather than smearing the batch.
+            let encode_start = cfg.clock.now();
+            if let Ok(bytes) = encode_frame_with(&frame, codec, cfg.max_frame_len) {
+                let encode_dur = cfg.clock.now().saturating_duration_since(encode_start);
                 STAGE_ENCODE_US.record_duration(encode_dur);
                 trace::record_span("serve.encode", job.trace, encode_start, encode_dur);
-                if slow_write && first_write {
-                    record_process_fault(FaultKind::SlowWrite);
-                    cfg.clock.sleep(Duration::from_millis(pf.slow_write_ms));
-                }
-                first_write = false;
                 // Record before send: a reply that may have reached the
                 // wire must be replayable.
-                job.writer.ledger.commit(job.seq, bytes);
-                let write_start = cfg.clock.now();
-                let ok = job.writer.send_bytes(shared, bytes, frame.tag());
-                let write_dur = cfg.clock.now().saturating_duration_since(write_start);
-                STAGE_WRITE_US.record_duration(write_dur);
-                trace::record_span("serve.write", job.trace, write_start, write_dur);
-                ok
+                writer.ledger.commit(job.seq, &bytes);
+                wire.extend_from_slice(&bytes);
+                replies += 1;
             }
-            Err(_) => false,
-        };
-        if sent {
-            REPLIES.inc();
-            shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-            job.writer.answered.fetch_add(1, Ordering::Relaxed);
         }
-        // Recovery latency: requeue (panic) → reply committed.
-        if let Some(requeued_at) = job.requeued_at {
-            let lat = cfg.clock.now().saturating_duration_since(requeued_at);
-            REQUEUE_LATENCY_US.record_duration(lat);
-            if let Ok(mut v) = shared.requeue_lat.lock() {
-                if v.len() < REQUEUE_LAT_CAP {
-                    v.push(lat.as_micros() as u64);
+        if slow_write && first_write {
+            first_write = false;
+            record_process_fault(FaultKind::SlowWrite);
+            cfg.clock.sleep(Duration::from_millis(pf.slow_write_ms));
+        }
+        let write_start = cfg.clock.now();
+        let sent = writer.send_run(shared, &wire, run, replies);
+        let write_dur = cfg.clock.now().saturating_duration_since(write_start);
+        // Written, or the peer is gone and the ledger holds the replies
+        // for a resume: the run leaves the recoverable set.
+        let done: Vec<Job<C>> = batch.drain(..run).collect();
+        if sent {
+            WRITES.inc();
+            REPLIES.add(replies);
+            shared
+                .counters
+                .replies
+                .fetch_add(replies, Ordering::Relaxed);
+        }
+        for job in &done {
+            STAGE_WRITE_US.record_duration(write_dur);
+            trace::record_span("serve.write", job.trace, write_start, write_dur);
+            // Recovery latency: requeue (panic) → reply written.
+            if let Some(requeued_at) = job.requeued_at {
+                let lat = cfg.clock.now().saturating_duration_since(requeued_at);
+                REQUEUE_LATENCY_US.record_duration(lat);
+                if let Ok(mut v) = shared.requeue_lat.lock() {
+                    if v.len() < REQUEUE_LAT_CAP {
+                        v.push(lat.as_micros() as u64);
+                    }
                 }
             }
         }
-        job.writer.inflight.fetch_sub(1, Ordering::AcqRel);
         // Feed the SLO watchdog's sliding window (bounded).
         if let Ok(mut obs) = shared.slo_obs.lock() {
-            if obs.len() >= SLO_OBS_CAP {
-                obs.pop_front();
+            let at = cfg.clock.now();
+            for (job, (missed, degraded)) in done.iter().zip(slo) {
+                if obs.len() >= SLO_OBS_CAP {
+                    obs.pop_front();
+                }
+                obs.push_back(ReplyObs {
+                    at,
+                    missed,
+                    degraded,
+                    trace_id: job.trace.trace_id,
+                });
             }
-            obs.push_back(ReplyObs {
-                at: cfg.clock.now(),
-                missed,
-                degraded: level != DegradationLevel::Full,
-                trace_id: job.trace.trace_id,
-            });
         }
-        // Reply fully committed: drop the job from the recoverable set.
-        batch.remove(0);
     }
 }
 

@@ -604,17 +604,24 @@ impl Read for SimConn {
         let pipe = self.read_pipe();
         let mut st = pipe.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
+            // Like a stream socket, one read returns every released byte
+            // that fits, across frame boundaries.
             let now_ns = self.now_ns();
-            if let Some(seg) = st.segments.front_mut() {
-                if seg.release_ns <= now_ns {
-                    let n = buf.len().min(seg.bytes.len() - seg.pos);
-                    buf[..n].copy_from_slice(&seg.bytes[seg.pos..seg.pos + n]);
-                    seg.pos += n;
-                    if seg.pos == seg.bytes.len() {
-                        st.segments.pop_front();
-                    }
-                    return Ok(n);
+            let mut n = 0;
+            while n < buf.len() {
+                let Some(seg) = st.segments.front_mut().filter(|s| s.release_ns <= now_ns) else {
+                    break;
+                };
+                let k = (buf.len() - n).min(seg.bytes.len() - seg.pos);
+                buf[n..n + k].copy_from_slice(&seg.bytes[seg.pos..seg.pos + k]);
+                seg.pos += k;
+                n += k;
+                if seg.pos == seg.bytes.len() {
+                    st.segments.pop_front();
                 }
+            }
+            if n > 0 {
+                return Ok(n);
             }
             if self.duplex.disconnected.load(Ordering::Acquire) {
                 // Hard kill: undelivered delayed data is lost, EOF.

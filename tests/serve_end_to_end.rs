@@ -425,11 +425,10 @@ fn live_metrics_dump_covers_stages_slo_gauges_and_traces() {
             .as_u64()
             .unwrap_or(0)
     };
-    let dropped = |dump: &serde_json::Value| -> u64 {
-        dump["metrics"]["counters"]["obs.trace.dropped"]
-            .as_u64()
-            .unwrap_or(0)
+    let counter = |dump: &serde_json::Value, name: &str| -> u64 {
+        dump["metrics"]["counters"][name].as_u64().unwrap_or(0)
     };
+    let dropped = |dump: &serde_json::Value| counter(dump, "obs.trace.dropped");
     let before = metrics_dump(&addr);
     let report = fmml::serve::run_loadgen(&LoadgenConfig {
         clients: 4,
@@ -449,6 +448,14 @@ fn live_metrics_dump_covers_stages_slo_gauges_and_traces() {
         assert!(
             stage_count(&dump, stage) > stage_count(&before, stage),
             "stage {stage} recorded nothing"
+        );
+    }
+    // The hop counters: replies per hand-off and per write are read off
+    // the same dump.
+    for name in ["serve.handoffs", "serve.writes"] {
+        assert!(
+            counter(&dump, name) > counter(&before, name),
+            "{name} did not grow"
         );
     }
     assert_eq!(
