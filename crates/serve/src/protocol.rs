@@ -1224,6 +1224,59 @@ mod tests {
         }
     }
 
+    /// The exact wire bytes of every frame in both codecs, pinned as FNV-1a
+    /// hashes. Round trips cannot see a layout change that the encoder and
+    /// decoder make together (two fields swapped in both); this can. A
+    /// mismatch is a wire change: re-record only when one is intended.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        const JSON: [u64; 17] = [
+            0xb74da42e10969a28,
+            0xd205ef6cbef87cf3,
+            0xd5fff999b24929d5,
+            0x4cb03d714ee9af82,
+            0xb26d72dccc0f7340,
+            0x374b6ebaa28fb98d,
+            0x0503f18a59b3c524,
+            0xe303f1294e982aee,
+            0x5ee69039e213fe7b,
+            0xd794707f52425fd6,
+            0xa714d253fe32f53d,
+            0x7a59ae6ad3e32243,
+            0x584c97808f96ce83,
+            0x78ef44df7dd0ab81,
+            0x9f45e2be7ab2ae02,
+            0x8d88299ca900b45a,
+            0xdd3a2eced628dc31,
+        ];
+        const BIN1: [u64; 17] = [
+            0x1d6b533560e4c621,
+            0x8a5313a9e8699080,
+            0xcdee0f85926b8622,
+            0x4651e12f26838a4f,
+            0xc394f1930d805dc7,
+            0xe5858684715e698e,
+            0x3102543631d79da2,
+            0x9fca391e46b02576,
+            0xd8e11619f6ac6af6,
+            0x54ebc2e30c6ce552,
+            0xc57ec3fa1ee39907,
+            0xc57eb8fa1ee38656,
+            0xc02a3d6dbb85dcad,
+            0xaf49919a5fb40705,
+            0xc57eb7fa1ee384a3,
+            0x932202579a7e6cda,
+            0x41e72fb31e803d50,
+        ];
+        for (codec, pinned) in [(WireCodec::Json, JSON), (WireCodec::Bin1, BIN1)] {
+            for (f, want) in every_variant().iter().zip(pinned) {
+                let bytes = encode_frame_with(f, codec, MAX_FRAME_LEN).unwrap();
+                let got = fmml_obs::fnv::bytes(fmml_obs::fnv::OFFSET, &bytes);
+                assert_eq!(got, want, "{codec} {} bytes moved: {got:#018x}", f.tag());
+            }
+        }
+    }
+
     #[test]
     fn bin1_is_smaller_on_hot_frames() {
         // Realistic telemetry magnitudes (queue depths / packet counts in
