@@ -79,7 +79,7 @@ COMMANDS:
              violates its (possibly relaxed) constraints
              --seed N (7)  --runs N (2)  --epochs N (3)  --smt
              --deadline-ms N  --jobs N (1; 0 = auto)  --no-cache
-  serve      run the streaming imputation server (length-prefixed JSON
+  serve      run the streaming imputation server (length-prefixed
              frames over TCP, deadline-aware micro-batching, admission
              control); exits non-zero if any shipped reply violated its
              constraints
@@ -87,7 +87,7 @@ COMMANDS:
              --deadline-ms N (50)  --max-batch N (16)  --queue-depth N (64)
              --model FILE (default: deterministic untrained imputer)
              --seed N (3)  --max-secs N (run forever when absent)
-             --wire json|bin1 (json; codec preference — binary is used
+             --wire json|bin1 (bin1; codec preference — binary is used
              only with clients that advertise it in their Hello)
              fault injection (0 = off): --worker-panic-every N
              --solver-stall-every N  --solver-stall-ms N (5)
@@ -103,12 +103,12 @@ COMMANDS:
              --max-secs N (run forever when absent)
              --kill-backend-after-ms N (shut backend 0 down mid-run to
              exercise live migration; 0 = off)
-             --wire json|bin1 (json; router + backends prefer the same
+             --wire json|bin1 (bin1; router + backends prefer the same
              codec, binary sessions pass through without re-encoding)
   loadgen    drive a running server with concurrent trace-replay clients
              --addr A (required)  --clients N (8)  --intervals N (40)
              --seed N (11)  --deadline-ms N (50)  --pace-ms N
-             --wire json|bin1 (json; bin1 advertises the binary codec)
+             --wire json|bin1 (bin1; json does not advertise bin1)
              --chaos (standard >= 10% disturbance preset)
              --report-json FILE (write the flat LoadReport JSON)
   obs        query a running server for its live metrics registry, trace
@@ -122,8 +122,8 @@ COMMANDS:
              protocol; each violation prints a replayable FMML_SIM_SEED
              --seeds N (100)  --seed N (1; first seed)  --clients N (3)
              --ops N (16)  --json (per-seed JSON lines)
-             --wire json|bin1 (json; run the whole sweep under the
-             binary codec — fingerprints are codec-independent)
+             --wire json|bin1 (bin1; the codec the whole sweep runs
+             under — fingerprints are codec-independent)
              --pinned FILE   verify the aggregate reply fingerprint
                              against FILE, or write FILE if absent (with
                              --cluster the record also pins --backends)
@@ -571,18 +571,19 @@ fn cmd_enforce(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The serving model: `--model FILE` loads a checkpoint; otherwise a
-/// deterministic untrained imputer seeded by `--seed` (scaled for the
-/// `SimConfig::small()` traces the load generator replays).
-/// Parse `--wire json|bin1` (default json — byte-identical to pre-v2).
+/// Parse `--wire json|bin1` (default bin1; the handshake stays JSON and a
+/// peer that does not advertise bin1 is served JSON).
 fn parse_wire(args: &Args) -> Result<WireCodec, CliError> {
     match args.get_string("wire") {
-        None => Ok(WireCodec::Json),
+        None => Ok(WireCodec::Bin1),
         Some(s) => WireCodec::parse(s)
             .ok_or_else(|| CliError::Usage(format!("unknown --wire {s:?} (known: json, bin1)"))),
     }
 }
 
+/// The serving model: `--model FILE` loads a checkpoint; otherwise a
+/// deterministic untrained imputer seeded by `--seed` (scaled for the
+/// `SimConfig::small()` traces the load generator replays).
 fn serve_model(args: &Args) -> Result<std::sync::Arc<TransformerImputer>, CliError> {
     match args.get_string("model") {
         Some(path) => {

@@ -113,7 +113,8 @@ pub struct RouterConfig {
     /// Sessions whose client vanished are kept resumable this long
     /// (injected clock) before being dropped.
     pub parked_ttl: Duration,
-    /// Preferred wire codec for client sessions and backend links. The
+    /// Preferred wire codec for client sessions and backend links (bin1
+    /// by default). The
     /// router negotiates [`WireCodec::Bin1`] only with peers that
     /// advertise it; everyone else stays on JSON, so mixed fleets keep
     /// working (`--wire` on `fmml cluster`).
@@ -140,7 +141,7 @@ impl Default for RouterConfig {
             read_timeout: Duration::from_millis(25),
             write_timeout: Duration::from_secs(2),
             parked_ttl: Duration::from_secs(30),
-            wire: WireCodec::Json,
+            wire: WireCodec::Bin1,
             clock: Clock::System,
         }
     }
@@ -1094,16 +1095,13 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
     raw: RawFrame,
     my_epoch: u64,
 ) -> bool {
-    let (seq, ingested) = match raw.meta() {
-        // `meta()` only yields seq-carrying tags; a backend never sends
-        // `Interval`, so anything else here is bogus and falls through
-        // to the decode path below to be ignored or rejected.
-        Some(m) if matches!(m.tag, "Ack" | "Imputed" | "Busy" | "Reject") => {
-            (m.seq, matches!(m.tag, "Ack" | "Imputed"))
-        }
-        _ => match raw.decode() {
+    let (seq, tag) = match raw.meta().and_then(|m| Some((m.reply_seq()?, m.tag))) {
+        Some(reply) => reply,
+        // JSON, a control frame, or a bogus `Interval` (a backend never
+        // sends one): decode, then route, ignore or reject.
+        None => match raw.decode() {
             Ok(frame) => match route_control_frame(shared, session, frame, my_epoch) {
-                ControlRouted::Reply { seq, ingested } => (seq, ingested),
+                ControlRouted::Reply { seq, tag } => (seq, tag),
                 ControlRouted::Continue => return true,
                 ControlRouted::Exit => return false,
             },
@@ -1147,7 +1145,8 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
                 };
                 trace::record_span("cluster.route", ctx, p.sent_at, elapsed);
             }
-            if ingested {
+            // `Busy` and `Reject` left the backend's window untouched.
+            if matches!(tag, "Ack" | "Imputed") {
                 st.push_history(seq, p.port, p.bytes, session.identity.window_intervals);
             }
         }
@@ -1162,7 +1161,7 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
 /// frame.
 enum ControlRouted {
     /// A seq-carrying reply (JSON link): route it like the fast path.
-    Reply { seq: u64, ingested: bool },
+    Reply { seq: u64, tag: &'static str },
     /// Nothing to route; keep reading.
     Continue,
     /// The link thread should exit.
@@ -1178,14 +1177,13 @@ fn route_control_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
     frame: Frame,
     my_epoch: u64,
 ) -> ControlRouted {
+    if let Some(seq) = frame.reply_seq() {
+        return ControlRouted::Reply {
+            seq,
+            tag: frame.tag(),
+        };
+    }
     match &frame {
-        Frame::Ack { seq, .. }
-        | Frame::Imputed { seq, .. }
-        | Frame::Busy { seq, .. }
-        | Frame::Reject { seq, .. } => ControlRouted::Reply {
-            seq: *seq,
-            ingested: matches!(frame, Frame::Ack { .. } | Frame::Imputed { .. }),
-        },
         Frame::ByeAck { .. } => {
             let remaining = {
                 let st = lock(&session.state);

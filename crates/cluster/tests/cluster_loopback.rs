@@ -10,8 +10,8 @@ use fmml_fm::cem::{CemEngine, DegradationLevel, LadderConfig};
 use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
 use fmml_serve::protocol::{
-    encode_frame, encode_frame_capped, write_bytes, write_frame, write_frame_with, Frame,
-    FrameReader, WireCodec, MAX_FRAME_LEN,
+    encode_frame, encode_frame_with, write_bytes, write_frame, Frame, FrameReader, WireCodec,
+    MAX_FRAME_LEN,
 };
 use fmml_serve::{spawn, ServerConfig, ServerHandle, TcpConnector, WireError};
 use fmml_telemetry::{windows_from_trace, PortWindow};
@@ -557,14 +557,14 @@ fn fake_conn(stream: TcpStream) {
                     answered: 0,
                     remaining: 0,
                 };
-                if let Ok(b) = encode_frame_capped(&bye, RAISED) {
+                if let Ok(b) = encode_frame_with(&bye, WireCodec::Json, RAISED) {
                     let _ = write_bytes(&mut writer, &b);
                 }
                 return;
             }
             _ => continue,
         };
-        let Ok(b) = encode_frame_capped(&out, RAISED) else {
+        let Ok(b) = encode_frame_with(&out, WireCodec::Json, RAISED) else {
             return;
         };
         if write_bytes(&mut writer, &b).is_err() {
@@ -648,7 +648,7 @@ fn raised_cap_migration_replays_oversized_frames() {
         encode_frame(&probe),
         Err(WireError::Oversized { .. })
     ));
-    assert!(encode_frame_capped(&probe, RAISED).is_ok());
+    assert!(encode_frame_with(&probe, WireCodec::Json, RAISED).is_ok());
     let reply_probe = Frame::Imputed {
         seq: 1,
         port: 1,
@@ -694,7 +694,7 @@ fn raised_cap_migration_replays_oversized_frames() {
             update: big_update(seq),
             trace_id: Some(seq),
         };
-        let b = encode_frame_capped(&f, RAISED).expect("raised-cap encode");
+        let b = encode_frame_with(&f, WireCodec::Json, RAISED).expect("raised-cap encode");
         write_bytes(tx, &b).expect("send oversized interval");
     }
     fn expect_reply(rx: &mut FrameReader<TcpStream>, seq: u64) {
@@ -821,16 +821,13 @@ fn bin1_negotiated_session_survives_migration_bitwise() {
                 seq: u64| {
         let u = IntervalUpdate::from_window(w, k);
         let expect = reference.try_push(u.clone()).unwrap();
-        write_frame_with(
-            tx,
-            &Frame::Interval {
-                seq,
-                update: u,
-                trace_id: Some(seq),
-            },
-            WireCodec::Bin1,
-        )
-        .unwrap();
+        let interval = Frame::Interval {
+            seq,
+            update: u,
+            trace_id: Some(seq),
+        };
+        let b = encode_frame_with(&interval, WireCodec::Bin1, MAX_FRAME_LEN).unwrap();
+        write_bytes(tx, &b).unwrap();
         let raw = loop {
             if let Some(r) = rx.poll_frame_raw().expect("reply") {
                 break r;
@@ -861,7 +858,8 @@ fn bin1_negotiated_session_survives_migration_bitwise() {
         push(&mut tx, &mut rx, &mut reference, k, seq);
     }
 
-    write_frame_with(&mut tx, &Frame::Bye, WireCodec::Bin1).unwrap();
+    let bye = encode_frame_with(&Frame::Bye, WireCodec::Bin1, MAX_FRAME_LEN).unwrap();
+    write_bytes(&mut tx, &bye).unwrap();
     match rx.read_frame().unwrap() {
         Frame::ByeAck {
             answered,

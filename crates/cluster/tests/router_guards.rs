@@ -174,6 +174,26 @@ fn silent_connection_is_dropped_at_the_hello_deadline() {
     net.close();
 }
 
+/// A pre-handshake JSON frame nested 100,000 deep costs the sender its
+/// connection, not the router its process: `read_hello` decodes it with
+/// the parser's depth cap, where it used to overflow the thread's stack.
+#[test]
+fn deeply_nested_json_before_hello_is_refused_not_fatal() {
+    let rt: RouterHandle<TcpStream, TcpConnector> =
+        fmml_cluster::spawn(RouterConfig::default()).expect("spawn router");
+    let mut tx = TcpStream::connect(rt.addr()).unwrap();
+    let deep = "[".repeat(100_000);
+    tx.write_all(&(deep.len() as u32).to_be_bytes()).unwrap();
+    tx.write_all(deep.as_bytes()).unwrap();
+    assert_closed_by_router(tx, "deep nesting");
+
+    let mut tx = TcpStream::connect(rt.addr()).unwrap();
+    let mut rx = FrameReader::new(tx.try_clone().unwrap());
+    write_frame(&mut tx, &Frame::Stats).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::StatsReply { .. }));
+    rt.shutdown();
+}
+
 /// Block until the router closes `stream` (EOF or reset); panics if it
 /// is still open after well over the stall budget.
 fn assert_closed_by_router(mut stream: TcpStream, what: &str) {

@@ -14,7 +14,9 @@
 //! reordered intervals. The server's contract under all of it: typed
 //! rejections, zero panics, zero constraint violations.
 
-use crate::protocol::{write_bytes, write_frame, write_frame_with, Frame, FrameReader, WireCodec};
+use crate::protocol::{
+    encode_frame_with, write_bytes, write_frame, Frame, FrameReader, WireCodec, MAX_FRAME_LEN,
+};
 use crate::session::{ClientSession, Identity, Welcomed};
 use crate::transport::{Conn, Connector, TcpConnector};
 use fmml_core::streaming::IntervalUpdate;
@@ -100,10 +102,10 @@ pub struct LoadgenConfig {
     pub pace: Option<Duration>,
     pub chaos: Option<ChaosConfig>,
     pub tenant_prefix: String,
-    /// Preferred wire codec (`--wire`): `Bin1` makes every client
-    /// advertise the v2 codec in its `Hello` and encode with whatever
-    /// the server's `Welcome` picks; `Json` (default) does not
-    /// advertise, so the session stays on the v1 wire.
+    /// Preferred wire codec (`--wire`): `Bin1` (default) makes every
+    /// client advertise the v2 codec in its `Hello` and encode with
+    /// whatever the server's `Welcome` picks; `Json` does not advertise,
+    /// so the session stays on the v1 wire.
     pub wire: WireCodec,
 }
 
@@ -123,7 +125,7 @@ impl Default for LoadgenConfig {
             pace: None,
             chaos: None,
             tenant_prefix: "tenant".into(),
-            wire: WireCodec::Json,
+            wire: WireCodec::Bin1,
         }
     }
 }
@@ -651,7 +653,8 @@ fn run_client<K: Connector + ?Sized>(
         let finished = idx >= updates.len();
         if finished && !disconnected {
             // Graceful goodbye: drain then ByeAck.
-            let _ = write_frame_with(&mut w, &Frame::Bye, codec);
+            let _ = encode_frame_with(&Frame::Bye, codec, MAX_FRAME_LEN)
+                .and_then(|bytes| write_bytes(&mut w, &bytes));
             let wait_until = Instant::now() + Duration::from_secs(10);
             while !shared.saw_byeack.load(Ordering::Acquire)
                 && !shared.done.load(Ordering::Acquire)
@@ -723,23 +726,21 @@ fn reader_loop<C: Conn>(
                 break;
             }
         };
-        let seq = match frame {
-            Frame::Ack { seq, .. }
-            | Frame::Imputed { seq, .. }
-            | Frame::Busy { seq, .. }
-            | Frame::Reject { seq, .. } => seq,
-            Frame::ByeAck { remaining, .. } => {
-                shared.byeack_remaining.store(remaining, Ordering::Release);
-                shared.saw_byeack.store(true, Ordering::Release);
-                shared.done.store(true, Ordering::Release);
-                break;
+        let Some(seq) = frame.reply_seq() else {
+            match frame {
+                Frame::ByeAck { remaining, .. } => {
+                    shared.byeack_remaining.store(remaining, Ordering::Release);
+                    shared.saw_byeack.store(true, Ordering::Release);
+                    shared.done.store(true, Ordering::Release);
+                    break;
+                }
+                Frame::Error { .. } => {
+                    shared.server_errors.fetch_add(1, Ordering::Relaxed);
+                    shared.done.store(true, Ordering::Release);
+                    break;
+                }
+                _ => continue,
             }
-            Frame::Error { .. } => {
-                shared.server_errors.fetch_add(1, Ordering::Relaxed);
-                shared.done.store(true, Ordering::Release);
-                break;
-            }
-            _ => continue,
         };
         let Some((sent_at, sent_tid)) = session.lock().unwrap().answer(seq) else {
             // Already answered before the disconnect; the resume replay

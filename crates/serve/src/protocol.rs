@@ -3,16 +3,16 @@
 //!
 //! Every frame on the wire is `u32` big-endian payload length followed by
 //! exactly that many payload bytes — one [`Frame`] per payload. The
-//! payload is either UTF-8 JSON (the default, serialized with the
-//! workspace's vendored serde; externally tagged: unit variants are bare
-//! strings (`"Stats"`), struct variants single-key objects
-//! (`{"Hello":{...}}`)) or the compact binary "wire v2" codec
-//! ([`WireCodec::Bin1`]): a [`BIN1_MARKER`] byte, a frame-tag byte, then
-//! the variant's fields as little-endian scalars and length-prefixed
-//! strings/vectors. `0xB1` can never start a JSON payload, so decoders
-//! sniff the codec per frame; *which codec an encoder uses* is negotiated
-//! in the handshake (`Hello.codecs` advertises, `Welcome.codec` picks,
-//! both always JSON) and missing keys mean JSON — old peers are untouched.
+//! payload is either UTF-8 JSON (serialized with the workspace's vendored
+//! serde; externally tagged: unit variants are bare strings (`"Stats"`),
+//! struct variants single-key objects (`{"Hello":{...}}`)) or the compact
+//! binary "wire v2" codec ([`WireCodec::Bin1`]): a [`BIN1_MARKER`] byte, a
+//! frame-tag byte, then the variant's fields as little-endian scalars and
+//! length-prefixed strings/vectors. `0xB1` can never start a JSON payload,
+//! so decoders sniff the codec per frame; *which codec an encoder uses* is
+//! negotiated in the handshake (`Hello.codecs` advertises, `Welcome.codec`
+//! picks, both always JSON) and missing keys mean JSON — old peers are
+//! untouched. Both codecs derive from one frame table (`frame_table!`).
 //!
 //! ```text
 //! ┌──────────────┬──────────────────────────────────────────┐
@@ -49,156 +49,227 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 /// Bytes of framing overhead per frame (the length prefix).
 pub const HEADER_LEN: usize = 4;
 
-/// One protocol message. Client→server: `Hello`, `Interval`, `Stats`,
-/// `Bye`. Server→client: `Welcome`, `Ack`, `Imputed`, `Busy`, `Reject`,
-/// `StatsReply`, `ByeAck`, `Error`.
-///
-/// Only unit and named-field variants are used (the vendored serde_derive
-/// supports exactly that shape), so the encoding is stable and trivially
-/// re-implementable by non-Rust clients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Frame {
-    /// Session handshake: which tenant this is and which ports it will
-    /// stream, with the telemetry geometry (queues per port, fine bins
-    /// per interval, intervals per sliding window).
-    Hello {
-        tenant: String,
-        ports: Vec<usize>,
-        queues: usize,
-        interval_len: usize,
-        window_intervals: usize,
-        /// Resumption: the `resume_token` a previous `Welcome` handed out,
-        /// to re-attach to that session's sliding windows and replay
-        /// window after a disconnect. Pre-resume clients omit both keys
-        /// (missing keys decode as `None` — compatible both ways, like
-        /// `Interval.trace_id`).
-        resume_token: Option<String>,
-        /// Highest sequence number the client has already processed a
-        /// reply for; on resume the server replays every retained reply
-        /// with a larger seq.
-        last_acked: Option<u64>,
-        /// Wire codecs this client can decode, by label (`"json"`,
-        /// `"bin1"`), in preference order. Pre-v2 clients omit the key
-        /// (missing decodes as `None`), which the server reads as
-        /// JSON-only. The `Hello` itself is always JSON.
-        codecs: Option<Vec<String>>,
-    },
-    /// Handshake accepted; `deadline_ms` echoes the server's per-interval
-    /// end-to-end budget.
-    Welcome {
-        session: u64,
-        deadline_ms: u64,
-        /// Token to present in a future `Hello` to resume this session
-        /// after a disconnect (always sent by resume-capable servers).
-        resume_token: Option<String>,
-        /// On a resume attempt: `Some(true)` if the parked session was
-        /// re-attached, `Some(false)` if the token was unknown/expired
-        /// and the session is fresh. `None` from pre-resume servers.
-        resumed: Option<bool>,
-        /// When `resumed == Some(true)`: the highest interval seq the
-        /// server ingested before the disconnect. Pending seqs above it
-        /// never reached the server and must be re-sent; pending seqs at
-        /// or below it will be answered by the replay that follows.
-        resume_seq: Option<u64>,
-        /// The codec the server picked from `Hello.codecs` for every
-        /// frame after this `Welcome` (both directions). `None` (pre-v2
-        /// servers) means JSON. The `Welcome` itself is always JSON.
-        codec: Option<String>,
-    },
-    /// One coarse interval of one port. `seq` is the client's correlation
-    /// id, echoed in the answer. `trace_id` optionally carries the
-    /// client's span-tracing id so client- and server-side spans stitch
-    /// into one trace; frames from older clients simply omit it (missing
-    /// keys decode as `None`, unknown keys are ignored — compatible both
-    /// ways).
-    Interval {
-        seq: u64,
-        update: IntervalUpdate,
-        trace_id: Option<u64>,
-    },
-    /// Interval accepted and buffered, but the sliding window is still
-    /// warming up — no series yet.
-    Ack { seq: u64, buffered: usize },
-    /// The freshly imputed fine series of the newest interval, corrected
-    /// through the CEM degradation ladder. `level` is the
-    /// [`DegradationLevel`](fmml_fm::cem::DegradationLevel) label
-    /// (`DegradationLevel::from_label` decodes it); `enforced` is `false`
-    /// only when the measurements themselves were contradictory and had
-    /// to be minimally relaxed.
-    Imputed {
-        seq: u64,
-        port: usize,
-        series: Vec<Vec<u32>>,
-        level: String,
-        enforced: bool,
-        latency_us: u64,
-        /// The trace under which the server recorded this interval's
-        /// journey: the client's `Interval.trace_id` when one was sent,
-        /// else a server-minted id (absent when tracing is off).
-        trace_id: Option<u64>,
-    },
-    /// Admission control: the session's bounded queue is full; the
-    /// interval was dropped, try again later.
-    Busy { seq: u64, depth: usize },
-    /// The interval was malformed (wrong port, mismatched shapes) and was
-    /// not ingested. The session stays up.
-    Reject { seq: u64, reason: String },
-    /// Ask the server for its counters.
-    Stats,
-    /// Ask the server for a full introspection dump: every registered
-    /// metric (counters, gauges, histogram quantiles p50/p90/p99/p999)
-    /// plus recent trace summaries and a folded-stacks export. Answered
-    /// with [`Frame::MetricsReply`]; allowed pre-handshake, like `Stats`.
-    MetricsDump,
-    /// The dump, as one JSON document (see [`fmml_obs::dump_json`] for
-    /// the shape). Kept opaque at the protocol layer so the registry can
-    /// grow fields without a wire change.
-    MetricsReply { json: String },
-    StatsReply {
-        sessions: u64,
-        active_sessions: u64,
-        accepted: u64,
-        rejected: u64,
-        malformed: u64,
-        replies: u64,
-        batches: u64,
-        deadline_misses: u64,
-        violations: u64,
-        slow_disconnects: u64,
-    },
-    /// Graceful goodbye. The sender promises to send nothing further;
-    /// the server drains in-flight work and answers [`Frame::ByeAck`].
-    Bye,
-    /// Drain result for the session: `answered` replies were written, and
-    /// `remaining` accepted intervals were still in flight when the
-    /// server's drain budget expired. `remaining == 0` is a full drain;
-    /// `remaining > 0` means the drain timed out and that many replies
-    /// were dropped — clients can distinguish the two instead of trusting
-    /// an unconditional "all answered".
-    ByeAck { answered: u64, remaining: u64 },
-    /// Fatal session error (bad handshake, unparseable frame, shutdown).
-    Error { code: String, message: String },
+/// Expands one frame table into the [`Frame`] enum, [`Frame::tag`], the
+/// bin1 encoder and decoder, and the seq-leading tags that
+/// [`decode_frame_meta`] peeks. Each entry is `tag => Variant { fields }`:
+/// the bin1 tag byte, then the variant as it is declared, fields in wire
+/// order. Every field type implements [`Bin1Field`].
+macro_rules! frame_table {
+    (
+        $(#[$meta:meta])*
+        pub enum Frame {
+            $(
+                $(#[$doc:meta])*
+                $tag:literal => $variant:ident $({
+                    $( $(#[$field_doc:meta])* $field:ident : $ty:ty ),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Frame {
+            $( $(#[$doc])* $variant $({ $( $(#[$field_doc])* $field: $ty ),* })?, )*
+        }
+
+        impl Frame {
+            /// Short tag for logging.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $( Frame::$variant { .. } => stringify!($variant), )*
+                }
+            }
+
+            /// The frame's `seq`, for the frames whose first field it is.
+            #[allow(unused_variables)]
+            fn leading_seq(&self) -> Option<u64> {
+                match self {
+                    $( Frame::$variant $({ $($field),* })? => seq_first!(get $($($field)*)?), )*
+                }
+            }
+
+            /// The seq this frame answers: `Ack`, `Imputed`, `Busy` and
+            /// `Reject`, every seq-leading frame but the `Interval` that asks.
+            pub fn reply_seq(&self) -> Option<u64> {
+                let seq = self.leading_seq()?;
+                FrameMeta { tag: self.tag(), seq }.reply_seq()
+            }
+        }
+
+        fn encode_bin1(frame: &Frame) -> Vec<u8> {
+            let mut out = Vec::with_capacity(64);
+            match frame {
+                $( Frame::$variant $({ $($field),* })? => {
+                    out.extend_from_slice(&[BIN1_MARKER, $tag]);
+                    $($( $field.put(&mut out); )*)?
+                } )*
+            }
+            out
+        }
+
+        /// Decodes the payload after its [`BIN1_MARKER`].
+        fn decode_bin1(body: &[u8]) -> Result<Frame, WireError> {
+            let mut r = BinReader(body);
+            let frame = match r.u8()? {
+                $( $tag => Frame::$variant $({ $( $field: Bin1Field::get(&mut r)? ),* })?, )*
+                t => return Err(WireError::Malformed(format!("bin1: unknown frame tag {t}"))),
+            };
+            r.done()?;
+            Ok(frame)
+        }
+
+        /// The name of the frame a bin1 tag byte stands for, if that frame
+        /// leads with `seq`.
+        fn seq_leading_tag(tag: u8) -> Option<&'static str> {
+            match tag {
+                $( $tag if seq_first!(is $($($field)*)?) => Some(stringify!($variant)), )*
+                _ => None,
+            }
+        }
+    };
 }
 
-impl Frame {
-    /// Short tag for logging.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Frame::Hello { .. } => "Hello",
-            Frame::Welcome { .. } => "Welcome",
-            Frame::Interval { .. } => "Interval",
-            Frame::Ack { .. } => "Ack",
-            Frame::Imputed { .. } => "Imputed",
-            Frame::Busy { .. } => "Busy",
-            Frame::Reject { .. } => "Reject",
-            Frame::Stats => "Stats",
-            Frame::MetricsDump => "MetricsDump",
-            Frame::MetricsReply { .. } => "MetricsReply",
-            Frame::StatsReply { .. } => "StatsReply",
-            Frame::Bye => "Bye",
-            Frame::ByeAck { .. } => "ByeAck",
-            Frame::Error { .. } => "Error",
-        }
+/// Over a variant's field names: is the first `seq` (`is`), and its value
+/// in a match arm binding every field (`get`, which forwards the name
+/// twice: once to match literally, once to name the arm's binding).
+macro_rules! seq_first {
+    (is seq $($rest:ident)*) => { true };
+    (is $($rest:ident)*) => { false };
+    (get) => { None };
+    (get $first:ident $($rest:ident)*) => { seq_first!(bind $first $first) };
+    (bind seq $seq:ident) => { Some(*$seq) };
+    (bind $other:ident $binding:ident) => { None };
+}
+
+frame_table! {
+    /// One protocol message. Client→server: `Hello`, `Interval`, `Stats`,
+    /// `Bye`. Server→client: `Welcome`, `Ack`, `Imputed`, `Busy`, `Reject`,
+    /// `StatsReply`, `ByeAck`, `Error`.
+    ///
+    /// Only unit and named-field variants are used (the vendored serde_derive
+    /// supports exactly that shape), so the encoding is stable and trivially
+    /// re-implementable by non-Rust clients.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub enum Frame {
+        /// Session handshake: which tenant this is and which ports it will
+        /// stream, with the telemetry geometry (queues per port, fine bins
+        /// per interval, intervals per sliding window).
+        0 => Hello {
+            tenant: String,
+            ports: Vec<usize>,
+            queues: usize,
+            interval_len: usize,
+            window_intervals: usize,
+            /// Resumption: the `resume_token` a previous `Welcome` handed out,
+            /// to re-attach to that session's sliding windows and replay
+            /// window after a disconnect. Pre-resume clients omit both keys
+            /// (missing keys decode as `None` — compatible both ways, like
+            /// `Interval.trace_id`).
+            resume_token: Option<String>,
+            /// Highest sequence number the client has already processed a
+            /// reply for; on resume the server replays every retained reply
+            /// with a larger seq.
+            last_acked: Option<u64>,
+            /// Wire codecs this client can decode, by label (`"json"`,
+            /// `"bin1"`), in preference order. Pre-v2 clients omit the key
+            /// (missing decodes as `None`), which the server reads as
+            /// JSON-only. The `Hello` itself is always JSON.
+            codecs: Option<Vec<String>>,
+        },
+        /// Handshake accepted; `deadline_ms` echoes the server's per-interval
+        /// end-to-end budget.
+        1 => Welcome {
+            session: u64,
+            deadline_ms: u64,
+            /// Token to present in a future `Hello` to resume this session
+            /// after a disconnect (always sent by resume-capable servers).
+            resume_token: Option<String>,
+            /// On a resume attempt: `Some(true)` if the parked session was
+            /// re-attached, `Some(false)` if the token was unknown/expired
+            /// and the session is fresh. `None` from pre-resume servers.
+            resumed: Option<bool>,
+            /// When `resumed == Some(true)`: the highest interval seq the
+            /// server ingested before the disconnect. Pending seqs above it
+            /// never reached the server and must be re-sent; pending seqs at
+            /// or below it will be answered by the replay that follows.
+            resume_seq: Option<u64>,
+            /// The codec the server picked from `Hello.codecs` for every
+            /// frame after this `Welcome` (both directions). `None` (pre-v2
+            /// servers) means JSON. The `Welcome` itself is always JSON.
+            codec: Option<String>,
+        },
+        /// One coarse interval of one port. `seq` is the client's correlation
+        /// id, echoed in the answer. `trace_id` optionally carries the
+        /// client's span-tracing id so client- and server-side spans stitch
+        /// into one trace; frames from older clients simply omit it (missing
+        /// keys decode as `None`, unknown keys are ignored — compatible both
+        /// ways).
+        2 => Interval {
+            seq: u64,
+            update: IntervalUpdate,
+            trace_id: Option<u64>,
+        },
+        /// Interval accepted and buffered, but the sliding window is still
+        /// warming up — no series yet.
+        3 => Ack { seq: u64, buffered: usize },
+        /// The freshly imputed fine series of the newest interval, corrected
+        /// through the CEM degradation ladder. `level` is the
+        /// [`DegradationLevel`](fmml_fm::cem::DegradationLevel) label
+        /// (`DegradationLevel::from_label` decodes it); `enforced` is `false`
+        /// only when the measurements themselves were contradictory and had
+        /// to be minimally relaxed.
+        4 => Imputed {
+            seq: u64,
+            port: usize,
+            series: Vec<Vec<u32>>,
+            level: String,
+            enforced: bool,
+            latency_us: u64,
+            /// The trace under which the server recorded this interval's
+            /// journey: the client's `Interval.trace_id` when one was sent,
+            /// else a server-minted id (absent when tracing is off).
+            trace_id: Option<u64>,
+        },
+        /// Admission control: the session's bounded queue is full; the
+        /// interval was dropped, try again later.
+        5 => Busy { seq: u64, depth: usize },
+        /// The interval was malformed (wrong port, mismatched shapes) and was
+        /// not ingested. The session stays up.
+        6 => Reject { seq: u64, reason: String },
+        /// Ask the server for its counters.
+        7 => Stats,
+        /// Ask the server for a full introspection dump: every registered
+        /// metric (counters, gauges, histogram quantiles p50/p90/p99/p999)
+        /// plus recent trace summaries and a folded-stacks export. Answered
+        /// with [`Frame::MetricsReply`]; allowed pre-handshake, like `Stats`.
+        8 => MetricsDump,
+        /// The dump, as one JSON document (see [`fmml_obs::dump_json`] for
+        /// the shape). Kept opaque at the protocol layer so the registry can
+        /// grow fields without a wire change.
+        9 => MetricsReply { json: String },
+        10 => StatsReply {
+            sessions: u64,
+            active_sessions: u64,
+            accepted: u64,
+            rejected: u64,
+            malformed: u64,
+            replies: u64,
+            batches: u64,
+            deadline_misses: u64,
+            violations: u64,
+            slow_disconnects: u64,
+        },
+        /// Graceful goodbye. The sender promises to send nothing further;
+        /// the server drains in-flight work and answers [`Frame::ByeAck`].
+        11 => Bye,
+        /// Drain result for the session: `answered` replies were written, and
+        /// `remaining` accepted intervals were still in flight when the
+        /// server's drain budget expired. `remaining == 0` is a full drain;
+        /// `remaining > 0` means the drain timed out and that many replies
+        /// were dropped — clients can distinguish the two instead of trusting
+        /// an unconditional "all answered".
+        12 => ByeAck { answered: u64, remaining: u64 },
+        /// Fatal session error (bad handshake, unparseable frame, shutdown).
+        13 => Error { code: String, message: String },
     }
 }
 
@@ -248,7 +319,8 @@ impl std::error::Error for WireError {}
 /// so pre-encoded replay bytes stay valid across resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodec {
-    /// Length-prefixed UTF-8 JSON — the v1 format and the default.
+    /// Length-prefixed UTF-8 JSON — the v1 format, the handshake's codec,
+    /// and what a peer that names no codec speaks.
     #[default]
     Json,
     /// Wire v2: marker byte + frame tag + little-endian fields.
@@ -256,6 +328,8 @@ pub enum WireCodec {
 }
 
 impl WireCodec {
+    const ALL: [WireCodec; 2] = [WireCodec::Json, WireCodec::Bin1];
+
     /// The label used on the wire (`Hello.codecs` / `Welcome.codec`) and
     /// in `--wire` flags.
     pub fn label(self) -> &'static str {
@@ -268,16 +342,12 @@ impl WireCodec {
     /// Parse a codec label; unknown labels are `None` (callers treat
     /// that as "stay on JSON", never an error — forward compatibility).
     pub fn parse(s: &str) -> Option<WireCodec> {
-        match s {
-            "json" => Some(WireCodec::Json),
-            "bin1" => Some(WireCodec::Bin1),
-            _ => None,
-        }
+        WireCodec::ALL.into_iter().find(|c| c.label() == s)
     }
 
     /// The codecs a v2 peer advertises in `Hello.codecs`.
     pub fn advertise() -> Vec<String> {
-        vec!["json".into(), "bin1".into()]
+        WireCodec::ALL.map(|c| c.label().into()).to_vec()
     }
 
     /// Server-side pick: the server's preferred codec if the client
@@ -285,7 +355,7 @@ impl WireCodec {
     /// negotiates JSON.
     pub fn negotiate(prefer: WireCodec, advertised: Option<&[String]>) -> WireCodec {
         match (prefer, advertised) {
-            (WireCodec::Bin1, Some(list)) if list.iter().any(|c| c == "bin1") => WireCodec::Bin1,
+            (WireCodec::Bin1, Some(list)) if list.iter().any(|c| c == prefer.label()) => prefer,
             _ => WireCodec::Json,
         }
     }
@@ -293,10 +363,9 @@ impl WireCodec {
     /// The codec a given payload is encoded in (by sniffing the marker
     /// byte; JSON payloads start with `{` or `"`, never `0xB1`).
     pub fn of_payload(payload: &[u8]) -> WireCodec {
-        if payload.first() == Some(&BIN1_MARKER) {
-            WireCodec::Bin1
-        } else {
-            WireCodec::Json
+        match payload.first() {
+            Some(&BIN1_MARKER) => WireCodec::Bin1,
+            _ => WireCodec::Json,
         }
     }
 }
@@ -312,37 +381,15 @@ impl std::fmt::Display for WireCodec {
 /// byte) is unambiguous.
 pub const BIN1_MARKER: u8 = 0xB1;
 
-// Wire-v2 frame tags, in `Frame` declaration order.
-const TAG_HELLO: u8 = 0;
-const TAG_WELCOME: u8 = 1;
-const TAG_INTERVAL: u8 = 2;
-const TAG_ACK: u8 = 3;
-const TAG_IMPUTED: u8 = 4;
-const TAG_BUSY: u8 = 5;
-const TAG_REJECT: u8 = 6;
-const TAG_STATS: u8 = 7;
-const TAG_METRICS_DUMP: u8 = 8;
-const TAG_METRICS_REPLY: u8 = 9;
-const TAG_STATS_REPLY: u8 = 10;
-const TAG_BYE: u8 = 11;
-const TAG_BYE_ACK: u8 = 12;
-const TAG_ERROR: u8 = 13;
-
 /// Encode one frame to its on-wire bytes (header + JSON payload), capped
 /// at [`MAX_FRAME_LEN`].
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
-    encode_frame_capped(frame, MAX_FRAME_LEN)
+    encode_frame_with(frame, WireCodec::Json, MAX_FRAME_LEN)
 }
 
-/// Encode one frame as JSON with an explicit payload cap (router links
-/// that carry batched replays raise it; the wire format itself tops out
-/// at `u32`).
-pub fn encode_frame_capped(frame: &Frame, max_len: usize) -> Result<Vec<u8>, WireError> {
-    encode_frame_with(frame, WireCodec::Json, max_len)
-}
-
-/// Encode one frame in an explicit codec with an explicit payload cap —
-/// the primitive everything else lowers onto.
+/// Encode one frame in `codec` with a payload cap — the primitive
+/// everything else lowers onto. Router links that carry batched replays
+/// raise the cap; the wire format itself tops out at `u32`.
 pub fn encode_frame_with(
     frame: &Frame,
     codec: WireCodec,
@@ -360,47 +407,39 @@ pub fn encode_frame_with(
     if payload.len() > max_len.min(u32::MAX as usize) {
         return Err(WireError::Oversized { len: payload.len() });
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
+    Ok([&(payload.len() as u32).to_be_bytes()[..], &payload].concat())
 }
 
 /// Decode one frame from the front of `buf` (cap [`MAX_FRAME_LEN`]).
 /// Returns the frame and the number of bytes consumed, or `Ok(None)` if
 /// `buf` does not yet hold a complete frame.
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
-    decode_frame_capped(buf, MAX_FRAME_LEN)
+    match announced_len(buf, MAX_FRAME_LEN)? {
+        Some(n) if buf.len() >= n => Ok(Some((decode_payload(&buf[HEADER_LEN..n])?, n))),
+        _ => Ok(None),
+    }
 }
 
-/// Decode with an explicit cap on the announced payload length. The cap
-/// is enforced against the *length prefix*, before any payload
-/// allocation happens — that property is what makes it safe to expose as
-/// a config knob.
-pub fn decode_frame_capped(
-    buf: &[u8],
-    max_len: usize,
-) -> Result<Option<(Frame, usize)>, WireError> {
-    if buf.len() < HEADER_LEN {
+/// The total on-wire length (header included) that the length prefix at
+/// the front of `buf` announces; `None` while the header is incomplete.
+/// The cap is enforced against the *prefix*, before any payload is
+/// allocated: what makes it safe to expose as a config knob.
+fn announced_len(buf: &[u8], max_len: usize) -> Result<Option<usize>, WireError> {
+    let Some(&prefix) = buf.first_chunk::<HEADER_LEN>() else {
         return Ok(None);
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+    };
+    let len = u32::from_be_bytes(prefix) as usize;
     if len > max_len {
         return Err(WireError::Oversized { len });
     }
-    if buf.len() < HEADER_LEN + len {
-        return Ok(None);
-    }
-    let payload = &buf[HEADER_LEN..HEADER_LEN + len];
-    let frame = decode_payload(payload)?;
-    Ok(Some((frame, HEADER_LEN + len)))
+    Ok(Some(HEADER_LEN + len))
 }
 
 /// Decode one complete payload, sniffing the codec from its first byte.
 pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
-    match WireCodec::of_payload(payload) {
-        WireCodec::Bin1 => decode_bin1(payload),
-        WireCodec::Json => {
+    match payload {
+        [BIN1_MARKER, body @ ..] => decode_bin1(body),
+        _ => {
             let text = std::str::from_utf8(payload)
                 .map_err(|e| WireError::Malformed(format!("utf-8: {e}")))?;
             serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))
@@ -408,10 +447,8 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
     }
 }
 
-/// Routing metadata readable from a wire-v2 payload without decoding the
-/// body: the frame tag and, for seq-carrying frames, the correlation seq
-/// at its fixed offset. `None` for JSON payloads (callers fall back to a
-/// full decode) and for v2 frames that carry no seq.
+/// Routing metadata of a seq-leading wire-v2 payload, read without
+/// decoding the body (see [`decode_frame_meta`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameMeta {
     /// Short tag name, same strings as [`Frame::tag`].
@@ -420,464 +457,204 @@ pub struct FrameMeta {
     pub seq: u64,
 }
 
-/// Cheap fixed-offset peek at a wire-v2 payload; see [`FrameMeta`]. Every
-/// seq-carrying v2 variant (`Interval`, `Ack`, `Imputed`, `Busy`,
-/// `Reject`) lays its seq out at bytes `[2..10]` by construction.
-pub fn decode_frame_meta(payload: &[u8]) -> Option<FrameMeta> {
-    if payload.len() < 10 || payload[0] != BIN1_MARKER {
-        return None;
+impl FrameMeta {
+    /// [`Frame::reply_seq`] of the peeked frame: its seq, unless it is the
+    /// `Interval` that asks for an answer.
+    pub fn reply_seq(&self) -> Option<u64> {
+        (self.tag != "Interval").then_some(self.seq)
     }
-    let tag = match payload[1] {
-        TAG_INTERVAL => "Interval",
-        TAG_ACK => "Ack",
-        TAG_IMPUTED => "Imputed",
-        TAG_BUSY => "Busy",
-        TAG_REJECT => "Reject",
-        _ => return None,
+}
+
+/// Fixed-offset peek: a frame whose first field is `seq` (`Interval`,
+/// `Ack`, `Imputed`, `Busy`, `Reject`) has it at payload bytes `[2..10]`,
+/// as bin1 writes fields in table order and a u64 as 8 bytes. `None` for
+/// JSON (callers fall back to a full decode) and for other frames.
+pub fn decode_frame_meta(payload: &[u8]) -> Option<FrameMeta> {
+    let [BIN1_MARKER, tag, seq @ ..] = payload else {
+        return None;
     };
-    let seq = u64::from_le_bytes(payload[2..10].try_into().unwrap());
+    let tag = seq_leading_tag(*tag)?;
+    let seq = u64::from_le_bytes(*seq.first_chunk()?);
     Some(FrameMeta { tag, seq })
 }
 
-// ---------------------------------------------------------------------
-// Wire v2 (bin1) payload codec.
-//
-// Layout: BIN1_MARKER, tag byte, then the variant's fields in struct
-// declaration order. Scalars are little-endian (`usize` travels as u64,
-// bool as one 0/1 byte); strings and vectors carry a u32 element count;
-// `Option`s a 0/1 presence byte. The decoder bounds-checks every count
-// against the bytes actually present before allocating, and requires the
-// body to consume the payload exactly — trailing bytes are malformed,
-// mirroring the JSON parser's strictness.
-// ---------------------------------------------------------------------
-
-struct BinWriter {
-    buf: Vec<u8>,
+/// A type a frame field can have, and its bin1 layout. A bin1 payload is
+/// [`BIN1_MARKER`], the tag byte, then the fields in table order: scalars
+/// little-endian (`usize` as u64, bool as one 0/1 byte), strings and
+/// vectors after a u32 element count, `Option`s after a 0/1 presence byte.
+/// The body must consume the payload exactly: trailing bytes are
+/// malformed, mirroring the JSON parser's strictness.
+trait Bin1Field: Sized {
+    /// The fewest bytes one encoded value takes. A count is checked against
+    /// it before anything is allocated, so a hostile count cannot make the
+    /// decoder allocate more than the bytes on the wire justify.
+    const MIN_LEN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut BinReader<'_>) -> Result<Self, WireError>;
 }
 
-impl BinWriter {
-    fn new(tag: u8) -> BinWriter {
-        let mut buf = Vec::with_capacity(64);
-        buf.push(BIN1_MARKER);
-        buf.push(tag);
-        BinWriter { buf }
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn boolean(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn vec_u32(&mut self, v: &[u32]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.u32(x);
-        }
-    }
-    fn vec_usize(&mut self, v: &[usize]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.usize(x);
-        }
-    }
-    fn opt<T, F: FnMut(&mut Self, &T)>(&mut self, v: &Option<T>, mut f: F) {
-        match v {
-            None => self.buf.push(0),
-            Some(x) => {
-                self.buf.push(1);
-                f(self, x);
+macro_rules! le_int_field {
+    ($($int:ty),*) => {$(
+        impl Bin1Field for $int {
+            const MIN_LEN: usize = std::mem::size_of::<$int>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+                r.array().map(<$int>::from_le_bytes)
             }
         }
+    )*};
+}
+
+le_int_field!(u32, u64);
+
+/// Travels as a u64, so both ends agree whatever their pointer width.
+impl Bin1Field for usize {
+    const MIN_LEN: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn get(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+        usize::try_from(u64::get(r)?)
+            .map_err(|_| WireError::Malformed("bin1: usize overflow".into()))
     }
 }
 
-struct BinReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl Bin1Field for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::Malformed(format!("bin1: bad flag byte {b}"))),
+        }
+    }
 }
+
+impl Bin1Field for String {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+        let n = r.count(1)?;
+        String::from_utf8(r.take(n)?.to_vec())
+            .map_err(|e| WireError::Malformed(format!("bin1: utf-8: {e}")))
+    }
+}
+
+impl<T: Bin1Field> Bin1Field for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for x in self {
+            x.put(out);
+        }
+    }
+    fn get(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+        let n = r.count(T::MIN_LEN)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::get(r)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<T: Bin1Field> Bin1Field for Option<T> {
+    const MIN_LEN: usize = 1;
+    /// A presence flag, then the value if there is one.
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(x) = self {
+            x.put(out);
+        }
+    }
+    fn get(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+        bool::get(r)?.then(|| T::get(r)).transpose()
+    }
+}
+
+/// Fields in declaration order (`get` names every one, so a new field
+/// does not compile until it is given a place on the wire).
+impl Bin1Field for IntervalUpdate {
+    const MIN_LEN: usize = 8 + 4 + 4 + 3 * 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.port.put(out);
+        self.samples.put(out);
+        self.maxes.put(out);
+        self.sent.put(out);
+        self.dropped.put(out);
+        self.received.put(out);
+    }
+    fn get(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+        Ok(IntervalUpdate {
+            port: Bin1Field::get(r)?,
+            samples: Bin1Field::get(r)?,
+            maxes: Bin1Field::get(r)?,
+            sent: Bin1Field::get(r)?,
+            dropped: Bin1Field::get(r)?,
+            received: Bin1Field::get(r)?,
+        })
+    }
+}
+
+/// The unread rest of a bin1 payload.
+struct BinReader<'a>(&'a [u8]);
 
 impl<'a> BinReader<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
+        let Some((head, rest)) = self.0.split_at_checked(n) else {
             return Err(WireError::Malformed(format!(
                 "bin1: body truncated ({} bytes left, {n} needed)",
-                self.remaining()
+                self.0.len()
             )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        };
+        self.0 = rest;
+        Ok(head)
+    }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self
+            .take(N)?
+            .try_into()
+            .expect("take yields exactly N bytes"))
     }
     fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn usize_(&mut self) -> Result<usize, WireError> {
-        usize::try_from(self.u64()?)
-            .map_err(|_| WireError::Malformed("bin1: usize overflow".into()))
-    }
-    fn boolean(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(WireError::Malformed(format!("bin1: bad bool byte {b}"))),
-        }
-    }
-    /// An element count, bounds-checked so a hostile count can never make
-    /// us allocate more than the bytes actually on the wire justify.
+    /// An element count, bounds-checked against the bytes left (see
+    /// [`Bin1Field::MIN_LEN`]).
     fn count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
+        let n = u32::get(self)? as usize;
         match n.checked_mul(min_elem_bytes) {
-            Some(bytes) if bytes <= self.remaining() => Ok(n),
+            Some(bytes) if bytes <= self.0.len() => Ok(n),
             _ => Err(WireError::Malformed(format!(
                 "bin1: count {n} exceeds remaining {} bytes",
-                self.remaining()
+                self.0.len()
             ))),
         }
     }
-    fn str_(&mut self) -> Result<String, WireError> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| WireError::Malformed(format!("bin1: utf-8: {e}")))
-    }
-    fn vec_u32(&mut self) -> Result<Vec<u32>, WireError> {
-        let n = self.count(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u32()?);
-        }
-        Ok(v)
-    }
-    fn vec_usize(&mut self) -> Result<Vec<usize>, WireError> {
-        let n = self.count(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.usize_()?);
-        }
-        Ok(v)
-    }
-    fn vec_vec_u32(&mut self) -> Result<Vec<Vec<u32>>, WireError> {
-        let n = self.count(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.vec_u32()?);
-        }
-        Ok(v)
-    }
-    fn vec_str(&mut self) -> Result<Vec<String>, WireError> {
-        let n = self.count(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.str_()?);
-        }
-        Ok(v)
-    }
-    fn opt<T>(
-        &mut self,
-        f: impl FnOnce(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Option<T>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            b => Err(WireError::Malformed(format!("bin1: bad option byte {b}"))),
-        }
-    }
     fn done(&self) -> Result<(), WireError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "bin1: {} trailing bytes after body",
-                self.remaining()
-            )))
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(WireError::Malformed(format!(
+                "bin1: {n} trailing bytes after body"
+            ))),
         }
     }
-}
-
-fn encode_bin1(frame: &Frame) -> Vec<u8> {
-    match frame {
-        Frame::Hello {
-            tenant,
-            ports,
-            queues,
-            interval_len,
-            window_intervals,
-            resume_token,
-            last_acked,
-            codecs,
-        } => {
-            let mut w = BinWriter::new(TAG_HELLO);
-            w.str(tenant);
-            w.vec_usize(ports);
-            w.usize(*queues);
-            w.usize(*interval_len);
-            w.usize(*window_intervals);
-            w.opt(resume_token, |w, s| w.str(s));
-            w.opt(last_acked, |w, &v| w.u64(v));
-            w.opt(codecs, |w, v| {
-                w.u32(v.len() as u32);
-                for s in v {
-                    w.str(s);
-                }
-            });
-            w.buf
-        }
-        Frame::Welcome {
-            session,
-            deadline_ms,
-            resume_token,
-            resumed,
-            resume_seq,
-            codec,
-        } => {
-            let mut w = BinWriter::new(TAG_WELCOME);
-            w.u64(*session);
-            w.u64(*deadline_ms);
-            w.opt(resume_token, |w, s| w.str(s));
-            w.opt(resumed, |w, &v| w.boolean(v));
-            w.opt(resume_seq, |w, &v| w.u64(v));
-            w.opt(codec, |w, s| w.str(s));
-            w.buf
-        }
-        Frame::Interval {
-            seq,
-            update,
-            trace_id,
-        } => {
-            let mut w = BinWriter::new(TAG_INTERVAL);
-            w.u64(*seq);
-            w.usize(update.port);
-            w.vec_u32(&update.samples);
-            w.vec_u32(&update.maxes);
-            w.u32(update.sent);
-            w.u32(update.dropped);
-            w.u32(update.received);
-            w.opt(trace_id, |w, &v| w.u64(v));
-            w.buf
-        }
-        Frame::Ack { seq, buffered } => {
-            let mut w = BinWriter::new(TAG_ACK);
-            w.u64(*seq);
-            w.usize(*buffered);
-            w.buf
-        }
-        Frame::Imputed {
-            seq,
-            port,
-            series,
-            level,
-            enforced,
-            latency_us,
-            trace_id,
-        } => {
-            let mut w = BinWriter::new(TAG_IMPUTED);
-            w.u64(*seq);
-            w.usize(*port);
-            w.u32(series.len() as u32);
-            for row in series {
-                w.vec_u32(row);
-            }
-            w.str(level);
-            w.boolean(*enforced);
-            w.u64(*latency_us);
-            w.opt(trace_id, |w, &v| w.u64(v));
-            w.buf
-        }
-        Frame::Busy { seq, depth } => {
-            let mut w = BinWriter::new(TAG_BUSY);
-            w.u64(*seq);
-            w.usize(*depth);
-            w.buf
-        }
-        Frame::Reject { seq, reason } => {
-            let mut w = BinWriter::new(TAG_REJECT);
-            w.u64(*seq);
-            w.str(reason);
-            w.buf
-        }
-        Frame::Stats => BinWriter::new(TAG_STATS).buf,
-        Frame::MetricsDump => BinWriter::new(TAG_METRICS_DUMP).buf,
-        Frame::MetricsReply { json } => {
-            let mut w = BinWriter::new(TAG_METRICS_REPLY);
-            w.str(json);
-            w.buf
-        }
-        Frame::StatsReply {
-            sessions,
-            active_sessions,
-            accepted,
-            rejected,
-            malformed,
-            replies,
-            batches,
-            deadline_misses,
-            violations,
-            slow_disconnects,
-        } => {
-            let mut w = BinWriter::new(TAG_STATS_REPLY);
-            for v in [
-                sessions,
-                active_sessions,
-                accepted,
-                rejected,
-                malformed,
-                replies,
-                batches,
-                deadline_misses,
-                violations,
-                slow_disconnects,
-            ] {
-                w.u64(*v);
-            }
-            w.buf
-        }
-        Frame::Bye => BinWriter::new(TAG_BYE).buf,
-        Frame::ByeAck {
-            answered,
-            remaining,
-        } => {
-            let mut w = BinWriter::new(TAG_BYE_ACK);
-            w.u64(*answered);
-            w.u64(*remaining);
-            w.buf
-        }
-        Frame::Error { code, message } => {
-            let mut w = BinWriter::new(TAG_ERROR);
-            w.str(code);
-            w.str(message);
-            w.buf
-        }
-    }
-}
-
-fn decode_bin1(payload: &[u8]) -> Result<Frame, WireError> {
-    let mut r = BinReader {
-        buf: payload,
-        pos: 0,
-    };
-    let marker = r.u8()?;
-    debug_assert_eq!(marker, BIN1_MARKER);
-    let tag = r.u8()?;
-    let frame = match tag {
-        TAG_HELLO => Frame::Hello {
-            tenant: r.str_()?,
-            ports: r.vec_usize()?,
-            queues: r.usize_()?,
-            interval_len: r.usize_()?,
-            window_intervals: r.usize_()?,
-            resume_token: r.opt(|r| r.str_())?,
-            last_acked: r.opt(|r| r.u64())?,
-            codecs: r.opt(|r| r.vec_str())?,
-        },
-        TAG_WELCOME => Frame::Welcome {
-            session: r.u64()?,
-            deadline_ms: r.u64()?,
-            resume_token: r.opt(|r| r.str_())?,
-            resumed: r.opt(|r| r.boolean())?,
-            resume_seq: r.opt(|r| r.u64())?,
-            codec: r.opt(|r| r.str_())?,
-        },
-        TAG_INTERVAL => Frame::Interval {
-            seq: r.u64()?,
-            update: IntervalUpdate {
-                port: r.usize_()?,
-                samples: r.vec_u32()?,
-                maxes: r.vec_u32()?,
-                sent: r.u32()?,
-                dropped: r.u32()?,
-                received: r.u32()?,
-            },
-            trace_id: r.opt(|r| r.u64())?,
-        },
-        TAG_ACK => Frame::Ack {
-            seq: r.u64()?,
-            buffered: r.usize_()?,
-        },
-        TAG_IMPUTED => Frame::Imputed {
-            seq: r.u64()?,
-            port: r.usize_()?,
-            series: r.vec_vec_u32()?,
-            level: r.str_()?,
-            enforced: r.boolean()?,
-            latency_us: r.u64()?,
-            trace_id: r.opt(|r| r.u64())?,
-        },
-        TAG_BUSY => Frame::Busy {
-            seq: r.u64()?,
-            depth: r.usize_()?,
-        },
-        TAG_REJECT => Frame::Reject {
-            seq: r.u64()?,
-            reason: r.str_()?,
-        },
-        TAG_STATS => Frame::Stats,
-        TAG_METRICS_DUMP => Frame::MetricsDump,
-        TAG_METRICS_REPLY => Frame::MetricsReply { json: r.str_()? },
-        TAG_STATS_REPLY => Frame::StatsReply {
-            sessions: r.u64()?,
-            active_sessions: r.u64()?,
-            accepted: r.u64()?,
-            rejected: r.u64()?,
-            malformed: r.u64()?,
-            replies: r.u64()?,
-            batches: r.u64()?,
-            deadline_misses: r.u64()?,
-            violations: r.u64()?,
-            slow_disconnects: r.u64()?,
-        },
-        TAG_BYE => Frame::Bye,
-        TAG_BYE_ACK => Frame::ByeAck {
-            answered: r.u64()?,
-            remaining: r.u64()?,
-        },
-        TAG_ERROR => Frame::Error {
-            code: r.str_()?,
-            message: r.str_()?,
-        },
-        t => {
-            return Err(WireError::Malformed(format!("bin1: unknown frame tag {t}")));
-        }
-    };
-    r.done()?;
-    Ok(frame)
 }
 
 /// Serialize and write one frame (JSON, default cap).
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), WireError> {
-    let bytes = encode_frame(frame)?;
-    write_bytes(w, &bytes)
+    write_bytes(w, &encode_frame(frame)?)
 }
 
-/// Serialize and write one frame in an explicit codec (default cap).
-pub fn write_frame_with<W: Write>(
-    w: &mut W,
-    frame: &Frame,
-    codec: WireCodec,
-) -> Result<(), WireError> {
-    let bytes = encode_frame_with(frame, codec, MAX_FRAME_LEN)?;
-    write_bytes(w, &bytes)
-}
-
-/// Write pre-encoded frame bytes (from [`encode_frame`]). Lets callers
+/// Write pre-encoded frame bytes (from [`encode_frame_with`]). Lets callers
 /// time the encode and write stages separately without re-implementing
 /// the io-error mapping.
 pub fn write_bytes<W: Write>(w: &mut W, bytes: &[u8]) -> Result<(), WireError> {
@@ -929,11 +706,6 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// The configured frame cap.
-    pub fn max_len(&self) -> usize {
-        self.max_len
-    }
-
     /// CPU time the most recent successful [`poll_frame`] spent parsing
     /// its frame (0 when span tracing is off — the clock is only read
     /// when someone will attribute the stage). Socket wait time is never
@@ -953,8 +725,7 @@ impl<R: Read> FrameReader<R> {
     /// length prefix over the cap never completes: `false`, and the next
     /// poll fails on it.
     pub fn buffered_frame(&self) -> bool {
-        let len = expected_len(&self.buf);
-        len > 0 && len - HEADER_LEN <= self.max_len && self.buf.len() >= len
+        matches!(announced_len(&self.buf, self.max_len), Ok(Some(n)) if self.buf.len() >= n)
     }
 
     /// Try to read one frame. `Ok(None)` means the read timed out before
@@ -963,9 +734,12 @@ impl<R: Read> FrameReader<R> {
     pub fn poll_frame(&mut self) -> Result<Option<Frame>, WireError> {
         loop {
             let t0 = fmml_obs::trace::enabled().then(std::time::Instant::now);
-            if let Some((frame, consumed)) = decode_frame_capped(&self.buf, self.max_len)? {
+            if let Some(n) =
+                announced_len(&self.buf, self.max_len)?.filter(|&n| self.buf.len() >= n)
+            {
+                let frame = decode_payload(&self.buf[HEADER_LEN..n])?;
                 self.last_decode_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                self.buf.drain(..consumed);
+                self.buf.drain(..n);
                 return Ok(Some(frame));
             }
             if !self.fill()? {
@@ -982,16 +756,11 @@ impl<R: Read> FrameReader<R> {
     /// the bytes verbatim, decoding in full only when it must transcode.
     pub fn poll_frame_raw(&mut self) -> Result<Option<RawFrame>, WireError> {
         loop {
-            if self.buf.len() >= HEADER_LEN {
-                let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
-                    as usize;
-                if len > self.max_len {
-                    return Err(WireError::Oversized { len });
-                }
-                if self.buf.len() >= HEADER_LEN + len {
-                    let bytes: Vec<u8> = self.buf.drain(..HEADER_LEN + len).collect();
-                    return Ok(Some(RawFrame { bytes }));
-                }
+            if let Some(n) =
+                announced_len(&self.buf, self.max_len)?.filter(|&n| self.buf.len() >= n)
+            {
+                let bytes = self.buf.drain(..n).collect();
+                return Ok(Some(RawFrame { bytes }));
             }
             if !self.fill()? {
                 return Ok(None);
@@ -1005,15 +774,13 @@ impl<R: Read> FrameReader<R> {
         loop {
             let mut scratch = [0u8; 4096];
             match self.inner.read(&mut scratch) {
+                Ok(0) if self.buf.is_empty() => return Err(WireError::Closed),
                 Ok(0) => {
-                    return Err(if self.buf.is_empty() {
-                        WireError::Closed
-                    } else {
-                        let expected = expected_len(&self.buf);
-                        WireError::Truncated {
-                            expected,
-                            got: self.buf.len(),
-                        }
+                    // 0 when even the length prefix was cut short.
+                    let expected = announced_len(&self.buf, self.max_len)?.unwrap_or(0);
+                    return Err(WireError::Truncated {
+                        expected,
+                        got: self.buf.len(),
                     });
                 }
                 Ok(n) => {
@@ -1035,10 +802,7 @@ impl<R: Read> FrameReader<R> {
     /// so a caller that wants a bounded wait sets the socket timeout and
     /// gets a typed error instead of a 100%-CPU loop.
     pub fn read_frame(&mut self) -> Result<Frame, WireError> {
-        match self.poll_frame()? {
-            Some(f) => Ok(f),
-            None => Err(WireError::Timeout),
-        }
+        self.poll_frame()?.ok_or(WireError::Timeout)
     }
 }
 
@@ -1082,15 +846,6 @@ impl RawFrame {
     pub fn decode(&self) -> Result<Frame, WireError> {
         decode_payload(self.payload())
     }
-}
-
-/// Total on-wire length the buffered prefix announces (for Truncated
-/// diagnostics); 0 if the header itself is incomplete.
-fn expected_len(buf: &[u8]) -> usize {
-    if buf.len() < HEADER_LEN {
-        return 0;
-    }
-    HEADER_LEN + u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize
 }
 
 #[cfg(test)]
@@ -1343,25 +1098,30 @@ mod tests {
             let bytes = encode_frame_with(&f, WireCodec::Bin1, MAX_FRAME_LEN).unwrap();
             let meta = decode_frame_meta(&bytes[HEADER_LEN..]).expect("meta");
             assert_eq!(meta.tag, tag);
-            let Some(seq) = frame_seq(&f) else { panic!() };
-            assert_eq!(meta.seq, seq);
+            assert_eq!(Some(meta.seq), f.leading_seq());
         }
-        // JSON payloads and seq-less v2 frames report no metadata.
-        let json = encode_frame(&Frame::Bye).unwrap();
-        assert_eq!(decode_frame_meta(&json[HEADER_LEN..]), None);
-        let bye = encode_frame_with(&Frame::Bye, WireCodec::Bin1, MAX_FRAME_LEN).unwrap();
-        assert_eq!(decode_frame_meta(&bye[HEADER_LEN..]), None);
+        // Seq-less v2 frames and JSON payloads report no metadata, and the
+        // peek answers the same seqs as the decoded frame.
+        for f in every_variant() {
+            let bin = encode_frame_with(&f, WireCodec::Bin1, MAX_FRAME_LEN).unwrap();
+            let meta = decode_frame_meta(&bin[HEADER_LEN..]);
+            assert_eq!(meta.map(|m| m.seq), f.leading_seq(), "{}", f.tag());
+            assert_eq!(meta.and_then(|m| m.reply_seq()), f.reply_seq());
+            let json = encode_frame(&f).unwrap();
+            assert_eq!(decode_frame_meta(&json[HEADER_LEN..]), None);
+        }
     }
 
-    fn frame_seq(f: &Frame) -> Option<u64> {
-        match f {
-            Frame::Interval { seq, .. }
-            | Frame::Ack { seq, .. }
-            | Frame::Imputed { seq, .. }
-            | Frame::Busy { seq, .. }
-            | Frame::Reject { seq, .. } => Some(*seq),
-            _ => None,
-        }
+    #[test]
+    fn reply_seq_is_the_answered_seq() {
+        let answered: Vec<_> = every_variant()
+            .iter()
+            .filter_map(|f| Some((f.tag(), f.reply_seq()?)))
+            .collect();
+        assert_eq!(
+            answered,
+            [("Ack", 42), ("Imputed", 42), ("Busy", 43), ("Reject", 44)]
+        );
     }
 
     #[test]
@@ -1394,7 +1154,7 @@ mod tests {
         bytes.extend_from_slice(&body);
         assert!(matches!(decode_frame(&bytes), Err(WireError::Malformed(_))));
         // A hostile element count never allocates past the wire bytes.
-        let mut body = vec![BIN1_MARKER, TAG_IMPUTED];
+        let mut body = vec![BIN1_MARKER, 4]; // Imputed
         body.extend_from_slice(&5u64.to_le_bytes()); // seq
         body.extend_from_slice(&0u64.to_le_bytes()); // port
         body.extend_from_slice(&u32::MAX.to_le_bytes()); // series count
@@ -1598,7 +1358,6 @@ mod tests {
             Err(WireError::Oversized { .. })
         ));
         let mut roomy = FrameReader::with_max_len(&bytes[..], 4 * MAX_FRAME_LEN);
-        assert_eq!(roomy.max_len(), 4 * MAX_FRAME_LEN);
         assert_eq!(roomy.read_frame().unwrap(), big);
         // The raised cap also lifts the encode ceiling symmetrically.
         let huge = Frame::Error {
@@ -1609,7 +1368,7 @@ mod tests {
             encode_frame(&huge),
             Err(WireError::Oversized { .. })
         ));
-        let encoded = encode_frame_capped(&huge, 2 * MAX_FRAME_LEN).unwrap();
+        let encoded = encode_frame_with(&huge, WireCodec::Json, 2 * MAX_FRAME_LEN).unwrap();
         let mut r = FrameReader::with_max_len(&encoded[..], 2 * MAX_FRAME_LEN);
         assert_eq!(r.read_frame().unwrap(), huge);
     }

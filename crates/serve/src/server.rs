@@ -229,7 +229,8 @@ pub struct ServerConfig {
     /// stalls, slow writes) — the recovery chaos hook. Inactive by
     /// default; see [`ProcessFaultPlan`].
     pub process_faults: ProcessFaultPlan,
-    /// Preferred wire codec for negotiated sessions (`--wire`). The
+    /// Preferred wire codec for negotiated sessions (`--wire`; bin1 by
+    /// default). The
     /// server picks this codec in its `Welcome` when the client's `Hello`
     /// advertises it; otherwise the session stays on JSON. Decoding is
     /// always sniffed per frame, so this knob never rejects anyone.
@@ -270,7 +271,7 @@ impl Default for ServerConfig {
             max_parked: 64,
             parked_ttl: Duration::from_secs(30),
             resume_claim_wait: Duration::from_millis(500),
-            wire: WireCodec::Json,
+            wire: WireCodec::Bin1,
             process_faults: ProcessFaultPlan::none(),
             clock: Clock::System,
             injected_bug: None,

@@ -9,7 +9,9 @@ use fmml_fm::cem::{CemEngine, DegradationLevel};
 use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
 use fmml_obs::trace;
-use fmml_serve::protocol::{write_frame, write_frame_with, Frame, FrameReader, WireCodec};
+use fmml_serve::protocol::{
+    encode_frame_with, write_bytes, write_frame, Frame, FrameReader, WireCodec, MAX_FRAME_LEN,
+};
 use fmml_serve::server::{MAX_INTERVAL_LEN, MAX_WINDOW_INTERVALS};
 use fmml_serve::{spawn, ServerConfig};
 use fmml_telemetry::{windows_from_trace, PortWindow};
@@ -473,6 +475,24 @@ fn stats_probe_and_corrupt_frame_handling() {
     assert!(malformed >= 1);
 }
 
+/// A pre-handshake JSON frame nested 100,000 deep costs the sender its
+/// connection, not the server its process: the parser refuses it at
+/// depth 128 where it used to overflow the session thread's stack.
+#[test]
+fn deeply_nested_json_before_hello_is_refused_not_fatal() {
+    let handle = spawn(model(), ServerConfig::default()).expect("spawn server");
+    let (mut tx, mut rx) = connect(handle.addr());
+    let deep = "[".repeat(100_000);
+    tx.write_all(&(deep.len() as u32).to_be_bytes()).unwrap();
+    tx.write_all(deep.as_bytes()).unwrap();
+    assert!(rx.read_frame().is_err(), "the connection is closed");
+
+    let (mut tx, mut rx) = connect(handle.addr());
+    write_frame(&mut tx, &Frame::Stats).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::StatsReply { .. }));
+    handle.shutdown();
+}
+
 /// Flat interval stream across every window of the first active port,
 /// plus an offline reference imputer configured identically to the
 /// server's default ladder (Fast engine).
@@ -871,16 +891,13 @@ fn negotiated_session(
     let mut replies = Vec::new();
     for (k, seq) in (0..w.intervals()).zip(1u64..) {
         let u = IntervalUpdate::from_window(w, k);
-        write_frame_with(
-            &mut tx,
-            &Frame::Interval {
-                seq,
-                update: u,
-                trace_id: None,
-            },
-            session_codec,
-        )
-        .unwrap();
+        let interval = Frame::Interval {
+            seq,
+            update: u,
+            trace_id: None,
+        };
+        let b = encode_frame_with(&interval, session_codec, MAX_FRAME_LEN).unwrap();
+        write_bytes(&mut tx, &b).unwrap();
         let raw = loop {
             if let Some(r) = rx.poll_frame_raw().expect("reply") {
                 break r;
@@ -909,7 +926,8 @@ fn negotiated_session(
         });
     }
 
-    write_frame_with(&mut tx, &Frame::Bye, session_codec).unwrap();
+    let bye = encode_frame_with(&Frame::Bye, session_codec, MAX_FRAME_LEN).unwrap();
+    write_bytes(&mut tx, &bye).unwrap();
     assert!(matches!(rx.read_frame().unwrap(), Frame::ByeAck { .. }));
     handle.shutdown();
     (picked, reply_codecs, replies)

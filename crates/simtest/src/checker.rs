@@ -170,18 +170,11 @@ impl ClientModel {
     /// must be identical), predicted kind, and that the seq was ever
     /// sent.
     pub fn on_reply(&mut self, f: &Frame) {
-        let (seq, actual) = match f {
-            Frame::Ack { seq, .. } => (*seq, "Ack"),
-            Frame::Imputed { seq, .. } => (*seq, "Imputed"),
-            Frame::Busy { seq, .. } => (*seq, "Busy"),
-            Frame::Reject { seq, .. } => (*seq, "Reject"),
-            other => {
-                self.violations.push(format!(
-                    "unexpected {} frame in reply position",
-                    other.tag()
-                ));
-                return;
-            }
+        let actual = f.tag();
+        let Some(seq) = f.reply_seq() else {
+            self.violations
+                .push(format!("unexpected {actual} frame in reply position"));
+            return;
         };
         if seq <= self.evicted_floor {
             // A stale duplicate of an evicted reply (e.g. a replay

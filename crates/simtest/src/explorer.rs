@@ -249,6 +249,13 @@ impl Client {
     }
 
     fn dispatch(&mut self, f: Frame) {
+        if let Some(seq) = f.reply_seq() {
+            self.session.answer(seq);
+            self.model.on_reply(&f);
+            // Bound the checker's memory by the pending span.
+            self.model.evict_acked();
+            return;
+        }
         match f {
             Frame::Welcome {
                 resumed,
@@ -274,15 +281,6 @@ impl Client {
                         break;
                     }
                 }
-            }
-            Frame::Ack { seq, .. }
-            | Frame::Imputed { seq, .. }
-            | Frame::Busy { seq, .. }
-            | Frame::Reject { seq, .. } => {
-                self.session.answer(seq);
-                self.model.on_reply(&f);
-                // Bound the checker's memory by the pending span.
-                self.model.evict_acked();
             }
             Frame::ByeAck {
                 answered,
