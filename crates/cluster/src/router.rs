@@ -114,10 +114,9 @@ pub struct RouterConfig {
     /// (injected clock) before being dropped.
     pub parked_ttl: Duration,
     /// Preferred wire codec for client sessions and backend links (bin1
-    /// by default). The
-    /// router negotiates [`WireCodec::Bin1`] only with peers that
-    /// advertise it; everyone else stays on JSON, so mixed fleets keep
-    /// working (`--wire` on `fmml cluster`).
+    /// by default). The router negotiates [`WireCodec::Bin1`] only with
+    /// peers that advertise it; everyone else stays on JSON, so mixed
+    /// fleets keep working (`--wire` on `fmml cluster`).
     pub wire: WireCodec,
     /// Time source for probe cadence, dial/pending deadlines and parked
     /// TTLs.

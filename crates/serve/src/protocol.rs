@@ -284,7 +284,7 @@ pub enum WireError {
     /// Length prefix exceeds the reader's frame cap (default
     /// [`MAX_FRAME_LEN`]); rejected before allocating.
     Oversized { len: usize },
-    /// Payload was not valid UTF-8 JSON for a [`Frame`].
+    /// Payload was not a valid [`Frame`] in either codec.
     Malformed(String),
     /// A blocking read/write hit the socket's configured timeout. On the
     /// write path this is the slow-reader signal — matched structurally

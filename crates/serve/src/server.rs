@@ -230,10 +230,10 @@ pub struct ServerConfig {
     /// default; see [`ProcessFaultPlan`].
     pub process_faults: ProcessFaultPlan,
     /// Preferred wire codec for negotiated sessions (`--wire`; bin1 by
-    /// default). The
-    /// server picks this codec in its `Welcome` when the client's `Hello`
-    /// advertises it; otherwise the session stays on JSON. Decoding is
-    /// always sniffed per frame, so this knob never rejects anyone.
+    /// default). The server picks this codec in its `Welcome` when the
+    /// client's `Hello` advertises it; otherwise the session stays on
+    /// JSON. Decoding is always sniffed per frame, so this knob never
+    /// rejects anyone.
     pub wire: WireCodec,
     /// Time source for every deadline, TTL, backoff, and watchdog tick.
     /// [`Clock::System`] in production; the deterministic simulation
@@ -650,7 +650,8 @@ impl<C: Conn> ServerHandle<C> {
     }
 
     /// Recovery latencies (µs) of intervals that were re-enqueued after
-    /// a worker panic: requeue → reply written. Bounded sample buffer.
+    /// a worker panic: requeue → reply handed to its write. Bounded
+    /// sample buffer, filled before the reply reaches the client.
     pub fn requeue_latencies(&self) -> Vec<u64> {
         self.shared
             .requeue_lat
@@ -1884,6 +1885,18 @@ fn process_batch<C: Conn>(
             cfg.clock.sleep(Duration::from_millis(pf.slow_write_ms));
         }
         let write_start = cfg.clock.now();
+        // Recovery latency: requeue (panic) → reply handed to the write.
+        // Recorded before the write, so it is visible by the time the
+        // client can see the reply (and, after it, a `ByeAck`).
+        for requeued_at in batch[..run].iter().filter_map(|j| j.requeued_at) {
+            let lat = write_start.saturating_duration_since(requeued_at);
+            REQUEUE_LATENCY_US.record_duration(lat);
+            if let Ok(mut v) = shared.requeue_lat.lock() {
+                if v.len() < REQUEUE_LAT_CAP {
+                    v.push(lat.as_micros() as u64);
+                }
+            }
+        }
         let sent = writer.send_run(shared, &wire, run, replies);
         let write_dur = cfg.clock.now().saturating_duration_since(write_start);
         // Written, or the peer is gone and the ledger holds the replies
@@ -1900,16 +1913,6 @@ fn process_batch<C: Conn>(
         for job in &done {
             STAGE_WRITE_US.record_duration(write_dur);
             trace::record_span("serve.write", job.trace, write_start, write_dur);
-            // Recovery latency: requeue (panic) → reply written.
-            if let Some(requeued_at) = job.requeued_at {
-                let lat = cfg.clock.now().saturating_duration_since(requeued_at);
-                REQUEUE_LATENCY_US.record_duration(lat);
-                if let Ok(mut v) = shared.requeue_lat.lock() {
-                    if v.len() < REQUEUE_LAT_CAP {
-                        v.push(lat.as_micros() as u64);
-                    }
-                }
-            }
         }
         // Feed the SLO watchdog's sliding window (bounded).
         if let Ok(mut obs) = shared.slo_obs.lock() {
