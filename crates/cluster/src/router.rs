@@ -45,8 +45,9 @@ use fmml_serve::protocol::{
     encode_frame_with, write_bytes, Frame, FrameReader, RawFrame, WireCodec, HEADER_LEN,
     MAX_FRAME_LEN,
 };
-use fmml_serve::session::{self, Identity, Ledger, Stalls};
-use fmml_serve::{Accepted, Conn, Connector, TcpConnector, TcpTransport, Transport};
+use fmml_serve::session::{self, Count, Counters, FrontEnd, Identity, Ledger, Metrics, Step};
+use fmml_serve::transport::{spawn_acceptor, split, Threads};
+use fmml_serve::{Conn, Connector, TcpConnector, TcpTransport, Transport};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -55,12 +56,24 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-static CL_SESSIONS: Counter = Counter::new("cluster.sessions");
-static CL_ACTIVE: Gauge = Gauge::new("cluster.sessions.active");
+/// The router's `StatsReply` counters, named `cluster.*`; it never
+/// batches or enforces, so those three stay 0.
+static METRICS: Metrics = Metrics {
+    sessions: Counter::new("cluster.sessions"),
+    active: Gauge::new("cluster.sessions.active"),
+    accepted: Counter::new("cluster.accepted"),
+    rejected: Counter::new("cluster.rejected"),
+    malformed: Counter::new("cluster.malformed"),
+    replies: Counter::new("cluster.replies"),
+    writes: Counter::new("cluster.writes"),
+    batches: Counter::new("cluster.batches"),
+    deadline_misses: Counter::new("cluster.deadline_miss"),
+    violations: Counter::new("cluster.violations"),
+    slow_disconnects: Counter::new("cluster.slow_disconnects"),
+    resumes: Counter::new("cluster.resumes"),
+    replayed: Counter::new("cluster.replayed"),
+};
 static CL_FORWARDED: Counter = Counter::new("cluster.forwarded");
-static CL_REPLIES: Counter = Counter::new("cluster.replies");
-static CL_REPLAYED: Counter = Counter::new("cluster.replayed");
-static CL_RESUMES: Counter = Counter::new("cluster.resumes");
 static CL_MIGRATIONS: Counter = Counter::new("cluster.migrations");
 static CL_WARMUP: Counter = Counter::new("cluster.warmup_replayed");
 static CL_PROBE_FAILS: Counter = Counter::new("cluster.probe.failures");
@@ -151,36 +164,6 @@ impl Default for RouterConfig {
 /// the sessions it shared state with down too.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Per-router counters backing the frontend's `StatsReply`.
-#[derive(Default)]
-struct RCounters {
-    sessions: AtomicU64,
-    active: AtomicU64,
-    accepted: AtomicU64,
-    malformed: AtomicU64,
-    replies: AtomicU64,
-    resumes: AtomicU64,
-    migrations: AtomicU64,
-    replayed: AtomicU64,
-}
-
-impl RCounters {
-    fn stats_frame(&self) -> Frame {
-        Frame::StatsReply {
-            sessions: self.sessions.load(Ordering::Relaxed),
-            active_sessions: self.active.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: 0,
-            malformed: self.malformed.load(Ordering::Relaxed),
-            replies: self.replies.load(Ordering::Relaxed),
-            batches: 0,
-            deadline_misses: 0,
-            violations: 0,
-            slow_disconnects: 0,
-        }
-    }
 }
 
 /// One backend's registration + health state.
@@ -326,19 +309,6 @@ impl<CF: Conn, CB: Conn> SessionInner<CF, CB> {
             },
         }
     }
-
-    /// Encode `frame` in `codec` (JSON for a `Welcome`, the session's
-    /// codec after it) and write it to the client.
-    fn send_frame(&self, frame: &Frame, codec: WireCodec, max_len: usize) -> bool {
-        encode_frame_with(frame, codec, max_len).is_ok_and(|b| self.send_client(&b))
-    }
-
-    /// Commit a reply to the ledger, *then* write it to the client.
-    fn commit_reply(&self, seq: u64, bytes: &[u8]) {
-        self.ledger.commit(seq, bytes);
-        self.answered.fetch_add(1, Ordering::Relaxed);
-        self.send_client(bytes);
-    }
 }
 
 /// Live sessions by resume token.
@@ -349,9 +319,10 @@ struct RouterShared<CF: Conn, B: Connector> {
     ring: Mutex<HashRing>,
     backends: Mutex<BTreeMap<String, BackendEntry<B>>>,
     sessions: Mutex<SessionMap<CF, B::Conn>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    threads: Arc<Threads>,
     shutdown: AtomicBool,
-    counters: RCounters,
+    counters: Counters,
+    migrations: Count,
     next_session: AtomicU64,
     token_seed: Mutex<u64>,
 }
@@ -365,16 +336,6 @@ impl<CF: Conn, B: Connector> RouterShared<CF, B> {
     /// before the caller touches any of them).
     fn all_sessions(&self) -> Vec<Arc<SessionInner<CF, B::Conn>>> {
         lock(&self.sessions).values().cloned().collect()
-    }
-
-    fn reap_threads(&self) {
-        lock(&self.threads).retain(|h| !h.is_finished());
-    }
-
-    fn track(&self, h: JoinHandle<()>) {
-        let mut ts = lock(&self.threads);
-        ts.retain(|t| !t.is_finished());
-        ts.push(h);
     }
 
     fn backends_up(&self) -> usize {
@@ -473,10 +434,11 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
 
     /// `(sessions migrated, sessions resumed, replies replayed)`.
     pub fn cluster_stats(&self) -> (u64, u64, u64) {
+        let c = &self.shared.counters;
         (
-            self.shared.counters.migrations.load(Ordering::Relaxed),
-            self.shared.counters.resumes.load(Ordering::Relaxed),
-            self.shared.counters.replayed.load(Ordering::Relaxed),
+            self.shared.migrations.get(),
+            c.resumes.get(),
+            c.replayed.get(),
         )
     }
 
@@ -506,19 +468,11 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
         if let Some(p) = self.prober.take() {
             let _ = p.join();
         }
-        loop {
-            let drained = std::mem::take(&mut *lock(&self.shared.threads));
-            if drained.is_empty() {
-                break;
-            }
-            for t in drained {
-                let _ = t.join();
-            }
-        }
+        self.shared.threads.join_all();
         log_event!(
             "cluster.shutdown",
-            "sessions" = self.shared.counters.sessions.load(Ordering::Relaxed),
-            "migrations" = self.shared.counters.migrations.load(Ordering::Relaxed)
+            "sessions" = self.shared.counters.sessions.get(),
+            "migrations" = self.shared.migrations.get()
         );
         self.shared.counters.stats_frame()
     }
@@ -549,42 +503,26 @@ where
         cfg,
         backends: Mutex::new(BTreeMap::new()),
         sessions: Mutex::new(HashMap::new()),
-        threads: Mutex::new(Vec::new()),
+        threads: Arc::default(),
         shutdown: AtomicBool::new(false),
-        counters: RCounters::default(),
+        counters: Counters::new(&METRICS),
+        migrations: Count::new(&CL_MIGRATIONS),
         next_session: AtomicU64::new(0),
         token_seed: Mutex::new(token_seed),
     });
 
     let acceptor = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("cluster-acceptor".into())
-            .spawn(move || {
-                let desc = frontend.desc();
-                log_event!("cluster.listening", "addr" = desc.as_str());
-                loop {
-                    match frontend.accept() {
-                        Accepted::Conn(conn) => {
-                            let sh = Arc::clone(&shared);
-                            let h = std::thread::Builder::new()
-                                .name("cluster-session".into())
-                                .spawn(move || handle_client(&sh, conn))
-                                .expect("spawn cluster session");
-                            shared.track(h);
-                        }
-                        Accepted::Retry => {
-                            if shared.shutting_down() {
-                                break;
-                            }
-                            shared.reap_threads();
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Accepted::Closed => break,
-                    }
-                }
-            })
-            .expect("spawn cluster acceptor")
+        let (stop, shared) = (Arc::clone(&shared), Arc::clone(&shared));
+        spawn_acceptor(
+            frontend,
+            "cluster",
+            Arc::clone(&shared.threads),
+            move || stop.shutting_down(),
+            move |conn| {
+                let shared = Arc::clone(&shared);
+                move || handle_client(&shared, conn)
+            },
+        )
     };
 
     let prober = {
@@ -603,50 +541,53 @@ where
     }
 }
 
-/// Dial a backend and answer one `MetricsDump`. Returns the probed
-/// queue depth (load signal) on success. Patience runs on the injected
-/// clock: under a virtual clock a stalled probe times out when the
-/// driver advances time, not when the wall clock does — so the loop
-/// must also honor `abort` (shutdown), or a probe in flight when the
-/// driver stops pumping time would never reach its deadline and the
-/// prober join would hang.
-fn probe_backend<B: Connector>(
+/// Dial a backend, send it `frame` — as JSON: nothing is negotiated
+/// yet — and wait for the first frame back: the reply, the link's write
+/// half and its reader, or `None` if any of that failed. Patience runs on
+/// the injected clock: under a virtual clock a stalled link times out
+/// when the driver advances time, not when the wall clock does — so the
+/// wait also honours shutdown, or a dial in flight when the driver stops
+/// pumping time would never reach its deadline and the join would hang.
+fn ask<CF: Conn, B: Connector>(
+    shared: &RouterShared<CF, B>,
     connector: &B,
-    clock: &Clock,
+    frame: &Frame,
+    write_timeout: Duration,
     patience: Duration,
-    abort: impl Fn() -> bool,
-) -> Result<i64, ()> {
-    let conn = connector.connect().map_err(|_| ())?;
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(2)));
-    let _ = conn.set_write_timeout(Some(patience));
-    let read_half = conn.try_clone().map_err(|_| ())?;
-    let mut writer = conn;
-    let dump =
-        encode_frame_with(&Frame::MetricsDump, WireCodec::Json, MAX_FRAME_LEN).map_err(|_| ())?;
-    write_bytes(&mut writer, &dump).map_err(|_| ())?;
-    let mut reader = FrameReader::new(read_half);
-    let deadline = clock.now() + patience;
+) -> Option<(Frame, B::Conn, FrameReader<B::Conn>)> {
+    let cfg = &shared.cfg;
+    let conn = connector.connect().ok()?;
+    let poll = Duration::from_millis(2);
+    let (mut reader, mut conn) = split(conn, poll, write_timeout, cfg.backend_frame_len)?;
+    let bytes = encode_frame_with(frame, WireCodec::Json, cfg.backend_frame_len).ok()?;
+    write_bytes(&mut conn, &bytes).ok()?;
+    let deadline = cfg.clock.now() + patience;
     loop {
         match reader.poll_frame() {
-            Ok(Some(Frame::MetricsReply { json })) => {
-                let load = serde_json::from_str::<serde_json::Value>(&json)
-                    .ok()
-                    .and_then(|v| {
-                        v.get("metrics")
-                            .and_then(|m| m.get("slo.queue_depth"))
-                            .and_then(|d| d.as_i64())
-                    })
-                    .unwrap_or(0);
-                return Ok(load);
-            }
-            Ok(Some(_)) | Ok(None) => {
-                if clock.now() >= deadline || abort() {
-                    return Err(());
-                }
-            }
-            Err(_) => return Err(()),
+            Ok(Some(reply)) => return Some((reply, conn, reader)),
+            Ok(None) if cfg.clock.now() < deadline && !shared.shutting_down() => {}
+            _ => return None,
         }
     }
+}
+
+/// Probe a backend with one `MetricsDump`: its queue depth (the load
+/// signal), or `None` if it did not answer in time.
+fn probe_backend<CF: Conn, B: Connector>(
+    shared: &RouterShared<CF, B>,
+    connector: &B,
+) -> Option<i64> {
+    let patience = shared.cfg.probe_timeout;
+    let (Frame::MetricsReply { json }, ..) =
+        ask(shared, connector, &Frame::MetricsDump, patience, patience)?
+    else {
+        return None;
+    };
+    let dump = serde_json::from_str::<serde_json::Value>(&json).ok();
+    Some(
+        dump.and_then(|v| v.get("metrics")?.get("slo.queue_depth")?.as_i64())
+            .unwrap_or(0),
+    )
 }
 
 /// Health loop: probe every backend each tick, demote after
@@ -663,14 +604,8 @@ fn prober_loop<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Rout
             .map(|(n, b)| (n.clone(), Arc::clone(&b.connector), b.up))
             .collect();
         for (name, connector, was_up) in snapshot {
-            let result = probe_backend(
-                connector.as_ref(),
-                &shared.cfg.clock,
-                shared.cfg.probe_timeout,
-                || shared.shutting_down(),
-            );
-            match result {
-                Ok(load) => {
+            match probe_backend(shared, connector.as_ref()) {
+                Some(load) => {
                     let promoted = lock(&shared.backends).get_mut(&name).is_some_and(|b| {
                         b.fails = 0;
                         b.load = load;
@@ -683,7 +618,7 @@ fn prober_loop<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Rout
                         rebalance(shared);
                     }
                 }
-                Err(()) => {
+                None => {
                     if shared.mark_backend_failed(&name) && was_up {
                         rebalance(shared);
                     }
@@ -692,7 +627,6 @@ fn prober_loop<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Rout
         }
         sweep_parked(shared);
         sweep_stuck(shared);
-        shared.reap_threads();
         shared.cfg.clock.sleep(shared.cfg.probe_interval);
     }
 }
@@ -768,7 +702,7 @@ fn rebalance<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Router
         .name("cluster-rebalance".into())
         .spawn(move || rebalance_sync(&shared2));
     match spawned {
-        Ok(h) => shared.track(h),
+        Ok(h) => shared.threads.track(h),
         // Out of threads: degrade to the blocking path rather than
         // dropping the rebalance.
         Err(_) => rebalance_sync(shared),
@@ -814,60 +748,38 @@ enum DialOutcome<CB: Conn> {
     Failed,
 }
 
-/// Dial `connector` and run the `Hello` handshake for `hello`.
+/// Dial `connector` and run the `Hello` handshake for `hello` (its
+/// `codecs` field carries the advertisement).
 fn dial_backend<CF: Conn, CB: Conn, B: Connector<Conn = CB>>(
     shared: &RouterShared<CF, B>,
     connector: &B,
     hello: &Frame,
 ) -> DialOutcome<CB> {
-    let Ok(conn) = connector.connect() else {
-        return DialOutcome::Failed;
-    };
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(2)));
-    let _ = conn.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = conn.set_nodelay(true);
-    let Ok(read_half) = conn.try_clone() else {
-        return DialOutcome::Failed;
-    };
-    let mut reader = FrameReader::with_max_len(read_half, shared.cfg.backend_frame_len);
-    let mut writer = conn;
-    // The Hello itself always travels as JSON (pre-negotiation); its
-    // `codecs` field carries the advertisement.
-    let Ok(hello_bytes) = encode_frame_with(hello, WireCodec::Json, shared.cfg.backend_frame_len)
-    else {
-        return DialOutcome::Failed;
-    };
-    if write_bytes(&mut writer, &hello_bytes).is_err() {
-        return DialOutcome::Failed;
-    }
-    let deadline = shared.cfg.clock.now() + shared.cfg.dial_timeout;
-    loop {
-        match reader.poll_frame() {
-            Ok(Some(Frame::Welcome {
+    let cfg = &shared.cfg;
+    match ask(
+        shared,
+        connector,
+        hello,
+        cfg.write_timeout,
+        cfg.dial_timeout,
+    ) {
+        Some((
+            Frame::Welcome {
                 deadline_ms, codec, ..
-            })) => {
-                let codec = codec
-                    .as_deref()
-                    .and_then(WireCodec::parse)
-                    .unwrap_or_default();
-                return DialOutcome::Ok {
-                    writer,
-                    reader,
-                    deadline_ms,
-                    codec,
-                };
+            },
+            writer,
+            reader,
+        )) => {
+            let codec = codec.as_deref().and_then(WireCodec::parse);
+            DialOutcome::Ok {
+                writer,
+                reader,
+                deadline_ms,
+                codec: codec.unwrap_or_default(),
             }
-            Ok(Some(Frame::Error { code, .. })) if code == "draining" => {
-                return DialOutcome::Draining;
-            }
-            Ok(Some(_)) => return DialOutcome::Failed,
-            Ok(None) => {
-                if shared.cfg.clock.now() >= deadline || shared.shutting_down() {
-                    return DialOutcome::Failed;
-                }
-            }
-            Err(_) => return DialOutcome::Failed,
         }
+        Some((Frame::Error { code, .. }, ..)) if code == "draining" => DialOutcome::Draining,
+        _ => DialOutcome::Failed,
     }
 }
 
@@ -1015,8 +927,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
                 // Epoch 1 is the initial placement; only re-placements
                 // count as migrations.
                 if epoch > 1 {
-                    CL_MIGRATIONS.inc();
-                    shared.counters.migrations.fetch_add(1, Ordering::Relaxed);
+                    shared.migrations.inc();
                 }
                 log_event!(
                     "cluster.migrate",
@@ -1030,7 +941,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
                     .name("cluster-link".into())
                     .spawn(move || link_loop(&sh, &sess, reader, epoch))
                     .expect("spawn cluster link");
-                shared.track(h);
+                shared.threads.track(h);
                 return;
             }
         }
@@ -1062,12 +973,7 @@ fn link_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                 }
             }
             Err(_) => {
-                if shared.shutting_down() || session.done() {
-                    return;
-                }
-                if session.epoch() != my_epoch {
-                    return;
-                }
+                // A no-op unless this link is still the session's own.
                 migrate(shared, session, my_epoch);
                 return;
             }
@@ -1087,7 +993,8 @@ fn link_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
 /// any legal reply over the *default* cap on links configured with a
 /// raised one), and bitwise-identical content across the hop by
 /// construction. JSON payloads and rare control frames take the full
-/// decode fallback.
+/// decode fallback: `ByeAck` completes the session, `Error` re-places
+/// it, JSON replies are routed by seq, and anything else is ignored.
 fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
     shared: &Arc<RouterShared<CF, B>>,
     session: &Arc<SessionInner<CF, B::Conn>>,
@@ -1096,24 +1003,51 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
 ) -> bool {
     let (seq, tag) = match raw.meta().and_then(|m| Some((m.reply_seq()?, m.tag))) {
         Some(reply) => reply,
-        // JSON, a control frame, or a bogus `Interval` (a backend never
-        // sends one): decode, then route, ignore or reject.
         None => match raw.decode() {
-            Ok(frame) => match route_control_frame(shared, session, frame, my_epoch) {
-                ControlRouted::Reply { seq, tag } => (seq, tag),
-                ControlRouted::Continue => return true,
-                ControlRouted::Exit => return false,
+            Ok(Frame::ByeAck { .. }) => {
+                let remaining = {
+                    let st = lock(&session.state);
+                    if st.epoch != my_epoch {
+                        return false;
+                    }
+                    st.pending.len() as u64
+                };
+                let answered = session.answered.load(Ordering::Relaxed);
+                let ba = Frame::ByeAck {
+                    answered,
+                    remaining,
+                };
+                if let Ok(b) = encode_frame_with(&ba, session.codec, shared.cfg.client_frame_len) {
+                    session.send_client(&b);
+                }
+                session.done.store(true, Ordering::Release);
+                session.sever_link();
+                lock(&shared.sessions).remove(&session.token);
+                shared.counters.detached();
+                log_event!("cluster.session.close", "session" = session.id);
+                return false;
+            }
+            Ok(Frame::Error { code, .. }) => {
+                // Backend-level error (shutting_down, …): the link is gone.
+                let code = code.as_str();
+                log_event!(
+                    "cluster.backend.error",
+                    "session" = session.id,
+                    "code" = code
+                );
+                migrate(shared, session, my_epoch);
+                return false;
+            }
+            // A late `Welcome`, a probe reply, or a bogus `Interval` (a
+            // backend never sends one) has nothing to route.
+            Ok(frame) => match frame.reply_seq() {
+                Some(seq) => (seq, frame.tag()),
+                None => return true,
             },
+            // Framed but does not decode: the link is corrupt; repair
+            // it exactly like a read error.
             Err(_) => {
-                // A frame that framed correctly but fails to decode
-                // means the link is corrupt: repair exactly like a read
-                // error.
-                if session.epoch() != my_epoch {
-                    return false;
-                }
-                if !shared.shutting_down() && !session.done() {
-                    migrate(shared, session, my_epoch);
-                }
+                migrate(shared, session, my_epoch);
                 return false;
             }
         },
@@ -1150,75 +1084,12 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
             }
         }
     }
-    session.commit_reply(seq, raw.bytes());
-    CL_REPLIES.inc();
-    shared.counters.replies.fetch_add(1, Ordering::Relaxed);
+    // Record before send.
+    session.ledger.commit(seq, raw.bytes());
+    session.answered.fetch_add(1, Ordering::Relaxed);
+    let sent = session.send_client(raw.bytes());
+    shared.counters.answered(tag, sent);
     true
-}
-
-/// What [`route_control_frame`] decided about a fully-decoded backend
-/// frame.
-enum ControlRouted {
-    /// A seq-carrying reply (JSON link): route it like the fast path.
-    Reply { seq: u64, tag: &'static str },
-    /// Nothing to route; keep reading.
-    Continue,
-    /// The link thread should exit.
-    Exit,
-}
-
-/// Handle the decoded-frame fallback of [`handle_backend_frame`]:
-/// `ByeAck` completes the session, `Error` triggers re-placement, JSON
-/// replies are routed by seq, and stray control frames are ignored.
-fn route_control_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
-    shared: &Arc<RouterShared<CF, B>>,
-    session: &Arc<SessionInner<CF, B::Conn>>,
-    frame: Frame,
-    my_epoch: u64,
-) -> ControlRouted {
-    if let Some(seq) = frame.reply_seq() {
-        return ControlRouted::Reply {
-            seq,
-            tag: frame.tag(),
-        };
-    }
-    match &frame {
-        Frame::ByeAck { .. } => {
-            let remaining = {
-                let st = lock(&session.state);
-                if st.epoch != my_epoch {
-                    return ControlRouted::Exit;
-                }
-                st.pending.len() as u64
-            };
-            let ba = Frame::ByeAck {
-                answered: session.answered.load(Ordering::Relaxed),
-                remaining,
-            };
-            session.send_frame(&ba, session.codec, shared.cfg.client_frame_len);
-            session.done.store(true, Ordering::Release);
-            session.sever_link();
-            lock(&shared.sessions).remove(&session.token);
-            CL_ACTIVE.add(-1);
-            shared.counters.active.fetch_sub(1, Ordering::Relaxed);
-            log_event!("cluster.session.close", "session" = session.id);
-            ControlRouted::Exit
-        }
-        Frame::Error { code, .. } => {
-            // Backend-level error (shutting_down, …): the link is gone.
-            log_event!(
-                "cluster.backend.error",
-                "session" = session.id,
-                "code" = code.as_str()
-            );
-            if session.epoch() == my_epoch && !shared.shutting_down() && !session.done() {
-                migrate(shared, session, my_epoch);
-            }
-            ControlRouted::Exit
-        }
-        // Welcome (late), StatsReply, MetricsReply: nothing to route.
-        _ => ControlRouted::Continue,
-    }
 }
 
 /// One client connection: pre-handshake probes, `Hello` (fresh or
@@ -1227,33 +1098,22 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
     shared: &Arc<RouterShared<CF, B>>,
     conn: CF,
 ) {
-    let cfg = &shared.cfg;
-    let _ = conn.set_read_timeout(Some(cfg.read_timeout));
-    let _ = conn.set_write_timeout(Some(cfg.write_timeout));
-    let _ = conn.set_nodelay(true);
-    let Ok(read_half) = conn.try_clone() else {
+    let (cfg, max_len) = (&shared.cfg, shared.cfg.client_frame_len);
+    let Some((mut reader, mut writer)) = split(conn, cfg.read_timeout, cfg.write_timeout, max_len)
+    else {
         return;
     };
-    let mut reader = FrameReader::with_max_len(read_half, cfg.client_frame_len);
-    let mut writer = conn;
+    let mut front = FrontEnd::new(&shared.counters, max_len);
 
-    // The server's opening, so the server's input guards: probes are
-    // answered locally, a silent or stalled peer is dropped.
-    let Some(hello) = session::read_hello(
+    let Some(hello) = front.read_hello(
         &mut reader,
         || cfg.clock.now(),
         || shared.shutting_down(),
-        || shared.counters.stats_frame(),
-        |frame| {
-            if matches!(frame, Frame::Error { .. }) {
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-            }
-            encode_frame_with(frame, WireCodec::Json, cfg.client_frame_len)
-                .is_ok_and(|b| write_bytes(&mut writer, &b).is_ok())
-        },
+        |b| write_bytes(&mut writer, b).is_ok(),
     ) else {
         return;
     };
+    shared.counters.sessions.inc();
 
     // Resume: re-attach to a tracked session that was opened with the
     // identity this Hello claims. Unknown/expired/mismatched token:
@@ -1268,38 +1128,24 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
             old.shutdown_both();
         }
         if lock(&session.parked_at).take().is_some() {
-            CL_ACTIVE.add(1);
-            shared.counters.active.fetch_add(1, Ordering::Relaxed);
+            shared.counters.attached();
         }
-        CL_RESUMES.inc();
-        shared.counters.resumes.fetch_add(1, Ordering::Relaxed);
-        let (resume_seq, replay) = session.ledger.resume(hello.last_acked, None);
-        let welcome = session::welcome(
-            session.id,
-            session.deadline_ms.load(Ordering::Relaxed),
-            Some(&session.token),
-            Some(resume_seq),
-            session.codec,
+        let deadline_ms = session.deadline_ms.load(Ordering::Relaxed);
+        let (id, token, codec) = (session.id, Some(session.token.as_str()), session.codec);
+        let resumed = front.resume(
+            &session.ledger,
+            hello.last_acked,
+            None,
+            |resume_seq| session::welcome(id, deadline_ms, token, Some(resume_seq), codec),
+            codec,
+            |b| session.send_client(b),
         );
-        let mut ok = session.send_frame(&welcome, WireCodec::Json, cfg.client_frame_len);
-        for bytes in &replay {
-            if !ok {
-                break;
-            }
-            CL_REPLAYED.inc();
-            shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-            shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-            ok = session.send_client(bytes);
-        }
-        if !ok {
-            // The reconnect died mid-handshake. Everything it was owed
-            // is still in the ledger: park again so the client's next
-            // retry can claim it (and the TTL sweep can expire it).
+        if !resumed {
             park(shared, &session);
             return;
         }
         log_event!("cluster.session.resume", "session" = session.id);
-        client_loop(shared, &session, reader);
+        client_loop(shared, &session, front, reader);
         return;
     }
 
@@ -1329,10 +1175,7 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
         parked_at: Mutex::new(None),
     });
     lock(&shared.sessions).insert(token.clone(), Arc::clone(&session));
-    CL_SESSIONS.inc();
-    CL_ACTIVE.add(1);
-    shared.counters.sessions.fetch_add(1, Ordering::Relaxed);
-    shared.counters.active.fetch_add(1, Ordering::Relaxed);
+    shared.counters.attached();
 
     migrate(shared, &session, 0);
     if shared.shutting_down() || session.done() {
@@ -1340,9 +1183,7 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
     }
     let deadline_ms = session.deadline_ms.load(Ordering::Relaxed);
     let welcome = session::welcome(id, deadline_ms, Some(&token), None, session.codec);
-    // The Welcome itself is always JSON so a pre-v2 client can read the
-    // verdict; everything after it speaks the negotiated codec.
-    if !session.send_frame(&welcome, WireCodec::Json, cfg.client_frame_len) {
+    if !front.welcome(&welcome, session.codec, |b| session.send_client(b)) {
         park(shared, &session);
         return;
     }
@@ -1351,7 +1192,7 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
         "session" = id,
         "backend" = lock(&session.state).backend.as_str()
     );
-    client_loop(shared, &session, reader);
+    client_loop(shared, &session, front, reader);
 }
 
 /// Detach the client connection, keeping the session resumable.
@@ -1365,74 +1206,40 @@ fn park<CF: Conn, B: Connector>(
     let mut parked = lock(&session.parked_at);
     if parked.is_none() {
         *parked = Some(shared.cfg.clock.now());
-        CL_ACTIVE.add(-1);
-        shared.counters.active.fetch_sub(1, Ordering::Relaxed);
+        shared.counters.detached();
         log_event!("cluster.session.park", "session" = session.id);
     }
 }
 
-/// The post-handshake frontend loop: dedup + forward intervals, answer
-/// probes, relay `Bye`. Exits by parking on client disconnect or when
-/// the session completes.
-///
-/// Intervals are forwarded to the backend as the exact bytes the client
-/// sent (backend readers sniff the codec per frame), decoded here only
-/// for validation, dedup and routing metadata — the decode/re-encode
-/// round trip of the JSON-era router is gone from both directions of
-/// the hot path.
+/// The router's driver of the read step ([`FrontEnd::step`]): forward
+/// each new interval to the backend as the exact bytes the client sent
+/// (backend readers sniff the codec per frame) and relay `Bye`. Exits
+/// when the session completes, or parks it when the connection ends —
+/// the client may resume.
 fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
     shared: &Arc<RouterShared<CF, B>>,
     session: &Arc<SessionInner<CF, B::Conn>>,
+    mut front: FrontEnd,
     mut reader: FrameReader<CF>,
 ) {
-    let mut stalls = Stalls::default();
     loop {
         if shared.shutting_down() || session.done() {
             return;
         }
-        // A read error, a frame stalled past the budget, and a frame
-        // that framed correctly but does not decode all end the
-        // connection the same way: park, the client may resume.
-        let polled = match reader.poll_frame_raw() {
-            Ok(None) if !stalls.timed_out(reader.pending()) => continue,
-            Ok(Some(raw)) => raw.decode().ok().map(|f| (f, raw)),
-            Ok(None) | Err(_) => None,
-        };
-        let Some((frame, raw)) = polled else {
-            if !session.done() {
-                park(shared, session);
-            }
-            return;
-        };
-        stalls.progressed();
-        if let Some(reply) = session::probe_reply(&frame, || shared.counters.stats_frame()) {
-            session.send_frame(&reply, session.codec, shared.cfg.client_frame_len);
-            continue;
-        }
-        match frame {
-            Frame::Interval {
+        match front.step(&mut reader, &session.ledger, |b| session.send_client(b)) {
+            Step::Idle => {}
+            Step::Interval {
                 seq,
                 update,
                 trace_id,
+                bytes,
             } => {
-                shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                let port = update.port;
                 // The client reader's cap is normally below the backend
                 // link's raised cap; guard the inverted-config case
                 // rather than feeding the backend a frame its reader
                 // must reject.
-                if raw.bytes().len() > HEADER_LEN + shared.cfg.backend_frame_len {
-                    shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let bytes = raw.into_bytes();
-                // Duplicate retransmit of an answered seq: replay from
-                // the log, never re-forward (no window is fed twice).
-                if let Some(b) = session.ledger.answered(seq) {
-                    CL_REPLAYED.inc();
-                    shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-                    shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-                    session.send_client(&b);
+                if bytes.len() > HEADER_LEN + shared.cfg.backend_frame_len {
+                    shared.counters.malformed.inc();
                     continue;
                 }
                 let mut st = lock(&session.state);
@@ -1441,19 +1248,17 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                     // backend's reply): drop, the reply will arrive.
                     continue;
                 }
-                st.pending.insert(
-                    seq,
-                    PendingEntry {
-                        port,
-                        bytes: bytes.clone(),
-                        sent_at: shared.cfg.clock.now(),
-                        trace_id,
-                    },
-                );
                 CL_FORWARDED.inc();
-                st.send(&bytes);
+                st.send(bytes);
+                let entry = PendingEntry {
+                    port: update.port,
+                    bytes: bytes.to_vec(),
+                    sent_at: shared.cfg.clock.now(),
+                    trace_id,
+                };
+                st.pending.insert(seq, entry);
             }
-            Frame::Bye => {
+            Step::Bye => {
                 let mut st = lock(&session.state);
                 st.bye = true;
                 if let Ok(bye) =
@@ -1464,8 +1269,11 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                 // Keep reading: the ByeAck arrives via the link reader
                 // and flips `done`.
             }
-            _ => {
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
+            Step::Ended(_) => {
+                if !session.done() {
+                    park(shared, session);
+                }
+                return;
             }
         }
     }

@@ -13,12 +13,14 @@ use fmml_serve::protocol::{
     encode_frame, encode_frame_with, write_bytes, write_frame, Frame, FrameReader, WireCodec,
     MAX_FRAME_LEN,
 };
-use fmml_serve::{spawn, ServerConfig, ServerHandle, TcpConnector, WireError};
+use fmml_serve::{
+    run_loadgen, spawn, LoadgenConfig, ServerConfig, ServerHandle, TcpConnector, WireError,
+};
 use fmml_telemetry::{windows_from_trace, PortWindow};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const INTERVAL_LEN: usize = 10;
 const WINDOW_INTERVALS: usize = 3;
@@ -199,11 +201,13 @@ fn kill_one_backend_loses_nothing_and_stays_bitwise() {
     let total = w.intervals();
     assert!(total >= 6, "fixture too small to split around a kill");
     let split = total / 2;
+    let mut imputed = 0;
 
     // First half on backend "a".
     for (k, seq) in (0..split).zip(1u64..) {
         let u = IntervalUpdate::from_window(w, k);
         let expect = reference.try_push(u.clone()).unwrap();
+        imputed += expect.is_some() as u64;
         write_frame(
             &mut tx,
             &Frame::Interval {
@@ -230,6 +234,7 @@ fn kill_one_backend_loses_nothing_and_stays_bitwise() {
     for (k, seq) in (split..total).zip(split as u64 + 1..) {
         let u = IntervalUpdate::from_window(w, k);
         let expect = reference.try_push(u.clone()).unwrap();
+        imputed += expect.is_some() as u64;
         write_frame(
             &mut tx,
             &Frame::Interval {
@@ -259,10 +264,17 @@ fn kill_one_backend_loses_nothing_and_stays_bitwise() {
     assert!(migrations >= 1, "the kill must have forced a migration");
     let _ = token;
     let stats = rt.shutdown();
-    let Frame::StatsReply { replies, .. } = stats else {
+    let Frame::StatsReply {
+        accepted, replies, ..
+    } = stats
+    else {
         panic!("stats frame")
     };
-    assert_eq!(replies, total as u64);
+    // A server's meanings: every interval answered `Ack` or `Imputed`
+    // was accepted, and each `Imputed` is one reply — the warm-up
+    // replayed into "b" added none.
+    assert_eq!(accepted, total as u64);
+    assert_eq!(replies, imputed);
     b.shutdown();
 }
 
@@ -444,6 +456,154 @@ fn draining_backend_sheds_new_placements() {
     rt.shutdown();
     a.shutdown();
     b.shutdown();
+}
+
+/// One scripted conversation with `addr`: a fresh session, intervals
+/// through warm-up and past it, a duplicate, an unannounced port, a
+/// probe and `Bye`; then a second connection that opens with something
+/// other than a `Hello`.
+fn scripted_conversation(addr: SocketAddr, w: &PortWindow) {
+    let (mut tx, mut rx) = connect(addr);
+    write_frame(&mut tx, &hello(w.port, w.num_queues())).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::Welcome { .. }));
+    let mut ask = |seq: u64, update: IntervalUpdate| {
+        let trace_id = None;
+        write_frame(
+            &mut tx,
+            &Frame::Interval {
+                seq,
+                update,
+                trace_id,
+            },
+        )
+        .unwrap();
+        let reply = rx.read_frame().unwrap();
+        assert_eq!(reply.reply_seq(), Some(seq), "{reply:?}");
+        reply.tag()
+    };
+    let tags: Vec<_> = (0..6)
+        .map(|k| ask(k as u64 + 1, IntervalUpdate::from_window(w, k)))
+        .collect();
+    assert_eq!(
+        tags,
+        ["Ack", "Ack", "Imputed", "Imputed", "Imputed", "Imputed"]
+    );
+    assert_eq!(ask(3, IntervalUpdate::from_window(w, 2)), "Imputed");
+    let mut stray = IntervalUpdate::from_window(w, 6);
+    stray.port += 1000;
+    assert_eq!(ask(7, stray), "Reject");
+    write_frame(&mut tx, &Frame::Stats).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::StatsReply { .. }));
+    write_frame(&mut tx, &Frame::Bye).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::ByeAck { .. }));
+
+    let (mut tx, mut rx) = connect(addr);
+    write_frame(&mut tx, &Frame::Bye).unwrap();
+    match rx.read_frame().unwrap() {
+        Frame::Error { code, .. } => assert_eq!(code, "bad_handshake"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+}
+
+/// `StatsReply` means one thing at both endpoints: the same scripted
+/// conversation leaves a bare server and a router in front of one server
+/// with the same `sessions`, `accepted`, `malformed` and `replies`.
+#[test]
+fn router_and_server_count_one_conversation_alike() {
+    let model = model();
+    let ws = windows();
+    let w = &ws[0];
+    let counts = |stats: Frame| match stats {
+        Frame::StatsReply {
+            sessions,
+            accepted,
+            malformed,
+            replies,
+            ..
+        } => (sessions, accepted, malformed, replies),
+        other => panic!("expected StatsReply, got {other:?}"),
+    };
+    // One session; six intervals accepted; the stray port and the bad
+    // opening malformed; four `Imputed` plus the replayed duplicate.
+    let want = (1, 6, 2, 5);
+    // A reply's count may land just after the client has read it.
+    let settled = |stats: &dyn Fn() -> Frame| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while counts(stats()) != want && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        counts(stats())
+    };
+
+    let server = backend(&model);
+    scripted_conversation(server.addr(), w);
+    assert_eq!(settled(&|| server.stats()), want, "bare server");
+    server.shutdown();
+
+    let rt = router();
+    let b = backend(&model);
+    rt.add_backend(
+        "b",
+        TcpConnector {
+            addr: b.addr().to_string(),
+        },
+    );
+    scripted_conversation(rt.addr(), w);
+    assert_eq!(settled(&|| rt.stats()), want, "router");
+    rt.shutdown();
+    b.shutdown();
+}
+
+/// The live kill drill: three TCP backends behind a router, eight paced
+/// load-generator clients, backend 0 shut down mid-load. Migration is
+/// invisible to the clients — nothing lost or unsent, no client failed —
+/// and no reply any backend shipped violated its constraints.
+#[test]
+fn killing_a_backend_under_paced_load_loses_nothing() {
+    let model = model();
+    let rt = router();
+    let mut backends: Vec<_> = (0..3).map(|_| Some(backend(&model))).collect();
+    for (k, b) in backends.iter().enumerate() {
+        let addr = b.as_ref().unwrap().addr().to_string();
+        rt.add_backend(&format!("b{k}"), TcpConnector { addr });
+    }
+    let cfg = LoadgenConfig {
+        addr: rt.addr().to_string(),
+        clients: 8,
+        intervals: 30,
+        pace: Some(Duration::from_millis(100)),
+        ..LoadgenConfig::default()
+    };
+    let load = std::thread::spawn(move || run_loadgen(&cfg));
+    // Kill once every client is streaming: with the default ring seed,
+    // three of the eight sessions live on b0.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !matches!(rt.stats(), Frame::StatsReply { accepted, .. } if accepted >= 40) {
+        assert!(Instant::now() < deadline, "the load never started");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut node_stats = vec![backends[0].take().unwrap().shutdown()];
+    let report = load.join().expect("load generator");
+    assert_eq!(
+        (
+            report.lost,
+            report.unsent,
+            report.client_failures,
+            report.server_violations
+        ),
+        (0, 0, 0, 0),
+        "{}",
+        report.to_json()
+    );
+    assert!(rt.cluster_stats().0 >= 1, "the kill must force a migration");
+    rt.shutdown();
+    node_stats.extend(backends.into_iter().flatten().map(ServerHandle::shutdown));
+    for stats in node_stats {
+        let Frame::StatsReply { violations, .. } = stats else {
+            panic!("stats frame")
+        };
+        assert_eq!(violations, 0);
+    }
 }
 
 /// Pre-handshake `Stats` probes are answered by the router itself, and

@@ -1,8 +1,10 @@
 //! The input guards and the resume failure arm the router has because it
 //! drives the server's session core (`fmml_serve::session`): a reconnect
 //! that dies mid-handshake parks the session again, a connection that
-//! never says `Hello` is dropped at the opening's deadline, and a sender
-//! stalled mid-frame is cut off — before and after the handshake.
+//! never says `Hello` is dropped at the opening's deadline, a sender
+//! stalled mid-frame is cut off — before and after the handshake — and
+//! a frame that does not decode or does not belong is refused as a
+//! server refuses it.
 //!
 //! None of this needs a backend: a session opened on an empty ring is
 //! tracked, welcomed and resumable, just never placed.
@@ -142,6 +144,68 @@ fn failed_resume_parks_again_and_expires() {
         || rt.session_count() == 0,
     );
     assert_eq!(active(&rt), before);
+    rt.shutdown();
+    net.close();
+}
+
+/// After the `Hello`, a frame that frames but does not decode is refused
+/// the way a server refuses it — `Error{bad_frame}`, then a hang-up —
+/// and the session parks, so the client may still resume it. (The
+/// router used to park without a word.)
+#[test]
+fn garbage_after_hello_is_refused_bad_frame_and_parks() {
+    let (rt, net, _vc) = sim_router();
+    let before = active(&rt);
+    let (mut tx, mut rx) = sim_connect(&net);
+    write_frame(&mut tx, &hello(None)).unwrap();
+    assert!(matches!(await_frame(&mut rx), Frame::Welcome { .. }));
+
+    tx.write_all(&[0, 0, 0, 3, b'z', b'z', b'z']).unwrap();
+    match await_frame(&mut rx) {
+        Frame::Error { code, .. } => assert_eq!(code, "bad_frame"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    let mut end = None;
+    wait_for(
+        "the router to hang up",
+        || {},
+        || {
+            end = rx.poll_frame().err();
+            end.is_some()
+        },
+    );
+    assert_eq!(end, Some(WireError::Closed));
+    wait_for("the session to park", || {}, || active(&rt) == before);
+    assert_eq!(rt.session_count(), 1, "parked, still resumable");
+    rt.shutdown();
+    net.close();
+}
+
+/// A mid-session frame that is neither `Interval`, `Bye` nor a probe is
+/// refused `Error{unexpected}` and counted malformed, and the session
+/// goes on. (The router used to count it without a reply.)
+#[test]
+fn unexpected_frame_after_hello_is_refused_and_the_session_goes_on() {
+    let (rt, net, _vc) = sim_router();
+    let before = active(&rt);
+    let (mut tx, mut rx) = sim_connect(&net);
+    write_frame(&mut tx, &hello(None)).unwrap();
+    assert!(matches!(await_frame(&mut rx), Frame::Welcome { .. }));
+
+    write_frame(&mut tx, &hello(None)).unwrap();
+    match await_frame(&mut rx) {
+        Frame::Error { code, message } => {
+            assert_eq!(code, "unexpected");
+            assert_eq!(message, "unexpected Hello frame");
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    write_frame(&mut tx, &Frame::Stats).unwrap();
+    match await_frame(&mut rx) {
+        Frame::StatsReply { malformed, .. } => assert_eq!(malformed, 1),
+        other => panic!("expected StatsReply, got {other:?}"),
+    }
+    assert_eq!(active(&rt), before + 1, "the session is still attached");
     rt.shutdown();
     net.close();
 }

@@ -686,6 +686,10 @@ pub struct FrameReader<R: Read> {
     buf: Vec<u8>,
     max_len: usize,
     last_decode_ns: u64,
+    /// Length of the frame [`poll_frame`](FrameReader::poll_frame) last
+    /// returned, still at the front of `buf` (see
+    /// [`frame_bytes`](FrameReader::frame_bytes)); dropped by the next poll.
+    taken: usize,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -703,6 +707,7 @@ impl<R: Read> FrameReader<R> {
             buf: Vec::with_capacity(4096),
             max_len,
             last_decode_ns: 0,
+            taken: 0,
         }
     }
 
@@ -717,7 +722,7 @@ impl<R: Read> FrameReader<R> {
     /// Bytes buffered towards the next frame (non-zero after a mid-frame
     /// timeout — the stall signal).
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.taken
     }
 
     /// Whether a complete frame is already buffered, so the next
@@ -725,13 +730,22 @@ impl<R: Read> FrameReader<R> {
     /// length prefix over the cap never completes: `false`, and the next
     /// poll fails on it.
     pub fn buffered_frame(&self) -> bool {
-        matches!(announced_len(&self.buf, self.max_len), Ok(Some(n)) if self.buf.len() >= n)
+        let buf = &self.buf[self.taken..];
+        matches!(announced_len(buf, self.max_len), Ok(Some(n)) if buf.len() >= n)
+    }
+
+    /// The wire bytes (header included) of the frame the last
+    /// [`poll_frame`](FrameReader::poll_frame) returned, valid until the
+    /// next poll: a forwarder gets the frame it decoded without a copy.
+    pub(crate) fn frame_bytes(&self) -> &[u8] {
+        &self.buf[..self.taken]
     }
 
     /// Try to read one frame. `Ok(None)` means the read timed out before
     /// a complete frame arrived (retry later); errors are terminal for
     /// the connection except as the caller decides.
     pub fn poll_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        self.buf.drain(..std::mem::take(&mut self.taken));
         loop {
             let t0 = fmml_obs::trace::enabled().then(std::time::Instant::now);
             if let Some(n) =
@@ -739,7 +753,7 @@ impl<R: Read> FrameReader<R> {
             {
                 let frame = decode_payload(&self.buf[HEADER_LEN..n])?;
                 self.last_decode_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                self.buf.drain(..n);
+                self.taken = n;
                 return Ok(Some(frame));
             }
             if !self.fill()? {
@@ -755,6 +769,7 @@ impl<R: Read> FrameReader<R> {
     /// forwarder can peek routing metadata ([`RawFrame::meta`]) and ship
     /// the bytes verbatim, decoding in full only when it must transcode.
     pub fn poll_frame_raw(&mut self) -> Result<Option<RawFrame>, WireError> {
+        self.buf.drain(..std::mem::take(&mut self.taken));
         loop {
             if let Some(n) =
                 announced_len(&self.buf, self.max_len)?.filter(|&n| self.buf.len() >= n)

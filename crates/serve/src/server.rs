@@ -54,9 +54,11 @@
 use crate::protocol::{
     encode_frame_with, write_bytes, Frame, FrameReader, WireCodec, WireError, MAX_FRAME_LEN,
 };
-use crate::session::{self, Identity, Ledger, ProtocolBug, Stalls};
-use crate::transport::{Accepted, Conn, TcpTransport, Transport};
-use fmml_core::streaming::{IntervalItem, StreamingImputer};
+use crate::session::{
+    self, Count, Counters, FrontEnd, Identity, Ledger, Metrics, ProtocolBug, Step,
+};
+use crate::transport::{spawn_acceptor, split, Conn, TcpTransport, Threads, Transport};
+use fmml_core::streaming::{IntervalItem, IntervalUpdate, StreamingImputer};
 use fmml_core::transformer_imputer::TransformerImputer;
 use fmml_fault::{record_process_fault, FaultKind, ProcessFaultPlan};
 use fmml_fm::cem::{
@@ -68,37 +70,37 @@ use fmml_obs::{log_event, Clock, Counter, FloatGauge, Gauge, Histogram, Unit};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-static SESSIONS: Counter = Counter::new("serve.sessions");
-static SESSIONS_ACTIVE: Gauge = Gauge::new("serve.sessions.active");
-static ACCEPTED: Counter = Counter::new("serve.accepted");
-static REJECTED: Counter = Counter::new("serve.rejected");
-static MALFORMED: Counter = Counter::new("serve.malformed");
-static REPLIES: Counter = Counter::new("serve.replies");
-static BATCHES: Counter = Counter::new("serve.batches");
+static METRICS: Metrics = Metrics {
+    sessions: Counter::new("serve.sessions"),
+    active: Gauge::new("serve.sessions.active"),
+    accepted: Counter::new("serve.accepted"),
+    rejected: Counter::new("serve.rejected"),
+    malformed: Counter::new("serve.malformed"),
+    replies: Counter::new("serve.replies"),
+    writes: Counter::new("serve.writes"),
+    batches: Counter::new("serve.batches"),
+    deadline_misses: Counter::new("serve.deadline_miss"),
+    violations: Counter::new("serve.violations"),
+    slow_disconnects: Counter::new("serve.slow_disconnects"),
+    resumes: Counter::new("serve.resumes"),
+    replayed: Counter::new("serve.replayed"),
+};
 static BATCH_SIZE: Histogram = Histogram::new("serve.batch_size", Unit::Count);
 /// Reader → pool hand-offs: one queue push and one wake-up each.
 static HANDOFFS: Counter = Counter::new("serve.handoffs");
-/// Socket writes that carried `Imputed` replies (a worker's run, or one
-/// replayed reply), so `serve.replies / serve.writes` is replies per write.
-static WRITES: Counter = Counter::new("serve.writes");
 static LATENCY_US: Histogram = Histogram::new("serve.latency_us", Unit::Micros);
-static DEADLINE_MISS: Counter = Counter::new("serve.deadline_miss");
-static VIOLATIONS: Counter = Counter::new("serve.violations");
-static SLOW_DISCONNECTS: Counter = Counter::new("serve.slow_disconnects");
 
 // Supervision and resumption.
 static WORKER_PANICS: Counter = Counter::new("serve.worker.panics");
 static WORKER_RESTARTS: Counter = Counter::new("serve.worker.restarts");
 static REQUEUE_LATENCY_US: Histogram =
     Histogram::new("serve.worker.requeue_latency_us", Unit::Micros);
-static RESUMES: Counter = Counter::new("serve.resumes");
 static RESUME_MISSES: Counter = Counter::new("serve.resume_misses");
-static REPLAYED: Counter = Counter::new("serve.replayed");
 static PARKED_SESSIONS: Gauge = Gauge::new("serve.sessions.parked");
 
 // Per-stage latency histograms: one interval's journey decomposed as
@@ -314,49 +316,9 @@ const SLO_BREACH_CAP: usize = 64;
 /// Trace ids attached to one breach record / event.
 const SLO_BREACH_TRACES: usize = 8;
 
-/// Per-server counters (the process-global `serve.*` metrics aggregate
-/// across servers; these back `StatsReply` for *this* instance).
-#[derive(Default)]
-struct Counters {
-    sessions: AtomicU64,
-    active_sessions: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    malformed: AtomicU64,
-    replies: AtomicU64,
-    batches: AtomicU64,
-    deadline_misses: AtomicU64,
-    violations: AtomicU64,
-    slow_disconnects: AtomicU64,
-    // Supervision/resumption accounting (surfaced via the typed
-    // `ServerHandle` accessors and the `serve.*` metrics, not the wire
-    // `StatsReply` — old clients keep decoding that frame unchanged).
-    worker_panics: AtomicU64,
-    worker_restarts: AtomicU64,
-    resumes: AtomicU64,
-    replayed: AtomicU64,
-}
-
-impl Counters {
-    fn stats_frame(&self) -> Frame {
-        Frame::StatsReply {
-            sessions: self.sessions.load(Ordering::Relaxed),
-            active_sessions: self.active_sessions.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-            replies: self.replies.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            violations: self.violations.load(Ordering::Relaxed),
-            slow_disconnects: self.slow_disconnects.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// The write half of a session, shared between its reader thread and the
-/// worker pool. All frame writes go through [`send`](SessionWriter::send)
-/// under one mutex, so replies never interleave mid-frame.
+/// worker pool. All frame writes go through it under one mutex, so
+/// replies never interleave mid-frame.
 ///
 /// This is also the object that *survives* a disconnect: on resumption
 /// the new connection's stream is swapped in under the mutex and `dead`
@@ -372,42 +334,18 @@ struct SessionWriter<C: Conn> {
     /// Committed replies: replay window (empty cap when resumption is
     /// disabled) + resolved-seq watermark.
     ledger: Ledger,
-    /// Negotiated wire codec for everything this session encodes —
-    /// `Json` until the handshake picks otherwise, then fixed for the
-    /// session's whole lineage (parked state included) so replay-log
-    /// bytes stay valid across resume. Stored as the codec's
-    /// discriminant (0 = JSON, 1 = bin1).
-    codec: AtomicU8,
+    /// The codec the `Welcome` negotiated, fixed for the session's whole
+    /// lineage (parked state included) so replay-log bytes stay valid
+    /// across resume.
+    codec: WireCodec,
 }
 
 impl<C: Conn> SessionWriter<C> {
-    /// The session's negotiated encode codec.
-    fn codec(&self) -> WireCodec {
-        match self.codec.load(Ordering::Acquire) {
-            1 => WireCodec::Bin1,
-            _ => WireCodec::Json,
-        }
-    }
-
-    fn set_codec(&self, codec: WireCodec) {
-        self.codec
-            .store((codec == WireCodec::Bin1) as u8, Ordering::Release);
-    }
-
-    /// Write one frame; on failure the session is marked dead and the
-    /// socket shut down (waking the reader thread). Returns success.
-    fn send(&self, shared: &Shared<C>, frame: &Frame) -> bool {
-        let Ok(bytes) = encode_frame_with(frame, self.codec(), shared.cfg.max_frame_len) else {
-            return false;
-        };
-        self.send_bytes(shared, &bytes, frame.tag())
-    }
-
-    /// Write pre-encoded frame bytes. Same failure semantics as
-    /// [`send`](SessionWriter::send).
-    fn send_bytes(&self, shared: &Shared<C>, bytes: &[u8], tag: &'static str) -> bool {
+    /// Write encoded frames; on failure the session is marked dead and
+    /// the socket shut down (waking the reader thread). Returns success.
+    fn send_bytes(&self, shared: &Shared<C>, bytes: &[u8]) -> bool {
         let mut stream = self.stream.lock().unwrap();
-        self.write_locked(shared, &mut stream, bytes, tag)
+        self.write_locked(shared, &mut stream, bytes)
     }
 
     /// Ship a worker's run of `slots` admitted intervals, `replies` of
@@ -420,7 +358,7 @@ impl<C: Conn> SessionWriter<C> {
     fn send_run(&self, shared: &Shared<C>, bytes: &[u8], slots: usize, replies: u64) -> bool {
         let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
         self.inflight.fetch_sub(slots, Ordering::AcqRel);
-        let sent = self.write_locked(shared, &mut stream, bytes, "Imputed");
+        let sent = self.write_locked(shared, &mut stream, bytes);
         if sent {
             self.answered.fetch_add(replies, Ordering::Relaxed);
         }
@@ -436,21 +374,15 @@ impl<C: Conn> SessionWriter<C> {
             answered: self.answered.load(Ordering::Relaxed),
             remaining: self.inflight.load(Ordering::Acquire) as u64,
         };
-        let Ok(bytes) = encode_frame_with(&frame, self.codec(), shared.cfg.max_frame_len) else {
+        let Ok(bytes) = encode_frame_with(&frame, self.codec, shared.cfg.max_frame_len) else {
             return false;
         };
-        self.write_locked(shared, &mut stream, &bytes, frame.tag())
+        self.write_locked(shared, &mut stream, &bytes)
     }
 
     /// Write through an already-held stream lock; on failure the session
     /// is marked dead and the socket shut down (waking the reader).
-    fn write_locked(
-        &self,
-        shared: &Shared<C>,
-        stream: &mut C,
-        bytes: &[u8],
-        tag: &'static str,
-    ) -> bool {
+    fn write_locked(&self, shared: &Shared<C>, stream: &mut C, bytes: &[u8]) -> bool {
         if self.dead.load(Ordering::Acquire) {
             return false;
         }
@@ -459,12 +391,8 @@ impl<C: Conn> SessionWriter<C> {
             Err(e) => {
                 if !self.dead.swap(true, Ordering::AcqRel) {
                     if e == WireError::Timeout {
-                        SLOW_DISCONNECTS.inc();
-                        shared
-                            .counters
-                            .slow_disconnects
-                            .fetch_add(1, Ordering::Relaxed);
-                        log_event!("serve.slow_disconnect", "frame" = tag);
+                        shared.counters.slow_disconnects.inc();
+                        log_event!("serve.slow_disconnect");
                     }
                     stream.shutdown_both();
                 }
@@ -473,15 +401,16 @@ impl<C: Conn> SessionWriter<C> {
         }
     }
 
-    /// Commit + send a per-seq reply frame (the reader-side Ack / Busy /
-    /// Reject path; workers commit their replies themselves and ship
-    /// them with [`send_run`](SessionWriter::send_run)).
-    fn send_reply(&self, shared: &Shared<C>, seq: u64, frame: &Frame) -> bool {
-        let Ok(bytes) = encode_frame_with(frame, self.codec(), shared.cfg.max_frame_len) else {
-            return false;
+    /// Commit, send and count a per-seq reply frame (the reader-side Ack
+    /// / Busy / Reject path; workers commit their replies themselves and
+    /// ship them with [`send_run`](SessionWriter::send_run)).
+    fn send_reply(&self, shared: &Shared<C>, seq: u64, frame: &Frame) {
+        let Ok(bytes) = encode_frame_with(frame, self.codec, shared.cfg.max_frame_len) else {
+            return;
         };
         self.ledger.commit(seq, &bytes);
-        self.send_bytes(shared, &bytes, frame.tag())
+        let sent = self.send_bytes(shared, &bytes);
+        shared.counters.answered(frame.tag(), sent);
     }
 
     /// Point the writer at a new connection (resumption). The old stream
@@ -532,6 +461,8 @@ struct Shared<C: Conn> {
     model: Arc<TransformerImputer>,
     cache: Arc<SolutionCache>,
     counters: Counters,
+    worker_panics: Count,
+    worker_restarts: Count,
     queue: Mutex<VecDeque<Job<C>>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
@@ -600,7 +531,7 @@ pub struct ServerHandle<C: Conn = TcpStream> {
     /// The supervisor owns the worker pool's join handles; joining it
     /// joins (or has already joined) every worker.
     supervisor: Option<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    readers: Arc<Threads>,
     watchdog: Option<JoinHandle<()>>,
 }
 
@@ -636,17 +567,15 @@ impl<C: Conn> ServerHandle<C> {
     /// Supervision accounting: `(worker panics, worker restarts)`.
     pub fn worker_stats(&self) -> (u64, u64) {
         (
-            self.shared.counters.worker_panics.load(Ordering::Relaxed),
-            self.shared.counters.worker_restarts.load(Ordering::Relaxed),
+            self.shared.worker_panics.get(),
+            self.shared.worker_restarts.get(),
         )
     }
 
     /// Resumption accounting: `(sessions resumed, replies replayed)`.
     pub fn resume_stats(&self) -> (u64, u64) {
-        (
-            self.shared.counters.resumes.load(Ordering::Relaxed),
-            self.shared.counters.replayed.load(Ordering::Relaxed),
-        )
+        let c = &self.shared.counters;
+        (c.resumes.get(), c.replayed.get())
     }
 
     /// Recovery latencies (µs) of intervals that were re-enqueued after
@@ -713,10 +642,7 @@ impl<C: Conn> ServerHandle<C> {
             let _ = a.join();
         }
         // Readers exit on their next poll tick (they drain first).
-        let readers = std::mem::take(&mut *self.readers.lock().unwrap());
-        for r in readers {
-            let _ = r.join();
-        }
+        self.readers.join_all();
         self.shared.queue_cv.notify_all();
         if let Some(s) = self.supervisor.take() {
             let _ = s.join();
@@ -726,8 +652,8 @@ impl<C: Conn> ServerHandle<C> {
         }
         log_event!(
             "serve.shutdown",
-            "sessions" = self.shared.counters.sessions.load(Ordering::Relaxed),
-            "replies" = self.shared.counters.replies.load(Ordering::Relaxed)
+            "sessions" = self.shared.counters.sessions.get(),
+            "replies" = self.shared.counters.replies.get()
         );
         self.shared.counters.stats_frame()
     }
@@ -756,7 +682,9 @@ pub fn spawn_with<T: Transport>(
         cfg,
         model,
         cache,
-        counters: Counters::default(),
+        counters: Counters::new(&METRICS),
+        worker_panics: Count::new(&WORKER_PANICS),
+        worker_restarts: Count::new(&WORKER_RESTARTS),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
@@ -769,7 +697,7 @@ pub fn spawn_with<T: Transport>(
         obits: Mutex::new(Vec::new()),
         requeue_lat: Mutex::new(Vec::new()),
     });
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+    let readers = Arc::new(Threads::default());
 
     let worker_handles: Vec<Option<JoinHandle<()>>> = (0..workers)
         .map(|i| Some(spawn_worker(&shared, i)))
@@ -783,45 +711,20 @@ pub fn spawn_with<T: Transport>(
     };
 
     let acceptor = {
-        let shared = Arc::clone(&shared);
-        let readers = Arc::clone(&readers);
-        std::thread::Builder::new()
-            .name("serve-acceptor".into())
-            .spawn(move || {
-                let desc = transport.desc();
-                log_event!("serve.listening", "addr" = desc.as_str());
-                loop {
-                    match transport.accept() {
-                        Accepted::Conn(stream) => {
-                            let shared = Arc::clone(&shared);
-                            shared.active_readers.fetch_add(1, Ordering::AcqRel);
-                            let h = std::thread::Builder::new()
-                                .name("serve-session".into())
-                                .spawn(move || {
-                                    // Drop guard: the decrement must run
-                                    // even if handle_connection unwinds.
-                                    let _guard = ReaderGuard(Arc::clone(&shared));
-                                    handle_connection(&shared, stream);
-                                })
-                                .expect("spawn session");
-                            let mut rs = readers.lock().unwrap();
-                            reap_finished(&mut rs);
-                            rs.push(h);
-                        }
-                        Accepted::Retry => {
-                            if shared.shutting_down() {
-                                break;
-                            }
-                            reap_finished(&mut readers.lock().unwrap());
-                            // Poll cadence, not semantic time: stays on
-                            // the real clock even under virtual time.
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Accepted::Closed => break,
-                    }
-                }
-            })
-            .expect("spawn acceptor")
+        let (stop, shared) = (Arc::clone(&shared), Arc::clone(&shared));
+        spawn_acceptor(
+            transport,
+            "serve",
+            Arc::clone(&readers),
+            move || stop.shutting_down(),
+            move |conn| {
+                // Counted before the thread starts; the guard's drop
+                // uncounts it even if `handle_connection` unwinds.
+                shared.active_readers.fetch_add(1, Ordering::AcqRel);
+                let guard = ReaderGuard(Arc::clone(&shared));
+                move || handle_connection(&guard.0, conn)
+            },
+        )
     };
 
     let watchdog = {
@@ -878,12 +781,7 @@ fn supervisor_loop<C: Conn>(shared: &Arc<Shared<C>>, mut slots: Vec<Option<JoinH
                 let _ = h.join();
             }
             let n = &mut restarts[obit.worker];
-            let traces_str = obit
-                .trace_ids
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
+            let traces_str = joined(&obit.trace_ids);
             if *n >= cfg.max_restarts {
                 log_event!(
                     "worker.dead",
@@ -912,11 +810,7 @@ fn supervisor_loop<C: Conn>(shared: &Arc<Shared<C>>, mut slots: Vec<Option<JoinH
                 continue;
             }
             *n += 1;
-            WORKER_RESTARTS.inc();
-            shared
-                .counters
-                .worker_restarts
-                .fetch_add(1, Ordering::Relaxed);
+            shared.worker_restarts.inc();
             log_event!(
                 "worker.restart",
                 "worker" = obit.worker,
@@ -939,75 +833,67 @@ fn supervisor_loop<C: Conn>(shared: &Arc<Shared<C>>, mut slots: Vec<Option<JoinH
 /// the slow/degraded requests went through.
 fn watchdog_loop<C: Conn>(shared: &Arc<Shared<C>>) {
     let cfg = &shared.cfg;
-    let mut miss_breached = false;
-    let mut degraded_breached = false;
+    // Each watched rate: its kind, gauge, threshold, and the replies it
+    // counts.
+    type Rate = (
+        &'static str,
+        &'static FloatGauge,
+        f64,
+        fn(&ReplyObs) -> bool,
+    );
+    let rates: [Rate; 2] = [
+        (
+            "deadline_miss_rate",
+            &SLO_MISS_RATE,
+            SLO_MAX_MISS_RATE,
+            |o| o.missed,
+        ),
+        (
+            "degraded_rate",
+            &SLO_DEGRADED_RATE,
+            SLO_MAX_DEGRADED_RATE,
+            |o| o.degraded,
+        ),
+    ];
+    let mut breached = [false; 2];
     loop {
         cfg.clock.sleep(cfg.slo_tick);
         let now = cfg.clock.now();
-        let (replies, misses, degraded, miss_traces, degraded_traces) = {
-            let mut obs = shared.slo_obs.lock().unwrap();
-            while obs
-                .front()
-                .is_some_and(|o| now.saturating_duration_since(o.at) > cfg.slo_window)
-            {
-                obs.pop_front();
-            }
-            let mut misses = 0usize;
-            let mut degraded = 0usize;
-            let mut miss_traces = Vec::new();
-            let mut degraded_traces = Vec::new();
-            for o in obs.iter() {
-                if o.missed {
-                    misses += 1;
-                    if o.trace_id != 0 && miss_traces.len() < SLO_BREACH_TRACES {
-                        miss_traces.push(o.trace_id);
-                    }
-                }
-                if o.degraded {
-                    degraded += 1;
-                    if o.trace_id != 0 && degraded_traces.len() < SLO_BREACH_TRACES {
-                        degraded_traces.push(o.trace_id);
-                    }
-                }
-            }
-            (obs.len(), misses, degraded, miss_traces, degraded_traces)
-        };
-        let miss_rate = if replies == 0 {
-            0.0
-        } else {
-            misses as f64 / replies as f64
-        };
-        let degraded_rate = if replies == 0 {
-            0.0
-        } else {
-            degraded as f64 / replies as f64
-        };
-        SLO_MISS_RATE.set(miss_rate);
-        SLO_DEGRADED_RATE.set(degraded_rate);
+        let mut obs = shared.slo_obs.lock().unwrap();
+        while obs
+            .front()
+            .is_some_and(|o| now.saturating_duration_since(o.at) > cfg.slo_window)
+        {
+            obs.pop_front();
+        }
+        let replies = obs.len();
+        let counted = rates.map(|(.., counts)| {
+            let hits = || obs.iter().filter(|o| counts(o));
+            let traces = hits().map(|o| o.trace_id).filter(|&t| t != 0);
+            (hits().count(), traces.take(SLO_BREACH_TRACES).collect())
+        });
+        drop(obs);
         SLO_WINDOW_REPLIES.set(replies as i64);
         SLO_QUEUE_DEPTH.set(shared.queue.lock().map(|q| q.len()).unwrap_or(0) as i64);
-
-        let enough = replies >= cfg.slo_min_samples;
-        declare_breach(
-            shared,
-            &mut miss_breached,
-            enough && miss_rate > SLO_MAX_MISS_RATE,
-            "deadline_miss_rate",
-            miss_rate,
-            SLO_MAX_MISS_RATE,
-            replies,
-            miss_traces,
-        );
-        declare_breach(
-            shared,
-            &mut degraded_breached,
-            enough && degraded_rate > SLO_MAX_DEGRADED_RATE,
-            "degraded_rate",
-            degraded_rate,
-            SLO_MAX_DEGRADED_RATE,
-            replies,
-            degraded_traces,
-        );
+        let watched = rates.into_iter().zip(&mut breached).zip(counted);
+        for (((kind, gauge, threshold, _), armed), (hits, trace_ids)) in watched {
+            let rate = if replies == 0 {
+                0.0
+            } else {
+                hits as f64 / replies as f64
+            };
+            gauge.set(rate);
+            let over = replies >= cfg.slo_min_samples && rate > threshold;
+            let window_replies = replies;
+            let breach = SloBreach {
+                kind,
+                rate,
+                threshold,
+                window_replies,
+                trace_ids,
+            };
+            declare_breach(shared, armed, over, breach);
+        }
         if shared.shutting_down() {
             return;
         }
@@ -1016,17 +902,7 @@ fn watchdog_loop<C: Conn>(shared: &Arc<Shared<C>>) {
 
 /// Rising-edge breach bookkeeping: record + emit only on the off→on
 /// transition of one kind, re-arm when the rate recovers.
-#[allow(clippy::too_many_arguments)]
-fn declare_breach<C: Conn>(
-    shared: &Shared<C>,
-    armed: &mut bool,
-    over: bool,
-    kind: &'static str,
-    rate: f64,
-    threshold: f64,
-    window_replies: usize,
-    trace_ids: Vec<u64>,
-) {
+fn declare_breach<C: Conn>(shared: &Shared<C>, armed: &mut bool, over: bool, breach: SloBreach) {
     if !over {
         *armed = false;
         return;
@@ -1036,47 +912,25 @@ fn declare_breach<C: Conn>(
     }
     *armed = true;
     SLO_BREACHES.inc();
-    let traces_str = trace_ids
-        .iter()
-        .map(|t| t.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
     log_event!(
         "slo.breach",
-        "kind" = kind,
-        "rate" = rate,
-        "threshold" = threshold,
-        "window_replies" = window_replies,
-        "traces" = traces_str.as_str()
+        "kind" = breach.kind,
+        "rate" = breach.rate,
+        "threshold" = breach.threshold,
+        "window_replies" = breach.window_replies,
+        "traces" = joined(&breach.trace_ids).as_str()
     );
     if let Ok(mut b) = shared.breaches.lock() {
         if b.len() >= SLO_BREACH_CAP {
             b.remove(0);
         }
-        b.push(SloBreach {
-            kind,
-            rate,
-            threshold,
-            window_replies,
-            trace_ids,
-        });
+        b.push(breach);
     }
 }
 
-/// Join (and drop) session threads that have already exited, so a
-/// long-running server doesn't accumulate one `JoinHandle` per
-/// connection ever accepted. Called from the acceptor's idle tick and
-/// before registering each new session.
-fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
-    let mut i = 0;
-    while i < handles.len() {
-        if handles[i].is_finished() {
-            let h = handles.swap_remove(i);
-            let _ = h.join();
-        } else {
-            i += 1;
-        }
-    }
+/// Trace ids as one comma-separated log field.
+fn joined(ids: &[u64]) -> String {
+    ids.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
 }
 
 /// Per-session state owned by the reader thread.
@@ -1108,128 +962,85 @@ impl<C: Conn> Session<C> {
     }
 }
 
-/// How a session's read loop ended — decides parking.
-#[derive(PartialEq)]
-enum SessionEnd {
-    /// Client said `Bye` (or the server is draining): nothing to resume.
-    Graceful,
-    /// The connection died mid-session: park for resumption.
-    Disconnected,
-}
-
 fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
     let cfg = &shared.cfg;
-    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let writer = Arc::new(SessionWriter {
-        stream: Mutex::new(stream),
-        inflight: AtomicUsize::new(0),
-        answered: AtomicU64::new(0),
-        dead: AtomicBool::new(false),
-        ledger: Ledger::new(cfg.replay_window),
-        codec: AtomicU8::new(0),
-    });
-    let mut reader = FrameReader::with_max_len(read_half, cfg.max_frame_len);
-
-    let Some(mut session) = handshake(shared, &mut reader, &writer) else {
+    let max_len = cfg.max_frame_len;
+    let Some((mut reader, stream)) = split(stream, cfg.read_timeout, cfg.write_timeout, max_len)
+    else {
         return;
     };
-    SESSIONS_ACTIVE.add(1);
-    shared
-        .counters
-        .active_sessions
-        .fetch_add(1, Ordering::Relaxed);
+    let mut front = FrontEnd::new(&shared.counters, max_len);
+
+    let Some(mut session) = handshake(shared, &mut front, &mut reader, stream) else {
+        return;
+    };
+    shared.counters.attached();
     log_event!(
         "serve.session.open",
         "session" = session.id,
         "tenant" = session.identity.tenant.as_str()
     );
 
-    let mut stalls = Stalls::default();
-    let mut end = SessionEnd::Disconnected;
+    // After `Bye` (or shutdown) there is nothing to resume; a connection
+    // that died mid-session parks it for resumption.
+    let mut bye = false;
     loop {
         if shared.shutting_down() {
             session.hand_off(shared);
             drain_inflight(shared, &session.writer, false);
-            let _ = session.writer.send(
-                shared,
-                &Frame::Error {
-                    code: "shutting_down".into(),
-                    message: "server draining; goodbye".into(),
-                },
-            );
-            end = SessionEnd::Graceful;
+            let goodbye = Frame::Error {
+                code: "shutting_down".into(),
+                message: "server draining; goodbye".into(),
+            };
+            front.send(&goodbye, |b| session.writer.send_bytes(shared, b));
             break;
         }
-        if session.writer.dead.load(Ordering::Acquire) {
+        let writer = &session.writer;
+        if writer.dead.load(Ordering::Acquire) {
             break; // killed by a worker (slow reader)
         }
-        match reader.poll_frame() {
-            Ok(None) => {
-                if stalls.timed_out(reader.pending()) {
-                    SLOW_DISCONNECTS.inc();
-                    shared
-                        .counters
-                        .slow_disconnects
-                        .fetch_add(1, Ordering::Relaxed);
-                    log_event!("serve.stall_disconnect", "session" = session.id);
-                    break;
-                }
-            }
-            Ok(Some(frame)) => {
-                stalls.progressed();
+        match front.step(&mut reader, &writer.ledger, |b| {
+            writer.send_bytes(shared, b)
+        }) {
+            Step::Idle => {}
+            Step::Interval {
+                seq,
+                update,
+                trace_id,
+                ..
+            } => {
                 let decode_ns = reader.last_decode_ns();
-                if !handle_frame(shared, &mut session, frame, decode_ns) {
-                    end = SessionEnd::Graceful; // only `Bye` ends in-band
-                    break;
-                }
-                // The burst read so far is processed: what is staged goes
-                // to the pool before the reader can block on the socket.
-                if !reader.buffered_frame() {
-                    session.hand_off(shared);
-                }
+                admit(shared, &mut session, seq, update, trace_id, decode_ns);
             }
-            Err(WireError::Closed) => break,
-            Err(
-                e @ (WireError::Truncated { .. }
-                | WireError::Oversized { .. }
-                | WireError::Malformed(_)),
-            ) => {
-                // Framing is lost — report and hang up.
-                MALFORMED.inc();
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = session.writer.send(
-                    shared,
-                    &Frame::Error {
-                        code: "bad_frame".into(),
-                        message: e.to_string(),
-                    },
-                );
+            Step::Bye => {
+                // Honest drain accounting: if the bounded drain budget
+                // ran out, `ByeAck.remaining` reports how many accepted
+                // intervals are still unanswered.
+                session.hand_off(shared);
+                drain_inflight(shared, &session.writer, false);
+                session.writer.send_bye_ack(shared);
+                bye = true;
                 break;
             }
-            Err(_) => break,
+            Step::Ended(_) => break,
+        }
+        // The burst read so far is processed: what is staged goes to the
+        // pool before the reader can block on the socket.
+        if !reader.buffered_frame() {
+            session.hand_off(shared);
         }
     }
     // Admitted intervals are owed a reply on every exit: the pool commits
     // them to the ledger, so a resume replays them.
     session.hand_off(shared);
     session.writer.dead.store(true, Ordering::Release);
-    SESSIONS_ACTIVE.add(-1);
-    shared
-        .counters
-        .active_sessions
-        .fetch_sub(1, Ordering::Relaxed);
+    shared.counters.detached();
     log_event!(
         "serve.session.close",
         "session" = session.id,
         "answered" = session.writer.answered.load(Ordering::Relaxed)
     );
-    if end == SessionEnd::Disconnected && !shared.shutting_down() {
+    if !bye && !shared.shutting_down() {
         park_session(shared, session);
     }
 }
@@ -1265,33 +1076,29 @@ fn park_session<C: Conn>(shared: &Shared<C>, session: Session<C>) {
     shared.parked_cv.notify_all();
 }
 
-/// Expect `Hello`, validate geometry, reply `Welcome`. `None` aborts the
-/// connection.
+/// Expect `Hello`, validate geometry, reply `Welcome` (or resume). The
+/// session's writer takes `stream` over once its codec is known. `None`
+/// aborts the connection.
 fn handshake<C: Conn>(
     shared: &Arc<Shared<C>>,
+    front: &mut FrontEnd,
     reader: &mut FrameReader<C>,
-    writer: &Arc<SessionWriter<C>>,
+    mut stream: C,
 ) -> Option<Session<C>> {
     let cfg = &shared.cfg;
-    let hello = session::read_hello(
-        reader,
-        || cfg.clock.now(),
-        || shared.shutting_down(),
-        || shared.counters.stats_frame(),
-        |frame| writer.send(shared, frame),
-    )?;
+    let mut write = |b: &[u8]| write_bytes(&mut stream, b).is_ok();
+    let now = || cfg.clock.now();
+    let hello = front.read_hello(reader, now, || shared.shutting_down(), &mut write)?;
     // A draining node refuses every new session — fresh *and* resume —
     // so the placement layer moves it (and its parked state, via the
     // resume token) to another node. The opening's probe frames still
     // work: drain must not blind the health checker.
     if shared.draining() {
-        let _ = writer.send(
-            shared,
-            &Frame::Error {
-                code: "draining".into(),
-                message: "node is draining; place this session elsewhere".into(),
-            },
-        );
+        let refusal = Frame::Error {
+            code: "draining".into(),
+            message: "node is draining; place this session elsewhere".into(),
+        };
+        front.send(&refusal, &mut write);
         return None;
     }
     // Each cap alone is not enough: the window is what the model encodes,
@@ -1312,30 +1119,22 @@ fn handshake<C: Conn>(
         && (1..=MAX_WINDOW_INTERVALS).contains(&window_intervals)
         && interval_len * window_intervals <= max_len;
     if !valid {
-        MALFORMED.inc();
-        shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-        let _ = writer.send(
-            shared,
-            &Frame::Error {
-                code: "bad_handshake".into(),
-                message: format!(
-                    "invalid geometry: ports={} queues={queues} interval_len={interval_len} \
-                     window_intervals={window_intervals} (model encodes {max_len} steps)",
-                    ports.len()
-                ),
-            },
+        let message = format!(
+            "invalid geometry: ports={} queues={queues} interval_len={interval_len} \
+             window_intervals={window_intervals} (model encodes {max_len} steps)",
+            ports.len()
         );
+        front.refuse("bad_handshake", message, &mut write);
         return None;
     }
-    let id = shared.counters.sessions.fetch_add(1, Ordering::Relaxed) + 1;
-    SESSIONS.inc();
+    let id = shared.counters.sessions.inc() + 1;
 
     // Resume path: re-attach to a parked session's windows and replay
     // log instead of building fresh state.
     if let Some(tok) = hello.resume_token.as_ref().filter(|_| shared.resumable()) {
         if let Some(mut parked) = claim_parked(shared, tok, &hello.identity) {
             parked.id = id;
-            return resume_session(shared, writer, parked, hello.last_acked);
+            return resume_session(shared, front, stream, parked, hello.last_acked);
         }
         RESUME_MISSES.inc();
     }
@@ -1362,22 +1161,27 @@ fn handshake<C: Conn>(
         .resumable()
         .then(|| session::resume_token_for("tok", &mut mint_state));
     // Codec negotiation: the server's preference, if the client
-    // advertised it. The Welcome itself still goes out as JSON (the
-    // writer's codec is switched only after it is sent), so a client
-    // can always parse the verdict with its pre-negotiation decoder.
+    // advertised it. The Welcome itself still goes out as JSON.
     let codec = WireCodec::negotiate(cfg.wire, hello.codecs.as_deref());
     let deadline_ms = cfg.deadline.as_millis() as u64;
     let welcome = session::welcome(id, deadline_ms, token.as_deref(), None, codec);
-    if !writer.send(shared, &welcome) {
+    if !front.welcome(&welcome, codec, &mut write) {
         return None;
     }
-    writer.set_codec(codec);
+    let writer = Arc::new(SessionWriter {
+        stream: Mutex::new(stream),
+        inflight: AtomicUsize::new(0),
+        answered: AtomicU64::new(0),
+        dead: AtomicBool::new(false),
+        ledger: Ledger::new(cfg.replay_window),
+        codec,
+    });
     Some(Session {
         id,
         identity: hello.identity,
         token,
         imputers,
-        writer: Arc::clone(writer),
+        writer,
         staged: Vec::new(),
     })
 }
@@ -1421,32 +1225,18 @@ fn claim_parked<C: Conn>(shared: &Shared<C>, tok: &str, identity: &Identity) -> 
     }
 }
 
-/// Finish a successful resume: attach the new connection to the parked
-/// writer, drain stragglers into the ledger, tell the client where to
-/// rewind to, and replay everything past its `last_acked`. Until the
-/// `Welcome` clears the new connection, any failure re-parks `session`
-/// under the same token (a dropped ledger here would turn a transient
-/// reconnect hiccup into permanent reply loss).
+/// Finish a successful claim: attach the new connection to the parked
+/// writer, drain stragglers into the ledger, then the resume reply
+/// ([`FrontEnd::resume`]). Any failure re-parks `session` under the same
+/// token (a dropped ledger here would turn a transient reconnect hiccup
+/// into permanent reply loss).
 fn resume_session<C: Conn>(
     shared: &Arc<Shared<C>>,
-    fresh_writer: &Arc<SessionWriter<C>>,
+    front: &mut FrontEnd,
+    stream: C,
     session: Session<C>,
     last_acked: Option<u64>,
 ) -> Option<Session<C>> {
-    // The new connection's socket currently lives inside the throwaway
-    // pre-handshake writer; dup it into the parked writer.
-    let stream = match fresh_writer
-        .stream
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .try_clone()
-    {
-        Ok(s) => s,
-        Err(_) => {
-            park_session(shared, session);
-            return None;
-        }
-    };
     let writer = Arc::clone(&session.writer);
     // Let replies already in the worker pipeline commit to the ledger
     // before it snapshots the watermark — after this, every seq ≤
@@ -1454,211 +1244,114 @@ fn resume_session<C: Conn>(
     // the server.
     drain_inflight(shared, &writer, true);
     writer.attach(stream);
-    let (resume_seq, replay) = writer.ledger.resume(last_acked, shared.cfg.injected_bug);
-    let welcome = session::welcome(
-        session.id,
-        shared.cfg.deadline.as_millis() as u64,
-        session.token.as_deref(),
-        Some(resume_seq),
-        writer.codec(),
+    let deadline_ms = shared.cfg.deadline.as_millis() as u64;
+    let (token, codec) = (session.token.as_deref(), writer.codec);
+    let resumed = front.resume(
+        &writer.ledger,
+        last_acked,
+        shared.cfg.injected_bug,
+        |resume_seq| session::welcome(session.id, deadline_ms, token, Some(resume_seq), codec),
+        codec,
+        |b| writer.send_bytes(shared, b),
     );
-    if !writer.send(shared, &welcome) {
-        // The Welcome never cleared the reconnect (it died mid-
-        // handshake). The session is still fully resumable: park it
-        // again so the client's next retry can claim it.
+    if !resumed {
         park_session(shared, session);
         return None;
     }
-    RESUMES.inc();
-    shared.counters.resumes.fetch_add(1, Ordering::Relaxed);
-    // Exactly-once completion: the client dedups anything it already
-    // processed; gaps it was waiting on are filled here. A failed write
-    // marks the writer dead, which ends (and re-parks) the session on
-    // the read loop's first turn.
-    let mut replayed = 0u64;
-    for bytes in &replay {
-        if !writer.send_bytes(shared, bytes, "Replay") {
-            break;
-        }
-        replayed += 1;
-    }
-    REPLAYED.add(replayed);
-    WRITES.add(replayed);
-    shared
-        .counters
-        .replayed
-        .fetch_add(replayed, Ordering::Relaxed);
-    // Replayed frames are replies shipped to a client: the originals
-    // never cleared the (now-dead) socket, so they were not counted
-    // when the worker produced them.
-    REPLIES.add(replayed);
-    shared
-        .counters
-        .replies
-        .fetch_add(replayed, Ordering::Relaxed);
     log_event!(
         "serve.session.resume",
         "session" = session.id,
-        "resume_seq" = resume_seq,
-        "replayed" = replayed,
         "tenant" = session.identity.tenant.as_str()
     );
     Some(session)
 }
 
-/// Process one client frame. `decode_ns` is how long the reader spent
-/// parsing this frame (0 when tracing is off). Returns `false` to end
-/// the session.
-fn handle_frame<C: Conn>(
+/// Admit one new interval: root its trace, then answer `Busy` over the
+/// in-flight cap, `Reject` a malformed update, `Ack` a warm-up interval,
+/// or run the model forward and stage the job for the pool. `decode_ns`
+/// is how long the reader spent parsing the frame (0 when tracing is
+/// off).
+fn admit<C: Conn>(
     shared: &Arc<Shared<C>>,
     session: &mut Session<C>,
-    frame: Frame,
+    seq: u64,
+    update: IntervalUpdate,
+    trace_id: Option<u64>,
     decode_ns: u64,
-) -> bool {
+) {
     let cfg = &shared.cfg;
-    if !matches!(frame, Frame::Interval { .. }) {
+    let accepted_at = cfg.clock.now();
+    // Root this interval's trace, adopting the client's id when one rode
+    // in on the frame so both halves stitch together. The RAII span
+    // itself covers admit + window + model forward (everything this
+    // thread does); later stages attach to its context retroactively
+    // from the worker pool.
+    let root = trace::root_with_id("serve.interval", trace_id.unwrap_or(0));
+    let ctx = root.context();
+    if decode_ns > 0 && ctx.is_set() {
+        STAGE_DECODE_US.record(decode_ns);
+        let dur = Duration::from_nanos(decode_ns);
+        let start = accepted_at.checked_sub(dur).unwrap_or(accepted_at);
+        trace::record_span("serve.decode", ctx, start, dur);
+    }
+    // Admission control first: over-budget intervals are dropped before
+    // costing a model forward pass.
+    let depth = session.writer.inflight.load(Ordering::Acquire);
+    if depth >= cfg.queue_depth {
+        let busy = Frame::Busy { seq, depth };
+        session.writer.send_reply(shared, seq, &busy);
+        return;
+    }
+    let Some(imputer) = session.imputers.get_mut(&update.port) else {
+        let reason = format!("port {} not announced in Hello", update.port);
+        session
+            .writer
+            .send_reply(shared, seq, &Frame::Reject { seq, reason });
+        return;
+    };
+    // Forward stage: window bookkeeping + the model forward for the
+    // interval this tick ships (warm-up Acks cost no forward and are not
+    // samples of it).
+    let forward_start = cfg.clock.now();
+    let item = match imputer.try_prepare_newest(update) {
+        Err(e) => {
+            let reason = e.to_string();
+            session
+                .writer
+                .send_reply(shared, seq, &Frame::Reject { seq, reason });
+            return;
+        }
+        Ok(None) => {
+            let buffered = imputer.buffered();
+            session
+                .writer
+                .send_reply(shared, seq, &Frame::Ack { seq, buffered });
+            return;
+        }
+        Ok(Some(item)) => item,
+    };
+    let forward_dur = cfg.clock.now().saturating_duration_since(forward_start);
+    STAGE_FORWARD_US.record_duration(forward_dur);
+    trace::record_span("serve.forward", ctx, forward_start, forward_dur);
+    shared.counters.accepted.inc();
+    session.writer.inflight.fetch_add(1, Ordering::AcqRel);
+    let now = cfg.clock.now();
+    let job = Job {
+        seq,
+        port: imputer.port(),
+        item,
+        accepted_at,
+        enqueued_at: now,
+        trace: ctx,
+        writer: Arc::clone(&session.writer),
+        requeued_at: None,
+    };
+    session.staged.push(job);
+    // Would one more forward hold the oldest staged interval past
+    // `batch_wait`?
+    let held = now.saturating_duration_since(session.staged[0].accepted_at);
+    if session.staged.len() >= cfg.max_batch || held + forward_dur > cfg.batch_wait {
         session.hand_off(shared);
-    }
-    if let Some(reply) = session::probe_reply(&frame, || shared.counters.stats_frame()) {
-        session.writer.send(shared, &reply);
-        return true;
-    }
-    match frame {
-        Frame::Interval {
-            seq,
-            update,
-            trace_id,
-        } => {
-            let accepted_at = cfg.clock.now();
-            // Root this interval's trace, adopting the client's id when
-            // one rode in on the frame so both halves stitch together.
-            // The RAII span itself covers admit + window + model forward
-            // (everything this thread does); later stages attach to its
-            // context retroactively from the worker pool.
-            let root = trace::root_with_id("serve.interval", trace_id.unwrap_or(0));
-            let ctx = root.context();
-            if decode_ns > 0 && ctx.is_set() {
-                STAGE_DECODE_US.record(decode_ns);
-                let dur = Duration::from_nanos(decode_ns);
-                let start = accepted_at.checked_sub(dur).unwrap_or(accepted_at);
-                trace::record_span("serve.decode", ctx, start, dur);
-            }
-            // Duplicate delivery (client retransmit after resume): a seq
-            // we already committed a reply for is answered from the
-            // replay log — the sliding window is NEVER fed twice, which
-            // is what keeps resumed streams bitwise-identical. A seq at
-            // or below the high-water mark *without* a logged reply is a
-            // reordered frame that never reached us; it falls through
-            // and is ingested normally (pre-resume behaviour).
-            if let Some(bytes) = session.writer.ledger.answered(seq) {
-                REPLAYED.inc();
-                shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-                if session.writer.send_bytes(shared, &bytes, "Replay") {
-                    WRITES.inc();
-                    REPLIES.inc();
-                    shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-                }
-                return true;
-            }
-            // Admission control first: over-budget intervals are dropped
-            // before costing a model forward pass.
-            let depth = session.writer.inflight.load(Ordering::Acquire);
-            if depth >= cfg.queue_depth {
-                REJECTED.inc();
-                shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                session
-                    .writer
-                    .send_reply(shared, seq, &Frame::Busy { seq, depth });
-                return true;
-            }
-            let Some(imputer) = session.imputers.get_mut(&update.port) else {
-                MALFORMED.inc();
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                session.writer.send_reply(
-                    shared,
-                    seq,
-                    &Frame::Reject {
-                        seq,
-                        reason: format!("port {} not announced in Hello", update.port),
-                    },
-                );
-                return true;
-            };
-            // Forward stage: window bookkeeping + the model forward for
-            // the interval this tick ships (warm-up Acks cost no forward
-            // and are not samples of it).
-            let forward_start = cfg.clock.now();
-            match imputer.try_prepare_newest(update) {
-                Err(e) => {
-                    MALFORMED.inc();
-                    shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                    session.writer.send_reply(
-                        shared,
-                        seq,
-                        &Frame::Reject {
-                            seq,
-                            reason: e.to_string(),
-                        },
-                    );
-                }
-                Ok(None) => {
-                    ACCEPTED.inc();
-                    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                    let buffered = imputer.buffered();
-                    session
-                        .writer
-                        .send_reply(shared, seq, &Frame::Ack { seq, buffered });
-                }
-                Ok(Some(item)) => {
-                    let forward_dur = cfg.clock.now().saturating_duration_since(forward_start);
-                    STAGE_FORWARD_US.record_duration(forward_dur);
-                    trace::record_span("serve.forward", ctx, forward_start, forward_dur);
-                    ACCEPTED.inc();
-                    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                    session.writer.inflight.fetch_add(1, Ordering::AcqRel);
-                    let now = cfg.clock.now();
-                    let job = Job {
-                        seq,
-                        port: imputer.port(),
-                        item,
-                        accepted_at,
-                        enqueued_at: now,
-                        trace: ctx,
-                        writer: Arc::clone(&session.writer),
-                        requeued_at: None,
-                    };
-                    session.staged.push(job);
-                    // Would one more forward hold the oldest staged
-                    // interval past `batch_wait`?
-                    let held = now.saturating_duration_since(session.staged[0].accepted_at);
-                    if session.staged.len() >= cfg.max_batch || held + forward_dur > cfg.batch_wait
-                    {
-                        session.hand_off(shared);
-                    }
-                }
-            }
-            true
-        }
-        Frame::Bye => {
-            // Honest drain accounting: if the bounded drain budget ran
-            // out, `ByeAck.remaining` reports how many accepted intervals
-            // are still unanswered instead of implying a full drain.
-            drain_inflight(shared, &session.writer, false);
-            session.writer.send_bye_ack(shared);
-            false
-        }
-        other => {
-            MALFORMED.inc();
-            shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-            session.writer.send(
-                shared,
-                &Frame::Error {
-                    code: "unexpected".into(),
-                    message: format!("unexpected {} frame", other.tag()),
-                },
-            );
-            true
-        }
     }
 }
 
@@ -1755,12 +1448,11 @@ fn process_batch<C: Conn>(
     let mut guard = holder.lock().unwrap();
     let batch: &mut Vec<Job<C>> = &mut guard;
 
-    BATCHES.inc();
     // The returned pre-increment value is this batch's ordinal — the
     // deterministic clock the process-fault plan keys on. A re-enqueued
     // batch is re-collected and gets a *new* ordinal, so a panic cadence
     // of `every >= 2` cannot poison its own retry forever.
-    let ordinal = shared.counters.batches.fetch_add(1, Ordering::Relaxed);
+    let ordinal = shared.counters.batches.inc();
     let pf = &cfg.process_faults;
     if ProcessFaultPlan::fires(pf.worker_panic_every, ordinal) {
         record_process_fault(FaultKind::WorkerPanic);
@@ -1821,7 +1513,7 @@ fn process_batch<C: Conn>(
             .iter()
             .take_while(|j| Arc::ptr_eq(&j.writer, &writer))
             .count();
-        let codec = writer.codec();
+        let codec = writer.codec;
         let mut wire = Vec::new();
         let mut replies = 0u64;
         // Per job: (deadline missed, degraded), for the SLO watchdog.
@@ -1833,8 +1525,7 @@ fn process_batch<C: Conn>(
             // constraints exactly. Count, never ship silently.
             let effective = outcome.effective_constraints(&job.item.0);
             if !effective.satisfied_exact(&outcome.corrected) {
-                VIOLATIONS.inc();
-                shared.counters.violations.fetch_add(1, Ordering::Relaxed);
+                shared.counters.violations.inc();
                 log_event!("serve.violation", "seq" = job.seq);
             }
             let level = outcome.levels[0];
@@ -1849,11 +1540,7 @@ fn process_batch<C: Conn>(
             LATENCY_US.record_duration(latency);
             let missed = latency > cfg.deadline;
             if missed {
-                DEADLINE_MISS.inc();
-                shared
-                    .counters
-                    .deadline_misses
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.counters.deadline_misses.inc();
             }
             slo.push((missed, level != DegradationLevel::Full));
             let frame = Frame::Imputed {
@@ -1903,12 +1590,7 @@ fn process_batch<C: Conn>(
         // for a resume: the run leaves the recoverable set.
         let done: Vec<Job<C>> = batch.drain(..run).collect();
         if sent {
-            WRITES.inc();
-            REPLIES.add(replies);
-            shared
-                .counters
-                .replies
-                .fetch_add(replies, Ordering::Relaxed);
+            shared.counters.wrote(replies);
         }
         for job in &done {
             STAGE_WRITE_US.record_duration(write_dur);
@@ -1946,11 +1628,7 @@ fn worker_down<C: Conn>(
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string());
-    WORKER_PANICS.inc();
-    shared
-        .counters
-        .worker_panics
-        .fetch_add(1, Ordering::Relaxed);
+    shared.worker_panics.inc();
     let trace_ids: Vec<u64> = survivors
         .iter()
         .map(|j| j.trace.trace_id)

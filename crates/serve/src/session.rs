@@ -1,7 +1,9 @@
 //! The exactly-once session, written once: what a `Hello` claims
-//! ([`Identity`]), the opening that reads it ([`read_hello`]), the
-//! [`welcome`], the token mint, the [`Ledger`] of committed replies, and
-//! the client half that talks to them ([`ClientSession`]).
+//! ([`Identity`]), the [`welcome`], the token mint, the [`Ledger`] of
+//! committed replies, the server half that reads a client connection
+//! ([`FrontEnd`]: the opening, one read step, the resume reply) with the
+//! [`Counters`] behind its `StatsReply`, and the client half
+//! ([`ClientSession`]).
 //! The server ([`crate::server`]) and the cluster router drive the
 //! server half; the load generator ([`crate::loadgen`]) and the
 //! simulation explorer drive the client half. None of it owns a socket
@@ -15,8 +17,9 @@
 //! ([`Ledger::answered`]), replay past the client's ack on resume
 //! ([`Ledger::resume`]).
 
-use crate::protocol::{encode_frame_with, Frame, FrameReader, WireCodec, MAX_FRAME_LEN};
+use crate::protocol::{encode_frame_with, Frame, FrameReader, WireCodec, WireError, MAX_FRAME_LEN};
 use fmml_core::streaming::IntervalUpdate;
+use fmml_obs::{Counter, Gauge};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,101 +73,403 @@ pub struct Hello {
     pub codecs: Option<Vec<String>>,
 }
 
-/// The mid-frame stall budget of one reader: a peer that leaves a frame
-/// half-sent for more than [`MAX_STALLS`] consecutive read timeouts is
-/// cut off. An idle peer (nothing buffered) never trips it.
-#[derive(Debug, Default)]
-pub struct Stalls(u32);
-
-impl Stalls {
-    /// Account one read timeout that left `pending` bytes buffered
-    /// ([`FrameReader::pending`]); `true` means the budget is spent.
-    pub fn timed_out(&mut self, pending: usize) -> bool {
-        self.0 = if pending > 0 { self.0 + 1 } else { 0 };
-        self.0 > MAX_STALLS
-    }
-
-    /// A complete frame arrived.
-    pub fn progressed(&mut self) {
-        self.0 = 0;
-    }
+/// The process-global metrics of one kind of endpoint: `serve.*` for
+/// servers, `cluster.*` for routers. Each instance's [`Counters`] adds to
+/// them as it counts.
+pub struct Metrics {
+    pub sessions: Counter,
+    pub active: Gauge,
+    pub accepted: Counter,
+    pub rejected: Counter,
+    pub malformed: Counter,
+    pub replies: Counter,
+    pub writes: Counter,
+    pub batches: Counter,
+    pub deadline_misses: Counter,
+    pub violations: Counter,
+    pub slow_disconnects: Counter,
+    pub resumes: Counter,
+    pub replayed: Counter,
 }
 
-/// What a monitoring probe is owed — `Stats` the endpoint's counters,
-/// `MetricsDump` the process's obs registry — before, during or without
-/// a session. `None`: `frame` is not a probe.
-pub fn probe_reply(frame: &Frame, stats: impl FnOnce() -> Frame) -> Option<Frame> {
-    match frame {
-        Frame::Stats => Some(stats()),
-        Frame::MetricsDump => Some(Frame::MetricsReply {
-            json: fmml_obs::dump_json(),
-        }),
-        _ => None,
-    }
+/// One instance's count of one event, mirrored into a process-global
+/// metric: an event is recorded with one call.
+pub struct Count {
+    local: AtomicU64,
+    global: &'static Counter,
 }
 
-/// The opening of every client-facing connection: answer probes until
-/// the `Hello` arrives. `None` closes the connection: the peer hung up,
-/// `stop` fired, the `Hello` did not arrive within [`HELLO_DEADLINE`] of
-/// the first `now()`, a frame stalled past the [`Stalls`] budget, or the
-/// first non-probe frame was not a `Hello` (refused with
-/// `bad_handshake`). `send` writes one frame to the peer and reports
-/// success; no codec is negotiated yet, so it speaks JSON.
-pub fn read_hello<R: Read>(
-    reader: &mut FrameReader<R>,
-    now: impl Fn() -> Instant,
-    stop: impl Fn() -> bool,
-    stats: impl Fn() -> Frame,
-    mut send: impl FnMut(&Frame) -> bool,
-) -> Option<Hello> {
-    let deadline = now() + HELLO_DEADLINE;
-    let mut stalls = Stalls::default();
-    loop {
-        if stop() || now() > deadline {
-            return None;
+impl Count {
+    pub const fn new(global: &'static Counter) -> Count {
+        Count {
+            local: AtomicU64::new(0),
+            global,
         }
-        let frame = match reader.poll_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) if stalls.timed_out(reader.pending()) => return None,
-            Ok(None) => continue,
-            Err(_) => return None,
+    }
+
+    /// Add `n`; returns this instance's count before it.
+    pub fn add(&self, n: u64) -> u64 {
+        self.global.add(n);
+        self.local.fetch_add(n, Ordering::Relaxed)
+    }
+
+    pub fn inc(&self) -> u64 {
+        self.add(1)
+    }
+
+    pub fn get(&self) -> u64 {
+        self.local.load(Ordering::Relaxed)
+    }
+}
+
+/// One endpoint instance's counters, behind its `StatsReply`. A server
+/// and a router count the same way, so a client cannot tell them apart
+/// by their stats either: `accepted` = intervals answered `Ack` or
+/// `Imputed`, `rejected` = `Busy`, `malformed` = `Reject`s and refused
+/// frames, `replies` = `Imputed` written plus replayed replies.
+pub struct Counters {
+    pub sessions: Count,
+    pub accepted: Count,
+    pub rejected: Count,
+    pub malformed: Count,
+    pub replies: Count,
+    /// Socket writes that carried `Imputed` replies (not in
+    /// `StatsReply`; `replies / writes` is replies per write).
+    pub writes: Count,
+    pub batches: Count,
+    pub deadline_misses: Count,
+    pub violations: Count,
+    pub slow_disconnects: Count,
+    pub resumes: Count,
+    pub replayed: Count,
+    active: AtomicU64,
+    active_gauge: &'static Gauge,
+}
+
+impl Counters {
+    pub fn new(m: &'static Metrics) -> Counters {
+        Counters {
+            sessions: Count::new(&m.sessions),
+            accepted: Count::new(&m.accepted),
+            rejected: Count::new(&m.rejected),
+            malformed: Count::new(&m.malformed),
+            replies: Count::new(&m.replies),
+            writes: Count::new(&m.writes),
+            batches: Count::new(&m.batches),
+            deadline_misses: Count::new(&m.deadline_misses),
+            violations: Count::new(&m.violations),
+            slow_disconnects: Count::new(&m.slow_disconnects),
+            resumes: Count::new(&m.resumes),
+            replayed: Count::new(&m.replayed),
+            active: AtomicU64::new(0),
+            active_gauge: &m.active,
+        }
+    }
+
+    /// A client attached to a session.
+    pub fn attached(&self) {
+        self.active_gauge.add(1);
+        self.active.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A session's client went away (parked or closed).
+    pub fn detached(&self) {
+        self.active_gauge.add(-1);
+        self.active.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// One write carried `n` `Imputed` replies.
+    pub fn wrote(&self, n: u64) {
+        self.writes.inc();
+        self.replies.add(n);
+    }
+
+    /// Count a per-seq answer by what it says (`tag`); `written`: it
+    /// reached the socket.
+    pub fn answered(&self, tag: &str, written: bool) {
+        match tag {
+            "Ack" => self.accepted.inc(),
+            "Imputed" => {
+                if written {
+                    self.wrote(1);
+                }
+                self.accepted.inc()
+            }
+            "Busy" => self.rejected.inc(),
+            "Reject" => self.malformed.inc(),
+            _ => 0,
         };
-        stalls.progressed();
-        if let Some(reply) = probe_reply(&frame, &stats) {
-            if !send(&reply) {
+    }
+
+    pub fn stats_frame(&self) -> Frame {
+        Frame::StatsReply {
+            sessions: self.sessions.get(),
+            active_sessions: self.active.load(Ordering::Relaxed),
+            accepted: self.accepted.get(),
+            rejected: self.rejected.get(),
+            malformed: self.malformed.get(),
+            replies: self.replies.get(),
+            batches: self.batches.get(),
+            deadline_misses: self.deadline_misses.get(),
+            violations: self.violations.get(),
+            slow_disconnects: self.slow_disconnects.get(),
+        }
+    }
+}
+
+/// What one [`FrontEnd::step`] hands its driver.
+#[derive(Debug, PartialEq)]
+pub enum Step<'r> {
+    /// Nothing for the driver: the read timed out, or a probe, a
+    /// duplicate or an unexpected frame was answered in place.
+    Idle,
+    /// A new `Interval`, decoded, and its wire bytes.
+    Interval {
+        seq: u64,
+        update: IntervalUpdate,
+        trace_id: Option<u64>,
+        bytes: &'r [u8],
+    },
+    /// The client said `Bye`.
+    Bye,
+    /// The connection is over.
+    Ended(End),
+}
+
+/// Why a connection ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum End {
+    /// The peer hung up, or the socket failed.
+    Closed,
+    /// A frame stayed half-sent past [`MAX_STALLS`] read timeouts.
+    Stalled,
+    /// A frame that does not decode, refused with `bad_frame`.
+    BadFrame,
+}
+
+/// The server half of one client connection, for a server and a router
+/// alike: the opening ([`read_hello`](FrontEnd::read_hello)), the read
+/// step after it ([`step`](FrontEnd::step)), the `Welcome` and the resume
+/// reply ([`resume`](FrontEnd::resume)). It owns the mid-frame stall
+/// budget and the codec its own frames go out in, and counts what it
+/// answers in the endpoint's [`Counters`]. Every write goes through the
+/// driver's `write` closure, which reports success.
+pub struct FrontEnd<'a> {
+    counters: &'a Counters,
+    codec: WireCodec,
+    /// Encode cap for what this connection sends.
+    max_len: usize,
+    /// Consecutive read timeouts with a frame half-sent; an idle peer
+    /// (nothing buffered) never counts.
+    stalls: u32,
+}
+
+impl<'a> FrontEnd<'a> {
+    /// A fresh connection; it speaks JSON until its `Welcome`.
+    pub fn new(counters: &'a Counters, max_len: usize) -> FrontEnd<'a> {
+        FrontEnd {
+            counters,
+            codec: WireCodec::Json,
+            max_len,
+            stalls: 0,
+        }
+    }
+
+    /// Encode `frame` in this connection's codec and write it.
+    pub fn send(&self, frame: &Frame, mut write: impl FnMut(&[u8]) -> bool) -> bool {
+        encode_frame_with(frame, self.codec, self.max_len).is_ok_and(|b| write(&b))
+    }
+
+    /// Poll one frame, spending the stall budget on timeouts. `Err`
+    /// ends the connection; a spent budget reads as
+    /// [`WireError::Timeout`], which a poll never returns itself.
+    fn poll<R: Read>(&mut self, reader: &mut FrameReader<R>) -> Result<Option<Frame>, WireError> {
+        let polled = reader.poll_frame();
+        match &polled {
+            Ok(None) if reader.pending() > 0 => self.stalls += 1,
+            _ => self.stalls = 0,
+        }
+        if self.stalls > MAX_STALLS {
+            return Err(WireError::Timeout);
+        }
+        polled
+    }
+
+    /// What a monitoring probe is owed — `Stats` this endpoint's
+    /// counters, `MetricsDump` the process's obs registry — answered
+    /// before, during or without a session. `false`: not a probe.
+    fn probe(&self, frame: &Frame, write: impl FnMut(&[u8]) -> bool) -> bool {
+        let reply = match frame {
+            Frame::Stats => self.counters.stats_frame(),
+            Frame::MetricsDump => Frame::MetricsReply {
+                json: fmml_obs::dump_json(),
+            },
+            _ => return false,
+        };
+        self.send(&reply, write);
+        true
+    }
+
+    /// The opening: answer probes until the `Hello` arrives. `None`
+    /// closes the connection: the peer hung up, `stop` fired, the `Hello`
+    /// did not arrive within [`HELLO_DEADLINE`] of the first `now()`, a
+    /// frame stalled past [`MAX_STALLS`], or the first non-probe frame was
+    /// not a `Hello` (refused with `bad_handshake`).
+    pub fn read_hello<R: Read>(
+        &mut self,
+        reader: &mut FrameReader<R>,
+        now: impl Fn() -> Instant,
+        stop: impl Fn() -> bool,
+        mut write: impl FnMut(&[u8]) -> bool,
+    ) -> Option<Hello> {
+        let deadline = now() + HELLO_DEADLINE;
+        loop {
+            if stop() || now() > deadline {
                 return None;
             }
-            continue;
-        }
-        let Frame::Hello {
-            tenant,
-            ports,
-            queues,
-            interval_len,
-            window_intervals,
-            resume_token,
-            last_acked,
-            codecs,
-        } = frame
-        else {
-            send(&Frame::Error {
-                code: "bad_handshake".into(),
-                message: format!("expected Hello, got {}", frame.tag()),
-            });
-            return None;
-        };
-        return Some(Hello {
-            identity: Identity {
+            let Some(frame) = self.poll(reader).ok()? else {
+                continue;
+            };
+            if self.probe(&frame, &mut write) {
+                continue;
+            }
+            let Frame::Hello {
                 tenant,
                 ports,
                 queues,
                 interval_len,
                 window_intervals,
-            },
-            resume_token,
-            last_acked,
-            codecs,
-        });
+                resume_token,
+                last_acked,
+                codecs,
+            } = frame
+            else {
+                self.refuse(
+                    "bad_handshake",
+                    format!("expected Hello, got {}", frame.tag()),
+                    write,
+                );
+                return None;
+            };
+            return Some(Hello {
+                identity: Identity {
+                    tenant,
+                    ports,
+                    queues,
+                    interval_len,
+                    window_intervals,
+                },
+                resume_token,
+                last_acked,
+                codecs,
+            });
+        }
+    }
+
+    /// Answer `Error{code}` and count the frame malformed.
+    pub fn refuse(&self, code: &str, message: String, write: impl FnMut(&[u8]) -> bool) {
+        self.counters.malformed.inc();
+        let code = code.into();
+        self.send(&Frame::Error { code, message }, write);
+    }
+
+    /// Send the `Welcome` — as JSON, like everything before it, so any
+    /// client can read the verdict — and speak `codec` from then on.
+    pub fn welcome(
+        &mut self,
+        welcome: &Frame,
+        codec: WireCodec,
+        write: impl FnMut(&[u8]) -> bool,
+    ) -> bool {
+        let sent = self.send(welcome, write);
+        self.codec = codec;
+        sent
+    }
+
+    /// One read after the `Welcome`. Probes are answered, a duplicate
+    /// `Interval` is answered from `ledger` (no window is fed twice), a
+    /// frame that does not decode is refused `bad_frame` and ends the
+    /// connection, any other frame but `Interval` or `Bye` is refused
+    /// `unexpected` and the session goes on. The driver sees only new
+    /// intervals, `Bye` and the end.
+    pub fn step<'r, R: Read>(
+        &mut self,
+        reader: &'r mut FrameReader<R>,
+        ledger: &Ledger,
+        mut write: impl FnMut(&[u8]) -> bool,
+    ) -> Step<'r> {
+        let frame = match self.poll(reader) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Step::Idle,
+            Err(WireError::Timeout) => {
+                self.counters.slow_disconnects.inc();
+                return Step::Ended(End::Stalled);
+            }
+            Err(WireError::Closed | WireError::Io(_)) => return Step::Ended(End::Closed),
+            Err(e) => {
+                // Truncated, oversized or malformed: framing is lost, so
+                // report and hang up.
+                self.refuse("bad_frame", e.to_string(), write);
+                return Step::Ended(End::BadFrame);
+            }
+        };
+        if self.probe(&frame, &mut write) {
+            return Step::Idle;
+        }
+        match frame {
+            Frame::Interval {
+                seq,
+                update,
+                trace_id,
+            } => {
+                if let Some(reply) = ledger.answered(seq) {
+                    self.replay(&reply, write);
+                    return Step::Idle;
+                }
+                Step::Interval {
+                    seq,
+                    update,
+                    trace_id,
+                    bytes: reader.frame_bytes(),
+                }
+            }
+            Frame::Bye => Step::Bye,
+            other => {
+                let message = format!("unexpected {} frame", other.tag());
+                self.refuse("unexpected", message, write);
+                Step::Idle
+            }
+        }
+    }
+
+    /// Write one committed reply again.
+    fn replay(&self, bytes: &[u8], mut write: impl FnMut(&[u8]) -> bool) -> bool {
+        self.counters.replayed.inc();
+        let sent = write(bytes);
+        if sent {
+            self.counters.wrote(1);
+        }
+        sent
+    }
+
+    /// The resume reply, once the driver has claimed the session and
+    /// attached this connection to it: [`Ledger::resume`], the resumed
+    /// `Welcome` that `welcome` builds from its `resume_seq`, then the
+    /// replay, in seq order. `false`: a write failed; everything owed is
+    /// still in the ledger, and the driver parks the session again.
+    pub fn resume(
+        &mut self,
+        ledger: &Ledger,
+        last_acked: Option<u64>,
+        bug: Option<ProtocolBug>,
+        welcome: impl FnOnce(u64) -> Frame,
+        codec: WireCodec,
+        mut write: impl FnMut(&[u8]) -> bool,
+    ) -> bool {
+        self.counters.resumes.inc();
+        let (resume_seq, replay) = ledger.resume(last_acked, bug);
+        self.welcome(&welcome(resume_seq), codec, &mut write)
+            && replay.iter().all(|bytes| self.replay(bytes, &mut write))
     }
 }
 

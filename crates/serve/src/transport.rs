@@ -20,8 +20,12 @@
 //!   time a "25 ms" read timeout is a poll-granularity knob, not a
 //!   semantic deadline.
 
+use crate::protocol::FrameReader;
+use fmml_obs::log_event;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A session's bidirectional byte stream. Implemented by `TcpStream`
@@ -80,6 +84,105 @@ pub trait Transport: Send + Sync + 'static {
     fn accept(&self) -> Accepted<Self::Conn>;
     /// Human-readable endpoint description (logs).
     fn desc(&self) -> String;
+}
+
+/// Set `conn` up for a session — read poll granularity, write timeout,
+/// no Nagle — and split it: a frame reader capped at `max_len` on a
+/// clone, and the original for writing.
+pub fn split<C: Conn>(
+    conn: C,
+    read_timeout: Duration,
+    write_timeout: Duration,
+    max_len: usize,
+) -> Option<(FrameReader<C>, C)> {
+    let _ = conn.set_read_timeout(Some(read_timeout));
+    let _ = conn.set_write_timeout(Some(write_timeout));
+    let _ = conn.set_nodelay(true);
+    let reader = FrameReader::with_max_len(conn.try_clone().ok()?, max_len);
+    Some((reader, conn))
+}
+
+/// An endpoint's threads, joined at shutdown. Finished ones are dropped
+/// as new ones arrive, so a long-running endpoint does not keep one
+/// handle per connection it ever accepted.
+#[derive(Default)]
+pub struct Threads(Mutex<Vec<JoinHandle<()>>>);
+
+impl Threads {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub fn track(&self, h: JoinHandle<()>) {
+        let mut threads = self.lock();
+        threads.retain(|t| !t.is_finished());
+        threads.push(h);
+    }
+
+    fn reap(&self) {
+        self.lock().retain(|t| !t.is_finished());
+    }
+
+    /// Join every thread, including any a joined one started.
+    pub fn join_all(&self) {
+        loop {
+            let drained = std::mem::take(&mut *self.lock());
+            if drained.is_empty() {
+                return;
+            }
+            for t in drained {
+                let _ = t.join();
+            }
+        }
+    }
+}
+
+/// The acceptor of every endpoint, on a thread named `{name}-acceptor`:
+/// each connection gets a `{name}-session` thread, tracked in
+/// `threads`, running the body `session` returns for it. `session`
+/// runs on the acceptor thread, so a driver can account a connection
+/// before its thread starts. The loop ends when the transport closes,
+/// or when `stop()` holds and no connection is waiting.
+pub fn spawn_acceptor<T, F>(
+    transport: T,
+    name: &str,
+    threads: Arc<Threads>,
+    stop: impl Fn() -> bool + Send + 'static,
+    session: impl Fn(T::Conn) -> F + Send + 'static,
+) -> JoinHandle<()>
+where
+    T: Transport,
+    F: FnOnce() + Send + 'static,
+{
+    let session_name = format!("{name}-session");
+    let listening = format!("{name}.listening");
+    std::thread::Builder::new()
+        .name(format!("{name}-acceptor"))
+        .spawn(move || {
+            log_event!(listening.as_str(), "addr" = transport.desc().as_str());
+            loop {
+                match transport.accept() {
+                    Accepted::Conn(conn) => {
+                        let h = std::thread::Builder::new()
+                            .name(session_name.clone())
+                            .spawn(session(conn))
+                            .expect("spawn session");
+                        threads.track(h);
+                    }
+                    Accepted::Retry => {
+                        if stop() {
+                            break;
+                        }
+                        threads.reap();
+                        // Poll cadence, not semantic time: stays on the
+                        // real clock even under virtual time.
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    Accepted::Closed => break,
+                }
+            }
+        })
+        .expect("spawn acceptor")
 }
 
 /// The client's dial side ([`crate::loadgen`] and tests).
