@@ -1088,8 +1088,11 @@ fn cmd_fault_run(args: &Args) -> Result<(), CliError> {
 /// in-memory transport, checking every reply against the reference
 /// protocol model. Exit is non-zero iff any seed reports a violation
 /// (or, with `--inject-bug`, iff the bug is *not* caught and reproduced).
+/// `--cluster` puts a router and N backend shards in front of the
+/// clients; its range runs twice and must reproduce bitwise.
 fn cmd_simtest(args: &Args) -> Result<(), CliError> {
-    if args.flag("cluster") {
+    let wire = parse_wire(args)?;
+    let (sweep, rerun) = if args.flag("cluster") {
         if args.get_string("inject-bug").is_some() {
             return Err(CliError::Usage(
                 "--inject-bug is a single-node mode (the planted bug lives in the \
@@ -1097,50 +1100,60 @@ fn cmd_simtest(args: &Args) -> Result<(), CliError> {
                     .into(),
             ));
         }
-        return cmd_simtest_cluster(args);
-    }
-    let bug = match args.get_string("inject-bug") {
-        None => None,
-        Some("replay-off-by-one") => Some(fmml_serve::ProtocolBug::ReplayOffByOne),
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "unknown --inject-bug {other:?} (known: replay-off-by-one)"
-            )))
+        let d = fmml_simtest::ClusterSimConfig::default();
+        let cfg = fmml_simtest::ClusterSimConfig {
+            seeds: args.get_or("seeds", d.seeds)?,
+            start_seed: args.get_or("seed", d.start_seed)?,
+            clients: args.get_or("clients", d.clients)?,
+            backends: args.get_or("backends", d.backends)?,
+            ops: args.get_or("ops", d.ops)?,
+            wire,
+        };
+        if cfg.seeds == 0 || cfg.backends == 0 {
+            return Err(CliError::Usage(
+                "--seeds and --backends must be at least 1".into(),
+            ));
         }
+        (fmml_simtest::sweep::cluster(&cfg), "--cluster ")
+    } else {
+        let inject_bug = match args.get_string("inject-bug") {
+            None => None,
+            Some("replay-off-by-one") => Some(fmml_serve::ProtocolBug::ReplayOffByOne),
+            Some(other) => {
+                return Err(CliError::Usage(format!(
+                    "unknown --inject-bug {other:?} (known: replay-off-by-one)"
+                )))
+            }
+        };
+        let d = fmml_simtest::SimtestConfig::default();
+        let cfg = fmml_simtest::SimtestConfig {
+            seeds: args.get_or("seeds", d.seeds)?,
+            start_seed: args.get_or("seed", d.start_seed)?,
+            clients: args.get_or("clients", d.clients)?,
+            ops: args.get_or("ops", d.ops)?,
+            inject_bug,
+            wire,
+        };
+        if cfg.seeds == 0 {
+            return Err(CliError::Usage("--seeds must be at least 1".into()));
+        }
+        if cfg.inject_bug.is_some() {
+            let caught = fmml_simtest::sweep::catch_bug(&cfg).map_err(CliError::Invalid)?;
+            println!("FMML_SIM_SEED={}", caught.seed);
+            for v in &caught.violations {
+                println!("  violation: {v}");
+            }
+            println!(
+                "simtest: injected bug caught at seed {} and reproduced bitwise \
+                 (fingerprint {:016x})",
+                caught.seed, caught.fingerprint
+            );
+            return Ok(());
+        }
+        (fmml_simtest::sweep::single(&cfg), "")
     };
-    let defaults = fmml_simtest::SimtestConfig::default();
-    let cfg = fmml_simtest::SimtestConfig {
-        seeds: args.get_or("seeds", defaults.seeds)?,
-        start_seed: args.get_or("seed", defaults.start_seed)?,
-        clients: args.get_or("clients", defaults.clients)?,
-        ops: args.get_or("ops", defaults.ops)?,
-        inject_bug: bug,
-        wire: parse_wire(args)?,
-    };
-    if cfg.seeds == 0 {
-        return Err(CliError::Usage("--seeds must be at least 1".into()));
-    }
 
-    if cfg.inject_bug.is_some() {
-        return cmd_simtest_bug(&cfg);
-    }
-
-    let t0 = Instant::now();
-    let outcomes = fmml_simtest::run(&cfg);
-    let wall = t0.elapsed();
-
-    // Aggregate fingerprint over all seeds: pins the complete observable
-    // behaviour of the run so CI can detect silent divergence.
-    let mut agg = fmml_obs::fnv::OFFSET;
-    let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut bad_seeds = 0usize;
-    for o in &outcomes {
-        agg = fmml_obs::fnv::fold(agg, o.fingerprint);
-        totals.0 += o.faults.dropped;
-        totals.1 += o.faults.duplicated;
-        totals.2 += o.faults.reordered;
-        totals.3 += o.faults.delayed;
-        totals.4 += o.faults.disconnects;
+    for o in &sweep.outcomes {
         if args.flag("json") {
             use serde_json::Value;
             let line = Value::Object(vec![
@@ -1149,278 +1162,55 @@ fn cmd_simtest(args: &Args) -> Result<(), CliError> {
                     "fingerprint".into(),
                     Value::String(format!("{:016x}", o.fingerprint)),
                 ),
+                ("delayed".into(), Value::U64(o.faults.delayed)),
+                ("migrations".into(), Value::U64(o.migrations)),
+                ("resumes".into(), Value::U64(o.resumes)),
                 (
                     "violations".into(),
-                    Value::Array(
-                        o.violations
-                            .iter()
-                            .map(|v| Value::String(v.clone()))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "faults".into(),
-                    Value::Object(vec![
-                        ("delayed".into(), Value::U64(o.faults.delayed)),
-                        ("disconnects".into(), Value::U64(o.faults.disconnects)),
-                    ]),
+                    Value::Array(o.violations.iter().cloned().map(Value::String).collect()),
                 ),
             ]);
             println!("{line}");
         }
         if !o.violations.is_empty() {
-            bad_seeds += 1;
             println!("FMML_SIM_SEED={}", o.seed);
             for v in &o.violations {
                 println!("  violation: {v}");
             }
         }
     }
+    for (seed, a, b) in &sweep.irreproducible {
+        println!("seed {seed} NOT reproducible: {a:016x} vs {b:016x}");
+    }
+    let params = sweep.params.iter().map(|(k, v)| format!("{k}={v} "));
+    let sum = |f: fn(&fmml_simtest::SeedOutcome) -> u64| sweep.outcomes.iter().map(f).sum::<u64>();
     println!(
-        "simtest: {} seeds ({}..{}), {} clients x {} ops, {} violating seed(s), \
-         faults delayed={} disconnects={}, fingerprint {:016x}, {:.1}s",
-        cfg.seeds,
-        cfg.start_seed,
-        cfg.start_seed + cfg.seeds - 1,
-        cfg.clients,
-        cfg.ops,
-        bad_seeds,
-        totals.3,
-        totals.4,
-        agg,
-        wall.as_secs_f64()
+        "simtest {rerun}{}: {} violating seed(s), delayed={} migrations={} resumes={}, \
+         fingerprint {:016x}, {:.1}s",
+        params.collect::<String>().trim_end(),
+        sweep.violating().count(),
+        sum(|o| o.faults.delayed),
+        sum(|o| o.migrations),
+        sum(|o| o.resumes),
+        sweep.fingerprint,
+        sweep.wall.as_secs_f64()
     );
     log_event!(
         "simtest.done",
-        "seeds" = cfg.seeds,
-        "violating" = bad_seeds as u64,
-        "fingerprint" = agg,
+        "violating" = sweep.violating().count() as u64,
+        "fingerprint" = sweep.fingerprint,
     );
-
+    sweep.verdict().map_err(|e| {
+        CliError::Invalid(format!(
+            "{e}; re-run one with `fmml simtest {rerun}--seeds 1 --seed <seed>`"
+        ))
+    })?;
     if let Some(path) = args.get_string("pinned") {
-        let params = [
-            ("seeds", cfg.seeds),
-            ("start_seed", cfg.start_seed),
-            ("clients", cfg.clients as u64),
-            ("ops", cfg.ops as u64),
-        ];
-        check_or_write_pinned(path, &params, agg)?;
-    }
-
-    if bad_seeds > 0 {
-        return Err(CliError::Invalid(format!(
-            "{bad_seeds} seed(s) violated the protocol model; \
-             re-run any with `fmml simtest --seeds 1 --seed <FMML_SIM_SEED>`"
-        )));
-    }
-    Ok(())
-}
-
-/// `--inject-bug` mode: scan seeds until the checker flags the planted
-/// protocol bug, then re-run that exact seed and require a bitwise match
-/// of fingerprint and violation text — proving both that the checker is
-/// live and that a printed seed is a complete reproducer.
-fn cmd_simtest_bug(cfg: &fmml_simtest::SimtestConfig) -> Result<(), CliError> {
-    let t0 = Instant::now();
-    for seed in cfg.start_seed..cfg.start_seed + cfg.seeds {
-        let first = fmml_simtest::run_seed(seed, cfg);
-        if first.violations.is_empty() {
-            continue;
-        }
-        println!("FMML_SIM_SEED={seed}");
-        for v in &first.violations {
-            println!("  violation: {v}");
-        }
-        let replay = fmml_simtest::run_seed(seed, cfg);
-        if replay.fingerprint != first.fingerprint || replay.violations != first.violations {
-            return Err(CliError::Invalid(format!(
-                "seed {seed} caught the bug but did not reproduce bitwise: \
-                 fingerprint {:016x} vs {:016x}",
-                first.fingerprint, replay.fingerprint
-            )));
-        }
-        println!(
-            "simtest: injected bug caught at seed {seed} and reproduced bitwise \
-             (fingerprint {:016x}, {:.1}s)",
-            first.fingerprint,
-            t0.elapsed().as_secs_f64()
-        );
-        log_event!(
-            "simtest.bug_caught",
-            "seed" = seed,
-            "fingerprint" = first.fingerprint
-        );
-        return Ok(());
-    }
-    Err(CliError::Invalid(format!(
-        "injected bug was NOT caught in {} seed(s) — the checker is blind to it",
-        cfg.seeds
-    )))
-}
-
-/// `fmml simtest --cluster`: the multi-node explorer — clients → router
-/// → N backend shards per seed, schedules extended with link flaps,
-/// partitions and membership churn. Determinism is proven the strong
-/// way: the whole batch runs **twice** and the folded fingerprint must
-/// match bitwise (placement, migration and probe timing may all differ
-/// between runs; reply content must not).
-fn cmd_simtest_cluster(args: &Args) -> Result<(), CliError> {
-    let defaults = fmml_simtest::ClusterSimConfig::default();
-    let cfg = fmml_simtest::ClusterSimConfig {
-        seeds: args.get_or("seeds", defaults.seeds)?,
-        start_seed: args.get_or("seed", defaults.start_seed)?,
-        clients: args.get_or("clients", defaults.clients)?,
-        backends: args.get_or("backends", defaults.backends)?,
-        ops: args.get_or("ops", defaults.ops)?,
-        wire: parse_wire(args)?,
-    };
-    if cfg.seeds == 0 {
-        return Err(CliError::Usage("--seeds must be at least 1".into()));
-    }
-    if cfg.backends == 0 {
-        return Err(CliError::Usage("--backends must be at least 1".into()));
-    }
-
-    let t0 = Instant::now();
-    let first = fmml_simtest::cluster::run(&cfg);
-    let second = fmml_simtest::cluster::run(&cfg);
-    let wall = t0.elapsed();
-
-    let fp1 = fmml_simtest::cluster::fold_run_fingerprint(&first);
-    let fp2 = fmml_simtest::cluster::fold_run_fingerprint(&second);
-    let mut bad_seeds = 0usize;
-    let mut migrations = 0u64;
-    let mut resumes = 0u64;
-    for (a, b) in first.iter().zip(&second) {
-        migrations += a.migrations;
-        resumes += a.resumes;
-        if args.flag("json") {
-            use serde_json::Value;
-            let line = Value::Object(vec![
-                ("seed".into(), Value::U64(a.inner.seed)),
-                (
-                    "fingerprint".into(),
-                    Value::String(format!("{:016x}", a.inner.fingerprint)),
-                ),
-                ("migrations".into(), Value::U64(a.migrations)),
-                ("resumes".into(), Value::U64(a.resumes)),
-                (
-                    "violations".into(),
-                    Value::Array(
-                        a.inner
-                            .violations
-                            .iter()
-                            .map(|v| Value::String(v.clone()))
-                            .collect(),
-                    ),
-                ),
-            ]);
-            println!("{line}");
-        }
-        if !a.inner.violations.is_empty() {
-            bad_seeds += 1;
-            println!("FMML_SIM_SEED={}", a.inner.seed);
-            for v in &a.inner.violations {
-                println!("  violation: {v}");
-            }
-        }
-        if a.inner.fingerprint != b.inner.fingerprint {
-            println!(
-                "seed {} NOT reproducible: {:016x} vs {:016x}",
-                a.inner.seed, a.inner.fingerprint, b.inner.fingerprint
-            );
+        let pin = sweep.check_pin(Path::new(path));
+        match pin.map_err(CliError::Invalid)? {
+            fmml_simtest::Pin::Written => println!("pinned fingerprint written to {path}"),
+            fmml_simtest::Pin::Verified => println!("pinned fingerprint verified"),
         }
     }
-    println!(
-        "simtest --cluster: {} seeds ({}..{}), {} clients x {} ops x {} backends, \
-         {} violating seed(s), migrations={} resumes={}, fingerprint {:016x}, {:.1}s",
-        cfg.seeds,
-        cfg.start_seed,
-        cfg.start_seed + cfg.seeds - 1,
-        cfg.clients,
-        cfg.ops,
-        cfg.backends,
-        bad_seeds,
-        migrations,
-        resumes,
-        fp1,
-        wall.as_secs_f64()
-    );
-    log_event!(
-        "simtest.cluster.done",
-        "seeds" = cfg.seeds,
-        "violating" = bad_seeds as u64,
-        "migrations" = migrations,
-        "fingerprint" = fp1,
-    );
-    if fp1 != fp2 {
-        return Err(CliError::Invalid(format!(
-            "cluster run not reproducible: first pass {fp1:016x}, second pass {fp2:016x}"
-        )));
-    }
-    if let Some(path) = args.get_string("pinned") {
-        let params = [
-            ("seeds", cfg.seeds),
-            ("start_seed", cfg.start_seed),
-            ("clients", cfg.clients as u64),
-            ("ops", cfg.ops as u64),
-            ("backends", cfg.backends as u64),
-        ];
-        check_or_write_pinned(path, &params, fp1)?;
-    }
-    if bad_seeds > 0 {
-        return Err(CliError::Invalid(format!(
-            "{bad_seeds} seed(s) violated the protocol model; re-run any with \
-             `fmml simtest --cluster --seeds 1 --seed <FMML_SIM_SEED>`"
-        )));
-    }
-    Ok(())
-}
-
-/// Compare the aggregate fingerprint against a pinned baseline file, or
-/// create the file on first run. The pin only holds for identical run
-/// parameters (`params`: seeds, start_seed, clients, ops, and backends in
-/// cluster mode), so mismatched configs are reported as such rather than
-/// as behavioural divergence.
-fn check_or_write_pinned(path: &str, params: &[(&str, u64)], agg: u64) -> Result<(), CliError> {
-    use serde_json::Value;
-    let mut fields: Vec<(String, Value)> = params
-        .iter()
-        .map(|&(k, v)| (k.to_string(), Value::U64(v)))
-        .collect();
-    fields.push(("fingerprint".into(), Value::String(format!("{agg:016x}"))));
-    let record = Value::Object(fields);
-    if !Path::new(path).exists() {
-        let pretty = serde_json::to_string_pretty(&record)
-            .map_err(|e| CliError::Invalid(format!("{path}: {e}")))?;
-        std::fs::write(path, format!("{pretty}\n")).map_err(|e| CliError::io(path, e))?;
-        println!("pinned fingerprint written to {path}");
-        return Ok(());
-    }
-    let raw = std::fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
-    let pinned: serde_json::Value = serde_json::from_str(&raw)
-        .map_err(|e| CliError::Invalid(format!("{path}: not valid JSON: {e}")))?;
-    for &(key, _) in params {
-        if pinned.get(key) != record.get(key) {
-            return Err(CliError::Invalid(format!(
-                "{path}: pinned {key}={} but this run used {key}={} — \
-                 re-pin or pass matching flags",
-                pinned.get(key).unwrap_or(&serde_json::Value::Null),
-                record.get(key).unwrap_or(&serde_json::Value::Null),
-            )));
-        }
-    }
-    let want = pinned
-        .get("fingerprint")
-        .and_then(|v| v.as_str())
-        .unwrap_or("");
-    let got = format!("{agg:016x}");
-    if want != got {
-        return Err(CliError::Invalid(format!(
-            "{path}: fingerprint mismatch: pinned {want}, got {got} — behaviour diverged \
-             (or the host computes floats differently; see ci.yml simtest-smoke notes)"
-        )));
-    }
-    println!("pinned fingerprint verified ({got})");
     Ok(())
 }

@@ -256,6 +256,19 @@ impl<CB: Conn> RouteState<CB> {
     }
 }
 
+/// The client side of a session. `attach` counts the connections that
+/// have been attached; a connection's loop may park the session only
+/// while its attach is still the current one. A resume can land before
+/// the old connection's loop has seen its EOF, and that loop must then
+/// leave the new connection alone.
+struct Front<CF> {
+    conn: Option<CF>,
+    attach: u64,
+    /// Set while no client is attached (injected clock): the TTL sweep
+    /// expires the session from here.
+    parked_at: Option<Instant>,
+}
+
 struct SessionInner<CF: Conn, CB: Conn> {
     id: u64,
     token: String,
@@ -268,12 +281,11 @@ struct SessionInner<CF: Conn, CB: Conn> {
     /// reply bytes.
     codec: WireCodec,
     deadline_ms: AtomicU64,
-    front: Mutex<Option<CF>>,
+    front: Mutex<Front<CF>>,
     ledger: Ledger,
     answered: AtomicU64,
     state: Mutex<RouteState<CB>>,
     done: AtomicBool,
-    parked_at: Mutex<Option<Instant>>,
 }
 
 impl<CF: Conn, CB: Conn> SessionInner<CF, CB> {
@@ -297,13 +309,13 @@ impl<CF: Conn, CB: Conn> SessionInner<CF, CB> {
     /// parks the session (the replay log already has the reply).
     fn send_client(&self, bytes: &[u8]) -> bool {
         let mut g = lock(&self.front);
-        match g.as_mut() {
+        match g.conn.as_mut() {
             None => false,
             Some(c) => match write_bytes(c, bytes) {
                 Ok(()) => true,
                 Err(_) => {
                     c.shutdown_both();
-                    *g = None;
+                    g.conn = None;
                     false
                 }
             },
@@ -457,7 +469,7 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
         // Wake every blocked reader by killing its connection.
         for s in self.shared.all_sessions() {
             s.done.store(true, Ordering::Release);
-            if let Some(c) = lock(&s.front).take() {
+            if let Some(c) = lock(&s.front).conn.take() {
                 c.shutdown_both();
             }
             s.sever_link();
@@ -637,7 +649,8 @@ fn sweep_parked<CF: Conn, B: Connector>(shared: &Arc<RouterShared<CF, B>>) {
     let expired: Vec<Arc<SessionInner<CF, B::Conn>>> = lock(&shared.sessions)
         .values()
         .filter(|s| {
-            lock(&s.parked_at)
+            lock(&s.front)
+                .parked_at
                 .is_some_and(|at| now.saturating_duration_since(at) > shared.cfg.parked_ttl)
         })
         .cloned()
@@ -1083,9 +1096,11 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
                 st.push_history(seq, p.port, p.bytes, session.identity.window_intervals);
             }
         }
+        // Record before send, and under the state lock: `client_loop`
+        // checks `pending` and the ledger under the same lock, so a
+        // seq is never in both.
+        session.ledger.commit(seq, raw.bytes());
     }
-    // Record before send.
-    session.ledger.commit(seq, raw.bytes());
     session.answered.fetch_add(1, Ordering::Relaxed);
     let sent = session.send_client(raw.bytes());
     shared.counters.answered(tag, sent);
@@ -1124,12 +1139,17 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
         .and_then(|tok| lock(&shared.sessions).get(tok).cloned())
         .filter(|s| !s.done() && s.identity == hello.identity);
     if let Some(session) = existing {
-        if let Some(old) = lock(&session.front).replace(writer) {
-            old.shutdown_both();
-        }
-        if lock(&session.parked_at).take().is_some() {
-            shared.counters.attached();
-        }
+        let attach = {
+            let mut f = lock(&session.front);
+            if let Some(old) = f.conn.replace(writer) {
+                old.shutdown_both();
+            }
+            if f.parked_at.take().is_some() {
+                shared.counters.attached();
+            }
+            f.attach += 1;
+            f.attach
+        };
         let deadline_ms = session.deadline_ms.load(Ordering::Relaxed);
         let (id, token, codec) = (session.id, Some(session.token.as_str()), session.codec);
         let resumed = front.resume(
@@ -1141,11 +1161,11 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
             |b| session.send_client(b),
         );
         if !resumed {
-            park(shared, &session);
+            park(shared, &session, attach);
             return;
         }
         log_event!("cluster.session.resume", "session" = session.id);
-        client_loop(shared, &session, front, reader);
+        client_loop(shared, &session, attach, front, reader);
         return;
     }
 
@@ -1158,7 +1178,11 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
         identity: hello.identity,
         codec: WireCodec::negotiate(cfg.wire, hello.codecs.as_deref()),
         deadline_ms: AtomicU64::new(0),
-        front: Mutex::new(Some(writer)),
+        front: Mutex::new(Front {
+            conn: Some(writer),
+            attach: 0,
+            parked_at: None,
+        }),
         ledger: Ledger::new(cfg.replay_window),
         answered: AtomicU64::new(0),
         state: Mutex::new(RouteState {
@@ -1172,7 +1196,6 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
             bye: false,
         }),
         done: AtomicBool::new(false),
-        parked_at: Mutex::new(None),
     });
     lock(&shared.sessions).insert(token.clone(), Arc::clone(&session));
     shared.counters.attached();
@@ -1184,7 +1207,7 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
     let deadline_ms = session.deadline_ms.load(Ordering::Relaxed);
     let welcome = session::welcome(id, deadline_ms, Some(&token), None, session.codec);
     if !front.welcome(&welcome, session.codec, |b| session.send_client(b)) {
-        park(shared, &session);
+        park(shared, &session, 0);
         return;
     }
     log_event!(
@@ -1192,20 +1215,25 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
         "session" = id,
         "backend" = lock(&session.state).backend.as_str()
     );
-    client_loop(shared, &session, front, reader);
+    client_loop(shared, &session, 0, front, reader);
 }
 
-/// Detach the client connection, keeping the session resumable.
+/// Detach the client connection of `attach`, keeping the session
+/// resumable. A no-op once a newer connection has attached.
 fn park<CF: Conn, B: Connector>(
     shared: &Arc<RouterShared<CF, B>>,
     session: &Arc<SessionInner<CF, B::Conn>>,
+    attach: u64,
 ) {
-    if let Some(c) = lock(&session.front).take() {
+    let mut f = lock(&session.front);
+    if f.attach != attach {
+        return;
+    }
+    if let Some(c) = f.conn.take() {
         c.shutdown_both();
     }
-    let mut parked = lock(&session.parked_at);
-    if parked.is_none() {
-        *parked = Some(shared.cfg.clock.now());
+    if f.parked_at.is_none() {
+        f.parked_at = Some(shared.cfg.clock.now());
         shared.counters.detached();
         log_event!("cluster.session.park", "session" = session.id);
     }
@@ -1219,6 +1247,7 @@ fn park<CF: Conn, B: Connector>(
 fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
     shared: &Arc<RouterShared<CF, B>>,
     session: &Arc<SessionInner<CF, B::Conn>>,
+    attach: u64,
     mut front: FrontEnd,
     mut reader: FrameReader<CF>,
 ) {
@@ -1243,9 +1272,13 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                     continue;
                 }
                 let mut st = lock(&session.state);
-                if st.pending.contains_key(&seq) {
-                    // Already in flight (client retransmit racing the
-                    // backend's reply): drop, the reply will arrive.
+                if st.pending.contains_key(&seq) || session.ledger.answered(seq).is_some() {
+                    // A client re-send of a seq in flight, or answered
+                    // since `step` looked: its reply reaches the client
+                    // from the link thread. Forwarding it again would
+                    // leave a committed seq pending forever
+                    // (`handle_backend_frame` drops the backend's
+                    // duplicate answer), and `ByeAck` would count it.
                     continue;
                 }
                 CL_FORWARDED.inc();
@@ -1271,7 +1304,7 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
             }
             Step::Ended(_) => {
                 if !session.done() {
-                    park(shared, session);
+                    park(shared, session, attach);
                 }
                 return;
             }

@@ -148,6 +148,54 @@ fn failed_resume_parks_again_and_expires() {
     net.close();
 }
 
+/// A resume can attach before the loop of the connection it replaces
+/// has seen that connection end. The replaced connection's late end must
+/// neither park the session nor hang up on the resumed connection. (It
+/// did: the stale loop parked whatever connection was attached, so a
+/// resume that won this race was cut off right after its `Welcome`.)
+/// Resuming while the first connection is still open forces the order:
+/// the router closes the old connection only once the new one is in.
+#[test]
+fn a_replaced_connection_ending_late_leaves_the_resume_attached() {
+    let (rt, net, _vc) = sim_router();
+    let before = active(&rt);
+    let (mut tx, mut rx) = sim_connect(&net);
+    write_frame(&mut tx, &hello(None)).unwrap();
+    let token = match await_frame(&mut rx) {
+        Frame::Welcome {
+            resume_token: Some(t),
+            ..
+        } => t,
+        other => panic!("expected Welcome, got {other:?}"),
+    };
+
+    let (mut tx2, mut rx2) = sim_connect(&net);
+    write_frame(&mut tx2, &hello(Some(token))).unwrap();
+    assert!(matches!(
+        await_frame(&mut rx2),
+        Frame::Welcome {
+            resumed: Some(true),
+            ..
+        }
+    ));
+    let mut end = None;
+    wait_for(
+        "the router to close the replaced connection",
+        || {},
+        || {
+            end = rx.poll_frame().err();
+            end.is_some()
+        },
+    );
+    // Give the replaced connection's loop time to act on its end.
+    std::thread::sleep(Duration::from_millis(100));
+    write_frame(&mut tx2, &Frame::Stats).unwrap();
+    assert!(matches!(await_frame(&mut rx2), Frame::StatsReply { .. }));
+    assert_eq!(active(&rt), before + 1, "the resumed session is attached");
+    rt.shutdown();
+    net.close();
+}
+
 /// After the `Hello`, a frame that frames but does not decode is refused
 /// the way a server refuses it — `Error{bad_frame}`, then a hang-up —
 /// and the session parks, so the client may still resume it. (The

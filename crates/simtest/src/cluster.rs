@@ -41,7 +41,7 @@ use crate::explorer::{
 };
 use fmml_cluster::{RouterConfig, RouterHandle};
 use fmml_fault::ProcessFaultPlan;
-use fmml_obs::{fnv, Clock};
+use fmml_obs::Clock;
 use fmml_serve::session::splitmix64;
 use fmml_serve::{
     spawn_with, FaultProfile, ServerHandle, SimConn, SimConnector, SimNet, WireCodec,
@@ -83,19 +83,8 @@ impl Default for ClusterSimConfig {
     }
 }
 
-/// Outcome of one explored cluster seed: the single-node
-/// [`SeedOutcome`] plus cluster-level counters.
-#[derive(Debug, Clone)]
-pub struct ClusterSeedOutcome {
-    pub inner: SeedOutcome,
-    /// Sessions re-placed onto another backend (warm-up migrations).
-    pub migrations: u64,
-    /// Client reconnects resumed from the router's replay log.
-    pub resumes: u64,
-}
-
 /// Explore `cfg.seeds` consecutive cluster seeds, sequentially.
-pub fn run(cfg: &ClusterSimConfig) -> Vec<ClusterSeedOutcome> {
+pub fn run(cfg: &ClusterSimConfig) -> Vec<SeedOutcome> {
     (cfg.start_seed..cfg.start_seed + cfg.seeds)
         .map(|seed| run_seed(seed, cfg))
         .collect()
@@ -110,7 +99,7 @@ struct Backend {
 }
 
 /// Explore one cluster seed.
-pub fn run_seed(seed: u64, cfg: &ClusterSimConfig) -> ClusterSeedOutcome {
+pub fn run_seed(seed: u64, cfg: &ClusterSimConfig) -> SeedOutcome {
     let fx = fixture();
     let (clock, vc) = Clock::new_virtual();
     // Distinct salt from the single-node explorer: same seed numbers,
@@ -262,19 +251,11 @@ pub fn run_seed(seed: u64, cfg: &ClusterSimConfig) -> ClusterSeedOutcome {
         b.net.close();
     }
     front.close();
-    ClusterSeedOutcome {
-        inner: world.into_outcome(seed),
+    SeedOutcome {
         migrations,
         resumes,
+        ..world.into_outcome(seed)
     }
-}
-
-/// Fold a batch of outcomes into one run fingerprint (for the CLI's
-/// double-run reproducibility gate).
-pub fn fold_run_fingerprint(outcomes: &[ClusterSeedOutcome]) -> u64 {
-    outcomes
-        .iter()
-        .fold(fnv::OFFSET, |h, o| fnv::fold(h, o.inner.fingerprint))
 }
 
 #[cfg(test)]
@@ -301,16 +282,16 @@ mod tests {
         for seed in [21, 22] {
             let a = run_seed(seed, &cfg);
             assert!(
-                a.inner.violations.is_empty(),
+                a.violations.is_empty(),
                 "seed {seed} violations: {:?}",
-                a.inner.violations
+                a.violations
             );
             let b = run_seed(seed, &cfg);
             assert_eq!(
-                a.inner.fingerprint, b.inner.fingerprint,
+                a.fingerprint, b.fingerprint,
                 "seed {seed} fingerprint not reproducible"
             );
-            assert_eq!(a.inner.violations, b.inner.violations);
+            assert_eq!(a.violations, b.violations);
         }
     }
 
@@ -329,12 +310,12 @@ mod tests {
             let j = run_seed(seed, &json_cfg);
             let b = run_seed(seed, &bin_cfg);
             assert!(
-                b.inner.violations.is_empty(),
+                b.violations.is_empty(),
                 "seed {seed} bin1 violations: {:?}",
-                b.inner.violations
+                b.violations
             );
             assert_eq!(
-                j.inner.fingerprint, b.inner.fingerprint,
+                j.fingerprint, b.fingerprint,
                 "seed {seed} fingerprint depends on the wire codec"
             );
         }

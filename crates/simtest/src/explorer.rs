@@ -69,6 +69,13 @@ const PARKED_TTL: Duration = Duration::from_secs(3600);
 /// Consecutive progress-free pump iterations (each advancing virtual
 /// time 1 ms) before a wait is declared stalled.
 const STALL_LIMIT: usize = 600;
+/// Real time a wait must also have gone without progress before it is
+/// declared stalled. What the driver waits on runs on server threads,
+/// and a thread the host does not schedule for a while looks exactly
+/// like a stuck server to an iteration count alone: the verdict would
+/// then depend on the machine's load, not on the seed. A correct run
+/// never stalls, so the floor costs nothing there.
+const STALL_REAL: Duration = Duration::from_secs(1);
 /// Reconnect attempts before the harness gives up on a client (each
 /// attempt dials a fresh connection with fresh fault fates).
 const RESUME_ATTEMPTS: usize = 6;
@@ -108,7 +115,7 @@ impl Default for SimtestConfig {
     }
 }
 
-/// Outcome of one explored seed.
+/// Outcome of one explored seed, single-node or cluster.
 #[derive(Debug, Clone)]
 pub struct SeedOutcome {
     pub seed: u64,
@@ -121,6 +128,10 @@ pub struct SeedOutcome {
     pub violations: Vec<String>,
     /// Ground-truth injected-fault totals, for reports.
     pub faults: FaultCounts,
+    /// Cluster mode: sessions re-placed onto another backend, and client
+    /// reconnects resumed from the router's replay log (0 single-node).
+    pub migrations: u64,
+    pub resumes: u64,
 }
 
 /// Explore `cfg.seeds` consecutive seeds, sequentially.
@@ -371,19 +382,13 @@ impl World {
 
     /// Pump until `pred` holds, advancing virtual time 1 ms per idle
     /// iteration (releasing delayed frames, firing batch waits and
-    /// restart backoffs). `false` = stalled: `stall_limit` consecutive
-    /// iterations with nothing readable and the predicate still false,
-    /// and at least `real_min` of wall time spent — nonzero for waits
-    /// whose other side runs on a real-time budget (a resume handshake
-    /// is answered only after the server's `resume_claim_wait` poll gives
-    /// up, so the client must outwait it or a slow park looks like a
-    /// dead connection).
-    pub(crate) fn pump_until<F: Fn(&World) -> bool>(
-        &mut self,
-        pred: F,
-        real_min: Duration,
-    ) -> bool {
-        let t0 = Instant::now();
+    /// restart backoffs). `false` = stalled: more than `stall_limit`
+    /// consecutive iterations with nothing readable and the predicate
+    /// still false, spanning at least [`STALL_REAL`] of real time. The
+    /// floor also outlasts the server's real-time `resume_claim_wait`,
+    /// so a resume answered late is not mistaken for a dead connection.
+    pub(crate) fn pump_until<F: Fn(&World) -> bool>(&mut self, pred: F) -> bool {
+        let mut idle_since = Instant::now();
         let mut idle = 0usize;
         loop {
             if pred(self) {
@@ -391,10 +396,11 @@ impl World {
             }
             if self.pump_once() {
                 idle = 0;
+                idle_since = Instant::now();
                 continue;
             }
             idle += 1;
-            if idle > self.stall_limit && t0.elapsed() >= real_min {
+            if idle > self.stall_limit && idle_since.elapsed() >= STALL_REAL {
                 return false;
             }
             match &self.vc {
@@ -410,14 +416,11 @@ impl World {
     /// Pump until every live client has no pending obligations (a dead
     /// client's obligations wait for its resume).
     pub(crate) fn settle(&mut self) -> bool {
-        self.pump_until(
-            |w| {
-                w.clients
-                    .iter()
-                    .all(|c| !c.is_alive() || c.session.pending() == 0)
-            },
-            Duration::ZERO,
-        )
+        self.pump_until(|w| {
+            w.clients
+                .iter()
+                .all(|c| !c.is_alive() || c.session.pending() == 0)
+        })
     }
 
     /// (Re)connect client `i`, with retries — each attempt is a fresh
@@ -463,10 +466,7 @@ impl World {
         c.dead = false;
         c.awaiting = Some(expect);
         // The Welcome is handled — re-sends included — as it is read.
-        self.pump_until(
-            |w| w.clients[i].awaiting.is_none() || w.clients[i].dead,
-            Duration::from_millis(400),
-        );
+        self.pump_until(|w| w.clients[i].awaiting.is_none() || w.clients[i].dead);
         if self.clients[i].awaiting.take().is_some() {
             // Died or stalled mid-handshake. A resumed session was
             // re-parked server-side under the same token, so retrying
@@ -587,10 +587,9 @@ impl World {
                         break; // violation already recorded
                     }
                 }
-                self.pump_until(
-                    |w| !w.clients[i].is_alive() || w.clients[i].session.pending() == 0,
-                    Duration::ZERO,
-                );
+                self.pump_until(|w| {
+                    !w.clients[i].is_alive() || w.clients[i].session.pending() == 0
+                });
                 let c = &self.clients[i];
                 if c.is_alive() && c.session.pending() == 0 {
                     break;
@@ -611,14 +610,11 @@ impl World {
                 .expect("encode bye");
             c.bye_sent = c.write(&bytes);
         }
-        self.pump_until(
-            |w| {
-                w.clients
-                    .iter()
-                    .all(|c| !c.bye_sent || c.byeack.is_some() || !c.is_alive())
-            },
-            Duration::ZERO,
-        );
+        self.pump_until(|w| {
+            w.clients
+                .iter()
+                .all(|c| !c.bye_sent || c.byeack.is_some() || !c.is_alive())
+        });
         for c in &mut self.clients {
             if !c.bye_sent {
                 continue;
@@ -662,6 +658,8 @@ impl World {
             fingerprint: fp,
             violations,
             faults,
+            migrations: 0,
+            resumes: 0,
         }
     }
 }
@@ -730,7 +728,7 @@ pub(crate) fn explorer_server_config(
         // here surfaces as a spurious "session lost". The condvar wakes
         // the claim the moment the park lands, so this budget is only
         // fully spent on expired tokens; the driver's handshake wait
-        // (`pump_until` with a 400 ms `real_min`) must outlast it.
+        // (`pump_until`, at least `STALL_REAL`) must outlast it.
         resume_claim_wait: Duration::from_millis(150),
         // The breaker guards the SMT rung, unused under `Fast` — and it
         // would drag in process-global clock state.
@@ -938,26 +936,46 @@ mod tests {
         }
     }
 
+    /// A wait outlasts a server thread the host schedules late. With an
+    /// iteration count alone, 600 empty pump iterations pass in well
+    /// under a millisecond when no client is polled, and the wait gave
+    /// up on an answer that was 200 ms of real time away: on a loaded
+    /// host, "Bye sent on the faultless drain but no ByeAck".
+    #[test]
+    fn a_wait_outlasts_a_thread_that_answers_late() {
+        let (clock, vc) = Clock::new_virtual();
+        let mut world = World {
+            net: SimNet::new(1, clock),
+            vc: Some(vc),
+            clients: Vec::new(),
+            violations: Vec::new(),
+            real_idle: Duration::ZERO,
+            stall_limit: STALL_LIMIT,
+        };
+        let answered = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let late = Arc::clone(&answered);
+        let server = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            late.store(true, std::sync::atomic::Ordering::Release);
+        });
+        assert!(world.pump_until(|_| answered.load(std::sync::atomic::Ordering::Acquire)));
+        server.join().unwrap();
+    }
+
     /// The harness must catch a deliberately broken replay — and catch
     /// it identically on a re-run of the same seed.
     #[test]
     fn injected_replay_bug_is_caught_and_reproduced() {
         let cfg = SimtestConfig {
             inject_bug: Some(ProtocolBug::ReplayOffByOne),
+            start_seed: 7,
             ..quick_cfg()
         };
-        let a = run_seed(7, &cfg);
+        let caught = crate::sweep::catch_bug(&cfg).unwrap();
         assert!(
-            !a.violations.is_empty(),
-            "injected ReplayOffByOne was not caught"
-        );
-        assert!(
-            a.violations.iter().any(|v| v.contains("unresolved")),
+            caught.violations.iter().any(|v| v.contains("unresolved")),
             "expected a completeness violation, got {:?}",
-            a.violations
+            caught.violations
         );
-        let b = run_seed(7, &cfg);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.violations, b.violations);
     }
 }

@@ -24,14 +24,18 @@
 //!   ([`fmml_serve::ProtocolBug`]); the harness must catch it, proving
 //!   the checker is live (a checker that never fires proves nothing).
 //!
-//! Entry points: [`explorer::run`] (a seed range) and
-//! [`explorer::run_seed`] (one seed), surfaced on the CLI as
-//! `fmml simtest`.
+//! Entry points: [`sweep::single`] and [`sweep::cluster`] (a seed range,
+//! folded into one fingerprint), [`sweep::Sweep::check_pin`] (that
+//! fingerprint against a pin file), and [`explorer::run_seed`] /
+//! [`cluster::run_seed`] (one seed). `fmml simtest` prints them;
+//! `tests/pins.rs` asserts both pins.
 
 pub mod checker;
 pub mod cluster;
 pub mod explorer;
+pub mod sweep;
 
 pub use checker::{ClientModel, ReplyKind, ResumeExpect};
-pub use cluster::{ClusterSeedOutcome, ClusterSimConfig};
+pub use cluster::ClusterSimConfig;
 pub use explorer::{run, run_seed, SeedOutcome, SimtestConfig};
+pub use sweep::{Pin, Sweep};
