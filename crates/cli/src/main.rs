@@ -6,7 +6,7 @@
 //! fmml train     --out model.json [--kal] [--epochs 30] …    # checkpoint
 //! fmml impute    --model model.json --ms 300 --seed 99 [--cem]
 //! fmml enforce   --model model.json --jobs 4 [--no-cache]    # batched CEM
-//! fmml eval      [--paper] [--epochs N]                      # Table 1
+//! fmml eval      [--paper] [--epochs N]                      # results/*.out
 //! fmml fm-solve  --steps 8 --ports 2 --budget-secs 10        # §2.3 model
 //! fmml fault-run --seed 7 --jobs 4 [--smt]                   # chaos mode
 //! fmml serve     --addr 127.0.0.1:4700 [--max-secs N]        # streaming server
@@ -26,7 +26,7 @@ mod error;
 
 use args::Args;
 use error::CliError;
-use fmml_core::eval::{generate_windows, run_table1, EvalConfig};
+use fmml_core::eval::{self, generate_windows, splice, EvalConfig, Setup};
 use fmml_core::imputer::Imputer;
 use fmml_core::train::{train, train_from};
 use fmml_core::transformer_imputer::{Scales, TransformerImputer};
@@ -70,8 +70,8 @@ COMMANDS:
              over every active window, batched (parallel + memoized)
              --model FILE  --ms N (300)  --seed N (99)  --runs N (1)
              --smt  --deadline-ms N  --jobs N (1; 0 = auto)  --no-cache
-  eval       regenerate Table 1 (markdown)
-             --paper  --epochs N
+  eval       every paper artefact, each model trained once, into ./results/
+             --paper (Table 1 at paper scale)  --epochs N
   fm-solve   solve the full §2.3 packet-level model for a scripted scenario
              --steps N (8)  --ports N (2)  --budget-secs N (10)
   fault-run  chaos mode: sim -> inject faults -> sanitize -> impute -> CEM
@@ -278,10 +278,7 @@ fn cmd_train(args: &Args) -> Result<(), CliError> {
     if args.flag("kal") {
         cfg.train.kal = Some(cfg.kal);
     }
-    let scales = Scales {
-        qlen: cfg.sim.buffer_packets as f32,
-        count: (cfg.sim.pkts_per_ms() as usize * cfg.interval_len) as f32,
-    };
+    let scales = cfg.scales();
     log_event!(
         "cli.train.start",
         "runs" = cfg.train_runs,
@@ -357,7 +354,8 @@ fn cmd_impute(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_eval(args: &Args) -> Result<(), CliError> {
-    let mut cfg = if args.flag("paper") {
+    let paper = args.flag("paper");
+    let mut cfg = if paper {
         EvalConfig::paper()
     } else {
         EvalConfig::smoke()
@@ -368,10 +366,34 @@ fn cmd_eval(args: &Args) -> Result<(), CliError> {
     log_event!(
         "cli.eval.start",
         "epochs" = cfg.train.epochs,
-        "paper" = args.flag("paper")
+        "paper" = paper
     );
-    let report = run_table1(&cfg);
-    println!("{}", report.to_markdown());
+    let setup = Setup::new(cfg);
+    std::fs::create_dir_all("results").map_err(|e| CliError::io("results", e))?;
+    let scenarios = if paper {
+        &eval::PAPER[..]
+    } else {
+        &eval::SMOKE[..]
+    };
+    for scenario in scenarios {
+        let out = (scenario.run)(&setup);
+        println!(
+            "## results/{}.out\n\n```text\n{}```\n",
+            scenario.name, out.text
+        );
+        for (name, body) in out.files(scenario.name) {
+            let path = format!("results/{name}");
+            std::fs::write(&path, body).map_err(|e| CliError::io(&path, e))?;
+            eprintln!("wrote {path}");
+        }
+    }
+    // Refresh the generated blocks of EXPERIMENTS.md when run from the
+    // repository root.
+    let doc = "EXPERIMENTS.md";
+    if let Ok(old) = std::fs::read_to_string(doc) {
+        let new = splice(&old, |p| std::fs::read_to_string(p)).map_err(|e| CliError::io(doc, e))?;
+        std::fs::write(doc, new).map_err(|e| CliError::io(doc, e))?;
+    }
     // Always embed the metrics snapshot so an eval report is
     // self-describing: the table plus the solver/training/sim work that
     // produced it, in the same deterministic JSON as --stats-json.
@@ -996,10 +1018,7 @@ fn cmd_fault_run(args: &Args) -> Result<(), CliError> {
     );
 
     // 1. Train (with the poisoned epoch).
-    let scales = Scales {
-        qlen: cfg.sim.buffer_packets as f32,
-        count: (cfg.sim.pkts_per_ms() as usize * cfg.interval_len) as f32,
-    };
+    let scales = cfg.scales();
     let train_windows = generate_windows(&cfg, cfg.seed, cfg.train_runs);
     if train_windows.is_empty() {
         return Err(CliError::Invalid("no active training windows".into()));

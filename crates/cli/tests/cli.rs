@@ -1,10 +1,17 @@
 //! Black-box tests of the `fmml` binary.
 
+use std::path::Path;
 use std::process::Command;
 
 fn fmml(args: &[&str]) -> (String, String, bool) {
+    fmml_in(Path::new("."), args)
+}
+
+/// Run the binary with `dir` as its working directory.
+fn fmml_in(dir: &Path, args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_fmml"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("binary runs");
     (
@@ -85,14 +92,28 @@ fn eval_stats_json_is_valid_and_covers_the_pipeline() {
     let dir = std::env::temp_dir().join(format!("fmml_cli_stats_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("out.json");
-    let (stdout, stderr, ok) = fmml(&[
-        "eval",
-        "--epochs",
-        "1",
-        "--stats-json",
-        path.to_str().unwrap(),
-    ]);
+    let (stdout, stderr, ok) = fmml_in(
+        &dir,
+        &[
+            "eval",
+            "--epochs",
+            "1",
+            "--stats-json",
+            path.to_str().unwrap(),
+        ],
+    );
     assert!(ok, "eval failed: {stderr}");
+    // Every scenario's report lands under the working directory.
+    for name in [
+        "table1_smoke.out",
+        "fig4_incident.csv",
+        "realtime_stream.out",
+    ] {
+        assert!(
+            dir.join("results").join(name).is_file(),
+            "no results/{name}"
+        );
+    }
     // The eval report itself embeds the same snapshot.
     assert!(
         stdout.contains("## Metrics"),

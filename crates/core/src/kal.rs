@@ -36,7 +36,7 @@ pub struct KalConfig {
     pub mu: f32,
     /// Learning rate of the multiplier updates (the paper uses μ itself;
     /// setting 0 degenerates KAL to a fixed-weight penalty — the
-    /// ablation in `examples/ablations.rs`).
+    /// ablation `fmml eval` reports in `results/ablations.out`).
     pub multiplier_lr: f32,
     /// Sharpness α of the tanh non-emptiness relaxation.
     pub tanh_scale: f32,

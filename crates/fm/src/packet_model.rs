@@ -16,7 +16,7 @@
 //! Solving the model "imputes" a plausible fine-grained queue-length
 //! series — and, as the paper reports, stops scaling very quickly: the
 //! search space grows with (ports × queues × steps), which
-//! `examples/fm_scalability.rs` regenerates. The model is built on
+//! `fmml eval` regenerates (`results/fm_scalability.out`). The model is built on
 //! [`fmml_smt`] and returns [`PacketModelOutcome::Unknown`] when the
 //! budget is exhausted rather than hanging.
 

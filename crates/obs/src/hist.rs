@@ -28,7 +28,8 @@ pub enum Unit {
 }
 
 impl Unit {
-    pub(crate) fn divisor(self) -> f64 {
+    /// Nanoseconds per display unit (1 for raw counts).
+    pub fn divisor(self) -> f64 {
         match self {
             Unit::Count | Unit::Nanos => 1.0,
             Unit::Micros => 1e3,

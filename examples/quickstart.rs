@@ -12,19 +12,14 @@
 use fmml::core::eval::{generate_windows, EvalConfig};
 use fmml::core::imputer::Imputer;
 use fmml::core::train::train;
-use fmml::core::transformer_imputer::Scales;
 use fmml::fm::cem::{enforce, CemEngine};
 use fmml::fm::WindowConstraints;
 
 fn main() {
     // A scaled-down configuration that runs in seconds; see
-    // `--example table1 -- --paper` for the paper-scale pipeline.
+    // `fmml eval --paper` for the paper-scale pipeline.
     let mut cfg = EvalConfig::smoke();
     cfg.train.kal = Some(cfg.kal);
-    let scales = Scales {
-        qlen: cfg.sim.buffer_packets as f32,
-        count: (cfg.sim.pkts_per_ms() as usize * cfg.interval_len) as f32,
-    };
 
     println!("simulating {} training runs…", cfg.train_runs);
     let train_windows = generate_windows(&cfg, cfg.seed, cfg.train_runs);
@@ -38,7 +33,7 @@ fn main() {
     );
 
     println!("training Transformer+KAL ({} epochs)…", cfg.train.epochs);
-    let (model, stats) = train(&train_windows, scales, &cfg.train);
+    let (model, stats) = train(&train_windows, cfg.scales(), &cfg.train);
     println!(
         "  loss {:.4} -> {:.4}, |phi| {:.4} -> {:.4}",
         stats.first().unwrap().mean_loss,
