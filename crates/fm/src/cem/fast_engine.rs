@@ -15,8 +15,12 @@
 //!
 //! Enumerating all witness placements (≤ (L+1)^Q combinations; Q = 2
 //! queues per port in the paper's switch) and solving the inner zeroing
-//! greedily is therefore **exact**. The SMT engine cross-validates this
-//! optimality claim on random instances in the test suite.
+//! greedily is therefore **exact**. The zeroing candidates do not depend
+//! on the placement — a witness only takes its own step out of the
+//! running — so they are sorted once per interval, and each placement is
+//! costed from prefix sums over that order, skipping its ≤ Q witness
+//! ranks. The SMT engine cross-validates this optimality claim on random
+//! instances in the test suite.
 
 use super::{IntervalProblem, IntervalSolution};
 
@@ -58,10 +62,23 @@ pub fn solve(p: &IntervalProblem) -> Option<IntervalSolution> {
         }
     }
     let base_cost: u64 = cost_default.iter().flatten().sum();
-    let default_positive: Vec<bool> = (0..free)
-        .map(|t| (0..nq).any(|q| default[q][t] > 0))
-        .collect();
     let sample_positive = (0..nq).any(|q| p.samples[q] > 0);
+
+    // Zeroing candidates `(delta, t)`: the free steps positive by
+    // default, cheapest first. `prefix[k]` costs the k cheapest.
+    let mut candidates: Vec<(u64, usize)> = (0..free)
+        .filter(|&t| (0..nq).any(|q| default[q][t] > 0))
+        .map(|t| {
+            let delta = (0..nq).map(|q| cost_zero[q][t] - cost_default[q][t]).sum();
+            (delta, t)
+        })
+        .collect();
+    candidates.sort_unstable();
+    let (mut rank, mut prefix) = (vec![None; free], vec![0]);
+    for (r, &(d, t)) in candidates.iter().enumerate() {
+        rank[t] = Some(r);
+        prefix.push(prefix[r] + d);
+    }
 
     // Witness options per queue.
     let options: Vec<Vec<Witness>> = (0..nq)
@@ -79,54 +96,50 @@ pub fn solve(p: &IntervalProblem) -> Option<IntervalSolution> {
         .collect();
 
     // Enumerate witness combinations (exponential in queues-per-port,
-    // which is 2 for the paper's switch).
-    let mut best: Option<(u64, Vec<Witness>, Vec<usize>)> = None;
+    // which is 2 for the paper's switch). `end`: the candidates of ranks
+    // `..end` that are not witnesses are the ones zeroed.
+    let mut best: Option<(u64, Vec<Witness>, usize)> = None;
     let mut combo = vec![Witness::None; nq];
+    let mut witnesses = Vec::with_capacity(nq);
     enumerate(&options, 0, &mut combo, &mut |combo| {
+        // Witness steps are positive (m_max > 0) and never zeroed. Each is
+        // keyed by its candidate rank; a step that is no candidate sorts
+        // after them all.
         let mut cost = base_cost;
-        let mut witness_steps: Vec<usize> = Vec::new();
+        witnesses.clear();
         for (q, w) in combo.iter().enumerate() {
             if let Witness::Step(t) = *w {
                 cost += cost_lift[q][t] - cost_default[q][t];
-                witness_steps.push(t);
+                witnesses.push(rank[t].unwrap_or(free + t));
             }
         }
-        witness_steps.sort_unstable();
-        witness_steps.dedup();
-
-        // Positive steps under this combo.
-        let is_witness = |t: usize| witness_steps.binary_search(&t).is_ok();
-        let mut positives = usize::from(sample_positive);
-        let mut candidate_steps: Vec<(u64, usize)> = Vec::new();
-        for t in 0..free {
-            if is_witness(t) {
-                positives += 1; // witness value m_max > 0
-            } else if default_positive[t] {
-                positives += 1;
-                let delta: u64 = (0..nq).map(|q| cost_zero[q][t] - cost_default[q][t]).sum();
-                candidate_steps.push((delta, t));
-            }
-        }
+        witnesses.sort_unstable();
+        witnesses.dedup();
+        let skipped = witnesses.iter().filter(|&&r| r < free).count();
+        let positives = usize::from(sample_positive) + candidates.len() + witnesses.len() - skipped;
+        let mut end = 0;
         if positives > p.m_out as usize {
             let excess = positives - p.m_out as usize;
-            if candidate_steps.len() < excess {
+            if candidates.len() - skipped < excess {
                 return; // this combo cannot satisfy C3
             }
-            candidate_steps.sort_unstable();
-            let zeroed: Vec<usize> = candidate_steps[..excess].iter().map(|&(_, t)| t).collect();
-            cost += candidate_steps[..excess]
-                .iter()
-                .map(|&(d, _)| d)
-                .sum::<u64>();
-            if best.as_ref().is_none_or(|(bc, _, _)| cost < *bc) {
-                best = Some((cost, combo.to_vec(), zeroed));
+            // The `excess` cheapest non-witness candidates.
+            end = excess;
+            let mut skipped_cost = 0;
+            for &r in &witnesses {
+                if r < end {
+                    end += 1;
+                    skipped_cost += candidates[r].0;
+                }
             }
-        } else if best.as_ref().is_none_or(|(bc, _, _)| cost < *bc) {
-            best = Some((cost, combo.to_vec(), Vec::new()));
+            cost += prefix[end] - skipped_cost;
+        }
+        if best.as_ref().is_none_or(|(bc, _, _)| cost < *bc) {
+            best = Some((cost, combo.to_vec(), end));
         }
     });
 
-    let (objective, combo, zeroed) = best?;
+    let (objective, combo, end) = best?;
     // Reconstruct the solution.
     let mut values = vec![vec![0u32; l]; nq];
     for q in 0..nq {
@@ -135,9 +148,11 @@ pub fn solve(p: &IntervalProblem) -> Option<IntervalSolution> {
         }
         values[q][l - 1] = p.samples[q];
     }
-    for t in &zeroed {
-        for qv in values.iter_mut() {
-            qv[*t] = 0;
+    for &(_, t) in &candidates[..end] {
+        if !combo.contains(&Witness::Step(t)) {
+            for qv in values.iter_mut() {
+                qv[t] = 0;
+            }
         }
     }
     for (q, w) in combo.iter().enumerate() {
