@@ -375,12 +375,14 @@ fn cmd_eval(args: &Args) -> Result<(), CliError> {
     } else {
         &eval::SMOKE[..]
     };
+    let mut failed = Vec::new();
     for scenario in scenarios {
         let out = (scenario.run)(&setup);
         println!(
             "## results/{}.out\n\n```text\n{}```\n",
             scenario.name, out.text
         );
+        failed.extend_from_slice(&out.failed);
         for (name, body) in out.files(scenario.name) {
             let path = format!("results/{name}");
             std::fs::write(&path, body).map_err(|e| CliError::io(&path, e))?;
@@ -399,6 +401,12 @@ fn cmd_eval(args: &Args) -> Result<(), CliError> {
     // produced it, in the same deterministic JSON as --stats-json.
     println!("## Metrics\n");
     println!("```json\n{}\n```", fmml_obs::snapshot().to_json());
+    // At paper scale Table 1 must keep the shape it reproduces; a smoke
+    // run (or a shortened `--epochs`) only reports it.
+    if paper && !failed.is_empty() {
+        let failed = failed.join("; ");
+        return Err(CliError::Invalid(format!("Table 1 claims fail: {failed}")));
+    }
     Ok(())
 }
 

@@ -103,8 +103,8 @@ note how drops and sent counts rise exactly when the queue builds —
 the cross-series correlation the imputation model exploits.\n",
     );
     Output {
-        text: s,
         data: vec![("fig1_sampling.csv", csv)],
+        ..s.into()
     }
 }
 
@@ -244,8 +244,8 @@ pub(super) fn fig4(setup: &Setup) -> Output {
         w!(csv, "{t},{truth},{sample},{max},{}", methods.join(","));
     }
     Output {
-        text: s,
         data: vec![("fig4_incident.csv", csv)],
+        ..s.into()
     }
 }
 

@@ -149,8 +149,8 @@ impl TransformerImputer {
         })
     }
 
-    /// Impute one queue of a window (normalized output rescaled to
-    /// packets).
+    /// Impute one queue of a window (normalized output clamped at 0 and
+    /// rescaled to packets).
     pub fn impute_queue(&self, w: &PortWindow, q: usize) -> Vec<f32> {
         self.impute_queue_from(w, q, 0)
     }
@@ -165,7 +165,7 @@ impl TransformerImputer {
         tape.value(pred)
             .data
             .iter()
-            .map(|&v| v * self.scales.qlen)
+            .map(|&v| v.max(0.0) * self.scales.qlen)
             .collect()
     }
 
@@ -283,6 +283,7 @@ mod tests {
                 live |= whole.iter().any(|&v| v != 0.0);
                 for &from in froms {
                     let tail = m.impute_queue_from(w, q, from);
+                    assert!(tail.iter().all(|&v| v >= 0.0), "clamped at 0");
                     assert_eq!(bits(&tail), bits(&whole[from..]), "q={q} from={from}");
                 }
             }
@@ -304,8 +305,8 @@ mod tests {
         assert_eq!(wire.len(), 20);
         for mode in [KernelMode::default(), KernelMode::Reference] {
             with_mode(mode, || {
-                // Seeds whose untrained head is not negative (relu: all
-                // zero) throughout — equal zeros would prove nothing.
+                // Seeds whose untrained head is not negative (clamped:
+                // all zero) throughout — equal zeros would prove nothing.
                 for seed in [2, 3, 4] {
                     let m = TransformerImputer::new(seed, scales());
                     assert!(

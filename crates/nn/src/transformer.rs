@@ -105,7 +105,7 @@ pub struct TransformerEncoder {
     pub cfg: TransformerConfig,
     input_proj: Linear,
     layers: Vec<EncoderLayer>,
-    head: Linear,
+    pub head: Linear,
     /// Precomputed sinusoidal positional table `[max_len, d_model]`.
     pos_table: Tensor,
 }
@@ -172,14 +172,12 @@ impl TransformerEncoder {
     }
 
     /// Forward returning a flat 1-D series (requires `output_dim == 1`).
-    /// The output is passed through `relu` — queue lengths are
-    /// non-negative, and clamping in-graph lets training see the
-    /// constraint.
+    /// The head is linear: a negative output still passes a gradient, so
+    /// non-negativity is left to the caller (a clamp at inference, CEM).
     pub fn forward_series(&self, tape: &mut Tape, x: NodeId, from: usize) -> NodeId {
         assert_eq!(self.cfg.output_dim, 1);
         let y = self.forward(tape, x, from); // [T − from, 1]
-        let flat = tape.flatten(y); // [T − from]
-        tape.relu(flat)
+        tape.flatten(y) // [T − from]
     }
 }
 
@@ -216,8 +214,6 @@ mod tests {
             assert_eq!(tape.value(y).shape, vec![10, 1]);
             let s = model.forward_series(&mut tape, x, 0);
             assert_eq!(tape.value(s).shape, vec![10]);
-            // relu output is non-negative.
-            assert!(tape.value(s).data.iter().all(|&v| v >= 0.0));
             // From row 7 on: the same three values, nothing else.
             let tail = model.forward(&mut tape, x, 7);
             assert_eq!(tape.value(tail).shape, vec![3, 1], "layers={layers}");
