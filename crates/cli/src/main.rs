@@ -212,9 +212,22 @@ fn emit_stats(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// A `usize` flag that must be at least `min`.
+fn at_least(args: &Args, name: &str, default: usize, min: usize) -> Result<usize, CliError> {
+    let v = args.get_or(name, default)?;
+    if v < min {
+        return Err(CliError::Usage(format!(
+            "--{name} must be >= {min}, got {v}"
+        )));
+    }
+    Ok(v)
+}
+
 fn sim_config(args: &Args) -> Result<(SimConfig, TrafficConfig, u64, u64), CliError> {
     let mut cfg = SimConfig::paper_default();
-    cfg.num_ports = args.get_or("ports", cfg.num_ports)?;
+    // Websearch flows need a destination other than their source port.
+    cfg.num_ports = at_least(args, "ports", cfg.num_ports, 2)?;
+    cfg.validate().map_err(CliError::Usage)?;
     let load: f64 = args.get_or("load", 0.5)?;
     if !(0.0..=1.0).contains(&load) {
         return Err(CliError::Usage(format!(
@@ -236,7 +249,7 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
 
 fn cmd_telemetry(args: &Args) -> Result<(), CliError> {
     let (cfg, traffic, ms, seed) = sim_config(args)?;
-    let interval = args.get_or("interval", 50usize)?;
+    let interval = at_least(args, "interval", 50, 1)?;
     let gt = Simulation::new(cfg, traffic, seed).run_ms(ms);
     let ct = fmml_telemetry::CoarseTelemetry::from_ground_truth(&gt, interval);
     // Header.
@@ -425,6 +438,7 @@ fn cmd_fm_solve(args: &Args) -> Result<(), CliError> {
         interval_len: steps / 2,
         strict_priority: true,
     };
+    cfg.validate().map_err(CliError::Usage)?;
     let mut arrivals = Vec::new();
     for t in 0..steps / 2 {
         for i in 0..ports.min(2) {
@@ -655,10 +669,10 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     }
     let cfg = ServerConfig {
         addr: args.get_string("addr").unwrap_or("127.0.0.1:4700").into(),
-        workers: args.get_or("workers", 2usize)?,
+        workers: at_least(args, "workers", 2, 1)?,
         jobs: args.get_or("jobs", 1usize)?,
         deadline: Duration::from_millis(args.get_or("deadline-ms", 50u64)?),
-        max_batch: args.get_or("max-batch", 16usize)?,
+        max_batch: at_least(args, "max-batch", 16, 1)?,
         queue_depth: args.get_or("queue-depth", 64usize)?,
         max_restarts: args.get_or("max-restarts", 5u32)?,
         wire: parse_wire(args)?,
@@ -738,7 +752,7 @@ fn cmd_cluster(args: &Args) -> Result<(), CliError> {
     }
     let wire = parse_wire(args)?;
     let backend_cfg = ServerConfig {
-        workers: args.get_or("workers", 1usize)?,
+        workers: at_least(args, "workers", 1, 1)?,
         deadline: Duration::from_millis(args.get_or("deadline-ms", 50u64)?),
         wire,
         ..ServerConfig::default()

@@ -217,6 +217,26 @@ fn usage_errors_exit_with_code_2() {
     assert_eq!(code, Some(2), "usage errors are exit code 2: {stderr}");
     let (_, _, code) = fmml_code(&["train"]); // missing --out
     assert_eq!(code, Some(2));
+    // Out-of-range flags are usage errors, not panics (exit 101) or
+    // silently clamped values. Every command ignores flags it does not
+    // take, so each also gets the ones that stop a server that wrongly
+    // starts after a second.
+    let quit = ["--addr", "127.0.0.1:0", "--max-secs", "1"];
+    let out_of_range: [&[&str]; 7] = [
+        &["simulate", "--ports", "0"],
+        &["simulate", "--ports", "1"],
+        &["telemetry", "--interval", "0"],
+        &["fm-solve", "--ports", "0"],
+        &["serve", "--workers", "0"],
+        &["serve", "--max-batch", "0"],
+        &["cluster", "--workers", "0"],
+    ];
+    for argv in out_of_range {
+        let argv = [argv, &quit[..]].concat();
+        let (_, stderr, code) = fmml_code(&argv);
+        assert_eq!(code, Some(2), "{argv:?}: {stderr}");
+        assert!(stderr.contains("must be"), "{argv:?}: {stderr}");
+    }
     // An unknown (mistyped or since-removed) command is a usage error
     // too, not a silent USAGE print with exit 0.
     let (_, stderr, code) = fmml_code(&["serve-bnech"]);

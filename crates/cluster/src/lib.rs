@@ -1,7 +1,7 @@
 //! `fmml-cluster` — sharded multi-node serving for the imputation
 //! server.
 //!
-//! A [`router`](crate::router) speaks the existing length-prefixed wire
+//! A `router` speaks the existing length-prefixed wire
 //! protocol on both sides: clients connect to it exactly as they would
 //! to a single `fmml-serve` node, and it fans sessions out across N
 //! independent backend nodes by consistent hashing
@@ -15,8 +15,8 @@
 //! whole cluster also runs deterministically in-memory under the
 //! simulation harness.
 
-pub mod ring;
-pub mod router;
+mod ring;
+mod router;
 
 pub use ring::HashRing;
 pub use router::{spawn, spawn_with, BackendInfo, RouterConfig, RouterHandle};

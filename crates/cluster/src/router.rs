@@ -46,7 +46,7 @@ use fmml_serve::protocol::{
     MAX_FRAME_LEN,
 };
 use fmml_serve::session::{self, Count, Counters, FrontEnd, Identity, Ledger, Metrics, Step};
-use fmml_serve::transport::{spawn_acceptor, split, Threads};
+use fmml_serve::transport::{spawn_acceptor, split, Threads, WRITE_TIMEOUT};
 use fmml_serve::{Conn, Connector, TcpConnector, TcpTransport, Transport};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
@@ -121,8 +121,6 @@ pub struct RouterConfig {
     pub backend_frame_len: usize,
     /// Socket read poll granularity.
     pub read_timeout: Duration,
-    /// Socket write timeout (slow-reader guard).
-    pub write_timeout: Duration,
     /// Sessions whose client vanished are kept resumable this long
     /// (injected clock) before being dropped.
     pub parked_ttl: Duration,
@@ -151,7 +149,6 @@ impl Default for RouterConfig {
             client_frame_len: MAX_FRAME_LEN,
             backend_frame_len: 4 * MAX_FRAME_LEN,
             read_timeout: Duration::from_millis(25),
-            write_timeout: Duration::from_secs(2),
             parked_ttl: Duration::from_secs(30),
             wire: WireCodec::Bin1,
             clock: Clock::System,
@@ -769,13 +766,7 @@ fn dial_backend<CF: Conn, CB: Conn, B: Connector<Conn = CB>>(
     hello: &Frame,
 ) -> DialOutcome<CB> {
     let cfg = &shared.cfg;
-    match ask(
-        shared,
-        connector,
-        hello,
-        cfg.write_timeout,
-        cfg.dial_timeout,
-    ) {
+    match ask(shared, connector, hello, WRITE_TIMEOUT, cfg.dial_timeout) {
         Some((
             Frame::Welcome {
                 deadline_ms, codec, ..
@@ -1114,7 +1105,7 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
     conn: CF,
 ) {
     let (cfg, max_len) = (&shared.cfg, shared.cfg.client_frame_len);
-    let Some((mut reader, mut writer)) = split(conn, cfg.read_timeout, cfg.write_timeout, max_len)
+    let Some((mut reader, mut writer)) = split(conn, cfg.read_timeout, WRITE_TIMEOUT, max_len)
     else {
         return;
     };

@@ -6,7 +6,7 @@
 use fmml_cluster::{RouterConfig, RouterHandle};
 use fmml_core::streaming::{IntervalUpdate, StreamOptions, StreamingImputer};
 use fmml_core::transformer_imputer::{Scales, TransformerImputer};
-use fmml_fm::cem::{CemEngine, DegradationLevel, LadderConfig};
+use fmml_fm::cem::DegradationLevel;
 use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
 use fmml_serve::protocol::{
@@ -103,16 +103,9 @@ fn offline(
     model: &Arc<TransformerImputer>,
     w: &PortWindow,
 ) -> StreamingImputer<Arc<TransformerImputer>> {
-    let opts = StreamOptions {
-        ladder: LadderConfig {
-            engine: CemEngine::Fast,
-            ..LadderConfig::default()
-        },
-        ..StreamOptions::default()
-    };
     StreamingImputer::with_options(
         Arc::clone(model),
-        opts,
+        StreamOptions::default(),
         w.port,
         w.num_queues(),
         INTERVAL_LEN,

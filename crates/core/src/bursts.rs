@@ -16,10 +16,6 @@ pub struct Burst {
 }
 
 impl Burst {
-    pub fn duration(&self) -> usize {
-        self.end - self.start
-    }
-
     pub fn overlaps(&self, other: &Burst) -> bool {
         self.start < other.end && other.start < self.end
     }
@@ -120,7 +116,7 @@ mod tests {
         assert_eq!(b[0].end, 3);
         assert_eq!(b[0].height, 15.0);
         assert_eq!(b[1].start, 5);
-        assert_eq!(b[1].duration(), 1);
+        assert_eq!(b[1].end - b[1].start, 1);
     }
 
     #[test]

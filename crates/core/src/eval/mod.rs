@@ -79,7 +79,6 @@ pub struct EvalConfig {
     pub train: TrainConfig,
     pub kal: KalConfig,
     pub bursts: BurstConfig,
-    pub cem: CemEngine,
 }
 
 impl EvalConfig {
@@ -102,7 +101,6 @@ impl EvalConfig {
             },
             kal: KalConfig::default(),
             bursts: BurstConfig::default(),
-            cem: CemEngine::Fast,
         }
     }
 
@@ -129,7 +127,6 @@ impl EvalConfig {
                 threshold: 5.0,
                 min_gap: 2,
             },
-            cem: CemEngine::Fast,
         }
     }
 
@@ -258,12 +255,12 @@ pub fn generate_windows(cfg: &EvalConfig, seed: u64, runs: usize) -> Vec<PortWin
     out
 }
 
-/// Impute a set of windows with a method of the set-up, applying CEM if
-/// requested.
+/// Impute a set of windows with a method of the set-up, applying CEM
+/// (the fast engine) if requested.
 pub fn impute_all(method: Method, windows: &[PortWindow], setup: &Setup) -> Vec<Vec<Vec<f32>>> {
     let kal_cem = |w| {
         let raw = setup.kal.impute(w);
-        match enforce(&WindowConstraints::from_window(w), &raw, &setup.cfg.cem) {
+        match enforce(&WindowConstraints::from_window(w), &raw, &CemEngine::Fast) {
             Ok(out) => out
                 .corrected
                 .iter()
@@ -357,7 +354,7 @@ pub fn run_table1(cfg: &EvalConfig) -> EvalReport {
 /// exact optimality); a mismatch is an engine bug. This also exercises
 /// the real SMT pipeline on every `eval`, so the `smt.*` counters in the
 /// metrics snapshot reflect genuine solver work rather than staying at
-/// zero whenever `cfg.cem` is `CemEngine::Fast`.
+/// zero because eval enforces with `CemEngine::Fast`.
 fn cross_validate_cem(setup: &Setup) {
     let w = &setup.test_windows[0];
     let raw = setup.kal.impute(w);

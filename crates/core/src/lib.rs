@@ -7,25 +7,25 @@
 //! corrects the output until it satisfies the formal constraints C1–C3.
 //!
 //! * [`imputer`] — the common interface all four methods implement;
-//! * [`iterative`] — the scikit-learn-style `IterativeImputer` baseline
+//! * `iterative` — the scikit-learn-style `IterativeImputer` baseline
 //!   (round-robin ridge regression over correlated series);
 //! * [`transformer_imputer`] — feature encoding + the transformer model;
 //! * [`kal`] — the augmented-Lagrangian constraint terms added to the
 //!   EMD loss;
 //! * [`train`] — the (optionally `rayon`-parallel) training loop;
-//! * [`bursts`] — burst identification on queue-length series (following
+//! * `bursts` — burst identification on queue-length series (following
 //!   the buffer-sizing workshop method the paper cites);
-//! * [`metrics`] — the nine rows of Table 1;
+//! * `metrics` — the nine rows of Table 1;
 //! * [`eval`] — the harness that regenerates Table 1 end to end;
-//! * [`linalg`] — the small dense Cholesky solver the baseline needs.
+//! * `linalg` — the small dense Cholesky solver the baseline needs.
 
-pub mod bursts;
+mod bursts;
 pub mod eval;
 pub mod imputer;
-pub mod iterative;
+mod iterative;
 pub mod kal;
-pub mod linalg;
-pub mod metrics;
+mod linalg;
+mod metrics;
 pub mod streaming;
 pub mod train;
 pub mod transformer_imputer;

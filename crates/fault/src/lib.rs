@@ -19,8 +19,8 @@
 //! cannot. Every injection is counted in the [`fmml_obs`] registry under
 //! `fault.injected.*`.
 
-pub mod inject;
-pub mod plan;
+mod inject;
+mod plan;
 
 pub use inject::{
     inject_series, inject_telemetry, inject_trace, inject_window, record_process_fault,

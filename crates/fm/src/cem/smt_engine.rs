@@ -46,9 +46,9 @@ static STAGE_PROOF_US: Histogram = Histogram::new("smt.stage.proof_us", Unit::Mi
 
 /// Fold a [`SolverStats`] delta into the process-wide `smt.*` counters.
 ///
-/// The CEM engine calls this for every interval it solves; other SMT
-/// users (the CLI's cross-validation pass, benches) can call it with
-/// [`SolverStats::delta_since`] of their own snapshots.
+/// The CEM engine calls this for every interval it solves and the §2.3
+/// packet model for every solve, each with the cumulative stats of a
+/// solver built for that one problem.
 pub fn record_solver_stats(delta: &SolverStats) {
     SMT_DECISIONS.add(delta.decisions);
     SMT_PROPAGATIONS.add(delta.propagations);

@@ -1,155 +1,35 @@
-//! Shared-buffer admission policies.
+//! The shared buffer and its Dynamic-Threshold admission.
 //!
-//! The switch has one packet buffer shared by all output queues. On every
-//! enqueue attempt the active [`BufferPolicy`] computes a per-queue
-//! *threshold*; a packet is admitted only if the target queue's current
-//! length is below that threshold **and** the buffer has free space.
+//! The switch has one packet buffer shared by all output queues. A packet
+//! is admitted only if the target queue's current length is below the
+//! queue's *threshold* **and** the buffer has free space.
 //!
-//! The default policy is the classic **Dynamic Threshold** (DT) of
-//! Choudhury & Hahne, `thr_q(t) = α · (B − occupied(t))`, which the ABM
-//! scenario the paper simulates builds upon: a long queue consumes shared
-//! space and thereby *lowers* every queue's threshold, which is exactly the
+//! The threshold is the classic **Dynamic Threshold** (DT) of Choudhury &
+//! Hahne with `α = 1`, `thr_q(t) = B − occupied(t)`, which the ABM scenario
+//! the paper simulates builds upon: a long queue consumes shared space and
+//! thereby *lowers* every queue's threshold, which is exactly the
 //! cross-queue correlation ("a longer queue prevents other queues from
 //! growing") that the imputation model is supposed to learn.
 
-use serde::{Deserialize, Serialize};
-
-/// Configuration enum for buffer policies (serializable config surface).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum BufferPolicyKind {
-    /// Complete sharing: admit while any buffer space is free.
-    CompleteSharing,
-    /// Static per-queue limit of `limit` packets.
-    StaticThreshold { limit: u32 },
-    /// Dynamic Threshold: `thr = alpha * (B - occupied)`.
-    DynamicThreshold { alpha: f64 },
-    /// Per-class Dynamic Threshold (ABM-style): class `c` uses
-    /// `alphas[c]`, giving high-priority queues a larger share of the
-    /// free buffer.
-    DynamicThresholdPerClass { alphas: [f64; 2] },
-}
-
-/// Decides whether a packet may be enqueued.
-pub trait BufferPolicy: Send {
-    /// Maximum admissible length for a queue of traffic class `class`
-    /// given current total occupancy.
-    ///
-    /// A packet is admitted iff `queue_len < threshold(..)` and
-    /// `occupied < capacity`.
-    fn threshold(&self, class: u8, queue_len: u32, occupied: u32, capacity: u32) -> u32;
-
-    /// Human-readable policy name (for traces and reports).
-    fn name(&self) -> &'static str;
-}
-
-/// Complete sharing: the only limit is the physical buffer.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CompleteSharing;
-
-impl BufferPolicy for CompleteSharing {
-    fn threshold(&self, _class: u8, _queue_len: u32, _occupied: u32, capacity: u32) -> u32 {
-        capacity
-    }
-    fn name(&self) -> &'static str {
-        "complete-sharing"
-    }
-}
-
-/// Fixed per-queue cap.
-#[derive(Debug, Clone, Copy)]
-pub struct StaticThreshold {
-    pub limit: u32,
-}
-
-impl BufferPolicy for StaticThreshold {
-    fn threshold(&self, _class: u8, _queue_len: u32, _occupied: u32, _capacity: u32) -> u32 {
-        self.limit
-    }
-    fn name(&self) -> &'static str {
-        "static-threshold"
-    }
-}
-
-/// Choudhury–Hahne Dynamic Threshold.
-#[derive(Debug, Clone, Copy)]
-pub struct DynamicThreshold {
-    pub alpha: f64,
-}
-
-impl BufferPolicy for DynamicThreshold {
-    fn threshold(&self, _class: u8, _queue_len: u32, occupied: u32, capacity: u32) -> u32 {
-        let free = capacity.saturating_sub(occupied) as f64;
-        (self.alpha * free).floor().max(0.0) as u32
-    }
-    fn name(&self) -> &'static str {
-        "dynamic-threshold"
-    }
-}
-
-/// ABM-style Dynamic Threshold with one α per traffic class.
-#[derive(Debug, Clone, Copy)]
-pub struct DynamicThresholdPerClass {
-    pub alphas: [f64; 2],
-}
-
-impl BufferPolicy for DynamicThresholdPerClass {
-    fn threshold(&self, class: u8, _queue_len: u32, occupied: u32, capacity: u32) -> u32 {
-        let alpha = self.alphas[(class as usize).min(self.alphas.len() - 1)];
-        let free = capacity.saturating_sub(occupied) as f64;
-        (alpha * free).floor().max(0.0) as u32
-    }
-    fn name(&self) -> &'static str {
-        "dynamic-threshold-per-class"
-    }
-}
-
-impl BufferPolicyKind {
-    /// Instantiate the policy implementation for this configuration.
-    pub fn build(self) -> Box<dyn BufferPolicy> {
-        match self {
-            BufferPolicyKind::CompleteSharing => Box::new(CompleteSharing),
-            BufferPolicyKind::StaticThreshold { limit } => Box::new(StaticThreshold { limit }),
-            BufferPolicyKind::DynamicThreshold { alpha } => Box::new(DynamicThreshold { alpha }),
-            BufferPolicyKind::DynamicThresholdPerClass { alphas } => {
-                Box::new(DynamicThresholdPerClass { alphas })
-            }
-        }
-    }
-}
-
-/// Tracks global buffer occupancy and applies the policy on enqueue.
+/// Tracks global buffer occupancy and applies DT admission on enqueue.
 pub struct SharedBuffer {
-    policy: Box<dyn BufferPolicy>,
     capacity: u32,
     occupied: u32,
 }
 
 impl SharedBuffer {
-    pub fn new(policy: Box<dyn BufferPolicy>, capacity: u32) -> SharedBuffer {
+    pub fn new(capacity: u32) -> SharedBuffer {
         SharedBuffer {
-            policy,
             capacity,
             occupied: 0,
         }
     }
 
-    /// Whether a packet of traffic class `class` may enter a queue whose
-    /// current length is `queue_len`.
-    pub fn admits(&self, class: u8, queue_len: u32) -> bool {
-        self.occupied < self.capacity
-            && queue_len
-                < self
-                    .policy
-                    .threshold(class, queue_len, self.occupied, self.capacity)
-    }
-
-    /// The instantaneous threshold for a class-`class` queue of length
-    /// `queue_len` (exposed so traces can record `thr_q,t` as in the
-    /// paper's Fig. 2).
-    pub fn current_threshold(&self, class: u8, queue_len: u32) -> u32 {
-        self.policy
-            .threshold(class, queue_len, self.occupied, self.capacity)
-            .min(self.capacity)
+    /// Whether a packet may enter a queue whose current length is
+    /// `queue_len`: the queue is below its DT threshold, which is 0 when
+    /// the buffer is full.
+    pub fn admits(&self, queue_len: u32) -> bool {
+        queue_len < self.capacity.saturating_sub(self.occupied)
     }
 
     /// Record that a packet was enqueued.
@@ -171,82 +51,52 @@ impl SharedBuffer {
     pub fn capacity(&self) -> u32 {
         self.capacity
     }
-
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn filled(capacity: u32, occupied: u32) -> SharedBuffer {
+        let mut b = SharedBuffer::new(capacity);
+        for _ in 0..occupied {
+            b.on_enqueue();
+        }
+        b
+    }
+
     #[test]
     fn dynamic_threshold_shrinks_with_occupancy() {
-        let dt = DynamicThreshold { alpha: 1.0 };
-        assert_eq!(dt.threshold(0, 0, 0, 100), 100);
-        assert_eq!(dt.threshold(0, 0, 60, 100), 40);
-        assert_eq!(dt.threshold(0, 0, 100, 100), 0);
-    }
-
-    #[test]
-    fn dynamic_threshold_alpha_scales() {
-        let dt = DynamicThreshold { alpha: 0.5 };
-        assert_eq!(dt.threshold(0, 0, 0, 100), 50);
-        let dt = DynamicThreshold { alpha: 2.0 };
-        assert_eq!(dt.threshold(0, 0, 50, 100), 100);
-    }
-
-    #[test]
-    fn per_class_dt_favors_high_priority() {
-        let dt = DynamicThresholdPerClass {
-            alphas: [1.0, 0.25],
-        };
-        // Same occupancy, different classes.
-        assert_eq!(dt.threshold(0, 0, 20, 100), 80);
-        assert_eq!(dt.threshold(1, 0, 20, 100), 20);
-        // Out-of-range classes clamp to the last alpha.
-        assert_eq!(dt.threshold(7, 0, 20, 100), 20);
+        // thr = B − occupied: the longest admissible queue is thr − 1.
+        for (occupied, thr) in [(0, 100), (60, 40), (99, 1)] {
+            let buf = filled(100, occupied);
+            assert!(buf.admits(thr - 1), "occupied={occupied}");
+            assert!(!buf.admits(thr), "occupied={occupied}");
+        }
+        assert!(!filled(100, 100).admits(0), "thr = 0 on a full buffer");
     }
 
     #[test]
     fn shared_buffer_admission_and_occupancy() {
-        let mut buf = SharedBuffer::new(BufferPolicyKind::CompleteSharing.build(), 2);
-        assert!(buf.admits(0, 0));
+        let mut buf = SharedBuffer::new(2);
+        assert!(buf.admits(0));
         buf.on_enqueue();
-        assert!(buf.admits(0, 1));
+        assert!(buf.admits(0));
         buf.on_enqueue();
         assert!(
-            !buf.admits(0, 0),
+            !buf.admits(0),
             "full buffer must reject regardless of queue"
         );
         buf.on_dequeue();
-        assert!(buf.admits(0, 1));
+        assert!(buf.admits(0));
         assert_eq!(buf.occupied(), 1);
     }
 
     #[test]
     fn dt_blocks_long_queue_but_admits_short_one() {
-        // B=100, alpha=0.5, occupied=60 -> thr=20.
-        let buf = {
-            let mut b = SharedBuffer::new(
-                BufferPolicyKind::DynamicThreshold { alpha: 0.5 }.build(),
-                100,
-            );
-            for _ in 0..60 {
-                b.on_enqueue();
-            }
-            b
-        };
-        assert!(buf.admits(0, 19));
-        assert!(!buf.admits(0, 20));
-        assert_eq!(buf.current_threshold(0, 0), 20);
-    }
-
-    #[test]
-    fn static_threshold_ignores_occupancy() {
-        let st = StaticThreshold { limit: 10 };
-        assert_eq!(st.threshold(0, 0, 0, 100), 10);
-        assert_eq!(st.threshold(1, 0, 99, 100), 10);
+        // B=100, occupied=60 -> thr=40.
+        let buf = filled(100, 60);
+        assert!(buf.admits(39));
+        assert!(!buf.admits(40));
     }
 }

@@ -1,12 +1,9 @@
 //! Switch and simulation configuration.
 
-use crate::buffer::BufferPolicyKind;
-use crate::scheduler::SchedulerKind;
 use crate::units::Rate;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of the simulated switch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Number of ports. Each port is both an ingress and an egress.
     pub num_ports: usize,
@@ -18,10 +15,6 @@ pub struct SimConfig {
     pub port_rate: Rate,
     /// Fixed packet size in bytes (packet-granular model).
     pub packet_bytes: u32,
-    /// Buffer admission policy.
-    pub buffer_policy: BufferPolicyKind,
-    /// Per-port scheduling discipline.
-    pub scheduler: SchedulerKind,
 }
 
 impl SimConfig {
@@ -34,8 +27,6 @@ impl SimConfig {
             buffer_packets: 520,
             port_rate: Rate::gbps(1),
             packet_bytes: 1500,
-            buffer_policy: BufferPolicyKind::DynamicThreshold { alpha: 1.0 },
-            scheduler: SchedulerKind::StrictPriority,
         }
     }
 
@@ -81,21 +72,6 @@ impl SimConfig {
             return Err("packet_bytes must be positive".into());
         }
         Ok(())
-    }
-}
-
-// Rate needs manual serde since it lives in `units` without derives.
-impl Serialize for Rate {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_u64(self.bits_per_sec)
-    }
-}
-
-impl<'de> Deserialize<'de> for Rate {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Rate, D::Error> {
-        Ok(Rate {
-            bits_per_sec: u64::deserialize(d)?,
-        })
     }
 }
 

@@ -89,14 +89,6 @@ impl EventQueue {
         self.now = s.time;
         Some((s.time, s.event))
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +136,6 @@ mod tests {
         q.schedule(Time(42), Event::Snapshot);
         q.pop();
         assert_eq!(q.now(), Time(42));
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+        assert!(q.pop().is_none());
     }
 }

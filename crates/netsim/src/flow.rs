@@ -58,12 +58,6 @@ impl FlowSizeDist {
         .expect("websearch CDF is valid")
     }
 
-    /// A small uniform distribution, handy for tests.
-    pub fn uniform(lo: u32, hi: u32) -> FlowSizeDist {
-        FlowSizeDist::from_cdf(vec![(lo as f64, 0.0), (hi as f64, 1.0)])
-            .expect("uniform CDF is valid")
-    }
-
     /// Sample a flow size in packets (at least 1).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         let u: f64 = rng.random();
@@ -152,7 +146,7 @@ mod tests {
 
     #[test]
     fn uniform_bounds_respected() {
-        let d = FlowSizeDist::uniform(5, 10);
+        let d = FlowSizeDist::from_cdf(vec![(5.0, 0.0), (10.0, 1.0)]).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..1000 {
             let s = d.sample(&mut rng);

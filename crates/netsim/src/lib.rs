@@ -19,12 +19,11 @@
 //! * **Output-queued switch.** An arriving packet is immediately placed in
 //!   the queue of its output port (no input contention / fabric model), the
 //!   same abstraction as the paper's formal model (§2.3, Fig. 2).
-//! * **Shared buffer.** All queues draw from one buffer of `B` packets. A
-//!   [`buffer::BufferPolicy`] decides admission; the default is the
-//!   Dynamic-Threshold policy of Choudhury & Hahne, `thr = α · (B − used)`.
-//! * **Scheduling.** Each output port serves its queues through a
-//!   work-conserving [`scheduler::Scheduler`]; strict priority and
-//!   round-robin are provided.
+//! * **Shared buffer.** All queues draw from one buffer of `B` packets,
+//!   admitted under the Dynamic-Threshold policy of Choudhury & Hahne
+//!   with `α = 1`, `thr = B − used` (`buffer::SharedBuffer`).
+//! * **Scheduling.** Each output port serves its queues by work-conserving
+//!   strict priority: class 0 first.
 //! * **Traffic.** Open-loop generators: heavy-tailed *websearch* flows with
 //!   Poisson arrivals and synchronized *incast* fan-in bursts (plus uniform
 //!   and on/off helpers). Congestion control is intentionally not modeled —
@@ -44,18 +43,17 @@
 //! assert_eq!(q0.len(), 200);
 //! ```
 
-pub mod buffer;
-pub mod config;
-pub mod events;
-pub mod flow;
-pub mod packet;
-pub mod queue;
-pub mod replay;
-pub mod scheduler;
-pub mod switch;
-pub mod trace;
+mod buffer;
+mod config;
+mod events;
+mod flow;
+mod packet;
+mod queue;
+mod scheduler;
+mod switch;
+mod trace;
 pub mod traffic;
-pub mod units;
+mod units;
 
 pub use config::SimConfig;
 pub use switch::Simulation;

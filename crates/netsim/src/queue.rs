@@ -28,10 +28,6 @@ impl OutputQueue {
         self.packets.len() as u32
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
     /// Append an admitted packet.
     pub fn enqueue(&mut self, pkt: Packet) {
         self.packets.push_back(pkt);
@@ -79,7 +75,7 @@ mod tests {
         assert_eq!(q.dequeue().unwrap().flow_id, 1);
         assert_eq!(q.dequeue().unwrap().flow_id, 2);
         assert!(q.dequeue().is_none());
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

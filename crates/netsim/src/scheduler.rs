@@ -1,124 +1,12 @@
-//! Work-conserving per-port schedulers.
-//!
-//! A scheduler selects which of a port's queues transmits next. All
-//! implementations here are **work-conserving**: if any queue at the port
-//! is non-empty, one packet is dequeued — the property constraint C3 of the
-//! paper relies on ("if some queue in port *i* is nonempty for `NE_i` time
-//! steps, then `NE_i` packets will be dequeued").
+//! The per-port scheduler: work-conserving strict priority.
 
-use serde::{Deserialize, Serialize};
-
-/// Configuration enum for schedulers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulerKind {
-    /// Lowest class index first (class 0 has strict priority).
-    StrictPriority,
-    /// Round-robin across non-empty queues.
-    RoundRobin,
-    /// Weighted round-robin: class `i` gets `weights[i]` slots per cycle.
-    WeightedRoundRobin { weights: [u32; 2] },
-}
-
-/// Selects the next queue (index *within the port*) to serve.
-pub trait Scheduler: Send {
-    /// Given per-queue lengths for one port, pick the queue to dequeue from,
-    /// or `None` if all queues are empty.
-    fn select(&mut self, queue_lens: &[u32]) -> Option<usize>;
-
-    fn name(&self) -> &'static str;
-}
-
-/// Strict priority: always serve the lowest-indexed non-empty queue.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StrictPriority;
-
-impl Scheduler for StrictPriority {
-    fn select(&mut self, queue_lens: &[u32]) -> Option<usize> {
-        queue_lens.iter().position(|&l| l > 0)
-    }
-    fn name(&self) -> &'static str {
-        "strict-priority"
-    }
-}
-
-/// Round-robin over non-empty queues, remembering the last served queue.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RoundRobin {
-    last: usize,
-}
-
-impl Scheduler for RoundRobin {
-    fn select(&mut self, queue_lens: &[u32]) -> Option<usize> {
-        let n = queue_lens.len();
-        for off in 1..=n {
-            let idx = (self.last + off) % n;
-            if queue_lens[idx] > 0 {
-                self.last = idx;
-                return Some(idx);
-            }
-        }
-        None
-    }
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Weighted round-robin over two classes with integer weights.
-///
-/// Falls back to serving whichever queue is non-empty when the nominally
-/// scheduled one is empty (work conservation).
-#[derive(Debug, Clone, Copy)]
-pub struct WeightedRoundRobin {
-    weights: [u32; 2],
-    credits: [u32; 2],
-}
-
-impl WeightedRoundRobin {
-    pub fn new(weights: [u32; 2]) -> WeightedRoundRobin {
-        let w = [weights[0].max(1), weights[1].max(1)];
-        WeightedRoundRobin {
-            weights: w,
-            credits: w,
-        }
-    }
-}
-
-impl Scheduler for WeightedRoundRobin {
-    fn select(&mut self, queue_lens: &[u32]) -> Option<usize> {
-        debug_assert!(queue_lens.len() >= 2);
-        if queue_lens.iter().all(|&l| l == 0) {
-            return None;
-        }
-        if self.credits.iter().all(|&c| c == 0) {
-            self.credits = self.weights;
-        }
-        // Prefer the queue with remaining credit; fall back for work
-        // conservation.
-        for (i, (credit, &len)) in self.credits.iter_mut().zip(queue_lens).enumerate() {
-            if *credit > 0 && len > 0 {
-                *credit -= 1;
-                return Some(i);
-            }
-        }
-        queue_lens.iter().position(|&l| l > 0)
-    }
-    fn name(&self) -> &'static str {
-        "weighted-round-robin"
-    }
-}
-
-impl SchedulerKind {
-    /// Instantiate one scheduler instance (each port gets its own).
-    pub fn build(self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::StrictPriority => Box::new(StrictPriority),
-            SchedulerKind::RoundRobin => Box::new(RoundRobin::default()),
-            SchedulerKind::WeightedRoundRobin { weights } => {
-                Box::new(WeightedRoundRobin::new(weights))
-            }
-        }
-    }
+/// The queue (index *within the port*) a port serves next: the
+/// lowest-indexed non-empty one, so class 0 has strict priority. `None`
+/// only when every queue is empty — the work conservation constraint C3
+/// of the paper relies on ("if some queue in port *i* is nonempty for
+/// `NE_i` time steps, then `NE_i` packets will be dequeued").
+pub fn strict_priority(queue_lens: impl IntoIterator<Item = u32>) -> Option<usize> {
+    queue_lens.into_iter().position(|l| l > 0)
 }
 
 #[cfg(test)]
@@ -127,55 +15,16 @@ mod tests {
 
     #[test]
     fn strict_priority_prefers_class_zero() {
-        let mut s = StrictPriority;
-        assert_eq!(s.select(&[3, 5]), Some(0));
-        assert_eq!(s.select(&[0, 5]), Some(1));
-        assert_eq!(s.select(&[0, 0]), None);
-    }
-
-    #[test]
-    fn round_robin_alternates() {
-        let mut s = RoundRobin::default();
-        assert_eq!(s.select(&[1, 1]), Some(1));
-        assert_eq!(s.select(&[1, 1]), Some(0));
-        assert_eq!(s.select(&[1, 1]), Some(1));
-    }
-
-    #[test]
-    fn round_robin_skips_empty() {
-        let mut s = RoundRobin::default();
-        assert_eq!(s.select(&[0, 1]), Some(1));
-        assert_eq!(s.select(&[0, 1]), Some(1));
-        assert_eq!(s.select(&[0, 0]), None);
+        assert_eq!(strict_priority([3, 5]), Some(0));
+        assert_eq!(strict_priority([0, 5]), Some(1));
+        assert_eq!(strict_priority([0, 0]), None);
     }
 
     #[test]
     fn all_schedulers_are_work_conserving() {
-        for kind in [
-            SchedulerKind::StrictPriority,
-            SchedulerKind::RoundRobin,
-            SchedulerKind::WeightedRoundRobin { weights: [3, 1] },
-        ] {
-            let mut s = kind.build();
-            for lens in [[1u32, 0], [0, 1], [7, 9]] {
-                assert!(
-                    s.select(&lens).is_some(),
-                    "{} not work-conserving",
-                    s.name()
-                );
-            }
-            assert_eq!(s.select(&[0, 0]), None);
+        for lens in [[1u32, 0], [0, 1], [7, 9]] {
+            assert!(strict_priority(lens).is_some(), "{lens:?} left idle");
         }
-    }
-
-    #[test]
-    fn wrr_respects_weights_over_a_cycle() {
-        let mut s = WeightedRoundRobin::new([3, 1]);
-        let mut served = [0u32; 2];
-        for _ in 0..8 {
-            let q = s.select(&[100, 100]).unwrap();
-            served[q] += 1;
-        }
-        assert_eq!(served, [6, 2]);
+        assert_eq!(strict_priority([0, 0]), None);
     }
 }

@@ -17,7 +17,7 @@ use crate::config::SimConfig;
 use crate::events::{Event, EventQueue};
 use crate::packet::{Packet, PortId};
 use crate::queue::OutputQueue;
-use crate::scheduler::Scheduler;
+use crate::scheduler::strict_priority;
 use crate::trace::GroundTruth;
 use crate::traffic::{TrafficConfig, TrafficSource};
 use crate::units::{Time, NANOS_PER_MILLI};
@@ -43,7 +43,6 @@ pub struct Simulation {
     events: EventQueue,
     queues: Vec<OutputQueue>,
     buffer: SharedBuffer,
-    schedulers: Vec<Box<dyn Scheduler>>,
     /// Whether each egress port is currently serializing a packet.
     port_busy: Vec<bool>,
     sources: Vec<Box<dyn TrafficSource>>,
@@ -67,8 +66,7 @@ impl Simulation {
         cfg.validate().expect("invalid SimConfig");
         let nq = cfg.num_queues();
         let queues = (0..nq).map(|_| OutputQueue::new()).collect();
-        let buffer = SharedBuffer::new(cfg.buffer_policy.build(), cfg.buffer_packets);
-        let schedulers = (0..cfg.num_ports).map(|_| cfg.scheduler.build()).collect();
+        let buffer = SharedBuffer::new(cfg.buffer_packets);
         let trace = GroundTruth::new(cfg.num_ports, cfg.queues_per_port);
         Simulation {
             port_busy: vec![false; cfg.num_ports],
@@ -76,7 +74,6 @@ impl Simulation {
             events: EventQueue::new(),
             queues,
             buffer,
-            schedulers,
             sources,
             trace,
             horizon: Time::ZERO,
@@ -155,7 +152,7 @@ impl Simulation {
         self.trace.record_received(pkt.src_port);
         let qid = pkt.queue_id(self.cfg.queues_per_port);
         let qlen = self.queues[qid].len();
-        if self.buffer.admits(pkt.class.0, qlen) {
+        if self.buffer.admits(qlen) {
             self.queues[qid].enqueue(pkt);
             self.buffer.on_enqueue();
             PKTS_ENQUEUED.inc();
@@ -181,18 +178,16 @@ impl Simulation {
         self.start_transmission(port, now);
     }
 
-    /// If any queue at `port` is non-empty, dequeue per the scheduler and
+    /// If any queue at `port` is non-empty, dequeue per strict priority and
     /// begin serializing (work conservation).
     fn start_transmission(&mut self, port: PortId, now: Time) {
         let base = port * self.cfg.queues_per_port;
-        let lens: Vec<u32> = (0..self.cfg.queues_per_port)
-            .map(|i| self.queues[base + i].len())
-            .collect();
-        if let Some(local) = self.schedulers[port].select(&lens) {
+        let lens = (0..self.cfg.queues_per_port).map(|i| self.queues[base + i].len());
+        if let Some(local) = strict_priority(lens) {
             let qid = base + local;
             let pkt = self.queues[qid]
                 .dequeue()
-                .expect("scheduler selected an empty queue");
+                .expect("strict priority selected an empty queue");
             self.buffer.on_dequeue();
             self.trace.observe_qlen(qid, self.queues[qid].len());
             self.port_busy[port] = true;

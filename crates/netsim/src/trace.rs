@@ -142,33 +142,12 @@ impl GroundTruth {
         &self.buffer_occupancy
     }
 
-    // ---- mutable export hooks (fault injection / post-processing) ----
-    //
-    // The simulator itself never rewrites a finished trace; these exist
-    // so *export-side* tooling (chaos testing via `fmml-fault`, trace
-    // scrubbing) can model collector damage on the recorded stream
-    // without reaching into private fields.
-
-    /// Mutable access to a queue-length series (trace export hook).
+    /// Mutable access to a queue-length series. The simulator itself
+    /// never rewrites a finished trace; this lets export-side tooling
+    /// (chaos testing via `fmml-fault`) model collector damage on the
+    /// recorded stream without reaching into private fields.
     pub fn queue_len_series_mut(&mut self, q: QueueId) -> &mut [u32] {
         &mut self.qlen[q]
-    }
-
-    /// Mutable access to a per-port sent-count series (trace export hook).
-    pub fn sent_series_mut(&mut self, p: PortId) -> &mut [u32] {
-        &mut self.sent[p]
-    }
-
-    /// Mutable access to a per-port received-count series (trace export
-    /// hook).
-    pub fn received_series_mut(&mut self, p: PortId) -> &mut [u32] {
-        &mut self.received[p]
-    }
-
-    /// Mutable access to a per-port dropped-count series (trace export
-    /// hook).
-    pub fn dropped_series_mut(&mut self, p: PortId) -> &mut [u32] {
-        &mut self.dropped[p]
     }
 
     /// The port a switch-global queue id belongs to.

@@ -97,12 +97,6 @@ impl Rate {
         }
     }
 
-    pub fn mbps(m: u64) -> Rate {
-        Rate {
-            bits_per_sec: m * 1_000_000,
-        }
-    }
-
     /// Time to serialize `bytes` onto a link of this rate.
     ///
     /// Rounds up to a whole nanosecond so back-to-back transmissions never

@@ -13,15 +13,6 @@ pub fn xavier(rng: &mut StdRng, fan_in: usize, fan_out: usize) -> Tensor {
     Tensor::from_vec(data, &[fan_in, fan_out])
 }
 
-/// Uniform vector in `(−a, a)`.
-pub fn uniform_vec(rng: &mut StdRng, n: usize, a: f32) -> Tensor {
-    Tensor::vector(
-        (0..n)
-            .map(|_| (rng.random::<f32>() * 2.0 - 1.0) * a)
-            .collect(),
-    )
-}
-
 /// A seeded RNG for model construction.
 pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)

@@ -8,13 +8,13 @@
 //! * [`tape::Tape`] — tape-based reverse-mode automatic differentiation
 //!   over a fixed op vocabulary (matmul, softmax, layer norm, tanh, relu,
 //!   cumulative sums for EMD, max/select reductions for constraint terms);
-//! * [`linear`], [`norm`], [`attention`], [`transformer`] — the model
+//! * `linear`, `norm`, `attention`, `transformer` — the model
 //!   zoo: linear layers, layer normalization, multi-head self-attention,
 //!   and a transformer encoder with sinusoidal positional encodings;
-//! * [`adam`] — the Adam optimizer;
+//! * `adam` — the Adam optimizer;
 //! * [`loss`] — MSE and the differentiable 1-D Earth Mover's Distance the
 //!   paper prefers for burst localization;
-//! * [`init`] — seeded Xavier/uniform initializers (bit-reproducible).
+//! * `init` — seeded Xavier initializers (bit-reproducible).
 //!
 //! Gradient correctness is property-tested against central finite
 //! differences (see `tape::tests` and `tests/` of the workspace).
@@ -26,18 +26,17 @@
 //! paper's GPU batches would behave at our (deliberately small) model
 //! size: d_model 16, 2 layers, 300-step windows.
 
-pub mod adam;
-pub mod attention;
-pub mod init;
+mod adam;
+mod attention;
+mod init;
 pub mod kernel;
-pub mod linear;
+mod linear;
 pub mod loss;
-pub mod norm;
-pub mod params;
-pub mod schedule;
+mod norm;
+mod params;
 pub mod tape;
-pub mod tensor;
-pub mod transformer;
+mod tensor;
+mod transformer;
 
 pub use adam::Adam;
 pub use kernel::KernelMode;

@@ -26,13 +26,6 @@ pub fn emd(tape: &mut Tape, pred: NodeId, target: NodeId) -> NodeId {
     tape.mean(a)
 }
 
-/// Mean absolute error (used in evaluation reports).
-pub fn mae(tape: &mut Tape, pred: NodeId, target: NodeId) -> NodeId {
-    let d = tape.sub(pred, target);
-    let a = tape.abs(d);
-    tape.mean(a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,7 +45,6 @@ mod tests {
     fn zero_at_equality() {
         assert_eq!(eval(mse, vec![1.0, 2.0], vec![1.0, 2.0]), 0.0);
         assert_eq!(eval(emd, vec![1.0, 2.0], vec![1.0, 2.0]), 0.0);
-        assert_eq!(eval(mae, vec![1.0, 2.0], vec![1.0, 2.0]), 0.0);
     }
 
     #[test]

@@ -45,18 +45,9 @@ impl ParamStore {
         &self.names[id]
     }
 
-    /// Total number of scalar parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(|t| t.len()).sum()
-    }
-
     /// Serialize to JSON (checkpointing).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("param store serializes")
-    }
-
-    pub fn from_json(s: &str) -> Result<ParamStore, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
     }
 }
 
@@ -154,11 +145,10 @@ mod tests {
         let w = s.add("w", Tensor::from_vec(vec![1.0, 2.0], &[2]));
         let b = s.add("b", Tensor::scalar(0.5));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.num_scalars(), 3);
         assert_eq!(s.name(w), "w");
         assert_eq!(s.value(b).data, vec![0.5]);
         let json = s.to_json();
-        let s2 = ParamStore::from_json(&json).unwrap();
+        let s2: ParamStore = serde_json::from_str(&json).unwrap();
         assert_eq!(s2.value(w).data, vec![1.0, 2.0]);
         assert_eq!(s2.name(b), "b");
     }

@@ -599,55 +599,6 @@ impl<'s> Tape<'s> {
         self.push(v, Op::Relu(a))
     }
 
-    /// GELU (tanh approximation), composed from primitive ops so the
-    /// backward pass needs no dedicated kernel.
-    pub fn gelu(&mut self, a: NodeId) -> NodeId {
-        // 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        let x3 = {
-            let x2 = self.mul(a, a);
-            self.mul(x2, a)
-        };
-        let inner = {
-            let scaled_x3 = self.scalar_mul(x3, 0.044715);
-            let sum = self.add(a, scaled_x3);
-            self.scalar_mul(sum, C)
-        };
-        let t = self.tanh(inner);
-        let one_plus = self.scalar_add(t, 1.0);
-        let half_x = self.scalar_mul(a, 0.5);
-        self.mul(half_x, one_plus)
-    }
-
-    /// Inverted dropout: zeroes each element with probability `p` and
-    /// scales survivors by `1/(1−p)`. The mask is built from the given
-    /// RNG (deterministic under a seeded RNG); pass `p = 0` for a no-op.
-    /// Implemented as a multiply by a constant mask, so the backward pass
-    /// routes gradients only through surviving elements.
-    pub fn dropout<R: rand::Rng + ?Sized>(&mut self, a: NodeId, p: f32, rng: &mut R) -> NodeId {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "dropout probability must be in [0,1)"
-        );
-        if p == 0.0 {
-            return a;
-        }
-        use rand::RngExt;
-        let keep = 1.0 - p;
-        let shape = self.nodes[a].value.shape;
-        let len = self.nodes[a].value.len();
-        let mut data = take_buf(&mut self.pool, len);
-        data.extend((0..len).map(|_| {
-            if rng.random::<f32>() < keep {
-                1.0 / keep
-            } else {
-                0.0
-            }
-        }));
-        let m = self.push(Tensor { data, shape }, Op::Leaf);
-        self.mul(a, m)
-    }
-
     /// Row-wise softmax of a 2-D tensor (or of a 1-D tensor as one row),
     /// by [`crate::kernel::softmax_rows`]: a row of nothing but `-∞` (a
     /// fully-masked attention row) comes back **uniform**, a row with a
@@ -1846,84 +1797,5 @@ mod tests {
         let grads = tape.backward(s);
         assert!(grads.by_param.is_empty());
         assert_eq!(tape.scalar_value(s), 3.0);
-    }
-}
-
-#[cfg(test)]
-mod ext_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn gelu_matches_reference_values() {
-        let store = ParamStore::new();
-        let mut tape = Tape::new(&store);
-        let x = tape.constant(Tensor::vector(vec![-2.0, -1.0, 0.0, 1.0, 2.0]));
-        let y = tape.gelu(x);
-        // Reference values of the tanh-approximated GELU.
-        let expect = [-0.0454, -0.1588, 0.0, 0.8412, 1.9546];
-        for (got, want) in tape.value(y).data.iter().zip(expect) {
-            assert!((got - want).abs() < 1e-3, "gelu {got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn gelu_gradient_checks_against_finite_differences() {
-        let mut store = ParamStore::new();
-        let p = store.add("x", Tensor::vector(vec![-1.5, -0.2, 0.4, 1.7]));
-        let mut tape = Tape::new(&store);
-        let x = tape.param(p);
-        let y = tape.gelu(x);
-        let root = tape.sum(y);
-        let grads = tape.backward(root);
-        let g = grads.by_param[p].as_ref().unwrap();
-        let eps = 1e-3f32;
-        for k in 0..4 {
-            let eval = |d: f32| {
-                let mut s2 = store.clone();
-                s2.value_mut(p).data[k] += d;
-                let mut t2 = Tape::new(&s2);
-                let x2 = t2.param(p);
-                let y2 = t2.gelu(x2);
-                let r2 = t2.sum(y2);
-                t2.scalar_value(r2)
-            };
-            let numeric = (eval(eps) - eval(-eps)) / (2.0 * eps);
-            assert!(
-                (numeric - g.data[k]).abs() < 1e-2,
-                "elem {k}: {numeric} vs {}",
-                g.data[k]
-            );
-        }
-    }
-
-    #[test]
-    fn dropout_zeroes_and_rescales() {
-        let store = ParamStore::new();
-        let mut tape = Tape::new(&store);
-        let x = tape.constant(Tensor::vector(vec![1.0; 1000]));
-        let mut rng = StdRng::seed_from_u64(5);
-        let y = tape.dropout(x, 0.3, &mut rng);
-        let v = tape.value(y);
-        let zeros = v.data.iter().filter(|&&a| a == 0.0).count();
-        // ~30% dropped.
-        assert!((200..400).contains(&zeros), "zeros = {zeros}");
-        // Survivors rescaled by 1/0.7; expectation preserved.
-        let mean = v.sum() / 1000.0;
-        assert!((mean - 1.0).abs() < 0.1, "mean = {mean}");
-        for &a in &v.data {
-            assert!(a == 0.0 || (a - 1.0 / 0.7).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn dropout_zero_probability_is_identity() {
-        let store = ParamStore::new();
-        let mut tape = Tape::new(&store);
-        let x = tape.constant(Tensor::vector(vec![1.0, 2.0]));
-        let mut rng = StdRng::seed_from_u64(5);
-        let y = tape.dropout(x, 0.0, &mut rng);
-        assert_eq!(x, y, "p=0 must not add a node");
     }
 }

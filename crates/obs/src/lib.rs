@@ -3,7 +3,7 @@
 //! Zero-dependency metrics and structured run telemetry for the
 //! sim → train → CEM pipeline. Three pieces:
 //!
-//! * **Metrics registry** ([`registry`]): process-global, thread-safe.
+//! * **Metrics registry** (`registry`): process-global, thread-safe.
 //!   [`Counter`]s and [`Gauge`]s are single relaxed atomics on the hot
 //!   path; [`Histogram`]s use fixed log-scaled buckets good for
 //!   p50/p90/p99/max at ≤ 6% relative error. Metrics are declared as
@@ -42,12 +42,12 @@
 //! assert!(report.to_json().contains("\"doc.pkts\":3"));
 //! ```
 
-pub mod clock;
+mod clock;
 pub mod fnv;
-pub mod hist;
+mod hist;
 pub(crate) mod json;
-pub mod registry;
-pub mod report;
+mod registry;
+mod report;
 pub mod runlog;
 pub mod trace;
 

@@ -32,7 +32,7 @@
 //!   writing each session's run of replies once.
 //!   Admission control bounds each session's in-flight budget (`Busy`),
 //!   slow readers are disconnected, shutdown drains gracefully.
-//! * [`loadgen`] — trace-replay load generator
+//! * `loadgen` — trace-replay load generator
 //!   ([`LoadgenConfig`], [`run_loadgen`], [`LoadReport`]): M concurrent
 //!   clients replaying `netsim` telemetry with optional chaos
 //!   ([`ChaosConfig`]: disconnects, corrupted frames, malformed
@@ -43,7 +43,7 @@
 //! `benchmark/` drives a loopback server at and below saturation and
 //! reports those metrics as its `serve.*` layer budget.
 
-pub mod loadgen;
+mod loadgen;
 pub mod protocol;
 pub mod server;
 pub mod session;

@@ -40,10 +40,11 @@ use std::io::{ErrorKind, Read, Write};
 /// Default cap on a frame's JSON payload. A window of telemetry is a few
 /// KB; 1 MiB leaves two orders of magnitude of headroom while bounding
 /// what a hostile length prefix can make the server allocate. The cap is
-/// per-reader configurable ([`FrameReader::with_max_len`],
-/// `ServerConfig::max_frame_len`): router-to-backend links carry batched
+/// per-reader configurable ([`FrameReader::with_max_len`]): the router's
+/// backend links (`RouterConfig::backend_frame_len`) carry batched
 /// interval replays during migration and run with a higher ceiling than
-/// untrusted client edges.
+/// untrusted client edges. A server reads every connection, client or
+/// router link, under this cap: it fits any client frame.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Bytes of framing overhead per frame (the length prefix).
@@ -698,9 +699,9 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// A reader with an explicit frame cap. Client-facing edges keep the
-    /// [`MAX_FRAME_LEN`] default; trusted router↔backend links (batched
-    /// interval replays during migration) raise it via
-    /// `ServerConfig::max_frame_len`.
+    /// [`MAX_FRAME_LEN`] default; the router's trusted backend links
+    /// (batched interval replays during migration) raise it via
+    /// `RouterConfig::backend_frame_len`.
     pub fn with_max_len(inner: R, max_len: usize) -> FrameReader<R> {
         FrameReader {
             inner,

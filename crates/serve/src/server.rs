@@ -28,7 +28,7 @@
 //! Micro-batches form where a burst is visible: the reader hands its
 //! staged group to the pool once no complete frame is left in its read
 //! buffer, at `max_batch`, when one more forward would hold the group
-//! past `batch_wait`, and before any other frame or exit. Workers never
+//! past `BATCH_WAIT`, and before any other frame or exit. Workers never
 //! wait for stragglers.
 //!
 //! Division of labour keeps replies *bitwise-identical* to the offline
@@ -45,7 +45,7 @@
 //! Admission control: each session has a bounded in-flight budget
 //! (`queue_depth`); intervals over budget are answered `Busy` and
 //! dropped (`serve.rejected`). A peer that stops reading its replies
-//! blocks a worker's write until `write_timeout`, after which the
+//! blocks a worker's write until the write timeout, after which the
 //! session is killed (`serve.slow_disconnects`) rather than letting one
 //! slow reader wedge the pool. Shutdown drains: the acceptor closes,
 //! readers stop ingesting and wait for their in-flight replies, workers
@@ -57,13 +57,15 @@ use crate::protocol::{
 use crate::session::{
     self, Count, Counters, FrontEnd, Identity, Ledger, Metrics, ProtocolBug, Step,
 };
-use crate::transport::{spawn_acceptor, split, Conn, TcpTransport, Threads, Transport};
+use crate::transport::{
+    spawn_acceptor, split, Conn, TcpTransport, Threads, Transport, WRITE_TIMEOUT,
+};
 use fmml_core::streaming::{IntervalItem, IntervalUpdate, StreamingImputer};
 use fmml_core::transformer_imputer::TransformerImputer;
 use fmml_fault::{record_process_fault, FaultKind, ProcessFaultPlan};
 use fmml_fm::cem::{
-    cache::DEFAULT_CAPACITY, enforce_degraded_batch, BreakerConfig, CemEngine, DegradationLevel,
-    EnforceOptions, LadderConfig, SolutionCache,
+    cache::DEFAULT_CAPACITY, enforce_degraded_batch, CemEngine, DegradationLevel, EnforceOptions,
+    LadderConfig, SolutionCache,
 };
 use fmml_obs::trace::{self, TraceContext};
 use fmml_obs::{log_event, Clock, Counter, FloatGauge, Gauge, Histogram, Unit};
@@ -150,6 +152,15 @@ const SLO_MAX_MISS_RATE: f64 = 0.05;
 /// which the SLO watchdog declares a breach.
 const SLO_MAX_DEGRADED_RATE: f64 = 0.5;
 
+/// How long a reader may hold admitted intervals while later frames of
+/// the same burst are still buffered: a group is handed over when one
+/// more forward (judged by the one just run, on the server's clock) would
+/// hold its oldest interval past this. Under a virtual clock a forward
+/// takes no time, so while virtual time is held still, grouping depends
+/// only on the bytes buffered. A constant because 1 ms is a fiftieth of
+/// the 50 ms wire period and every deployment and harness ran it.
+const BATCH_WAIT: Duration = Duration::from_millis(1);
+
 /// Server tuning knobs. `Default` is the 50 ms wire-period deployment
 /// from the paper's §5 on loopback.
 #[derive(Debug, Clone)]
@@ -161,34 +172,17 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Intra-batch parallelism handed to `EnforceOptions::jobs`.
     pub jobs: usize,
-    /// Top rung of the degradation ladder.
-    pub engine: CemEngine,
     /// Per-interval end-to-end budget: accept→reply-written. Misses are
     /// counted (`serve.deadline_miss`).
     pub deadline: Duration,
     /// Micro-batch size cap: the most admitted intervals a reader stages
     /// before handing them to the pool, and the most a worker pops.
     pub max_batch: usize,
-    /// How long a reader may hold admitted intervals while later frames
-    /// of the same burst are still buffered: a group is handed over when
-    /// one more forward (judged by the one just run, on `clock`) would
-    /// hold its oldest interval past this. Under a virtual clock a
-    /// forward takes no time, so while virtual time is held still,
-    /// grouping depends only on the bytes buffered.
-    pub batch_wait: Duration,
     /// Per-session in-flight cap; intervals beyond it are answered
     /// `Busy` (admission control).
     pub queue_depth: usize,
     /// Socket read timeout — the reader's shutdown-poll granularity.
     pub read_timeout: Duration,
-    /// Socket write timeout — a reply blocked longer than this marks the
-    /// peer a slow reader and kills the session.
-    pub write_timeout: Duration,
-    /// Decode cap for this server's frame readers: a length prefix
-    /// above it is rejected *before* any buffer allocation. The default
-    /// ([`MAX_FRAME_LEN`], 1 MiB) fits any client frame; router↔backend
-    /// links carry batched replay traffic and raise it.
-    pub max_frame_len: usize,
     /// SLO watchdog sliding-window length: replies older than this fall
     /// out of the deadline-miss / degradation rates.
     pub slo_window: Duration,
@@ -198,11 +192,6 @@ pub struct ServerConfig {
     /// Minimum replies in the window before breach math applies (a
     /// single slow reply at startup is not an SLO event).
     pub slo_min_samples: usize,
-    /// Circuit breaker over the SMT rung of the batch ladder (see
-    /// [`fmml_fm::cem::breaker`]); `None` disables it. Only consulted
-    /// when `engine` is SMT, so the default costs nothing on the fast
-    /// path.
-    pub breaker: Option<BreakerConfig>,
     /// Restart budget per worker slot: after this many restarts a slot
     /// is declared dead (`worker.dead` event) and left empty.
     pub max_restarts: u32,
@@ -254,18 +243,13 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             jobs: 1,
-            engine: CemEngine::Fast,
             deadline: Duration::from_millis(50),
             max_batch: 16,
-            batch_wait: Duration::from_millis(1),
             queue_depth: 64,
             read_timeout: Duration::from_millis(25),
-            write_timeout: Duration::from_secs(2),
-            max_frame_len: MAX_FRAME_LEN,
             slo_window: Duration::from_secs(5),
             slo_tick: Duration::from_millis(200),
             slo_min_samples: 20,
-            breaker: Some(BreakerConfig::default()),
             max_restarts: 5,
             restart_backoff: Duration::from_millis(10),
             restart_backoff_cap: Duration::from_millis(500),
@@ -374,7 +358,7 @@ impl<C: Conn> SessionWriter<C> {
             answered: self.answered.load(Ordering::Relaxed),
             remaining: self.inflight.load(Ordering::Acquire) as u64,
         };
-        let Ok(bytes) = encode_frame_with(&frame, self.codec, shared.cfg.max_frame_len) else {
+        let Ok(bytes) = encode_frame_with(&frame, self.codec, MAX_FRAME_LEN) else {
             return false;
         };
         self.write_locked(shared, &mut stream, &bytes)
@@ -405,7 +389,7 @@ impl<C: Conn> SessionWriter<C> {
     /// / Busy / Reject path; workers commit their replies themselves and
     /// ship them with [`send_run`](SessionWriter::send_run)).
     fn send_reply(&self, shared: &Shared<C>, seq: u64, frame: &Frame) {
-        let Ok(bytes) = encode_frame_with(frame, self.codec, shared.cfg.max_frame_len) else {
+        let Ok(bytes) = encode_frame_with(frame, self.codec, MAX_FRAME_LEN) else {
             return;
         };
         self.ledger.commit(seq, &bytes);
@@ -964,12 +948,11 @@ impl<C: Conn> Session<C> {
 
 fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
     let cfg = &shared.cfg;
-    let max_len = cfg.max_frame_len;
-    let Some((mut reader, stream)) = split(stream, cfg.read_timeout, cfg.write_timeout, max_len)
+    let Some((mut reader, stream)) = split(stream, cfg.read_timeout, WRITE_TIMEOUT, MAX_FRAME_LEN)
     else {
         return;
     };
-    let mut front = FrontEnd::new(&shared.counters, max_len);
+    let mut front = FrontEnd::new(&shared.counters, MAX_FRAME_LEN);
 
     let Some(mut session) = handshake(shared, &mut front, &mut reader, stream) else {
         return;
@@ -1146,7 +1129,7 @@ fn handshake<C: Conn>(
                 p,
                 StreamingImputer::new(
                     Arc::clone(&shared.model),
-                    cfg.engine.clone(),
+                    CemEngine::Fast,
                     p,
                     queues,
                     interval_len,
@@ -1348,9 +1331,9 @@ fn admit<C: Conn>(
     };
     session.staged.push(job);
     // Would one more forward hold the oldest staged interval past
-    // `batch_wait`?
+    // `BATCH_WAIT`?
     let held = now.saturating_duration_since(session.staged[0].accepted_at);
-    if session.staged.len() >= cfg.max_batch || held + forward_dur > cfg.batch_wait {
+    if session.staged.len() >= cfg.max_batch || held + forward_dur > BATCH_WAIT {
         session.hand_off(shared);
     }
 }
@@ -1386,15 +1369,10 @@ fn drain_inflight<C: Conn>(shared: &Shared<C>, writer: &SessionWriter<C>, ignore
 /// [`worker_down`] re-enqueues at the head of the queue. The supervisor
 /// then respawns this slot.
 fn worker_loop<C: Conn>(shared: &Arc<Shared<C>>, worker: usize) {
-    let cfg = &shared.cfg;
-    // No window deadline: a wall-clock-dependent rung would make replies
-    // differ from the offline path, which the differential harnesses
-    // hold bitwise.
-    let ladder = LadderConfig {
-        engine: cfg.engine.clone(),
-        breaker: cfg.breaker.clone(),
-        ..LadderConfig::default()
-    };
+    // The default ladder: the fast engine and no window deadline. A
+    // wall-clock-dependent rung would make replies differ from the
+    // offline path, which the differential harnesses hold bitwise.
+    let ladder = LadderConfig::default();
     loop {
         let Some(batch) = collect_batch(shared) else {
             return;
@@ -1555,7 +1533,7 @@ fn process_batch<C: Conn>(
             // Encode and write timed separately, so a slow peer shows up
             // in `serve.stage.write_us` rather than smearing the batch.
             let encode_start = cfg.clock.now();
-            if let Ok(bytes) = encode_frame_with(&frame, codec, cfg.max_frame_len) {
+            if let Ok(bytes) = encode_frame_with(&frame, codec, MAX_FRAME_LEN) {
                 let encode_dur = cfg.clock.now().saturating_duration_since(encode_start);
                 STAGE_ENCODE_US.record_duration(encode_dur);
                 trace::record_span("serve.encode", job.trace, encode_start, encode_dur);

@@ -5,7 +5,7 @@
 //! [`Counters`] behind its `StatsReply`, and the client half
 //! ([`ClientSession`]).
 //! The server ([`crate::server`]) and the cluster router drive the
-//! server half; the load generator ([`crate::loadgen`]) and the
+//! server half; the load generator (`crate::loadgen`) and the
 //! simulation explorer drive the client half. None of it owns a socket
 //! or reads a clock — writes go through a closure the driver lends it or
 //! come back as bytes, time arrives as an argument — so a test can feed

@@ -86,6 +86,13 @@ pub trait Transport: Send + Sync + 'static {
     fn desc(&self) -> String;
 }
 
+/// Socket write timeout of server sessions and router links: a write
+/// blocked longer than this marks the peer a slow reader, and the
+/// session or link is killed rather than letting one slow reader wedge
+/// a thread. A constant because no server or router has run another
+/// value.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Set `conn` up for a session — read poll granularity, write timeout,
 /// no Nagle — and split it: a frame reader capped at `max_len` on a
 /// clone, and the original for writing.
@@ -185,7 +192,7 @@ where
         .expect("spawn acceptor")
 }
 
-/// The client's dial side ([`crate::loadgen`] and tests).
+/// The client's dial side (`crate::loadgen` and tests).
 pub trait Connector: Send + Sync {
     type Conn: Conn;
     fn connect(&self) -> io::Result<Self::Conn>;

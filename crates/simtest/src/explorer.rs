@@ -45,7 +45,6 @@ use crate::checker::{ClientModel, ResumeExpect};
 use fmml_core::streaming::IntervalUpdate;
 use fmml_core::transformer_imputer::{Scales, TransformerImputer};
 use fmml_fault::ProcessFaultPlan;
-use fmml_fm::cem::CemEngine;
 use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
 use fmml_obs::{fnv, Clock, VirtualClock};
@@ -702,12 +701,10 @@ pub(crate) fn explorer_server_config(
     ServerConfig {
         workers: 1,
         jobs: 1,
-        engine: CemEngine::Fast,
         // Generous virtual deadline: no seed's verdict turns on a
         // deadline miss.
         deadline: Duration::from_secs(10),
         max_batch: 4,
-        batch_wait: Duration::from_millis(1),
         // Effectively unbounded admission: any `Busy` is a violation.
         queue_depth: 4096,
         read_timeout: Duration::from_millis(5),
@@ -730,9 +727,6 @@ pub(crate) fn explorer_server_config(
         // fully spent on expired tokens; the driver's handshake wait
         // (`pump_until`, at least `STALL_REAL`) must outlast it.
         resume_claim_wait: Duration::from_millis(150),
-        // The breaker guards the SMT rung, unused under `Fast` — and it
-        // would drag in process-global clock state.
-        breaker: None,
         process_faults,
         clock,
         injected_bug: None,

@@ -8,7 +8,7 @@
 //! a seed-derived schedule of client operations (bursts, reconnects,
 //! hard kills, parked-TTL expiries) interleaved with seeded transport
 //! faults and worker panics. Every reply is checked against a **pure
-//! reference state machine** of the wire protocol ([`checker`]): warm-up
+//! reference state machine** of the wire protocol (`checker`): warm-up
 //! arithmetic, exactly-once delivery, replay completeness after
 //! resumption, expiry semantics, and end-of-run completeness.
 //!
@@ -27,12 +27,12 @@
 //! Entry points: [`sweep::single`] and [`sweep::cluster`] (a seed range,
 //! folded into one fingerprint), [`sweep::Sweep::check_pin`] (that
 //! fingerprint against a pin file), and [`explorer::run_seed`] /
-//! [`cluster::run_seed`] (one seed). `fmml simtest` prints them;
+//! `cluster::run_seed` (one seed). `fmml simtest` prints them;
 //! `tests/pins.rs` asserts both pins.
 
-pub mod checker;
-pub mod cluster;
-pub mod explorer;
+mod checker;
+mod cluster;
+mod explorer;
 pub mod sweep;
 
 pub use checker::{ClientModel, ReplyKind, ResumeExpect};

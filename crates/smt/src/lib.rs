@@ -61,15 +61,15 @@
 //! assert_eq!(s.check(), SatResult::Unsat);
 //! ```
 
-pub mod cnf;
+mod cnf;
 mod hash;
 pub mod lia;
 pub mod rational;
 pub mod sat;
 pub mod simplex;
 pub mod solver;
-pub mod stats;
-pub mod term;
+mod stats;
+mod term;
 
 pub use sat::{Lit, SatSolver};
 pub use solver::{Model, SatResult, Solver};

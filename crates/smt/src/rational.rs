@@ -90,10 +90,6 @@ impl Rat {
         assert!(self.num != 0, "reciprocal of zero");
         Rat::new(self.den, self.num)
     }
-
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
 }
 
 /// An integer as a `Rat`; `None` (overflow) is a bug in the caller.

@@ -181,8 +181,7 @@ impl Solver {
     }
 
     /// Cumulative solver work since construction: the search's counters
-    /// plus the simplex's (pivots, rows). Callers diff snapshots via
-    /// [`SolverStats::delta_since`].
+    /// plus the simplex's (pivots, rows).
     pub fn stats(&self) -> SolverStats {
         let mut s = *self.enc.sat.stats();
         s.simplex_pivots = self.lia.pivots();
@@ -456,23 +455,6 @@ impl Solver {
             .as_ref()
             .expect("no model available")
             .eval_int(&self.tm, t)
-    }
-
-    /// Maximize an integer objective (dual of [`Solver::minimize`]):
-    /// stops early if `hi` is reached.
-    pub fn maximize(&mut self, obj: TermId, hi: i64) -> OptResult {
-        let neg = self.neg(obj);
-        match self.minimize(neg, hi.checked_neg().unwrap_or(i64::MIN + 1)) {
-            OptResult::Optimal { value, model } => OptResult::Optimal {
-                value: -value,
-                model,
-            },
-            OptResult::Best { value, model } => OptResult::Best {
-                value: -value,
-                model,
-            },
-            r => r,
-        }
     }
 
     /// [`Solver::minimize`] started from a suggested assignment of the
@@ -749,29 +731,6 @@ mod tests {
                 let xv = model.eval_int(&s.tm, x);
                 assert!(xv == 6 || xv == 8);
             }
-            r => panic!("expected optimal, got {r:?}"),
-        }
-    }
-
-    #[test]
-    fn maximize_simple_objective() {
-        // max x subject to 2 <= x <= 9, x odd (x = 2k+1).
-        let mut s = Solver::new();
-        let x = s.int_var("x");
-        let k = s.int_var("k");
-        let two = s.int(2);
-        let nine = s.int(9);
-        let lo = s.ge(x, two);
-        let hi = s.le(x, nine);
-        s.assert(lo);
-        s.assert(hi);
-        let twok = s.mul_const(2, k);
-        let one = s.int(1);
-        let odd_val = s.add(&[twok, one]);
-        let odd = s.eq(x, odd_val);
-        s.assert(odd);
-        match s.maximize(x, i64::MAX) {
-            OptResult::Optimal { value, .. } => assert_eq!(value, 9),
             r => panic!("expected optimal, got {r:?}"),
         }
     }

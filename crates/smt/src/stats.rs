@@ -2,9 +2,9 @@
 //!
 //! The SAT core tallies its own work and the theory calls it makes;
 //! [`crate::Solver::stats`] merges in the simplex's. The struct is
-//! plain data so callers — the CEM engine, benches, the CLI's metrics
-//! bridge — can diff snapshots taken before and after a `check` without
-//! holding references into the solver.
+//! plain data so callers — the CEM engine, the packet model — can fold
+//! a solver's work into the `smt.*` metrics without holding references
+//! into the solver.
 
 /// Cumulative counters of solver work since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,25 +45,6 @@ impl SolverStats {
             tableau_rows: 0,
             theory_checks: 0,
             iterations: 0,
-        }
-    }
-
-    /// Component-wise difference (`self` minus an earlier snapshot).
-    /// Saturates at zero so a reset-free caller can never underflow.
-    pub fn delta_since(&self, earlier: &SolverStats) -> SolverStats {
-        SolverStats {
-            decisions: self.decisions.saturating_sub(earlier.decisions),
-            propagations: self.propagations.saturating_sub(earlier.propagations),
-            conflicts: self.conflicts.saturating_sub(earlier.conflicts),
-            theory_conflicts: self
-                .theory_conflicts
-                .saturating_sub(earlier.theory_conflicts),
-            restarts: self.restarts.saturating_sub(earlier.restarts),
-            learned_clauses: self.learned_clauses.saturating_sub(earlier.learned_clauses),
-            simplex_pivots: self.simplex_pivots.saturating_sub(earlier.simplex_pivots),
-            tableau_rows: self.tableau_rows.saturating_sub(earlier.tableau_rows),
-            theory_checks: self.theory_checks.saturating_sub(earlier.theory_checks),
-            iterations: self.iterations.saturating_sub(earlier.iterations),
         }
     }
 }

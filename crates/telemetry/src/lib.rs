@@ -4,31 +4,28 @@
 //! operator has access to (§2.1), applied to the simulator's fine-grained
 //! ground truth:
 //!
-//! * [`sampler`] — **periodic sampling**: the instantaneous queue length at
+//! * `sampler` — **periodic sampling**: the instantaneous queue length at
 //!   the end of every monitoring interval;
-//! * [`lanz`] — **LANZ**: the per-queue *maximum* length within each
+//! * `lanz` — **LANZ**: the per-queue *maximum* length within each
 //!   interval (without the time at which it occurred);
-//! * [`snmp`] — **SNMP**: per-port counts of packets received, sent, and
+//! * `snmp` — **SNMP**: per-port counts of packets received, sent, and
 //!   dropped in each interval.
 //!
-//! [`window`] slices a trace into fixed-length per-port windows (the
+//! `window` slices a trace into fixed-length per-port windows (the
 //! 300 ms / 6-interval examples of the paper's Fig. 3) that carry both the
 //! fine ground truth (training target) and the coarse measurements (model
-//! input + constraint right-hand sides). [`dataset`] handles train/test
-//! splitting and normalization scales.
+//! input + constraint right-hand sides).
 
 //! [`sanitize`] is the intake valve for *damaged* telemetry: it
 //! classifies and repairs measurement artifacts (missing values, counter
 //! wraps, skewed samples, …) before windows reach the imputer and CEM.
 
-pub mod dataset;
-pub mod lanz;
-pub mod sampler;
+mod lanz;
+mod sampler;
 pub mod sanitize;
-pub mod series;
-pub mod snmp;
-pub mod stats;
-pub mod window;
+mod series;
+mod snmp;
+mod window;
 
 pub use sanitize::{sanitize_series, sanitize_window, SanitizeConfig, SanitizeReport};
 pub use series::CoarseTelemetry;

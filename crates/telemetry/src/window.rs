@@ -61,11 +61,6 @@ impl PortWindow {
         sample_positions(self.len(), self.interval_len)
     }
 
-    /// The coarse interval a window-relative fine bin belongs to.
-    pub fn interval_of(&self, t: usize) -> usize {
-        t / self.interval_len
-    }
-
     /// True iff the window contains any queue activity at all (used to
     /// filter all-idle windows out of training sets).
     pub fn has_activity(&self) -> bool {
@@ -193,16 +188,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn interval_of_maps_bins() {
-        let gt = trace();
-        let w = &windows_from_trace(&gt, 300, 50, 300)[0];
-        assert_eq!(w.interval_of(0), 0);
-        assert_eq!(w.interval_of(49), 0);
-        assert_eq!(w.interval_of(50), 1);
-        assert_eq!(w.interval_of(299), 5);
     }
 
     #[test]
