@@ -4,26 +4,30 @@
 //! (10 steps × 2 queues), one per non-trivial cost class of
 //! `benchmark/src/offline.rs` (1–2, 3–4, ≥ 5 non-empty target steps), and
 //! one at paper geometry (50 × 2) go through `smt_engine::solve_warm`;
-//! the solver's own counters must read exactly the pinned work, twice in
-//! one process. Counts repeat to the unit where wall-clock does not, so a
-//! solver PR that removes work edits these numbers downwards and proves
-//! it at 0 % spread. `iterations: 0` is the warm start at work: the fast
+//! the solver's own counters must read exactly the pinned work, and the
+//! solved series its pinned hash, twice in one process. Counts repeat to
+//! the unit where wall-clock does not, so a solver PR that removes work
+//! edits these numbers downwards and proves it at 0 % spread. `iterations: 0` is the warm start at work: the fast
 //! engine's optimum is adopted after being checked, no model is searched
 //! for, and everything counted is the optimality proof.
 //!
 //! One test in this binary: the `smt.*` counters are process-wide.
 
-use fmml_fm::cem::{smt_engine, IntervalProblem};
+use fmml_fm::cem::{self, smt_engine, IntervalProblem};
 use fmml_smt::solver::Budget;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Work {
     decisions: u64,
+    propagations: u64,
     conflicts: u64,
     theory_conflicts: u64,
     iterations: u64,
     pivots: u64,
     tableau_rows: u64,
+    learned_clauses: u64,
+    theory_checks: u64,
+    restarts: u64,
 }
 
 fn counters() -> Work {
@@ -36,29 +40,38 @@ fn counters() -> Work {
     };
     Work {
         decisions: get("smt.decisions"),
+        propagations: get("smt.propagations"),
         conflicts: get("smt.conflicts"),
         theory_conflicts: get("smt.theory_conflicts"),
         iterations: get("smt.iterations"),
         pivots: get("smt.simplex_pivots"),
         tableau_rows: get("smt.tableau_rows"),
+        learned_clauses: get("smt.learned_clauses"),
+        theory_checks: get("smt.theory_checks"),
+        restarts: get("smt.restarts"),
     }
 }
 
-/// Solve once; the work it took and the optimum it proved.
-fn solve(p: &IntervalProblem) -> (Work, u64) {
+/// Solve once; the work it took, the optimum it proved and the hash of
+/// the series it returned.
+fn solve(p: &IntervalProblem) -> (Work, u64, u64) {
     let before = counters();
     let sol = smt_engine::solve_warm(p, Budget::default()).expect("feasible within budget");
     assert!(sol.is_feasible(p));
     let after = counters();
     let work = Work {
         decisions: after.decisions - before.decisions,
+        propagations: after.propagations - before.propagations,
         conflicts: after.conflicts - before.conflicts,
         theory_conflicts: after.theory_conflicts - before.theory_conflicts,
         iterations: after.iterations - before.iterations,
         pivots: after.pivots - before.pivots,
         tableau_rows: after.tableau_rows - before.tableau_rows,
+        learned_clauses: after.learned_clauses - before.learned_clauses,
+        theory_checks: after.theory_checks - before.theory_checks,
+        restarts: after.restarts - before.restarts,
     };
-    (work, sol.objective)
+    (work, sol.objective, cem::hash_u32_series(&sol.values))
 }
 
 fn problem<const L: usize>(
@@ -78,7 +91,7 @@ fn problem<const L: usize>(
 
 #[test]
 fn solver_work_is_pinned_per_cost_class() {
-    // (problem, optimum, pinned work)
+    // (problem, optimum, pinned work, hash of the solved series)
     let cases = [
         // 2 non-empty steps: one burst per queue, nothing to trim.
         (
@@ -94,12 +107,17 @@ fn solver_work_is_pinned_per_cost_class() {
             1,
             Work {
                 decisions: 39,
+                propagations: 9,
                 conflicts: 0,
                 theory_conflicts: 10,
                 iterations: 0,
                 pivots: 29,
                 tableau_rows: 48,
+                learned_clauses: 9,
+                theory_checks: 48,
+                restarts: 0,
             },
+            17_012_978_563_216_570_241,
         ),
         // 4 non-empty steps, C3 admits 3: one must be emptied.
         (
@@ -115,12 +133,17 @@ fn solver_work_is_pinned_per_cost_class() {
             5,
             Work {
                 decisions: 94,
+                propagations: 243,
                 conflicts: 0,
                 theory_conflicts: 21,
                 iterations: 0,
                 pivots: 63,
                 tableau_rows: 48,
+                learned_clauses: 20,
+                theory_checks: 108,
+                restarts: 0,
             },
+            9_708_695_365_734_855_569,
         ),
         // 9 non-empty steps, C3 admits 5: the heavy class.
         (
@@ -136,12 +159,17 @@ fn solver_work_is_pinned_per_cost_class() {
             9,
             Work {
                 decisions: 350,
+                propagations: 1187,
                 conflicts: 5,
                 theory_conflicts: 85,
                 iterations: 0,
                 pivots: 210,
                 tableau_rows: 48,
+                learned_clauses: 89,
+                theory_checks: 424,
+                restarts: 1,
             },
+            15_837_894_569_226_808_771,
         ),
     ];
     // Paper geometry (50 steps × 2 queues), where ROADMAP item 4's
@@ -168,17 +196,22 @@ fn solver_work_is_pinned_per_cost_class() {
         7,
         Work {
             decisions: 2081,
+            propagations: 2983,
             conflicts: 5,
             theory_conflicts: 146,
             iterations: 0,
             pivots: 892,
             tableau_rows: 248,
+            learned_clauses: 150,
+            theory_checks: 2177,
+            restarts: 2,
         },
+        13_608_930_404_757_105_652,
     );
-    for (p, objective, pinned) in cases.iter().chain([&paper_case]) {
+    for (p, objective, pinned, series) in cases.iter().chain([&paper_case]) {
         let first = solve(p);
         let second = solve(p);
         assert_eq!(first, second, "work differs between two solves of {p:?}");
-        assert_eq!(first, (*pinned, *objective), "work moved on {p:?}");
+        assert_eq!(first, (*pinned, *objective, *series), "work moved on {p:?}");
     }
 }
