@@ -3,10 +3,10 @@
 //! Numerator/denominator over `i128` with eager gcd reduction. The CEM and
 //! switch-model encodings only use small coefficients (±1, small
 //! constants), so almost every value is an integer: `+ − × cmp` on two
-//! integers (`den == 1`) skip the gcd and the cross-multiplication and
-//! panic on overflow in every build (`checked_*`); the general path for
-//! real fractions panics on overflow in debug builds only. Nothing
-//! saturates — an overflow is a bug, not an input condition.
+//! integers (`den == 1`) skip the gcd and the cross-multiplication. Every
+//! path, fractions included, panics with "Rat overflow" in every build
+//! (`checked_*`). Nothing saturates or wraps — an overflow is a bug, not
+//! an input condition.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -20,9 +20,8 @@ pub struct Rat {
     den: i128, // > 0
 }
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
+fn gcd(a: i128, b: i128) -> i128 {
+    let (mut a, mut b) = (checked(a.checked_abs()), checked(b.checked_abs()));
     while b != 0 {
         let t = a % b;
         a = b;
@@ -37,11 +36,15 @@ impl Rat {
 
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "zero denominator");
-        let sign = if den < 0 { -1 } else { 1 };
         let g = gcd(num, den);
-        Rat {
-            num: sign * num / g,
-            den: sign * den / g,
+        let (num, den) = (num / g, den / g);
+        if den < 0 {
+            Rat {
+                num: checked(num.checked_neg()),
+                den: checked(den.checked_neg()),
+            }
+        } else {
+            Rat { num, den }
         }
     }
 
@@ -92,10 +95,21 @@ impl Rat {
     }
 }
 
-/// An integer as a `Rat`; `None` (overflow) is a bug in the caller.
+/// The value of a checked operation; `None` (overflow) is a bug in the
+/// caller.
+fn checked(v: Option<i128>) -> i128 {
+    v.expect("Rat overflow")
+}
+
+/// `a · b`, checked.
+fn mul(a: i128, b: i128) -> i128 {
+    checked(a.checked_mul(b))
+}
+
+/// An integer as a `Rat`, checked.
 fn checked_int(v: Option<i128>) -> Rat {
     Rat {
-        num: v.expect("Rat overflow"),
+        num: checked(v),
         den: 1,
     }
 }
@@ -106,7 +120,8 @@ impl Add for Rat {
         if self.den == 1 && o.den == 1 {
             return checked_int(self.num.checked_add(o.num));
         }
-        Rat::new(self.num * o.den + o.num * self.den, self.den * o.den)
+        let num = checked(mul(self.num, o.den).checked_add(mul(o.num, self.den)));
+        Rat::new(num, mul(self.den, o.den))
     }
 }
 
@@ -122,7 +137,8 @@ impl Sub for Rat {
         if self.den == 1 && o.den == 1 {
             return checked_int(self.num.checked_sub(o.num));
         }
-        Rat::new(self.num * o.den - o.num * self.den, self.den * o.den)
+        let num = checked(mul(self.num, o.den).checked_sub(mul(o.num, self.den)));
+        Rat::new(num, mul(self.den, o.den))
     }
 }
 
@@ -132,7 +148,7 @@ impl Mul for Rat {
         if self.den == 1 && o.den == 1 {
             return checked_int(self.num.checked_mul(o.num));
         }
-        Rat::new(self.num * o.num, self.den * o.den)
+        Rat::new(mul(self.num, o.num), mul(self.den, o.den))
     }
 }
 
@@ -140,7 +156,7 @@ impl Div for Rat {
     type Output = Rat;
     fn div(self, o: Rat) -> Rat {
         assert!(o.num != 0, "division by zero");
-        Rat::new(self.num * o.den, self.den * o.num)
+        Rat::new(mul(self.num, o.den), mul(self.den, o.num))
     }
 }
 
@@ -148,7 +164,7 @@ impl Neg for Rat {
     type Output = Rat;
     fn neg(self) -> Rat {
         Rat {
-            num: -self.num,
+            num: checked(self.num.checked_neg()),
             den: self.den,
         }
     }
@@ -165,7 +181,7 @@ impl Ord for Rat {
         if self.den == 1 && o.den == 1 {
             return self.num.cmp(&o.num);
         }
-        (self.num * o.den).cmp(&(o.num * self.den))
+        mul(self.num, o.den).cmp(&mul(o.num, self.den))
     }
 }
 
@@ -224,6 +240,21 @@ mod tests {
         assert!(Rat::new(4, 2).is_integer());
         assert_eq!(Rat::new(4, 2).to_int(), 2);
         assert!(!Rat::new(1, 2).is_integer());
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat overflow")]
+    fn fraction_overflow_panics_in_every_build() {
+        // 2¹²⁷ − 1 is prime, so neither fraction reduces before the
+        // cross-multiplication overflows.
+        let _ = Rat::new(i128::MAX, 2) + Rat::new(1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat overflow")]
+    fn negating_the_least_numerator_panics() {
+        let least = -Rat::new(i128::MAX, 1) - Rat::ONE;
+        let _ = -least;
     }
 
     #[test]
