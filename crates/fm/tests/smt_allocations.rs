@@ -71,5 +71,7 @@ fn a_warm_solve_allocates_a_pinned_count() {
     // The first solve registers the `smt.*` metrics.
     solve();
     let counts: Vec<u64> = (0..3).map(|_| allocations(solve)).collect();
-    assert_eq!(counts, [1510; 3], "allocations per warm solve");
+    // The build allocates per table, not per term, clause, watch list or
+    // row definition; 1,510 when it did.
+    assert_eq!(counts, [373; 3], "allocations per warm solve");
 }

@@ -5,18 +5,23 @@
 //! variables, with atoms recorded in a registry the solver registers on
 //! the theory side in the same order.
 
-use crate::hash::FxMap;
+use crate::room;
 use crate::sat::{Lit, SatSolver, Var};
 use crate::term::{TermId, TermKind, TermManager};
 
 /// CNF encoder with an atom registry.
 pub struct Encoder {
     pub sat: SatSolver,
-    lit_of: FxMap<TermId, Lit>,
+    /// `lit_of[t]`: the literal of encoded term `t` (term ids are dense).
+    lit_of: Vec<Option<Lit>>,
     /// Registration order of theory atoms: (atom term, SAT var).
     atoms: Vec<(TermId, Var)>,
     /// A SAT variable forced true (lazily created for `True`/`False`).
     const_true: Option<Var>,
+    /// A clause being put together.
+    clause: Vec<Lit>,
+    /// Variables made by [`Encoder::and2`], with the two atoms they join.
+    and2s: Vec<(Var, TermId, TermId)>,
 }
 
 impl Default for Encoder {
@@ -29,9 +34,11 @@ impl Encoder {
     pub fn new() -> Encoder {
         Encoder {
             sat: SatSolver::new(),
-            lit_of: FxMap::default(),
-            atoms: Vec::new(),
+            lit_of: room(),
+            atoms: room(),
             const_true: None,
+            clause: room(),
+            and2s: room(),
         }
     }
 
@@ -44,8 +51,13 @@ impl Encoder {
     /// term's truth under `value` (a search heuristic, see
     /// [`SatSolver::set_phase`]).
     pub fn set_phases(&mut self, value: impl Fn(TermId) -> bool) {
-        for (&t, &lit) in &self.lit_of {
-            self.sat.set_phase(lit.var(), value(t) != lit.is_neg());
+        for (t, lit) in (0..).zip(&self.lit_of) {
+            if let &Some(lit) = lit {
+                self.sat.set_phase(lit.var(), value(t) != lit.is_neg());
+            }
+        }
+        for &(v, x, y) in &self.and2s {
+            self.sat.set_phase(v, value(x) && value(y));
         }
     }
 
@@ -64,10 +76,10 @@ impl Encoder {
 
     /// The literal representing a bool-sorted term (Tseitin, memoized).
     pub fn lit(&mut self, tm: &TermManager, t: TermId) -> Lit {
-        if let Some(&l) = self.lit_of.get(&t) {
+        if let Some(&Some(l)) = self.lit_of.get(t as usize) {
             return l;
         }
-        let l = match tm.kind(t) {
+        let l = match *tm.kind(t) {
             TermKind::True => self.true_lit(),
             TermKind::False => self.true_lit().negate(),
             TermKind::BoolVar(_) => Lit::pos(self.sat.new_var()),
@@ -76,37 +88,59 @@ impl Encoder {
                 self.atoms.push((t, v));
                 Lit::pos(v)
             }
-            TermKind::Not(inner) => self.lit(tm, *inner).negate(),
-            TermKind::And(xs) => {
-                let lits: Vec<Lit> = xs.iter().map(|&x| self.lit(tm, x)).collect();
-                let v = Lit::pos(self.sat.new_var());
-                // v -> xi
-                for &lx in &lits {
-                    self.sat.add_clause(&[v.negate(), lx]);
-                }
-                // (x1 & ... & xn) -> v
-                let mut big: Vec<Lit> = lits.iter().map(|l| l.negate()).collect();
-                big.push(v);
-                self.sat.add_clause(&big);
-                v
-            }
-            TermKind::Or(xs) => {
-                let lits: Vec<Lit> = xs.iter().map(|&x| self.lit(tm, x)).collect();
-                let v = Lit::pos(self.sat.new_var());
-                // xi -> v
-                for &lx in &lits {
-                    self.sat.add_clause(&[lx.negate(), v]);
-                }
-                // v -> (x1 | ... | xn)
-                let mut big: Vec<Lit> = lits.clone();
-                big.insert(0, v.negate());
-                self.sat.add_clause(&big);
-                v
-            }
+            TermKind::Not(inner) => self.lit(tm, inner).negate(),
+            TermKind::And => self.junction(tm, tm.ids(t), false),
+            TermKind::Or => self.junction(tm, tm.ids(t), true),
             k => panic!("not a boolean term: {k:?}"),
         };
-        self.lit_of.insert(t, l);
+        self.lit_of
+            .resize(self.lit_of.len().max(tm.num_terms()), None);
+        self.lit_of[t as usize] = Some(l);
         l
+    }
+
+    /// Is `t` encoded already?
+    pub fn is_encoded(&self, t: TermId) -> bool {
+        self.lit_of.get(t as usize).is_some_and(Option::is_some)
+    }
+
+    /// A variable for `x ∧ y` with no term behind it, its phase that of
+    /// `x ∧ y`: what [`Encoder::lit`] makes of the term `and(x, y)` when
+    /// `x < y` are atoms.
+    pub fn and2(&mut self, tm: &TermManager, x: TermId, y: TermId) -> Lit {
+        let v = self.junction(tm, &[x, y], false);
+        self.and2s.push((v.var(), x, y));
+        v
+    }
+
+    /// A fresh `v ↔ ⋀ xs`, or `v ↔ ⋁ xs`, its children encoded first.
+    fn junction(&mut self, tm: &TermManager, xs: &[TermId], or: bool) -> Lit {
+        // ⋀ xᵢ → v is ¬x₁ ∨ … ∨ ¬xₙ ∨ v; v → ⋁ xᵢ is x₁ ∨ … ∨ xₙ ∨ ¬v.
+        self.child_clause(tm, xs, !or);
+        let v = Lit::pos(self.sat.new_var());
+        let last = if or { v.negate() } else { v };
+        // v → xᵢ, or xᵢ → v.
+        for &l in &self.clause {
+            self.sat.add_clause(&[last.negate(), l.negate()]);
+        }
+        self.clause.push(last);
+        self.sat.add_clause(&self.clause);
+        v
+    }
+
+    /// Encode `xs` in order and put their literals, negated if `negate`,
+    /// in the clause being built.
+    fn child_clause(&mut self, tm: &TermManager, xs: &[TermId], negate: bool) {
+        for &x in xs {
+            self.lit(tm, x);
+        }
+        self.clause.clear();
+        let lit_of = &self.lit_of;
+        let lit = |x: TermId| lit_of[x as usize].expect("child encoded");
+        self.clause.extend(
+            xs.iter()
+                .map(|&x| Lit::new(lit(x).var(), lit(x).is_neg() != negate)),
+        );
     }
 
     /// Assert a bool-sorted term as a top-level constraint.
@@ -114,19 +148,19 @@ impl Encoder {
     /// Top-level conjunctions are split (no auxiliary variable), top-level
     /// disjunctions become a single clause.
     pub fn assert_formula(&mut self, tm: &TermManager, t: TermId) {
-        match tm.kind(t) {
+        match *tm.kind(t) {
             TermKind::True => {}
             TermKind::False => {
                 self.sat.add_clause(&[]);
             }
-            TermKind::And(xs) => {
-                for &x in xs {
+            TermKind::And => {
+                for &x in tm.ids(t) {
                     self.assert_formula(tm, x);
                 }
             }
-            TermKind::Or(xs) => {
-                let clause: Vec<Lit> = xs.iter().map(|&x| self.lit(tm, x)).collect();
-                self.sat.add_clause(&clause);
+            TermKind::Or => {
+                self.child_clause(tm, tm.ids(t), false);
+                self.sat.add_clause(&self.clause);
             }
             _ => {
                 let l = self.lit(tm, t);

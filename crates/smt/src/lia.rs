@@ -5,6 +5,7 @@
 //! integrality at a full assignment.
 
 use crate::rational::Rat;
+use crate::room;
 use crate::sat::{Lit, Theory, TheoryResult, Var};
 use crate::simplex::{Simplex, SpxResult, SpxVar, Tag};
 use std::time::Instant;
@@ -34,6 +35,8 @@ pub struct LiaSolver {
     /// Their values after the last consistent `final_check`.
     model: Vec<i64>,
     max_bb_nodes: u64,
+    /// A row's definition on its way to the simplex.
+    def: Vec<(SpxVar, Rat)>,
 }
 
 impl Default for LiaSolver {
@@ -46,10 +49,11 @@ impl LiaSolver {
     pub fn new() -> LiaSolver {
         LiaSolver {
             spx: Simplex::new(),
-            atoms: Vec::new(),
-            int_vars: Vec::new(),
-            model: Vec::new(),
+            atoms: room(),
+            int_vars: room(),
+            model: room(),
             max_bb_nodes: 200_000,
+            def: room(),
         }
     }
 
@@ -79,10 +83,11 @@ impl LiaSolver {
                 bound: -rhs.div_euclid(-c),
             },
             _ => {
-                let def: Vec<(SpxVar, Rat)> =
-                    terms.iter().map(|&(v, c)| (v, Rat::int(c))).collect();
+                self.def.clear();
+                self.def
+                    .extend(terms.iter().map(|&(v, c)| (v, Rat::int(c))));
                 AtomInfo {
-                    var: self.spx.add_row(&def),
+                    var: self.spx.add_row(&self.def),
                     upper: true,
                     bound: rhs,
                 }

@@ -9,9 +9,11 @@
 //!
 //! ```text
 //!   formula ──► [term]  hash-consed AST, light constant folding; each node
-//!                       stored once, its "contains an ite" bit set then
-//!           ──► [lower] ite elimination (ite-free terms pass untouched),
-//!                       Eq desugaring, atom extraction
+//!                       stored once, its list in a pool, its "contains an
+//!                       ite" bit set then
+//!           ──► [lower] ite elimination (ite-free terms pass untouched;
+//!                       a definition Tseitin would only take apart is
+//!                       encoded directly), Eq desugaring, atom extraction
 //!           ──► [cnf]   Tseitin conversion to clauses over atom literals
 //!           ──► [sat]   CDCL: watched literals, VSIDS heap, 1-UIP learning;
 //!                       owns the loop and drives a `Theory` along its trail
@@ -32,7 +34,9 @@
 //!
 //! The simplex keeps every tableau row sorted by variable (a pivot is
 //! one merge per row); the solver's maps share one multiplicative hasher
-//! (`hash`), their keys being its own term ids.
+//! (`hash`). Tables start with room for 64 entries; clauses and watch
+//! lists are runs of shared pools: a build allocates per table, not per
+//! item.
 //!
 //! The solver is deliberately budgeted: [`Solver::set_budget`] bounds
 //! wall-clock time and conflicts (boolean and theory), and exhausting the budget yields
@@ -60,6 +64,15 @@
 //! s.assert(c2);
 //! assert_eq!(s.check(), SatResult::Unsat);
 //! ```
+
+/// A solver's per-term, per-variable and per-clause tables start with
+/// room for this many entries rather than growing from empty; a 10-step,
+/// 2-queue CEM interval makes ~330 terms and ~180 SAT variables.
+const ROOM: usize = 64;
+
+fn room<T>() -> Vec<T> {
+    Vec::with_capacity(ROOM)
+}
 
 mod cnf;
 mod hash;

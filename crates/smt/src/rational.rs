@@ -36,15 +36,11 @@ impl Rat {
 
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "zero denominator");
+        let sign = if den < 0 { -1 } else { 1 };
         let g = gcd(num, den);
-        let (num, den) = (num / g, den / g);
-        if den < 0 {
-            Rat {
-                num: checked(num.checked_neg()),
-                den: checked(den.checked_neg()),
-            }
-        } else {
-            Rat { num, den }
+        Rat {
+            num: mul(sign, num / g),
+            den: mul(sign, den / g),
         }
     }
 
@@ -95,18 +91,19 @@ impl Rat {
     }
 }
 
-/// The value of a checked operation; `None` (overflow) is a bug in the
-/// caller.
+/// The value of a checked operation; `None`, an overflow, is a bug.
 fn checked(v: Option<i128>) -> i128 {
     v.expect("Rat overflow")
 }
 
-/// `a · b`, checked.
+/// `a · b`; two factors that fit in 64 bits cannot overflow 128.
 fn mul(a: i128, b: i128) -> i128 {
-    checked(a.checked_mul(b))
+    match (i64::try_from(a), i64::try_from(b)) {
+        (Ok(_), Ok(_)) => a * b,
+        _ => checked(a.checked_mul(b)),
+    }
 }
 
-/// An integer as a `Rat`, checked.
 fn checked_int(v: Option<i128>) -> Rat {
     Rat {
         num: checked(v),

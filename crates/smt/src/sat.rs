@@ -8,6 +8,7 @@
 //! The solver is incremental: clauses (objective bounds) may be added
 //! between `solve` calls; it backtracks to the root level on every entry.
 
+use crate::room;
 use std::fmt;
 use std::time::Instant;
 
@@ -125,15 +126,48 @@ type ClauseRef = u32;
 /// `heap_pos` of a variable that is not in the decision heap.
 const NOT_IN_HEAP: u32 = u32::MAX;
 
-struct Clause {
-    lits: Vec<Lit>,
+/// A literal's watch list: `len` clause refs from `start` in the pool, room for `cap`.
+#[derive(Clone, Copy, Default)]
+struct WatchList {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Every literal's watch list, each a run of one pool. A list that
+/// outgrows its run moves to the end of the pool with twice the room,
+/// so the runs of other lists never move while one is being walked.
+#[derive(Default)]
+struct Watches {
+    pool: Vec<ClauseRef>,
+    /// Indexed by [`Lit::index`].
+    lists: Vec<WatchList>,
+}
+
+impl Watches {
+    fn push(&mut self, lit: Lit, cr: ClauseRef) {
+        let w = &mut self.lists[lit.index()];
+        if w.len == w.cap {
+            let start = self.pool.len();
+            self.pool
+                .extend_from_within(w.start as usize..(w.start + w.len) as usize);
+            w.cap = (2 * w.cap).max(4);
+            self.pool.resize(start + w.cap as usize, 0);
+            w.start = start as u32;
+        }
+        self.pool[(w.start + w.len) as usize] = cr;
+        w.len += 1;
+    }
 }
 
 /// The CDCL solver.
 pub struct SatSolver {
-    clauses: Vec<Clause>,
-    /// `watches[lit.index()]`: clauses watching `lit`.
-    watches: Vec<Vec<ClauseRef>>,
+    /// `(start, len)` of each clause's literals in `arena`, the two
+    /// watched ones first.
+    clauses: Vec<(u32, u32)>,
+    arena: Vec<Lit>,
+    /// The clauses watching each literal.
+    watches: Watches,
     assign: Vec<LBool>,
     /// Saved phase for decision polarity.
     phase: Vec<bool>,
@@ -161,6 +195,8 @@ pub struct SatSolver {
     stats: SolverStats,
     // Scratch for conflict analysis.
     seen: Vec<bool>,
+    /// A clause being simplified by `add_clause`.
+    scratch: Vec<Lit>,
 }
 
 const VAR_DECAY: f64 = 0.95;
@@ -175,24 +211,26 @@ impl Default for SatSolver {
 impl SatSolver {
     pub fn new() -> SatSolver {
         SatSolver {
-            clauses: Vec::new(),
-            watches: Vec::new(),
-            assign: Vec::new(),
-            phase: Vec::new(),
-            level: Vec::new(),
-            reason: Vec::new(),
-            trail: Vec::new(),
-            trail_lim: Vec::new(),
+            clauses: room(),
+            arena: room(),
+            watches: Watches::default(),
+            assign: room(),
+            phase: room(),
+            level: room(),
+            reason: room(),
+            trail: room(),
+            trail_lim: room(),
             qhead: 0,
             theory_head: 0,
-            activity: Vec::new(),
+            activity: room(),
             var_inc: 1.0,
-            heap: Vec::new(),
-            heap_pos: Vec::new(),
+            heap: room(),
+            heap_pos: room(),
             unsat: false,
             budget: None,
-            stats: SolverStats::new(),
-            seen: Vec::new(),
+            stats: SolverStats::default(),
+            seen: room(),
+            scratch: room(),
         }
     }
 
@@ -205,15 +243,10 @@ impl SatSolver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.watches.lists.extend([WatchList::default(); 2]);
         self.heap_pos.push(NOT_IN_HEAP);
         self.heap_insert(v);
         v
-    }
-
-    pub fn num_vars(&self) -> usize {
-        self.assign.len()
     }
 
     /// The polarity the next decision on `v` tries first (later ones
@@ -235,22 +268,10 @@ impl SatSolver {
     }
 
     fn value_lit(&self, l: Lit) -> LBool {
-        match self.assign[l.var() as usize] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if l.is_neg() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
-            }
-            LBool::False => {
-                if l.is_neg() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
+        match (self.assign[l.var() as usize], l.is_neg()) {
+            (LBool::Undef, _) => LBool::Undef,
+            (LBool::True, false) | (LBool::False, true) => LBool::True,
+            _ => LBool::False,
         }
     }
 
@@ -268,59 +289,58 @@ impl SatSolver {
         self.backtrack_to(0);
         // Simplify: drop duplicates and false literals, detect tautologies
         // and satisfied clauses at the root level.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for (i, &l) in sorted.iter().enumerate() {
-            if i + 1 < sorted.len() && sorted[i + 1] == l.negate() {
-                return true; // tautology
-            }
-            match self.value_lit(l) {
-                LBool::True => return true, // already satisfied at root
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => c.push(l),
-            }
-        }
-        match c.len() {
-            0 => {
+        let mut c = std::mem::take(&mut self.scratch);
+        c.clear();
+        c.extend_from_slice(lits);
+        c.sort_unstable();
+        c.dedup();
+        // A literal beside its negation (adjacent once sorted), or one
+        // already true at the root: the clause holds.
+        let holds = c.windows(2).any(|w| w[1] == w[0].negate())
+            || c.iter().any(|&l| self.value_lit(l) == LBool::True);
+        c.retain(|&l| self.value_lit(l) == LBool::Undef);
+        let ok = match c[..] {
+            _ if holds => true,
+            [] => {
                 self.unsat = true;
                 false
             }
-            1 => {
-                self.enqueue(c[0], None);
-                if self.propagate().is_some() {
-                    self.unsat = true;
-                    false
-                } else {
-                    true
-                }
+            [unit] => {
+                self.enqueue(unit, None);
+                self.unsat = self.propagate().is_some();
+                !self.unsat
             }
             _ => {
-                self.attach_clause(c);
+                self.attach_clause(&c);
                 true
             }
-        }
+        };
+        self.scratch = c;
+        ok
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit]) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cr = self.clauses.len() as ClauseRef;
-        self.watches[lits[0].negate().index()].push(cr);
-        self.watches[lits[1].negate().index()].push(cr);
-        self.clauses.push(Clause { lits });
+        self.watches.push(lits[0].negate(), cr);
+        self.watches.push(lits[1].negate(), cr);
+        self.clauses
+            .push((self.arena.len() as u32, lits.len() as u32));
+        self.arena.extend_from_slice(lits);
         cr
+    }
+
+    /// The literals of clause `cr`.
+    fn clause(&self, cr: ClauseRef) -> &[Lit] {
+        let (start, len) = self.clauses[cr as usize];
+        &self.arena[start as usize..(start + len) as usize]
     }
 
     fn enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.value_lit(l), LBool::Undef);
         let v = l.var() as usize;
-        self.assign[v] = if l.is_neg() {
-            LBool::False
-        } else {
-            LBool::True
-        };
         self.phase[v] = !l.is_neg();
+        self.assign[v] = [LBool::False, LBool::True][self.phase[v] as usize];
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);
@@ -338,46 +358,46 @@ impl SatSolver {
             // Clauses watching p (i.e. containing ¬p as watched literal
             // candidate) — we store watchers under the literal that, when
             // *assigned true*, might falsify the watched literal.
-            let mut i = 0;
-            let mut watchers = std::mem::take(&mut self.watches[p.index()]);
-            'next_clause: while i < watchers.len() {
-                let cr = watchers[i];
+            // Pushes below go to other lists, so p's run stays put.
+            let watchers = self.watches.lists[p.index()];
+            let at = |i: usize| watchers.start as usize + i;
+            let (mut i, mut n) = (0, watchers.len as usize);
+            'next_clause: while i < n {
+                let cr = self.watches.pool[at(i)];
                 let false_lit = p.negate();
+                let (start, len) = self.clauses[cr as usize];
+                let (start, len) = (start as usize, len as usize);
                 // Normalize: watched literals are lits[0], lits[1].
-                {
-                    let c = &mut self.clauses[cr as usize];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                if self.arena[start] == false_lit {
+                    self.arena.swap(start, start + 1);
                 }
-                let first = self.clauses[cr as usize].lits[0];
+                debug_assert_eq!(self.arena[start + 1], false_lit);
+                let first = self.arena[start];
                 if self.value_lit(first) == LBool::True {
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[cr as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cr as usize].lits[k];
+                for k in start + 2..start + len {
+                    let lk = self.arena[k];
                     if self.value_lit(lk) != LBool::False {
-                        self.clauses[cr as usize].lits.swap(1, k);
-                        self.watches[lk.negate().index()].push(cr);
-                        watchers.swap_remove(i);
+                        self.arena.swap(start + 1, k);
+                        self.watches.push(lk.negate(), cr);
+                        n -= 1;
+                        self.watches.pool[at(i)] = self.watches.pool[at(n)];
                         continue 'next_clause;
                     }
                 }
                 // Unit or conflicting.
                 if self.value_lit(first) == LBool::False {
-                    self.watches[p.index()] = watchers;
-                    // Re-add remaining watchers we had taken out.
+                    self.watches.lists[p.index()].len = n as u32;
                     return Some(cr);
                 }
                 self.stats.propagations += 1;
                 self.enqueue(first, Some(cr));
                 i += 1;
             }
-            self.watches[p.index()] = watchers;
+            self.watches.lists[p.index()].len = n as u32;
         }
         None
     }
@@ -483,13 +503,18 @@ impl SatSolver {
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
-        let mut lits = confl;
-        let cur_level = self.decision_level();
+        // The clause being resolved, as a run of the arena: the conflict
+        // (copied to the arena's end until the analysis is done), then
+        // reasons, whose first literal is the one they implied.
+        let (end, cur_level) = (self.arena.len(), self.decision_level());
+        self.arena.extend_from_slice(&confl);
+        let mut clause = (end as u32, confl.len() as u32);
 
         loop {
             {
-                let start = usize::from(p.is_some());
-                for &q in &lits[start..] {
+                let (start, len) = (clause.0 as usize, clause.1 as usize);
+                for k in start + usize::from(p.is_some())..start + len {
+                    let q = self.arena[k];
                     let v = q.var();
                     if !self.seen[v as usize] && self.level[v as usize] > 0 {
                         self.seen[v as usize] = true;
@@ -517,9 +542,10 @@ impl SatSolver {
                 break;
             }
             let cr = self.reason[lit.var() as usize].expect("non-decision must have a reason");
-            lits = self.clauses[cr as usize].lits.clone();
+            clause = self.clauses[cr as usize];
             p = Some(lit);
         }
+        self.arena.truncate(end);
         let uip = p
             .expect("conflict at decision level > 0 has a UIP")
             .negate();
@@ -622,7 +648,7 @@ impl SatSolver {
         loop {
             let confl = if let Some(cr) = self.propagate() {
                 self.stats.conflicts += 1;
-                self.clauses[cr as usize].lits.clone()
+                self.clause(cr).to_vec()
             } else {
                 let mut verdict = self.theory_step(theory);
                 if verdict == TheoryResult::Consistent {
@@ -672,7 +698,7 @@ impl SatSolver {
                 self.enqueue(learnt[0], None);
             } else {
                 let asserting = learnt[0];
-                let cr = self.attach_clause(learnt);
+                let cr = self.attach_clause(&learnt);
                 self.enqueue(asserting, Some(cr));
             }
             self.decay_activities();

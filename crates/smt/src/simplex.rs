@@ -15,6 +15,7 @@
 //! a pop; only bounds are undone.
 
 use crate::rational::Rat;
+use crate::room;
 use std::cmp::Ordering;
 
 /// Index of a simplex variable (problem vars and slack vars alike).
@@ -122,15 +123,15 @@ impl Simplex {
     pub fn new() -> Simplex {
         Simplex {
             num_vars: 0,
-            rows: Vec::new(),
-            row_of: Vec::new(),
-            values: Vec::new(),
-            lower: Vec::new(),
-            upper: Vec::new(),
-            trail: Vec::new(),
-            trail_lim: Vec::new(),
+            rows: room(),
+            row_of: room(),
+            values: room(),
+            lower: room(),
+            upper: room(),
+            trail: room(),
+            trail_lim: room(),
             dirty: false,
-            scratch: Vec::new(),
+            scratch: room(),
             pivots: 0,
         }
     }
@@ -172,19 +173,25 @@ impl Simplex {
     /// Definition terms may themselves be basic; they are substituted.
     pub fn add_row(&mut self, def: &[(SpxVar, Rat)]) -> SpxVar {
         let s = self.new_var();
-        // Expand definition over nonbasic variables.
-        let mut expanded: Vec<(SpxVar, Rat)> = Vec::new();
-        for &(v, c) in def {
-            if c.is_zero() {
-                continue;
+        // The nonbasic terms as they are, then each basic one expanded
+        // over nonbasic variables.
+        let mut expanded: Vec<(SpxVar, Rat)> = Vec::with_capacity(def.len());
+        let nonbasic = |&&(v, c): &&(SpxVar, Rat)| self.row_of[v].is_none() && !c.is_zero();
+        expanded.extend(def.iter().filter(nonbasic));
+        expanded.sort_unstable_by_key(|&(v, _)| v);
+        expanded.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
             }
-            let unit = [(v, Rat::ONE)];
-            let of_v = match self.row_of[v] {
-                None => &unit[..],
-                Some(ri) => &self.rows[ri].coeffs,
-            };
-            merge_scaled(&mut self.scratch, &expanded, of_v, c);
-            std::mem::swap(&mut expanded, &mut self.scratch);
+            same
+        });
+        expanded.retain(|(_, c)| !c.is_zero());
+        for &(v, c) in def {
+            if let (Some(ri), false) = (self.row_of[v], c.is_zero()) {
+                merge_scaled(&mut self.scratch, &expanded, &self.rows[ri].coeffs, c);
+                std::mem::swap(&mut expanded, &mut self.scratch);
+            }
         }
         // Value consistent with current assignment.
         let val = expanded

@@ -4,10 +4,11 @@
 use crate::cnf::Encoder;
 use crate::hash::FxMap;
 use crate::lia::LiaSolver;
+use crate::room;
 use crate::sat::SolveResult;
 use crate::simplex::SpxVar;
 use crate::stats::SolverStats;
-use crate::term::{LinExpr, Sort, TermId, TermKind, TermManager};
+use crate::term::{Sort, TermId, TermKind, TermManager};
 use std::time::{Duration, Instant};
 
 /// Result of a satisfiability check.
@@ -48,36 +49,37 @@ pub struct Model {
 impl Model {
     /// Evaluate an int-sorted term.
     pub fn eval_int(&self, tm: &TermManager, t: TermId) -> i64 {
-        match tm.kind(t) {
+        match *tm.kind(t) {
             TermKind::IntVar(_) => self.ints.get(t as usize).copied().unwrap_or(0),
-            TermKind::Linear(e) => self.eval_linexpr(tm, e),
+            TermKind::Linear(c) => self.eval_lin(tm, t, c),
             TermKind::Ite(c, a, b) => {
-                if self.eval_bool(tm, *c) {
-                    self.eval_int(tm, *a)
+                if self.eval_bool(tm, c) {
+                    self.eval_int(tm, a)
                 } else {
-                    self.eval_int(tm, *b)
+                    self.eval_int(tm, b)
                 }
             }
             k => panic!("not an int term: {k:?}"),
         }
     }
 
-    fn eval_linexpr(&self, tm: &TermManager, e: &LinExpr) -> i64 {
-        e.terms
+    /// The value of linear form `t`, whose constant is `c`.
+    fn eval_lin(&self, tm: &TermManager, t: TermId, c: i64) -> i64 {
+        tm.lin(t)
             .iter()
-            .fold(e.constant, |acc, &(v, c)| acc + c * self.eval_int(tm, v))
+            .fold(c, |acc, &(v, k)| acc + k * self.eval_int(tm, v))
     }
 
     /// Evaluate a bool-sorted term.
     pub fn eval_bool(&self, tm: &TermManager, t: TermId) -> bool {
-        match tm.kind(t) {
+        match *tm.kind(t) {
             TermKind::True => true,
             TermKind::False => false,
             TermKind::BoolVar(_) => self.bools.get(t as usize).copied().unwrap_or(false),
-            TermKind::Not(x) => !self.eval_bool(tm, *x),
-            TermKind::And(xs) => xs.iter().all(|&x| self.eval_bool(tm, x)),
-            TermKind::Or(xs) => xs.iter().any(|&x| self.eval_bool(tm, x)),
-            TermKind::Le(e) => self.eval_linexpr(tm, e) <= 0,
+            TermKind::Not(x) => !self.eval_bool(tm, x),
+            TermKind::And => tm.ids(t).iter().all(|&x| self.eval_bool(tm, x)),
+            TermKind::Or => tm.ids(t).iter().any(|&x| self.eval_bool(tm, x)),
+            TermKind::Le(c) => self.eval_lin(tm, t, c) <= 0,
             k => panic!("not a bool term: {k:?}"),
         }
     }
@@ -131,13 +133,26 @@ impl Budget {
     }
 }
 
+/// `Solver` methods that build a term with the term manager's method of
+/// the same name.
+macro_rules! delegate {
+    ($($(#[$doc:meta])* $name:ident($($arg:ident: $ty:ty),*);)*) => {$(
+        $(#[$doc])*
+        pub fn $name(&mut self, $($arg: $ty),*) -> TermId {
+            self.tm.$name($($arg),*)
+        }
+    )*};
+}
+
 /// The SMT solver facade. See the crate docs for the architecture.
 pub struct Solver {
     tm: TermManager,
     enc: Encoder,
     lia: LiaSolver,
-    /// IntVar term -> simplex variable.
-    spx_of: FxMap<TermId, SpxVar>,
+    /// `spx_of[t]`: the simplex variable of IntVar term `t`.
+    spx_of: Vec<SpxVar>,
+    /// An atom's `(simplex variable, coefficient)` list on its way to the theory.
+    atom_terms: Vec<(SpxVar, i64)>,
     /// Registration order of int vars: the k-th is the LIA solver's k-th
     /// problem variable (model extraction).
     int_vars: Vec<TermId>,
@@ -165,11 +180,12 @@ impl Solver {
             tm: TermManager::new(),
             enc: Encoder::new(),
             lia: LiaSolver::new(),
-            spx_of: FxMap::default(),
-            int_vars: Vec::new(),
+            spx_of: room(),
+            atom_terms: room(),
+            int_vars: room(),
             lia_atoms: 0,
             ite_var_of: FxMap::default(),
-            assertions: Vec::new(),
+            assertions: room(),
             budget: Budget::default(),
             model: None,
             last_check: None,
@@ -204,10 +220,6 @@ impl Solver {
         t
     }
 
-    pub fn bool_var(&mut self, name: &str) -> TermId {
-        self.tm.bool_var(name)
-    }
-
     /// An int variable with no name (and no `String`); see
     /// [`TermManager::fresh_int`].
     pub fn fresh_int(&mut self) -> TermId {
@@ -216,77 +228,32 @@ impl Solver {
         t
     }
 
-    /// A bool variable with no name; see [`TermManager::fresh_bool`].
-    pub fn fresh_bool(&mut self) -> TermId {
-        self.tm.fresh_bool()
-    }
-
-    pub fn int(&mut self, c: i64) -> TermId {
-        self.tm.int(c)
-    }
-
-    pub fn add(&mut self, ts: &[TermId]) -> TermId {
-        self.tm.add(ts)
-    }
-
-    pub fn sub(&mut self, a: TermId, b: TermId) -> TermId {
-        self.tm.sub(a, b)
-    }
-
-    pub fn mul_const(&mut self, k: i64, t: TermId) -> TermId {
-        self.tm.mul_const(k, t)
-    }
-
-    pub fn neg(&mut self, t: TermId) -> TermId {
-        self.tm.neg(t)
-    }
-
-    pub fn ite(&mut self, c: TermId, a: TermId, b: TermId) -> TermId {
-        self.tm.ite(c, a, b)
-    }
-
-    pub fn le(&mut self, a: TermId, b: TermId) -> TermId {
-        self.tm.le(a, b)
-    }
-
-    pub fn lt(&mut self, a: TermId, b: TermId) -> TermId {
-        self.tm.lt(a, b)
-    }
-
-    pub fn ge(&mut self, a: TermId, b: TermId) -> TermId {
-        self.tm.ge(a, b)
-    }
-
-    pub fn gt(&mut self, a: TermId, b: TermId) -> TermId {
-        self.tm.gt(a, b)
-    }
-
-    pub fn eq(&mut self, a: TermId, b: TermId) -> TermId {
-        self.tm.eq(a, b)
-    }
-
-    pub fn not(&mut self, t: TermId) -> TermId {
-        self.tm.not(t)
-    }
-
-    pub fn and(&mut self, ts: &[TermId]) -> TermId {
-        self.tm.and(ts)
-    }
-
-    pub fn or(&mut self, ts: &[TermId]) -> TermId {
-        self.tm.or(ts)
-    }
-
-    pub fn implies(&mut self, a: TermId, b: TermId) -> TermId {
-        self.tm.implies(a, b)
-    }
-
-    pub fn iff(&mut self, a: TermId, b: TermId) -> TermId {
-        self.tm.iff(a, b)
+    delegate! {
+        /// A bool variable with no name; see [`TermManager::fresh_bool`].
+        fresh_bool();
+        bool_var(name: &str);
+        int(c: i64);
+        add(ts: &[TermId]);
+        sub(a: TermId, b: TermId);
+        mul_const(k: i64, t: TermId);
+        neg(t: TermId);
+        ite(c: TermId, a: TermId, b: TermId);
+        le(a: TermId, b: TermId);
+        lt(a: TermId, b: TermId);
+        ge(a: TermId, b: TermId);
+        gt(a: TermId, b: TermId);
+        eq(a: TermId, b: TermId);
+        not(t: TermId);
+        and(ts: &[TermId]);
+        or(ts: &[TermId]);
+        implies(a: TermId, b: TermId);
+        iff(a: TermId, b: TermId);
     }
 
     fn register_int_var(&mut self, t: TermId) {
-        self.spx_of.insert(t, self.lia.new_int_var());
+        // `t` is the newest term: the map only grows.
+        self.spx_of.resize(t as usize + 1, SpxVar::MAX);
+        self.spx_of[t as usize] = self.lia.new_int_var();
         self.int_vars.push(t);
     }
 
@@ -315,43 +282,59 @@ impl Solver {
         if !self.tm.has_ite(t) {
             return t;
         }
-        match self.tm.kind(t).clone() {
+        match *self.tm.kind(t) {
             TermKind::Not(x) => {
                 let lx = self.lower_bool(x);
                 self.tm.not(lx)
             }
-            TermKind::And(xs) => {
-                let ls: Vec<TermId> = xs.iter().map(|&x| self.lower_bool(x)).collect();
-                self.tm.and(&ls)
-            }
-            TermKind::Or(xs) => {
-                let ls: Vec<TermId> = xs.iter().map(|&x| self.lower_bool(x)).collect();
-                self.tm.or(&ls)
-            }
-            TermKind::Le(e) => {
-                let terms = e
-                    .terms
-                    .iter()
-                    .map(|&(base, coeff)| (self.lower_int_base(base), coeff))
+            kind @ (TermKind::And | TermKind::Or) => {
+                let ls: Vec<TermId> = (0..self.tm.ids(t).len())
+                    .map(|i| self.lower_bool(self.tm.ids(t)[i]))
                     .collect();
-                self.tm.le_zero(LinExpr::from_terms(terms, e.constant))
+                if kind == TermKind::And {
+                    self.tm.and(&ls)
+                } else {
+                    self.tm.or(&ls)
+                }
+            }
+            TermKind::Le(_) => {
+                for i in 0..self.tm.lin(t).len() {
+                    self.lower_int_base(self.tm.lin(t)[i].0);
+                }
+                let ite_var_of = &self.ite_var_of;
+                self.tm
+                    .le_mapped(t, |base| ite_var_of.get(&base).copied().unwrap_or(base))
             }
             k => panic!("not a bool term with an ite: {k:?}"),
         }
     }
 
-    /// Lower a base term (IntVar or Ite) to an IntVar term.
-    fn lower_int_base(&mut self, t: TermId) -> TermId {
+    /// Give a base term (IntVar or Ite) its IntVar stand-in in
+    /// `ite_var_of`, if it is an `ite` without one.
+    fn lower_int_base(&mut self, t: TermId) {
         let TermKind::Ite(c, a, b) = *self.tm.kind(t) else {
-            return t;
+            return;
         };
-        if let Some(&v) = self.ite_var_of.get(&t) {
-            return v;
+        if self.ite_var_of.contains_key(&t) {
+            return;
         }
         let v = self.fresh_int();
         self.ite_var_of.insert(t, v);
         // Definitions: c -> v = a, !c -> v = b.
         let lc = self.lower_bool(c);
+        // Where Tseitin would take the terms below apart into just these
+        // clauses (c is an encoded variable or atom: nothing to flatten,
+        // fold or encode first), they are made directly.
+        let plain = matches!(self.tm.kind(lc), TermKind::BoolVar(_) | TermKind::Le(_));
+        if plain && self.enc.is_encoded(lc) && !self.tm.has_ite(a) && !self.tm.has_ite(b) {
+            let lit = self.enc.lit(&self.tm, lc);
+            for (cond, val) in [(lit.negate(), a), (lit, b)] {
+                let (le, ge) = (self.tm.le(v, val), self.tm.ge(v, val));
+                let eq = self.enc.and2(&self.tm, le, ge);
+                self.enc.sat.add_clause(&[cond, eq]);
+            }
+            return;
+        }
         let eq_a = self.tm.eq(v, a);
         let eq_b = self.tm.eq(v, b);
         let then_def = self.tm.implies(lc, eq_a);
@@ -360,7 +343,6 @@ impl Solver {
         let both = self.tm.and(&[then_def, else_def]);
         let lowered = self.lower_bool(both);
         self.enc.assert_formula(&self.tm, lowered);
-        v
     }
 
     /// Register on the LIA side every atom the encoder has seen since the
@@ -368,12 +350,15 @@ impl Solver {
     fn register_new_atoms(&mut self) {
         while let Some(&(term, var)) = self.enc.atoms().get(self.lia_atoms) {
             self.lia_atoms += 1;
-            let TermKind::Le(e) = self.tm.kind(term) else {
+            let TermKind::Le(constant) = *self.tm.kind(term) else {
                 unreachable!("registered atom is not Le");
             };
-            let terms: Vec<(SpxVar, i64)> =
-                e.terms.iter().map(|&(v, c)| (self.spx_of[&v], c)).collect();
-            self.lia.add_atom(&terms, -e.constant, var);
+            self.atom_terms.clear();
+            let spx_of = &self.spx_of;
+            let terms = self.tm.lin(term).iter();
+            self.atom_terms
+                .extend(terms.map(|&(v, c)| (spx_of[v as usize], c)));
+            self.lia.add_atom(&self.atom_terms, -constant, var);
         }
     }
 

@@ -31,20 +31,3 @@ pub struct SolverStats {
     /// what one iteration of the former lazy loop was.
     pub iterations: u64,
 }
-
-impl SolverStats {
-    pub const fn new() -> SolverStats {
-        SolverStats {
-            decisions: 0,
-            propagations: 0,
-            conflicts: 0,
-            theory_conflicts: 0,
-            restarts: 0,
-            learned_clauses: 0,
-            simplex_pivots: 0,
-            tableau_rows: 0,
-            theory_checks: 0,
-            iterations: 0,
-        }
-    }
-}

@@ -1,13 +1,18 @@
 //! Hash-consed term representation with light normalization.
 //!
-//! Integer-sorted terms are kept in a canonical **linear form**
-//! ([`LinExpr`]): a sorted coefficient list over *base terms* (integer
-//! variables and `ite` nodes) plus a constant. All comparison atoms are
-//! normalized to `expr ≤ 0`; `≥`, `<`, `>` and `=` are desugared at
-//! construction, so the downstream pipeline only ever sees one atom shape.
+//! Integer-sorted terms are kept in a canonical **linear form**: a sorted
+//! coefficient list over *base terms* (integer variables and `ite` nodes)
+//! plus a constant. All comparison atoms are normalized to `expr ≤ 0`;
+//! `≥`, `<`, `>` and `=` are desugared at construction, so the downstream
+//! pipeline only ever sees one atom shape.
+//!
+//! A term's list (a linear form's coefficients, a junction's children)
+//! lives in one of two pools of its manager. A term is put together in
+//! scratch space and copied into a pool only if it is new, so building a
+//! term allocates nothing of its own.
 
 use crate::hash::{fx_hash, FxMap};
-use std::collections::hash_map::Entry;
+use crate::{room, ROOM};
 
 /// Index of a term in its [`TermManager`].
 pub type TermId = u32;
@@ -19,60 +24,38 @@ pub enum Sort {
     Int,
 }
 
-/// A linear integer expression: `Σ coeff·base + constant`.
-///
-/// Base terms are [`TermKind::IntVar`] or [`TermKind::Ite`] term ids, kept
-/// sorted by id with no zero coefficients and no duplicates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct LinExpr {
-    pub terms: Vec<(TermId, i64)>,
-    pub constant: i64,
-}
-
-impl LinExpr {
-    pub fn constant(c: i64) -> LinExpr {
-        LinExpr {
-            terms: Vec::new(),
-            constant: c,
+/// Sort `terms` by base, sum equal bases and drop zeros.
+fn normalize(terms: &mut Vec<(TermId, i64)>) {
+    terms.sort_unstable_by_key(|&(v, _)| v);
+    terms.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 += later.1;
         }
-    }
-
-    /// Canonical form of `Σ coeff·base + constant` given in any order and
-    /// with repeats: sorted by base, equal bases summed, zeros dropped.
-    pub fn from_terms(mut terms: Vec<(TermId, i64)>, constant: i64) -> LinExpr {
-        terms.sort_unstable_by_key(|&(v, _)| v);
-        terms.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 += later.1;
-            }
-            same
-        });
-        terms.retain(|&(_, c)| c != 0);
-        LinExpr { terms, constant }
-    }
-
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
-    }
+        same
+    });
+    terms.retain(|&(_, c)| c != 0);
 }
 
-/// The node kinds of the term graph.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The node kinds of the term graph. A linear form's `(base, coeff)` list
+/// — bases are [`TermKind::IntVar`] or [`TermKind::Ite`] ids, sorted, with
+/// no zero coefficient and no repeat — is read with [`TermManager::lin`],
+/// a junction's children with [`TermManager::ids`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TermKind {
     // --- Bool sort ---
     True,
     False,
     BoolVar(u32),
     Not(TermId),
-    And(Vec<TermId>),
-    Or(Vec<TermId>),
-    /// Atom: `expr ≤ 0`.
-    Le(LinExpr),
+    And,
+    Or,
+    /// Atom: `Σ coeff·base + c ≤ 0`.
+    Le(i64),
     // --- Int sort ---
     IntVar(u32),
-    /// Canonical linear combination (non-trivial: not a bare var/const).
-    Linear(LinExpr),
+    /// `Σ coeff·base + c`, neither a bare base nor a constant alone.
+    Linear(i64),
     /// Integer-valued if-then-else: `ite(cond, then, else)`.
     Ite(TermId, TermId, TermId),
 }
@@ -82,15 +65,24 @@ pub enum TermKind {
 pub struct TermManager {
     /// Each kind is stored here and nowhere else.
     kinds: Vec<TermKind>,
+    /// `lists[t]`: where term `t`'s list lies in its pool.
+    lists: Vec<(u32, u32)>,
     /// `has_ite[t]`: an `Ite` node is reachable from term `t`.
     has_ite: Vec<bool>,
-    /// Hash of a kind → its id, compared against `kinds[id]`; a kind whose
-    /// hash is taken by another sits at the next free hash above it.
+    /// The hash of a term's key ([`TermManager::key`]) → its id; a term
+    /// whose hash is taken by another sits at the next free hash above it.
+    /// Variables, unique by construction, are not in it.
     dedup: FxMap<u64, TermId>,
+    /// The lists of the linear forms, and of the junctions.
+    lin_pool: Vec<(TermId, i64)>,
+    id_pool: Vec<TermId>,
     /// Indexed by variable number; anonymous variables have no name.
     var_names: Vec<Option<String>>,
     true_id: TermId,
     false_id: TermId,
+    /// The list of the term being built: a linear form's, or a junction's.
+    lin: Vec<(TermId, i64)>,
+    ids: Vec<TermId>,
 }
 
 impl Default for TermManager {
@@ -102,45 +94,83 @@ impl Default for TermManager {
 impl TermManager {
     pub fn new() -> TermManager {
         let mut tm = TermManager {
-            kinds: Vec::new(),
-            has_ite: Vec::new(),
-            dedup: FxMap::default(),
-            var_names: Vec::new(),
+            kinds: room(),
+            lists: room(),
+            has_ite: room(),
+            dedup: FxMap::with_capacity_and_hasher(ROOM, Default::default()),
+            lin_pool: room(),
+            id_pool: room(),
+            var_names: room(),
             true_id: 0,
             false_id: 0,
+            lin: room(),
+            ids: room(),
         };
-        tm.true_id = tm.intern(TermKind::True);
-        tm.false_id = tm.intern(TermKind::False);
+        tm.true_id = tm.push(TermKind::True);
+        tm.false_id = tm.push(TermKind::False);
         tm
     }
 
-    fn intern(&mut self, kind: TermKind) -> TermId {
-        let id = self.kinds.len() as TermId;
-        let mut hash = fx_hash(&kind);
-        loop {
-            match self.dedup.entry(hash) {
-                Entry::Occupied(e) if self.kinds[*e.get() as usize] == kind => return *e.get(),
-                Entry::Occupied(_) => hash = hash.wrapping_add(1),
-                Entry::Vacant(e) => {
-                    e.insert(id);
-                    break;
-                }
-            }
-        }
-        let has_ite = match &kind {
-            TermKind::Ite(..) => true,
-            TermKind::Not(x) => self.has_ite(*x),
-            TermKind::And(xs) | TermKind::Or(xs) => xs.iter().any(|&x| self.has_ite(x)),
-            TermKind::Le(e) | TermKind::Linear(e) => e.terms.iter().any(|&(b, _)| self.has_ite(b)),
-            _ => false,
+    /// What identifies a term: its kind and its list — that of term `t`,
+    /// or the scratch's for the term being built (`None`).
+    fn key(&self, kind: TermKind, t: Option<TermId>) -> (TermKind, &[(TermId, i64)], &[TermId]) {
+        let (lin, ids): (&[_], &[_]) = match (kind, t) {
+            (TermKind::Le(_) | TermKind::Linear(_), Some(t)) => (self.lin(t), &[]),
+            (TermKind::And | TermKind::Or, Some(t)) => (&[], self.ids(t)),
+            (TermKind::Le(_) | TermKind::Linear(_), None) => (&self.lin, &[]),
+            (TermKind::And | TermKind::Or, None) => (&[], &self.ids),
+            _ => (&[], &[]),
         };
+        (kind, lin, ids)
+    }
+
+    /// The id of `kind`, whose list (if it has one) is in the scratch.
+    fn intern(&mut self, kind: TermKind) -> TermId {
+        let mut hash = fx_hash(&self.key(kind, None));
+        while let Some(&other) = self.dedup.get(&hash) {
+            if self.key(self.kinds[other as usize], Some(other)) == self.key(kind, None) {
+                return other;
+            }
+            hash = hash.wrapping_add(1);
+        }
+        self.dedup.insert(hash, self.kinds.len() as TermId);
+        self.push(kind)
+    }
+
+    /// Store `kind` as a new term, its list (if it has one) copied from the
+    /// scratch to the end of its pool.
+    fn push(&mut self, kind: TermKind) -> TermId {
+        let (_, lin, ids) = self.key(kind, None);
+        let has_ite = matches!(kind, TermKind::Ite(..))
+            || matches!(kind, TermKind::Not(x) if self.has_ite(x))
+            || (ids.iter().chain(lin.iter().map(|(b, _)| b))).any(|&x| self.has_ite(x));
+        let (n_lin, n_ids) = (lin.len(), ids.len());
+        let (from, len) = match kind {
+            TermKind::Le(_) | TermKind::Linear(_) => (self.lin_pool.len(), n_lin),
+            _ => (self.id_pool.len(), n_ids),
+        };
+        self.lin_pool.extend_from_slice(&self.lin[..n_lin]);
+        self.id_pool.extend_from_slice(&self.ids[..n_ids]);
+        self.lists.push((from as u32, (from + len) as u32));
         self.has_ite.push(has_ite);
         self.kinds.push(kind);
-        id
+        (self.kinds.len() - 1) as TermId
     }
 
     pub fn kind(&self, t: TermId) -> &TermKind {
         &self.kinds[t as usize]
+    }
+
+    /// The `(base, coeff)` list of linear form (`Le` or `Linear`) `t`.
+    pub fn lin(&self, t: TermId) -> &[(TermId, i64)] {
+        let (from, to) = self.lists[t as usize];
+        &self.lin_pool[from as usize..to as usize]
+    }
+
+    /// The children of junction (`And` or `Or`) `t`.
+    pub fn ids(&self, t: TermId) -> &[TermId] {
+        let (from, to) = self.lists[t as usize];
+        &self.id_pool[from as usize..to as usize]
     }
 
     /// Does `t` contain an `ite` node (itself included)? Decided when the
@@ -159,8 +189,8 @@ impl TermManager {
             | TermKind::False
             | TermKind::BoolVar(_)
             | TermKind::Not(_)
-            | TermKind::And(_)
-            | TermKind::Or(_)
+            | TermKind::And
+            | TermKind::Or
             | TermKind::Le(_) => Sort::Bool,
             TermKind::IntVar(_) | TermKind::Linear(_) | TermKind::Ite(..) => Sort::Int,
         }
@@ -181,10 +211,12 @@ impl TermManager {
         self.false_id
     }
 
+    /// A new variable; its kind is unique, so it is stored without a
+    /// lookup.
     fn new_var(&mut self, name: Option<&str>, kind: fn(u32) -> TermKind) -> TermId {
         let idx = self.var_names.len() as u32;
         self.var_names.push(name.map(str::to_string));
-        self.intern(kind(idx))
+        self.push(kind(idx))
     }
 
     pub fn bool_var(&mut self, name: &str) -> TermId {
@@ -206,49 +238,55 @@ impl TermManager {
     }
 
     pub fn int(&mut self, c: i64) -> TermId {
-        self.intern(TermKind::Linear(LinExpr::constant(c)))
+        self.lin.clear();
+        self.intern_linear(c)
     }
 
     // ---- int structure ----
 
-    /// `Σ k·t` over int-sorted terms, gathered and merged in one pass.
-    fn linear_sum(&self, parts: impl IntoIterator<Item = (TermId, i64)>) -> LinExpr {
-        let mut terms = Vec::new();
+    /// `Σ k·t` over int-sorted terms, gathered and merged in one pass
+    /// into the scratch; returns the constant.
+    fn linear_sum(&mut self, parts: impl IntoIterator<Item = (TermId, i64)>) -> i64 {
+        self.lin.clear();
         let mut constant = 0;
         for (t, k) in parts {
-            match self.kind(t) {
-                TermKind::IntVar(_) | TermKind::Ite(..) => terms.push((t, k)),
-                TermKind::Linear(l) => {
-                    terms.extend(l.terms.iter().map(|&(v, c)| (v, c * k)));
-                    constant += l.constant * k;
+            match self.kinds[t as usize] {
+                TermKind::IntVar(_) | TermKind::Ite(..) => self.lin.push((t, k)),
+                TermKind::Linear(c) => {
+                    let (from, to) = self.lists[t as usize];
+                    let terms = &self.lin_pool[from as usize..to as usize];
+                    self.lin.extend(terms.iter().map(|&(v, c)| (v, c * k)));
+                    constant += c * k;
                 }
                 k => panic!("not an int term: {k:?}"),
             }
         }
-        LinExpr::from_terms(terms, constant)
+        normalize(&mut self.lin);
+        constant
     }
 
-    fn intern_linear(&mut self, l: LinExpr) -> TermId {
+    /// The int term `scratch + constant`.
+    fn intern_linear(&mut self, constant: i64) -> TermId {
         // A bare base term stays itself (preserves sharing).
-        if l.constant == 0 && l.terms.len() == 1 && l.terms[0].1 == 1 {
-            return l.terms[0].0;
+        if let (&[(base, 1)], 0) = (&self.lin[..], constant) {
+            return base;
         }
-        self.intern(TermKind::Linear(l))
+        self.intern(TermKind::Linear(constant))
     }
 
     pub fn add(&mut self, ts: &[TermId]) -> TermId {
-        let l = self.linear_sum(ts.iter().map(|&t| (t, 1)));
-        self.intern_linear(l)
+        let c = self.linear_sum(ts.iter().map(|&t| (t, 1)));
+        self.intern_linear(c)
     }
 
     pub fn sub(&mut self, a: TermId, b: TermId) -> TermId {
-        let l = self.linear_sum([(a, 1), (b, -1)]);
-        self.intern_linear(l)
+        let c = self.linear_sum([(a, 1), (b, -1)]);
+        self.intern_linear(c)
     }
 
     pub fn mul_const(&mut self, k: i64, t: TermId) -> TermId {
-        let l = self.linear_sum([(t, k)]);
-        self.intern_linear(l)
+        let c = self.linear_sum([(t, k)]);
+        self.intern_linear(c)
     }
 
     pub fn neg(&mut self, t: TermId) -> TermId {
@@ -276,32 +314,46 @@ impl TermManager {
 
     /// `a ≤ b`, normalized to `a − b ≤ 0`.
     pub fn le(&mut self, a: TermId, b: TermId) -> TermId {
-        let e = self.linear_sum([(a, 1), (b, -1)]);
-        self.le_zero(e)
+        let c = self.linear_sum([(a, 1), (b, -1)]);
+        self.le_zero(c)
     }
 
-    /// `expr ≤ 0` with constant folding and coefficient gcd tightening.
-    pub fn le_zero(&mut self, mut expr: LinExpr) -> TermId {
-        if expr.is_constant() {
-            return if expr.constant <= 0 {
+    /// The atom `le` with every base `b` replaced by `map(b)`.
+    pub fn le_mapped(&mut self, le: TermId, map: impl Fn(TermId) -> TermId) -> TermId {
+        let TermKind::Le(constant) = self.kinds[le as usize] else {
+            panic!("not an atom: {}", self.display(le));
+        };
+        self.lin.clear();
+        let (from, to) = self.lists[le as usize];
+        let terms = &self.lin_pool[from as usize..to as usize];
+        self.lin.extend(terms.iter().map(|&(b, c)| (map(b), c)));
+        normalize(&mut self.lin);
+        self.le_zero(constant)
+    }
+
+    /// `self.lin + constant ≤ 0` with constant folding and coefficient gcd
+    /// tightening.
+    fn le_zero(&mut self, mut constant: i64) -> TermId {
+        if self.lin.is_empty() {
+            return if constant <= 0 {
                 self.true_id
             } else {
                 self.false_id
             };
         }
         // Integer tightening: (Σ g·aᵢxᵢ) + c ≤ 0  ⇔  Σ aᵢxᵢ ≤ floor(−c/g).
-        let g = expr
-            .terms
+        let g = self
+            .lin
             .iter()
             .fold(0i64, |acc, &(_, c)| gcd64(acc, c.abs()));
         if g > 1 {
-            let bound = (-(expr.constant as i128)).div_euclid(g as i128) as i64;
-            for t in &mut expr.terms {
+            let bound = (-(constant as i128)).div_euclid(g as i128) as i64;
+            for t in &mut self.lin {
                 t.1 /= g;
             }
-            expr.constant = -bound;
+            constant = -bound;
         }
-        self.intern(TermKind::Le(expr))
+        self.intern(TermKind::Le(constant))
     }
 
     pub fn ge(&mut self, a: TermId, b: TermId) -> TermId {
@@ -310,9 +362,8 @@ impl TermManager {
 
     /// `a < b` over the integers: `a + 1 ≤ b`.
     pub fn lt(&mut self, a: TermId, b: TermId) -> TermId {
-        let mut e = self.linear_sum([(a, 1), (b, -1)]);
-        e.constant += 1;
-        self.le_zero(e)
+        let c = self.linear_sum([(a, 1), (b, -1)]);
+        self.le_zero(c + 1)
     }
 
     pub fn gt(&mut self, a: TermId, b: TermId) -> TermId {
@@ -339,55 +390,48 @@ impl TermManager {
     }
 
     pub fn and(&mut self, ts: &[TermId]) -> TermId {
-        let mut flat = Vec::new();
-        for &t in ts {
-            match self.kind(t) {
-                TermKind::True => {}
-                TermKind::False => return self.false_id,
-                TermKind::And(inner) => flat.extend(inner.iter().copied()),
-                _ => flat.push(t),
-            }
-        }
-        flat.sort_unstable();
-        flat.dedup();
-        // x ∧ ¬x = false
-        for &t in &flat {
-            if let TermKind::Not(inner) = self.kind(t) {
-                if flat.binary_search(inner).is_ok() {
-                    return self.false_id;
-                }
-            }
-        }
-        match flat.len() {
-            0 => self.true_id,
-            1 => flat[0],
-            _ => self.intern(TermKind::And(flat)),
-        }
+        self.junction(ts, true)
     }
 
     pub fn or(&mut self, ts: &[TermId]) -> TermId {
-        let mut flat = Vec::new();
+        self.junction(ts, false)
+    }
+
+    /// `⋀ ts` (`and`) or `⋁ ts`: nested junctions of the same kind
+    /// flattened, children sorted and deduplicated, `x` beside `¬x` and
+    /// the absorbing constant folded.
+    fn junction(&mut self, ts: &[TermId], and: bool) -> TermId {
+        let (unit, absorbing, kind) = if and {
+            (self.true_id, self.false_id, TermKind::And)
+        } else {
+            (self.false_id, self.true_id, TermKind::Or)
+        };
+        self.ids.clear();
         for &t in ts {
-            match self.kind(t) {
-                TermKind::False => {}
-                TermKind::True => return self.true_id,
-                TermKind::Or(inner) => flat.extend(inner.iter().copied()),
-                _ => flat.push(t),
+            match self.kinds[t as usize] {
+                _ if t == unit => {}
+                _ if t == absorbing => return absorbing,
+                TermKind::And | TermKind::Or if self.kinds[t as usize] == kind => {
+                    let (from, to) = self.lists[t as usize];
+                    self.ids
+                        .extend_from_slice(&self.id_pool[from as usize..to as usize]);
+                }
+                _ => self.ids.push(t),
             }
         }
-        flat.sort_unstable();
-        flat.dedup();
-        for &t in &flat {
-            if let TermKind::Not(inner) = self.kind(t) {
-                if flat.binary_search(inner).is_ok() {
-                    return self.true_id;
+        self.ids.sort_unstable();
+        self.ids.dedup();
+        for &t in &self.ids {
+            if let TermKind::Not(inner) = self.kinds[t as usize] {
+                if self.ids.binary_search(&inner).is_ok() {
+                    return absorbing;
                 }
             }
         }
-        match flat.len() {
-            0 => self.false_id,
-            1 => flat[0],
-            _ => self.intern(TermKind::Or(flat)),
+        match self.ids[..] {
+            [] => unit,
+            [t] => t,
+            _ => self.intern(kind),
         }
     }
 
@@ -414,26 +458,13 @@ impl TermManager {
                 .var_name(*i)
                 .map_or_else(|| format!("i{i}"), str::to_string),
             TermKind::Not(x) => format!("(not {})", self.display(*x)),
-            TermKind::And(xs) => {
-                format!(
-                    "(and {})",
-                    xs.iter()
-                        .map(|&x| self.display(x))
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                )
+            TermKind::And | TermKind::Or => {
+                let op = format!("{:?}", self.kind(t)).to_lowercase();
+                let xs: Vec<String> = self.ids(t).iter().map(|&x| self.display(x)).collect();
+                format!("({op} {})", xs.join(" "))
             }
-            TermKind::Or(xs) => {
-                format!(
-                    "(or {})",
-                    xs.iter()
-                        .map(|&x| self.display(x))
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                )
-            }
-            TermKind::Le(e) => format!("({} <= 0)", self.display_linexpr(e)),
-            TermKind::Linear(e) => self.display_linexpr(e),
+            TermKind::Le(c) => format!("({} <= 0)", self.display_linexpr(t, *c)),
+            TermKind::Linear(c) => self.display_linexpr(t, *c),
             TermKind::Ite(c, a, b) => format!(
                 "(ite {} {} {})",
                 self.display(*c),
@@ -443,9 +474,9 @@ impl TermManager {
         }
     }
 
-    fn display_linexpr(&self, e: &LinExpr) -> String {
-        let mut parts: Vec<String> = e
-            .terms
+    fn display_linexpr(&self, t: TermId, constant: i64) -> String {
+        let mut parts: Vec<String> = self
+            .lin(t)
             .iter()
             .map(|&(v, c)| {
                 if c == 1 {
@@ -455,8 +486,8 @@ impl TermManager {
                 }
             })
             .collect();
-        if e.constant != 0 || parts.is_empty() {
-            parts.push(e.constant.to_string());
+        if constant != 0 || parts.is_empty() {
+            parts.push(constant.to_string());
         }
         parts.join(" + ")
     }
@@ -490,14 +521,15 @@ mod tests {
         let mut tm = TermManager::new();
         let x = tm.int_var("x");
         // Occupy the slot the atom `x ≤ 0` hashes to with another term.
-        let atom = TermKind::Le(LinExpr::from_terms(vec![(x, 1)], 0));
-        tm.dedup.insert(fx_hash(&atom), x);
+        tm.lin = vec![(x, 1)];
+        let hash = fx_hash(&tm.key(TermKind::Le(0), None));
+        tm.dedup.insert(hash, x);
         let zero = tm.int(0);
         let a = tm.le(x, zero);
         assert_ne!(a, x, "a colliding hash is not an equal kind");
-        assert_eq!(tm.kind(a), &atom);
+        assert_eq!((tm.kind(a), tm.lin(a)), (&TermKind::Le(0), &[(x, 1)][..]));
         assert_eq!(tm.le(x, zero), a, "found again behind the collision");
-        assert_eq!(tm.dedup[&fx_hash(&atom).wrapping_add(1)], a);
+        assert_eq!(tm.dedup[&hash.wrapping_add(1)], a);
     }
 
     #[test]
@@ -581,7 +613,7 @@ mod tests {
         let c = tm.int(4);
         let e = tm.eq(x, c);
         match tm.kind(e) {
-            TermKind::And(parts) => assert_eq!(parts.len(), 2),
+            TermKind::And => assert_eq!(tm.ids(e).len(), 2),
             k => panic!("expected And, got {k:?}"),
         }
     }
@@ -596,10 +628,10 @@ mod tests {
         let x_minus_y = tm.sub(x, y);
         // y + 3 + x + 2y + (x − y) + x = 3x + 2y + 3, whatever the order.
         let s = tm.add(&[y, three, x, two_y, x_minus_y, x]);
-        let TermKind::Linear(l) = tm.kind(s) else {
-            panic!("expected a Linear node");
-        };
-        assert_eq!((l.terms.as_slice(), l.constant), (&[(x, 3), (y, 2)][..], 3));
+        assert_eq!(
+            (tm.kind(s), tm.lin(s)),
+            (&TermKind::Linear(3), &[(x, 3), (y, 2)][..])
+        );
         // x + y − x − y = 0, the same node as the literal 0.
         let neg_x = tm.neg(x);
         let neg_y = tm.neg(y);
