@@ -1,8 +1,9 @@
 //! Allocation pin of the SMT rung: one warm `solve_warm` of
 //! `smt_work.rs`'s first problem (10 steps × 2 queues, the benchmark's
 //! `offline-smt` geometry) makes a pinned number of heap allocations.
-//! Building the interval's formula is most of them; a change that makes
-//! the build allocate more, or that moves the count down, edits the pin.
+//! The fast engine's hint, the build of the formula and the search all
+//! count; a change that makes any of them allocate more, or that moves
+//! the count down, edits the pin.
 //!
 //! Its own test binary: the counting allocator below serves every test
 //! in it.
@@ -71,7 +72,7 @@ fn a_warm_solve_allocates_a_pinned_count() {
     // The first solve registers the `smt.*` metrics.
     solve();
     let counts: Vec<u64> = (0..3).map(|_| allocations(solve)).collect();
-    // The build allocates per table, not per term, clause, watch list or
-    // row definition; 1,510 when it did.
+    // The build allocates per table and per tableau row; 1,510 when it
+    // also allocated per term, clause, watch list and atom.
     assert_eq!(counts, [373; 3], "allocations per warm solve");
 }

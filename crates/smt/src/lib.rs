@@ -9,11 +9,9 @@
 //!
 //! ```text
 //!   formula ──► [term]  hash-consed AST, light constant folding; each node
-//!                       stored once, its list in a pool, its "contains an
-//!                       ite" bit set then
-//!           ──► [lower] ite elimination (ite-free terms pass untouched;
-//!                       a definition Tseitin would only take apart is
-//!                       encoded directly), Eq desugaring, atom extraction
+//!                       stored once (its list in a pool), its ite bit set then
+//!           ──► [lower] ite elimination (ite-free terms pass untouched),
+//!                       Eq desugaring, atom extraction
 //!           ──► [cnf]   Tseitin conversion to clauses over atom literals
 //!           ──► [sat]   CDCL: watched literals, VSIDS heap, 1-UIP learning;
 //!                       owns the loop and drives a `Theory` along its trail
@@ -34,9 +32,8 @@
 //!
 //! The simplex keeps every tableau row sorted by variable (a pivot is
 //! one merge per row); the solver's maps share one multiplicative hasher
-//! (`hash`). Tables start with room for 64 entries; clauses and watch
-//! lists are runs of shared pools: a build allocates per table, not per
-//! item.
+//! (`hash`). Tables start with room for 64 entries, and clauses and watch
+//! lists are runs of shared pools: a build allocates per table.
 //!
 //! The solver is deliberately budgeted: [`Solver::set_budget`] bounds
 //! wall-clock time and conflicts (boolean and theory), and exhausting the budget yields

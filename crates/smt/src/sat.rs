@@ -339,8 +339,12 @@ impl SatSolver {
     fn enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.value_lit(l), LBool::Undef);
         let v = l.var() as usize;
+        self.assign[v] = if l.is_neg() {
+            LBool::False
+        } else {
+            LBool::True
+        };
         self.phase[v] = !l.is_neg();
-        self.assign[v] = [LBool::False, LBool::True][self.phase[v] as usize];
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);

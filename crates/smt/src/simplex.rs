@@ -173,8 +173,8 @@ impl Simplex {
     /// Definition terms may themselves be basic; they are substituted.
     pub fn add_row(&mut self, def: &[(SpxVar, Rat)]) -> SpxVar {
         let s = self.new_var();
-        // The nonbasic terms as they are, then each basic one expanded
-        // over nonbasic variables.
+        // The nonbasic terms summed per variable, then each basic one
+        // expanded over nonbasic variables.
         let mut expanded: Vec<(SpxVar, Rat)> = Vec::with_capacity(def.len());
         let nonbasic = |&&(v, c): &&(SpxVar, Rat)| self.row_of[v].is_none() && !c.is_zero();
         expanded.extend(def.iter().filter(nonbasic));

@@ -331,7 +331,7 @@ impl TermManager {
         self.le_zero(constant)
     }
 
-    /// `self.lin + constant ≤ 0` with constant folding and coefficient gcd
+    /// `scratch + constant ≤ 0` with constant folding and coefficient gcd
     /// tightening.
     fn le_zero(&mut self, mut constant: i64) -> TermId {
         if self.lin.is_empty() {
