@@ -319,7 +319,7 @@ impl TermManager {
     }
 
     /// The atom `le` with every base `b` replaced by `map(b)`.
-    pub fn le_mapped(&mut self, le: TermId, map: impl Fn(TermId) -> TermId) -> TermId {
+    pub(crate) fn le_mapped(&mut self, le: TermId, map: impl Fn(TermId) -> TermId) -> TermId {
         let TermKind::Le(constant) = self.kinds[le as usize] else {
             panic!("not an atom: {}", self.display(le));
         };
