@@ -9,7 +9,7 @@
 //!
 //! ```text
 //!   formula ──► [term]  hash-consed AST, light constant folding; each node
-//!                       stored once (its list in a pool), its ite bit set then
+//!                       stored once (its list in an arena), its ite bit set then
 //!           ──► [lower] ite elimination (ite-free terms pass untouched),
 //!                       Eq desugaring, atom extraction
 //!           ──► [cnf]   Tseitin conversion to clauses over atom literals
@@ -33,7 +33,7 @@
 //! The simplex keeps every tableau row sorted by variable (a pivot is
 //! one merge per row); the solver's maps share one multiplicative hasher
 //! (`hash`). Tables start with room for 64 entries, and clauses and watch
-//! lists are runs of shared pools: a build allocates per table.
+//! lists are runs of shared arrays: a build allocates per table.
 //!
 //! The solver is deliberately budgeted: [`Solver::set_budget`] bounds
 //! wall-clock time and conflicts (boolean and theory), and exhausting the budget yields

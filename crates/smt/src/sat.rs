@@ -126,7 +126,7 @@ type ClauseRef = u32;
 /// `heap_pos` of a variable that is not in the decision heap.
 const NOT_IN_HEAP: u32 = u32::MAX;
 
-/// A literal's watch list: `len` clause refs from `start` in the pool, room for `cap`.
+/// A literal's watch list: `len` clause refs from `start` in `slots`, room for `cap`.
 #[derive(Clone, Copy, Default)]
 struct WatchList {
     start: u32,
@@ -134,12 +134,12 @@ struct WatchList {
     cap: u32,
 }
 
-/// Every literal's watch list, each a run of one pool. A list that
-/// outgrows its run moves to the end of the pool with twice the room,
+/// Every literal's watch list, each a run of one array. A list that
+/// outgrows its run moves to the end of the array with twice the room,
 /// so the runs of other lists never move while one is being walked.
 #[derive(Default)]
 struct Watches {
-    pool: Vec<ClauseRef>,
+    slots: Vec<ClauseRef>,
     /// Indexed by [`Lit::index`].
     lists: Vec<WatchList>,
 }
@@ -148,14 +148,14 @@ impl Watches {
     fn push(&mut self, lit: Lit, cr: ClauseRef) {
         let w = &mut self.lists[lit.index()];
         if w.len == w.cap {
-            let start = self.pool.len();
-            self.pool
+            let start = self.slots.len();
+            self.slots
                 .extend_from_within(w.start as usize..(w.start + w.len) as usize);
             w.cap = (2 * w.cap).max(4);
-            self.pool.resize(start + w.cap as usize, 0);
+            self.slots.resize(start + w.cap as usize, 0);
             w.start = start as u32;
         }
-        self.pool[(w.start + w.len) as usize] = cr;
+        self.slots[(w.start + w.len) as usize] = cr;
         w.len += 1;
     }
 }
@@ -367,7 +367,7 @@ impl SatSolver {
             let at = |i: usize| watchers.start as usize + i;
             let (mut i, mut n) = (0, watchers.len as usize);
             'next_clause: while i < n {
-                let cr = self.watches.pool[at(i)];
+                let cr = self.watches.slots[at(i)];
                 let false_lit = p.negate();
                 let (start, len) = self.clauses[cr as usize];
                 let (start, len) = (start as usize, len as usize);
@@ -388,7 +388,7 @@ impl SatSolver {
                         self.arena.swap(start + 1, k);
                         self.watches.push(lk.negate(), cr);
                         n -= 1;
-                        self.watches.pool[at(i)] = self.watches.pool[at(n)];
+                        self.watches.slots[at(i)] = self.watches.slots[at(n)];
                         continue 'next_clause;
                     }
                 }

@@ -7,8 +7,8 @@
 //! pipeline only ever sees one atom shape.
 //!
 //! A term's list (a linear form's coefficients, a junction's children)
-//! lives in one of two pools of its manager. A term is put together in
-//! scratch space and copied into a pool only if it is new, so building a
+//! lives in one of two arenas of its manager. A term is put together in
+//! scratch space and copied into an arena only if it is new, so building a
 //! term allocates nothing of its own.
 
 use crate::hash::{fx_hash, FxMap};
@@ -65,7 +65,7 @@ pub enum TermKind {
 pub struct TermManager {
     /// Each kind is stored here and nowhere else.
     kinds: Vec<TermKind>,
-    /// `lists[t]`: where term `t`'s list lies in its pool.
+    /// `lists[t]`: where term `t`'s list lies in its arena.
     lists: Vec<(u32, u32)>,
     /// `has_ite[t]`: an `Ite` node is reachable from term `t`.
     has_ite: Vec<bool>,
@@ -74,8 +74,8 @@ pub struct TermManager {
     /// Variables, unique by construction, are not in it.
     dedup: FxMap<u64, TermId>,
     /// The lists of the linear forms, and of the junctions.
-    lin_pool: Vec<(TermId, i64)>,
-    id_pool: Vec<TermId>,
+    lin_arena: Vec<(TermId, i64)>,
+    id_arena: Vec<TermId>,
     /// Indexed by variable number; anonymous variables have no name.
     var_names: Vec<Option<String>>,
     true_id: TermId,
@@ -98,8 +98,8 @@ impl TermManager {
             lists: room(),
             has_ite: room(),
             dedup: FxMap::with_capacity_and_hasher(ROOM, Default::default()),
-            lin_pool: room(),
-            id_pool: room(),
+            lin_arena: room(),
+            id_arena: room(),
             var_names: room(),
             true_id: 0,
             false_id: 0,
@@ -138,7 +138,7 @@ impl TermManager {
     }
 
     /// Store `kind` as a new term, its list (if it has one) copied from the
-    /// scratch to the end of its pool.
+    /// scratch to the end of its arena.
     fn push(&mut self, kind: TermKind) -> TermId {
         let (_, lin, ids) = self.key(kind, None);
         let has_ite = matches!(kind, TermKind::Ite(..))
@@ -146,11 +146,11 @@ impl TermManager {
             || (ids.iter().chain(lin.iter().map(|(b, _)| b))).any(|&x| self.has_ite(x));
         let (n_lin, n_ids) = (lin.len(), ids.len());
         let (from, len) = match kind {
-            TermKind::Le(_) | TermKind::Linear(_) => (self.lin_pool.len(), n_lin),
-            _ => (self.id_pool.len(), n_ids),
+            TermKind::Le(_) | TermKind::Linear(_) => (self.lin_arena.len(), n_lin),
+            _ => (self.id_arena.len(), n_ids),
         };
-        self.lin_pool.extend_from_slice(&self.lin[..n_lin]);
-        self.id_pool.extend_from_slice(&self.ids[..n_ids]);
+        self.lin_arena.extend_from_slice(&self.lin[..n_lin]);
+        self.id_arena.extend_from_slice(&self.ids[..n_ids]);
         self.lists.push((from as u32, (from + len) as u32));
         self.has_ite.push(has_ite);
         self.kinds.push(kind);
@@ -164,13 +164,13 @@ impl TermManager {
     /// The `(base, coeff)` list of linear form (`Le` or `Linear`) `t`.
     pub fn lin(&self, t: TermId) -> &[(TermId, i64)] {
         let (from, to) = self.lists[t as usize];
-        &self.lin_pool[from as usize..to as usize]
+        &self.lin_arena[from as usize..to as usize]
     }
 
     /// The children of junction (`And` or `Or`) `t`.
     pub fn ids(&self, t: TermId) -> &[TermId] {
         let (from, to) = self.lists[t as usize];
-        &self.id_pool[from as usize..to as usize]
+        &self.id_arena[from as usize..to as usize]
     }
 
     /// Does `t` contain an `ite` node (itself included)? Decided when the
@@ -254,7 +254,7 @@ impl TermManager {
                 TermKind::IntVar(_) | TermKind::Ite(..) => self.lin.push((t, k)),
                 TermKind::Linear(c) => {
                     let (from, to) = self.lists[t as usize];
-                    let terms = &self.lin_pool[from as usize..to as usize];
+                    let terms = &self.lin_arena[from as usize..to as usize];
                     self.lin.extend(terms.iter().map(|&(v, c)| (v, c * k)));
                     constant += c * k;
                 }
@@ -325,7 +325,7 @@ impl TermManager {
         };
         self.lin.clear();
         let (from, to) = self.lists[le as usize];
-        let terms = &self.lin_pool[from as usize..to as usize];
+        let terms = &self.lin_arena[from as usize..to as usize];
         self.lin.extend(terms.iter().map(|&(b, c)| (map(b), c)));
         normalize(&mut self.lin);
         self.le_zero(constant)
@@ -414,7 +414,7 @@ impl TermManager {
                 TermKind::And | TermKind::Or if self.kinds[t as usize] == kind => {
                     let (from, to) = self.lists[t as usize];
                     self.ids
-                        .extend_from_slice(&self.id_pool[from as usize..to as usize]);
+                        .extend_from_slice(&self.id_arena[from as usize..to as usize]);
                 }
                 _ => self.ids.push(t),
             }
