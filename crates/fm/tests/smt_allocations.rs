@@ -72,7 +72,7 @@ fn a_warm_solve_allocates_a_pinned_count() {
     // The first solve registers the `smt.*` metrics.
     solve();
     let counts: Vec<u64> = (0..3).map(|_| allocations(solve)).collect();
-    // The build allocates per table and per tableau row; 1,510 when it
-    // also allocated per term, clause, watch list and atom.
+    // The build allocates per table and per tableau row, nothing per
+    // term, clause, watch list or atom.
     assert_eq!(counts, [373; 3], "allocations per warm solve");
 }
