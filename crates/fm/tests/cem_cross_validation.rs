@@ -15,17 +15,16 @@ use fmml_smt::{Solver, TermId};
 use proptest::prelude::*;
 
 fn arb_problem() -> impl Strategy<Value = IntervalProblem> {
-    // 2 queues, short intervals keep the SMT side fast.
-    (3usize..7, 0u32..5, 0u32..5, 0u32..8).prop_flat_map(|(len, max0, max1, m_out)| {
-        let t0 = prop::collection::vec(0i64..6, len);
-        let t1 = prop::collection::vec(0i64..6, len);
-        let s0 = 0u32..=max0;
-        let s1 = 0u32..=max1;
-        (t0, t1, s0, s1).prop_map(move |(t0, t1, s0, s1)| IntervalProblem {
+    // 1–3 queues, short intervals keep the SMT side fast. A queue is its
+    // max, its target and a draw that picks its sample in `0..=max`
+    // (60 is a multiple of every `max + 1`, so the pick is uniform).
+    (3usize..7, 1usize..=3, 0u32..8).prop_flat_map(|(len, nq, m_out)| {
+        let queue = (0u32..5, prop::collection::vec(0i64..6, len), 0u32..60);
+        prop::collection::vec(queue, nq).prop_map(move |queues| IntervalProblem {
             len,
-            target: vec![t0, t1],
-            maxes: vec![max0, max1],
-            samples: vec![s0, s1],
+            target: queues.iter().map(|(_, target, _)| target.clone()).collect(),
+            maxes: queues.iter().map(|&(max, ..)| max).collect(),
+            samples: queues.iter().map(|&(max, _, s)| s % (max + 1)).collect(),
             m_out,
         })
     })
@@ -116,7 +115,7 @@ fn verdict(r: OptResult) -> Result<Option<i64>, String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn engines_agree_on_feasibility_and_objective(p in arb_problem()) {

@@ -1,9 +1,9 @@
 //! Exact-work pin of the SMT rung — the solver's `forward_work.rs`.
 //!
-//! Three fixed interval problems at the benchmark's `offline-smt` geometry
-//! (10 steps × 2 queues), one per non-trivial cost class of
-//! `benchmark/src/offline.rs` (1–2, 3–4, ≥ 5 non-empty target steps), and
-//! one at paper geometry (50 × 2) go through `smt_engine::solve_warm`;
+//! Four fixed interval problems at the benchmark's `offline-smt` geometry
+//! (10 steps × 2 queues), one per cost class of `benchmark/src/offline.rs`
+//! (0, 1–2, 3–4, ≥ 5 non-empty target steps), and one at paper geometry
+//! (50 × 2) go through `smt_engine::solve_warm`;
 //! the solver's own counters must read exactly the pinned work, and the
 //! solved series its pinned hash, twice in one process. Counts repeat to
 //! the unit where wall-clock does not, so a solver PR that removes work
@@ -93,6 +93,25 @@ fn problem<const L: usize>(
 fn solver_work_is_pinned_per_cost_class() {
     // (problem, optimum, pinned work, hash of the solved series)
     let cases = [
+        // No non-empty step: an all-zero target, so the only cost is
+        // queue 0's witness; queue 1's sample is its max.
+        (
+            problem([[0; 10]; 2], [3, 1], [0, 1], 2),
+            3,
+            Work {
+                decisions: 37,
+                propagations: 9,
+                conflicts: 0,
+                theory_conflicts: 10,
+                iterations: 0,
+                pivots: 26,
+                tableau_rows: 48,
+                learned_clauses: 9,
+                theory_checks: 46,
+                restarts: 0,
+            },
+            10_967_786_812_269_883_893,
+        ),
         // 2 non-empty steps: one burst per queue, nothing to trim.
         (
             problem(
@@ -173,8 +192,8 @@ fn solver_work_is_pinned_per_cost_class() {
         ),
     ];
     // Paper geometry (50 steps × 2 queues), where ROADMAP item 4's
-    // `fm.smt_interval_ms_p50` target is read: 12 non-empty steps, C3
-    // admits 8, and queue 0's burst overshoots its max.
+    // acceptance (an SMT interval p90 ≤ 50 ms) is read: 12 non-empty
+    // steps, C3 admits 8, and queue 0's burst overshoots its max.
     let mut paper = [[0i64; 50]; 2];
     for (t, v) in [
         (5, 2),
