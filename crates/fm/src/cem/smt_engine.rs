@@ -7,8 +7,16 @@
 //! * C1: `x[q][t] ≤ m_max[q]` for all `t` and `⋁_t x[q][t] ≥ m_max[q]`;
 //! * C3: indicator booleans `nz_t` with `¬nz_t → Σ_q x[q][t] ≤ 0` and
 //!   `Σ_t ite(nz_t,1,0) ≤ m_out`;
-//! * objective: minimize `Σ_{q,t≠L−1} d[q][t]` with
-//!   `d ≥ x − target ∧ d ≥ target − x` (the L1 distance).
+//! * objective: minimize the L1 distance `Σ_{q,t≠L−1} |x[q][t] − y[q][t]|`
+//!   to the target `y`. The bounds `0 ≤ x ≤ m_max` fix the sign of a term
+//!   whose `y ≤ 0` (it is `x − y`) or `y ≥ m_max` (it is `y − x`); only a
+//!   term with `0 < y < m_max` gets a `d[q][t]` with
+//!   `d ≥ x − y ∧ d ≥ y − x`.
+//!
+//! Each constraint is stated in the cheapest form its bounds allow: an
+//! atom over one variable is a bound in the LIA theory, an atom over two
+//! or more a tableau row, and a row is only written for a constraint the
+//! bounds leave two-sided.
 
 use super::{IntervalProblem, IntervalSolution};
 use fmml_obs::{Counter, Histogram, Unit};
@@ -149,35 +157,51 @@ fn solve_inner(
     let c3 = s.le(ne, cap);
     s.assert(c3);
 
-    // Objective: L1 distance to the target over non-sample steps.
-    let mut dist_terms = Vec::with_capacity(nq * (l - 1));
+    // Objective: L1 distance to the target over non-sample steps. With
+    // `0 ≤ x ≤ m` asserted, a target `y ≤ 0` makes `|x − y| = x − y` and
+    // `y ≥ m` makes it `y − x`; only `0 < y < m` needs a `d ≥ |x − y|`,
+    // whose two atoms are two tableau rows.
+    let mut obj_terms = Vec::with_capacity(nq * (l - 1) + 1);
+    let mut offset = 0;
+    let mut dist = Vec::new();
     for q in 0..nq {
+        let m = p.maxes[q] as i64;
         for t in 0..l - 1 {
-            let d = s.fresh_int();
-            let y = s.int(p.target[q][t]);
-            let diff = s.sub(x[q][t], y);
-            let c1 = s.ge(d, diff);
-            s.assert(c1);
-            let ndiff = s.neg(diff);
-            let c2 = s.ge(d, ndiff);
-            s.assert(c2);
-            dist_terms.push(d);
+            let y = p.target[q][t];
+            if y <= 0 {
+                obj_terms.push(x[q][t]);
+                offset -= y;
+            } else if y >= m {
+                obj_terms.push(s.neg(x[q][t]));
+                offset += y;
+            } else {
+                let d = s.fresh_int();
+                let yv = s.int(y);
+                let diff = s.sub(x[q][t], yv);
+                let c1 = s.ge(d, diff);
+                s.assert(c1);
+                let ndiff = s.neg(diff);
+                let c2 = s.ge(d, ndiff);
+                s.assert(c2);
+                obj_terms.push(d);
+                dist.push((d, q, t));
+            }
         }
     }
-    let obj = s.add(&dist_terms);
+    obj_terms.push(s.int(offset));
+    let obj = s.add(&obj_terms);
     let built = Instant::now();
 
     let result = match suggested {
         Some(values) => {
-            let mut ints = Vec::with_capacity(2 * nq * l);
+            let mut ints = Vec::with_capacity(nq * l + dist.len());
             for q in 0..nq {
                 for t in 0..l {
                     ints.push((x[q][t], values[q][t] as i64));
                 }
-                for t in 0..l - 1 {
-                    let d = dist_terms[q * (l - 1) + t];
-                    ints.push((d, (values[q][t] as i64 - p.target[q][t]).abs()));
-                }
+            }
+            for &(d, q, t) in &dist {
+                ints.push((d, (values[q][t] as i64 - p.target[q][t]).abs()));
             }
             let bools: Vec<_> = (0..l)
                 .map(|t| (nz[t], values.iter().any(|series| series[t] > 0)))
@@ -216,9 +240,16 @@ fn solve_inner(
                 values,
                 objective: value as u64,
             };
-            debug_assert!(
+            // And checked against the problem itself, not only against
+            // the formula it was written as.
+            assert!(
                 sol.is_feasible(p),
                 "smt engine produced infeasible solution"
+            );
+            assert_eq!(
+                sol.objective,
+                sol.l1_objective(p),
+                "smt optimum is not the L1 distance of its series"
             );
             Ok(sol)
         }

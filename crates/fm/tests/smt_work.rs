@@ -104,8 +104,8 @@ fn solver_work_is_pinned_per_cost_class() {
                 conflicts: 0,
                 theory_conflicts: 10,
                 iterations: 0,
-                pivots: 26,
-                tableau_rows: 48,
+                pivots: 8,
+                tableau_rows: 12,
                 learned_clauses: 9,
                 theory_checks: 46,
                 restarts: 0,
@@ -130,8 +130,8 @@ fn solver_work_is_pinned_per_cost_class() {
                 conflicts: 0,
                 theory_conflicts: 10,
                 iterations: 0,
-                pivots: 29,
-                tableau_rows: 48,
+                pivots: 12,
+                tableau_rows: 14,
                 learned_clauses: 9,
                 theory_checks: 48,
                 restarts: 0,
@@ -156,8 +156,8 @@ fn solver_work_is_pinned_per_cost_class() {
                 conflicts: 0,
                 theory_conflicts: 21,
                 iterations: 0,
-                pivots: 63,
-                tableau_rows: 48,
+                pivots: 49,
+                tableau_rows: 18,
                 learned_clauses: 20,
                 theory_checks: 108,
                 restarts: 0,
@@ -182,8 +182,8 @@ fn solver_work_is_pinned_per_cost_class() {
                 conflicts: 5,
                 theory_conflicts: 85,
                 iterations: 0,
-                pivots: 210,
-                tableau_rows: 48,
+                pivots: 198,
+                tableau_rows: 28,
                 learned_clauses: 89,
                 theory_checks: 424,
                 restarts: 1,
@@ -219,8 +219,8 @@ fn solver_work_is_pinned_per_cost_class() {
             conflicts: 5,
             theory_conflicts: 146,
             iterations: 0,
-            pivots: 892,
-            tableau_rows: 248,
+            pivots: 820,
+            tableau_rows: 74,
             learned_clauses: 150,
             theory_checks: 2177,
             restarts: 2,
