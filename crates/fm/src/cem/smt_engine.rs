@@ -5,7 +5,8 @@
 //!
 //! * C2: `x[q][L−1] = m_len[q]`;
 //! * C1: `x[q][t] ≤ m_max[q]` for all `t` and `⋁_t x[q][t] ≥ m_max[q]`;
-//! * C3: indicator booleans `nz_t` with `¬nz_t → Σ_q x[q][t] ≤ 0` and
+//! * C3: indicator booleans `nz_t` with `¬nz_t → x[q][t] ≤ 0` for every
+//!   queue (with `x ≥ 0`, the same as `¬nz_t → Σ_q x[q][t] ≤ 0`) and
 //!   `Σ_t ite(nz_t,1,0) ≤ m_out`;
 //! * objective: minimize the L1 distance `Σ_{q,t≠L−1} |x[q][t] − y[q][t]|`
 //!   to the target `y`. The bounds `0 ≤ x ≤ m_max` fix the sign of a term
@@ -139,17 +140,19 @@ fn solve_inner(
         }
     }
 
-    // C3: indicator per step; ¬nz_t forces the step to be all-zero.
+    // C3: indicator per step; ¬nz_t forces the step to be all-zero. With
+    // every `x ≥ 0`, `Σ_q x[q][t] ≤ 0` is `x[q][t] ≤ 0` for each queue:
+    // bounds, not a row.
     let one = s.int(1);
     let nz: Vec<_> = (0..l).map(|_| s.fresh_bool()).collect();
     let mut count_terms = Vec::with_capacity(l);
     for (t, &nz) in nz.iter().enumerate() {
-        let cols: Vec<_> = (0..nq).map(|q| x[q][t]).collect();
-        let sum = s.add(&cols);
-        let empty = s.le(sum, zero);
         let not_nz = s.not(nz);
-        let link = s.implies(not_nz, empty);
-        s.assert(link);
+        for q in 0..nq {
+            let empty = s.le(x[q][t], zero);
+            let link = s.implies(not_nz, empty);
+            s.assert(link);
+        }
         count_terms.push(s.ite(nz, one, zero));
     }
     let ne = s.add(&count_terms);

@@ -105,7 +105,7 @@ fn solver_work_is_pinned_per_cost_class() {
                 theory_conflicts: 10,
                 iterations: 0,
                 pivots: 8,
-                tableau_rows: 12,
+                tableau_rows: 2,
                 learned_clauses: 9,
                 theory_checks: 46,
                 restarts: 0,
@@ -131,7 +131,7 @@ fn solver_work_is_pinned_per_cost_class() {
                 theory_conflicts: 10,
                 iterations: 0,
                 pivots: 12,
-                tableau_rows: 14,
+                tableau_rows: 4,
                 learned_clauses: 9,
                 theory_checks: 48,
                 restarts: 0,
@@ -151,15 +151,15 @@ fn solver_work_is_pinned_per_cost_class() {
             ),
             5,
             Work {
-                decisions: 94,
-                propagations: 243,
+                decisions: 98,
+                propagations: 265,
                 conflicts: 0,
                 theory_conflicts: 21,
                 iterations: 0,
-                pivots: 49,
-                tableau_rows: 18,
+                pivots: 46,
+                tableau_rows: 8,
                 learned_clauses: 20,
-                theory_checks: 108,
+                theory_checks: 111,
                 restarts: 0,
             },
             9_708_695_365_734_855_569,
@@ -177,15 +177,15 @@ fn solver_work_is_pinned_per_cost_class() {
             ),
             9,
             Work {
-                decisions: 350,
-                propagations: 1187,
-                conflicts: 5,
-                theory_conflicts: 85,
+                decisions: 423,
+                propagations: 1456,
+                conflicts: 10,
+                theory_conflicts: 107,
                 iterations: 0,
-                pivots: 198,
-                tableau_rows: 28,
-                learned_clauses: 89,
-                theory_checks: 424,
+                pivots: 241,
+                tableau_rows: 18,
+                learned_clauses: 116,
+                theory_checks: 514,
                 restarts: 1,
             },
             15_837_894_569_226_808_771,
@@ -214,15 +214,15 @@ fn solver_work_is_pinned_per_cost_class() {
         problem(paper, [6, 3], [0, 1], 8),
         7,
         Work {
-            decisions: 2081,
-            propagations: 2983,
+            decisions: 2100,
+            propagations: 3288,
             conflicts: 5,
-            theory_conflicts: 146,
+            theory_conflicts: 152,
             iterations: 0,
-            pivots: 820,
-            tableau_rows: 74,
-            learned_clauses: 150,
-            theory_checks: 2177,
+            pivots: 806,
+            tableau_rows: 24,
+            learned_clauses: 156,
+            theory_checks: 2202,
             restarts: 2,
         },
         13_608_930_404_757_105_652,
