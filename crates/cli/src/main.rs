@@ -92,7 +92,6 @@ COMMANDS:
              fault injection (0 = off): --worker-panic-every N
              --solver-stall-every N  --solver-stall-ms N (5)
              --slow-write-every N  --slow-write-ms N (2)
-             --max-restarts N (5; per-worker-slot restart budget)
   cluster    run the sharded serving cluster: one router speaking the
              serve wire protocol on both sides, consistent-hash session
              placement over N in-process backend nodes, health-probed
@@ -674,7 +673,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         deadline: Duration::from_millis(args.get_or("deadline-ms", 50u64)?),
         max_batch: at_least(args, "max-batch", 16, 1)?,
         queue_depth: args.get_or("queue-depth", 64usize)?,
-        max_restarts: args.get_or("max-restarts", 5u32)?,
         wire: parse_wire(args)?,
         process_faults,
         ..ServerConfig::default()

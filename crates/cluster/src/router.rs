@@ -42,8 +42,7 @@ use crate::ring::HashRing;
 use fmml_obs::trace::{self, TraceContext};
 use fmml_obs::{log_event, Clock, Counter, Gauge, Histogram, Unit};
 use fmml_serve::protocol::{
-    encode_frame_with, write_bytes, Frame, FrameReader, RawFrame, WireCodec, HEADER_LEN,
-    MAX_FRAME_LEN,
+    encode_frame_with, write_bytes, Frame, FrameReader, RawFrame, WireCodec, MAX_FRAME_LEN,
 };
 use fmml_serve::session::{self, Count, Counters, FrontEnd, Identity, Ledger, Metrics, Step};
 use fmml_serve::transport::{spawn_acceptor, split, Threads, WRITE_TIMEOUT};
@@ -114,11 +113,6 @@ pub struct RouterConfig {
     /// produces no I/O error and no reply until the partition heals —
     /// which may be never. Only reply absence reveals it.
     pub pending_timeout: Duration,
-    /// Frame cap on client connections.
-    pub client_frame_len: usize,
-    /// Frame cap on router↔backend links — raised above the client cap
-    /// because migration warm-up batches ride on them.
-    pub backend_frame_len: usize,
     /// Socket read poll granularity.
     pub read_timeout: Duration,
     /// Sessions whose client vanished are kept resumable this long
@@ -146,8 +140,6 @@ impl Default for RouterConfig {
             probe_failures: 3,
             dial_timeout: Duration::from_secs(2),
             pending_timeout: Duration::from_secs(2),
-            client_frame_len: MAX_FRAME_LEN,
-            backend_frame_len: 4 * MAX_FRAME_LEN,
             read_timeout: Duration::from_millis(25),
             parked_ttl: Duration::from_secs(30),
             wire: WireCodec::Bin1,
@@ -567,8 +559,8 @@ fn ask<CF: Conn, B: Connector>(
     let cfg = &shared.cfg;
     let conn = connector.connect().ok()?;
     let poll = Duration::from_millis(2);
-    let (mut reader, mut conn) = split(conn, poll, write_timeout, cfg.backend_frame_len)?;
-    let bytes = encode_frame_with(frame, WireCodec::Json, cfg.backend_frame_len).ok()?;
+    let (mut reader, mut conn) = split(conn, poll, write_timeout)?;
+    let bytes = encode_frame_with(frame, WireCodec::Json, MAX_FRAME_LEN).ok()?;
     write_bytes(&mut conn, &bytes).ok()?;
     let deadline = cfg.clock.now() + patience;
     loop {
@@ -909,9 +901,7 @@ fn migrate<CF: Conn, B: Connector + Send + Sync + 'static>(
                         }
                     }
                     if ok && st.bye {
-                        if let Ok(bye) =
-                            encode_frame_with(&Frame::Bye, codec, shared.cfg.backend_frame_len)
-                        {
+                        if let Ok(bye) = encode_frame_with(&Frame::Bye, codec, MAX_FRAME_LEN) {
                             ok = write_bytes(&mut writer, &bye).is_ok();
                         }
                     }
@@ -992,13 +982,11 @@ fn link_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
 /// wire-v2 payload exposes its tag and seq at fixed offsets
 /// ([`RawFrame::meta`]), so the hot path (`Ack`/`Imputed`) never decodes
 /// the body, and the bytes the backend produced are committed to the
-/// replay log and the client verbatim — no re-encode, no frame-cap
-/// mismatch (the old decode→`encode_frame` round trip silently dropped
-/// any legal reply over the *default* cap on links configured with a
-/// raised one), and bitwise-identical content across the hop by
-/// construction. JSON payloads and rare control frames take the full
-/// decode fallback: `ByeAck` completes the session, `Error` re-places
-/// it, JSON replies are routed by seq, and anything else is ignored.
+/// replay log and the client verbatim — no re-encode, and
+/// bitwise-identical content across the hop by construction. JSON
+/// payloads and rare control frames take the full decode fallback:
+/// `ByeAck` completes the session, `Error` re-places it, JSON replies
+/// are routed by seq, and anything else is ignored.
 fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
     shared: &Arc<RouterShared<CF, B>>,
     session: &Arc<SessionInner<CF, B::Conn>>,
@@ -1021,7 +1009,7 @@ fn handle_backend_frame<CF: Conn, B: Connector + Send + Sync + 'static>(
                     answered,
                     remaining,
                 };
-                if let Ok(b) = encode_frame_with(&ba, session.codec, shared.cfg.client_frame_len) {
+                if let Ok(b) = encode_frame_with(&ba, session.codec, MAX_FRAME_LEN) {
                     session.send_client(&b);
                 }
                 session.done.store(true, Ordering::Release);
@@ -1104,12 +1092,11 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
     shared: &Arc<RouterShared<CF, B>>,
     conn: CF,
 ) {
-    let (cfg, max_len) = (&shared.cfg, shared.cfg.client_frame_len);
-    let Some((mut reader, mut writer)) = split(conn, cfg.read_timeout, WRITE_TIMEOUT, max_len)
-    else {
+    let cfg = &shared.cfg;
+    let Some((mut reader, mut writer)) = split(conn, cfg.read_timeout, WRITE_TIMEOUT) else {
         return;
     };
-    let mut front = FrontEnd::new(&shared.counters, max_len);
+    let mut front = FrontEnd::new(&shared.counters);
 
     let Some(hello) = front.read_hello(
         &mut reader,
@@ -1254,14 +1241,6 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
                 trace_id,
                 bytes,
             } => {
-                // The client reader's cap is normally below the backend
-                // link's raised cap; guard the inverted-config case
-                // rather than feeding the backend a frame its reader
-                // must reject.
-                if bytes.len() > HEADER_LEN + shared.cfg.backend_frame_len {
-                    shared.counters.malformed.inc();
-                    continue;
-                }
                 let mut st = lock(&session.state);
                 if st.pending.contains_key(&seq) || session.ledger.answered(seq).is_some() {
                     // A client re-send of a seq in flight, or answered
@@ -1285,9 +1264,7 @@ fn client_loop<CF: Conn, B: Connector + Send + Sync + 'static>(
             Step::Bye => {
                 let mut st = lock(&session.state);
                 st.bye = true;
-                if let Ok(bye) =
-                    encode_frame_with(&Frame::Bye, st.link, shared.cfg.backend_frame_len)
-                {
+                if let Ok(bye) = encode_frame_with(&Frame::Bye, st.link, MAX_FRAME_LEN) {
                     st.send(&bye);
                 }
                 // Keep reading: the ByeAck arrives via the link reader

@@ -11,11 +11,9 @@ use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
 use fmml_serve::protocol::{
     encode_frame, encode_frame_with, write_bytes, write_frame, Frame, FrameReader, WireCodec,
-    MAX_FRAME_LEN,
+    HEADER_LEN, MAX_FRAME_LEN,
 };
-use fmml_serve::{
-    run_loadgen, spawn, LoadgenConfig, ServerConfig, ServerHandle, TcpConnector, WireError,
-};
+use fmml_serve::{run_loadgen, spawn, LoadgenConfig, ServerConfig, ServerHandle, TcpConnector};
 use fmml_telemetry::{windows_from_trace, PortWindow};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -632,21 +630,18 @@ fn router_answers_probes_locally() {
 }
 
 // ---------------------------------------------------------------------
-// Raised-cap regression: frames past the default 1 MiB cap must cross
-// the router intact, including the migration warm-up replay. The model
-// server can't produce over-cap replies in test time, so these tests
+// Near-cap regression: frames just under the 1 MiB cap must cross the
+// router intact, including the migration warm-up replay. The model
+// server can't produce near-cap replies in test time, so these tests
 // stand up a protocol-faithful fake backend whose replies are a pure
 // function of the request seq — which also makes bitwise identity
 // across a migration checkable without a model in the loop.
 // ---------------------------------------------------------------------
 
-/// Links raised four-fold above the stock frame cap.
-const RAISED: usize = 4 * MAX_FRAME_LEN;
-
-/// A deterministic interval update whose JSON encoding exceeds the
-/// default [`MAX_FRAME_LEN`] (240k four-digit values ≈ 1.2 MiB).
+/// A deterministic interval update whose JSON encoding sits just under
+/// [`MAX_FRAME_LEN`] (208k four-digit values ≈ 1.04 MB).
 fn big_update(seq: u64) -> IntervalUpdate {
-    let n = 120_000usize;
+    let n = 104_000usize;
     IntervalUpdate {
         port: 1,
         samples: (0..n)
@@ -661,13 +656,13 @@ fn big_update(seq: u64) -> IntervalUpdate {
     }
 }
 
-/// The fake backend's reply series for `seq` — again over-cap as JSON
-/// (230k four-digit values ≈ 1.15 MiB) and derivable by the client for
-/// exact comparison.
+/// The fake backend's reply series for `seq` — again just under the cap
+/// as JSON (208k four-digit values ≈ 1.04 MB) and derivable by the
+/// client for exact comparison.
 fn big_series(seq: u64) -> Vec<Vec<u32>> {
     (0..96usize)
         .map(|q| {
-            (0..2400usize)
+            (0..2170usize)
                 .map(|t| 1000 + ((seq as usize * 31 + q * 7 + t) % 9000) as u32)
                 .collect()
         })
@@ -675,9 +670,9 @@ fn big_series(seq: u64) -> Vec<Vec<u32>> {
 }
 
 /// One fake-backend connection: answer router probes, the session
-/// handshake, and every interval with the deterministic oversized reply.
+/// handshake, and every interval with the deterministic near-cap reply.
 fn fake_conn(stream: TcpStream) {
-    let mut reader = FrameReader::with_max_len(stream.try_clone().unwrap(), RAISED);
+    let mut reader = FrameReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
     while let Ok(frame) = reader.read_frame() {
         let out = match frame {
@@ -710,14 +705,14 @@ fn fake_conn(stream: TcpStream) {
                     answered: 0,
                     remaining: 0,
                 };
-                if let Ok(b) = encode_frame_with(&bye, WireCodec::Json, RAISED) {
+                if let Ok(b) = encode_frame(&bye) {
                     let _ = write_bytes(&mut writer, &b);
                 }
                 return;
             }
             _ => continue,
         };
-        let Ok(b) = encode_frame_with(&out, WireCodec::Json, RAISED) else {
+        let Ok(b) = encode_frame(&out) else {
             return;
         };
         if write_bytes(&mut writer, &b).is_err() {
@@ -782,27 +777,28 @@ impl FakeBackend {
     }
 }
 
-/// Regression for the raised-cap forwarder bug: interval updates and
-/// replies **larger than the default frame cap** must cross the router
-/// intact — including the migration warm-up replay, which re-sends the
-/// whole ingested window over a fresh backend link. The old forwarder
-/// round-tripped frames through default-cap `encode_frame`, so exactly
-/// these frames were silently dropped at the re-encode.
+/// Regression for the forwarder's frame-cap bugs: interval updates and
+/// replies **just under the frame cap** must cross the router intact —
+/// including the migration warm-up replay, which re-sends the ingested
+/// window over a fresh backend link. A forwarder that re-encodes, or a
+/// link that reads under a smaller cap than a client may send, drops
+/// exactly these frames.
 #[test]
 fn raised_cap_migration_replays_oversized_frames() {
-    // Prove the fixtures really exceed the stock cap: default-cap
-    // encoding must reject them, the raised cap must accept them.
-    let probe = Frame::Interval {
+    // Prove the fixtures are near-cap: they fit, and 1 % more would not.
+    let near_cap = |f: &Frame| {
+        let len = encode_frame(f).expect("fixture fits the cap").len() - HEADER_LEN;
+        assert!(
+            len > MAX_FRAME_LEN * 99 / 100,
+            "{len} bytes is not near the cap"
+        );
+    };
+    near_cap(&Frame::Interval {
         seq: 1,
         update: big_update(1),
         trace_id: None,
-    };
-    assert!(matches!(
-        encode_frame(&probe),
-        Err(WireError::Oversized { .. })
-    ));
-    assert!(encode_frame_with(&probe, WireCodec::Json, RAISED).is_ok());
-    let reply_probe = Frame::Imputed {
+    });
+    near_cap(&Frame::Imputed {
         seq: 1,
         port: 1,
         series: big_series(1),
@@ -810,19 +806,13 @@ fn raised_cap_migration_replays_oversized_frames() {
         enforced: true,
         latency_us: 7,
         trace_id: None,
-    };
-    assert!(matches!(
-        encode_frame(&reply_probe),
-        Err(WireError::Oversized { .. })
-    ));
+    });
 
     let a = FakeBackend::spawn();
     let rt = fmml_cluster::spawn(RouterConfig {
         probe_interval: Duration::from_millis(50),
         probe_failures: 2,
         dial_timeout: Duration::from_millis(500),
-        client_frame_len: RAISED,
-        backend_frame_len: RAISED,
         ..RouterConfig::default()
     })
     .expect("spawn router");
@@ -835,7 +825,7 @@ fn raised_cap_migration_replays_oversized_frames() {
 
     let stream = TcpStream::connect(rt.addr()).expect("connect");
     stream.set_nodelay(true).unwrap();
-    let mut rx = FrameReader::with_max_len(stream.try_clone().unwrap(), RAISED);
+    let mut rx = FrameReader::new(stream.try_clone().unwrap());
     let mut tx = stream;
 
     write_frame(&mut tx, &hello(1, 4)).unwrap();
@@ -847,8 +837,8 @@ fn raised_cap_migration_replays_oversized_frames() {
             update: big_update(seq),
             trace_id: Some(seq),
         };
-        let b = encode_frame_with(&f, WireCodec::Json, RAISED).expect("raised-cap encode");
-        write_bytes(tx, &b).expect("send oversized interval");
+        let b = encode_frame(&f).expect("near-cap encode");
+        write_bytes(tx, &b).expect("send near-cap interval");
     }
     fn expect_reply(rx: &mut FrameReader<TcpStream>, seq: u64) {
         match rx.read_frame().expect("reply") {
@@ -873,7 +863,7 @@ fn raised_cap_migration_replays_oversized_frames() {
         expect_reply(&mut rx, seq);
     }
 
-    // Fail "a" over to "b": the warm-up replay pushes three >1 MiB
+    // Fail "a" over to "b": the warm-up replay pushes three near-cap
     // interval frames through the new backend link before the live
     // stream resumes.
     let b = FakeBackend::spawn();

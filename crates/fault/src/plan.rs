@@ -35,9 +35,9 @@ pub enum FaultKind {
     /// observations), as if the collector dropped a batch.
     TraceBlackout,
     /// A CEM worker thread panics mid-batch (process-level fault,
-    /// injected through the server's test-only hook). Recovery is the
-    /// supervisor's job: restart the worker, re-enqueue the poisoned
-    /// batch, lose nothing.
+    /// injected through the server's test-only hook). The worker
+    /// recovers in place: it re-enqueues the poisoned batch, carries on,
+    /// and loses nothing.
     WorkerPanic,
     /// The constraint solver stalls for a whole batch (a wedged SMT
     /// backend). Consecutive stalls are what trips the `fm.cem` circuit

@@ -1,8 +1,8 @@
 //! # Injectable time source: real or virtual
 //!
 //! Everything latency-sensitive in the serving stack (batching
-//! deadlines, parked-session TTLs, supervisor backoff, SLO watchdog
-//! ticks, breaker cooldowns) ultimately reads `Instant::now()` or calls
+//! deadlines, parked-session TTLs, SLO watchdog ticks, breaker
+//! cooldowns) ultimately reads `Instant::now()` or calls
 //! `thread::sleep`. [`Clock`] abstracts both so the deterministic
 //! simulation harness (`fmml-simtest`) can run full session lifecycles
 //! — park, TTL expiry, resume, half-open probes — in milliseconds of

@@ -39,12 +39,10 @@ use std::io::{ErrorKind, Read, Write};
 
 /// Default cap on a frame's JSON payload. A window of telemetry is a few
 /// KB; 1 MiB leaves two orders of magnitude of headroom while bounding
-/// what a hostile length prefix can make the server allocate. The cap is
-/// per-reader configurable ([`FrameReader::with_max_len`]): the router's
-/// backend links (`RouterConfig::backend_frame_len`) carry batched
-/// interval replays during migration and run with a higher ceiling than
-/// untrusted client edges. A server reads every connection, client or
-/// router link, under this cap: it fits any client frame.
+/// what a hostile length prefix can make the server allocate. Server and
+/// router read every connection, client or backend link, under this cap:
+/// a migration warm-up replays one stored client frame at a time, so a
+/// link never carries a frame a client could not send.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Bytes of framing overhead per frame (the length prefix).
@@ -698,10 +696,8 @@ impl<R: Read> FrameReader<R> {
         FrameReader::with_max_len(inner, MAX_FRAME_LEN)
     }
 
-    /// A reader with an explicit frame cap. Client-facing edges keep the
-    /// [`MAX_FRAME_LEN`] default; the router's trusted backend links
-    /// (batched interval replays during migration) raise it via
-    /// `RouterConfig::backend_frame_len`.
+    /// A reader with an explicit frame cap (tests and tools; every
+    /// server and router connection reads at [`MAX_FRAME_LEN`]).
     pub fn with_max_len(inner: R, max_len: usize) -> FrameReader<R> {
         FrameReader {
             inner,

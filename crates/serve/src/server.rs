@@ -97,7 +97,7 @@ static BATCH_SIZE: Histogram = Histogram::new("serve.batch_size", Unit::Count);
 static HANDOFFS: Counter = Counter::new("serve.handoffs");
 static LATENCY_US: Histogram = Histogram::new("serve.latency_us", Unit::Micros);
 
-// Supervision and resumption.
+// Worker recovery and resumption.
 static WORKER_PANICS: Counter = Counter::new("serve.worker.panics");
 static WORKER_RESTARTS: Counter = Counter::new("serve.worker.restarts");
 static REQUEUE_LATENCY_US: Histogram =
@@ -146,6 +146,15 @@ const MAX_PORTS_PER_SESSION: usize = 64;
 const MAX_QUEUES: usize = 64;
 pub const MAX_INTERVAL_LEN: usize = 512;
 pub const MAX_WINDOW_INTERVALS: usize = 64;
+/// SLO watchdog sliding-window length: replies older than this fall out
+/// of the deadline-miss / degradation rates.
+const SLO_WINDOW: Duration = Duration::from_secs(5);
+/// How often the watchdog re-evaluates the window and republishes the
+/// `slo.*` gauges.
+const SLO_TICK: Duration = Duration::from_millis(200);
+/// Minimum replies in the window before breach math applies (a single
+/// slow reply at startup is not an SLO event).
+const SLO_MIN_SAMPLES: usize = 20;
 /// Deadline-miss rate above which the SLO watchdog declares a breach.
 const SLO_MAX_MISS_RATE: f64 = 0.05;
 /// Fraction of replies degraded below [`DegradationLevel::Full`] above
@@ -160,6 +169,13 @@ const SLO_MAX_DEGRADED_RATE: f64 = 0.5;
 /// only on the bytes buffered. A constant because 1 ms is a fiftieth of
 /// the 50 ms wire period and every deployment and harness ran it.
 const BATCH_WAIT: Duration = Duration::from_millis(1);
+
+/// The most panics in a row, with no finished batch in between, that a
+/// worker recovers from in place; one more and it gives up
+/// (`worker.dead`). A lone worker under an injected panic cadence of 2
+/// or more never panics twice in a row: a retried batch gets a fresh
+/// ordinal.
+pub const MAX_CONSECUTIVE_PANICS: u32 = 5;
 
 /// Server tuning knobs. `Default` is the 50 ms wire-period deployment
 /// from the paper's §5 on loopback.
@@ -183,23 +199,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Socket read timeout — the reader's shutdown-poll granularity.
     pub read_timeout: Duration,
-    /// SLO watchdog sliding-window length: replies older than this fall
-    /// out of the deadline-miss / degradation rates.
-    pub slo_window: Duration,
-    /// How often the watchdog re-evaluates the window and republishes
-    /// the `slo.*` gauges.
-    pub slo_tick: Duration,
-    /// Minimum replies in the window before breach math applies (a
-    /// single slow reply at startup is not an SLO event).
-    pub slo_min_samples: usize,
-    /// Restart budget per worker slot: after this many restarts a slot
-    /// is declared dead (`worker.dead` event) and left empty.
-    pub max_restarts: u32,
-    /// Supervisor backoff before restart `k` is `restart_backoff * 2^k`,
-    /// capped at `restart_backoff_cap` — deterministic, no jitter, so
-    /// recovery latency is reproducible.
-    pub restart_backoff: Duration,
-    pub restart_backoff_cap: Duration,
     /// Per-session replay window: recently shipped replies retained
     /// (keyed by seq) for resumption. `0` disables resumption entirely
     /// (no tokens are handed out).
@@ -226,7 +225,7 @@ pub struct ServerConfig {
     /// JSON. Decoding is always sniffed per frame, so this knob never
     /// rejects anyone.
     pub wire: WireCodec,
-    /// Time source for every deadline, TTL, backoff, and watchdog tick.
+    /// Time source for every deadline, TTL and watchdog tick.
     /// [`Clock::System`] in production; the deterministic simulation
     /// harness injects a virtual clock so full session lifecycles run
     /// in milliseconds with zero real sleeps.
@@ -247,12 +246,6 @@ impl Default for ServerConfig {
             max_batch: 16,
             queue_depth: 64,
             read_timeout: Duration::from_millis(25),
-            slo_window: Duration::from_secs(5),
-            slo_tick: Duration::from_millis(200),
-            slo_min_samples: 20,
-            max_restarts: 5,
-            restart_backoff: Duration::from_millis(10),
-            restart_backoff_cap: Duration::from_millis(500),
             replay_window: 1024,
             max_parked: 64,
             parked_ttl: Duration::from_secs(30),
@@ -422,19 +415,10 @@ struct Job<C: Conn> {
     /// [`TraceContext::NONE`] when tracing is off.
     trace: TraceContext,
     writer: Arc<SessionWriter<C>>,
-    /// Set when a worker panic poisoned this job's batch and the
-    /// supervisor re-enqueued it: when the retried reply is finally
-    /// written, `requeued_at → now` is the recovery latency.
+    /// Set when a worker panic poisoned this job's batch and the worker
+    /// re-enqueued it: when the retried reply is finally written,
+    /// `requeued_at → now` is the recovery latency.
     requeued_at: Option<Instant>,
-}
-
-/// What a panicking worker leaves behind for the supervisor: which slot
-/// died, why, and which admitted intervals were in flight.
-struct WorkerObit {
-    worker: usize,
-    payload: String,
-    trace_ids: Vec<u64>,
-    requeued: usize,
 }
 
 /// Requeue-latency samples retained on the handle.
@@ -467,8 +451,6 @@ struct Shared<C: Conn> {
     /// Signalled whenever a session parks — wakes reconnecting claims
     /// racing the old reader's unwind.
     parked_cv: Condvar,
-    /// Panic reports from workers, drained by the supervisor.
-    obits: Mutex<Vec<WorkerObit>>,
     /// Recovery latencies of re-enqueued jobs, in µs (bounded).
     requeue_lat: Mutex<Vec<u64>>,
 }
@@ -511,12 +493,12 @@ pub struct ServerHandle<C: Conn = TcpStream> {
     /// Bound socket address — `Some` only for TCP transports.
     addr: Option<SocketAddr>,
     shared: Arc<Shared<C>>,
-    acceptor: Option<JoinHandle<()>>,
-    /// The supervisor owns the worker pool's join handles; joining it
-    /// joins (or has already joined) every worker.
-    supervisor: Option<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
+    /// Worker threads exit once the queue is empty and every reader is
+    /// gone, or after [`MAX_CONSECUTIVE_PANICS`].
+    workers: Vec<JoinHandle<()>>,
     readers: Arc<Threads>,
-    watchdog: Option<JoinHandle<()>>,
+    watchdog: JoinHandle<()>,
 }
 
 impl ServerHandle<TcpStream> {
@@ -548,7 +530,8 @@ impl<C: Conn> ServerHandle<C> {
             .unwrap_or_default()
     }
 
-    /// Supervision accounting: `(worker panics, worker restarts)`.
+    /// Recovery accounting: `(worker panics, worker restarts)`. A panic
+    /// the worker carries on from counts as a restart.
     pub fn worker_stats(&self) -> (u64, u64) {
         (
             self.shared.worker_panics.get(),
@@ -613,7 +596,7 @@ impl<C: Conn> ServerHandle<C> {
     /// Signal shutdown and gracefully drain: stop accepting, let every
     /// session's in-flight intervals be answered, join all threads.
     /// Returns the final stats.
-    pub fn shutdown(mut self) -> Frame {
+    pub fn shutdown(self) -> Frame {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.queue_cv.notify_all();
         // Under virtual time, drain loops sleep on the injected clock;
@@ -622,18 +605,14 @@ impl<C: Conn> ServerHandle<C> {
         if let Some(vc) = self.shared.cfg.clock.virtual_handle() {
             vc.set_auto_advance(true);
         }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        let _ = self.acceptor.join();
         // Readers exit on their next poll tick (they drain first).
         self.readers.join_all();
         self.shared.queue_cv.notify_all();
-        if let Some(s) = self.supervisor.take() {
-            let _ = s.join();
-        }
-        if let Some(w) = self.watchdog.take() {
+        for w in self.workers {
             let _ = w.join();
         }
+        let _ = self.watchdog.join();
         log_event!(
             "serve.shutdown",
             "sessions" = self.shared.counters.sessions.get(),
@@ -654,14 +633,13 @@ pub fn spawn(model: Arc<TransformerImputer>, cfg: ServerConfig) -> std::io::Resu
 
 /// Spawn a server over an arbitrary [`Transport`] — the simulation
 /// harness passes the in-memory [`crate::sim::SimTransport`] here and
-/// gets the identical session/worker/supervisor machinery.
+/// gets the identical session and worker machinery.
 pub fn spawn_with<T: Transport>(
     transport: T,
     model: Arc<TransformerImputer>,
     cfg: ServerConfig,
 ) -> ServerHandle<T::Conn> {
     let cache = Arc::new(SolutionCache::new(DEFAULT_CAPACITY));
-    let workers = cfg.workers.max(1);
     let shared = Arc::new(Shared {
         cfg,
         model,
@@ -678,21 +656,19 @@ pub fn spawn_with<T: Transport>(
         breaches: Mutex::new(Vec::new()),
         parked: Mutex::new(HashMap::new()),
         parked_cv: Condvar::new(),
-        obits: Mutex::new(Vec::new()),
         requeue_lat: Mutex::new(Vec::new()),
     });
     let readers = Arc::new(Threads::default());
 
-    let worker_handles: Vec<Option<JoinHandle<()>>> = (0..workers)
-        .map(|i| Some(spawn_worker(&shared, i)))
+    let workers = (0..shared.cfg.workers.max(1))
+        .map(|i| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(format!("serve-worker-{i}"))
+                .spawn(move || worker_loop(&shared, i))
+                .expect("spawn worker")
+        })
         .collect();
-    let supervisor = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("serve-supervisor".into())
-            .spawn(move || supervisor_loop(&shared, worker_handles))
-            .expect("spawn supervisor")
-    };
 
     let acceptor = {
         let (stop, shared) = (Arc::clone(&shared), Arc::clone(&shared));
@@ -722,101 +698,20 @@ pub fn spawn_with<T: Transport>(
     ServerHandle {
         addr: None,
         shared,
-        acceptor: Some(acceptor),
-        supervisor: Some(supervisor),
+        acceptor,
+        workers,
         readers,
-        watchdog: Some(watchdog),
+        watchdog,
     }
 }
 
-/// Spawn worker slot `i` running the crash-isolated batch loop.
-fn spawn_worker<C: Conn>(shared: &Arc<Shared<C>>, i: usize) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("serve-worker-{i}"))
-        .spawn(move || worker_loop(&shared, i))
-        .expect("spawn worker")
-}
-
-/// Supervisor: watches for worker panic obits, re-enqueues nothing
-/// itself (the dying worker already re-enqueued its batch), and
-/// restarts the dead slot under a bounded budget with deterministic
-/// exponential backoff. On shutdown it joins whatever workers remain.
-fn supervisor_loop<C: Conn>(shared: &Arc<Shared<C>>, mut slots: Vec<Option<JoinHandle<()>>>) {
-    let cfg = &shared.cfg;
-    let mut restarts: Vec<u32> = vec![0; slots.len()];
-    loop {
-        if shared.shutting_down() {
-            for slot in slots.iter_mut() {
-                if let Some(h) = slot.take() {
-                    let _ = h.join();
-                }
-            }
-            return;
-        }
-        let pending: Vec<WorkerObit> = {
-            let mut obits = shared.obits.lock().unwrap_or_else(PoisonError::into_inner);
-            std::mem::take(&mut *obits)
-        };
-        for obit in pending {
-            // The worker pushed its obit on the way out; join reclaims
-            // the thread (its panic was caught, so join returns Ok).
-            if let Some(h) = slots.get_mut(obit.worker).and_then(Option::take) {
-                let _ = h.join();
-            }
-            let n = &mut restarts[obit.worker];
-            let traces_str = joined(&obit.trace_ids);
-            if *n >= cfg.max_restarts {
-                log_event!(
-                    "worker.dead",
-                    "worker" = obit.worker,
-                    "restarts" = *n,
-                    "payload" = obit.payload.as_str(),
-                    "traces" = traces_str.as_str()
-                );
-                continue;
-            }
-            // Deterministic exponential backoff: base * 2^k, capped.
-            // Measured on the injected clock so simulated restarts
-            // back off in virtual time.
-            let backoff = cfg
-                .restart_backoff
-                .saturating_mul(1u32 << (*n).min(20))
-                .min(cfg.restart_backoff_cap);
-            let until = cfg.clock.now() + backoff;
-            while cfg.clock.now() < until && !shared.shutting_down() {
-                cfg.clock.sleep(
-                    Duration::from_millis(1).min(until.saturating_duration_since(cfg.clock.now())),
-                );
-            }
-            if shared.shutting_down() {
-                // Drained queue + no readers: no one needs the slot.
-                continue;
-            }
-            *n += 1;
-            shared.worker_restarts.inc();
-            log_event!(
-                "worker.restart",
-                "worker" = obit.worker,
-                "restarts" = *n,
-                "backoff_ms" = backoff.as_millis() as u64,
-                "requeued" = obit.requeued,
-                "payload" = obit.payload.as_str(),
-                "traces" = traces_str.as_str()
-            );
-            slots[obit.worker] = Some(spawn_worker(shared, obit.worker));
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// SLO watchdog: every `slo_tick`, prune the sliding window, republish
+/// SLO watchdog: every [`SLO_TICK`], prune the sliding window, republish
 /// the `slo.*` gauges, and declare breaches on the rising edge of either
 /// rate crossing its threshold. Breach events carry the trace ids of
 /// offending replies so a journal snapshot can reconstruct exactly what
 /// the slow/degraded requests went through.
 fn watchdog_loop<C: Conn>(shared: &Arc<Shared<C>>) {
-    let cfg = &shared.cfg;
+    let clock = &shared.cfg.clock;
     // Each watched rate: its kind, gauge, threshold, and the replies it
     // counts.
     type Rate = (
@@ -841,15 +736,10 @@ fn watchdog_loop<C: Conn>(shared: &Arc<Shared<C>>) {
     ];
     let mut breached = [false; 2];
     loop {
-        cfg.clock.sleep(cfg.slo_tick);
-        let now = cfg.clock.now();
+        clock.sleep(SLO_TICK);
+        let now = clock.now();
         let mut obs = shared.slo_obs.lock().unwrap();
-        while obs
-            .front()
-            .is_some_and(|o| now.saturating_duration_since(o.at) > cfg.slo_window)
-        {
-            obs.pop_front();
-        }
+        obs.retain(|o| now.saturating_duration_since(o.at) <= SLO_WINDOW);
         let replies = obs.len();
         let counted = rates.map(|(.., counts)| {
             let hits = || obs.iter().filter(|o| counts(o));
@@ -861,19 +751,14 @@ fn watchdog_loop<C: Conn>(shared: &Arc<Shared<C>>) {
         SLO_QUEUE_DEPTH.set(shared.queue.lock().map(|q| q.len()).unwrap_or(0) as i64);
         let watched = rates.into_iter().zip(&mut breached).zip(counted);
         for (((kind, gauge, threshold, _), armed), (hits, trace_ids)) in watched {
-            let rate = if replies == 0 {
-                0.0
-            } else {
-                hits as f64 / replies as f64
-            };
+            let rate = hits as f64 / replies.max(1) as f64;
             gauge.set(rate);
-            let over = replies >= cfg.slo_min_samples && rate > threshold;
-            let window_replies = replies;
+            let over = replies >= SLO_MIN_SAMPLES && rate > threshold;
             let breach = SloBreach {
                 kind,
                 rate,
                 threshold,
-                window_replies,
+                window_replies: replies,
                 trace_ids,
             };
             declare_breach(shared, armed, over, breach);
@@ -887,14 +772,11 @@ fn watchdog_loop<C: Conn>(shared: &Arc<Shared<C>>) {
 /// Rising-edge breach bookkeeping: record + emit only on the off→on
 /// transition of one kind, re-arm when the rate recovers.
 fn declare_breach<C: Conn>(shared: &Shared<C>, armed: &mut bool, over: bool, breach: SloBreach) {
-    if !over {
-        *armed = false;
-        return;
+    let rising = over && !*armed;
+    *armed = over;
+    if !rising {
+        return; // no breach, or still inside the same episode
     }
-    if *armed {
-        return; // still inside the same breach episode
-    }
-    *armed = true;
     SLO_BREACHES.inc();
     log_event!(
         "slo.breach",
@@ -948,11 +830,10 @@ impl<C: Conn> Session<C> {
 
 fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
     let cfg = &shared.cfg;
-    let Some((mut reader, stream)) = split(stream, cfg.read_timeout, WRITE_TIMEOUT, MAX_FRAME_LEN)
-    else {
+    let Some((mut reader, stream)) = split(stream, cfg.read_timeout, WRITE_TIMEOUT) else {
         return;
     };
-    let mut front = FrontEnd::new(&shared.counters, MAX_FRAME_LEN);
+    let mut front = FrontEnd::new(&shared.counters);
 
     let Some(mut session) = handshake(shared, &mut front, &mut reader, stream) else {
         return;
@@ -1366,25 +1247,33 @@ fn drain_inflight<C: Conn>(shared: &Shared<C>, writer: &SessionWriter<C>, ignore
 /// batch lives in a `Mutex` holder whose guard is held for the whole
 /// body: a run's jobs leave the front only *after* its write, so on
 /// unwind the poisoned holder yields exactly the unwritten runs, which
-/// [`worker_down`] re-enqueues at the head of the queue. The supervisor
-/// then respawns this slot.
+/// [`worker_down`] re-enqueues at the head of the queue. The worker then
+/// carries on with its own loop, and returns only once
+/// [`MAX_CONSECUTIVE_PANICS`] are exceeded.
 fn worker_loop<C: Conn>(shared: &Arc<Shared<C>>, worker: usize) {
     // The default ladder: the fast engine and no window deadline. A
     // wall-clock-dependent rung would make replies differ from the
     // offline path, which the differential harnesses hold bitwise.
     let ladder = LadderConfig::default();
+    // Restarts since this worker last finished a batch.
+    let mut restarts = 0;
     loop {
+        // The thread-locals a batch sets (trace context, kernel mode)
+        // are restored by RAII on unwind: a caught panic leaves none
+        // behind for the next batch.
+        debug_assert!(!trace::current_context().is_set());
         let Some(batch) = collect_batch(shared) else {
             return;
         };
         let holder = Mutex::new(batch);
-        let result = catch_unwind(AssertUnwindSafe(|| process_batch(shared, &holder, &ladder)));
-        if let Err(payload) = result {
-            let survivors = holder.into_inner().unwrap_or_else(PoisonError::into_inner);
-            worker_down(shared, worker, payload, survivors);
-            // The thread exits; the supervisor joins it and spawns a
-            // replacement under the restart budget.
-            return;
+        match catch_unwind(AssertUnwindSafe(|| process_batch(shared, &holder, &ladder))) {
+            Ok(()) => restarts = 0,
+            Err(payload) => {
+                let survivors = holder.into_inner().unwrap_or_else(PoisonError::into_inner);
+                if !worker_down(shared, worker, payload, survivors, &mut restarts) {
+                    return;
+                }
+            }
         }
     }
 }
@@ -1592,20 +1481,18 @@ fn process_batch<C: Conn>(
     }
 }
 
-/// A worker thread is unwinding: account the panic, re-enqueue the
-/// unanswered jobs at the *head* of the queue (preserving admission
-/// order), and leave an obit for the supervisor to act on.
+/// A batch panicked: account the panic, re-enqueue the unanswered jobs
+/// at the *head* of the queue (preserving admission order), and tell the
+/// worker whether to carry on. It gives up (`worker.dead`) when its
+/// `restarts` since the last finished batch have reached
+/// [`MAX_CONSECUTIVE_PANICS`].
 fn worker_down<C: Conn>(
-    shared: &Arc<Shared<C>>,
+    shared: &Shared<C>,
     worker: usize,
     payload: Box<dyn std::any::Any + Send>,
     mut survivors: Vec<Job<C>>,
-) {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
+    restarts: &mut u32,
+) -> bool {
     shared.worker_panics.inc();
     let trace_ids: Vec<u64> = survivors
         .iter()
@@ -1615,8 +1502,6 @@ fn worker_down<C: Conn>(
     let requeued = survivors.len();
     let now = shared.cfg.clock.now();
     {
-        // Poison-tolerant: this runs on the panicking thread's unwind
-        // path and must make progress even if another holder panicked.
         let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
         // push_front in reverse keeps the survivors' relative order.
         for mut job in survivors.drain(..).rev() {
@@ -1625,14 +1510,25 @@ fn worker_down<C: Conn>(
         }
     }
     shared.queue_cv.notify_all();
-    shared
-        .obits
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(WorkerObit {
-            worker,
-            payload: msg,
-            trace_ids,
-            requeued,
-        });
+    let carry_on = *restarts < MAX_CONSECUTIVE_PANICS;
+    if carry_on {
+        *restarts += 1;
+        shared.worker_restarts.inc();
+    }
+    let payload = (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    log_event!(
+        if carry_on {
+            "worker.restart"
+        } else {
+            "worker.dead"
+        },
+        "worker" = worker,
+        "restarts" = *restarts,
+        "requeued" = requeued,
+        "payload" = payload,
+        "traces" = joined(&trace_ids).as_str()
+    );
+    carry_on
 }

@@ -257,8 +257,6 @@ pub enum End {
 pub struct FrontEnd<'a> {
     counters: &'a Counters,
     codec: WireCodec,
-    /// Encode cap for what this connection sends.
-    max_len: usize,
     /// Consecutive read timeouts with a frame half-sent; an idle peer
     /// (nothing buffered) never counts.
     stalls: u32,
@@ -266,18 +264,17 @@ pub struct FrontEnd<'a> {
 
 impl<'a> FrontEnd<'a> {
     /// A fresh connection; it speaks JSON until its `Welcome`.
-    pub fn new(counters: &'a Counters, max_len: usize) -> FrontEnd<'a> {
+    pub fn new(counters: &'a Counters) -> FrontEnd<'a> {
         FrontEnd {
             counters,
             codec: WireCodec::Json,
-            max_len,
             stalls: 0,
         }
     }
 
     /// Encode `frame` in this connection's codec and write it.
     pub fn send(&self, frame: &Frame, mut write: impl FnMut(&[u8]) -> bool) -> bool {
-        encode_frame_with(frame, self.codec, self.max_len).is_ok_and(|b| write(&b))
+        encode_frame_with(frame, self.codec, MAX_FRAME_LEN).is_ok_and(|b| write(&b))
     }
 
     /// Poll one frame, spending the stall budget on timeouts. `Err`

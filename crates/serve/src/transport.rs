@@ -6,7 +6,7 @@
 //! these traits carry exactly the operations they used, so
 //! [`TcpTransport`] / [`TcpConnector`] are thin forwarding shims and
 //! the deterministic in-memory implementation ([`crate::sim`]) can slot
-//! in underneath the unchanged session/worker/supervisor machinery.
+//! in underneath the unchanged session and worker machinery.
 //!
 //! Design constraints that shaped the traits:
 //!
@@ -94,18 +94,18 @@ pub trait Transport: Send + Sync + 'static {
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Set `conn` up for a session — read poll granularity, write timeout,
-/// no Nagle — and split it: a frame reader capped at `max_len` on a
-/// clone, and the original for writing.
+/// no Nagle — and split it: a frame reader (capped at
+/// [`crate::protocol::MAX_FRAME_LEN`]) on a clone, and the original for
+/// writing.
 pub fn split<C: Conn>(
     conn: C,
     read_timeout: Duration,
     write_timeout: Duration,
-    max_len: usize,
 ) -> Option<(FrameReader<C>, C)> {
     let _ = conn.set_read_timeout(Some(read_timeout));
     let _ = conn.set_write_timeout(Some(write_timeout));
     let _ = conn.set_nodelay(true);
-    let reader = FrameReader::with_max_len(conn.try_clone().ok()?, max_len);
+    let reader = FrameReader::new(conn.try_clone().ok()?);
     Some((reader, conn))
 }
 

@@ -12,7 +12,7 @@ use fmml_obs::trace;
 use fmml_serve::protocol::{
     encode_frame_with, write_bytes, write_frame, Frame, FrameReader, WireCodec, MAX_FRAME_LEN,
 };
-use fmml_serve::server::{MAX_INTERVAL_LEN, MAX_WINDOW_INTERVALS};
+use fmml_serve::server::{MAX_CONSECUTIVE_PANICS, MAX_INTERVAL_LEN, MAX_WINDOW_INTERVALS};
 use fmml_serve::{spawn, ServerConfig};
 use fmml_telemetry::{windows_from_trace, PortWindow};
 use std::io::Write as _;
@@ -548,8 +548,8 @@ fn lockstep_one(
 
 /// A worker panic mid-run must not take the server down, must not drop
 /// the poisoned batch, and must leave the reply stream bitwise-identical
-/// to an uninterrupted run: the supervisor respawns the worker and the
-/// re-enqueued interval is answered by the replacement.
+/// to an uninterrupted run: the worker re-enqueues the interval, carries
+/// on, and answers it on the retry.
 #[test]
 fn worker_panic_mid_batch_recovers_bitwise() {
     let model = model();
@@ -591,7 +591,7 @@ fn worker_panic_mid_batch_recovers_bitwise() {
 
     let (panics, restarts) = handle.worker_stats();
     assert_eq!(panics, 1, "exactly one injected panic expected");
-    assert_eq!(restarts, 1, "supervisor must have respawned the worker");
+    assert_eq!(restarts, 1, "the worker must have resumed");
     let recovery = handle.requeue_latencies();
     assert!(
         !recovery.is_empty(),
@@ -603,6 +603,127 @@ fn worker_panic_mid_batch_recovers_bitwise() {
         panic!("stats frame");
     };
     assert_eq!(violations, 0);
+}
+
+/// A worker's panic budget counts panics in a row, not panics over its
+/// life: one worker that panics on every other batch (each retry
+/// succeeds) outlives far more panics than [`MAX_CONSECUTIVE_PANICS`],
+/// and every reply stays bitwise-identical to the offline path.
+#[test]
+fn worker_outlives_panics_beyond_the_consecutive_budget_bitwise() {
+    let model = model();
+    let (updates, mut offline, port, queues) = update_stream(&model);
+    let jobs = updates.len().saturating_sub(WINDOW_INTERVALS - 1);
+    assert!(jobs >= 12, "need >= 12 enforced intervals, got {jobs}");
+    let handle = spawn(
+        Arc::clone(&model),
+        ServerConfig {
+            workers: 1,
+            deadline: Duration::from_millis(500),
+            process_faults: ProcessFaultPlan {
+                // Lockstep: every enforced interval after the first
+                // panics once (odd batch ordinal) and its retry succeeds.
+                worker_panic_every: 2,
+                ..ProcessFaultPlan::none()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("spawn server");
+
+    let (mut tx, mut rx) = connect(handle.addr());
+    // A worker that gave up leaves its interval unanswered: fail, not hang.
+    tx.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_frame(&mut tx, &hello(port, queues)).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::Welcome { .. }));
+
+    let mut compared = 0usize;
+    for (i, u) in updates.iter().enumerate() {
+        if lockstep_one(&mut tx, &mut rx, &mut offline, i as u64 + 1, u) {
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, jobs, "every enforced interval must be answered");
+    write_frame(&mut tx, &Frame::Bye).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::ByeAck { .. }));
+
+    let panics = jobs as u64 - 1;
+    assert!(panics > u64::from(MAX_CONSECUTIVE_PANICS));
+    assert_eq!(handle.worker_stats(), (panics, panics));
+    let stats = handle.shutdown();
+    let Frame::StatsReply { violations, .. } = stats else {
+        panic!("stats frame");
+    };
+    assert_eq!(violations, 0);
+}
+
+/// A batch that panics on every attempt: the lone worker retries it
+/// [`MAX_CONSECUTIVE_PANICS`] times, gives up on the next panic, and
+/// shutdown still returns once the reader's drain budget is spent.
+#[test]
+fn persistent_worker_panic_exhausts_the_consecutive_budget() {
+    let model = model();
+    let (updates, _, port, queues) = update_stream(&model);
+    let deadline = Duration::from_millis(50);
+    let handle = spawn(
+        Arc::clone(&model),
+        ServerConfig {
+            workers: 1,
+            deadline,
+            process_faults: ProcessFaultPlan {
+                worker_panic_every: 1,
+                ..ProcessFaultPlan::none()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("spawn server");
+
+    let (mut tx, mut rx) = connect(handle.addr());
+    tx.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_frame(&mut tx, &hello(port, queues)).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::Welcome { .. }));
+    // Warm-up intervals are acked by the reader; the next one is the
+    // first to reach the worker, and it never gets an answer.
+    for (u, seq) in updates[..WINDOW_INTERVALS].iter().zip(1u64..) {
+        let interval = Frame::Interval {
+            seq,
+            update: u.clone(),
+            trace_id: None,
+        };
+        write_frame(&mut tx, &interval).unwrap();
+    }
+    for _ in 1..WINDOW_INTERVALS {
+        assert!(matches!(rx.read_frame().unwrap(), Frame::Ack { .. }));
+    }
+
+    let dead = u64::from(MAX_CONSECUTIVE_PANICS) + 1;
+    let start = std::time::Instant::now();
+    while handle.worker_stats().0 < dead {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the worker panicked {} times",
+            handle.worker_stats().0
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Given up: no further panic, however long the batch stays queued.
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(
+        handle.worker_stats(),
+        (dead, u64::from(MAX_CONSECUTIVE_PANICS))
+    );
+
+    // The reader waits out its drain budget (20 deadlines) for the
+    // unanswered interval; nothing else holds shutdown up.
+    let start = std::time::Instant::now();
+    handle.shutdown();
+    let drain_budget = deadline * 20;
+    assert!(
+        start.elapsed() < drain_budget + Duration::from_secs(2),
+        "shutdown took {:?}",
+        start.elapsed()
+    );
 }
 
 /// Kill the connection with a reply in flight, resume with the token,

@@ -76,7 +76,7 @@ fn open<R: Read>(
     let start = Instant::now();
     let polls = std::cell::Cell::new(0u32);
     let mut sent = Vec::new();
-    let hello = FrontEnd::new(&counters, 1 << 20).read_hello(
+    let hello = FrontEnd::new(&counters).read_hello(
         &mut FrameReader::new(reader),
         || start + tick * polls.get(),
         || {
@@ -158,7 +158,7 @@ fn step_until_busy<R: Read>(reader: R, ledger: &Ledger, max_steps: u32) -> Stepp
     let counters = Counters::new(&METRICS);
     let mut reader = FrameReader::new(reader);
     let mut sent = Vec::new();
-    let mut front = FrontEnd::new(&counters, 1 << 20);
+    let mut front = FrontEnd::new(&counters);
     let mut idle = 0;
     let mut last = String::new();
     for _ in 0..max_steps {
@@ -220,7 +220,7 @@ fn step_answers_a_duplicate_from_the_ledger_and_hands_over_a_new_interval() {
     let counters = Counters::new(&METRICS);
     let mut reader = FrameReader::new(&wire[..]);
     let mut sent = Vec::new();
-    let mut front = FrontEnd::new(&counters, 1 << 20);
+    let mut front = FrontEnd::new(&counters);
     let mut write = |b: &[u8]| {
         sent.extend_from_slice(b);
         true

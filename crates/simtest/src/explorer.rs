@@ -380,12 +380,12 @@ impl World {
     }
 
     /// Pump until `pred` holds, advancing virtual time 1 ms per idle
-    /// iteration (releasing delayed frames, firing batch waits and
-    /// restart backoffs). `false` = stalled: more than `stall_limit`
-    /// consecutive iterations with nothing readable and the predicate
-    /// still false, spanning at least [`STALL_REAL`] of real time. The
-    /// floor also outlasts the server's real-time `resume_claim_wait`,
-    /// so a resume answered late is not mistaken for a dead connection.
+    /// iteration (releasing delayed frames and firing batch waits).
+    /// `false` = stalled: more than `stall_limit` consecutive iterations
+    /// with nothing readable and the predicate still false, spanning at
+    /// least [`STALL_REAL`] of real time. The floor also outlasts the
+    /// server's real-time `resume_claim_wait`, so a resume answered late
+    /// is not mistaken for a dead connection.
     pub(crate) fn pump_until<F: Fn(&World) -> bool>(&mut self, pred: F) -> bool {
         let mut idle_since = Instant::now();
         let mut idle = 0usize;
@@ -708,12 +708,6 @@ pub(crate) fn explorer_server_config(
         // Effectively unbounded admission: any `Busy` is a violation.
         queue_depth: 4096,
         read_timeout: Duration::from_millis(5),
-        // Panicking workers restart fast and forever (panic plans fire
-        // repeatedly); determinism is unaffected because replies are
-        // content-deterministic regardless of batching.
-        max_restarts: 1000,
-        restart_backoff: Duration::from_millis(2),
-        restart_backoff_cap: Duration::from_millis(20),
         // No forced replay-log evictions and no parked-capacity
         // evictions at explorer scale.
         replay_window: 4096,
@@ -727,6 +721,9 @@ pub(crate) fn explorer_server_config(
         // fully spent on expired tokens; the driver's handshake wait
         // (`pump_until`, at least `STALL_REAL`) must outlast it.
         resume_claim_wait: Duration::from_millis(150),
+        // Panic plans fire for the whole run. The lone worker recovers in
+        // place and, at a cadence of 3 or 5, never panics twice in a row;
+        // replies are content-deterministic regardless of batching.
         process_faults,
         clock,
         injected_bug: None,
@@ -835,7 +832,7 @@ fn run_bug_scenario(seed: u64, bug: ProtocolBug) -> SeedOutcome {
     let net = SimNet::new(seed, Clock::System);
     let mut server_cfg = explorer_server_config(Clock::System, ProcessFaultPlan::none());
     server_cfg.injected_bug = Some(bug);
-    // Real clock here: TTL and backoffs must be real-time sane.
+    // Real clock here: the TTL must be real-time sane.
     server_cfg.parked_ttl = Duration::from_secs(30);
     let handle = spawn_with(net.transport(), Arc::clone(&fx.model), server_cfg);
     let mut world = World {

@@ -1,7 +1,7 @@
 //! # fmml-simtest — deterministic simulation testing for `fmml-serve`
 //!
 //! FoundationDB-style simulation testing for the session protocol: the
-//! whole server (acceptor, readers, worker pool, supervisor, watchdog)
+//! whole server (acceptor, readers, worker pool, watchdog)
 //! runs unmodified over the seeded in-memory transport
 //! ([`fmml_serve::sim`]) and the injected virtual clock
 //! ([`fmml_obs::VirtualClock`]), while a single-threaded driver executes
