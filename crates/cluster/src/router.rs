@@ -94,8 +94,6 @@ pub struct RouterConfig {
     pub ring_seed: u64,
     /// Virtual nodes per backend on the ring.
     pub vnodes: usize,
-    /// Router-side per-session replay window (client resumes).
-    pub replay_window: usize,
     /// Liveness probe cadence (injected clock — virtual under sim).
     pub probe_interval: Duration,
     /// Probe reply patience (injected clock). A healthy backend answers
@@ -134,7 +132,6 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".into(),
             ring_seed: 0x5eed_0c15,
             vnodes: 64,
-            replay_window: 1024,
             probe_interval: Duration::from_millis(200),
             probe_timeout: Duration::from_millis(250),
             probe_failures: 3,
@@ -1161,7 +1158,7 @@ fn handle_client<CF: Conn, B: Connector + Send + Sync + 'static>(
             attach: 0,
             parked_at: None,
         }),
-        ledger: Ledger::new(cfg.replay_window),
+        ledger: Ledger::new(session::REPLAY_WINDOW),
         answered: AtomicU64::new(0),
         state: Mutex::new(RouteState {
             backend: String::new(),

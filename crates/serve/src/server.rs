@@ -73,7 +73,7 @@ use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -177,6 +177,9 @@ const BATCH_WAIT: Duration = Duration::from_millis(1);
 /// ordinal.
 pub const MAX_CONSECUTIVE_PANICS: u32 = 5;
 
+/// The most disconnected sessions parked for a resume at once.
+pub const MAX_PARKED: usize = 64;
+
 /// Server tuning knobs. `Default` is the 50 ms wire-period deployment
 /// from the paper's §5 on loopback.
 #[derive(Debug, Clone)]
@@ -199,40 +202,21 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Socket read timeout — the reader's shutdown-poll granularity.
     pub read_timeout: Duration,
-    /// Per-session replay window: recently shipped replies retained
-    /// (keyed by seq) for resumption. `0` disables resumption entirely
-    /// (no tokens are handed out).
-    pub replay_window: usize,
-    /// Disconnected sessions parked for resumption: how many at most,
-    /// and for how long. Oldest parked sessions are evicted first.
-    pub max_parked: usize,
+    /// How long a disconnected session stays parked for a resume (at
+    /// most [`MAX_PARKED`] are; the oldest is evicted first).
     pub parked_ttl: Duration,
-    /// How long a resume handshake will poll for its parked session to
-    /// land before answering with a fresh session (the old connection's
-    /// reader may still be unwinding when the client reconnects). Real
-    /// time even under a virtual clock: it is poll patience, not
-    /// protocol time. Simulation harnesses shrink it so handshakes that
-    /// present an expired token are answered before the driver's stall
-    /// budget runs out.
-    pub resume_claim_wait: Duration,
-    /// Deterministic process-fault injection (worker panics, solver
-    /// stalls, slow writes) — the recovery chaos hook. Inactive by
-    /// default; see [`ProcessFaultPlan`].
+    /// Deterministic process-fault injection, the recovery chaos hook
+    /// (inactive by default; see [`ProcessFaultPlan`]).
     pub process_faults: ProcessFaultPlan,
-    /// Preferred wire codec for negotiated sessions (`--wire`; bin1 by
-    /// default). The server picks this codec in its `Welcome` when the
-    /// client's `Hello` advertises it; otherwise the session stays on
-    /// JSON. Decoding is always sniffed per frame, so this knob never
-    /// rejects anyone.
+    /// Preferred wire codec (`--wire`; bin1 by default): the `Welcome`
+    /// picks it when the `Hello` advertises it, else JSON. Decoding is
+    /// sniffed per frame, so this knob never rejects anyone.
     pub wire: WireCodec,
-    /// Time source for every deadline, TTL and watchdog tick.
-    /// [`Clock::System`] in production; the deterministic simulation
-    /// harness injects a virtual clock so full session lifecycles run
-    /// in milliseconds with zero real sleeps.
+    /// Time source for every deadline, TTL and watchdog tick:
+    /// [`Clock::System`] in production, a virtual clock under simulation.
     pub clock: Clock,
-    /// Deliberate protocol bugs, used by `fmml-simtest` to validate
-    /// that the conformance checker actually catches violations (a
-    /// checker that never fires proves nothing). `None` in production.
+    /// A deliberate protocol bug, so `fmml-simtest` can show that its
+    /// checker catches one. `None` in production.
     pub injected_bug: Option<ProtocolBug>,
 }
 
@@ -246,10 +230,7 @@ impl Default for ServerConfig {
             max_batch: 16,
             queue_depth: 64,
             read_timeout: Duration::from_millis(25),
-            replay_window: 1024,
-            max_parked: 64,
             parked_ttl: Duration::from_secs(30),
-            resume_claim_wait: Duration::from_millis(500),
             wire: WireCodec::Bin1,
             process_faults: ProcessFaultPlan::none(),
             clock: Clock::System,
@@ -280,10 +261,17 @@ pub struct SloBreach {
 /// What the worker pool tells the watchdog about each written reply.
 struct ReplyObs {
     at: Instant,
-    missed: bool,
-    degraded: bool,
+    /// Whether the reply counts toward each of the [`RATES`]: deadline
+    /// missed, degraded.
+    over: [bool; 2],
     trace_id: u64,
 }
+
+/// The rates the watchdog watches: kind, gauge, threshold.
+static RATES: [(&str, &FloatGauge, f64); 2] = [
+    ("deadline_miss_rate", &SLO_MISS_RATE, SLO_MAX_MISS_RATE),
+    ("degraded_rate", &SLO_DEGRADED_RATE, SLO_MAX_DEGRADED_RATE),
+];
 
 /// Replies retained for the sliding window (hard cap so a hot server
 /// can't grow the deque without bound between watchdog ticks).
@@ -308,8 +296,7 @@ struct SessionWriter<C: Conn> {
     /// Replies successfully written (for `ByeAck`).
     answered: AtomicU64,
     dead: AtomicBool,
-    /// Committed replies: replay window (empty cap when resumption is
-    /// disabled) + resolved-seq watermark.
+    /// Committed replies: replay window + resolved-seq watermark.
     ledger: Ledger,
     /// The codec the `Welcome` negotiated, fixed for the session's whole
     /// lineage (parked state included) so replay-log bytes stay valid
@@ -443,14 +430,10 @@ struct Shared<C: Conn> {
     slo_obs: Mutex<VecDeque<ReplyObs>>,
     /// Declared breaches (bounded at [`SLO_BREACH_CAP`], oldest evicted).
     breaches: Mutex<Vec<SloBreach>>,
-    /// Disconnected sessions awaiting resumption — the whole
-    /// [`Session`] (sliding windows, and the writer whose ledger holds
-    /// the replies the client may have missed) with its park time, keyed
-    /// by resume token (bounded by `cfg.max_parked` / `cfg.parked_ttl`).
-    parked: Mutex<HashMap<String, (Session<C>, Instant)>>,
-    /// Signalled whenever a session parks — wakes reconnecting claims
-    /// racing the old reader's unwind.
-    parked_cv: Condvar,
+    table: Table<C>,
+    /// Workers that have not given up; at 0 the node drains and answers
+    /// every interval `Busy`.
+    live_workers: AtomicUsize,
     /// Recovery latencies of re-enqueued jobs, in µs (bounded).
     requeue_lat: Mutex<Vec<u64>>,
 }
@@ -464,17 +447,16 @@ impl<C: Conn> Shared<C> {
         self.draining.load(Ordering::Acquire)
     }
 
-    /// Resumption on? (Replay window configured and non-zero.)
-    fn resumable(&self) -> bool {
-        self.cfg.replay_window > 0 && self.cfg.max_parked > 0
+    fn begin_drain(&self) {
+        if !self.draining.swap(true, Ordering::AcqRel) {
+            log_event!("serve.draining");
+        }
     }
 }
 
-/// Decrements `active_readers` on drop — **including unwind**. If a
-/// session thread panics, the count still reaches zero and the worker
-/// pool's shutdown condition (`shutting_down && active_readers == 0`)
-/// still holds; without this, [`ServerHandle::shutdown`] would hang
-/// forever joining workers after any reader panic.
+/// Decrements `active_readers` on drop — **including unwind** — so after
+/// a reader panic the worker pool's shutdown condition (`shutting_down &&
+/// active_readers == 0`) still holds and [`ServerHandle::shutdown`] ends.
 struct ReaderGuard<C: Conn>(Arc<Shared<C>>);
 
 impl<C: Conn> Drop for ReaderGuard<C> {
@@ -558,23 +540,15 @@ impl<C: Conn> ServerHandle<C> {
 
     /// Sessions currently parked for resumption.
     pub fn parked_count(&self) -> usize {
-        self.shared
-            .parked
-            .lock()
-            .map(|p| p.len())
-            .unwrap_or_default()
+        parked(&self.shared.table.lock()).count()
     }
 
-    /// Whether a parked session exists for `token` right now. Test
-    /// introspection: lets a deterministic harness wait for a specific
-    /// disconnect to be parked instead of racing on `parked_count`
-    /// (which also counts stale entries awaiting lazy TTL pruning).
+    /// Whether a parked session exists for `token` right now: a harness
+    /// waits on it for a specific disconnect to park (`parked_count` also
+    /// counts expired slots that are not pruned yet).
     pub fn parked_contains(&self, token: &str) -> bool {
-        self.shared
-            .parked
-            .lock()
-            .map(|p| p.contains_key(token))
-            .unwrap_or_default()
+        let slots = self.shared.table.lock();
+        matches!(slots.get(token), Some(Slot::Parked(..)))
     }
 
     /// Begin draining for a planned hand-off: existing sessions are
@@ -583,9 +557,7 @@ impl<C: Conn> ServerHandle<C> {
     /// "place this session elsewhere". Unlike
     /// [`shutdown`](ServerHandle::shutdown) the node stays up.
     pub fn begin_drain(&self) {
-        if !self.shared.draining.swap(true, Ordering::AcqRel) {
-            log_event!("serve.draining");
-        }
+        self.shared.begin_drain();
     }
 
     /// Whether [`begin_drain`](ServerHandle::begin_drain) was called.
@@ -640,6 +612,7 @@ pub fn spawn_with<T: Transport>(
     cfg: ServerConfig,
 ) -> ServerHandle<T::Conn> {
     let cache = Arc::new(SolutionCache::new(DEFAULT_CAPACITY));
+    let (workers, ttl) = (cfg.workers.max(1), cfg.parked_ttl);
     let shared = Arc::new(Shared {
         cfg,
         model,
@@ -654,13 +627,17 @@ pub fn spawn_with<T: Transport>(
         active_readers: AtomicUsize::new(0),
         slo_obs: Mutex::new(VecDeque::new()),
         breaches: Mutex::new(Vec::new()),
-        parked: Mutex::new(HashMap::new()),
-        parked_cv: Condvar::new(),
+        table: Table {
+            slots: Mutex::default(),
+            parked_cv: Condvar::new(),
+            ttl,
+        },
+        live_workers: AtomicUsize::new(workers),
         requeue_lat: Mutex::new(Vec::new()),
     });
     let readers = Arc::new(Threads::default());
 
-    let workers = (0..shared.cfg.workers.max(1))
+    let workers = (0..workers)
         .map(|i| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -712,28 +689,6 @@ pub fn spawn_with<T: Transport>(
 /// the slow/degraded requests went through.
 fn watchdog_loop<C: Conn>(shared: &Arc<Shared<C>>) {
     let clock = &shared.cfg.clock;
-    // Each watched rate: its kind, gauge, threshold, and the replies it
-    // counts.
-    type Rate = (
-        &'static str,
-        &'static FloatGauge,
-        f64,
-        fn(&ReplyObs) -> bool,
-    );
-    let rates: [Rate; 2] = [
-        (
-            "deadline_miss_rate",
-            &SLO_MISS_RATE,
-            SLO_MAX_MISS_RATE,
-            |o| o.missed,
-        ),
-        (
-            "degraded_rate",
-            &SLO_DEGRADED_RATE,
-            SLO_MAX_DEGRADED_RATE,
-            |o| o.degraded,
-        ),
-    ];
     let mut breached = [false; 2];
     loop {
         clock.sleep(SLO_TICK);
@@ -741,16 +696,16 @@ fn watchdog_loop<C: Conn>(shared: &Arc<Shared<C>>) {
         let mut obs = shared.slo_obs.lock().unwrap();
         obs.retain(|o| now.saturating_duration_since(o.at) <= SLO_WINDOW);
         let replies = obs.len();
-        let counted = rates.map(|(.., counts)| {
-            let hits = || obs.iter().filter(|o| counts(o));
+        let counted: [(usize, Vec<u64>); 2] = std::array::from_fn(|i| {
+            let hits = || obs.iter().filter(|o| o.over[i]);
             let traces = hits().map(|o| o.trace_id).filter(|&t| t != 0);
             (hits().count(), traces.take(SLO_BREACH_TRACES).collect())
         });
         drop(obs);
         SLO_WINDOW_REPLIES.set(replies as i64);
         SLO_QUEUE_DEPTH.set(shared.queue.lock().map(|q| q.len()).unwrap_or(0) as i64);
-        let watched = rates.into_iter().zip(&mut breached).zip(counted);
-        for (((kind, gauge, threshold, _), armed), (hits, trace_ids)) in watched {
+        let watched = RATES.iter().zip(&mut breached).zip(counted);
+        for ((&(kind, gauge, threshold), armed), (hits, trace_ids)) in watched {
             let rate = hits as f64 / replies.max(1) as f64;
             gauge.set(rate);
             let over = replies >= SLO_MIN_SAMPLES && rate > threshold;
@@ -805,9 +760,8 @@ struct Session<C: Conn> {
     /// What the session's `Hello` claimed; a reconnect must claim the
     /// same to resume it.
     identity: Identity,
-    /// The resume token handed out in `Welcome` (None when resumption is
-    /// disabled); the key this session parks under on disconnect.
-    token: Option<String>,
+    /// The resume token handed out in `Welcome`: its key in the [`Table`].
+    token: String,
     imputers: HashMap<usize, StreamingImputer<Arc<TransformerImputer>>>,
     writer: Arc<SessionWriter<C>>,
     /// Admitted jobs the reader has not handed to the pool yet (see
@@ -828,6 +782,118 @@ impl<C: Conn> Session<C> {
     }
 }
 
+/// A token's slot in the [`Table`].
+enum Slot<C: Conn> {
+    /// Served as session `.0`: the writer a resume shuts to take it over,
+    /// and the identity that resume must claim.
+    Live(u64, Arc<SessionWriter<C>>, Identity),
+    /// Disconnected: the whole session, ledger included, and its park time.
+    Parked(Session<C>, Instant),
+}
+
+/// Every session with a token, from its `Welcome` until it closes.
+struct Table<C: Conn> {
+    slots: Mutex<HashMap<String, Slot<C>>>,
+    /// Signalled whenever a live slot parks or goes.
+    parked_cv: Condvar,
+    ttl: Duration,
+}
+
+impl<C: Conn> Table<C> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Slot<C>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Session `id` is served under `token` from here on.
+    fn open(&self, token: &str, id: u64, writer: &Arc<SessionWriter<C>>, identity: &Identity) {
+        let live = Slot::Live(id, Arc::clone(writer), identity.clone());
+        self.lock().insert(token.into(), live);
+    }
+
+    /// Park a disconnected session whole under its token. Expired parked
+    /// slots go first, then the oldest if [`MAX_PARKED`] are still parked.
+    fn park(&self, session: Session<C>, now: Instant) {
+        let mut slots = self.lock();
+        let stale = |at: &Instant| now.saturating_duration_since(*at) > self.ttl;
+        slots.retain(|_, s| !matches!(s, Slot::Parked(_, at) if stale(at)));
+        let oldest = parked(&slots).min().map(|(_, token)| token.clone());
+        if let Some(oldest) = oldest.filter(|_| parked(&slots).count() >= MAX_PARKED) {
+            slots.remove(&oldest);
+        }
+        log_event!(
+            "serve.session.park",
+            "session" = session.id,
+            "inflight" = session.writer.inflight.load(Ordering::Acquire)
+        );
+        slots.insert(session.token.clone(), Slot::Parked(session, now));
+        PARKED_SESSIONS.set(parked(&slots).count() as i64);
+        self.parked_cv.notify_all();
+    }
+
+    /// The parked session `tok` names, if `identity` is the one it was
+    /// opened with. A live session with that identity is taken over: its
+    /// connection is shut, and the claim waits, with no deadline, until
+    /// its reader parks it or closes it (`Bye`, shutdown). An expired
+    /// parked slot is dropped; a mismatched one, live or parked, is left
+    /// alone. `None` (no slot, expired, mismatched): a fresh session.
+    fn claim(&self, tok: &str, identity: &Identity, now: Instant) -> Option<Session<C>> {
+        let mut slots = self.lock();
+        loop {
+            let (id, writer) = match slots.get(tok)? {
+                Slot::Parked(p, at) => {
+                    let expired = now.saturating_duration_since(*at) > self.ttl;
+                    if !expired && p.identity != *identity {
+                        return None;
+                    }
+                    let Some(Slot::Parked(session, _)) = slots.remove(tok) else {
+                        unreachable!("the slot is parked");
+                    };
+                    PARKED_SESSIONS.set(parked(&slots).count() as i64);
+                    return (!expired).then_some(session);
+                }
+                Slot::Live(.., live) if live != identity => return None,
+                Slot::Live(id, writer, _) => (*id, Arc::clone(writer)),
+            };
+            drop(slots);
+            writer.dead.store(true, Ordering::Release);
+            let stream = writer.stream.lock().unwrap_or_else(PoisonError::into_inner);
+            stream.shutdown_both();
+            drop(stream);
+            let live = self
+                .parked_cv
+                .wait_while(self.lock(), |s| is_live(s.get(tok), id));
+            slots = live.unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Whether `slot` is session `id`'s live slot.
+fn is_live<C: Conn>(slot: Option<&Slot<C>>, id: u64) -> bool {
+    matches!(slot, Some(Slot::Live(live, ..)) if *live == id)
+}
+
+/// The parked slots: park time, token.
+fn parked<C: Conn>(slots: &HashMap<String, Slot<C>>) -> impl Iterator<Item = (Instant, &String)> {
+    slots.iter().filter_map(|(token, slot)| match slot {
+        Slot::Parked(_, at) => Some((*at, token)),
+        Slot::Live(..) => None,
+    })
+}
+
+/// Drops session `.2`'s live slot when its reader ends without parking it
+/// (`Bye`, shutdown, unwind): no resume waits on a reader that is gone.
+struct Close<'a, C: Conn>(&'a Table<C>, String, u64);
+
+impl<C: Conn> Drop for Close<'_, C> {
+    fn drop(&mut self) {
+        let mut slots = self.0.lock();
+        if is_live(slots.get(&self.1), self.2) {
+            slots.remove(&self.1);
+        }
+        self.0.parked_cv.notify_all();
+    }
+}
+
 fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
     let cfg = &shared.cfg;
     let Some((mut reader, stream)) = split(stream, cfg.read_timeout, WRITE_TIMEOUT) else {
@@ -838,6 +904,7 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
     let Some(mut session) = handshake(shared, &mut front, &mut reader, stream) else {
         return;
     };
+    let _close = Close(&shared.table, session.token.clone(), session.id);
     shared.counters.attached();
     log_event!(
         "serve.session.open",
@@ -861,7 +928,7 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
         }
         let writer = &session.writer;
         if writer.dead.load(Ordering::Acquire) {
-            break; // killed by a worker (slow reader)
+            break; // killed by a worker (slow reader) or a resume
         }
         match front.step(&mut reader, &writer.ledger, |b| {
             writer.send_bytes(shared, b)
@@ -905,39 +972,8 @@ fn handle_connection<C: Conn>(shared: &Arc<Shared<C>>, stream: C) {
         "answered" = session.writer.answered.load(Ordering::Relaxed)
     );
     if !bye && !shared.shutting_down() {
-        park_session(shared, session);
+        shared.table.park(session, cfg.clock.now());
     }
-}
-
-/// Park a disconnected session for resumption: it goes into
-/// `Shared::parked` whole under its resume token, bounded by
-/// `max_parked`/`parked_ttl`.
-fn park_session<C: Conn>(shared: &Shared<C>, session: Session<C>) {
-    let Some(token) = session.token.clone() else {
-        return; // resumption disabled
-    };
-    let now = shared.cfg.clock.now();
-    let mut parked = shared.parked.lock().unwrap_or_else(PoisonError::into_inner);
-    parked.retain(|_, (_, at)| now.saturating_duration_since(*at) <= shared.cfg.parked_ttl);
-    while parked.len() >= shared.cfg.max_parked {
-        let Some(oldest) = parked
-            .iter()
-            .min_by_key(|(_, (_, at))| *at)
-            .map(|(k, _)| k.clone())
-        else {
-            break;
-        };
-        parked.remove(&oldest);
-    }
-    log_event!(
-        "serve.session.park",
-        "session" = session.id,
-        "inflight" = session.writer.inflight.load(Ordering::Acquire)
-    );
-    parked.insert(token, (session, now));
-    PARKED_SESSIONS.set(parked.len() as i64);
-    drop(parked);
-    shared.parked_cv.notify_all();
 }
 
 /// Expect `Hello`, validate geometry, reply `Welcome` (or resume). The
@@ -993,10 +1029,9 @@ fn handshake<C: Conn>(
     }
     let id = shared.counters.sessions.inc() + 1;
 
-    // Resume path: re-attach to a parked session's windows and replay
-    // log instead of building fresh state.
-    if let Some(tok) = hello.resume_token.as_ref().filter(|_| shared.resumable()) {
-        if let Some(mut parked) = claim_parked(shared, tok, &hello.identity) {
+    // Resume path: take the session over instead of building fresh state.
+    if let Some(tok) = &hello.resume_token {
+        if let Some(mut parked) = shared.table.claim(tok, &hello.identity, now()) {
             parked.id = id;
             return resume_session(shared, front, stream, parked, hello.last_acked);
         }
@@ -1021,25 +1056,26 @@ fn handshake<C: Conn>(
         .collect();
     // One token per session id: the mint's state is seeded with it.
     let mut mint_state = id;
-    let token = shared
-        .resumable()
-        .then(|| session::resume_token_for("tok", &mut mint_state));
+    let token = session::resume_token_for("tok", &mut mint_state);
     // Codec negotiation: the server's preference, if the client
     // advertised it. The Welcome itself still goes out as JSON.
     let codec = WireCodec::negotiate(cfg.wire, hello.codecs.as_deref());
     let deadline_ms = cfg.deadline.as_millis() as u64;
-    let welcome = session::welcome(id, deadline_ms, token.as_deref(), None, codec);
-    if !front.welcome(&welcome, codec, &mut write) {
-        return None;
-    }
+    let welcome = session::welcome(id, deadline_ms, Some(&token), None, codec);
     let writer = Arc::new(SessionWriter {
         stream: Mutex::new(stream),
         inflight: AtomicUsize::new(0),
         answered: AtomicU64::new(0),
         dead: AtomicBool::new(false),
-        ledger: Ledger::new(cfg.replay_window),
+        ledger: Ledger::new(session::REPLAY_WINDOW),
         codec,
     });
+    // Live before the client holds the token, so no resume misses it.
+    shared.table.open(&token, id, &writer, &hello.identity);
+    if !front.welcome(&welcome, codec, |b| writer.send_bytes(shared, b)) {
+        shared.table.lock().remove(&token);
+        return None;
+    }
     Some(Session {
         id,
         identity: hello.identity,
@@ -1050,50 +1086,10 @@ fn handshake<C: Conn>(
     })
 }
 
-/// Claim the parked session for `tok` if the reconnecting `Hello` claims
-/// the identity it was opened with. Waits briefly for the park to land
-/// (the old connection's reader may still be unwinding when the client
-/// retries). A parked entry older than `parked_ttl` (on the injected
-/// clock) is expired here rather than claimed: the reconnect gets a
-/// fresh session.
-fn claim_parked<C: Conn>(shared: &Shared<C>, tok: &str, identity: &Identity) -> Option<Session<C>> {
-    // The wait budget is real time (poll patience, not protocol time):
-    // under a virtual clock a reconnect race still resolves in real
-    // microseconds even though no one is advancing virtual time.
-    let deadline = Instant::now() + shared.cfg.resume_claim_wait;
-    let mut parked = shared.parked.lock().unwrap_or_else(PoisonError::into_inner);
-    loop {
-        if let Some((p, parked_at)) = parked.get(tok) {
-            let expired = shared.cfg.clock.now().saturating_duration_since(*parked_at)
-                > shared.cfg.parked_ttl;
-            // Same token, different identity: refuse the claim (fresh
-            // session) but leave the parked state alone. Expired: drop
-            // the stale state so nothing leaks, and let the handshake
-            // fall through to a fresh session.
-            if !expired && p.identity != *identity {
-                return None;
-            }
-            let (claimed, _) = parked.remove(tok)?;
-            PARKED_SESSIONS.set(parked.len() as i64);
-            return (!expired).then_some(claimed);
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || shared.shutting_down() {
-            return None;
-        }
-        let (guard, _timeout) = shared
-            .parked_cv
-            .wait_timeout(parked, left.min(Duration::from_millis(10)))
-            .unwrap_or_else(PoisonError::into_inner);
-        parked = guard;
-    }
-}
-
-/// Finish a successful claim: attach the new connection to the parked
-/// writer, drain stragglers into the ledger, then the resume reply
-/// ([`FrontEnd::resume`]). Any failure re-parks `session` under the same
-/// token (a dropped ledger here would turn a transient reconnect hiccup
-/// into permanent reply loss).
+/// Finish a successful claim: drain stragglers into the ledger, attach
+/// the new connection, make the slot live again, then the resume reply
+/// ([`FrontEnd::resume`]). A failed reply re-parks `session`: dropping it
+/// would turn a reconnect hiccup into permanent reply loss.
 fn resume_session<C: Conn>(
     shared: &Arc<Shared<C>>,
     front: &mut FrontEnd,
@@ -1101,6 +1097,7 @@ fn resume_session<C: Conn>(
     session: Session<C>,
     last_acked: Option<u64>,
 ) -> Option<Session<C>> {
+    let cfg = &shared.cfg;
     let writer = Arc::clone(&session.writer);
     // Let replies already in the worker pipeline commit to the ledger
     // before it snapshots the watermark — after this, every seq ≤
@@ -1108,18 +1105,20 @@ fn resume_session<C: Conn>(
     // the server.
     drain_inflight(shared, &writer, true);
     writer.attach(stream);
-    let deadline_ms = shared.cfg.deadline.as_millis() as u64;
-    let (token, codec) = (session.token.as_deref(), writer.codec);
+    let (id, token) = (session.id, session.token.as_str());
+    shared.table.open(token, id, &writer, &session.identity);
+    let deadline_ms = cfg.deadline.as_millis() as u64;
+    let codec = writer.codec;
     let resumed = front.resume(
         &writer.ledger,
         last_acked,
-        shared.cfg.injected_bug,
-        |resume_seq| session::welcome(session.id, deadline_ms, token, Some(resume_seq), codec),
+        cfg.injected_bug,
+        |resume_seq| session::welcome(id, deadline_ms, Some(token), Some(resume_seq), codec),
         codec,
         |b| writer.send_bytes(shared, b),
     );
     if !resumed {
-        park_session(shared, session);
+        shared.table.park(session, cfg.clock.now());
         return None;
     }
     log_event!(
@@ -1158,10 +1157,10 @@ fn admit<C: Conn>(
         let start = accepted_at.checked_sub(dur).unwrap_or(accepted_at);
         trace::record_span("serve.decode", ctx, start, dur);
     }
-    // Admission control first: over-budget intervals are dropped before
-    // costing a model forward pass.
+    // Admission control first: over-budget intervals, and every interval
+    // once no worker is left, are dropped before costing a model forward.
     let depth = session.writer.inflight.load(Ordering::Acquire);
-    if depth >= cfg.queue_depth {
+    if depth >= cfg.queue_depth || shared.live_workers.load(Ordering::Acquire) == 0 {
         let busy = Frame::Busy { seq, depth };
         session.writer.send_reply(shared, seq, &busy);
         return;
@@ -1383,7 +1382,7 @@ fn process_batch<C: Conn>(
         let codec = writer.codec;
         let mut wire = Vec::new();
         let mut replies = 0u64;
-        // Per job: (deadline missed, degraded), for the SLO watchdog.
+        // Per job: [deadline missed, degraded], for the SLO watchdog.
         let mut slo = Vec::with_capacity(run);
         for job in &batch[..run] {
             let outcome = outcomes.next().expect("one outcome per job");
@@ -1409,7 +1408,7 @@ fn process_batch<C: Conn>(
             if missed {
                 shared.counters.deadline_misses.inc();
             }
-            slo.push((missed, level != DegradationLevel::Full));
+            slo.push([missed, level != DegradationLevel::Full]);
             let frame = Frame::Imputed {
                 seq: job.seq,
                 port: job.port,
@@ -1466,16 +1465,12 @@ fn process_batch<C: Conn>(
         // Feed the SLO watchdog's sliding window (bounded).
         if let Ok(mut obs) = shared.slo_obs.lock() {
             let at = cfg.clock.now();
-            for (job, (missed, degraded)) in done.iter().zip(slo) {
+            for (job, over) in done.iter().zip(slo) {
                 if obs.len() >= SLO_OBS_CAP {
                     obs.pop_front();
                 }
-                obs.push_back(ReplyObs {
-                    at,
-                    missed,
-                    degraded,
-                    trace_id: job.trace.trace_id,
-                });
+                let trace_id = job.trace.trace_id;
+                obs.push_back(ReplyObs { at, over, trace_id });
             }
         }
     }
@@ -1485,7 +1480,7 @@ fn process_batch<C: Conn>(
 /// at the *head* of the queue (preserving admission order), and tell the
 /// worker whether to carry on. It gives up (`worker.dead`) when its
 /// `restarts` since the last finished batch have reached
-/// [`MAX_CONSECUTIVE_PANICS`].
+/// [`MAX_CONSECUTIVE_PANICS`]; when the last worker does, the node drains.
 fn worker_down<C: Conn>(
     shared: &Shared<C>,
     worker: usize,
@@ -1530,5 +1525,157 @@ fn worker_down<C: Conn>(
         "payload" = payload,
         "traces" = joined(&trace_ids).as_str()
     );
+    // The last worker gave up: nothing will answer what is admitted.
+    if !carry_on && shared.live_workers.fetch_sub(1, Ordering::AcqRel) == 1 {
+        shared.begin_drain();
+    }
     carry_on
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::{SimConn, SimNet};
+    use crate::transport::Connector;
+
+    const TTL: Duration = Duration::from_secs(30);
+
+    fn identity(tenant: &str) -> Identity {
+        Identity {
+            tenant: tenant.into(),
+            ports: vec![0],
+            queues: 2,
+            interval_len: 10,
+            window_intervals: 3,
+        }
+    }
+
+    /// Session `id` under token `tok-{id}`, writing to an in-memory
+    /// connection.
+    fn session(net: &SimNet, id: u64) -> Session<SimConn> {
+        let writer = Arc::new(SessionWriter {
+            stream: Mutex::new(net.connector().connect().unwrap()),
+            inflight: AtomicUsize::new(0),
+            answered: AtomicU64::new(0),
+            dead: AtomicBool::new(false),
+            ledger: Ledger::new(session::REPLAY_WINDOW),
+            codec: WireCodec::Bin1,
+        });
+        Session {
+            id,
+            identity: identity("t"),
+            token: format!("tok-{id}"),
+            imputers: HashMap::new(),
+            writer,
+            staged: Vec::new(),
+        }
+    }
+
+    fn setup(seed: u64) -> (SimNet, Table<SimConn>, Instant) {
+        let table = Table {
+            slots: Mutex::default(),
+            parked_cv: Condvar::new(),
+            ttl: TTL,
+        };
+        (SimNet::new(seed, Clock::System), table, Instant::now())
+    }
+
+    fn open(table: &Table<SimConn>, s: &Session<SimConn>) {
+        table.open(&s.token, s.id, &s.writer, &s.identity);
+    }
+
+    fn parked_count(table: &Table<SimConn>) -> usize {
+        parked(&table.lock()).count()
+    }
+
+    #[test]
+    fn live_then_parked_then_claimed() {
+        let (net, table, t0) = setup(1);
+        let s = session(&net, 1);
+        open(&table, &s);
+        assert_eq!(parked_count(&table), 0, "a live slot is not parked");
+        table.park(s, t0);
+        assert_eq!(parked_count(&table), 1);
+        let claimed = table.claim("tok-1", &identity("t"), t0);
+        assert_eq!(claimed.map(|s| s.id), Some(1));
+        assert!(table.lock().is_empty(), "a claimed slot leaves the table");
+    }
+
+    #[test]
+    fn a_resume_takes_a_live_session_over() {
+        let (net, table, t0) = setup(2);
+        let s = session(&net, 2);
+        open(&table, &s);
+        let writer = Arc::clone(&s.writer);
+        std::thread::scope(|scope| {
+            let claim = scope.spawn(|| table.claim("tok-2", &identity("t"), t0));
+            // The claim shuts the live connection, then waits for its
+            // reader to park the session.
+            while !writer.dead.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            table.park(s, t0);
+            assert_eq!(claim.join().unwrap().map(|s| s.id), Some(2));
+        });
+    }
+
+    #[test]
+    fn an_expired_slot_is_dropped_on_claim() {
+        let (net, table, t0) = setup(3);
+        let s = session(&net, 3);
+        open(&table, &s);
+        table.park(s, t0);
+        let late = t0 + TTL + Duration::from_secs(1);
+        assert!(table.claim("tok-3", &identity("t"), late).is_none());
+        assert!(table.lock().is_empty(), "the expired state is reclaimed");
+    }
+
+    #[test]
+    fn the_oldest_parked_slot_is_evicted_at_the_cap() {
+        let (net, table, t0) = setup(4);
+        let live = session(&net, 0);
+        open(&table, &live);
+        for id in 1..=MAX_PARKED as u64 + 1 {
+            let s = session(&net, id);
+            open(&table, &s);
+            table.park(s, t0 + Duration::from_millis(id));
+        }
+        assert_eq!(parked_count(&table), MAX_PARKED);
+        let slots = table.lock();
+        assert!(!slots.contains_key("tok-1"), "the oldest parked slot goes");
+        assert!(slots.contains_key("tok-2"));
+        assert!(
+            is_live(slots.get("tok-0"), 0),
+            "a live slot is never evicted"
+        );
+    }
+
+    #[test]
+    fn another_identity_leaves_the_slot_alone() {
+        let (net, table, t0) = setup(5);
+        let (parked_session, live) = (session(&net, 5), session(&net, 6));
+        open(&table, &parked_session);
+        table.park(parked_session, t0);
+        open(&table, &live);
+        for tok in ["tok-5", "tok-6"] {
+            assert!(table.claim(tok, &identity("other"), t0).is_none());
+        }
+        assert!(!live.writer.dead.load(Ordering::Acquire), "not taken over");
+        assert!(is_live(table.lock().get("tok-6"), 6));
+        let claimed = table.claim("tok-5", &identity("t"), t0);
+        assert_eq!(claimed.map(|s| s.id), Some(5));
+    }
+
+    #[test]
+    fn bye_removes_the_slot() {
+        let (net, table, t0) = setup(7);
+        let s = session(&net, 7);
+        open(&table, &s);
+        // A reader whose session a resume holds by now leaves it alone.
+        drop(Close(&table, "tok-7".into(), 99));
+        assert!(is_live(table.lock().get("tok-7"), 7));
+        drop(Close(&table, "tok-7".into(), 7));
+        assert!(table.lock().is_empty());
+        assert!(table.claim("tok-7", &identity("t"), t0).is_none());
+    }
 }

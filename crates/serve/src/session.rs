@@ -527,6 +527,9 @@ pub enum ProtocolBug {
     ReplayOffByOne,
 }
 
+/// Replies a [`Ledger`] keeps for a resume, at a server and a router.
+pub const REPLAY_WINDOW: usize = 1024;
+
 /// One session's committed replies: the bounded [`ReplayLog`] plus the
 /// resolved-seq watermark. Shared between the thread that reads the
 /// client and the threads that produce replies; the watermark is an

@@ -10,7 +10,8 @@ use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
 use fmml_obs::trace;
 use fmml_serve::protocol::{
-    encode_frame_with, write_bytes, write_frame, Frame, FrameReader, WireCodec, MAX_FRAME_LEN,
+    encode_frame_with, write_bytes, write_frame, Frame, FrameReader, WireCodec, WireError,
+    MAX_FRAME_LEN,
 };
 use fmml_serve::server::{MAX_CONSECUTIVE_PANICS, MAX_INTERVAL_LEN, MAX_WINDOW_INTERVALS};
 use fmml_serve::{spawn, ServerConfig};
@@ -18,7 +19,7 @@ use fmml_telemetry::{windows_from_trace, PortWindow};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const INTERVAL_LEN: usize = 10;
 const WINDOW_INTERVALS: usize = 3;
@@ -714,6 +715,30 @@ fn persistent_worker_panic_exhausts_the_consecutive_budget() {
         (dead, u64::from(MAX_CONSECUTIVE_PANICS))
     );
 
+    // No worker is left: the node drains, so a new session is refused
+    // the way a router re-places...
+    assert!(handle.is_draining(), "a node with no worker must drain");
+    let (mut tx2, mut rx2) = connect(handle.addr());
+    tx2.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_frame(&mut tx2, &hello(port, queues)).unwrap();
+    match rx2.read_frame().unwrap() {
+        Frame::Error { code, .. } => assert_eq!(code, "draining"),
+        other => panic!("expected Error{{draining}}, got {other:?}"),
+    }
+    // ...and the open session's next interval is answered `Busy`, not
+    // admitted to a queue nothing serves.
+    let seq = WINDOW_INTERVALS as u64 + 1;
+    let interval = Frame::Interval {
+        seq,
+        update: updates[WINDOW_INTERVALS].clone(),
+        trace_id: None,
+    };
+    write_frame(&mut tx, &interval).unwrap();
+    match rx.read_frame().unwrap() {
+        Frame::Busy { seq: s, .. } => assert_eq!(s, seq),
+        other => panic!("expected Busy, got {other:?}"),
+    }
+
     // The reader waits out its drain budget (20 deadlines) for the
     // unanswered interval; nothing else holds shutdown up.
     let start = std::time::Instant::now();
@@ -854,20 +879,178 @@ fn session_resume_replays_exactly_once() {
     assert_eq!(violations, 0);
 }
 
+/// A resume that arrives while the old connection is still open takes
+/// the session over: the old connection is shut, the reply it left
+/// unread is replayed bitwise on the new one, and the stream goes on
+/// bitwise-identical to offline.
+#[test]
+fn resume_takes_over_a_session_whose_connection_is_still_open() {
+    let model = model();
+    let (updates, mut offline, port, queues) = update_stream(&model);
+    let n = updates.len();
+    assert!(n >= WINDOW_INTERVALS + 2, "stream too short: {n}");
+    let handle = spawn(
+        Arc::clone(&model),
+        ServerConfig {
+            deadline: Duration::from_millis(500),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("spawn server");
+
+    let (mut tx, mut rx) = connect(handle.addr());
+    tx.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_frame(&mut tx, &hello(port, queues)).unwrap();
+    let token = match rx.read_frame().unwrap() {
+        Frame::Welcome { resume_token, .. } => resume_token.expect("a token"),
+        other => panic!("expected Welcome, got {other:?}"),
+    };
+    let cut = n - 2;
+    for (i, u) in updates[..cut].iter().enumerate() {
+        lockstep_one(&mut tx, &mut rx, &mut offline, i as u64 + 1, u);
+    }
+    // One more interval: its reply arrives and is left unread.
+    let unread_seq = cut as u64 + 1;
+    let expect_unread = offline
+        .try_push(updates[cut].clone())
+        .unwrap()
+        .expect("past warm-up: must emit");
+    let interval = Frame::Interval {
+        seq: unread_seq,
+        update: updates[cut].clone(),
+        trace_id: None,
+    };
+    write_frame(&mut tx, &interval).unwrap();
+    tx.peek(&mut [0u8; 1]).expect("the reply arrives");
+
+    // Connection 2 resumes while connection 1 is still open.
+    let (mut tx2, mut rx2) = connect(handle.addr());
+    tx2.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_frame(&mut tx2, &hello_resume(port, queues, &token, cut as u64)).unwrap();
+    match rx2.read_frame().unwrap() {
+        Frame::Welcome {
+            resumed,
+            resume_seq,
+            ..
+        } => {
+            assert_eq!(resumed, Some(true), "the resume must take the session over");
+            assert_eq!(resume_seq, Some(unread_seq));
+        }
+        other => panic!("expected Welcome, got {other:?}"),
+    }
+    match rx2.read_frame().unwrap() {
+        Frame::Imputed { seq, series, .. } => {
+            assert_eq!(seq, unread_seq);
+            assert_eq!(series, expect_unread.series, "replayed reply diverged");
+        }
+        other => panic!("expected replayed Imputed, got {other:?}"),
+    }
+    for (i, u) in updates[cut + 1..].iter().enumerate() {
+        lockstep_one(
+            &mut tx2,
+            &mut rx2,
+            &mut offline,
+            unread_seq + 1 + i as u64,
+            u,
+        );
+    }
+    write_frame(&mut tx2, &Frame::Bye).unwrap();
+    assert!(matches!(rx2.read_frame().unwrap(), Frame::ByeAck { .. }));
+
+    // Connection 1 was shut: past the reply it left unread, EOF.
+    assert!(matches!(rx.read_frame(), Ok(Frame::Imputed { seq, .. }) if seq == unread_seq));
+    assert_eq!(rx.read_frame(), Err(WireError::Closed));
+    assert_eq!(handle.resume_stats().0, 1);
+    let Frame::StatsReply { violations, .. } = handle.shutdown() else {
+        panic!("stats frame");
+    };
+    assert_eq!(violations, 0);
+}
+
+/// A resume that names a live session's token but claims another
+/// identity gets a fresh session; the live session is not taken over
+/// and keeps being answered.
+#[test]
+fn resume_with_another_identity_leaves_the_live_session_alone() {
+    let model = model();
+    let (updates, mut offline, port, queues) = update_stream(&model);
+    let handle = spawn(
+        Arc::clone(&model),
+        ServerConfig {
+            deadline: Duration::from_millis(500),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("spawn server");
+
+    let (mut tx, mut rx) = connect(handle.addr());
+    tx.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_frame(&mut tx, &hello(port, queues)).unwrap();
+    let token = match rx.read_frame().unwrap() {
+        Frame::Welcome { resume_token, .. } => resume_token.expect("a token"),
+        other => panic!("expected Welcome, got {other:?}"),
+    };
+    let half = updates.len() / 2;
+    for (i, u) in updates[..half].iter().enumerate() {
+        lockstep_one(&mut tx, &mut rx, &mut offline, i as u64 + 1, u);
+    }
+
+    let (mut tx2, mut rx2) = connect(handle.addr());
+    tx2.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let other = Frame::Hello {
+        tenant: "another-tenant".into(),
+        ports: vec![port],
+        queues,
+        interval_len: INTERVAL_LEN,
+        window_intervals: WINDOW_INTERVALS,
+        resume_token: Some(token.clone()),
+        last_acked: Some(half as u64),
+        codecs: None,
+    };
+    write_frame(&mut tx2, &other).unwrap();
+    match rx2.read_frame().unwrap() {
+        Frame::Welcome {
+            resumed,
+            resume_token,
+            ..
+        } => {
+            assert_eq!(resumed, Some(false), "another identity must not resume");
+            assert_ne!(resume_token, Some(token));
+        }
+        other => panic!("expected Welcome, got {other:?}"),
+    }
+
+    for (i, u) in updates[half..].iter().enumerate() {
+        lockstep_one(&mut tx, &mut rx, &mut offline, (half + i) as u64 + 1, u);
+    }
+    write_frame(&mut tx, &Frame::Bye).unwrap();
+    assert!(matches!(rx.read_frame().unwrap(), Frame::ByeAck { .. }));
+    assert_eq!(handle.resume_stats().0, 0);
+    handle.shutdown();
+}
+
 /// An unknown (or expired) token must not wedge the handshake: the
-/// server falls back to a fresh session and says so.
+/// server falls back to a fresh session at once and says so.
 #[test]
 fn unknown_resume_token_starts_fresh() {
     let handle = spawn(model(), ServerConfig::default()).expect("spawn server");
     let ws = windows();
     let w = &ws[0];
     let (mut tx, mut rx) = connect(handle.addr());
+    tx.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let start = Instant::now();
     write_frame(
         &mut tx,
         &hello_resume(w.port, w.num_queues(), "tok-deadbeefdeadbeef", 7),
     )
     .unwrap();
-    match rx.read_frame().unwrap() {
+    let welcome = rx.read_frame().unwrap();
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_millis(250),
+        "an unknown token waited {waited:?} for its Welcome"
+    );
+    match welcome {
         Frame::Welcome {
             resumed,
             resume_seq,

@@ -127,7 +127,6 @@ pub fn run_seed(seed: u64, cfg: &ClusterSimConfig) -> SeedOutcome {
         RouterConfig {
             ring_seed: seed,
             vnodes: 16,
-            replay_window: 4096,
             // Virtual cadence: one probe round per ~200 ms of virtual
             // time, which the driver's idle pump advances.
             probe_interval: Duration::from_millis(200),

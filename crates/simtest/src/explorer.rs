@@ -383,9 +383,9 @@ impl World {
     /// iteration (releasing delayed frames and firing batch waits).
     /// `false` = stalled: more than `stall_limit` consecutive iterations
     /// with nothing readable and the predicate still false, spanning at
-    /// least [`STALL_REAL`] of real time. The floor also outlasts the
-    /// server's real-time `resume_claim_wait`, so a resume answered late
-    /// is not mistaken for a dead connection.
+    /// least [`STALL_REAL`] of real time. The floor also covers a resume
+    /// that waits for the server to park the session it takes over, so a
+    /// resume answered late is not mistaken for a dead connection.
     pub(crate) fn pump_until<F: Fn(&World) -> bool>(&mut self, pred: F) -> bool {
         let mut idle_since = Instant::now();
         let mut idle = 0usize;
@@ -708,19 +708,8 @@ pub(crate) fn explorer_server_config(
         // Effectively unbounded admission: any `Busy` is a violation.
         queue_depth: 4096,
         read_timeout: Duration::from_millis(5),
-        // No forced replay-log evictions and no parked-capacity
-        // evictions at explorer scale.
-        replay_window: 4096,
-        max_parked: 16,
+        // `REPLAY_WINDOW` and `MAX_PARKED` evict nothing at explorer scale.
         parked_ttl: PARKED_TTL,
-        // The server's patience for a park to land before a resume is
-        // answered fresh. Park landing needs the old reader thread to
-        // be scheduled — tens of ms under CPU contention — and a miss
-        // here surfaces as a spurious "session lost". The condvar wakes
-        // the claim the moment the park lands, so this budget is only
-        // fully spent on expired tokens; the driver's handshake wait
-        // (`pump_until`, at least `STALL_REAL`) must outlast it.
-        resume_claim_wait: Duration::from_millis(150),
         // Panic plans fire for the whole run. The lone worker recovers in
         // place and, at a cadence of 3 or 5, never panics twice in a row;
         // replies are content-deterministic regardless of batching.
