@@ -62,6 +62,17 @@ impl Args {
     pub fn get_string(&self, name: &str) -> Option<&str> {
         self.values.get(name).map(String::as_str)
     }
+
+    /// A flag given that is neither in `known` (space-separated) nor global
+    /// (`--stats`, `--stats-json`), the first by name so it reads stably.
+    pub fn unknown_flag(&self, known: &str) -> Option<&str> {
+        let known = known.split_whitespace().chain(["stats", "stats-json"]);
+        let names = self.flags.iter().chain(self.values.keys());
+        names
+            .map(String::as_str)
+            .filter(|n| !known.clone().any(|k| k == *n))
+            .min()
+    }
 }
 
 #[cfg(test)]
@@ -94,6 +105,13 @@ mod tests {
         let a = parse("simulate --ms abc").unwrap();
         assert!(a.get::<u64>("ms").is_err());
         assert!(parse("simulate stray").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_named_and_globals_pass() {
+        let a = parse("serve --max-secs 1 --stats --stats-json f --zz --max-restarts 3").unwrap();
+        assert_eq!(a.unknown_flag("max-secs"), Some("max-restarts"));
+        assert_eq!(a.unknown_flag("zz max-secs max-restarts"), None);
     }
 
     #[test]

@@ -1,25 +1,6 @@
 //! `fmml` — command-line interface to the telemetry-imputation stack.
-//!
-//! ```text
-//! fmml simulate  --ms 500 --seed 1 --ports 8 --load 0.5      # trace CSV
-//! fmml telemetry --ms 500 --seed 1 --interval 50             # coarse CSV
-//! fmml train     --out model.json [--kal] [--epochs 30] …    # checkpoint
-//! fmml impute    --model model.json --ms 300 --seed 99 [--cem]
-//! fmml enforce   --model model.json --jobs 4 [--no-cache]    # batched CEM
-//! fmml eval      [--paper] [--epochs N]                      # results/*.out
-//! fmml fm-solve  --steps 8 --ports 2 --budget-secs 10        # §2.3 model
-//! fmml fault-run --seed 7 --jobs 4 [--smt]                   # chaos mode
-//! fmml serve     --addr 127.0.0.1:4700 [--max-secs N]        # streaming server
-//! fmml cluster   --addr 127.0.0.1:4710 --backends 3          # sharded serving
-//! fmml loadgen   --addr 127.0.0.1:4700 --clients 8 [--chaos] # trace replay
-//! fmml obs       --addr 127.0.0.1:4700 [--json]              # live introspection
-//! fmml simtest   --seeds 500 [--inject-bug replay-off-by-one] # DST explorer
-//! ```
-//!
-//! Every command accepts the global observability flags: `--stats` prints
-//! the metrics-registry table to stderr on exit, `--stats-json FILE`
-//! writes the deterministic JSON snapshot to `FILE`. Structured JSONL run
-//! telemetry is enabled via `FMML_LOG=1` (stderr) or `FMML_LOG_FILE=path`.
+//! `USAGE` states every verb's flags and the global ones (`--stats`,
+//! `--stats-json FILE`); `VERBS` runs a verb and refuses any other flag.
 
 mod args;
 mod error;
@@ -59,7 +40,8 @@ COMMANDS:
   simulate   run the switch simulator, print the fine-grained trace as CSV
              --ms N (500)  --seed N (1)  --ports N (8)  --load F (0.5)
   telemetry  print the operator's coarse telemetry as CSV
-             flags of `simulate` plus --interval N (50)
+             --ms N (500)  --seed N (1)  --ports N (8)  --load F (0.5)
+             --interval N (50)
   train      train a transformer imputer, write a JSON checkpoint
              --out FILE  --kal  --epochs N (30)  --runs N (8)  --ms N (1800)  --seed N (42)
              --resume FILE  continue training from an existing checkpoint
@@ -163,21 +145,12 @@ fn main() {
         return;
     };
     log_event!("cli.start", "command" = command);
-    let result = match command {
-        "simulate" => cmd_simulate(&args),
-        "telemetry" => cmd_telemetry(&args),
-        "train" => cmd_train(&args),
-        "impute" => cmd_impute(&args),
-        "enforce" => cmd_enforce(&args),
-        "eval" => cmd_eval(&args),
-        "fm-solve" => cmd_fm_solve(&args),
-        "fault-run" => cmd_fault_run(&args),
-        "serve" => cmd_serve(&args),
-        "cluster" => cmd_cluster(&args),
-        "loadgen" => cmd_loadgen(&args),
-        "obs" => cmd_obs(&args),
-        "simtest" => cmd_simtest(&args),
-        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
+    let result = match VERBS.iter().find(|(verb, ..)| *verb == command) {
+        None => Err(CliError::Usage(format!("unknown command {command:?}"))),
+        Some((_, run, flags)) => match args.unknown_flag(flags) {
+            Some(flag) => Err(format!("unknown flag --{flag} for {command}").into()),
+            None => run(&args),
+        },
     };
     log_event!("cli.done", "command" = command, "ok" = result.is_ok());
     if let Err(e) = emit_stats(&args) {
@@ -192,6 +165,31 @@ fn main() {
         std::process::exit(e.exit_code());
     }
 }
+
+type Verb = fn(&Args) -> Result<(), CliError>;
+
+/// Every verb, what runs it, and the flags it takes: the ones its
+/// `USAGE` block names. Any other flag but the global ones exits 2.
+#[rustfmt::skip]
+const VERBS: &[(&str, Verb, &str)] = &[
+    ("simulate", cmd_simulate, "ms seed ports load"),
+    ("telemetry", cmd_telemetry, "ms seed ports load interval"),
+    ("train", cmd_train, "out kal epochs runs ms seed resume smoke"),
+    ("impute", cmd_impute, "model ms seed cem"),
+    ("enforce", cmd_enforce, "model ms seed runs smt deadline-ms jobs no-cache"),
+    ("eval", cmd_eval, "paper epochs"),
+    ("fm-solve", cmd_fm_solve, "steps ports budget-secs"),
+    ("fault-run", cmd_fault_run, "seed runs epochs smt deadline-ms jobs no-cache"),
+    ("serve", cmd_serve, "addr workers jobs deadline-ms max-batch queue-depth model seed \
+        max-secs wire worker-panic-every solver-stall-every solver-stall-ms slow-write-every \
+        slow-write-ms"),
+    ("cluster", cmd_cluster, "addr backends workers deadline-ms model seed max-secs \
+        kill-backend-after-ms wire"),
+    ("loadgen", cmd_loadgen, "addr clients intervals seed deadline-ms pace-ms wire chaos \
+        report-json"),
+    ("obs", cmd_obs, "addr json folded"),
+    ("simtest", cmd_simtest, "seeds seed clients ops json wire pinned cluster backends inject-bug"),
+];
 
 /// Honor the global `--stats` / `--stats-json FILE` flags: snapshot the
 /// process-wide metrics registry once and render it both ways.
@@ -1252,4 +1250,33 @@ fn cmd_simtest(args: &Args) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The verbs `USAGE` lists are the ones `VERBS` runs, in order, and
+    /// each one's block names exactly the flags its entry takes.
+    #[test]
+    fn usage_names_exactly_the_flags_each_verb_takes() {
+        let commands = USAGE.split("COMMANDS:\n").nth(1).expect("COMMANDS");
+        let commands = commands.split("\nGLOBAL FLAGS:").next().unwrap();
+        let mut usage: Vec<(&str, BTreeSet<&str>)> = Vec::new();
+        for line in commands.lines() {
+            if let Some(verb) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+                let verb = verb.split_whitespace().next().unwrap();
+                usage.push((verb, BTreeSet::new()));
+            }
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            let flags = words.filter_map(|w| w.strip_prefix("--"));
+            usage.last_mut().expect("a verb line first").1.extend(flags);
+        }
+        let table: Vec<(&str, BTreeSet<&str>)> = VERBS
+            .iter()
+            .map(|(verb, _, flags)| (*verb, flags.split_whitespace().collect()))
+            .collect();
+        assert_eq!(usage, table);
+    }
 }

@@ -218,9 +218,8 @@ fn usage_errors_exit_with_code_2() {
     let (_, _, code) = fmml_code(&["train"]); // missing --out
     assert_eq!(code, Some(2));
     // Out-of-range flags are usage errors, not panics (exit 101) or
-    // silently clamped values. Every command ignores flags it does not
-    // take, so each also gets the ones that stop a server that wrongly
-    // starts after a second.
+    // silently clamped values. The server verbs also get the flags that
+    // stop a server that wrongly starts after a second.
     let quit = ["--addr", "127.0.0.1:0", "--max-secs", "1"];
     let out_of_range: [&[&str]; 7] = [
         &["simulate", "--ports", "0"],
@@ -232,7 +231,8 @@ fn usage_errors_exit_with_code_2() {
         &["cluster", "--workers", "0"],
     ];
     for argv in out_of_range {
-        let argv = [argv, &quit[..]].concat();
+        let serves = matches!(argv[0], "serve" | "cluster");
+        let argv = [argv, if serves { &quit[..] } else { &[] }].concat();
         let (_, stderr, code) = fmml_code(&argv);
         assert_eq!(code, Some(2), "{argv:?}: {stderr}");
         assert!(stderr.contains("must be"), "{argv:?}: {stderr}");
@@ -242,6 +242,20 @@ fn usage_errors_exit_with_code_2() {
     let (_, stderr, code) = fmml_code(&["serve-bnech"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("unknown command"), "{stderr}");
+}
+
+/// A flag the verb does not take (a typo, or one since removed) exits
+/// 2 naming it, before anything runs: this server would otherwise start
+/// and exit 0 after a second.
+#[test]
+fn unknown_flag_exits_with_code_2() {
+    let argv = ["serve", "--max-restarts", "3", "--max-secs", "1"];
+    let (_, stderr, code) = fmml_code(&argv);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown flag --max-restarts for serve"),
+        "{stderr}"
+    );
 }
 
 #[test]
