@@ -13,8 +13,8 @@ use fmml_core::train::{train, train_from};
 use fmml_core::transformer_imputer::{Scales, TransformerImputer};
 use fmml_fault::{inject_series, inject_window, FaultPlan};
 use fmml_fm::cem::{
-    enforce, enforce_degraded_batch, CemEngine, DegradationLevel, EnforceOptions, LadderConfig,
-    LadderOutcome, SolutionCache,
+    enforce_degraded, enforce_degraded_batch, CemEngine, DegradationLevel, EnforceOptions,
+    LadderConfig, LadderOutcome, SolutionCache,
 };
 use fmml_fm::packet_model::{
     reference_execution, solve, Arrival, PacketModelConfig, PacketModelOutcome,
@@ -65,7 +65,7 @@ COMMANDS:
              frames over TCP, deadline-aware micro-batching, admission
              control); exits non-zero if any shipped reply violated its
              constraints
-             --addr A (127.0.0.1:4700)  --workers N (2)  --jobs N (1)
+             --addr A (127.0.0.1:4700)  --workers N (2)
              --deadline-ms N (50)  --max-batch N (16)  --queue-depth N (64)
              --model FILE (default: deterministic untrained imputer)
              --seed N (3)  --max-secs N (run forever when absent)
@@ -180,7 +180,7 @@ const VERBS: &[(&str, Verb, &str)] = &[
     ("eval", cmd_eval, "paper epochs"),
     ("fm-solve", cmd_fm_solve, "steps ports budget-secs"),
     ("fault-run", cmd_fault_run, "seed runs epochs smt deadline-ms jobs no-cache"),
-    ("serve", cmd_serve, "addr workers jobs deadline-ms max-batch queue-depth model seed \
+    ("serve", cmd_serve, "addr workers deadline-ms max-batch queue-depth model seed \
         max-secs wire worker-panic-every solver-stall-every solver-stall-ms slow-write-every \
         slow-write-ms"),
     ("cluster", cmd_cluster, "addr backends workers deadline-ms model seed max-secs \
@@ -346,13 +346,11 @@ fn cmd_impute(args: &Args) -> Result<(), CliError> {
         let mut series = model.impute(w);
         if use_cem {
             let wc = WindowConstraints::from_window(w);
-            if let Ok(out) = enforce(&wc, &series, &CemEngine::Fast) {
-                series = out
-                    .corrected
-                    .iter()
-                    .map(|q| q.iter().map(|&v| v as f32).collect())
-                    .collect();
-            }
+            series = enforce_degraded(&wc, &series, &LadderConfig::default())
+                .corrected
+                .iter()
+                .map(|q| q.iter().map(|&v| v as f32).collect())
+                .collect();
         }
         for (q, qs) in series.iter().enumerate() {
             for (t, v) in qs.iter().enumerate() {
@@ -667,7 +665,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let cfg = ServerConfig {
         addr: args.get_string("addr").unwrap_or("127.0.0.1:4700").into(),
         workers: at_least(args, "workers", 2, 1)?,
-        jobs: args.get_or("jobs", 1usize)?,
         deadline: Duration::from_millis(args.get_or("deadline-ms", 50u64)?),
         max_batch: at_least(args, "max-batch", 16, 1)?,
         queue_depth: args.get_or("queue-depth", 64usize)?,

@@ -133,8 +133,8 @@ fn eval_stats_json_is_valid_and_covers_the_pipeline() {
         "train.epoch_ms",
         "train.epochs",
         "netsim.events",
-        "fm.cem.windows",
-        "fm.cem.window_us",
+        "fm.cem.ladder.windows",
+        "fm.cem.ladder.window_us",
     ] {
         assert!(
             json.contains(&format!("\"{key}\"")),

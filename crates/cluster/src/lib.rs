@@ -6,8 +6,8 @@
 //! to a single `fmml-serve` node, and it fans sessions out across N
 //! independent backend nodes by consistent hashing
 //! ([`ring::HashRing`]) on the router-minted resume token. A prober
-//! watches backend health (`MetricsDump` liveness + queue-depth load
-//! signal); when a backend dies, drains, or leaves, its sessions
+//! watches backend health (a `Stats` probe answers or it does not);
+//! when a backend dies, drains, or leaves, its sessions
 //! migrate to another shard with a warm-up replay that preserves
 //! exactly-once reply semantics end to end. Everything is generic over
 //! [`Transport`](fmml_serve::Transport) /

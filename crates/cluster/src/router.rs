@@ -4,10 +4,10 @@
 //! ```text
 //!             ┌──────────────────────── router ────────────────────────┐
 //!  clients ──▶│ frontend reader ─▶ dedup/replay ─▶ per-session backend │──▶ serve node A
-//!   (Hello/   │   (per session)      (ReplayLog)        link           │──▶ serve node B
+//!   (Hello/   │   (per session)      (Ledger)           link           │──▶ serve node B
 //!  Interval)  │        ▲                                 │            │──▶ serve node C
 //!             │        └── replies ◀── link reader ◀─────┘            │
-//!             │  prober: MetricsDump liveness + queue-depth load      │
+//!             │  prober: Stats liveness                               │
 //!             │  ring: seeded consistent hash over resume tokens      │
 //!             └────────────────────────────────────────────────────────┘
 //! ```
@@ -157,8 +157,6 @@ struct BackendEntry<B> {
     connector: Arc<B>,
     up: bool,
     fails: u32,
-    /// Last probed `slo.queue_depth` (load signal; `-1` = unknown).
-    load: i64,
 }
 
 /// Introspection snapshot of one backend ([`RouterHandle::backends`]).
@@ -166,8 +164,6 @@ struct BackendEntry<B> {
 pub struct BackendInfo {
     pub name: String,
     pub up: bool,
-    /// Last probed queue depth (`-1` before the first successful probe).
-    pub load: i64,
 }
 
 /// An interval forwarded to a backend and not yet answered.
@@ -394,7 +390,6 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
                 connector: Arc::new(connector),
                 up: true,
                 fails: 0,
-                load: -1,
             },
         );
         lock(&self.shared.ring).add(name);
@@ -413,14 +408,13 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
         rebalance(&self.shared);
     }
 
-    /// Health + load snapshot of every registered backend.
+    /// Health snapshot of every registered backend.
     pub fn backends(&self) -> Vec<BackendInfo> {
         lock(&self.shared.backends)
             .iter()
             .map(|(name, b)| BackendInfo {
                 name: name.clone(),
                 up: b.up,
-                load: b.load,
             })
             .collect()
     }
@@ -569,22 +563,13 @@ fn ask<CF: Conn, B: Connector>(
     }
 }
 
-/// Probe a backend with one `MetricsDump`: its queue depth (the load
-/// signal), or `None` if it did not answer in time.
-fn probe_backend<CF: Conn, B: Connector>(
-    shared: &RouterShared<CF, B>,
-    connector: &B,
-) -> Option<i64> {
+/// Probe a backend with one `Stats`: whether it answered with a
+/// `StatsReply` in time.
+fn probe_backend<CF: Conn, B: Connector>(shared: &RouterShared<CF, B>, connector: &B) -> bool {
     let patience = shared.cfg.probe_timeout;
-    let (Frame::MetricsReply { json }, ..) =
-        ask(shared, connector, &Frame::MetricsDump, patience, patience)?
-    else {
-        return None;
-    };
-    let dump = serde_json::from_str::<serde_json::Value>(&json).ok();
-    Some(
-        dump.and_then(|v| v.get("metrics")?.get("slo.queue_depth")?.as_i64())
-            .unwrap_or(0),
+    matches!(
+        ask(shared, connector, &Frame::Stats, patience, patience),
+        Some((Frame::StatsReply { .. }, ..))
     )
 }
 
@@ -602,25 +587,19 @@ fn prober_loop<CF: Conn, B: Connector + Send + Sync + 'static>(shared: &Arc<Rout
             .map(|(n, b)| (n.clone(), Arc::clone(&b.connector), b.up))
             .collect();
         for (name, connector, was_up) in snapshot {
-            match probe_backend(shared, connector.as_ref()) {
-                Some(load) => {
-                    let promoted = lock(&shared.backends).get_mut(&name).is_some_and(|b| {
-                        b.fails = 0;
-                        b.load = load;
-                        !std::mem::replace(&mut b.up, true)
-                    });
-                    if promoted {
-                        log_event!("cluster.backend.up", "backend" = name.as_str());
-                        lock(&shared.ring).add(&name);
-                        CL_BACKENDS_UP.set(shared.backends_up() as i64);
-                        rebalance(shared);
-                    }
+            if probe_backend(shared, connector.as_ref()) {
+                let promoted = lock(&shared.backends).get_mut(&name).is_some_and(|b| {
+                    b.fails = 0;
+                    !std::mem::replace(&mut b.up, true)
+                });
+                if promoted {
+                    log_event!("cluster.backend.up", "backend" = name.as_str());
+                    lock(&shared.ring).add(&name);
+                    CL_BACKENDS_UP.set(shared.backends_up() as i64);
+                    rebalance(shared);
                 }
-                None => {
-                    if shared.mark_backend_failed(&name) && was_up {
-                        rebalance(shared);
-                    }
-                }
+            } else if shared.mark_backend_failed(&name) && was_up {
+                rebalance(shared);
             }
         }
         sweep_parked(shared);

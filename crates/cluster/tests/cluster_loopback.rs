@@ -676,8 +676,17 @@ fn fake_conn(stream: TcpStream) {
     let mut writer = stream;
     while let Ok(frame) = reader.read_frame() {
         let out = match frame {
-            Frame::MetricsDump => Frame::MetricsReply {
-                json: r#"{"metrics":{"slo.queue_depth":0}}"#.into(),
+            Frame::Stats => Frame::StatsReply {
+                sessions: 0,
+                active_sessions: 0,
+                accepted: 0,
+                rejected: 0,
+                malformed: 0,
+                replies: 0,
+                batches: 0,
+                deadline_misses: 0,
+                violations: 0,
+                slow_disconnects: 0,
             },
             Frame::Hello { .. } => Frame::Welcome {
                 session: 1,

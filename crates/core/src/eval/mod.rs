@@ -19,7 +19,7 @@ use crate::kal::KalConfig;
 use crate::metrics::{evaluate, Table1Row};
 use crate::train::{train, EpochStats, TrainConfig};
 use crate::transformer_imputer::{Scales, TransformerImputer};
-use fmml_fm::cem::{enforce, CemEngine};
+use fmml_fm::cem::{enforce_degraded, fast_engine, interval_problem, smt_engine, LadderConfig};
 use fmml_fm::WindowConstraints;
 use fmml_netsim::traffic::TrafficConfig;
 use fmml_netsim::{SimConfig, Simulation};
@@ -146,7 +146,7 @@ pub struct EvalReport {
     pub num_test_windows: usize,
 }
 
-/// Serializable mirror of [`Table1Row`].
+/// Serializable mirror of a `Table1Row`.
 #[derive(Debug, Clone, Serialize)]
 pub struct TableRowSer {
     pub values: Vec<(String, f64)>,
@@ -256,20 +256,16 @@ pub fn generate_windows(cfg: &EvalConfig, seed: u64, runs: usize) -> Vec<PortWin
 }
 
 /// Impute a set of windows with a method of the set-up, applying CEM
-/// (the fast engine) if requested.
+/// (the ladder on the fast engine) if requested.
 pub fn impute_all(method: Method, windows: &[PortWindow], setup: &Setup) -> Vec<Vec<Vec<f32>>> {
     let kal_cem = |w| {
         let raw = setup.kal.impute(w);
-        match enforce(&WindowConstraints::from_window(w), &raw, &CemEngine::Fast) {
-            Ok(out) => out
-                .corrected
-                .iter()
-                .map(|q| q.iter().map(|&v| v as f32).collect())
-                .collect(),
-            // Infeasible measurements cannot occur on simulator data;
-            // fall back to the raw output defensively.
-            Err(_) => raw,
-        }
+        let wc = WindowConstraints::from_window(w);
+        enforce_degraded(&wc, &raw, &LadderConfig::default())
+            .corrected
+            .iter()
+            .map(|q| q.iter().map(|&v| v as f32).collect())
+            .collect()
     };
     let impute = |w| match method {
         Method::IterativeImputer => IterativeImputer::default().impute(w),
@@ -358,29 +354,20 @@ pub fn run_table1(cfg: &EvalConfig) -> EvalReport {
 fn cross_validate_cem(setup: &Setup) {
     let w = &setup.test_windows[0];
     let raw = setup.kal.impute(w);
-    let wc = WindowConstraints::from_window(w);
-    let l = wc.interval_len;
     // First interval only: keeps the check to milliseconds.
-    let first = WindowConstraints {
-        interval_len: l,
-        len: l,
-        maxes: wc.maxes.iter().map(|m| vec![m[0]]).collect(),
-        samples: wc.samples.iter().map(|s| vec![s[0]]).collect(),
-        sent: vec![wc.sent[0]],
-    };
-    let trunc: Vec<Vec<f32>> = raw.iter().map(|q| q[..l].to_vec()).collect();
+    let p = interval_problem(&WindowConstraints::from_window(w), &raw, 0);
     let span = CROSS_FAST_US.start_span();
-    let fast = enforce(&first, &trunc, &CemEngine::Fast);
+    let fast = fast_engine::solve(&p);
     drop(span);
     let budget = fmml_smt::solver::Budget {
         timeout: Some(std::time::Duration::from_secs(5)),
         ..Default::default()
     };
     let span = CROSS_SMT_US.start_span();
-    let smt = enforce(&first, &trunc, &CemEngine::Smt { budget });
+    let smt = smt_engine::solve(&p, budget);
     drop(span);
     match (&fast, &smt) {
-        (Ok(f), Ok(s)) => {
+        (Some(f), Ok(s)) => {
             assert_eq!(
                 f.objective, s.objective,
                 "CEM engines disagree on the first test interval"

@@ -456,7 +456,7 @@ processed {emitted} intervals:
 /// of each is.
 const TIMED: [(&str, &str); 7] = [
     ("train.epoch_ms", "one training epoch"),
-    ("fm.cem.window_us", "CEM on one window, either engine"),
+    ("fm.cem.ladder.window_us", "CEM ladder on one window"),
     (
         "eval.cross_check.fast_us",
         "fast engine, Table 1's cross-checked interval",

@@ -40,8 +40,9 @@ pub enum FaultKind {
     /// and loses nothing.
     WorkerPanic,
     /// The constraint solver stalls for a whole batch (a wedged SMT
-    /// backend). Consecutive stalls are what trips the `fm.cem` circuit
-    /// breaker.
+    /// backend): the batch sleeps before it is enforced. Servers run the
+    /// ladder without a circuit breaker, so a stall costs the batch's
+    /// replies latency, not fidelity.
     SolverStall,
     /// A reply write is artificially delayed (a congested or misbehaving
     /// egress path), exercising write-timeout and slow-reader handling.

@@ -1,8 +1,8 @@
 //! The CEM graceful-degradation ladder.
 //!
-//! [`super::enforce`] is all-or-nothing: one infeasible 50 ms interval
-//! (or one budget wall) fails the whole window. Under fault-injected
-//! telemetry that is the wrong contract — the operator still wants the
+//! The one window-level CEM entry point. An all-or-nothing contract would
+//! fail the whole window on one infeasible 50 ms interval (or one budget
+//! wall); under fault-injected telemetry the operator still wants the
 //! best window the constraints allow, annotated with how much trust each
 //! interval deserves. [`enforce_degraded`] provides that contract: it
 //! **always** returns a corrected window, descending a per-interval
@@ -44,6 +44,8 @@ use std::time::{Duration, Instant};
 
 /// Windows pushed through [`enforce_degraded`].
 static LADDER_WINDOWS: Counter = Counter::new("fm.cem.ladder.windows");
+/// 50 ms interval sub-problems extracted.
+static INTERVALS: Counter = Counter::new("fm.cem.intervals");
 /// Intervals solved at full fidelity.
 static LADDER_FULL: Counter = Counter::new("fm.cem.ladder.full");
 /// Intervals solved on the escalated-budget retry.
@@ -450,7 +452,7 @@ pub fn enforce_degraded_with(
     let mut relaxed_w: Option<WindowConstraints> = None;
     let mut problems: Vec<(IntervalProblem, bool)> = Vec::with_capacity(n);
     for k in 0..n {
-        super::INTERVALS.inc();
+        INTERVALS.inc();
         let mut p = interval_problem(w, imputed, k);
         let mut m_out = p.m_out;
         let was_relaxed = relax_interval(l, &mut p.maxes, &p.samples, &mut m_out);
@@ -565,6 +567,22 @@ mod tests {
         (w, imputed)
     }
 
+    /// The minimal correction, interval by interval: the fast engine's
+    /// answer to each [`interval_problem`], stitched in at its interval.
+    fn stitched_fast(w: &WindowConstraints, imputed: &[Vec<f32>]) -> (Vec<Vec<u32>>, u64) {
+        let l = w.interval_len;
+        let mut corrected = vec![vec![0; w.len]; w.num_queues()];
+        let mut objective = 0;
+        for k in 0..w.intervals() {
+            let sol = fast_engine::solve(&interval_problem(w, imputed, k)).expect("feasible");
+            objective += sol.objective;
+            for (row, values) in corrected.iter_mut().zip(&sol.values) {
+                row[k * l..(k + 1) * l].copy_from_slice(values);
+            }
+        }
+        (corrected, objective)
+    }
+
     #[test]
     fn feasible_window_stays_at_full_fidelity_and_matches_enforce() {
         let (w, imputed) = feasible_window();
@@ -572,16 +590,21 @@ mod tests {
         assert!(out.levels.iter().all(|&l| l == DegradationLevel::Full));
         assert!(out.relaxed.is_none());
         assert!(w.satisfied_exact(&out.corrected));
-        let strict = super::super::enforce(&w, &imputed, &CemEngine::Fast).unwrap();
-        assert_eq!(out.corrected, strict.corrected);
-        assert_eq!(out.objective, strict.objective);
+        assert_eq!(
+            (out.corrected[0][4], out.corrected[0][9]),
+            (1, 0),
+            "samples pinned"
+        );
+        assert_eq!(
+            (out.corrected.clone(), out.objective),
+            stitched_fast(&w, &imputed)
+        );
         assert_eq!(out.summary(), "full=2");
     }
 
     #[test]
     fn contradictory_sample_is_relaxed_not_fatal() {
-        // Sample exceeds max in interval 0: `enforce` errors, the ladder
-        // relaxes and answers.
+        // Sample exceeds max in interval 0: the ladder relaxes and answers.
         let w = WindowConstraints {
             interval_len: 5,
             len: 5,
@@ -590,7 +613,6 @@ mod tests {
             sent: vec![5],
         };
         let imputed = vec![vec![0.0; 5]];
-        assert!(super::super::enforce(&w, &imputed, &CemEngine::Fast).is_err());
         let out = enforce_degraded(&w, &imputed, &LadderConfig::default());
         assert_eq!(out.levels, vec![DegradationLevel::MeasurementRelaxed]);
         let eff = out.effective_constraints(&w).clone();
@@ -638,10 +660,9 @@ mod tests {
             out.levels
         );
         // The fast engine is exact, so the answer still satisfies all
-        // constraints at the strict optimum.
+        // constraints at the minimal correction.
         assert!(w.satisfied_exact(&out.corrected));
-        let strict = super::super::enforce(&w, &imputed, &CemEngine::Fast).unwrap();
-        assert_eq!(out.objective, strict.objective);
+        assert_eq!(out.objective, stitched_fast(&w, &imputed).1);
     }
 
     #[test]
@@ -666,7 +687,7 @@ mod tests {
         // The first starved solve trips the breaker (threshold 1);
         // every interval after that is short-circuited straight to the
         // fast engine — and the output still satisfies C1 ∧ C2 ∧ C3 at
-        // the strict optimum, bitwise identical to a breaker-less run.
+        // the minimal correction, bitwise identical to a breaker-less run.
         for _ in 0..3 {
             let out = enforce_degraded(&w, &imputed, &cfg);
             assert!(
@@ -677,9 +698,7 @@ mod tests {
                 out.levels
             );
             assert!(w.satisfied_exact(&out.corrected));
-            let strict = super::super::enforce(&w, &imputed, &CemEngine::Fast).unwrap();
-            assert_eq!(out.corrected, strict.corrected);
-            assert_eq!(out.objective, strict.objective);
+            assert_eq!((out.corrected, out.objective), stitched_fast(&w, &imputed));
         }
         assert_eq!(breaker::global_state(), Some(breaker::BreakerState::Open));
         breaker::reset_global();

@@ -27,6 +27,12 @@
 //!
 //! Property tests (`tests` below and in the workspace `tests/`) assert
 //! both engines reach the same objective value on random instances.
+//!
+//! A window is enforced in one way, [`enforce_degraded`] (the [`ladder`]):
+//! interval `k` is [`interval_problem`]`(w, imputed, k)` solved by the
+//! configured engine and stitched in at `k`. On feasible measurements
+//! every interval stays at [`DegradationLevel::Full`], the minimal
+//! correction; contradictory ones are relaxed and annotated, not refused.
 
 pub mod breaker;
 pub mod cache;
@@ -35,7 +41,7 @@ pub mod ladder;
 pub mod smt_engine;
 
 use crate::constraints::WindowConstraints;
-use fmml_obs::{fnv, log_event, Counter, Histogram, Unit};
+use fmml_obs::fnv;
 
 pub use breaker::{BreakerConfig, BreakerState};
 pub use cache::{CacheStats, CachedInterval, SolutionCache};
@@ -43,27 +49,6 @@ pub use ladder::{
     enforce_degraded, enforce_degraded_batch, enforce_degraded_with, DegradationLevel,
     LadderConfig, LadderOutcome,
 };
-
-/// Windows pushed through [`enforce`].
-static WINDOWS: Counter = Counter::new("fm.cem.windows");
-/// 50 ms interval sub-problems solved.
-static INTERVALS: Counter = Counter::new("fm.cem.intervals");
-/// Intervals dispatched to the fast combinatorial engine.
-static DISPATCH_FAST: Counter = Counter::new("fm.cem.dispatch.fast");
-/// Intervals dispatched to the optimizing SMT engine.
-static DISPATCH_SMT: Counter = Counter::new("fm.cem.dispatch.smt");
-/// Windows whose *raw* imputed series violated C1 before correction.
-static VIOLATIONS_C1: Counter = Counter::new("fm.cem.violations.c1");
-/// Windows whose raw imputed series violated C2 before correction.
-static VIOLATIONS_C2: Counter = Counter::new("fm.cem.violations.c2");
-/// Windows whose raw imputed series violated C3 before correction.
-static VIOLATIONS_C3: Counter = Counter::new("fm.cem.violations.c3");
-/// Windows rejected: contradictory measurements.
-static INFEASIBLE: Counter = Counter::new("fm.cem.infeasible");
-/// Windows rejected: SMT budget exhausted.
-static BUDGET_EXHAUSTED: Counter = Counter::new("fm.cem.budget_exhausted");
-/// End-to-end [`enforce`] latency per window.
-static WINDOW_US: Histogram = Histogram::new("fm.cem.window_us", Unit::Micros);
 
 /// Which CEM implementation to run.
 #[derive(Debug, Clone, Default)]
@@ -77,39 +62,6 @@ pub enum CemEngine {
         budget: fmml_smt::solver::Budget,
     },
 }
-
-/// A successful correction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CemOutcome {
-    /// Corrected integer series, `[queues][len]`.
-    pub corrected: Vec<Vec<u32>>,
-    /// Total L1 change vs the rounded input (excluding sample positions).
-    pub objective: u64,
-}
-
-/// Why a correction failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CemError {
-    /// The measurements themselves are contradictory in `interval`.
-    Infeasible { interval: usize },
-    /// The SMT engine ran out of budget in `interval`.
-    Budget { interval: usize },
-}
-
-impl std::fmt::Display for CemError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CemError::Infeasible { interval } => {
-                write!(f, "measurements infeasible in interval {interval}")
-            }
-            CemError::Budget { interval } => {
-                write!(f, "solver budget exhausted in interval {interval}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CemError {}
 
 /// Execution knobs for [`enforce_degraded_with`] /
 /// [`enforce_degraded_batch`]: interval-level parallelism plus the
@@ -149,95 +101,6 @@ impl<'a> EnforceOptions<'a> {
     fn parallel(&self) -> bool {
         self.jobs != 1
     }
-}
-
-/// Enforce C1–C3 on an imputed window, minimally changing it. This is
-/// the strict, paper-facing contract: all or nothing, one interval after
-/// the other, every interval solved from scratch by `engine`, stopping at
-/// the first interval that fails. (The serving and batch paths go
-/// through the ladder, [`enforce_degraded_with`], which is where `jobs`
-/// and the memo cache live.)
-///
-/// Besides the result, every call feeds the [`fmml_obs`] registry:
-/// windows/intervals enforced, engine dispatch counts, per-class raw
-/// violations (was C1/C2/C3 broken *before* correction?), failure causes,
-/// and the `fm.cem.window_us` latency histogram.
-pub fn enforce(
-    w: &WindowConstraints,
-    imputed: &[Vec<f32>],
-    engine: &CemEngine,
-) -> Result<CemOutcome, CemError> {
-    let span = WINDOW_US.start_span();
-    WINDOWS.inc();
-    if w.c1_error(imputed) > 0.0 {
-        VIOLATIONS_C1.inc();
-    }
-    if w.c2_error(imputed) > 0.0 {
-        VIOLATIONS_C2.inc();
-    }
-    if w.c3_error(imputed) > 0.0 {
-        VIOLATIONS_C3.inc();
-    }
-    let result = solve_in_order(w, imputed, engine);
-    match &result {
-        Ok(out) => {
-            let elapsed = span.finish();
-            log_event!(
-                "cem.window",
-                "intervals" = w.intervals(),
-                "objective" = out.objective,
-                "us" = elapsed.as_secs_f64() * 1e6,
-            );
-        }
-        Err(CemError::Infeasible { interval }) => {
-            INFEASIBLE.inc();
-            span.finish();
-            log_event!("cem.infeasible", "interval" = *interval);
-        }
-        Err(CemError::Budget { interval }) => {
-            BUDGET_EXHAUSTED.inc();
-            span.finish();
-            log_event!("cem.budget_exhausted", "interval" = *interval);
-        }
-    }
-    result
-}
-
-/// The strict loop behind [`enforce`]: interval `k`'s problem, the
-/// engine's answer stitched in at `k`, first failure returned.
-fn solve_in_order(
-    w: &WindowConstraints,
-    imputed: &[Vec<f32>],
-    engine: &CemEngine,
-) -> Result<CemOutcome, CemError> {
-    let l = w.interval_len;
-    let mut corrected: Vec<Vec<u32>> = vec![vec![0; w.len]; w.num_queues()];
-    let mut objective = 0u64;
-    for k in 0..w.intervals() {
-        INTERVALS.inc();
-        let p = interval_problem(w, imputed, k);
-        let sol = match engine {
-            CemEngine::Fast => {
-                DISPATCH_FAST.inc();
-                fast_engine::solve(&p).ok_or(CemError::Infeasible { interval: k })?
-            }
-            CemEngine::Smt { budget } => {
-                DISPATCH_SMT.inc();
-                smt_engine::solve(&p, *budget).map_err(|e| match e {
-                    smt_engine::SmtCemError::Infeasible => CemError::Infeasible { interval: k },
-                    smt_engine::SmtCemError::Budget => CemError::Budget { interval: k },
-                })?
-            }
-        };
-        objective += sol.objective;
-        for (row, values) in corrected.iter_mut().zip(&sol.values) {
-            row[k * l..(k + 1) * l].copy_from_slice(values);
-        }
-    }
-    Ok(CemOutcome {
-        corrected,
-        objective,
-    })
 }
 
 /// FNV-1a over a byte slice ([`fmml_obs::fnv`] from the offset basis):
@@ -417,45 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn enforce_stitches_intervals_and_satisfies_exactly() {
-        // Two intervals of 5, 2 queues.
-        let w = WindowConstraints {
-            interval_len: 5,
-            len: 10,
-            maxes: vec![vec![4, 2], vec![1, 0]],
-            samples: vec![vec![1, 0], vec![0, 0]],
-            sent: vec![4, 3],
-        };
-        let imputed = vec![
-            vec![0.2, 3.7, 4.4, 2.0, 1.1, 0.0, 1.8, 2.3, 0.4, 0.1],
-            vec![0.0, 0.9, 1.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        ];
-        let out = enforce(&w, &imputed, &CemEngine::Fast).expect("feasible");
-        assert!(w.satisfied_exact(&out.corrected));
-        // Samples pinned.
-        assert_eq!(out.corrected[0][4], 1);
-        assert_eq!(out.corrected[0][9], 0);
-    }
-
-    #[test]
-    fn error_is_the_first_failing_interval() {
-        // Interval 0 fine, interval 1 contradictory (sample > max): the
-        // loop stops there and names it.
-        let w = WindowConstraints {
-            interval_len: 5,
-            len: 10,
-            maxes: vec![vec![4, 2]],
-            samples: vec![vec![1, 3]],
-            sent: vec![4, 3],
-        };
-        let imputed = vec![vec![0.0; 10]];
-        assert_eq!(
-            enforce(&w, &imputed, &CemEngine::Fast),
-            Err(CemError::Infeasible { interval: 1 })
-        );
-    }
-
-    #[test]
     fn fnv_hashes_are_stable_and_shape_sensitive() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
@@ -465,22 +289,5 @@ mod tests {
         assert_ne!(a, b, "length prefixes must separate shapes");
         assert_ne!(b, c);
         assert_eq!(a, hash_u32_series(&[vec![1, 2], vec![3]]));
-    }
-
-    #[test]
-    fn infeasible_measurements_are_reported() {
-        // Sample exceeds max: contradictory.
-        let w = WindowConstraints {
-            interval_len: 5,
-            len: 5,
-            maxes: vec![vec![2]],
-            samples: vec![vec![4]],
-            sent: vec![5],
-        };
-        let imputed = vec![vec![0.0; 5]];
-        match enforce(&w, &imputed, &CemEngine::Fast) {
-            Err(CemError::Infeasible { interval: 0 }) => {}
-            r => panic!("expected infeasible, got {r:?}"),
-        }
     }
 }

@@ -23,5 +23,5 @@ pub mod cem;
 pub mod constraints;
 pub mod packet_model;
 
-pub use cem::{CemEngine, CemOutcome};
+pub use cem::CemEngine;
 pub use constraints::WindowConstraints;

@@ -25,7 +25,7 @@
 //! of a NaN *result*, which Rust leaves unspecified: implementations
 //! agree on where the NaNs are, not on their bits.
 //!
-//! The tile ([`tile`]) keeps an `MR × NR` block of outputs in registers
+//! The tile (`tile`) keeps an `MR × NR` block of outputs in registers
 //! while `p` runs `0..k`; SIMD lanes run across output **columns**, so a
 //! lane is one element's private accumulator chain. `gemm_tn` reads `Aᵀ`
 //! through strides (the `MR` values a step needs are contiguous there),

@@ -12,7 +12,7 @@ const PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One FNV round over a whole 64-bit word (xor, then multiply). This is
 /// how per-seed / per-client digests are folded into a run fingerprint;
-/// it is *not* the same as hashing the word's bytes ([`u64`]).
+/// it is *not* the same as hashing the word's bytes ([`u64()`]).
 pub fn fold(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(PRIME)
 }

@@ -13,9 +13,9 @@
 //! * `FMML_LOG=1` (or anything non-empty except `0`) — JSONL on stderr;
 //! * neither — disabled.
 //!
-//! When disabled, the [`log_event!`] macro compiles to a single relaxed
-//! atomic load: none of the field expressions are evaluated, nothing is
-//! formatted, nothing allocates.
+//! When disabled, the [`log_event!`](crate::log_event!) macro compiles
+//! to a single relaxed atomic load: none of the field expressions are
+//! evaluated, nothing is formatted, nothing allocates.
 
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -26,7 +26,8 @@ use std::time::Instant;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: OnceLock<RunLog> = OnceLock::new();
 
-/// Is a sink installed? One relaxed load; inlined into [`log_event!`].
+/// Is a sink installed? One relaxed load; inlined into
+/// [`log_event!`](crate::log_event!).
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
@@ -172,8 +173,8 @@ pub fn format_event(t_us: u128, event: &str, fields: &[(&str, Field<'_>)]) -> St
     line
 }
 
-/// Emit one event line. Call through [`log_event!`], which guards this
-/// behind [`enabled`] so disabled runs never reach here.
+/// Emit one event line. Call through [`log_event!`](crate::log_event!),
+/// which guards this behind [`enabled`] so disabled runs never reach here.
 pub fn emit(event: &str, fields: &[(&str, Field<'_>)]) {
     let Some(log) = SINK.get() else { return };
     let line = format_event(log.epoch.elapsed().as_micros(), event, fields);

@@ -708,10 +708,10 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// CPU time the most recent successful [`poll_frame`] spent parsing
-    /// its frame (0 when span tracing is off — the clock is only read
-    /// when someone will attribute the stage). Socket wait time is never
-    /// included.
+    /// CPU time the most recent successful [`poll_frame`](Self::poll_frame)
+    /// spent parsing its frame (0 when span tracing is off — the clock is
+    /// only read when someone will attribute the stage). Socket wait time
+    /// is never included.
     pub fn last_decode_ns(&self) -> u64 {
         self.last_decode_ns
     }

@@ -187,10 +187,9 @@ pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// CEM worker threads (each runs one micro-batch at a time).
+    /// CEM worker threads, each running one micro-batch at a time on
+    /// its own thread: a node's CEM parallelism.
     pub workers: usize,
-    /// Intra-batch parallelism handed to `EnforceOptions::jobs`.
-    pub jobs: usize,
     /// Per-interval end-to-end budget: accept→reply-written. Misses are
     /// counted (`serve.deadline_miss`).
     pub deadline: Duration,
@@ -225,7 +224,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            jobs: 1,
             deadline: Duration::from_millis(50),
             max_batch: 16,
             queue_depth: 64,
@@ -1343,7 +1341,7 @@ fn process_batch<C: Conn>(
     // Borrowed, not moved: the holder must keep every unanswered job
     // whole for `worker_down` to re-enqueue.
     let items: Vec<_> = batch.iter().map(|j| &j.item).collect();
-    let opts = EnforceOptions::new(cfg.jobs, Some(&shared.cache));
+    let opts = EnforceOptions::new(1, Some(&shared.cache));
     BATCH_SIZE.record(batch.len() as u64);
     // Batch stage: seal → enforce start (ladder setup, item views).
     let enforce_start = cfg.clock.now();

@@ -544,7 +544,8 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// `cap = 0` keeps the watermark but logs nothing (resumption off).
+    /// A ledger that keeps the last `cap` replies ([`REPLAY_WINDOW`] at
+    /// every endpoint); `cap = 0` keeps the watermark and logs nothing.
     pub fn new(cap: usize) -> Ledger {
         Ledger {
             replay: Mutex::new(ReplayLog::new(cap)),
@@ -754,7 +755,7 @@ pub struct ReplayLog {
 }
 
 impl ReplayLog {
-    /// `cap = 0` disables the log entirely (resumption off).
+    /// A log of at most `cap` replies; `cap = 0` records nothing.
     pub fn new(cap: usize) -> ReplayLog {
         ReplayLog {
             entries: VecDeque::new(),

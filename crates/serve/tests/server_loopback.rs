@@ -109,10 +109,6 @@ fn replies_match_offline(traced: bool) {
         Arc::clone(&model),
         ServerConfig {
             workers: 2,
-            // jobs > 1: interval-level CEM work crosses into the rayon
-            // pool's threads, the one place trace context is handed off
-            // by hand.
-            jobs: 2,
             deadline: Duration::from_millis(500),
             ..ServerConfig::default()
         },

@@ -700,7 +700,6 @@ pub(crate) fn explorer_server_config(
 ) -> ServerConfig {
     ServerConfig {
         workers: 1,
-        jobs: 1,
         // Generous virtual deadline: no seed's verdict turns on a
         // deadline miss.
         deadline: Duration::from_secs(10),
@@ -721,7 +720,7 @@ pub(crate) fn explorer_server_config(
 }
 
 /// Explore one seed. With `inject_bug` set this instead runs the
-/// scripted replay-gap scenario (see [`run_bug_scenario`]), which is
+/// scripted replay-gap scenario (`run_bug_scenario`), which is
 /// deterministic down to the violation text.
 pub fn run_seed(seed: u64, cfg: &SimtestConfig) -> SeedOutcome {
     if let Some(bug) = cfg.inject_bug {

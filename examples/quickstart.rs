@@ -12,7 +12,7 @@
 use fmml::core::eval::{generate_windows, EvalConfig};
 use fmml::core::imputer::Imputer;
 use fmml::core::train::train;
-use fmml::fm::cem::{enforce, CemEngine};
+use fmml::fm::cem::{enforce_degraded, DegradationLevel, LadderConfig};
 use fmml::fm::WindowConstraints;
 
 fn main() {
@@ -60,7 +60,12 @@ fn main() {
         wc.c3_error(&raw),
     );
 
-    let out = enforce(&wc, &raw, &CemEngine::Fast).expect("simulator data is feasible");
+    let out = enforce_degraded(&wc, &raw, &LadderConfig::default());
+    assert!(
+        out.levels.iter().all(|&l| l == DegradationLevel::Full),
+        "simulator data is feasible: {}",
+        out.summary()
+    );
     let corrected: Vec<Vec<f32>> = out
         .corrected
         .iter()

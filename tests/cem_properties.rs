@@ -7,7 +7,7 @@
 //! plus agreement with the SMT optimum elsewhere).
 
 use fmml::core::imputer::{HoldImputer, Imputer};
-use fmml::fm::cem::{enforce, CemEngine};
+use fmml::fm::cem::{enforce_degraded, DegradationLevel, LadderConfig, LadderOutcome};
 use fmml::fm::WindowConstraints;
 use fmml::netsim::traffic::TrafficConfig;
 use fmml::netsim::{SimConfig, Simulation};
@@ -24,6 +24,18 @@ fn windows(seed: u64) -> Vec<PortWindow> {
         .collect()
 }
 
+/// Run the ladder and require every interval at full fidelity: simulator
+/// measurements are never contradictory, so no rung below `Full` may fire.
+fn enforce_full(wc: &WindowConstraints, pred: &[Vec<f32>]) -> LadderOutcome {
+    let out = enforce_degraded(wc, pred, &LadderConfig::default());
+    assert!(
+        out.levels.iter().all(|&l| l == DegradationLevel::Full),
+        "simulator windows are always feasible: {}",
+        out.summary()
+    );
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -37,8 +49,7 @@ proptest! {
                 .iter()
                 .map(|q| q.iter().map(|&v| v * noise + noise).collect())
                 .collect();
-            let out = enforce(&wc, &pred, &CemEngine::Fast)
-                .expect("simulator windows are always feasible");
+            let out = enforce_full(&wc, &pred);
             prop_assert!(wc.satisfied_exact(&out.corrected));
         }
     }
@@ -47,7 +58,7 @@ proptest! {
     fn cem_on_ground_truth_is_a_noop(seed in 0u64..2000) {
         for w in windows(seed) {
             let wc = WindowConstraints::from_window(&w);
-            let out = enforce(&wc, &w.truth, &CemEngine::Fast).expect("feasible");
+            let out = enforce_full(&wc, &w.truth);
             prop_assert_eq!(out.objective, 0, "truth needed correction");
             for (q, series) in out.corrected.iter().enumerate() {
                 for (t, &v) in series.iter().enumerate() {
@@ -66,7 +77,7 @@ fn cem_improves_hold_imputer_consistency() {
         let wc = WindowConstraints::from_window(&w);
         let pred = HoldImputer.impute(&w);
         let before = wc.c1_error(&pred);
-        let out = enforce(&wc, &pred, &CemEngine::Fast).expect("feasible");
+        let out = enforce_full(&wc, &pred);
         let after: Vec<Vec<f32>> = out
             .corrected
             .iter()

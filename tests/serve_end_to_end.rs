@@ -250,10 +250,6 @@ fn traces_cover_the_full_pipeline_under_chaos() {
         ServerConfig {
             workers: 2,
             max_batch: 8,
-            // jobs > 1 so interval-level CEM work crosses into the
-            // rayon pool's threads and exercises explicit context
-            // propagation.
-            jobs: 2,
             deadline: Duration::from_millis(500),
             ..ServerConfig::default()
         },
