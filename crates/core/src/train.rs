@@ -7,7 +7,7 @@
 //! Φ/Ψ violations.
 
 use crate::kal::{self, KalConfig, KalMultipliers};
-use crate::transformer_imputer::{encode_features, Scales, TransformerImputer};
+use crate::transformer_imputer::{Scales, TransformerImputer};
 use fmml_nn::{loss, Adam, Gradients, Tape, Tensor};
 use fmml_obs::{log_event, trace, Counter, FloatGauge, Histogram, Unit};
 use fmml_telemetry::PortWindow;
@@ -344,8 +344,8 @@ fn forward_backward(
     out: &mut Slot,
 ) {
     let mut tape = Tape::new(&imputer.store);
-    let x = tape.constant(encode_features(w, q, imputer.scales));
-    let pred = imputer.model.forward_series(&mut tape, x, 0);
+    let x = imputer.features(&mut tape, w, q..q + 1);
+    let pred = imputer.model.forward_series(&mut tape, x, 0, 1);
     let target = tape.constant(Tensor::vector(
         w.truth[q]
             .iter()
@@ -708,16 +708,14 @@ mod tests {
         // buffers and the first-touch metric registrations.
         example();
         let train: Vec<u64> = (0..3).map(|_| allocations(&mut example)).collect();
-        // The feature matrix and target series, one head list per
-        // attention block, and KAL's residual list, sample positions and
-        // sample targets.
-        assert_eq!(train, [7; 3], "allocations per warm training example");
+        // The target series, and KAL's residual list, sample positions
+        // and sample targets (the feature matrix is pooled tape storage).
+        assert_eq!(train, [4; 3], "allocations per warm training example");
         model.impute_queue(&w, 0);
         let infer: Vec<u64> = (0..3)
             .map(|_| allocations(|| drop(model.impute_queue(&w, 0))))
             .collect();
-        // The feature matrix, one head list per attention block, the
-        // returned series.
-        assert_eq!(infer, [4; 3], "allocations per warm inference forward");
+        // The returned series.
+        assert_eq!(infer, [1; 3], "allocations per warm inference forward");
     }
 }

@@ -5,12 +5,14 @@
 //! periodic sample, LANZ max (own and sibling queue), SNMP counters of
 //! the port, a sample-position indicator, and the phase within the
 //! interval. The transformer ingests the `[T, F]` matrix and emits one
-//! (normalized) queue-length estimate per step.
+//! (normalized) queue-length estimate per step. Inference runs a port's
+//! queues as one forward, their matrices stacked as windows.
 
 use crate::imputer::Imputer;
-use fmml_nn::{ParamStore, Tape, Tensor, TransformerConfig, TransformerEncoder};
+use fmml_nn::{NodeId, ParamStore, Tape, Tensor, TransformerConfig, TransformerEncoder};
 use fmml_telemetry::PortWindow;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// On-disk model format (JSON).
 #[derive(Serialize, Deserialize)]
@@ -36,11 +38,16 @@ pub struct Scales {
 
 /// Build the `[T, NUM_FEATURES]` input for queue `q` of a window.
 pub fn encode_features(w: &PortWindow, q: usize, scales: Scales) -> Tensor {
-    let t_len = w.len();
+    let mut data = Vec::with_capacity(w.len() * NUM_FEATURES);
+    encode_features_into(w, q, scales, &mut data);
+    Tensor::from_vec(data, &[w.len(), NUM_FEATURES])
+}
+
+/// Append [`encode_features`]' matrix, row-major, to `data`.
+fn encode_features_into(w: &PortWindow, q: usize, scales: Scales, data: &mut Vec<f32>) {
     let l = w.interval_len;
     let nq = w.num_queues();
-    let mut data = Vec::with_capacity(t_len * NUM_FEATURES);
-    for t in 0..t_len {
+    for t in 0..w.len() {
         let k = t / l;
         let own_sample = w.samples[q][k] as f32 / scales.qlen;
         let own_max = w.maxes[q][k] as f32 / scales.qlen;
@@ -71,7 +78,6 @@ pub fn encode_features(w: &PortWindow, q: usize, scales: Scales) -> Tensor {
             phase,
         ]);
     }
-    Tensor::from_vec(data, &[t_len, NUM_FEATURES])
 }
 
 /// A trained transformer imputation model.
@@ -159,20 +165,54 @@ impl TransformerImputer {
     /// bit, without the last encoder block's work on the rows before
     /// them.
     pub fn impute_queue_from(&self, w: &PortWindow, q: usize, from: usize) -> Vec<f32> {
-        let mut tape = Tape::new(&self.store);
-        let x = tape.constant(encode_features(w, q, self.scales));
-        let pred = self.model.forward_series(&mut tape, x, from);
-        tape.value(pred)
-            .data
-            .iter()
-            .map(|&v| v.max(0.0) * self.scales.qlen)
-            .collect()
+        self.forward_queues(w, q..q + 1, from, |series| self.rescale(series))
     }
 
-    /// [`Imputer::impute`] from step `from` on: `[queues][len − from]`.
+    /// [`Imputer::impute`] from step `from` on: `[queues][len − from]`,
+    /// every queue in one forward pass, each bit for bit what
+    /// [`impute_queue_from`](Self::impute_queue_from) gives it alone.
     pub fn impute_from(&self, w: &PortWindow, from: usize) -> Vec<Vec<f32>> {
-        (0..w.num_queues())
-            .map(|q| self.impute_queue_from(w, q, from))
+        let (nq, n) = (w.num_queues(), w.len() - from);
+        self.forward_queues(w, 0..nq, from, |series| {
+            (0..nq)
+                .map(|q| self.rescale(&series[q * n..(q + 1) * n]))
+                .collect()
+        })
+    }
+
+    /// One forward of `queues`' feature matrices stacked as windows;
+    /// `f` gets the normalized series, steps `from..` of each queue,
+    /// queue after queue.
+    fn forward_queues<R>(
+        &self,
+        w: &PortWindow,
+        queues: Range<usize>,
+        from: usize,
+        f: impl FnOnce(&[f32]) -> R,
+    ) -> R {
+        let mut tape = Tape::new(&self.store);
+        let windows = queues.len();
+        let x = self.features(&mut tape, w, queues);
+        let pred = self.model.forward_series(&mut tape, x, from, windows);
+        f(&tape.value(pred).data)
+    }
+
+    /// The `[queues·T, NUM_FEATURES]` input of `queues`, queue after
+    /// queue, as a constant leaf in the tape's pooled storage.
+    pub(crate) fn features(&self, tape: &mut Tape, w: &PortWindow, queues: Range<usize>) -> NodeId {
+        let shape = [queues.len() * w.len(), NUM_FEATURES];
+        tape.constant_with(&shape, |data| {
+            for q in queues {
+                encode_features_into(w, q, self.scales, data);
+            }
+        })
+    }
+
+    /// Normalized outputs clamped at 0 and rescaled to packets.
+    fn rescale(&self, series: &[f32]) -> Vec<f32> {
+        series
+            .iter()
+            .map(|&v| v.max(0.0) * self.scales.qlen)
             .collect()
     }
 }
@@ -316,6 +356,44 @@ mod tests {
                     let live = wire.iter().filter(|w| check(&m, w, &[0, 5, 9])).count();
                     assert!(live > 0, "seed {seed}: wire-geometry outputs are all zero");
                 }
+            })
+        }
+    }
+
+    #[test]
+    fn a_port_forward_is_each_queue_alone_bit_for_bit() {
+        // One forward runs a port's queues as stacked windows; attention
+        // keeps to its window and every other op to its row, so each
+        // queue's series must carry the bits of its own forward.
+        use fmml_nn::kernel::{with_mode, KernelMode};
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        let cfg = SimConfig::small();
+        let traffic = TrafficConfig::websearch_incast(cfg.num_ports, 0.6);
+        let gt = Simulation::new(cfg, traffic, 19).run_ms(400);
+        let mut windows: Vec<(PortWindow, usize)> = windows_from_trace(&gt, 10, 5, 10)
+            .into_iter()
+            .filter(|w| w.has_activity())
+            .take(8)
+            .map(|w| (w, 5))
+            .collect();
+        windows.push((window(), 250));
+        for mode in [KernelMode::default(), KernelMode::Reference] {
+            with_mode(mode, || {
+                let m = TransformerImputer::new(3, scales());
+                let mut live = false;
+                for (w, newest) in &windows {
+                    assert_eq!(w.num_queues(), 2);
+                    for from in [0, *newest] {
+                        let port = m.impute_from(w, from);
+                        assert_eq!(port.len(), 2);
+                        for (q, series) in port.iter().enumerate() {
+                            live |= series.iter().any(|&v| v != 0.0);
+                            let alone = m.impute_queue_from(w, q, from);
+                            assert_eq!(bits(series), bits(&alone), "q={q} from={from}");
+                        }
+                    }
+                }
+                assert!(live, "all outputs are zero");
             })
         }
     }

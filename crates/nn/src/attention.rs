@@ -15,7 +15,6 @@ pub struct MultiHeadAttention {
     pub wv: Linear,
     pub wo: Linear,
     pub heads: usize,
-    pub d_model: usize,
 }
 
 impl MultiHeadAttention {
@@ -36,29 +35,23 @@ impl MultiHeadAttention {
             wv: Linear::new(store, rng, &format!("{name}.wv"), d_model, d_model),
             wo: Linear::new(store, rng, &format!("{name}.wo"), d_model, d_model),
             heads,
-            d_model,
         }
     }
 
-    pub fn forward(&self, tape: &mut Tape, queries: NodeId, context: NodeId) -> NodeId {
-        let dh = self.d_model / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
+    /// Attention of `windows` stacked windows, each of its own rows:
+    /// queries `[windows·Tq, d]`, context `[windows·T, d]`.
+    pub fn forward(
+        &self,
+        tape: &mut Tape,
+        queries: NodeId,
+        context: NodeId,
+        windows: usize,
+    ) -> NodeId {
         let q = self.wq.forward(tape, queries);
         let k = self.wk.forward(tape, context);
         let v = self.wv.forward(tape, context);
-        let mut head_outs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = tape.slice_cols(q, h * dh, dh);
-            let kh = tape.slice_cols(k, h * dh, dh);
-            let vh = tape.slice_cols(v, h * dh, dh);
-            // Fused s·Q·Kᵀ: no materialized transpose, no scaled copy of
-            // the [Tq,T] score matrix, two fewer nodes per head.
-            let scaled = tape.matmul_scaled_nt(qh, kh, scale);
-            let att = tape.softmax_rows(scaled);
-            head_outs.push(tape.matmul(att, vh));
-        }
-        let concat = tape.concat_cols(&head_outs);
-        self.wo.forward(tape, concat)
+        let heads = tape.attention(q, k, v, self.heads, windows);
+        self.wo.forward(tape, heads)
     }
 }
 
@@ -78,7 +71,7 @@ mod tests {
             (0..40).map(|i| (i as f32 * 0.01).sin()).collect(),
             &[5, 8],
         ));
-        let y = mha.forward(&mut tape, x, x);
+        let y = mha.forward(&mut tape, x, x, 1);
         assert_eq!(tape.value(y).shape, vec![5, 8]);
     }
 
@@ -94,7 +87,7 @@ mod tests {
         ));
         // Fewer query rows than context rows (Tq = 2 < T = 3).
         let q = tape.slice_rows(x, 1, 2);
-        let y = mha.forward(&mut tape, q, x);
+        let y = mha.forward(&mut tape, q, x, 1);
         assert_eq!(tape.value(y).shape, vec![2, 4]);
         let sq = tape.square(y);
         let s = tape.sum(sq);

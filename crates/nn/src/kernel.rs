@@ -666,6 +666,30 @@ mod tests {
     }
 
     #[test]
+    fn nt_scaled_matches_transposed_nn_bitwise() {
+        // `s·A·Bᵀ` with `B` row-major (the attention score) is the
+        // product with a materialized `Bᵀ` and one trailing multiply.
+        let (m, k, n) = (4, 2, 3);
+        let a: Vec<f32> = (0..m * k).map(|i| (i as f32).sin()).collect();
+        let b: Vec<f32> = (0..n * k).map(|i| (i as f32).cos()).collect();
+        let bt: Vec<f32> = (0..k * n).map(|i| b[(i % n) * k + i / n]).collect();
+        for mode in [KernelMode::Reference, KernelMode::Blocked] {
+            with_mode(mode, || {
+                let opts = GemmOpts {
+                    bias: None,
+                    scale: Some(0.25),
+                };
+                let mut fused = [0.0; 12];
+                gemm_nt(&a, &b, &mut fused, m, k, n, opts);
+                let mut staged = [0.0; 12];
+                gemm_nn(&a, &bt, &mut staged, m, k, n, GemmOpts::default());
+                let staged = staged.map(|x| x * 0.25);
+                assert_bits_eq(&fused, &staged, &format!("{mode:?}"));
+            });
+        }
+    }
+
+    #[test]
     fn zero_times_nan_propagates_in_every_mode() {
         // The historical zero-skip would silently output 0 here.
         let a = [0.0, 0.0];

@@ -251,6 +251,43 @@ mod tests {
     const NEG_ZERO_BITS: u32 = 0x8000_0000;
 
     #[test]
+    fn zero_mass_rows_are_uniform() {
+        let ninf = f32::NEG_INFINITY;
+        // Row 0 fully masked, row 1 partially masked, row 2 ordinary.
+        let x = [ninf, ninf, ninf, ninf, 1.0, 2.0, 0.5, -0.5, 0.1];
+        for simd in [false, true] {
+            let mut y = [0.0; 9];
+            softmax_rows_pinned(simd, &x, &mut y, 3);
+            assert_eq!(y[..3], [1.0 / 3.0; 3], "masked row must be uniform");
+            for row in y.chunks_exact(3) {
+                let sum: f32 = row.iter().sum();
+                assert!((sum - 1.0).abs() < 1e-6, "row sums to {sum}");
+                assert!(row.iter().all(|v| v.is_finite()), "{row:?}");
+            }
+            assert_eq!(y[3], 0.0, "masked entry of mixed row is 0");
+        }
+    }
+
+    #[test]
+    fn nan_logit_poisons_row_even_when_rest_is_masked() {
+        // `f32::max` skips NaN, so a max-then-"all masked?" test saw the
+        // first two rows as zero-mass and returned them uniform.
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let x = [
+            nan, ninf, ninf, ninf, ninf, nan, 0.5, nan, 1.0, ninf, ninf, ninf,
+        ];
+        for simd in [false, true] {
+            let mut y = [0.0; 12];
+            softmax_rows_pinned(simd, &x, &mut y, 3);
+            assert!(y[..9].iter().all(|v| v.is_nan()), "{y:?}");
+            assert_eq!(y[9..], [1.0 / 3.0; 3], "all-masked row stays uniform");
+            let mut one = [0.0];
+            softmax_rows_pinned(simd, &[nan], &mut one, 1);
+            assert!(one[0].is_nan(), "one-column NaN row");
+        }
+    }
+
+    #[test]
     fn exp_edges_are_exact() {
         let inf = f32::INFINITY;
         let below = f32::from_bits(LO.to_bits() + 1);

@@ -6,8 +6,9 @@
 //!
 //! * [`tensor::Tensor`] — dense f32 tensors (1-D and 2-D);
 //! * [`tape::Tape`] — tape-based reverse-mode automatic differentiation
-//!   over a fixed op vocabulary (matmul, softmax, layer norm, tanh, relu,
-//!   cumulative sums for EMD, max/select reductions for constraint terms);
+//!   over a fixed op vocabulary (affine maps, multi-head attention, layer
+//!   norm, tanh, relu, cumulative sums for EMD, max/select reductions for
+//!   constraint terms), reading parameters in place;
 //! * `linear`, `norm`, `attention`, `transformer` — the model
 //!   zoo: linear layers, layer normalization, multi-head self-attention,
 //!   and a transformer encoder with sinusoidal positional encodings;

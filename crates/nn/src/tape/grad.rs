@@ -4,8 +4,8 @@
 use super::arena::{
     pooled_copy, pooled_map, pooled_zip, take_buf_unfilled, take_buf_zeroed, BufPool,
 };
-use super::{Node, NodeId, Op, LN_EPS};
-use crate::kernel::{gemm_nn, gemm_nt, gemm_tn, GemmOpts};
+use super::{attention, NodeId, Op, Values, LN_EPS};
+use crate::kernel::{gemm_nt, gemm_tn, GemmOpts};
 use crate::tensor::{Shape, Tensor};
 
 fn accum(pool: &mut BufPool, grads: &mut [Option<Tensor>], id: NodeId, g: Tensor) {
@@ -19,15 +19,15 @@ fn accum(pool: &mut BufPool, grads: &mut [Option<Tensor>], id: NodeId, g: Tensor
 }
 
 pub(super) fn propagate(
-    nodes: &[Node],
+    vals: Values,
     idx: &[usize],
     pool: &mut BufPool,
     id: NodeId,
     g: &Tensor,
     grads: &mut [Option<Tensor>],
 ) {
-    match &nodes[id].op {
-        Op::Leaf => {}
+    match &vals.nodes[id].op {
+        Op::Leaf | Op::Param(_) => {}
         Op::Add(a, b) => {
             let ga = pooled_copy(pool, g);
             accum(pool, grads, *a, ga);
@@ -35,9 +35,9 @@ pub(super) fn propagate(
             accum(pool, grads, *b, gb);
         }
         Op::Mul(a, b) => {
-            let ga = pooled_zip(pool, g, &nodes[*b].value, |dg, y| dg * y);
+            let ga = pooled_zip(pool, g, vals.get(*b), |dg, y| dg * y);
             accum(pool, grads, *a, ga);
-            let gb = pooled_zip(pool, g, &nodes[*a].value, |dg, x| dg * x);
+            let gb = pooled_zip(pool, g, vals.get(*a), |dg, x| dg * x);
             accum(pool, grads, *b, gb);
         }
         Op::ScalarMul(a, k) => {
@@ -49,42 +49,10 @@ pub(super) fn propagate(
             let ga = pooled_copy(pool, g);
             accum(pool, grads, *a, ga);
         }
-        Op::Matmul(a, b) => {
-            // Transpose-free backward: dA = G·Bᵀ via the NT kernel and
-            // dB = Aᵀ·G via the TN kernel — the per-element operand
-            // sequences match the historical materialize-the-transpose
-            // formulation bit for bit, without the two `[k,·]` copies.
-            let av = &nodes[*a].value;
-            let bv = &nodes[*b].value;
-            let (m, kd) = (av.rows(), av.cols());
-            let n = bv.cols();
-            let mut da = take_buf_unfilled(pool, m * kd);
-            gemm_nt(&g.data, &bv.data, &mut da, m, n, kd, GemmOpts::default());
-            accum(
-                pool,
-                grads,
-                *a,
-                Tensor {
-                    data: da,
-                    shape: Shape::d2(m, kd),
-                },
-            );
-            let mut db = take_buf_unfilled(pool, kd * n);
-            gemm_tn(&av.data, &g.data, &mut db, m, kd, n, GemmOpts::default());
-            accum(
-                pool,
-                grads,
-                *b,
-                Tensor {
-                    data: db,
-                    shape: Shape::d2(kd, n),
-                },
-            );
-        }
         Op::Affine { x, w, b } => {
             // dX = G·Wᵀ, dW = Xᵀ·G, db = column sums of G.
-            let xv = &nodes[*x].value;
-            let wv = &nodes[*w].value;
+            let xv = vals.get(*x);
+            let wv = vals.get(*w);
             let (m, kd) = (xv.rows(), xv.cols());
             let n = wv.cols();
             let mut dx = take_buf_unfilled(pool, m * kd);
@@ -125,103 +93,30 @@ pub(super) fn propagate(
                 },
             );
         }
-        Op::MatmulScaledNT(a, b, s) => {
-            // y = s·A·Bᵀ ⇒ dA = s·G·B, dB = s·Gᵀ·A.
-            let av = &nodes[*a].value;
-            let bv = &nodes[*b].value;
-            let (m, kd) = (av.rows(), av.cols());
-            let n = bv.rows();
-            let opts = GemmOpts {
-                bias: None,
-                scale: Some(*s),
-            };
-            let mut da = take_buf_unfilled(pool, m * kd);
-            gemm_nn(&g.data, &bv.data, &mut da, m, n, kd, opts);
-            accum(
-                pool,
-                grads,
-                *a,
-                Tensor {
-                    data: da,
-                    shape: Shape::d2(m, kd),
-                },
-            );
-            let mut db = take_buf_unfilled(pool, n * kd);
-            gemm_tn(&g.data, &av.data, &mut db, m, n, kd, opts);
-            accum(
-                pool,
-                grads,
-                *b,
-                Tensor {
-                    data: db,
-                    shape: Shape::d2(n, kd),
-                },
-            );
-        }
-        Op::Transpose(a) => {
-            let (m, n) = (g.rows(), g.cols());
-            let mut data = take_buf_zeroed(pool, m * n);
-            for i in 0..m {
-                for j in 0..n {
-                    data[j * m + i] = g.data[i * n + j];
-                }
-            }
-            accum(
-                pool,
-                grads,
-                *a,
-                Tensor {
-                    data,
-                    shape: Shape::d2(n, m),
-                },
-            );
-        }
         Op::Tanh(a) => {
-            let y = &nodes[id].value;
+            let y = vals.get(id);
             let ga = pooled_zip(pool, g, y, |dg, y| dg * (1.0 - y * y));
             accum(pool, grads, *a, ga);
         }
         Op::Relu(a) => {
-            let x = &nodes[*a].value;
+            let x = vals.get(*a);
             let ga = pooled_zip(pool, g, x, |dg, x| if x > 0.0 { dg } else { 0.0 });
             accum(pool, grads, *a, ga);
         }
-        Op::SoftmaxRows(a) => {
-            let y = &nodes[id].value;
-            let cols = y.cols();
-            let mut dx = take_buf_zeroed(pool, y.len());
-            for r in 0..y.rows() {
-                let yr = &y.data[r * cols..(r + 1) * cols];
-                let gr = &g.data[r * cols..(r + 1) * cols];
-                let dot: f32 = yr.iter().zip(gr).map(|(&y, &dg)| y * dg).sum();
-                for j in 0..cols {
-                    dx[r * cols + j] = yr[j] * (gr[j] - dot);
-                }
-            }
-            accum(
-                pool,
-                grads,
-                *a,
-                Tensor {
-                    data: dx,
-                    shape: y.shape,
-                },
-            );
-        }
         Op::Sum(a) => {
             let dg = g.data[0];
-            let x = &nodes[*a].value;
+            let x = vals.get(*a);
             let ga = pooled_map(pool, x, |_| dg);
             accum(pool, grads, *a, ga);
         }
         Op::Mean(a) => {
-            let x = &nodes[*a].value;
+            let x = vals.get(*a);
             let dg = g.data[0] / x.len() as f32;
             let ga = pooled_map(pool, x, |_| dg);
             accum(pool, grads, *a, ga);
         }
         Op::Abs(a) => {
-            let x = &nodes[*a].value;
+            let x = vals.get(*a);
             let ga = pooled_zip(pool, g, x, |dg, x| if x >= 0.0 { dg } else { -dg });
             accum(pool, grads, *a, ga);
         }
@@ -235,8 +130,8 @@ pub(super) fn propagate(
             accum(pool, grads, *a, dx);
         }
         Op::MaxReduce(a) => {
-            let x = &nodes[*a].value;
-            let m = nodes[id].value.data[0];
+            let x = vals.get(*a);
+            let m = vals.get(id).data[0];
             let arg = x.data.iter().position(|&v| v == m).expect("max exists");
             let mut dx = take_buf_zeroed(pool, x.len());
             dx[arg] = g.data[0];
@@ -251,7 +146,7 @@ pub(super) fn propagate(
             );
         }
         Op::Select { x: a, at, len } => {
-            let x = &nodes[*a].value;
+            let x = vals.get(*a);
             let mut dx = take_buf_zeroed(pool, x.len());
             for (k, &i) in idx[*at..at + len].iter().enumerate() {
                 dx[i] += g.data[k];
@@ -266,10 +161,19 @@ pub(super) fn propagate(
                 },
             );
         }
-        Op::Slice(a, start, len) => {
-            let x = &nodes[*a].value;
+        Op::Slice {
+            x: a,
+            start,
+            len,
+            step,
+            count,
+        } => {
+            let x = vals.get(*a);
             let mut dx = take_buf_zeroed(pool, x.len());
-            dx[*start..start + len].copy_from_slice(&g.data);
+            for i in 0..*count {
+                let at = start + i * step;
+                dx[at..at + len].copy_from_slice(&g.data[i * len..(i + 1) * len]);
+            }
             accum(
                 pool,
                 grads,
@@ -280,51 +184,25 @@ pub(super) fn propagate(
                 },
             );
         }
-        Op::SliceCols(a, start, len) => {
-            let x = &nodes[*a].value;
-            let (m, n) = (x.rows(), x.cols());
-            let mut dx = take_buf_zeroed(pool, m * n);
-            for r in 0..m {
-                dx[r * n + start..r * n + start + len]
-                    .copy_from_slice(&g.data[r * len..(r + 1) * len]);
-            }
-            accum(
-                pool,
-                grads,
-                *a,
-                Tensor {
-                    data: dx,
-                    shape: Shape::d2(m, n),
-                },
-            );
-        }
-        Op::ConcatCols { at, len } => {
-            let m = nodes[id].value.rows();
-            let total = nodes[id].value.cols();
-            let mut off = 0;
-            for &p in &idx[*at..at + len] {
-                let n = nodes[p].value.cols();
-                let mut dp = take_buf_zeroed(pool, m * n);
-                for r in 0..m {
-                    dp[r * n..(r + 1) * n]
-                        .copy_from_slice(&g.data[r * total + off..r * total + off + n]);
-                }
-                accum(
-                    pool,
-                    grads,
-                    p,
-                    Tensor {
-                        data: dp,
-                        shape: Shape::d2(m, n),
-                    },
-                );
-                off += n;
-            }
+        Op::Attention {
+            q,
+            k,
+            v,
+            probs,
+            heads,
+            windows,
+        } => {
+            let (qv, kv, vv) = (vals.get(*q), vals.get(*k), vals.get(*v));
+            let shape = [*heads, *windows];
+            let [dq, dk, dv] = attention::backward(pool, [qv, kv, vv], vals.get(*probs), g, shape);
+            accum(pool, grads, *q, dq);
+            accum(pool, grads, *k, dk);
+            accum(pool, grads, *v, dv);
         }
         Op::AddBias(a, bias) => {
             let ga = pooled_copy(pool, g);
             accum(pool, grads, *a, ga);
-            let n = nodes[*bias].value.len();
+            let n = vals.get(*bias).len();
             let mut db = take_buf_zeroed(pool, n);
             for row in g.data.chunks_exact(n) {
                 for (d, &v) in db.iter_mut().zip(row) {
@@ -342,14 +220,14 @@ pub(super) fn propagate(
             );
         }
         Op::Flatten(a) => {
-            let x = &nodes[*a].value;
+            let x = vals.get(*a);
             let mut dx = pooled_copy(pool, g);
             dx.shape = x.shape;
             accum(pool, grads, *a, dx);
         }
         Op::LayerNorm { x, gamma, beta } => {
-            let xv = &nodes[*x].value;
-            let gv = &nodes[*gamma].value;
+            let xv = vals.get(*x);
+            let gv = vals.get(*gamma);
             let n = xv.cols();
             let mut dx = take_buf_zeroed(pool, xv.len());
             let mut dgamma = take_buf_zeroed(pool, n);

@@ -3,16 +3,21 @@
 //! A [`Tape`] records a DAG of operations as it executes the forward pass;
 //! [`Tape::backward`] then walks the nodes in reverse, accumulating
 //! gradients. Parameters live outside the tape in a
-//! [`crate::params::ParamStore`]; a leaf created with [`Tape::param`]
-//! remembers its [`crate::params::ParamId`] so backward can report
-//! per-parameter gradients for the optimizer.
+//! [`crate::params::ParamStore`], which the tape borrows for its whole
+//! life: a leaf created with [`Tape::param`] holds no value of its own —
+//! every read of it is a read of the store — and remembers its
+//! [`crate::params::ParamId`] so backward can report per-parameter
+//! gradients for the optimizer.
 //!
 //! The op vocabulary is deliberately small but sufficient for a
-//! transformer encoder *and* the paper's constraint terms: cumulative sums
-//! (EMD loss), max/select reductions (C1/C2 residuals) and tanh/relu
-//! (the differentiable relaxation of C3).
+//! transformer encoder *and* the paper's constraint terms: fused affine
+//! maps, layer norm and multi-head attention ([`Tape::attention`], every
+//! head of every window in one op), cumulative sums (EMD loss),
+//! max/select reductions (C1/C2 residuals) and tanh/relu (the
+//! differentiable relaxation of C3).
 
 mod arena;
+mod attention;
 mod grad;
 mod ops;
 #[cfg(test)]
@@ -22,7 +27,7 @@ use crate::kernel::KernelMode;
 use crate::params::{Gradients, ParamId, ParamStore};
 use crate::tensor::{Shape, Tensor};
 pub use arena::TapeArena;
-use arena::{pooled_copy, pooled_scalar, take_buf, BufPool, ARENA, CLASSES};
+use arena::{pooled_scalar, take_buf, BufPool, ARENA, CLASSES};
 use fmml_obs::Counter;
 use grad::propagate;
 
@@ -74,17 +79,16 @@ impl std::ops::Sub for TapeStats {
 #[derive(Debug, Clone)]
 enum Op {
     Leaf,
+    /// A parameter, read in place from the store.
+    Param(ParamId),
     Add(NodeId, NodeId),
     Mul(NodeId, NodeId),
     ScalarMul(NodeId, f32),
     // The constant is not needed by the backward pass (d(x+k)/dx = 1) but
     // is kept for graph debugging.
     ScalarAdd(NodeId, #[allow(dead_code)] f32),
-    Matmul(NodeId, NodeId),
-    Transpose(NodeId),
     Tanh(NodeId),
     Relu(NodeId),
-    SoftmaxRows(NodeId),
     Sum(NodeId),
     Mean(NodeId),
     Abs(NodeId),
@@ -96,14 +100,16 @@ enum Op {
         at: usize,
         len: usize,
     },
-    /// Contiguous element range `[start, start+len)` of the row-major
-    /// data: a 1-D slice, or a run of whole rows of a 2-D tensor.
-    Slice(NodeId, usize, usize),
-    SliceCols(NodeId, usize, usize),
-    /// The parts are the nodes `Tape::idx[at..at + len]`.
-    ConcatCols {
-        at: usize,
+    /// `count` runs of `len` elements of the row-major data, run `i`
+    /// starting at `start + i·step`: a 1-D slice or a run of whole rows
+    /// of a 2-D tensor (`count = 1`), or the same rows of each of
+    /// `count` stacked windows.
+    Slice {
+        x: NodeId,
+        start: usize,
         len: usize,
+        step: usize,
+        count: usize,
     },
     AddBias(NodeId, NodeId),
     /// Fused `x·W + b` (one kernel call; bias is the accumulator init).
@@ -112,10 +118,16 @@ enum Op {
         w: NodeId,
         b: NodeId,
     },
-    /// Fused `scale · A·Bᵀ` with `B` row-major — the attention-score
-    /// shape, computed without materializing the transpose or a scaled
-    /// copy.
-    MatmulScaledNT(NodeId, NodeId, f32),
+    /// Multi-head attention over `windows` stacked windows; `probs` is
+    /// the leaf holding its softmax probabilities for backward.
+    Attention {
+        q: NodeId,
+        k: NodeId,
+        v: NodeId,
+        probs: NodeId,
+        heads: usize,
+        windows: usize,
+    },
     LayerNorm {
         x: NodeId,
         gamma: NodeId,
@@ -126,9 +138,27 @@ enum Op {
 }
 
 struct Node {
+    /// Empty for a parameter: see [`Values`].
     value: Tensor,
     op: Op,
-    param: Option<ParamId>,
+}
+
+/// The one way to read a node's value — for the ops, for backward and
+/// for [`Tape::value`]: a parameter's value is the store's, read in
+/// place, every other node's its own.
+#[derive(Clone, Copy)]
+struct Values<'a> {
+    store: &'a ParamStore,
+    nodes: &'a [Node],
+}
+
+impl<'a> Values<'a> {
+    fn get(self, id: NodeId) -> &'a Tensor {
+        match self.nodes[id].op {
+            Op::Param(pid) => self.store.value(pid),
+            _ => &self.nodes[id].value,
+        }
+    }
 }
 
 /// The autograd tape. Create one per training example, build the forward
@@ -139,7 +169,7 @@ pub struct Tape<'s> {
     store: &'s ParamStore,
     nodes: Vec<Node>,
     pool: BufPool,
-    /// Index lists of `Select` and `ConcatCols` nodes, end to end.
+    /// Index lists of `Select` nodes, end to end.
     idx: Vec<usize>,
     /// Per-node gradient slots of [`Tape::backward_into`], empty between
     /// sweeps.
@@ -169,33 +199,49 @@ impl<'s> Tape<'s> {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> NodeId {
-        self.nodes.push(Node {
-            value,
-            op,
-            param: None,
-        });
+        self.nodes.push(Node { value, op });
         self.nodes.len() - 1
+    }
+
+    fn values(&self) -> Values<'_> {
+        Values {
+            store: self.store,
+            nodes: &self.nodes,
+        }
+    }
+
+    /// The node values and the buffer pool, borrowed apart: what an op
+    /// reads and where it writes.
+    fn split(&mut self) -> (Values<'_>, &mut BufPool) {
+        let values = Values {
+            store: self.store,
+            nodes: &self.nodes,
+        };
+        (values, &mut self.pool)
     }
 
     /// Value of a node.
     pub fn value(&self, id: NodeId) -> &Tensor {
-        &self.nodes[id].value
+        self.values().get(id)
     }
 
     /// Scalar value of a rank-1, length-1 node.
     pub fn scalar_value(&self, id: NodeId) -> f32 {
-        debug_assert_eq!(self.nodes[id].value.len(), 1);
-        self.nodes[id].value.data[0]
+        let v = self.value(id);
+        debug_assert_eq!(v.len(), 1);
+        v.data[0]
     }
 
     // ---- leaves ----
 
-    /// A leaf holding a parameter (gradient is reported for it).
+    /// A leaf standing for a parameter (gradient is reported for it). It
+    /// copies nothing: its value is read from the store.
     pub fn param(&mut self, id: ParamId) -> NodeId {
-        let value = pooled_copy(&mut self.pool, self.store.value(id));
-        let n = self.push(value, Op::Leaf);
-        self.nodes[n].param = Some(id);
-        n
+        let none = Tensor {
+            data: Vec::new(),
+            shape: Shape::d1(0),
+        };
+        self.push(none, Op::Param(id))
     }
 
     /// A constant leaf (input data; no gradient reported).
@@ -203,24 +249,16 @@ impl<'s> Tape<'s> {
         self.push(t, Op::Leaf)
     }
 
-    /// A constant leaf copied from a slice into pooled storage (use this
-    /// instead of building a `Tensor` when the caller's buffer is
-    /// reused, e.g. the positional-encoding window).
-    pub fn constant_from(&mut self, data: &[f32], shape: &[usize]) -> NodeId {
-        assert_eq!(
-            data.len(),
-            shape.iter().product::<usize>(),
-            "shape/data mismatch"
-        );
-        let mut buf = take_buf(&mut self.pool, data.len());
-        buf.extend_from_slice(data);
-        self.push(
-            Tensor {
-                data: buf,
-                shape: Shape::new(shape),
-            },
-            Op::Leaf,
-        )
+    /// A constant leaf of `shape` in pooled storage, which `fill`
+    /// extends (from empty) with exactly the tensor's elements — no
+    /// intermediate `Tensor` for a feature matrix or a positional table.
+    pub fn constant_with(&mut self, shape: &[usize], fill: impl FnOnce(&mut Vec<f32>)) -> NodeId {
+        let shape = Shape::new(shape);
+        let len = shape.iter().product::<usize>();
+        let mut buf = take_buf(&mut self.pool, len);
+        fill(&mut buf);
+        assert_eq!(buf.len(), len, "shape/data mismatch");
+        self.push(Tensor { data: buf, shape }, Op::Leaf)
     }
 
     pub fn scalar(&mut self, v: f32) -> NodeId {
@@ -249,11 +287,7 @@ impl Tape<'_> {
     /// afterwards: on a warm arena, with an `out` that held the same
     /// parameters before, backward allocates nothing.
     pub fn backward_into(&mut self, root: NodeId, out: &mut Gradients) {
-        assert_eq!(
-            self.nodes[root].value.len(),
-            1,
-            "backward root must be scalar"
-        );
+        assert_eq!(self.value(root).len(), 1, "backward root must be scalar");
         assert_eq!(
             out.by_param.len(),
             self.store.len(),
@@ -267,20 +301,21 @@ impl Tape<'_> {
             let Some(g) = grads[id].take() else { continue };
             {
                 let Tape {
+                    store,
                     ref nodes,
                     ref idx,
                     ref mut pool,
                     ..
                 } = *self;
-                propagate(nodes, idx, pool, id, &g, &mut grads);
+                propagate(Values { store, nodes }, idx, pool, id, &g, &mut grads);
             }
             grads[id] = Some(g);
         }
 
         out.clear();
         for (id, node) in self.nodes.iter().enumerate() {
-            if let (Some(pid), Some(g)) = (node.param, &grads[id]) {
-                out.add(pid, g);
+            if let (Op::Param(pid), Some(g)) = (&node.op, &grads[id]) {
+                out.add(*pid, g);
             }
         }
         if self.pooled {

@@ -3,52 +3,35 @@
 
 use super::arena::{
     pooled_copy, pooled_map, pooled_scalar, pooled_zip, take_buf, take_buf_unfilled,
-    take_buf_zeroed,
 };
-use super::{NodeId, Op, Tape, LN_EPS};
-use crate::kernel::{gemm_nn, gemm_nt, softmax_rows, GemmOpts};
+use super::{NodeId, Op, Tape, Values, LN_EPS};
+use crate::kernel::{gemm_nn, GemmOpts};
 use crate::tensor::{Shape, Tensor};
 
 impl<'s> Tape<'s> {
     // ---- elementwise / arithmetic ----
 
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let v = pooled_zip(pool, &nodes[a].value, &nodes[b].value, |x, y| x + y);
+        let (vals, pool) = self.split();
+        let v = pooled_zip(pool, vals.get(a), vals.get(b), |x, y| x + y);
         self.push(v, Op::Add(a, b))
     }
 
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let v = pooled_zip(pool, &nodes[a].value, &nodes[b].value, |x, y| x * y);
+        let (vals, pool) = self.split();
+        let v = pooled_zip(pool, vals.get(a), vals.get(b), |x, y| x * y);
         self.push(v, Op::Mul(a, b))
     }
 
     pub fn scalar_mul(&mut self, a: NodeId, k: f32) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let v = pooled_map(pool, &nodes[a].value, |x| x * k);
+        let (vals, pool) = self.split();
+        let v = pooled_map(pool, vals.get(a), |x| x * k);
         self.push(v, Op::ScalarMul(a, k))
     }
 
     pub fn scalar_add(&mut self, a: NodeId, k: f32) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let v = pooled_map(pool, &nodes[a].value, |x| x + k);
+        let (vals, pool) = self.split();
+        let v = pooled_map(pool, vals.get(a), |x| x + k);
         self.push(v, Op::ScalarAdd(a, k))
     }
 
@@ -63,63 +46,11 @@ impl<'s> Tape<'s> {
 
     // ---- linear algebra ----
 
-    pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let av = &nodes[a].value;
-        let bv = &nodes[b].value;
-        assert_eq!(av.rank(), 2, "matmul lhs must be 2-D");
-        assert_eq!(bv.rank(), 2, "matmul rhs must be 2-D");
-        let (m, k) = (av.shape[0], av.shape[1]);
-        let (k2, n) = (bv.shape[0], bv.shape[1]);
-        assert_eq!(k, k2, "inner dimensions differ: {k} vs {k2}");
-        let mut out = take_buf_unfilled(pool, m * n);
-        gemm_nn(&av.data, &bv.data, &mut out, m, k, n, GemmOpts::default());
-        self.push(
-            Tensor {
-                data: out,
-                shape: Shape::d2(m, n),
-            },
-            Op::Matmul(a, b),
-        )
-    }
-
-    pub fn transpose(&mut self, a: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let x = &nodes[a].value;
-        assert_eq!(x.rank(), 2);
-        let (m, n) = (x.shape[0], x.shape[1]);
-        let mut out = take_buf_zeroed(pool, m * n);
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = x.data[i * n + j];
-            }
-        }
-        self.push(
-            Tensor {
-                data: out,
-                shape: Shape::d2(n, m),
-            },
-            Op::Transpose(a),
-        )
-    }
-
     /// `[m,n] + [n]` broadcast add.
     pub fn add_bias(&mut self, a: NodeId, bias: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let m = &nodes[a].value;
-        let b = &nodes[bias].value;
+        let (vals, pool) = self.split();
+        let m = vals.get(a);
+        let b = vals.get(bias);
         assert_eq!(b.rank(), 1);
         assert_eq!(m.cols(), b.len(), "bias length mismatch");
         let (rows, cols) = (m.rows(), m.cols());
@@ -138,14 +69,10 @@ impl<'s> Tape<'s> {
     /// `add_bias(matmul(x, w), b)` by the canonical summation order
     /// (`bias[j]` is the `init` term).
     pub fn affine(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let xv = &nodes[x].value;
-        let wv = &nodes[w].value;
-        let bv = &nodes[b].value;
+        let (vals, pool) = self.split();
+        let xv = vals.get(x);
+        let wv = vals.get(w);
+        let bv = vals.get(b);
         assert_eq!(xv.rank(), 2, "affine input must be 2-D");
         assert_eq!(wv.rank(), 2, "affine weight must be 2-D");
         assert_eq!(bv.rank(), 1, "affine bias must be 1-D");
@@ -175,99 +102,26 @@ impl<'s> Tape<'s> {
         )
     }
 
-    /// Fused `scale · A·Bᵀ` where `B` is row-major `[n,k]` — the
-    /// attention-score product `s·Q·Kᵀ` without materializing `Kᵀ` or a
-    /// scaled copy. Bitwise identical to
-    /// `scalar_mul(matmul(a, transpose(b)), scale)`: the dot products
-    /// see the same operand sequences and the scale is one trailing
-    /// multiply either way.
-    pub fn matmul_scaled_nt(&mut self, a: NodeId, b: NodeId, scale: f32) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let av = &nodes[a].value;
-        let bv = &nodes[b].value;
-        assert_eq!(av.rank(), 2, "matmul_scaled_nt lhs must be 2-D");
-        assert_eq!(bv.rank(), 2, "matmul_scaled_nt rhs must be 2-D");
-        let (m, k) = (av.shape[0], av.shape[1]);
-        let (n, k2) = (bv.shape[0], bv.shape[1]);
-        assert_eq!(k, k2, "inner dimensions differ: {k} vs {k2}");
-        let mut out = take_buf_unfilled(pool, m * n);
-        gemm_nt(
-            &av.data,
-            &bv.data,
-            &mut out,
-            m,
-            k,
-            n,
-            GemmOpts {
-                bias: None,
-                scale: Some(scale),
-            },
-        );
-        self.push(
-            Tensor {
-                data: out,
-                shape: Shape::d2(m, n),
-            },
-            Op::MatmulScaledNT(a, b, scale),
-        )
-    }
-
     // ---- nonlinearities ----
 
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let v = pooled_map(pool, &nodes[a].value, f32::tanh);
+        let (vals, pool) = self.split();
+        let v = pooled_map(pool, vals.get(a), f32::tanh);
         self.push(v, Op::Tanh(a))
     }
 
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let v = pooled_map(pool, &nodes[a].value, |x| x.max(0.0));
+        let (vals, pool) = self.split();
+        let v = pooled_map(pool, vals.get(a), |x| x.max(0.0));
         self.push(v, Op::Relu(a))
-    }
-
-    /// Row-wise softmax of a 2-D tensor (or of a 1-D tensor as one row),
-    /// by [`crate::kernel::softmax_rows`]: a row of nothing but `-∞` (a
-    /// fully-masked attention row) comes back **uniform**, a row with a
-    /// NaN logit all NaN.
-    pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let x = &nodes[a].value;
-        let mut data = take_buf_unfilled(pool, x.len());
-        softmax_rows(&x.data, &mut data, x.cols());
-        let out = Tensor {
-            data,
-            shape: x.shape,
-        };
-        self.push(out, Op::SoftmaxRows(a))
     }
 
     /// Layer normalization over the last dimension, with affine params.
     pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let xv = &nodes[x].value;
-        let g = &nodes[gamma].value;
-        let b = &nodes[beta].value;
+        let (vals, pool) = self.split();
+        let xv = vals.get(x);
+        let g = vals.get(gamma);
+        let b = vals.get(beta);
         let n = xv.cols();
         assert_eq!(g.len(), n);
         assert_eq!(b.len(), n);
@@ -287,34 +141,28 @@ impl<'s> Tape<'s> {
     // ---- reductions / reshaping ----
 
     pub fn sum(&mut self, a: NodeId) -> NodeId {
-        let v = pooled_scalar(&mut self.pool, self.nodes[a].value.sum());
+        let s = self.value(a).sum();
+        let v = pooled_scalar(&mut self.pool, s);
         self.push(v, Op::Sum(a))
     }
 
     pub fn mean(&mut self, a: NodeId) -> NodeId {
-        let t = &self.nodes[a].value;
-        let v = pooled_scalar(&mut self.pool, t.sum() / t.len() as f32);
+        let t = self.value(a);
+        let m = t.sum() / t.len() as f32;
+        let v = pooled_scalar(&mut self.pool, m);
         self.push(v, Op::Mean(a))
     }
 
     pub fn abs(&mut self, a: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let v = pooled_map(pool, &nodes[a].value, f32::abs);
+        let (vals, pool) = self.split();
+        let v = pooled_map(pool, vals.get(a), f32::abs);
         self.push(v, Op::Abs(a))
     }
 
     /// Cumulative sum of a 1-D tensor.
     pub fn cumsum(&mut self, a: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let x = &nodes[a].value;
+        let (vals, pool) = self.split();
+        let x = vals.get(a);
         assert_eq!(x.rank(), 1, "cumsum is 1-D");
         let mut acc = 0.0;
         let v = pooled_map(pool, x, |val| {
@@ -326,7 +174,7 @@ impl<'s> Tape<'s> {
 
     /// Maximum element of a 1-D tensor (subgradient to the first argmax).
     pub fn max_reduce(&mut self, a: NodeId) -> NodeId {
-        let x = &self.nodes[a].value;
+        let x = self.value(a);
         assert_eq!(x.rank(), 1);
         assert!(!x.is_empty());
         let m = x.data.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -337,12 +185,13 @@ impl<'s> Tape<'s> {
     /// Gather elements of a 1-D tensor at `indices`.
     pub fn select(&mut self, a: NodeId, indices: &[usize]) -> NodeId {
         let Tape {
+            store,
             ref nodes,
             ref mut pool,
             ref mut idx,
             ..
         } = *self;
-        let x = &nodes[a].value;
+        let x = Values { store, nodes }.get(a);
         assert_eq!(x.rank(), 1);
         let mut data = take_buf(pool, indices.len());
         data.extend(indices.iter().map(|&i| x.data[i]));
@@ -358,96 +207,59 @@ impl<'s> Tape<'s> {
 
     /// Contiguous 1-D slice `[start, start+len)`.
     pub fn slice1d(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
-        assert_eq!(self.nodes[a].value.rank(), 1);
-        self.slice(a, start, len, Shape::d1(len))
+        assert_eq!(self.value(a).rank(), 1);
+        self.slice(a, [start, len, 0, 1], Shape::d1(len))
     }
 
-    /// Row slice `[start..start+len, ..]` of a 2-D tensor — the row twin
-    /// of [`Tape::slice_cols`], and contiguous in row-major storage.
+    /// Row slice `[start..start+len, ..]` of a 2-D tensor, contiguous in
+    /// row-major storage.
     pub fn slice_rows(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
-        let x = &self.nodes[a].value;
+        let x = self.value(a);
         assert_eq!(x.rank(), 2);
         let n = x.cols();
-        self.slice(a, start * n, len * n, Shape::d2(len, n))
+        self.slice(a, [start * n, len * n, 0, 1], Shape::d2(len, n))
     }
 
-    /// Copy elements `[start, start+len)` of `a` out as a `shape` tensor.
-    fn slice(&mut self, a: NodeId, start: usize, len: usize, shape: Shape) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let x = &nodes[a].value;
-        assert!(start + len <= x.len());
-        let mut data = take_buf(pool, len);
-        data.extend_from_slice(&x.data[start..start + len]);
-        self.push(Tensor { data, shape }, Op::Slice(a, start, len))
-    }
-
-    /// Column slice `[.., start..start+len]` of a 2-D tensor.
-    pub fn slice_cols(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let x = &nodes[a].value;
+    /// Rows `from..` of each of the `windows` equal windows stacked in
+    /// the 2-D `a`: `[windows·T, n] → [windows·(T − from), n]`.
+    pub fn window_rows(&mut self, a: NodeId, windows: usize, from: usize) -> NodeId {
+        let x = self.value(a);
         assert_eq!(x.rank(), 2);
-        let (m, n) = (x.rows(), x.cols());
-        assert!(start + len <= n);
-        let mut data = take_buf(pool, m * len);
-        for r in 0..m {
-            data.extend_from_slice(&x.data[r * n + start..r * n + start + len]);
-        }
-        let out = Tensor {
-            data,
-            shape: Shape::d2(m, len),
-        };
-        self.push(out, Op::SliceCols(a, start, len))
+        assert!(
+            windows > 0 && x.rows().is_multiple_of(windows),
+            "whole windows"
+        );
+        let (t, n) = (x.rows() / windows, x.cols());
+        assert!(from <= t, "first row past the window");
+        let run = [from * n, (t - from) * n, t * n, windows];
+        self.slice(a, run, Shape::d2(windows * (t - from), n))
     }
 
-    /// Concatenate 2-D tensors with equal row counts along columns.
-    pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
-        assert!(!parts.is_empty());
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ref mut idx,
-            ..
-        } = *self;
-        let m = nodes[parts[0]].value.rows();
-        let total: usize = parts.iter().map(|&p| nodes[p].value.cols()).sum();
-        let mut data = take_buf_zeroed(pool, m * total);
-        let mut off = 0;
-        for &p in parts {
-            let x = &nodes[p].value;
-            assert_eq!(x.rows(), m, "row count mismatch in concat");
-            let n = x.cols();
-            for r in 0..m {
-                data[r * total + off..r * total + off + n]
-                    .copy_from_slice(&x.data[r * n..(r + 1) * n]);
-            }
-            off += n;
+    /// Copy the runs `[start, len, step, count]` of `a` (see
+    /// `Op::Slice`) out as a `shape` tensor.
+    fn slice(&mut self, a: NodeId, [start, len, step, count]: [usize; 4], shape: Shape) -> NodeId {
+        let (vals, pool) = self.split();
+        let x = vals.get(a);
+        assert!(count == 0 || start + (count - 1) * step + len <= x.len());
+        let mut data = take_buf(pool, count * len);
+        for i in 0..count {
+            let at = start + i * step;
+            data.extend_from_slice(&x.data[at..at + len]);
         }
-        let out = Tensor {
-            data,
-            shape: Shape::d2(m, total),
+        let op = Op::Slice {
+            x: a,
+            start,
+            len,
+            step,
+            count,
         };
-        let at = idx.len();
-        idx.extend_from_slice(parts);
-        let len = parts.len();
-        self.push(out, Op::ConcatCols { at, len })
+        self.push(Tensor { data, shape }, op)
     }
 
     /// Reinterpret a single-row or single-column 2-D tensor as 1-D.
     pub fn flatten(&mut self, a: NodeId) -> NodeId {
-        let Tape {
-            ref nodes,
-            ref mut pool,
-            ..
-        } = *self;
-        let x = &nodes[a].value;
+        let (vals, pool) = self.split();
+        let x = vals.get(a);
         assert_eq!(x.rank(), 2, "flatten takes a 2-D tensor");
         assert!(
             x.rows() == 1 || x.cols() == 1,

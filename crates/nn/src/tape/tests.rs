@@ -3,7 +3,7 @@ use super::*;
 /// Central finite-difference gradient check: `build` constructs a
 /// scalar-rooted graph from parameter leaves; compares analytic and
 /// numeric gradients for every parameter scalar.
-fn check_gradients(
+pub(super) fn check_gradients(
     params: Vec<(&str, Tensor)>,
     build: impl Fn(&mut Tape, &[NodeId]) -> NodeId,
     tol: f32,
@@ -75,26 +75,12 @@ fn grad_matmul_bias() {
             ("b", Tensor::vector(vec![0.05, -0.02])),
         ],
         |t, l| {
-            let y = t.matmul(l[0], l[1]);
+            // A zero bias makes the affine op the plain product.
+            let zero = t.constant(Tensor::zeros(&[2]));
+            let y = t.affine(l[0], l[1], zero);
             let y = t.add_bias(y, l[2]);
             let y = t.tanh(y);
             t.sum(y)
-        },
-        1e-2,
-    );
-}
-
-#[test]
-fn grad_softmax() {
-    check_gradients(
-        vec![(
-            "x",
-            Tensor::from_vec(vec![0.1, 0.9, -0.5, 0.3, 0.2, 0.7], &[2, 3]),
-        )],
-        |t, l| {
-            let y = t.softmax_rows(l[0]);
-            let sq = t.square(y);
-            t.sum(sq)
         },
         1e-2,
     );
@@ -156,55 +142,24 @@ fn grad_max_select_slice() {
 }
 
 #[test]
-fn grad_slice_concat_cols() {
+fn grad_window_rows() {
+    // Three stacked windows of three rows: rows 1.. of each, and a
+    // plain row slice of the same matrix.
     check_gradients(
         vec![(
             "x",
-            Tensor::from_vec((0..12).map(|i| (i as f32) * 0.1 - 0.5).collect(), &[3, 4]),
+            Tensor::from_vec((0..18).map(|i| (i as f32) * 0.1 - 0.9).collect(), &[9, 2]),
         )],
         |t, l| {
-            let a = t.slice_cols(l[0], 0, 2);
-            let b = t.slice_cols(l[0], 2, 2);
-            let swapped = t.concat_cols(&[b, a]);
-            let y = t.tanh(swapped);
-            // Rows 1.. once more: row 0 gets no gradient from here.
-            let tail = t.slice_rows(swapped, 1, 2);
-            assert_eq!(t.value(tail).shape, vec![2, 4]);
-            let sq = t.square(tail);
+            let tails = t.window_rows(l[0], 3, 1);
+            assert_eq!(t.value(tails).shape, vec![6, 2]);
+            let rows = t.slice_rows(l[0], 4, 3);
+            let y = t.tanh(tails);
+            let sq = t.square(rows);
             let (s1, s2) = (t.sum(y), t.sum(sq));
             t.add(s1, s2)
         },
         1e-2,
-    );
-}
-
-#[test]
-fn grad_transpose_and_attention_shape() {
-    // Mini attention: softmax(QK^T) V.
-    check_gradients(
-        vec![
-            (
-                "q",
-                Tensor::from_vec(vec![0.1, 0.5, -0.3, 0.7, 0.2, -0.1], &[3, 2]),
-            ),
-            (
-                "k",
-                Tensor::from_vec(vec![0.4, -0.2, 0.3, 0.6, -0.5, 0.1], &[3, 2]),
-            ),
-            (
-                "v",
-                Tensor::from_vec(vec![1.0, 0.0, 0.5, -0.5, 0.2, 0.8], &[3, 2]),
-            ),
-        ],
-        |t, l| {
-            let kt = t.transpose(l[1]);
-            let scores = t.matmul(l[0], kt);
-            let att = t.softmax_rows(scores);
-            let out = t.matmul(att, l[2]);
-            let sq = t.square(out);
-            t.sum(sq)
-        },
-        2e-2,
     );
 }
 
@@ -246,34 +201,6 @@ fn grad_affine() {
 }
 
 #[test]
-fn grad_matmul_scaled_nt() {
-    check_gradients(
-        vec![
-            (
-                "q",
-                Tensor::from_vec(vec![0.1, 0.5, -0.3, 0.7, 0.2, -0.1], &[3, 2]),
-            ),
-            (
-                "k",
-                Tensor::from_vec(vec![0.4, -0.2, 0.3, 0.6, -0.5, 0.1], &[3, 2]),
-            ),
-            (
-                "v",
-                Tensor::from_vec(vec![1.0, 0.0, 0.5, -0.5, 0.2, 0.8], &[3, 2]),
-            ),
-        ],
-        |t, l| {
-            let scores = t.matmul_scaled_nt(l[0], l[1], 0.5);
-            let att = t.softmax_rows(scores);
-            let out = t.matmul(att, l[2]);
-            let sq = t.square(out);
-            t.sum(sq)
-        },
-        2e-2,
-    );
-}
-
-#[test]
 fn affine_matches_matmul_add_bias_bitwise() {
     let mut store = ParamStore::new();
     let x = store.add(
@@ -289,7 +216,9 @@ fn affine_matches_matmul_add_bias_bitwise() {
     let (lx, lw, lb) = (tape.param(x), tape.param(w), tape.param(b));
     let fused = tape.affine(lx, lw, lb);
     let staged = {
-        let mm = tape.matmul(lx, lw);
+        // A zero bias makes the affine op the plain product.
+        let zero = tape.constant(Tensor::zeros(&[2]));
+        let mm = tape.affine(lx, lw, zero);
         tape.add_bias(mm, lb)
     };
     let (f, s) = (tape.value(fused).clone(), tape.value(staged).clone());
@@ -297,90 +226,6 @@ fn affine_matches_matmul_add_bias_bitwise() {
     for (a, b) in f.data.iter().zip(&s.data) {
         assert_eq!(a.to_bits(), b.to_bits(), "affine {a} vs staged {b}");
     }
-}
-
-#[test]
-fn scaled_nt_matches_transpose_matmul_bitwise() {
-    let mut store = ParamStore::new();
-    let q = store.add(
-        "q",
-        Tensor::from_vec((0..8).map(|i| (i as f32).sin()).collect(), &[4, 2]),
-    );
-    let k = store.add(
-        "k",
-        Tensor::from_vec((0..6).map(|i| (i as f32).cos()).collect(), &[3, 2]),
-    );
-    let mut tape = Tape::new(&store);
-    let (lq, lk) = (tape.param(q), tape.param(k));
-    let fused = tape.matmul_scaled_nt(lq, lk, 0.25);
-    let staged = {
-        let kt = tape.transpose(lk);
-        let mm = tape.matmul(lq, kt);
-        tape.scalar_mul(mm, 0.25)
-    };
-    let (f, s) = (tape.value(fused).clone(), tape.value(staged).clone());
-    assert_eq!(f.shape, vec![4, 3]);
-    assert_eq!(f.shape, s.shape);
-    for (a, b) in f.data.iter().zip(&s.data) {
-        assert_eq!(a.to_bits(), b.to_bits(), "scaled-nt {a} vs staged {b}");
-    }
-}
-
-#[test]
-fn softmax_zero_mass_rows_are_uniform() {
-    let store = ParamStore::new();
-    let mut tape = Tape::new(&store);
-    let ninf = f32::NEG_INFINITY;
-    // Row 0 fully masked, row 1 partially masked, row 2 ordinary.
-    let x = tape.constant(Tensor::from_vec(
-        vec![ninf, ninf, ninf, ninf, 1.0, 2.0, 0.5, -0.5, 0.1],
-        &[3, 3],
-    ));
-    let y = tape.softmax_rows(x);
-    let v = tape.value(y);
-    for j in 0..3 {
-        assert_eq!(v.at2(0, j), 1.0 / 3.0, "masked row must be uniform");
-    }
-    for r in 0..3 {
-        let sum: f32 = (0..3).map(|j| v.at2(r, j)).sum();
-        assert!((sum - 1.0).abs() < 1e-6, "row {r} sums to {sum}");
-        for j in 0..3 {
-            assert!(v.at2(r, j).is_finite(), "row {r} col {j} not finite");
-        }
-    }
-    assert_eq!(v.at2(1, 0), 0.0, "masked entry of mixed row is 0");
-    // Backward through the guarded row stays finite.
-    let s = tape.sum(y);
-    let grads = tape.backward(s);
-    assert!(grads.by_param.is_empty());
-}
-
-#[test]
-fn softmax_nan_logit_poisons_row_even_when_rest_is_masked() {
-    // `f32::max` skips NaN, so a max-then-"all masked?" test saw the
-    // first two rows as zero-mass and returned them uniform.
-    let store = ParamStore::new();
-    let mut tape = Tape::new(&store);
-    let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
-    let x = tape.constant(Tensor::from_vec(
-        vec![
-            nan, ninf, ninf, ninf, ninf, nan, 0.5, nan, 1.0, ninf, ninf, ninf,
-        ],
-        &[4, 3],
-    ));
-    let y = tape.softmax_rows(x);
-    let v = tape.value(y);
-    for r in 0..3 {
-        for j in 0..3 {
-            assert!(v.at2(r, j).is_nan(), "row {r} col {j}: {}", v.at2(r, j));
-        }
-    }
-    for j in 0..3 {
-        assert_eq!(v.at2(3, j), 1.0 / 3.0, "all-masked row stays uniform");
-    }
-    let one = tape.constant(Tensor::vector(vec![nan]));
-    let y = tape.softmax_rows(one);
-    assert!(tape.value(y).data[0].is_nan(), "one-column NaN row");
 }
 
 #[test]
@@ -401,8 +246,12 @@ fn tape_arena_recycles_buffers() {
         let y = tape.tanh(x);
         let c = tape.constant(Tensor::from_vec(vec![0.25; 15], &[5, 3]));
         let lw = tape.param(w);
-        let h = tape.matmul(c, lw);
-        let att = tape.softmax_rows(h);
+        let zero = tape.constant(Tensor::zeros(&[4]));
+        let h = tape.affine(c, lw, zero);
+        // Every output row of attention over all-ones values is a
+        // softmax row's sum: 1.
+        let ones = tape.constant(Tensor::from_vec(vec![1.0; 20], &[5, 4]));
+        let att = tape.attention(h, h, ones, 2, 1);
         let s1 = tape.sum(att);
         let s2 = tape.sum(y);
         let s = tape.add(s1, s2);
@@ -413,7 +262,7 @@ fn tape_arena_recycles_buffers() {
     };
     let first = run();
     assert!(
-        (first - (5.0 + 1f32.tanh() + 2f32.tanh() + 3f32.tanh())).abs() < 1e-5,
+        (first - (20.0 + 1f32.tanh() + 2f32.tanh() + 3f32.tanh())).abs() < 1e-4,
         "softmax rows sum to 1 each: {first}"
     );
     let warm = TapeArena::pooled();

@@ -70,15 +70,19 @@ impl EncoderLayer {
         }
     }
 
-    /// `x [T, d] → [T − from, d]`: rows `from..` of the block's output.
-    /// Every row's keys and values are needed, so `ln1` runs whole; past
-    /// it a row depends on no other *query* row, and the rest of the
-    /// block runs on the rows that are asked for.
-    fn forward(&self, tape: &mut Tape, x: NodeId, from: usize) -> NodeId {
+    /// `x [windows·T, d] → [windows·(T − from), d]`: rows `from..` of
+    /// each window of the block's output. Every row's keys and values
+    /// are needed, so `ln1` runs whole; past it a row depends on no other
+    /// *query* row, and the rest of the block runs on the rows that are
+    /// asked for.
+    fn forward(&self, tape: &mut Tape, x: NodeId, from: usize, windows: usize) -> NodeId {
         // Pre-norm: x + MHA(LN(x)); x + FF(LN(x)).
         let n1 = self.ln1.forward(tape, x);
-        let (x, q) = (rows_from(tape, x, from), rows_from(tape, n1, from));
-        let a = self.mha.forward(tape, q, n1);
+        let (x, q) = (
+            rows_from(tape, x, from, windows),
+            rows_from(tape, n1, from, windows),
+        );
+        let a = self.mha.forward(tape, q, n1, windows);
         let x = tape.add(x, a);
         let n2 = self.ln2.forward(tape, x);
         let h = self.ff1.forward(tape, n2);
@@ -88,14 +92,14 @@ impl EncoderLayer {
     }
 }
 
-/// Rows `from..` of `x`. `from = 0` is `x` itself — no node is recorded,
-/// so a whole forward is the same graph it was before it could be cut.
-fn rows_from(tape: &mut Tape, x: NodeId, from: usize) -> NodeId {
+/// Rows `from..` of each window of `x`. `from = 0` is `x` itself — no
+/// node is recorded, so a whole forward is the same graph it was before
+/// it could be cut.
+fn rows_from(tape: &mut Tape, x: NodeId, from: usize, windows: usize) -> NodeId {
     if from == 0 {
         return x;
     }
-    let len = tape.value(x).rows() - from;
-    tape.slice_rows(x, from, len)
+    tape.window_rows(x, windows, from)
 }
 
 /// The full encoder: input projection → positional encoding → N blocks →
@@ -141,43 +145,57 @@ impl TransformerEncoder {
         t
     }
 
-    /// Forward pass: `x [T, input_dim] → [T − from, output_dim]`, rows
-    /// `from..` of the whole forward (`from = 0`) bit for bit. Only the
+    /// Forward pass of `windows` windows stacked in `x [windows·T,
+    /// input_dim]` (training passes one) `→ [windows·(T − from),
+    /// output_dim]`: rows `from..` of each window's whole forward
+    /// (`from = 0`) bit for bit, as if the window ran alone — every op is
+    /// row by row except attention, which keeps to the window. Only the
     /// last block can compute fewer rows than it is given — its keys and
     /// values need every row of the blocks before it.
-    pub fn forward(&self, tape: &mut Tape, x: NodeId, from: usize) -> NodeId {
-        let t_len = tape.value(x).rows();
+    pub fn forward(&self, tape: &mut Tape, x: NodeId, from: usize, windows: usize) -> NodeId {
+        let rows = tape.value(x).rows();
+        assert!(windows > 0 && rows.is_multiple_of(windows), "whole windows");
+        let t_len = rows / windows;
         assert!(t_len <= self.cfg.max_len, "sequence longer than max_len");
         assert!(from <= t_len, "first output row past the sequence");
         let mut h = self.input_proj.forward(tape, x);
-        // Add positional encodings (constant, truncated to T rows) —
-        // copied straight from the precomputed table into pooled tape
-        // storage, no intermediate Tensor.
-        let pe = tape.constant_from(
-            &self.pos_table.data[..t_len * self.cfg.d_model],
-            &[t_len, self.cfg.d_model],
-        );
+        // Add positional encodings (constant, truncated to T rows and
+        // repeated per window) — copied straight from the precomputed
+        // table into pooled tape storage, no intermediate Tensor.
+        let table = &self.pos_table.data[..t_len * self.cfg.d_model];
+        let pe = tape.constant_with(&[rows, self.cfg.d_model], |buf| {
+            for _ in 0..windows {
+                buf.extend_from_slice(table);
+            }
+        });
         h = tape.add(h, pe);
         // The depth comes from a checkpoint file: it may be 0.
         h = match self.layers.split_last() {
             Some((last, whole)) => {
                 for layer in whole {
-                    h = layer.forward(tape, h, 0);
+                    h = layer.forward(tape, h, 0, windows);
                 }
-                last.forward(tape, h, from)
+                last.forward(tape, h, from, windows)
             }
-            None => rows_from(tape, h, from),
+            None => rows_from(tape, h, from, windows),
         };
         self.head.forward(tape, h)
     }
 
-    /// Forward returning a flat 1-D series (requires `output_dim == 1`).
-    /// The head is linear: a negative output still passes a gradient, so
+    /// Forward returning a flat 1-D series (requires `output_dim == 1`):
+    /// window by window, `windows·(T − from)` values. The head is
+    /// linear: a negative output still passes a gradient, so
     /// non-negativity is left to the caller (a clamp at inference, CEM).
-    pub fn forward_series(&self, tape: &mut Tape, x: NodeId, from: usize) -> NodeId {
+    pub fn forward_series(
+        &self,
+        tape: &mut Tape,
+        x: NodeId,
+        from: usize,
+        windows: usize,
+    ) -> NodeId {
         assert_eq!(self.cfg.output_dim, 1);
-        let y = self.forward(tape, x, from); // [T − from, 1]
-        tape.flatten(y) // [T − from]
+        let y = self.forward(tape, x, from, windows); // [windows·(T − from), 1]
+        tape.flatten(y)
     }
 }
 
@@ -210,15 +228,15 @@ mod tests {
                 (0..30).map(|i| (i as f32 * 0.7).sin()).collect(),
                 &[10, 3],
             ));
-            let y = model.forward(&mut tape, x, 0);
+            let y = model.forward(&mut tape, x, 0, 1);
             assert_eq!(tape.value(y).shape, vec![10, 1]);
-            let s = model.forward_series(&mut tape, x, 0);
+            let s = model.forward_series(&mut tape, x, 0, 1);
             assert_eq!(tape.value(s).shape, vec![10]);
             // From row 7 on: the same three values, nothing else.
-            let tail = model.forward(&mut tape, x, 7);
+            let tail = model.forward(&mut tape, x, 7, 1);
             assert_eq!(tape.value(tail).shape, vec![3, 1], "layers={layers}");
             assert_eq!(tape.value(tail).data, tape.value(y).data[7..]);
-            let s = model.forward_series(&mut tape, x, 7);
+            let s = model.forward_series(&mut tape, x, 7, 1);
             assert_eq!(tape.value(s).shape, vec![3]);
         }
     }
@@ -249,7 +267,7 @@ mod tests {
         for _ in 0..60 {
             let mut tape = Tape::new(&store);
             let xin = tape.constant(x.clone());
-            let pred = model.forward_series(&mut tape, xin, 0);
+            let pred = model.forward_series(&mut tape, xin, 0, 1);
             let tgt = tape.constant(target.clone());
             let l = loss::mse(&mut tape, pred, tgt);
             last = tape.scalar_value(l);

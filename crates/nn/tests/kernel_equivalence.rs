@@ -9,9 +9,9 @@
 //! bit for bit.
 
 use fmml_nn::kernel::{
-    gemm_nn, gemm_nt, gemm_tn, softmax_rows_pinned, with_mode, GemmOpts, KernelMode,
+    gemm_nn, gemm_nt, gemm_tn, softmax_rows, softmax_rows_pinned, with_mode, GemmOpts, KernelMode,
 };
-use fmml_nn::{ParamStore, Tape, Tensor};
+use fmml_nn::Tensor;
 use proptest::prelude::*;
 
 /// Deterministic xorshift fill; optionally injects NaN/±Inf entries so
@@ -165,14 +165,12 @@ fn softmax_oracle(x: &[f32]) -> Vec<f32> {
     e.iter().map(|&v| v / z).collect()
 }
 
-/// `Tape::softmax_rows` — what the model calls — under `mode`.
-fn tape_softmax(mode: KernelMode, x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+/// `kernel::softmax_rows` — what the attention op calls — under `mode`.
+fn mode_softmax(mode: KernelMode, x: &[f32], cols: usize) -> Vec<f32> {
     with_mode(mode, || {
-        let store = ParamStore::new();
-        let mut tape = Tape::new(&store);
-        let logits = tape.constant(Tensor::from_vec(x.to_vec(), &[rows, cols]));
-        let y = tape.softmax_rows(logits);
-        tape.value(y).data.clone()
+        let mut out = vec![0.0; x.len()];
+        softmax_rows(x, &mut out, cols);
+        out
     })
 }
 
@@ -224,14 +222,8 @@ fn softmax_bitwise_equal_across_instantiations_modes_and_oracle() {
             let got = [
                 ("baseline", pinned(false)),
                 ("avx2", pinned(true)),
-                (
-                    "tape, Reference",
-                    tape_softmax(KernelMode::Reference, &x, ROWS, cols),
-                ),
-                (
-                    "tape, default",
-                    tape_softmax(KernelMode::Blocked, &x, ROWS, cols),
-                ),
+                ("Reference", mode_softmax(KernelMode::Reference, &x, cols)),
+                ("default", mode_softmax(KernelMode::Blocked, &x, cols)),
             ];
             for (who, y) in &got {
                 if let Some(diff) = bits_eq(&want, y) {
