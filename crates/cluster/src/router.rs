@@ -45,7 +45,7 @@ use fmml_serve::protocol::{
     encode_frame_with, write_bytes, Frame, FrameReader, RawFrame, WireCodec, MAX_FRAME_LEN,
 };
 use fmml_serve::session::{self, Count, Counters, FrontEnd, Identity, Ledger, Metrics, Step};
-use fmml_serve::transport::{spawn_acceptor, split, Threads, WRITE_TIMEOUT};
+use fmml_serve::transport::{spawn_acceptor, split, Acceptor, Threads, WRITE_TIMEOUT};
 use fmml_serve::{Conn, Connector, TcpConnector, TcpTransport, Transport};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
@@ -367,7 +367,7 @@ impl<CF: Conn, B: Connector> RouterShared<CF, B> {
 pub struct RouterHandle<CF: Conn = TcpStream, B: Connector = TcpConnector> {
     addr: Option<SocketAddr>,
     shared: Arc<RouterShared<CF, B>>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Option<Acceptor>,
     prober: Option<JoinHandle<()>>,
 }
 
@@ -455,7 +455,7 @@ impl<CF: Conn, B: Connector + Send + Sync + 'static> RouterHandle<CF, B> {
             s.sever_link();
         }
         if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+            a.join();
         }
         if let Some(p) = self.prober.take() {
             let _ = p.join();

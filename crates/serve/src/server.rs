@@ -58,7 +58,7 @@ use crate::session::{
     self, Count, Counters, FrontEnd, Identity, Ledger, Metrics, ProtocolBug, Step,
 };
 use crate::transport::{
-    spawn_acceptor, split, Conn, TcpTransport, Threads, Transport, WRITE_TIMEOUT,
+    spawn_acceptor, split, Acceptor, Conn, TcpTransport, Threads, Transport, WRITE_TIMEOUT,
 };
 use fmml_core::streaming::{IntervalItem, IntervalUpdate, StreamingImputer};
 use fmml_core::transformer_imputer::TransformerImputer;
@@ -473,7 +473,7 @@ pub struct ServerHandle<C: Conn = TcpStream> {
     /// Bound socket address — `Some` only for TCP transports.
     addr: Option<SocketAddr>,
     shared: Arc<Shared<C>>,
-    acceptor: JoinHandle<()>,
+    acceptor: Acceptor,
     /// Worker threads exit once the queue is empty and every reader is
     /// gone, or after [`MAX_CONSECUTIVE_PANICS`].
     workers: Vec<JoinHandle<()>>,
@@ -575,7 +575,7 @@ impl<C: Conn> ServerHandle<C> {
         if let Some(vc) = self.shared.cfg.clock.virtual_handle() {
             vc.set_auto_advance(true);
         }
-        let _ = self.acceptor.join();
+        self.acceptor.join();
         // Readers exit on their next poll tick (they drain first).
         self.readers.join_all();
         self.shared.queue_cv.notify_all();

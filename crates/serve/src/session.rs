@@ -544,8 +544,8 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// A ledger that keeps the last `cap` replies ([`REPLAY_WINDOW`] at
-    /// every endpoint); `cap = 0` keeps the watermark and logs nothing.
+    /// A ledger that keeps the last `cap > 0` replies ([`REPLAY_WINDOW`]
+    /// at every endpoint).
     pub fn new(cap: usize) -> Ledger {
         Ledger {
             replay: Mutex::new(ReplayLog::new(cap)),
@@ -755,8 +755,9 @@ pub struct ReplayLog {
 }
 
 impl ReplayLog {
-    /// A log of at most `cap` replies; `cap = 0` records nothing.
+    /// A log of at most `cap` replies; `cap` must be positive.
     pub fn new(cap: usize) -> ReplayLog {
+        assert!(cap > 0, "a replay log keeps at least one reply");
         ReplayLog {
             entries: VecDeque::new(),
             cap,
@@ -769,9 +770,6 @@ impl ReplayLog {
     /// already-acked entry if one exists, else the oldest entry
     /// (counted in [`forced_evictions`](ReplayLog::forced_evictions)).
     pub fn record(&mut self, seq: u64, bytes: &[u8]) {
-        if self.cap == 0 {
-            return;
-        }
         while self.entries.len() >= self.cap {
             if let Some(i) = self.entries.iter().position(|(s, _)| *s <= self.acked) {
                 self.entries.remove(i);
@@ -841,11 +839,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_cap_records_nothing() {
-        let mut log = ReplayLog::new(0);
-        log.record(1, b"x");
-        assert_eq!(log.get(1), None);
-        assert!(log.is_empty());
+    #[should_panic(expected = "at least one reply")]
+    fn a_log_without_room_is_refused() {
+        ReplayLog::new(0);
     }
 
     #[test]
@@ -1003,14 +999,6 @@ mod tests {
         let (resume_seq, replay) = ledger.resume(Some(1), Some(ProtocolBug::ReplayOffByOne));
         assert_eq!(resume_seq, 4);
         assert_eq!(replay, [bytes_for(3), bytes_for(4)]);
-    }
-
-    #[test]
-    fn ledger_without_a_log_still_keeps_the_watermark() {
-        let ledger = Ledger::new(0);
-        ledger.commit(5, b"x");
-        assert_eq!(ledger.answered(5), None);
-        assert_eq!(ledger.resume(Some(0), None), (5, vec![]));
     }
 
     fn update(k: u32) -> IntervalUpdate {

@@ -77,13 +77,20 @@ pub enum Accepted<C> {
     Closed,
 }
 
-/// The server's accept side. `accept` must not block indefinitely — the
-/// acceptor loop interleaves it with shutdown checks.
+/// The server's accept side. `accept` either polls (`Retry` when
+/// nothing is pending: the acceptor checks for shutdown in between) or
+/// blocks, and then names in [`wake_addr`](Transport::wake_addr) the
+/// address a shutdown connects to so that it returns.
 pub trait Transport: Send + Sync + 'static {
     type Conn: Conn;
     fn accept(&self) -> Accepted<Self::Conn>;
     /// Human-readable endpoint description (logs).
     fn desc(&self) -> String;
+    /// Where a connect wakes a blocked `accept`; `None` for a polling
+    /// transport.
+    fn wake_addr(&self) -> Option<SocketAddr> {
+        None
+    }
 }
 
 /// Socket write timeout of server sessions and router links: a write
@@ -144,31 +151,52 @@ impl Threads {
     }
 }
 
+/// A running acceptor: its thread, and where a connect wakes it.
+pub struct Acceptor {
+    thread: JoinHandle<()>,
+    wake: Option<SocketAddr>,
+}
+
+impl Acceptor {
+    /// Wait for the acceptor to end; call once `stop()` holds. A blocked
+    /// accept is woken by one connect to the listener's own address,
+    /// which the acceptor takes for the shutdown it is.
+    pub fn join(self) {
+        if let Some(addr) = self.wake {
+            let _ = TcpStream::connect(addr);
+        }
+        let _ = self.thread.join();
+    }
+}
+
 /// The acceptor of every endpoint, on a thread named `{name}-acceptor`:
 /// each connection gets a `{name}-session` thread, tracked in
 /// `threads`, running the body `session` returns for it. `session`
 /// runs on the acceptor thread, so a driver can account a connection
 /// before its thread starts. The loop ends when the transport closes,
-/// or when `stop()` holds and no connection is waiting.
+/// or when `stop()` holds once a connection arrives or a poll finds
+/// none waiting.
 pub fn spawn_acceptor<T, F>(
     transport: T,
     name: &str,
     threads: Arc<Threads>,
     stop: impl Fn() -> bool + Send + 'static,
     session: impl Fn(T::Conn) -> F + Send + 'static,
-) -> JoinHandle<()>
+) -> Acceptor
 where
     T: Transport,
     F: FnOnce() + Send + 'static,
 {
     let session_name = format!("{name}-session");
     let listening = format!("{name}.listening");
-    std::thread::Builder::new()
+    let wake = transport.wake_addr();
+    let thread = std::thread::Builder::new()
         .name(format!("{name}-acceptor"))
         .spawn(move || {
             log_event!(listening.as_str(), "addr" = transport.desc().as_str());
             loop {
                 match transport.accept() {
+                    Accepted::Conn(_) if stop() => break,
                     Accepted::Conn(conn) => {
                         let h = std::thread::Builder::new()
                             .name(session_name.clone())
@@ -189,7 +217,8 @@ where
                 }
             }
         })
-        .expect("spawn acceptor")
+        .expect("spawn acceptor");
+    Acceptor { thread, wake }
 }
 
 /// The client's dial side (`crate::loadgen` and tests).
@@ -199,7 +228,9 @@ pub trait Connector: Send + Sync {
     fn desc(&self) -> String;
 }
 
-/// Non-blocking `TcpListener` wrapper — the production transport.
+/// Blocking `TcpListener` wrapper — the production transport. An idle
+/// acceptor sleeps in `accept`; shutdown wakes it through
+/// [`Transport::wake_addr`].
 pub struct TcpTransport {
     listener: TcpListener,
     addr: SocketAddr,
@@ -210,7 +241,6 @@ impl TcpTransport {
     /// [`TcpTransport::addr`]).
     pub fn bind(addr: &str) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(TcpTransport { listener, addr })
     }
@@ -227,14 +257,26 @@ impl Transport for TcpTransport {
     fn accept(&self) -> Accepted<TcpStream> {
         match self.listener.accept() {
             Ok((stream, _peer)) => Accepted::Conn(stream),
-            // WouldBlock and transient errors look the same to the
-            // acceptor: check shutdown, back off briefly, poll again.
+            // A transient error (out of descriptors, an aborted
+            // handshake): check shutdown, back off briefly, accept again.
             Err(_) => Accepted::Retry,
         }
     }
 
     fn desc(&self) -> String {
         self.addr.to_string()
+    }
+
+    /// The bound address, on loopback if it was bound to all interfaces.
+    fn wake_addr(&self) -> Option<SocketAddr> {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Some(addr)
     }
 }
 
