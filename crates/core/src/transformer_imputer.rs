@@ -9,7 +9,7 @@
 //! queues as one forward, their matrices stacked as windows.
 
 use crate::imputer::Imputer;
-use fmml_nn::{NodeId, ParamStore, Tape, Tensor, TransformerConfig, TransformerEncoder};
+use fmml_nn::{NodeId, ParamStore, Tape, TransformerConfig, TransformerEncoder};
 use fmml_telemetry::PortWindow;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -36,15 +36,9 @@ pub struct Scales {
     pub count: f32,
 }
 
-/// Build the `[T, NUM_FEATURES]` input for queue `q` of a window.
-pub fn encode_features(w: &PortWindow, q: usize, scales: Scales) -> Tensor {
-    let mut data = Vec::with_capacity(w.len() * NUM_FEATURES);
-    encode_features_into(w, q, scales, &mut data);
-    Tensor::from_vec(data, &[w.len(), NUM_FEATURES])
-}
-
-/// Append [`encode_features`]' matrix, row-major, to `data`.
-fn encode_features_into(w: &PortWindow, q: usize, scales: Scales, data: &mut Vec<f32>) {
+/// Append the `[T, NUM_FEATURES]` input for queue `q` of a window,
+/// row-major, to `data`.
+fn encode_features(w: &PortWindow, q: usize, scales: Scales, data: &mut Vec<f32>) {
     let l = w.interval_len;
     let nq = w.num_queues();
     for t in 0..w.len() {
@@ -203,7 +197,7 @@ impl TransformerImputer {
         let shape = [queues.len() * w.len(), NUM_FEATURES];
         tape.constant_with(&shape, |data| {
             for q in queues {
-                encode_features_into(w, q, self.scales, data);
+                encode_features(w, q, self.scales, data);
             }
         })
     }
@@ -258,7 +252,10 @@ mod tests {
     #[test]
     fn features_have_expected_shape_and_range() {
         let w = window();
-        let x = encode_features(&w, 0, scales());
+        let m = TransformerImputer::new(3, scales());
+        let mut tape = Tape::new(&m.store);
+        let x = m.features(&mut tape, &w, 0..1);
+        let x = tape.value(x);
         assert_eq!(x.shape, vec![300, NUM_FEATURES]);
         // Normalized features should be small.
         assert!(

@@ -86,7 +86,7 @@ mod tests {
             &[3, 4],
         ));
         // Fewer query rows than context rows (Tq = 2 < T = 3).
-        let q = tape.slice_rows(x, 1, 2);
+        let q = tape.window_rows(x, 1, 1);
         let y = mha.forward(&mut tape, q, x, 1);
         assert_eq!(tape.value(y).shape, vec![2, 4]);
         let sq = tape.square(y);

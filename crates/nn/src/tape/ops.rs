@@ -211,15 +211,6 @@ impl<'s> Tape<'s> {
         self.slice(a, [start, len, 0, 1], Shape::d1(len))
     }
 
-    /// Row slice `[start..start+len, ..]` of a 2-D tensor, contiguous in
-    /// row-major storage.
-    pub fn slice_rows(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
-        let x = self.value(a);
-        assert_eq!(x.rank(), 2);
-        let n = x.cols();
-        self.slice(a, [start * n, len * n, 0, 1], Shape::d2(len, n))
-    }
-
     /// Rows `from..` of each of the `windows` equal windows stacked in
     /// the 2-D `a`: `[windows·T, n] → [windows·(T − from), n]`.
     pub fn window_rows(&mut self, a: NodeId, windows: usize, from: usize) -> NodeId {
