@@ -4,7 +4,7 @@ use super::{Node, BUF_HITS, BUF_MISSES};
 use crate::tensor::{Shape, Tensor};
 use std::cell::RefCell;
 
-/// Thread-local recycling arena for tape storage. A dropped [`Tape`]
+/// Thread-local recycling arena for tape storage. A dropped [`Tape`](super::Tape)
 /// returns its node vector, index list, gradient slots and every node's
 /// `f32` buffer here; the next `Tape::new` on the same thread starts from
 /// that storage instead of allocating. Training builds one tape per
@@ -15,7 +15,7 @@ use std::cell::RefCell;
 /// (callers, and the vendored rayon's persistent workers), so each one
 /// warms its own arena once.
 ///
-/// [`KernelMode::Reference`] disables the arena (nothing is taken or
+/// [`KernelMode::Reference`](crate::kernel::KernelMode::Reference) disables the arena (nothing is taken or
 /// returned), so benchmark reference passes reproduce the historical
 /// allocate-per-sample substrate honestly.
 #[derive(Default)]
