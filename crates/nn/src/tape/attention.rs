@@ -238,7 +238,6 @@ mod tests {
     use super::*;
     use crate::kernel::{with_mode, KernelMode};
     use crate::params::ParamStore;
-    use crate::tape::tests::check_gradients;
 
     /// Deterministic fill in `[-1, 1)` (no RNG dependency).
     fn fill(len: usize, seed: u64) -> Vec<f32> {
@@ -424,33 +423,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn grad_attention() {
-        // One head over a whole window, then two heads and two windows
-        // with fewer query rows than context rows.
-        let param = |rows: usize, d: usize, seed: u64| {
-            let data = fill(rows * d, seed).iter().map(|x| x * 0.8).collect();
-            Tensor::from_vec(data, &[rows, d])
-        };
-        for (heads, windows, tq, t) in [(1, 1, 3, 3), (2, 2, 2, 3)] {
-            let d = 2 * heads;
-            check_gradients(
-                vec![
-                    ("q", param(windows * tq, d, 1)),
-                    ("k", param(windows * t, d, 2)),
-                    ("v", param(windows * t, d, 3)),
-                ],
-                |tape, l| {
-                    let out = tape.attention(l[0], l[1], l[2], heads, windows);
-                    assert_eq!(tape.value(out).shape, vec![windows * tq, d]);
-                    let sq = tape.square(out);
-                    tape.sum(sq)
-                },
-                2e-2,
-            );
         }
     }
 

@@ -3,7 +3,7 @@ use super::*;
 /// Central finite-difference gradient check: `build` constructs a
 /// scalar-rooted graph from parameter leaves; compares analytic and
 /// numeric gradients for every parameter scalar.
-pub(super) fn check_gradients(
+fn check_gradients(
     params: Vec<(&str, Tensor)>,
     build: impl Fn(&mut Tape, &[NodeId]) -> NodeId,
     tol: f32,
@@ -160,6 +160,82 @@ fn grad_window_rows() {
             t.add(s1, s2)
         },
         1e-2,
+    );
+}
+
+#[test]
+fn grad_slice_concat_cols() {
+    // Two heads over two windows, fewer query rows than context rows:
+    // the op slices each head's columns and concatenates the heads'
+    // outputs. Row 1 of each window once more: row 0 gets no gradient
+    // from here.
+    let m = |rows: usize, seed: usize| {
+        let data = (0..rows * 4)
+            .map(|i| ((i * 7 + seed) % 13) as f32 * 0.12 - 0.7)
+            .collect();
+        Tensor::from_vec(data, &[rows, 4])
+    };
+    check_gradients(
+        vec![("q", m(4, 1)), ("k", m(6, 2)), ("v", m(6, 3))],
+        |t, l| {
+            let out = t.attention(l[0], l[1], l[2], 2, 2);
+            assert_eq!(t.value(out).shape, vec![4, 4]);
+            let y = t.tanh(out);
+            let tail = t.window_rows(out, 2, 1);
+            assert_eq!(t.value(tail).shape, vec![2, 4]);
+            let sq = t.square(tail);
+            let (s1, s2) = (t.sum(y), t.sum(sq));
+            t.add(s1, s2)
+        },
+        2e-2,
+    );
+}
+
+#[test]
+fn grad_transpose_and_attention_shape() {
+    // Mini attention: softmax(QK^T / sqrt(2)) V, one head, one window.
+    check_gradients(
+        vec![
+            (
+                "q",
+                Tensor::from_vec(vec![0.1, 0.5, -0.3, 0.7, 0.2, -0.1], &[3, 2]),
+            ),
+            (
+                "k",
+                Tensor::from_vec(vec![0.4, -0.2, 0.3, 0.6, -0.5, 0.1], &[3, 2]),
+            ),
+            (
+                "v",
+                Tensor::from_vec(vec![1.0, 0.0, 0.5, -0.5, 0.2, 0.8], &[3, 2]),
+            ),
+        ],
+        |t, l| {
+            let out = t.attention(l[0], l[1], l[2], 1, 1);
+            assert_eq!(t.value(out).shape, vec![3, 2]);
+            let sq = t.square(out);
+            t.sum(sq)
+        },
+        2e-2,
+    );
+}
+
+#[test]
+fn grad_matmul_scaled_nt() {
+    // One head of width 4: the scores are 0.5·QK^T.
+    let m = |seed: usize| {
+        let data = (0..12)
+            .map(|i| ((i * 5 + seed) % 11) as f32 * 0.15 - 0.75)
+            .collect();
+        Tensor::from_vec(data, &[3, 4])
+    };
+    check_gradients(
+        vec![("q", m(0)), ("k", m(3)), ("v", m(7))],
+        |t, l| {
+            let out = t.attention(l[0], l[1], l[2], 1, 1);
+            let sq = t.square(out);
+            t.sum(sq)
+        },
+        2e-2,
     );
 }
 
